@@ -77,23 +77,26 @@ def _apply_thread_env() -> None:
             os.environ.setdefault(var, n)
 
 
-def _parse_dims(value) -> tuple:
+def _parse_dims(value, flag: str = "--dims") -> tuple:
     # flags arrive as "N" or "N0,N1,N2,N3"; replayed configs as int or list
     if isinstance(value, str):
         try:
             vals = [int(p) for p in value.split(",") if p]
         except ValueError:
-            raise PresetError(f"--dims needs integers, got {value!r}")
+            raise PresetError(f"{flag} needs integers, got {value!r}")
     elif isinstance(value, (list, tuple)):
         vals = list(value)
     else:
         vals = [value]
     if not all(isinstance(v, int) and not isinstance(v, bool) for v in vals):
-        raise PresetError(f"--dims needs integers, got {value!r}")
+        raise PresetError(f"{flag} needs integers, got {value!r}")
     if len(vals) == 1:
         vals = vals * 4
-    if len(vals) != 4 or any(v < 7 for v in vals):
-        raise PresetError("--dims needs 1 or 4 integers, each at least 7")
+    if len(vals) != 4:
+        raise PresetError(f"{flag} needs 1 or 4 integers, got {value!r}")
+    if any(v < 7 for v in vals):
+        # the 7-point stencil wraps onto itself on shorter axes
+        raise PresetError(f"{flag} needs at least 7 nodes per axis, got {value!r}")
     return tuple(vals)
 
 
@@ -189,19 +192,33 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _apply_config_file(args: argparse.Namespace) -> None:
-    """Config file keys override flags (saved configs beat typed flags)."""
+def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+    """Config file keys override flags (saved configs beat typed flags).
+
+    A value passes its option's argparse `type` and `choices` as the same
+    text typed after the flag would, so a bad value is a config error.
+    """
     if not args.config:
         return
     with open(args.config) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise PresetError(f"{args.config}: config must be a JSON object")
+    # argparse keeps a subcommand's option actions in private attributes only
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {a.dest: a for a in subs.choices[args.command]._actions}
     for key, value in data.items():
-        dest = key.replace("-", "_")
-        if not hasattr(args, dest):
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
             raise PresetError(f"{args.config}: unknown config key {key!r}")
-        setattr(args, dest, value)
+        try:
+            if action.type is not None:
+                value = action.type(str(value))
+            if action.choices is not None and value not in action.choices:
+                raise ValueError
+        except ValueError:
+            raise PresetError(f"{args.config}: bad value {value!r} for {key!r}") from None
+        setattr(args, action.dest, value)
 
 
 def _geometry(args):
@@ -447,10 +464,9 @@ def _sweep_residual(args, n: int) -> float:
 
 
 def _run_sweep(args):
-    if isinstance(args.dims_list, str):
-        sizes = [int(x) for x in args.dims_list.split(",") if x]
-    else:
-        sizes = [int(x) for x in args.dims_list]
+    raw = args.dims_list  # comma text from the flag, a list from a config
+    text = ",".join(map(str, raw)) if isinstance(raw, list) else str(raw)
+    sizes = [_parse_dims(n, "--dims-list")[0] for n in text.split(",") if n]
     if len(sizes) < 2:
         raise PresetError("--dims-list needs at least two sizes")
     rows = []
@@ -485,7 +501,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config_file(args)
+        _apply_config_file(args, parser)
         config, outputs = _RUNNERS[args.command](args)
     except (PresetError, OSError, json.JSONDecodeError) as exc:
         print(f"monolab: config error: {exc}", file=sys.stderr)

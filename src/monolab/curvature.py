@@ -25,8 +25,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .bases import EPS, ETA_MINUS, ETA_PLUS, PAIRS, TRIPLES, WEDGE2, X3
-from .grid import GridSpec, ScalarField, d1, d2
+from .bases import ETA_MINUS, ETA_PLUS, PAIRS, WEDGE2
+from .grid import GridSpec, ScalarField, _freeze, d1, d2
 
 __all__ = [
     "MetricField",
@@ -36,6 +36,10 @@ __all__ = [
     "lowest_eigenvalue",
     "christoffel",
 ]
+
+# orientation signs of the stored 3-form components (see MetricField.gram3)
+_S3 = np.array([1.0, -1.0, 1.0, -1.0])
+_PAIR_I, _PAIR_J = np.array(PAIRS).T
 
 
 class MetricField:
@@ -50,38 +54,26 @@ class MetricField:
         g = np.asarray(g, dtype=float)
         if g.shape != grid.dims + (4, 4):
             raise ValueError(f"metric shape {g.shape} != {grid.dims + (4, 4)}")
-        g = np.ascontiguousarray(g)
-        g.flags.writeable = False
         self.grid = grid
-        self.g = g
+        self.g = _freeze(g)
 
     @cached_property
     def ginv(self) -> np.ndarray:
-        out = np.linalg.inv(self.g)
-        out.flags.writeable = False
-        return out
+        return _freeze(np.linalg.inv(self.g))
 
     @cached_property
     def vol(self) -> np.ndarray:
-        out = np.sqrt(np.linalg.det(self.g))
-        out.flags.writeable = False
-        return out
+        return _freeze(np.sqrt(np.linalg.det(self.g)))
 
     @cached_property
     def coframe(self) -> np.ndarray:
         """Upper-triangular e with e^T e = g (rows = coframe 1-forms)."""
-        out = np.swapaxes(np.linalg.cholesky(self.g), -1, -2)
-        out = np.ascontiguousarray(out)
-        out.flags.writeable = False
-        return out
+        return _freeze(np.swapaxes(np.linalg.cholesky(self.g), -1, -2))
 
     @cached_property
     def inv_coframe(self) -> np.ndarray:
         """einv[..., i, a]: coordinate components of the frame vectors E_a."""
-        out = np.linalg.inv(self.coframe)
-        out = np.ascontiguousarray(out)
-        out.flags.writeable = False
-        return out
+        return _freeze(np.linalg.inv(self.coframe))
 
     @cached_property
     def christoffel(self) -> np.ndarray:
@@ -121,58 +113,42 @@ class MetricField:
         for p, (i, j) in enumerate(PAIRS):
             for q, (k, l) in enumerate(PAIRS):
                 out[..., p, q] = gi[..., i, k] * gi[..., j, l] - gi[..., i, l] * gi[..., j, k]
-        out.flags.writeable = False
-        return out
+        return _freeze(out)
 
     @cached_property
     def gram3(self) -> np.ndarray:
-        """Gram matrix of stored 3-form components (3x3 minors of ginv)."""
-        gi = self.ginv
-        out = np.empty(self.grid.dims + (4, 4))
-        for l, I in enumerate(TRIPLES):
-            for m, J in enumerate(TRIPLES):
-                sub = gi[..., I, :][..., :, J]
-                out[..., l, m] = np.linalg.det(sub)
-        out.flags.writeable = False
-        return out
+        """Gram matrix of stored 3-form components: <dx^I_l, dx^I_m>.
+
+        Closed form S g S / vol^2 with S = diag(+1, -1, +1, -1), the sign in
+        dx^I_l = S_l i_{d_l}(dx^0^dx^1^dx^2^dx^3): star3 is an isometry, so
+        gram3 = star3^T ginv star3.
+        """
+        return _freeze(_S3[:, None] * self.g * _S3 / (self.vol**2)[..., None, None])
 
     @cached_property
     def star3(self) -> np.ndarray:
-        """Hodge star on 3-forms as a per-node matrix: alpha_m = S3[m,l] rho_l."""
-        gi = self.ginv
-        out = np.einsum(
-            "...,...ia,...jb,...kc,labc,ijkm->...ml",
-            self.vol, gi, gi, gi, X3, EPS, optimize=True,
-        ) / 6.0
-        out = np.ascontiguousarray(out)
-        out.flags.writeable = False
-        return out
+        """Hodge star on 3-forms as a per-node matrix: alpha_m = star3[m,l] rho_l.
+
+        Closed form -g S / vol (S as in gram3): star1 takes u to the stored
+        components vol S ginv u, and star3 star1 = -1 on 1-forms in 4D.
+        """
+        return _freeze(-(self.g * _S3) / self.vol[..., None, None])
 
     @cached_property
     def star2(self) -> np.ndarray:
         """Hodge star on 2-forms as a per-node 6x6 matrix on stored components."""
         out = np.einsum("pq,...pr->...qr", WEDGE2, self.gram2) * self.vol[..., None, None]
-        out = np.ascontiguousarray(out)
-        out.flags.writeable = False
-        return out
+        return _freeze(out)
 
     @cached_property
     def sd_pairs(self) -> np.ndarray:
         """Stored components of eta_a: sd_pairs[..., p, a] = (eta_a)_{i_p j_p}."""
-        EB = self.sd_basis_coord
-        out = np.stack([EB[..., :, i, j] for (i, j) in PAIRS], axis=-2)
-        out = np.ascontiguousarray(out)
-        out.flags.writeable = False
-        return out
+        return _pair_components(self.sd_basis_coord)
 
     @cached_property
     def sd_pairs_up(self) -> np.ndarray:
         """Index-raised pair components of eta_a (projection weights)."""
-        EB = self.sd_basis_coord_up
-        out = np.stack([EB[..., :, i, j] for (i, j) in PAIRS], axis=-2)
-        out = np.ascontiguousarray(out)
-        out.flags.writeable = False
-        return out
+        return _pair_components(self.sd_basis_coord_up)
 
     @cached_property
     def asd_pairs_up(self) -> np.ndarray:
@@ -181,24 +157,23 @@ class MetricField:
         eb = np.einsum("aAB,...Ai,...Bj->...aij", ETA_MINUS, e, e, optimize=True)
         eb = np.einsum("...aij,...ik,...jl->...akl", eb, self.ginv, self.ginv,
                        optimize=True)
-        out = np.stack([eb[..., :, i, j] for (i, j) in PAIRS], axis=-2)
-        out = np.ascontiguousarray(out)
-        out.flags.writeable = False
-        return out
+        return _pair_components(eb)
 
     @cached_property
     def hodge_weight(self) -> np.ndarray:
         """Per-node 4x4 weight so that for any 3-form components tau,
         tau^T W tau = vol (|tau|^2 + |star3 tau|^2); the node sum times the
-        cell volume is the L2 energy of (d sigma, d* sigma) combined."""
-        w1 = self.ginv * self.vol[..., None, None]
-        s3 = self.star3
-        out = self.gram3 * self.vol[..., None, None]
-        out += np.einsum("...ml,...mn,...nk->...lk", s3, w1, s3, optimize=True)
-        out = 0.5 * (out + np.swapaxes(out, -1, -2))
-        out = np.ascontiguousarray(out)
-        out.flags.writeable = False
-        return out
+        cell volume is the L2 energy of (d sigma, d* sigma) combined.
+
+        Both terms equal vol tau^T gram3 tau, so W = 2 S g S / vol with
+        S = diag(+1, -1, +1, -1) as in gram3.
+        """
+        return _freeze(2.0 * _S3[:, None] * self.g * _S3 / self.vol[..., None, None])
+
+
+def _pair_components(eb: np.ndarray) -> np.ndarray:
+    """Stored pair components [..., p, a] of full antisymmetric eb[..., a, i, j]."""
+    return _freeze(np.swapaxes(eb[..., _PAIR_I, _PAIR_J], -1, -2))
 
 
 class CurvatureBundle:
@@ -213,15 +188,11 @@ class CurvatureBundle:
             raise ValueError("wplus storage is not trace-free")
         if np.max(w.values) > tol:
             raise ValueError("lowest Weyl eigenvalue came out positive")
-        wplus = np.ascontiguousarray(wplus)
-        wplus.flags.writeable = False
-        ricci = np.ascontiguousarray(ricci)
-        ricci.flags.writeable = False
         self.metric = metric
         self.scalar = scalar
-        self.wplus = wplus
+        self.wplus = _freeze(wplus)
         self.w = w
-        self.ricci = ricci
+        self.ricci = _freeze(ricci)
 
 
 def build_metric(grid: GridSpec, g: np.ndarray, sym_tol: float = 1e-12) -> MetricField:

@@ -205,35 +205,35 @@ _D3_TERMS = tuple(
 )
 
 
+def _axis_derivatives(comps: np.ndarray, grid: GridSpec) -> list[np.ndarray]:
+    """D_k of every stored component, one stencil call per grid axis k."""
+    hs = grid.spacing
+    return [d1(comps, k, hs[k]) for k in range(4)]
+
+
 def d_one_form(a: OneFormField) -> TwoFormField:
-    hs = a.grid.spacing
+    dk = _axis_derivatives(a.comps, a.grid)
     comps = np.empty(a.grid.dims + (6,))
     for p, (i, j) in enumerate(PAIRS):
-        comps[..., p] = d1(a.comps[..., j], i, hs[i]) - d1(a.comps[..., i], j, hs[j])
+        comps[..., p] = dk[i][..., j] - dk[j][..., i]
     return TwoFormField(a.grid, comps)
 
 
 def _d_pairs(omega: np.ndarray, grid: GridSpec) -> np.ndarray:
     """d of pair components; extra trailing axes ride along."""
-    hs = grid.spacing
-    out = np.zeros(grid.dims + (4,) + omega.shape[len(grid.dims) + 1 :])
+    dk = _axis_derivatives(omega, grid)
+    out = np.zeros(grid.dims + (4,) + omega.shape[5:])
     for l, k, p, s in _D3_TERMS:
-        if omega.ndim == 5:
-            out[..., l] += s * d1(omega[..., p], k, hs[k])
-        else:
-            out[..., l, :] += s * d1(omega[..., p, :], k, hs[k])
+        out[:, :, :, :, l] += s * dk[k][:, :, :, :, p]
     return out
 
 
 def _d_pairs_T(tau: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Plain-sum transpose of _d_pairs (stencil transpose is its negative)."""
-    hs = grid.spacing
-    out = np.zeros(grid.dims + (6,) + tau.shape[len(grid.dims) + 1 :])
+    dk = _axis_derivatives(tau, grid)
+    out = np.zeros(grid.dims + (6,) + tau.shape[5:])
     for l, k, p, s in _D3_TERMS:
-        if tau.ndim == 5:
-            out[..., p] -= s * d1(tau[..., l], k, hs[k])
-        else:
-            out[..., p, :] -= s * d1(tau[..., l, :], k, hs[k])
+        out[:, :, :, :, p] -= s * dk[k][:, :, :, :, l]
     return out
 
 
@@ -258,19 +258,11 @@ def covariant_derivative(sigma: SelfDualField, m: MetricField) -> np.ndarray:
     Frame components, so the pointwise square sum is |nabla sigma|^2.
     """
     grid = sigma.grid
-    hs = grid.spacing
     if m.is_flat:
-        return np.stack(
-            [
-                np.stack([d1(sigma.comps[..., a], k, hs[k]) for a in range(3)], axis=-1)
-                for k in range(4)
-            ],
-            axis=-2,
-        )
+        return np.stack(_axis_derivatives(sigma.comps, grid), axis=-2)
     om = np.einsum("...aij,...a->...ij", m.sd_basis_coord, sigma.comps, optimize=True)
-    dom = np.stack([d1(om, k, hs[k]) for k in range(4)], axis=-3)
+    nab = np.stack(_axis_derivatives(om, grid), axis=-3)
     gam = m.christoffel
-    nab = dom
     nab = nab - np.einsum("...mki,...mj->...kij", gam, om, optimize=True)
     nab = nab - np.einsum("...mkj,...im->...kij", gam, om, optimize=True)
     return 0.5 * np.einsum(

@@ -83,11 +83,20 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
         ["curvature", "--dims", "5"],
         ["curvature", "--config", "/does/not/exist.json"],
         ["lambda", "--theta", "coord:9"],
+        ["psw-residual", "--dims", "8", "--config", "bad_eps.json"],
+        ["sweep", "--check", "dirac", "--dims-list", "5,8"],
+        ["psw-residual", "--dims", "8", "--config", "bad_variant.json"],
     ],
 )
-def test_parse_errors_exit_2(capsys, argv):
-    code, _ = run(capsys, argv)
+def test_parse_errors_exit_2(tmp_path, monkeypatch, capsys, argv):
+    # relative --config paths name the bad files written here
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad_eps.json").write_text(json.dumps({"eps": "abc"}))
+    (tmp_path / "bad_variant.json").write_text(json.dumps({"variant": "half"}))
+    code = main(argv)
+    err = capsys.readouterr().err
     assert code == 2
+    assert err.startswith("monolab: config error:") and err.count("\n") == 1
 
 
 def test_gate_errors_exit_1(capsys):

@@ -12,6 +12,7 @@ from monolab import (
     lowest_eigenvalue,
     metric_from_preset,
 )
+from monolab.bases import EPS, TRIPLES, X3
 
 TWO_PI = 2.0 * np.pi
 
@@ -117,3 +118,33 @@ def test_bundle_rejects_bad_weyl_storage(m8):
     wpos = ScalarField(g, np.full(g.dims, 0.5))
     with pytest.raises(ValueError):
         CurvatureBundle(m8, zeros, np.zeros(g.dims + (3, 3)), wpos, ricci)
+
+
+def test_three_form_algebra_matches_tensor_definitions():
+    # a generic metric: non-diagonal SPD and not conformally flat; no
+    # derivatives are taken, so a small grid suffices
+    grid = GridSpec((4, 4, 4, 4))
+    rng = np.random.default_rng(31)
+    a = rng.standard_normal(grid.dims + (4, 4))
+    g = np.einsum("...ij,...kj->...ik", a, a) + 0.5 * np.eye(4)
+    m = build_metric(grid, g)
+    gi, vol = m.ginv, m.vol
+
+    star3 = np.einsum(
+        "...,...ia,...jb,...kc,labc,ijkm->...ml", vol, gi, gi, gi, X3, EPS, optimize=True
+    ) / 6.0
+    gram3 = np.empty(grid.dims + (4, 4))
+    for l, I in enumerate(TRIPLES):
+        for k, J in enumerate(TRIPLES):
+            gram3[..., l, k] = np.linalg.det(gi[..., I, :][..., :, J])
+    w1 = gi * vol[..., None, None]
+    weight = gram3 * vol[..., None, None] + np.einsum(
+        "...ml,...mn,...nk->...lk", star3, w1, star3, optimize=True
+    )
+
+    def rel(x, y):
+        return np.max(np.abs(x - y)) / np.max(np.abs(y))
+
+    assert rel(m.star3, star3) < 1e-13
+    assert rel(m.gram3, gram3) < 1e-13
+    assert rel(m.hodge_weight, weight) < 1e-13

@@ -25,7 +25,11 @@ from monolab import (
     wedge_integral,
     weitzenboeck_residual,
 )
+from monolab.grid import d1
 from monolab.selfdual import (
+    _D3_TERMS,
+    _d_pairs,
+    _d_pairs_T,
     _resolved_filter,
     hodge_energy_and_grad,
     nyquist_mask,
@@ -86,6 +90,34 @@ def grad_check(fn, x0, seed):
     fd = (ep - em) / (2 * eps)
     an = np.sum(grad * direction)
     assert abs(fd - an) < 1e-6 * max(1.0, abs(fd))
+
+
+def _d_pairs_per_component(omega, grid, transpose=False):
+    # one stencil call per (axis, component): the reference for the stacked form
+    hs = grid.spacing
+    n_out = 6 if transpose else 4
+    out = np.zeros(grid.dims + (n_out,) + omega.shape[5:])
+    for l, k, p, s in _D3_TERMS:
+        if transpose:
+            out[:, :, :, :, p] -= s * d1(omega[:, :, :, :, l], k, hs[k])
+        else:
+            out[:, :, :, :, l] += s * d1(omega[:, :, :, :, p], k, hs[k])
+    return out
+
+
+@pytest.mark.parametrize("extra", [(), (5,)], ids=["single", "batched"])
+def test_stacked_d_pairs_match_per_component(grid8, extra):
+    # extra=(5,) is the block layout of the harmonic solver's operator
+    rng = np.random.default_rng(17)
+    omega = rng.standard_normal(grid8.dims + (6,) + extra)
+    tau = rng.standard_normal(grid8.dims + (4,) + extra)
+    d_omega = _d_pairs(omega, grid8)
+    dt_tau = _d_pairs_T(tau, grid8)
+    assert np.array_equal(d_omega, _d_pairs_per_component(omega, grid8))
+    assert np.array_equal(dt_tau, _d_pairs_per_component(tau, grid8, transpose=True))
+    lhs = np.sum(d_omega * tau)
+    rhs = np.sum(omega * dt_tau)
+    assert abs(lhs - rhs) < 1e-12 * np.sqrt(np.sum(d_omega**2) * np.sum(tau**2))
 
 
 def test_energy_gradients_match_finite_differences(m8_conf):
