@@ -41,7 +41,7 @@ from .functionals import (
     reformulated_inequality_check,
     rotating_config,
 )
-from .grid import GridSpec, ScalarField, TensorField, integrate, lp_norm
+from .grid import GridSpec, ScalarField, integrate
 from .io import load_fields, save_fields
 from .presets import (
     PresetError,

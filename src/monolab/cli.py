@@ -4,8 +4,10 @@ Every subcommand builds its geometry from presets, runs one family of
 checks, and emits a schema-versioned JSON report (stdout or --out).  A
 JSON config file passed with --config overrides command-line flags, so a
 saved config always reproduces the run it came from regardless of what
-was typed next to it.  Exit codes: 0 success, 1 invariant-gate or
-numerical failure, 2 config/parse errors.
+was typed next to it.  One option table, `_COMMANDS`, drives argparse,
+the parsing of flag and config values and the config block each report
+records.  Exit codes: 0 success, 1 invariant-gate or numerical failure,
+2 config/parse errors.
 
 Timing goes to stderr only; reports are byte-identical for identical
 config and seed.
@@ -18,7 +20,8 @@ import csv
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -40,7 +43,7 @@ from .functionals import (
     reducible_config,
     rotating_config,
 )
-from .grid import GridSpec
+from .grid import GridSpec, integrate
 from .io import save_fields
 from .presets import (
     PresetError,
@@ -52,6 +55,7 @@ from .presets import (
 from .rayleigh import LambdaOptions, assemble_K, minimize_lambda
 from .report import Timer, make_report, render_report
 from .selfdual import (
+    B_PLUS,
     SelfDualField,
     harmonic_selfdual_basis,
     integral_identity_check_c,
@@ -77,167 +81,198 @@ def _apply_thread_env() -> None:
             os.environ.setdefault(var, n)
 
 
-def _parse_dims(value, flag: str = "--dims") -> tuple:
-    # flags arrive as "N" or "N0,N1,N2,N3"; replayed configs as int or list
+# ---------------------------------------------------------------------------
+# option parsers: each takes the text typed after a flag or the JSON value a
+# saved config holds, and raises ValueError saying what the option needs
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError("needs text")
+    return value
+
+
+def _int(value) -> int:
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    try:
+        return int(_text(value))
+    except ValueError:
+        raise ValueError("needs an integer") from None
+
+
+def _float(value) -> float:
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    try:
+        return float(_text(value))
+    except ValueError:
+        raise ValueError("needs a number") from None
+
+
+def _choice(*choices):
+    def parse(value):
+        if value not in choices:
+            raise ValueError(f"needs one of {', '.join(choices)}")
+        return value
+    parse.metavar = "{" + ",".join(choices) + "}"
+    return parse
+
+
+def _items(value) -> list:
+    """Comma-separated flag text, or a saved config's list or single value."""
     if isinstance(value, str):
-        try:
-            vals = [int(p) for p in value.split(",") if p]
-        except ValueError:
-            raise PresetError(f"{flag} needs integers, got {value!r}")
-    elif isinstance(value, (list, tuple)):
-        vals = list(value)
-    else:
-        vals = [value]
-    if not all(isinstance(v, int) and not isinstance(v, bool) for v in vals):
-        raise PresetError(f"{flag} needs integers, got {value!r}")
+        return [p for p in value.split(",") if p]
+    return value if isinstance(value, list) else [value]
+
+
+def _size(value) -> int:
+    n = _int(value)
+    if n < 7:
+        # the 7-point stencil wraps onto itself on shorter axes
+        raise ValueError("needs at least 7 nodes per axis")
+    return n
+
+
+def _dims(value) -> tuple:
+    vals = [_size(v) for v in _items(value)]
     if len(vals) == 1:
         vals = vals * 4
     if len(vals) != 4:
-        raise PresetError(f"{flag} needs 1 or 4 integers, got {value!r}")
-    if any(v < 7 for v in vals):
-        # the 7-point stencil wraps onto itself on shorter axes
-        raise PresetError(f"{flag} needs at least 7 nodes per axis, got {value!r}")
+        raise ValueError("needs 1 or 4 integers")
     return tuple(vals)
 
 
-def _parse_periods(value) -> tuple:
-    try:
-        if isinstance(value, str):
-            vals = [float(p) for p in value.split(",") if p]
-        elif isinstance(value, (list, tuple)):
-            vals = [float(v) for v in value]
-        else:
-            vals = [float(value)]
-    except (TypeError, ValueError):
-        raise PresetError(f"--periods needs numbers, got {value!r}")
+def _periods(value) -> tuple:
+    vals = [_float(v) for v in _items(value)]
     if len(vals) == 1:
         vals = vals * 4
     if len(vals) != 4 or any(v <= 0 for v in vals):
-        raise PresetError("--periods needs 1 or 4 positive lengths")
+        raise ValueError("needs 1 or 4 positive lengths")
     return tuple(vals)
 
 
-def _add_common(sub):
-    sub.add_argument("--dims", default="8", help="grid nodes per axis (N or N0,N1,N2,N3)")
-    sub.add_argument("--periods", default=None, help="box lengths (default 2*pi each)")
-    sub.add_argument("--metric", default="flat", help="flat | conformal:EXPR | kaehler-product:EXPR | file:PATH")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--out", default=None, help="report path (default stdout)")
-    sub.add_argument("--dump", default=None, help="optional field-container output")
-    sub.add_argument("--config", default=None, help="JSON config file; its keys override flags")
+def _dims_list(value) -> list:
+    sizes = [_size(v) for v in _items(value)]
+    if len(sizes) < 2:
+        raise ValueError("needs at least two sizes")
+    return sizes
+
+
+def _deltas(value) -> list:
+    return [_float(v) for v in _text(value).split(",") if v]
+
+
+def _gate(value) -> float | None:
+    # null, as a report records the default gate, keeps the default
+    if value is None:
+        return None
+    return np.inf if value == "off" else _float(value)
+
+
+def _omega_index(value) -> int:
+    # harmonic_selfdual_basis returns exactly B_PLUS forms or raises
+    index = _int(value)
+    if not 0 <= index < B_PLUS:
+        raise ValueError(f"needs an index below b+ = {B_PLUS}")
+    return index
+
+
+@dataclass(frozen=True)
+class _Option:
+    parse: Callable  # flag text or saved-config value -> value
+    default: object = None
+    help: str | None = None
+    # True: the report's config block records it; "catalog": only lebrun's
+    # catalog mode records it, and that mode records nothing else
+    record: bool | str = True
+
+
+_GRID = {
+    "dims": _Option(_dims, (8,) * 4, "grid nodes per axis (N or N0,N1,N2,N3)"),
+    "periods": _Option(_periods, (2.0 * np.pi,) * 4, "box lengths (default 2*pi each)"),
+}
+_COMMON = {
+    "metric": _Option(_text, "flat", "flat | conformal:EXPR | kaehler-product:EXPR | file:PATH"),
+    "seed": _Option(_int, 0),
+    "out": _Option(_text, None, "report path (default stdout)", False),
+    "dump": _Option(_text, None, "optional field-container output", False),
+    "config": _Option(_text, None, "JSON config file; its keys override flags", False),
+}
+_THETA = _Option(_text, "const:0", "const:VALUE | coord:AXIS | file:PATH")
+_LAMBDA_VALUE = _Option(_float, 0.0, "lambda folded into K")
+_CSV = _Option(_text, None, "write sweep rows as CSV", False)
+# the manufactured pair shared by psw-residual and bounds
+_PAIR = {
+    "theta": _THETA,
+    "eps": _Option(_float, 0.5),
+    "pair": _Option(_choice("reducible", "constant", "gauge", "rotating"), "rotating"),
+    "chi": _Option(_text, "0.3*sin(x0)", "gauge function for --pair gauge"),
+    "amplitude": _Option(_float, 0.9, "sup |sigma| for --pair rotating"),
+    "lambda_value": _LAMBDA_VALUE,
+}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _parse(options: dict, name: str, value, where: str = ""):
+    try:
+        return options[name].parse(value)
+    except ValueError as exc:
+        raise PresetError(f"{where}{_flag(name)} {exc}, got {value!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # values stay text here; _resolve parses flags and config values alike.
+    # No abbreviations: sweep's --dims-list must not answer to --dims.
     p = argparse.ArgumentParser(prog="monolab", description=__doc__.splitlines()[0])
     subs = p.add_subparsers(dest="command", required=True)
-
-    s = subs.add_parser("curvature", help="curvature fields of a preset metric")
-    _add_common(s)
-
-    s = subs.add_parser("hodge", help="harmonic self-dual basis of a preset metric")
-    _add_common(s)
-
-    s = subs.add_parser("dirac-check", help="spinor identities on a random smooth pair")
-    _add_common(s)
-    s.add_argument("--amplitude", type=float, default=0.3)
-
-    s = subs.add_parser("lambda", help="minimize the spectral quotient")
-    _add_common(s)
-    s.add_argument("--theta", default="const:0", help="const:VALUE | coord:AXIS | file:PATH")
-    s.add_argument("--multistarts", type=int, default=8, help="random starts beyond the 3 constants")
-    s.add_argument("--max-iter", type=int, default=150)
-    s.add_argument("--tol", type=float, default=1e-9)
-
-    s = subs.add_parser("psw-residual", help="residual of a manufactured monopole pair")
-    _add_common(s)
-    s.add_argument("--theta", default="const:0")
-    s.add_argument("--eps", type=float, default=0.5)
-    s.add_argument("--variant", choices=("simple", "full"), default="full")
-    s.add_argument("--pair", choices=("reducible", "constant", "gauge", "rotating"), default="rotating")
-    s.add_argument("--chi", default="0.3*sin(x0)", help="gauge function for --pair gauge")
-    s.add_argument("--amplitude", type=float, default=0.9, help="sup |sigma| for --pair rotating")
-    s.add_argument("--lambda-value", type=float, default=0.0, help="lambda folded into K")
-
-    s = subs.add_parser("bounds", help="a-priori bound margins for a manufactured pair")
-    _add_common(s)
-    s.add_argument("--theta", default="const:0")
-    s.add_argument("--eps", type=float, default=0.5)
-    s.add_argument("--pair", choices=("reducible", "constant", "gauge", "rotating"), default="rotating")
-    s.add_argument("--chi", default="0.3*sin(x0)")
-    s.add_argument("--amplitude", type=float, default=0.9)
-    s.add_argument("--lambda-value", type=float, default=0.0)
-    s.add_argument("--gate", default=None, help="residual gate (number, or 'off')")
-
-    s = subs.add_parser("lebrun", help="curvature inequalities, grid or catalog mode")
-    _add_common(s)
-    s.add_argument("--catalog", default=None, help=f"closed-form mode: one of {sorted(CATALOG)}")
-    s.add_argument("--delta", type=float, default=0.0)
-    s.add_argument("--sweep-delta", default=None, help="comma list of weights for a margin sweep")
-    s.add_argument("--sweep-kind", choices=("linear", "quadratic"), default="quadratic")
-    s.add_argument("--theta", default="const:0")
-    s.add_argument("--lambda-value", type=float, default=0.0)
-    s.add_argument("--c1", type=float, default=0.0, help="Chern pairing c1.[omega]")
-    s.add_argument("--c1plus-sq", type=float, default=0.0, help="(c1^+)^2 for the quadratic report")
-    s.add_argument("--omega-index", type=int, default=0, help="harmonic basis vector used as omega")
-    s.add_argument("--csv", default=None, help="write sweep rows as CSV")
-
-    s = subs.add_parser("sweep", help="refinement sweep of one residual check")
-    _add_common(s)
-    s.add_argument("--check", choices=("weitzenboeck", "dirac", "identity-s", "identity-c"),
-                   default="weitzenboeck")
-    s.add_argument("--dims-list", default="8,16", help="comma list of grid sizes")
-    s.add_argument("--theta", default="const:0.3")
-    s.add_argument("--amplitude", type=float, default=0.3)
-    s.add_argument("--csv", default=None, help="write sweep rows as CSV")
+    for command, (help_text, _, options) in _COMMANDS.items():
+        s = subs.add_parser(command, help=help_text, allow_abbrev=False)
+        for name, opt in options.items():
+            s.add_argument(_flag(name), dest=name, default=argparse.SUPPRESS, help=opt.help,
+                           metavar=getattr(opt.parse, "metavar", None))
     return p
 
 
-def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    """Config file keys override flags (saved configs beat typed flags).
+def _resolve(flags: argparse.Namespace) -> argparse.Namespace:
+    """Option values: defaults, overridden by flags, overridden by --config keys.
 
-    A value passes its option's argparse `type` and `choices` as the same
-    text typed after the flag would, so a bad value is a config error.
+    Config files beat typed flags, so a saved config replays its run.
     """
+    options = _COMMANDS[flags.command][2]
+    args = argparse.Namespace(command=flags.command,
+                              **{name: opt.default for name, opt in options.items()})
+    for name, text in vars(flags).items():
+        if name != "command":
+            setattr(args, name, _parse(options, name, text))
     if not args.config:
-        return
+        return args
     with open(args.config) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise PresetError(f"{args.config}: config must be a JSON object")
-    # argparse keeps a subcommand's option actions in private attributes only
-    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    actions = {a.dest: a for a in subs.choices[args.command]._actions}
+    where = f"{args.config}: "
     for key, value in data.items():
-        action = actions.get(key.replace("-", "_"))
-        if action is None:
-            raise PresetError(f"{args.config}: unknown config key {key!r}")
-        try:
-            if action.type is not None:
-                value = action.type(str(value))
-            if action.choices is not None and value not in action.choices:
-                raise ValueError
-        except ValueError:
-            raise PresetError(f"{args.config}: bad value {value!r} for {key!r}") from None
-        setattr(args, action.dest, value)
+        name = key.replace("-", "_")
+        if name not in options:
+            raise PresetError(f"{where}unknown config key {key!r}")
+        setattr(args, name, _parse(options, name, value, where))
+    return args
+
+
+def _recorded(args: argparse.Namespace) -> dict:
+    """The report's config block: the options the command records."""
+    mode = "catalog" if getattr(args, "catalog", None) is not None else True
+    return {name: getattr(args, name)
+            for name, opt in _COMMANDS[args.command][2].items() if opt.record == mode}
 
 
 def _geometry(args):
-    dims = _parse_dims(args.dims)
-    periods = _parse_periods(args.periods) if args.periods else (2.0 * np.pi,) * 4
-    grid = GridSpec(dims, periods)
-    m = metric_from_preset(args.metric, grid)
-    return grid, m
-
-
-def _base_config(args, **extra) -> dict:
-    cfg = {
-        "dims": list(_parse_dims(args.dims)),
-        "periods": list(_parse_periods(args.periods)) if args.periods else [2.0 * np.pi] * 4,
-        "metric": args.metric,
-        "seed": args.seed,
-    }
-    cfg.update(extra)
-    return cfg
+    grid = GridSpec(args.dims, args.periods)
+    return grid, metric_from_preset(args.metric, grid)
 
 
 def _random_pair(grid, seed, amplitude):
@@ -249,6 +284,20 @@ def _random_pair(grid, seed, amplitude):
     phi[..., 1] = 0.4 + random_smooth_scalar(grid, rng, 1, amplitude) \
         + 1j * random_smooth_scalar(grid, rng, 1, amplitude)
     return U1Connection(grid, a), SpinorField(grid, phi)
+
+
+def _random_selfdual(grid, seed, amplitude, offset):
+    rng = np.random.default_rng(seed)
+    comps = np.stack([random_smooth_scalar(grid, rng, 1, amplitude) for _ in range(3)], axis=-1)
+    return SelfDualField(grid, comps + np.array(offset))
+
+
+def _weight(args):
+    """Geometry, curvature and the curvature weight K of --theta and --lambda-value."""
+    grid, m = _geometry(args)
+    curv = curvature_stack(m)
+    K = assemble_K(theta_from_preset(args.theta, m), curv, args.lambda_value)
+    return grid, m, curv, K
 
 
 def _manufactured(args, m, curv):
@@ -280,16 +329,15 @@ def _run_curvature(args):
     grid, m = _geometry(args)
     with Timer("curvature"):
         curv = curvature_stack(m)
-    vol = float(np.sum(m.vol) * grid.cell_volume)
     outputs = {
         "scalar": _summary(curv.scalar.values),
         "w": _summary(curv.w.values),
-        "volume": vol,
-        "integral_scalar": float(np.sum(curv.scalar.values * m.vol) * grid.cell_volume),
+        "volume": integrate(1.0, m),
+        "integral_scalar": integrate(curv.scalar.values, m),
     }
     if args.dump:
         save_fields(args.dump, grid, {"scalar": curv.scalar.values, "w": curv.w.values})
-    return _base_config(args), outputs
+    return outputs
 
 
 def _run_hodge(args):
@@ -297,22 +345,18 @@ def _run_hodge(args):
     with Timer("hodge"):
         curv = curvature_stack(m)
         basis = harmonic_selfdual_basis(m)
-    gram = np.array([
-        [float(np.sum(np.sum(a.comps * b.comps, -1) * m.vol) * grid.cell_volume) for b in basis]
-        for a in basis
-    ])
-    rng = np.random.default_rng(args.seed)
-    comps = np.stack([random_smooth_scalar(grid, rng, 1, 0.3) for _ in range(3)], axis=-1)
-    sigma = SelfDualField(grid, comps + np.array([1.0, 0.0, 0.0]))
+    gram = np.array([[integrate(np.sum(a.comps * b.comps, -1), m) for b in basis]
+                     for a in basis])
+    sigma = _random_selfdual(grid, args.seed, 0.3, [1.0, 0.0, 0.0])
     outputs = {
         "b_plus": len(basis),
         "orthonormality_error": float(np.max(np.abs(gram - np.eye(len(basis))))),
         "weitzenboeck_residual": weitzenboeck_residual(sigma, m, curv),
     }
-    if args.dump and basis:
+    if args.dump:
         save_fields(args.dump, grid,
                     {f"h{i}": b.comps for i, b in enumerate(basis)})
-    return _base_config(args), outputs
+    return outputs
 
 
 def _run_dirac_check(args):
@@ -325,13 +369,12 @@ def _run_dirac_check(args):
         ident = {k: float(v) for k, v in model.identity_residuals().items()}
         sig = sigma_map(phi)
         sig_err = float(np.max(np.abs(np.sum(sig.comps**2, -1) - phi.norm2() ** 2 / 8.0)))
-    outputs = {
+    return {
         "weitzenboeck": {"lhs": lhs, "rhs": rhs, "residual": residual},
         "log_kato_min_margin": kato,
         "clifford_identity_residuals": ident,
         "sigma_norm_identity_error": sig_err,
     }
-    return _base_config(args, amplitude=args.amplitude), outputs
 
 
 def _run_lambda(args):
@@ -353,15 +396,11 @@ def _run_lambda(args):
     }
     if args.dump:
         save_fields(args.dump, grid, {"minimizer": res.minimizer.comps})
-    return _base_config(args, theta=args.theta, multistarts=args.multistarts,
-                        max_iter=args.max_iter, tol=args.tol), outputs
+    return outputs
 
 
 def _run_psw(args):
-    grid, m = _geometry(args)
-    curv = curvature_stack(m)
-    theta = theta_from_preset(args.theta, m)
-    K = assemble_K(theta, curv, args.lambda_value)
+    grid, m, curv, K = _weight(args)
     cfg = _manufactured(args, m, curv)
     pert = PerturbationSpec(args.variant, eps=args.eps)
     with Timer("psw-residual"):
@@ -373,29 +412,17 @@ def _run_psw(args):
     }
     if args.dump:
         save_fields(args.dump, grid, {"r2": res.r2.comps})
-    return _base_config(args, theta=args.theta, eps=args.eps, variant=args.variant,
-                        pair=args.pair, chi=args.chi, amplitude=args.amplitude,
-                        lambda_value=args.lambda_value), outputs
+    return outputs
 
 
 def _run_bounds(args):
-    grid, m = _geometry(args)
-    curv = curvature_stack(m)
-    theta = theta_from_preset(args.theta, m)
-    K = assemble_K(theta, curv, args.lambda_value)
+    _, m, curv, K = _weight(args)
     cfg = _manufactured(args, m, curv)
-    gate = None
-    if args.gate is not None:
-        gate = np.inf if str(args.gate) == "off" else float(args.gate)
     with Timer("bounds"):
         res = psw_residual(cfg, PerturbationSpec("full", eps=args.eps), K)
-        b1 = check_curvature_bound(cfg, K, args.eps, residual=res, gate=gate)
-        b2 = check_phi_l4_bound(cfg, K, args.eps, residual=res, gate=gate)
-    outputs = {"curvature_bound": asdict(b1), "phi_l4_bound": asdict(b2)}
-    return _base_config(args, theta=args.theta, eps=args.eps, pair=args.pair,
-                        chi=args.chi, amplitude=args.amplitude,
-                        lambda_value=args.lambda_value,
-                        gate=(None if gate is None else float(gate))), outputs
+        b1 = check_curvature_bound(cfg, K, args.eps, residual=res, gate=args.gate)
+        b2 = check_phi_l4_bound(cfg, K, args.eps, residual=res, gate=args.gate)
+    return {"curvature_bound": asdict(b1), "phi_l4_bound": asdict(b2)}
 
 
 def _write_csv(path, rows, fieldnames):
@@ -414,48 +441,31 @@ def _run_lebrun(args):
         quad = catalog_quadratic(entry, args.delta)
         outputs = {"linear": asdict(lin), "quadratic": asdict(quad)}
         if args.sweep_delta:
-            deltas = [float(x) for x in args.sweep_delta.split(",") if x]
-            rows = catalog_delta_sweep(entry, deltas, kind=args.sweep_kind)
+            rows = catalog_delta_sweep(entry, args.sweep_delta, kind=args.sweep_kind)
             outputs["sweep"] = rows
             if args.csv:
                 _write_csv(args.csv, rows, ["delta", "lhs", "rhs", "margin"])
-        return {"catalog": entry, "delta": args.delta, "sweep_kind": args.sweep_kind}, outputs
+        return outputs
 
-    grid, m = _geometry(args)
-    curv = curvature_stack(m)
-    theta = theta_from_preset(args.theta, m)
-    K = assemble_K(theta, curv, args.lambda_value)
+    _, m, _, K = _weight(args)
     with Timer("lebrun"):
         basis = harmonic_selfdual_basis(m)
-        if not 0 <= args.omega_index < len(basis):
-            raise ValueError(f"omega index {args.omega_index} out of range (b+ = {len(basis)})")
         omega = basis[args.omega_index]
         lin = lebrun_linear(omega, m, kfield=K, c1=args.c1)
         quad = lebrun_quadratic(K, m, c1plus_sq=args.c1plus_sq)
-    outputs = {"linear": asdict(lin), "quadratic": asdict(quad), "b_plus": len(basis)}
-    return _base_config(args, theta=args.theta, lambda_value=args.lambda_value,
-                        c1=args.c1, c1plus_sq=args.c1plus_sq,
-                        omega_index=args.omega_index), outputs
+    return {"linear": asdict(lin), "quadratic": asdict(quad), "b_plus": len(basis)}
 
 
 def _sweep_residual(args, n: int) -> float:
     grid = GridSpec((n,) * 4)
     m = metric_from_preset(args.metric, grid)
-    if args.check == "weitzenboeck":
-        curv = curvature_stack(m)
-        rng = np.random.default_rng(args.seed)
-        comps = np.stack([random_smooth_scalar(grid, rng, 1, args.amplitude)
-                          for _ in range(3)], axis=-1)
-        sigma = SelfDualField(grid, comps + np.array([1.0, 0.2, 0.0]))
-        return weitzenboeck_residual(sigma, m, curv)
     if args.check == "dirac":
         conn, phi = _random_pair(grid, args.seed, args.amplitude)
         return dirac_weitzenboeck_check(phi, conn, m)[2]
+    sigma = _random_selfdual(grid, args.seed, args.amplitude, [1.0, 0.2, 0.0])
+    if args.check == "weitzenboeck":
+        return weitzenboeck_residual(sigma, m, curvature_stack(m))
     theta = theta_from_preset(args.theta, m)
-    rng = np.random.default_rng(args.seed)
-    comps = np.stack([random_smooth_scalar(grid, rng, 1, args.amplitude)
-                      for _ in range(3)], axis=-1)
-    sigma = SelfDualField(grid, comps + np.array([1.0, 0.2, 0.0]))
     if args.check == "identity-s":
         lhs, rhs = integral_identity_check_s(sigma, theta, m, curvature_stack(m))
     else:
@@ -464,45 +474,75 @@ def _sweep_residual(args, n: int) -> float:
 
 
 def _run_sweep(args):
-    raw = args.dims_list  # comma text from the flag, a list from a config
-    text = ",".join(map(str, raw)) if isinstance(raw, list) else str(raw)
-    sizes = [_parse_dims(n, "--dims-list")[0] for n in text.split(",") if n]
-    if len(sizes) < 2:
-        raise PresetError("--dims-list needs at least two sizes")
     rows = []
     with Timer("sweep"):
-        for n in sizes:
+        for n in args.dims_list:
             rows.append({"n": n, "residual": _sweep_residual(args, n)})
     orders = []
     for a, b in zip(rows, rows[1:]):
         num = np.log(a["residual"] / b["residual"]) if b["residual"] > 0 else np.inf
         orders.append(float(num / np.log(b["n"] / a["n"])))
-    outputs = {"rows": rows, "observed_orders": orders}
     if args.csv:
         _write_csv(args.csv, rows, ["n", "residual"])
-    return {"check": args.check, "dims_list": sizes, "metric": args.metric,
-            "theta": args.theta, "seed": args.seed, "amplitude": args.amplitude}, outputs
+    return {"rows": rows, "observed_orders": orders}
 
 
-_RUNNERS = {
-    "curvature": _run_curvature,
-    "hodge": _run_hodge,
-    "dirac-check": _run_dirac_check,
-    "lambda": _run_lambda,
-    "psw-residual": _run_psw,
-    "bounds": _run_bounds,
-    "lebrun": _run_lebrun,
-    "sweep": _run_sweep,
+# command -> (help, runner, options); option names are the flags' dests and
+# the config keys
+_COMMANDS = {
+    "curvature": ("curvature fields of a preset metric", _run_curvature,
+                  {**_GRID, **_COMMON}),
+    "hodge": ("harmonic self-dual basis of a preset metric", _run_hodge,
+              {**_GRID, **_COMMON}),
+    "dirac-check": ("spinor identities on a random smooth pair", _run_dirac_check,
+                    {**_GRID, **_COMMON, "amplitude": _Option(_float, 0.3)}),
+    "lambda": ("minimize the spectral quotient", _run_lambda, {
+        **_GRID, **_COMMON,
+        "theta": _THETA,
+        "multistarts": _Option(_int, 8, "random starts beyond the 3 constants"),
+        "max_iter": _Option(_int, 150),
+        "tol": _Option(_float, 1e-9),
+    }),
+    "psw-residual": ("residual of a manufactured monopole pair", _run_psw, {
+        **_GRID, **_COMMON, **_PAIR,
+        "variant": _Option(_choice("simple", "full"), "full"),
+    }),
+    "bounds": ("a-priori bound margins for a manufactured pair", _run_bounds, {
+        **_GRID, **_COMMON, **_PAIR,
+        "gate": _Option(_gate, None, "residual gate (number, or 'off')"),
+    }),
+    "lebrun": ("curvature inequalities, grid or catalog mode", _run_lebrun, {
+        **_GRID, **_COMMON,
+        "catalog": _Option(_choice(*sorted(CATALOG)), None, "closed-form mode", "catalog"),
+        "delta": _Option(_float, 0.0, record="catalog"),
+        "sweep_delta": _Option(_deltas, None, "comma list of weights for a margin sweep", False),
+        "sweep_kind": _Option(_choice("linear", "quadratic"), "quadratic", record="catalog"),
+        "theta": _THETA,
+        "lambda_value": _LAMBDA_VALUE,
+        "c1": _Option(_float, 0.0, "Chern pairing c1.[omega]"),
+        "c1plus_sq": _Option(_float, 0.0, "(c1^+)^2 for the quadratic report"),
+        "omega_index": _Option(_omega_index, 0, "harmonic basis vector used as omega"),
+        "csv": _CSV,
+    }),
+    "sweep": ("refinement sweep of one residual check", _run_sweep, {
+        **_COMMON,
+        "check": _Option(_choice("weitzenboeck", "dirac", "identity-s", "identity-c"),
+                         "weitzenboeck"),
+        "dims_list": _Option(_dims_list, (8, 16), "comma list of grid sizes"),
+        "theta": _Option(_text, "const:0.3"),
+        "amplitude": _Option(_float, 0.3),
+        "csv": _CSV,
+    }),
 }
 
 
 def main(argv=None) -> int:
     _apply_thread_env()
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    flags = _build_parser().parse_args(argv)
     try:
-        _apply_config_file(args, parser)
-        config, outputs = _RUNNERS[args.command](args)
+        args = _resolve(flags)
+        config = _recorded(args)
+        outputs = _COMMANDS[args.command][1](args)
     except (PresetError, OSError, json.JSONDecodeError) as exc:
         print(f"monolab: config error: {exc}", file=sys.stderr)
         return 2

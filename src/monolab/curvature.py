@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .bases import ETA_MINUS, ETA_PLUS, PAIRS, WEDGE2
-from .grid import GridSpec, ScalarField, _freeze, d1, d2
+from .grid import GridSpec, ScalarField, _axis_derivatives, _freeze, d1, d2
 
 __all__ = [
     "MetricField",
@@ -180,7 +180,7 @@ class CurvatureBundle:
     """Scalar curvature, self-dual Weyl matrix field and its lowest eigenvalue."""
 
     def __init__(self, metric: MetricField, scalar: ScalarField, wplus: np.ndarray,
-                 w: ScalarField, ricci: np.ndarray):
+                 w: ScalarField):
         tol = 1e-8 * max(1.0, float(np.max(np.abs(wplus))))
         if np.max(np.abs(wplus - np.swapaxes(wplus, -1, -2))) > tol:
             raise ValueError("wplus storage is not symmetric")
@@ -192,7 +192,6 @@ class CurvatureBundle:
         self.scalar = scalar
         self.wplus = _freeze(wplus)
         self.w = w
-        self.ricci = _freeze(ricci)
 
 
 def build_metric(grid: GridSpec, g: np.ndarray, sym_tol: float = 1e-12) -> MetricField:
@@ -222,8 +221,7 @@ def build_metric(grid: GridSpec, g: np.ndarray, sym_tol: float = 1e-12) -> Metri
 
 def christoffel(m: MetricField) -> np.ndarray:
     """Gamma^k_ij from 6th-order differences of the metric."""
-    hs = m.grid.spacing
-    dg = np.stack([d1(m.g, ax, hs[ax]) for ax in range(4)], axis=-3)
+    dg = np.stack(_axis_derivatives(m.g, m.grid), axis=-3)
     gi = m.ginv
     gam = 0.5 * (
         np.einsum("...kl,...ijl->...kij", gi, dg, optimize=True)
@@ -239,7 +237,7 @@ def lowest_eigenvalue(field3x3: np.ndarray, grid: GridSpec) -> ScalarField:
     if a.shape != grid.dims + (3, 3):
         raise ValueError("expected a (dims + (3,3)) matrix field")
     ev = np.linalg.eigvalsh(a)
-    return ScalarField(grid, ev[..., 0], units="1/length^2")
+    return ScalarField(grid, ev[..., 0])
 
 
 def curvature_stack(m: MetricField, coframe: np.ndarray | None = None) -> CurvatureBundle:
@@ -258,7 +256,7 @@ def curvature_stack(m: MetricField, coframe: np.ndarray | None = None) -> Curvat
     # ddg[..., i, j, k, l] = d_i d_j g_kl; same-axis uses the dedicated
     # second-derivative stencil, mixed axes compose two first derivatives
     ddg = np.empty(grid.dims + (4, 4, 4, 4))
-    dg_cache = [d1(g, ax, hs[ax]) for ax in range(4)]
+    dg_cache = _axis_derivatives(g, grid)
     for i in range(4):
         for j in range(4):
             if i == j:
@@ -313,6 +311,6 @@ def curvature_stack(m: MetricField, coframe: np.ndarray | None = None) -> Curvat
     # symmetrize away roundoff before the eigenvalue pass
     wplus = 0.5 * (wplus + np.swapaxes(wplus, -1, -2))
 
-    scalar = ScalarField(grid, scal, units="1/length^2")
+    scalar = ScalarField(grid, scal)
     w = lowest_eigenvalue(wplus, grid)
-    return CurvatureBundle(m, scalar, wplus, w, ricci)
+    return CurvatureBundle(m, scalar, wplus, w)

@@ -28,8 +28,8 @@ from typing import Callable
 
 import numpy as np
 
-from .curvature import CurvatureBundle, MetricField, build_metric
-from .grid import GridSpec
+from .curvature import CurvatureBundle, MetricField
+from .grid import integrate
 from .rayleigh import KField, ThetaField, _scalar_dirichlet, beta
 from .selfdual import (
     SelfDualField,
@@ -45,7 +45,14 @@ from .selfdual import (
     sd_l2_norm,
     wedge_integral,
 )
-from .spinc import SpinorField, U1Connection, dirac, gauge_transform, sigma_map
+from .spinc import (
+    SpinorField,
+    U1Connection,
+    dirac,
+    dirac_cubic_pairing,
+    gauge_transform,
+    sigma_map,
+)
 
 __all__ = [
     "PerturbationSpec",
@@ -185,16 +192,15 @@ class InequalityReport:
 # residuals
 
 
-def _residual_norms(r1: np.ndarray, r2: np.ndarray, m: MetricField) -> dict:
-    cell = m.grid.cell_volume
-    n1 = np.sum(np.abs(r1) ** 2, axis=-1)
+def _psw_result(r1: SpinorField, r2: np.ndarray, m: MetricField) -> PswResidual:
+    n1 = np.sum(np.abs(r1.comps) ** 2, axis=-1)
     n2 = np.sum(r2**2, axis=-1)
-    return {
-        "r1_l2": float(np.sqrt(np.sum(n1 * m.vol) * cell)),
+    return PswResidual(r1, SelfDualField(m.grid, r2), {
+        "r1_l2": math.sqrt(integrate(n1, m)),
         "r1_linf": float(np.sqrt(np.max(n1))),
-        "r2_l2": float(np.sqrt(np.sum(n2 * m.vol) * cell)),
+        "r2_l2": math.sqrt(integrate(n2, m)),
         "r2_linf": float(np.sqrt(np.max(n2))),
-    }
+    })
 
 
 def psw_residual(cfg: MonopoleConfig, pert: PerturbationSpec, K: KField) -> PswResidual:
@@ -222,10 +228,7 @@ def psw_residual(cfg: MonopoleConfig, pert: PerturbationSpec, K: KField) -> PswR
         r2 = SQRT8 * cfg.conn.curv_plus.comps + coef[..., None] * sigma.comps
         if pert.omega_hat is not None:
             r2 = r2 - K.kplus.values[..., None] * pert.omega_hat.comps
-    r2f = SelfDualField(cfg.metric.grid, r2)
-    return PswResidual(
-        r1, r2f, _residual_norms(r1.comps, r2, cfg.metric)
-    )
+    return _psw_result(r1, r2, cfg.metric)
 
 
 def general_psw_residual(
@@ -271,10 +274,7 @@ def general_psw_residual(
     sigma = sigma_map(cfg.phi)
     coef = np.asarray(pert.F(kminus, sigma.norm()), dtype=float)
     r2 = SQRT8 * cfg.conn.curv_plus.comps + coef[..., None] * sigma.comps - pert.eta.comps
-    r2f = SelfDualField(cfg.metric.grid, r2)
-    return PswResidual(
-        r1, r2f, _residual_norms(r1.comps, r2, cfg.metric)
-    )
+    return _psw_result(r1, r2, cfg.metric)
 
 
 def reduction_spec(full: PerturbationSpec, K: KField) -> PerturbationSpec:
@@ -302,14 +302,39 @@ def reduction_spec(full: PerturbationSpec, K: KField) -> PerturbationSpec:
 # a-priori bounds
 
 
-def _volume(m: MetricField) -> float:
-    return float(np.sum(m.vol) * m.grid.cell_volume)
+def _bound_report(
+    kind: str,
+    lhs: float,
+    rhs: float,
+    notes: dict,
+    cfg: MonopoleConfig,
+    K: KField,
+    eps: float,
+    residual: PswResidual | None,
+    gate: float | None,
+) -> BoundReport:
+    """A bound on solutions, applicable when the residual is within the gate.
 
-
-def _gate_scale(cfg: MonopoleConfig, K: KField, eps: float) -> float:
-    f_l2 = SQRT8 * sd_l2_norm(cfg.conn.curv_plus, cfg.metric)
-    s_l2 = sd_l2_norm(sigma_map(cfg.phi), cfg.metric) if np.any(cfg.phi.comps) else 0.0
-    return max(1.0, f_l2, (K.max_norm() + eps) * s_l2)
+    The residual defaults to the full psw residual and the gate to 1e-6
+    times a config scale; the margin is reported either way.
+    """
+    if residual is None:
+        residual = psw_residual(cfg, PerturbationSpec("full", eps=eps), K)
+    if gate is None:
+        f_l2 = SQRT8 * sd_l2_norm(cfg.conn.curv_plus, cfg.metric)
+        s_l2 = sd_l2_norm(sigma_map(cfg.phi), cfg.metric) if np.any(cfg.phi.comps) else 0.0
+        gate = 1e-6 * max(1.0, f_l2, (K.max_norm() + eps) * s_l2)
+    res_l2 = max(residual.norms["r1_l2"], residual.norms["r2_l2"])
+    return BoundReport(
+        kind=kind,
+        lhs=lhs,
+        rhs=rhs,
+        margin=rhs - lhs,
+        applicable=bool(res_l2 <= gate),
+        gate=float(gate),
+        residual_l2=res_l2,
+        notes=notes,
+    )
 
 
 def check_curvature_bound(
@@ -326,23 +351,10 @@ def check_curvature_bound(
     when the residual exceeds the gate (default 1e-6 times a config
     scale); the margin is still computed for inspection.
     """
-    if residual is None:
-        residual = psw_residual(cfg, PerturbationSpec("full", eps=eps), K)
-    if gate is None:
-        gate = 1e-6 * _gate_scale(cfg, K, eps)
-    res_l2 = max(residual.norms["r1_l2"], residual.norms["r2_l2"])
     lhs = float(np.max(cfg.conn.curv_plus.norm()))
     rhs = (K.max_norm() + eps) / SQRT8
-    return BoundReport(
-        kind="curvature-sup",
-        lhs=lhs,
-        rhs=rhs,
-        margin=rhs - lhs,
-        applicable=bool(res_l2 <= gate),
-        gate=float(gate),
-        residual_l2=res_l2,
-        notes={"K_inf": K.max_norm(), "eps": eps},
-    )
+    notes = {"K_inf": K.max_norm(), "eps": eps}
+    return _bound_report("curvature-sup", lhs, rhs, notes, cfg, K, eps, residual, gate)
 
 
 def check_phi_l4_bound(
@@ -353,30 +365,24 @@ def check_phi_l4_bound(
     gate: float | None = None,
 ) -> BoundReport:
     """L4 spinor bound: integral |Phi|^4 <= 8 (1 + max K_- / eps) Vol."""
-    if residual is None:
-        residual = psw_residual(cfg, PerturbationSpec("full", eps=eps), K)
-    if gate is None:
-        gate = 1e-6 * _gate_scale(cfg, K, eps)
-    res_l2 = max(residual.norms["r1_l2"], residual.norms["r2_l2"])
     m = cfg.metric
     phi2 = np.sum(np.abs(cfg.phi.comps) ** 2, axis=-1)
-    lhs = float(np.sum(phi2**2 * m.vol) * m.grid.cell_volume)
+    lhs = integrate(phi2**2, m)
     km = float(np.max(K.kminus.values))
-    rhs = 8.0 * (1.0 + km / eps) * _volume(m)
-    return BoundReport(
-        kind="phi-l4",
-        lhs=lhs,
-        rhs=rhs,
-        margin=rhs - lhs,
-        applicable=bool(res_l2 <= gate),
-        gate=float(gate),
-        residual_l2=res_l2,
-        notes={"max_kminus": km, "eps": eps, "volume": _volume(m)},
-    )
+    volume = integrate(1.0, m)
+    rhs = 8.0 * (1.0 + km / eps) * volume
+    notes = {"max_kminus": km, "eps": eps, "volume": volume}
+    return _bound_report("phi-l4", lhs, rhs, notes, cfg, K, eps, residual, gate)
 
 
 # ---------------------------------------------------------------------------
 # curvature inequalities
+
+
+def _require_closed(f_rep: TwoFormField, closed_tol: float = 1e-8) -> None:
+    dn = float(np.max(np.abs(d_two_form(f_rep).comps)))
+    if dn > closed_tol * (1.0 + float(np.max(np.abs(f_rep.comps)))):
+        raise ValueError(f"representative is not closed: ||dF|| = {dn:.3e}")
 
 
 def chern_pairing(
@@ -393,11 +399,7 @@ def chern_pairing(
     class with [omega] up to quadrature; exactness of the discrete d
     makes it insensitive to adding d(alpha) at stencil accuracy.
     """
-    df = d_two_form(f_rep)
-    dn = float(np.max(np.abs(df.comps)))
-    scale = 1.0 + float(np.max(np.abs(f_rep.comps)))
-    if dn > closed_tol * scale:
-        raise ValueError(f"representative is not closed: ||dF|| = {dn:.3e}")
+    _require_closed(f_rep, closed_tol)
     if not allow_nonharmonic:
         tol = harmonic_tol if harmonic_tol is not None else default_harmonic_tol(m)
         q = hodge_rayleigh(omega, m)
@@ -440,11 +442,10 @@ def lebrun_linear(
         weight = (1.0 - delta / 3.0) * curv.scalar.values + 2.0 * delta * curv.w.values
         lhs_formula = "integral ((1-delta/3) R + 2 delta w) |omega|/sqrt(2) dmu"
         notes = {"delta": delta}
-    lhs = float(np.sum(weight * omega.norm() * m.vol) * m.grid.cell_volume) / math.sqrt(2.0)
+    lhs = integrate(weight * omega.norm(), m) / math.sqrt(2.0)
     if isinstance(c1, TwoFormField):
-        pairing = chern_pairing(
-            c1, omega, m, harmonic_tol=tol, allow_nonharmonic=allow_nonharmonic
-        )
+        # harmonicity is settled above
+        pairing = chern_pairing(c1, omega, m, allow_nonharmonic=True)
     else:
         pairing = float(c1)
     rhs = 4.0 * np.pi * pairing
@@ -463,16 +464,10 @@ def lebrun_linear(
 
 def _c1plus_sq_from_rep(f_rep: TwoFormField, m: MetricField) -> tuple[float, dict]:
     """(c1^+)^2 via projection of the flux class onto harmonic self-duals."""
-    df = d_two_form(f_rep)
-    dn = float(np.max(np.abs(df.comps)))
-    if dn > 1e-8 * (1.0 + float(np.max(np.abs(f_rep.comps)))):
-        raise ValueError(f"representative is not closed: ||dF|| = {dn:.3e}")
+    _require_closed(f_rep)
     basis = harmonic_selfdual_basis(m)
-    cell = m.grid.cell_volume
     sd = project(TwoFormField(f_rep.grid, f_rep.comps / (2.0 * np.pi)), m)
-    coeffs = [
-        float(np.sum(np.sum(sd.comps * h.comps, axis=-1) * m.vol) * cell) for h in basis
-    ]
+    coeffs = [integrate(np.sum(sd.comps * h.comps, axis=-1), m) for h in basis]
     c1sq = float(sum(c * c for c in coeffs))
     return c1sq, {"harmonic_coefficients": coeffs, "b_plus": len(basis)}
 
@@ -491,7 +486,7 @@ def lebrun_quadratic(
     if f_rep is not None:
         c1plus_sq, notes = _c1plus_sq_from_rep(f_rep, m)
     lhs = 32.0 * np.pi**2 * float(c1plus_sq)
-    rhs = float(np.sum(kfield.kminus.values ** 2 * m.vol) * m.grid.cell_volume)
+    rhs = integrate(kfield.kminus.values ** 2, m)
     notes["c1plus_sq"] = float(c1plus_sq)
     return InequalityReport(
         kind="lebrun-quadratic",
@@ -508,23 +503,11 @@ def lebrun_quadratic(
 # the key inequality
 
 
-def _dirac_cubic(cfg: MonopoleConfig) -> float:
-    """(1/2) integral Re (D_A Phi, D_A(|Phi|^2 Phi)) dmu."""
-    m = cfg.metric
-    d1v = dirac(cfg.phi, cfg.conn, m).comps
-    phi2 = np.sum(np.abs(cfg.phi.comps) ** 2, axis=-1)
-    cubic = SpinorField(m.grid, phi2[..., None] * cfg.phi.comps)
-    d2v = dirac(cubic, cfg.conn, m).comps
-    pair = np.sum(np.real(np.conj(d1v) * d2v), axis=-1)
-    return 0.5 * float(np.sum(pair * m.vol) * m.grid.cell_volume)
-
-
 def _f_sigma_term(cfg: MonopoleConfig) -> float:
     """integral (sqrt(8) iF_A^+, |sigma| sigma) dmu."""
-    m = cfg.metric
     sigma = sigma_map(cfg.phi)
     pair = np.sum(cfg.conn.curv_plus.comps * sigma.comps, axis=-1) * sigma.norm()
-    return SQRT8 * float(np.sum(pair * m.vol) * m.grid.cell_volume)
+    return SQRT8 * integrate(pair, cfg.metric)
 
 
 def key_inequality_check(cfg: MonopoleConfig, theta: ThetaField) -> InequalityReport:
@@ -537,7 +520,6 @@ def key_inequality_check(cfg: MonopoleConfig, theta: ThetaField) -> InequalityRe
     if cfg.curv is None:
         raise ValueError("the key inequality needs the curvature bundle")
     m = cfg.metric
-    cell = m.grid.cell_volume
     sigma = sigma_map(cfg.phi)
     comps = sigma.comps
     e1, _ = hodge_energy_and_grad(theta.s[..., None] * comps, m)
@@ -551,9 +533,9 @@ def key_inequality_check(cfg: MonopoleConfig, theta: ThetaField) -> InequalityRe
         + 2.0 * s2 * cfg.curv.w.values
         - theta.dtheta_norm2
     )
-    curv_term = -float(np.sum(weight * np.sum(comps**2, axis=-1) * m.vol) * cell)
+    curv_term = -integrate(weight * np.sum(comps**2, axis=-1), m)
     f_term = _f_sigma_term(cfg)
-    cubic = _dirac_cubic(cfg)
+    cubic = 0.5 * dirac_cubic_pairing(cfg.phi, cfg.conn, m)
     rhs = curv_term + f_term + cubic
     scale = max(1.0, abs(lhs), abs(rhs))
     return InequalityReport(
@@ -569,13 +551,10 @@ def key_inequality_check(cfg: MonopoleConfig, theta: ThetaField) -> InequalityRe
 
 def reformulated_inequality_check(cfg: MonopoleConfig, K: KField) -> InequalityReport:
     """Same content with lambda folded in: integral K |sigma|^2 <= rhs."""
-    m = cfg.metric
     sigma = sigma_map(cfg.phi)
-    lhs = float(
-        np.sum(K.k.values * np.sum(sigma.comps**2, axis=-1) * m.vol) * m.grid.cell_volume
-    )
+    lhs = integrate(K.k.values * np.sum(sigma.comps**2, axis=-1), cfg.metric)
     f_term = _f_sigma_term(cfg)
-    cubic = _dirac_cubic(cfg)
+    cubic = 0.5 * dirac_cubic_pairing(cfg.phi, cfg.conn, cfg.metric)
     rhs = f_term + cubic
     return InequalityReport(
         kind="key-inequality-reformulated",
@@ -596,10 +575,8 @@ def chain_consistency(cfg: MonopoleConfig, K: KField, eps: float, c1plus_sq: flo
     and the unscaled variant 4 pi^2 (c1+)^2 <= integral |iF+|^2.
     """
     m = cfg.metric
-    cell = m.grid.cell_volume
-    f2 = np.sum(cfg.conn.curv_plus.comps ** 2, axis=-1)
-    int_f2 = float(np.sum(f2 * m.vol) * cell)
-    int_k2 = float(np.sum((K.kminus.values + eps) ** 2 * m.vol) * cell)
+    int_f2 = integrate(np.sum(cfg.conn.curv_plus.comps ** 2, axis=-1), m)
+    int_k2 = integrate((K.kminus.values + eps) ** 2, m)
     return {
         "lhs_32": 32.0 * np.pi**2 * c1plus_sq,
         "int_sqrt8_f_plus_sq": 8.0 * int_f2,
@@ -719,15 +696,8 @@ def catalog_delta_sweep(entry, deltas, kind: str = "quadratic") -> list:
 # manufactured configurations
 
 
-def _flat_background(grid: GridSpec):
-    g = np.broadcast_to(np.eye(4), grid.dims + (4, 4)).copy()
-    return build_metric(grid, g)
-
-
-def reducible_config(m: MetricField | None = None, grid: GridSpec | None = None) -> MonopoleConfig:
+def reducible_config(m: MetricField) -> MonopoleConfig:
     """Phi = 0, A flat: the exact reducible solution when K >= 0."""
-    if m is None:
-        m = _flat_background(grid)
     grid = m.grid
     conn = U1Connection(grid, np.zeros(grid.dims + (4,)))
     phi = SpinorField(grid, np.zeros(grid.dims + (2,), dtype=complex))

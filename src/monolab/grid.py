@@ -15,18 +15,14 @@ whose leading four axes are the grid axes (axis-major, C order).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Union
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "GridSpec",
     "ScalarField",
-    "TensorField",
-    "partial_derivative",
     "integrate",
-    "lp_norm",
     "d1",
     "d2",
 ]
@@ -92,42 +88,11 @@ class ScalarField:
 
     grid: GridSpec
     values: np.ndarray
-    units: str = ""
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         if v.shape != self.grid.dims:
             raise ValueError(f"scalar field shape {v.shape} != grid dims {self.grid.dims}")
-        object.__setattr__(self, "values", _freeze(v))
-
-
-@dataclass(frozen=True)
-class TensorField:
-    """Immutable tensor samples: shape dims + (4,)*rank, coordinate components.
-
-    `sym` is a declared storage symmetry for rank-2 fields: "", "symmetric"
-    or "antisymmetric"; declared symmetries are validated on construction.
-    """
-
-    grid: GridSpec
-    values: np.ndarray
-    rank: int
-    sym: str = ""
-    units: str = ""
-
-    def __post_init__(self):
-        if self.rank not in (0, 1, 2, 3):
-            raise ValueError("rank must be in 0..3")
-        v = np.asarray(self.values, dtype=float)
-        want = self.grid.dims + (4,) * self.rank
-        if v.shape != want:
-            raise ValueError(f"tensor field shape {v.shape} != {want}")
-        if self.sym and self.rank == 2:
-            t = np.swapaxes(v, -1, -2)
-            ok = np.allclose(v, t, atol=1e-12) if self.sym == "symmetric" else \
-                np.allclose(v, -t, atol=1e-12)
-            if not ok:
-                raise ValueError(f"declared {self.sym} storage violated")
         object.__setattr__(self, "values", _freeze(v))
 
 
@@ -143,6 +108,11 @@ def d1(values: np.ndarray, axis: int, h: float) -> np.ndarray:
         + 9 * r(values, 2, axis)
         - r(values, 3, axis)
     ) / (60.0 * h)
+
+
+def _axis_derivatives(values: np.ndarray, grid: GridSpec) -> list[np.ndarray]:
+    """d1 of every stored component along each grid axis k, one call per axis."""
+    return [d1(values, k, h) for k, h in enumerate(grid.spacing)]
 
 
 # dedicated 6th-order second derivative (same axis twice); used by the
@@ -161,57 +131,7 @@ def d2(values: np.ndarray, axis: int, h: float) -> np.ndarray:
     ) / (180.0 * h * h)
 
 
-FieldLike = Union[ScalarField, TensorField]
-
-
-def partial_derivative(f: FieldLike, axis: int) -> FieldLike:
-    """Periodic central difference of a field along one grid axis."""
-    if not 0 <= axis <= 3:
-        raise ValueError("axis must be 0..3")
-    h = f.grid.spacing[axis]
-    out = d1(f.values, axis, h)
-    if isinstance(f, ScalarField):
-        return ScalarField(f.grid, out, units=f.units)
-    return TensorField(f.grid, out, rank=f.rank, sym=f.sym, units=f.units)
-
-
-def _volume_weight(grid: GridSpec, metric=None) -> np.ndarray | float:
-    if metric is None:
-        return 1.0
-    if not grid.compatible(metric.grid):
-        raise ValueError("metric lives on a different grid")
-    return metric.vol
-
-
-def integrate(f: ScalarField | np.ndarray, metric=None, grid: GridSpec | None = None) -> float:
-    """Riemann-sum integral with metric volume weight: sum f * vol * prod(h)."""
-    if isinstance(f, ScalarField):
-        grid, values = f.grid, f.values
-    else:
-        if grid is None:
-            raise ValueError("pass grid= when integrating a bare array")
-        values = np.asarray(f)
-    w = _volume_weight(grid, metric)
+def integrate(values, m) -> float:
+    """Riemann-sum integral of `values` under the metric m: sum f vol prod(h)."""
     # flattened C-order sum: fixed reduction order for reproducibility
-    return float(np.sum(values * w)) * grid.cell_volume
-
-
-def lp_norm(f: ScalarField | np.ndarray, p, metric=None, grid: GridSpec | None = None) -> float:
-    """L^p norm (p in {2, 4, inf}) of a pointwise-magnitude field.
-
-    Callers with multi-component fields pass the pointwise fiber norm as a
-    scalar field; the volume weight enters the p < inf quadrature only.
-    """
-    if isinstance(f, ScalarField):
-        grid, values = f.grid, f.values
-    else:
-        if grid is None:
-            raise ValueError("pass grid= when norming a bare array")
-        values = np.asarray(f)
-    if p in (np.inf, "inf"):
-        return float(np.max(np.abs(values)))
-    if p == 2:
-        return float(np.sqrt(integrate(values**2, metric=metric, grid=grid)))
-    if p == 4:
-        return float(integrate(values**4, metric=metric, grid=grid) ** 0.25)
-    raise ValueError("p must be 2, 4 or inf")
+    return float(np.sum(values * m.vol) * m.grid.cell_volume)

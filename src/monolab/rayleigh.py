@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import CurvatureBundle, MetricField
-from .grid import GridSpec, ScalarField, _freeze, d1
+from .grid import GridSpec, ScalarField, _axis_derivatives, _freeze, d1
 from .selfdual import (
     SelfDualField,
     _resolved_filter,
@@ -81,7 +81,7 @@ class ThetaField:
 def theta_from_angle(samples, m: MetricField) -> ThetaField:
     """Build the (s, c, dtheta) bundle from angle samples (taken mod 2 pi)."""
     grid = m.grid
-    th = samples.values if isinstance(samples, ScalarField) else np.asarray(samples, float)
+    th = np.asarray(samples, float)
     if th.shape != grid.dims:
         raise ValueError("angle samples must be a scalar grid array")
     return theta_from_sc(np.sin(th), np.cos(th), m)
@@ -92,9 +92,8 @@ def theta_from_sc(s: np.ndarray, c: np.ndarray, m: MetricField) -> ThetaField:
     grid = m.grid
     s = np.asarray(s, dtype=float)
     c = np.asarray(c, dtype=float)
-    hs = grid.spacing
-    ds = np.stack([d1(s, k, hs[k]) for k in range(4)], axis=-1)
-    dc = np.stack([d1(c, k, hs[k]) for k in range(4)], axis=-1)
+    ds = np.stack(_axis_derivatives(s, grid), axis=-1)
+    dc = np.stack(_axis_derivatives(c, grid), axis=-1)
     dth = c[..., None] * ds - s[..., None] * dc
     n2 = np.einsum("...kl,...k,...l->...", m.ginv, dth, dth, optimize=True)
     return ThetaField(grid, s, c, dth, n2)
@@ -120,7 +119,7 @@ def _scalar_dirichlet(rho: np.ndarray, m: MetricField) -> tuple[float, np.ndarra
     """E = integral |d rho|^2 dmu and its gradient in rho (plain-sum chain)."""
     grid = m.grid
     hs = grid.spacing
-    drho = np.stack([d1(rho, k, hs[k]) for k in range(4)], axis=-1)
+    drho = np.stack(_axis_derivatives(rho, grid), axis=-1)
     flux = np.einsum("...kl,...l->...k", m.ginv, drho, optimize=True)
     flux *= m.vol[..., None]
     energy = float(np.sum(drho * flux)) * grid.cell_volume
@@ -364,11 +363,6 @@ def assemble_K(theta: ThetaField, curv: CurvatureBundle, lam: float) -> KField:
     )
     kplus = np.maximum(k, 0.0)
     kminus = np.maximum(-k, 0.0)
-    units = "1/length^2"
     return KField(
-        grid,
-        ScalarField(grid, k, units=units),
-        ScalarField(grid, kplus, units=units),
-        ScalarField(grid, kminus, units=units),
-        lam,
+        grid, ScalarField(grid, k), ScalarField(grid, kplus), ScalarField(grid, kminus), lam
     )

@@ -27,6 +27,7 @@ planes; on odd axes the mask is empty.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -35,7 +36,7 @@ from scipy.sparse.linalg import LinearOperator, lobpcg
 
 from .bases import PAIRS, WEDGE2, X3
 from .curvature import CurvatureBundle, MetricField
-from .grid import GridSpec, _freeze, d1
+from .grid import GridSpec, _axis_derivatives, _freeze, d1, integrate
 
 __all__ = [
     "TwoFormField",
@@ -65,6 +66,7 @@ __all__ = [
     "integral_identity_check_c",
     "hodge_rayleigh",
     "nyquist_mask",
+    "B_PLUS",
     "HarmonicSolveError",
     "default_harmonic_tol",
     "harmonic_selfdual_basis",
@@ -72,59 +74,43 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class TwoFormField:
+class _Components:
+    """Real components (dims, width) on a grid chart, read-only once built."""
+
+    grid: GridSpec
+    comps: np.ndarray
+    width = 0  # components per node, set by each subclass
+
+    def __post_init__(self):
+        c = np.asarray(self.comps, dtype=float)
+        want = self.grid.dims + (self.width,)
+        if c.shape != want:
+            raise ValueError(f"{type(self).__name__} components {c.shape} != {want}")
+        object.__setattr__(self, "comps", _freeze(c))
+
+
+class TwoFormField(_Components):
     """2-form by coordinate components omega_{i_p j_p} in PAIRS order."""
 
-    grid: GridSpec
-    comps: np.ndarray  # (dims, 6)
-
-    def __post_init__(self):
-        c = np.asarray(self.comps, dtype=float)
-        if c.shape != self.grid.dims + (6,):
-            raise ValueError(f"2-form components {c.shape} != {self.grid.dims + (6,)}")
-        object.__setattr__(self, "comps", _freeze(c))
+    width = 6
 
 
-@dataclass(frozen=True)
-class ThreeFormField:
+class ThreeFormField(_Components):
     """3-form by the coefficient of dx^I, I the sorted complement of axis l."""
 
-    grid: GridSpec
-    comps: np.ndarray  # (dims, 4)
-
-    def __post_init__(self):
-        c = np.asarray(self.comps, dtype=float)
-        if c.shape != self.grid.dims + (4,):
-            raise ValueError(f"3-form components {c.shape} != {self.grid.dims + (4,)}")
-        object.__setattr__(self, "comps", _freeze(c))
+    width = 4
 
 
-@dataclass(frozen=True)
-class OneFormField:
-    grid: GridSpec
-    comps: np.ndarray  # (dims, 4)
+class OneFormField(_Components):
+    """1-form by coordinate components."""
 
-    def __post_init__(self):
-        c = np.asarray(self.comps, dtype=float)
-        if c.shape != self.grid.dims + (4,):
-            raise ValueError(f"1-form components {c.shape} != {self.grid.dims + (4,)}")
-        object.__setattr__(self, "comps", _freeze(c))
+    width = 4
 
 
-@dataclass(frozen=True)
-class SelfDualField:
+class SelfDualField(_Components):
     """Self-dual 2-form by components in the orthonormal eta basis."""
 
-    grid: GridSpec
-    comps: np.ndarray  # (dims, 3)
-
-    def __post_init__(self):
-        c = np.asarray(self.comps, dtype=float)
-        if c.shape != self.grid.dims + (3,):
-            raise ValueError(
-                f"self-dual components {c.shape} != {self.grid.dims + (3,)}"
-            )
-        object.__setattr__(self, "comps", _freeze(c))
+    width = 3
 
     def norm(self) -> np.ndarray:
         """Pointwise |sigma| (basis is orthonormal, no metric needed)."""
@@ -180,8 +166,7 @@ def one_form_norm2(u: OneFormField, m: MetricField) -> np.ndarray:
 
 
 def sd_l2_norm(sigma: SelfDualField, m: MetricField) -> float:
-    w = np.sum(sigma.comps**2, axis=-1) * m.vol
-    return float(np.sqrt(np.sum(w) * sigma.grid.cell_volume))
+    return math.sqrt(integrate(np.sum(sigma.comps**2, axis=-1), m))
 
 
 def wedge_integral(alpha: TwoFormField, beta: TwoFormField) -> float:
@@ -203,12 +188,6 @@ _D3_TERMS = tuple(
     for p, (i, j) in enumerate(PAIRS)
     if X3[l, k, i, j] != 0.0
 )
-
-
-def _axis_derivatives(comps: np.ndarray, grid: GridSpec) -> list[np.ndarray]:
-    """D_k of every stored component, one stencil call per grid axis k."""
-    hs = grid.spacing
-    return [d1(comps, k, hs[k]) for k in range(4)]
 
 
 def d_one_form(a: OneFormField) -> TwoFormField:
@@ -380,8 +359,7 @@ def integral_identity_check_s(
     s = theta.s
     scaled = SelfDualField(grid, s[..., None] * sigma.comps)
     tau, u = d_plus_dstar(scaled, m)
-    lhs_den = three_form_norm2(tau, m) + one_form_norm2(u, m)
-    lhs = float(np.sum(lhs_den * m.vol) * grid.cell_volume)
+    lhs = integrate(three_form_norm2(tau, m) + one_form_norm2(u, m), m)
 
     sig2, nab2, cross = _identity_pieces(sigma, theta, m)
     wquad = np.einsum(
@@ -395,8 +373,7 @@ def integral_identity_check_s(
         + (s**2 / 3.0) * curv.scalar.values * sig2
         - 2.0 * s**2 * wquad
     )
-    rhs = float(np.sum(integrand * m.vol) * grid.cell_volume)
-    return lhs, rhs
+    return lhs, integrate(integrand, m)
 
 
 def integral_identity_check_c(
@@ -407,13 +384,12 @@ def integral_identity_check_c(
     c = theta.c
     scaled = SelfDualField(grid, c[..., None] * sigma.comps)
     nab = covariant_derivative(scaled, m)
-    lhs = float(np.sum(np.sum(nab**2, axis=(-2, -1)) * m.vol) * grid.cell_volume)
+    lhs = integrate(np.sum(nab**2, axis=(-2, -1)), m)
 
     sig2, nab2, cross = _identity_pieces(sigma, theta, m)
     s = theta.s
     integrand = s**2 * theta.dtheta_norm2 * sig2 + c**2 * nab2 - 2.0 * c * s * cross
-    rhs = float(np.sum(integrand * m.vol) * grid.cell_volume)
-    return lhs, rhs
+    return lhs, integrate(integrand, m)
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +452,10 @@ def _stencil_symbols(grid: GridSpec) -> list[np.ndarray]:
     return out
 
 
+# b+ of the 4-torus: the same for every metric
+B_PLUS = 3
+
+
 class HarmonicSolveError(RuntimeError):
     """Eigensolve did not separate harmonic candidates from the rest."""
 
@@ -484,13 +464,9 @@ class HarmonicSolveError(RuntimeError):
         self.quotients = quotients
 
 
-def default_harmonic_tol(m: MetricField, curv: CurvatureBundle | None = None) -> float:
+def default_harmonic_tol(m: MetricField) -> float:
     """Zero-mode cutoff: 1e-6 of the natural spectral scale of the chart."""
-    gap = min((2.0 * np.pi / L) ** 2 for L in m.grid.periods)
-    scale = gap
-    if curv is not None:
-        scale += float(np.mean(np.abs(curv.scalar.values)))
-    return 1e-6 * scale
+    return 1e-6 * min((2.0 * np.pi / L) ** 2 for L in m.grid.periods)
 
 
 def harmonic_selfdual_basis(
@@ -506,8 +482,9 @@ def harmonic_selfdual_basis(
     Solves the generalised eigenproblem of the Hodge energy against the
     L2(vol) mass in the stencil-resolved subspace with a block method,
     preconditioned by the flat inverse symbol.  Candidates below count_tol
-    are returned (B-orthonormal, deterministic sign); an ambiguous spectrum
-    near the cutoff raises HarmonicSolveError with the achieved quotients.
+    are returned (B-orthonormal, deterministic sign).  An ambiguous spectrum
+    near the cutoff, or any count of B-orthonormal candidates other than
+    B_PLUS, raises HarmonicSolveError with the achieved quotients.
     """
     grid = m.grid
     if count_tol is None:
@@ -603,13 +580,14 @@ def harmonic_selfdual_basis(
         mass = float(np.sum(np.sum(comps**2, axis=-1) * bw))
         quotients.append(energy / mass)
     quotients = np.array(quotients)
+    ranked = np.sort(quotients)
+    listed = " ".join(f"{q:.3e}" for q in ranked)
 
     ambiguous = (quotients >= count_tol) & (quotients < 100.0 * count_tol)
     if ambiguous.any():
         raise HarmonicSolveError(
-            "eigenvalues too close to the zero-mode cutoff "
-            f"{count_tol:.3e}: quotients {np.sort(quotients)}",
-            quotients=np.sort(quotients),
+            f"eigenvalues too close to the zero-mode cutoff {count_tol:.3e}: quotients {listed}",
+            quotients=ranked,
         )
     kept = [
         filt(vecs[:, j].reshape(grid.dims + (3,)))
@@ -619,7 +597,7 @@ def harmonic_selfdual_basis(
     if len(kept) == n_candidates:
         raise HarmonicSolveError(
             "every candidate looks harmonic; rerun with more candidates",
-            quotients=np.sort(quotients),
+            quotients=ranked,
         )
 
     # B-orthonormalise and fix signs so repeated runs agree exactly
@@ -636,4 +614,12 @@ def harmonic_selfdual_basis(
         if lead < 0:
             comps = -comps
         basis.append(comps)
+    if len(basis) != B_PLUS:
+        # LOBPCG can return near-duplicate candidates below the cutoff, and
+        # Gram-Schmidt turns their difference into a non-harmonic form
+        raise HarmonicSolveError(
+            f"{len(basis)} harmonic self-dual candidates, but b+ = {B_PLUS} on T^4: "
+            f"quotients {listed}",
+            quotients=ranked,
+        )
     return [SelfDualField(grid, c) for c in basis]

@@ -38,7 +38,7 @@ import numpy as np
 
 from .bases import ETA_PLUS, PAIRS
 from .curvature import MetricField
-from .grid import GridSpec, _freeze, d1
+from .grid import GridSpec, _axis_derivatives, _freeze
 from .selfdual import OneFormField, SelfDualField, TwoFormField, d_one_form
 
 __all__ = [
@@ -51,6 +51,7 @@ __all__ = [
     "rho_selfdual",
     "nabla_a",
     "dirac",
+    "dirac_cubic_pairing",
     "dirac_weitzenboeck_check",
     "log_kato_check",
     "gauge_transform",
@@ -216,8 +217,7 @@ def nabla_a(phi: SpinorField, conn: U1Connection) -> np.ndarray:
     """Coupled covariant derivative (partial_i + i a_i) Phi, (dims, 4, 2)."""
     if not phi.grid.compatible(conn.grid):
         raise ValueError("spinor and connection live on different grids")
-    hs = phi.grid.spacing
-    out = np.stack([d1(phi.comps, i, hs[i]) for i in range(4)], axis=-2)
+    out = np.stack(_axis_derivatives(phi.comps, phi.grid), axis=-2)
     out += 1j * conn.a[..., :, None] * phi.comps[..., None, :]
     return out
 
@@ -228,6 +228,16 @@ def dirac(phi: SpinorField, conn: U1Connection, m: MetricField | None = None) ->
     nab = nabla_a(phi, conn)
     out = np.einsum("ist,...it->...s", _MODEL.rho_coord, nab, optimize=True)
     return SpinorField(phi.grid, out)
+
+
+def dirac_cubic_pairing(
+    phi: SpinorField, conn: U1Connection, m: MetricField | None = None
+) -> float:
+    """integral Re (D_A Phi, D_A(|Phi|^2 Phi)) on the flat chart."""
+    _require_flat(m)
+    cubic = SpinorField(phi.grid, phi.norm2()[..., None] * phi.comps)
+    pair = np.real(np.conj(dirac(phi, conn).comps) * dirac(cubic, conn).comps)
+    return float(np.sum(pair) * phi.grid.cell_volume)
 
 
 def dirac_weitzenboeck_check(
@@ -241,20 +251,13 @@ def dirac_weitzenboeck_check(
     """
     _require_flat(m)
     grid = phi.grid
-    hs = grid.spacing
     cell = grid.cell_volume
 
+    lhs = dirac_cubic_pairing(phi, conn)
     phi2 = phi.norm2()
-    cubic = SpinorField(grid, phi2[..., None] * phi.comps)
-    dphi = dirac(phi, conn)
-    dcubic = dirac(cubic, conn)
-    lhs = float(np.sum(np.real(np.conj(dphi.comps) * dcubic.comps)) * cell)
-
     nab = nabla_a(phi, conn)
     t_grad = float(np.sum(phi2 * np.sum(np.abs(nab) ** 2, axis=(-2, -1))) * cell)
-    grad2 = np.zeros(grid.dims)
-    for i in range(4):
-        grad2 += d1(phi2, i, hs[i]) ** 2
+    grad2 = sum(d**2 for d in _axis_derivatives(phi2, grid))
     t_mod = 0.5 * float(np.sum(grad2) * cell)
     sig = sigma_map(phi)
     pair = np.sum(conn.curv_plus.comps * sig.comps, axis=-1)
@@ -279,7 +282,6 @@ def log_kato_check(
     """
     _require_flat(m)
     grid = phi.grid
-    hs = grid.spacing
     absphi = phi.norm()
     keep = absphi > floor
     if not keep.any():
@@ -288,7 +290,7 @@ def log_kato_check(
     nab = nabla_a(phi, conn)
     lhs = 2.0 * np.sqrt(np.sum(np.abs(nab) ** 2, axis=(-2, -1)))
     sig = sigma_map(phi)
-    dsig = np.stack([d1(sig.comps, i, hs[i]) for i in range(4)], axis=-2)
+    dsig = np.stack(_axis_derivatives(sig.comps, grid), axis=-2)
     rhs = np.sqrt(np.sum(dsig**2, axis=(-2, -1)))
     margin = lhs[keep] / absphi[keep] - rhs[keep] / sig.norm()[keep]
     return float(np.min(margin))
@@ -305,8 +307,7 @@ def gauge_transform(
     chi = np.asarray(chi, dtype=float)
     if chi.shape != conn.grid.dims:
         raise ValueError("chi must be a scalar grid array")
-    hs = conn.grid.spacing
-    dchi = np.stack([d1(chi, i, hs[i]) for i in range(4)], axis=-1)
+    dchi = np.stack(_axis_derivatives(chi, conn.grid), axis=-1)
     new_conn = U1Connection(conn.grid, conn.a + dchi)
     new_phi = SpinorField(phi.grid, np.exp(-1j * chi)[..., None] * phi.comps)
     return new_conn, new_phi

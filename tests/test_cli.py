@@ -86,13 +86,21 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
         ["psw-residual", "--dims", "8", "--config", "bad_eps.json"],
         ["sweep", "--check", "dirac", "--dims-list", "5,8"],
         ["psw-residual", "--dims", "8", "--config", "bad_variant.json"],
+        ["curvature", "--config", "bad_metric.json"],
+        ["lambda", "--config", "bad_theta.json"],
+        ["lebrun", "--catalog", "flat-t4", "--config", "bad_sweep_delta.json"],
+        ["bounds", "--dims", "8", "--gate", "abc"],
+        ["lebrun", "--dims", "8", "--omega-index", "99"],
     ],
 )
 def test_parse_errors_exit_2(tmp_path, monkeypatch, capsys, argv):
     # relative --config paths name the bad files written here
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "bad_eps.json").write_text(json.dumps({"eps": "abc"}))
-    (tmp_path / "bad_variant.json").write_text(json.dumps({"variant": "half"}))
+    bad = {"bad_eps": {"eps": "abc"}, "bad_variant": {"variant": "half"},
+           "bad_metric": {"metric": 5}, "bad_theta": {"theta": 3},
+           "bad_sweep_delta": {"sweep_delta": [0, 0.5]}}
+    for name, data in bad.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
     code = main(argv)
     err = capsys.readouterr().err
     assert code == 2
@@ -100,8 +108,6 @@ def test_parse_errors_exit_2(tmp_path, monkeypatch, capsys, argv):
 
 
 def test_gate_errors_exit_1(capsys):
-    code, _ = run(capsys, ["lebrun", "--dims", "8", "--omega-index", "99"])
-    assert code == 1
     # coupled Dirac needs the flat chart: curved psw trips the gate
     code, _ = run(
         capsys,
@@ -219,3 +225,11 @@ def test_sweep_dirac(capsys):
 def test_sweep_needs_two_sizes(capsys):
     code, _ = run(capsys, ["sweep", "--check", "dirac", "--dims-list", "8"])
     assert code == 2
+
+
+@pytest.mark.parametrize("flag", [["--dims", "99"], ["--periods", "1,1,1,1"]])
+def test_sweep_takes_no_dims_or_periods(flag):
+    # sweep sizes come from --dims-list on 2*pi periods; argparse refuses the rest
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--check", "dirac", "--dims-list", "8,9"] + flag)
+    assert exc.value.code == 2

@@ -112,12 +112,11 @@ def test_bundle_rejects_bad_weyl_storage(m8):
     zeros = ScalarField(g, np.zeros(g.dims))
     wbad = np.zeros(g.dims + (3, 3))
     wbad[..., 0, 1] = 1.0
-    ricci = np.zeros(g.dims + (4, 4))
     with pytest.raises(ValueError):
-        CurvatureBundle(m8, zeros, wbad, zeros, ricci)
+        CurvatureBundle(m8, zeros, wbad, zeros)
     wpos = ScalarField(g, np.full(g.dims, 0.5))
     with pytest.raises(ValueError):
-        CurvatureBundle(m8, zeros, np.zeros(g.dims + (3, 3)), wpos, ricci)
+        CurvatureBundle(m8, zeros, np.zeros(g.dims + (3, 3)), wpos)
 
 
 def test_three_form_algebra_matches_tensor_definitions():

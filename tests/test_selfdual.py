@@ -5,6 +5,7 @@ import pytest
 
 from monolab import (
     GridSpec,
+    HarmonicSolveError,
     OneFormField,
     SelfDualField,
     TwoFormField,
@@ -16,6 +17,7 @@ from monolab import (
     hodge_rayleigh,
     integral_identity_check_c,
     integral_identity_check_s,
+    metric_from_preset,
     project,
     project_asd,
     random_smooth_scalar,
@@ -192,6 +194,14 @@ def test_harmonic_basis_flat(m8):
 def test_harmonic_basis_conformal(m8_conf):
     basis = harmonic_selfdual_basis(m8_conf)
     assert len(basis) == 3
+
+
+def test_harmonic_basis_refuses_a_fourth_form(grid8):
+    # LOBPCG keeps four candidates below the cutoff on this metric, and
+    # Gram-Schmidt turned the near-duplicate into a form with quotient 3.38
+    m = metric_from_preset("kaehler-product:0.3*sin(x2)*cos(x3)", grid8)
+    with pytest.raises(HarmonicSolveError, match=r"4 harmonic self-dual candidates"):
+        harmonic_selfdual_basis(m)
 
 
 def test_harmonic_basis_rejects_tiny_block(m8):
