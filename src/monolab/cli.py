@@ -160,7 +160,7 @@ def _dims_list(value) -> list:
 
 
 def _deltas(value) -> list:
-    return [_float(v) for v in _text(value).split(",") if v]
+    return [_float(v) for v in _items(value)]
 
 
 def _gate(value) -> float | None:
@@ -171,7 +171,7 @@ def _gate(value) -> float | None:
 
 
 def _omega_index(value) -> int:
-    # harmonic_selfdual_basis returns exactly B_PLUS forms or raises
+    # harmonic_selfdual_basis returns exactly B_PLUS forms
     index = _int(value)
     if not 0 <= index < B_PLUS:
         raise ValueError(f"needs an index below b+ = {B_PLUS}")
@@ -184,7 +184,7 @@ class _Option:
     default: object = None
     help: str | None = None
     # True: the report's config block records it; "catalog": only lebrun's
-    # catalog mode records it, and that mode records nothing else
+    # catalog mode records it, when set, and that mode records nothing else
     record: bool | str = True
 
 
@@ -196,9 +196,10 @@ _COMMON = {
     "metric": _Option(_text, "flat", "flat | conformal:EXPR | kaehler-product:EXPR | file:PATH"),
     "seed": _Option(_int, 0),
     "out": _Option(_text, None, "report path (default stdout)", False),
-    "dump": _Option(_text, None, "optional field-container output", False),
     "config": _Option(_text, None, "JSON config file; its keys override flags", False),
 }
+# only the commands that write a field container take --dump
+_DUMP = {"dump": _Option(_text, None, "optional field-container output", False)}
 _THETA = _Option(_text, "const:0", "const:VALUE | coord:AXIS | file:PATH")
 _LAMBDA_VALUE = _Option(_float, 0.0, "lambda folded into K")
 _CSV = _Option(_text, None, "write sweep rows as CSV", False)
@@ -267,7 +268,8 @@ def _recorded(args: argparse.Namespace) -> dict:
     """The report's config block: the options the command records."""
     mode = "catalog" if getattr(args, "catalog", None) is not None else True
     return {name: getattr(args, name)
-            for name, opt in _COMMANDS[args.command][2].items() if opt.record == mode}
+            for name, opt in _COMMANDS[args.command][2].items()
+            if opt.record == mode and (mode is True or getattr(args, name) is not None)}
 
 
 def _geometry(args):
@@ -352,6 +354,7 @@ def _run_hodge(args):
         "b_plus": len(basis),
         "orthonormality_error": float(np.max(np.abs(gram - np.eye(len(basis))))),
         "weitzenboeck_residual": weitzenboeck_residual(sigma, m, curv),
+        "harmonic_solve": basis.solve,
     }
     if args.dump:
         save_fields(args.dump, grid,
@@ -491,20 +494,20 @@ def _run_sweep(args):
 # the config keys
 _COMMANDS = {
     "curvature": ("curvature fields of a preset metric", _run_curvature,
-                  {**_GRID, **_COMMON}),
+                  {**_GRID, **_COMMON, **_DUMP}),
     "hodge": ("harmonic self-dual basis of a preset metric", _run_hodge,
-              {**_GRID, **_COMMON}),
+              {**_GRID, **_COMMON, **_DUMP}),
     "dirac-check": ("spinor identities on a random smooth pair", _run_dirac_check,
                     {**_GRID, **_COMMON, "amplitude": _Option(_float, 0.3)}),
     "lambda": ("minimize the spectral quotient", _run_lambda, {
-        **_GRID, **_COMMON,
+        **_GRID, **_COMMON, **_DUMP,
         "theta": _THETA,
         "multistarts": _Option(_int, 8, "random starts beyond the 3 constants"),
         "max_iter": _Option(_int, 150),
         "tol": _Option(_float, 1e-9),
     }),
     "psw-residual": ("residual of a manufactured monopole pair", _run_psw, {
-        **_GRID, **_COMMON, **_PAIR,
+        **_GRID, **_COMMON, **_DUMP, **_PAIR,
         "variant": _Option(_choice("simple", "full"), "full"),
     }),
     "bounds": ("a-priori bound margins for a manufactured pair", _run_bounds, {
@@ -515,7 +518,8 @@ _COMMANDS = {
         **_GRID, **_COMMON,
         "catalog": _Option(_choice(*sorted(CATALOG)), None, "closed-form mode", "catalog"),
         "delta": _Option(_float, 0.0, record="catalog"),
-        "sweep_delta": _Option(_deltas, None, "comma list of weights for a margin sweep", False),
+        "sweep_delta": _Option(_deltas, None, "comma list of weights for a margin sweep",
+                               record="catalog"),
         "sweep_kind": _Option(_choice("linear", "quadratic"), "quadratic", record="catalog"),
         "theta": _THETA,
         "lambda_value": _LAMBDA_VALUE,

@@ -90,20 +90,12 @@ class MetricField:
     @cached_property
     def sd_basis_coord(self) -> np.ndarray:
         """Coordinate components of eta_a: EB[..., a, i, j] (full antisym)."""
-        e = self.coframe
-        out = np.einsum("aAB,...Ai,...Bj->...aij", ETA_PLUS, e, e, optimize=True)
-        out.flags.writeable = False
-        return out
+        return _freeze(_frame_to_coord(ETA_PLUS, self.coframe))
 
     @cached_property
     def sd_basis_coord_up(self) -> np.ndarray:
         """Index-raised eta_a for projections."""
-        out = np.einsum(
-            "...aij,...ik,...jl->...akl", self.sd_basis_coord, self.ginv, self.ginv,
-            optimize=True,
-        )
-        out.flags.writeable = False
-        return out
+        return _freeze(_raise_pair(self.sd_basis_coord, self.ginv))
 
     @cached_property
     def gram2(self) -> np.ndarray:
@@ -153,11 +145,8 @@ class MetricField:
     @cached_property
     def asd_pairs_up(self) -> np.ndarray:
         """Index-raised pair components of the anti-self-dual basis."""
-        e = self.coframe
-        eb = np.einsum("aAB,...Ai,...Bj->...aij", ETA_MINUS, e, e, optimize=True)
-        eb = np.einsum("...aij,...ik,...jl->...akl", eb, self.ginv, self.ginv,
-                       optimize=True)
-        return _pair_components(eb)
+        return _pair_components(_raise_pair(_frame_to_coord(ETA_MINUS, self.coframe),
+                                            self.ginv))
 
     @cached_property
     def hodge_weight(self) -> np.ndarray:
@@ -169,6 +158,24 @@ class MetricField:
         S = diag(+1, -1, +1, -1) as in gram3.
         """
         return _freeze(2.0 * _S3[:, None] * self.g * _S3 / self.vol[..., None, None])
+
+
+# The two helpers below contract one pair of operands at a time.  An
+# optimised einsum over three operands names the "..." axes with letters drawn
+# from a set, so its intermediate's axis order, and with it the last digits
+# of the result, can change with the process's string-hash seed.
+
+
+def _frame_to_coord(eta: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Coordinate components eta[a, A, B] e[..., A, i] e[..., B, j]."""
+    t = np.einsum("aAB,...Bj->...aAj", eta, e, optimize=True)
+    return np.einsum("...Ai,...aAj->...aij", e, t, optimize=True)
+
+
+def _raise_pair(eb: np.ndarray, gi: np.ndarray) -> np.ndarray:
+    """Both indices of eb[..., a, i, j] raised with the inverse metric gi."""
+    t = np.einsum("...aij,...jl->...ail", eb, gi, optimize=True)
+    return np.einsum("...ik,...ail->...akl", gi, t, optimize=True)
 
 
 def _pair_components(eb: np.ndarray) -> np.ndarray:

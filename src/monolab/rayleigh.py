@@ -18,10 +18,9 @@ returned minimiser re-evaluated at the final smoothing (zero when the
 minimiser stays away from the zero section), so it is always a discrete
 upper-bound estimate, never a certified continuum value.
 
-As in the harmonic searcher, search directions are restricted to the
-stencil-resolved subspace: the centred first difference is blind to exact
-half-frequency modes, which would otherwise fake flat directions of the
-quotient on even grids.
+Search directions are restricted to the stencil-resolved subspace: the
+centred first difference is blind to exact half-frequency modes, which
+would otherwise fake flat directions of the quotient on even grids.
 """
 
 from __future__ import annotations

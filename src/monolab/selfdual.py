@@ -20,19 +20,19 @@ Consequences used throughout:
 One discrete artefact needs care: a centred first difference is blind to
 the per-axis alternating mode (frequency n/2 on an even axis), so the
 energy ||d sigma||^2 + ||d* sigma||^2 has spurious null vectors built from
-alternating/constant tensor modes.  The harmonic searcher therefore works
-in the stencil-resolved subspace obtained by masking exact half-frequency
-planes; on odd axes the mask is empty.
+alternating/constant tensor modes.  Searches over self-dual fields
+therefore work in the stencil-resolved subspace obtained by masking exact
+half-frequency planes; on odd axes the mask is empty.  The harmonic basis
+needs no mask: it solves for d alpha, and the blind 1-forms are closed.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, lobpcg
 
 from .bases import PAIRS, WEDGE2, X3
 from .curvature import CurvatureBundle, MetricField
@@ -68,9 +68,24 @@ __all__ = [
     "nyquist_mask",
     "B_PLUS",
     "HarmonicSolveError",
+    "HarmonicBasis",
     "default_harmonic_tol",
     "harmonic_selfdual_basis",
 ]
+
+
+def __getattr__(name: str):
+    """Serve `lobpcg`, scipy's block eigensolver, on first use of the name.
+
+    Nothing in the package calls it.  The benchmark's span tracer
+    (bench/trace_cli.py) wraps `selfdual.lobpcg` by name; importing scipy
+    here, and only when asked, keeps scipy off the package's import path.
+    """
+    if name == "lobpcg":
+        from scipy.sparse.linalg import lobpcg
+
+        return lobpcg
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -190,12 +205,27 @@ _D3_TERMS = tuple(
 )
 
 
-def d_one_form(a: OneFormField) -> TwoFormField:
-    dk = _axis_derivatives(a.comps, a.grid)
-    comps = np.empty(a.grid.dims + (6,))
+def _d_one(a: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """d of 1-form components into pair components; extra trailing axes ride along."""
+    dk = _axis_derivatives(a, grid)
+    out = np.empty(grid.dims + (6,) + a.shape[5:])
     for p, (i, j) in enumerate(PAIRS):
-        comps[..., p] = dk[i][..., j] - dk[j][..., i]
-    return TwoFormField(a.grid, comps)
+        out[:, :, :, :, p] = dk[i][:, :, :, :, j] - dk[j][:, :, :, :, i]
+    return out
+
+
+def _d_one_T(omega: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Plain-sum transpose of _d_one (stencil transpose is its negative)."""
+    dk = _axis_derivatives(omega, grid)
+    out = np.zeros(grid.dims + (4,) + omega.shape[5:])
+    for p, (i, j) in enumerate(PAIRS):
+        out[:, :, :, :, j] -= dk[i][:, :, :, :, p]
+        out[:, :, :, :, i] += dk[j][:, :, :, :, p]
+    return out
+
+
+def d_one_form(a: OneFormField) -> TwoFormField:
+    return TwoFormField(a.grid, _d_one(a.comps, a.grid))
 
 
 def _d_pairs(omega: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -244,10 +274,10 @@ def covariant_derivative(sigma: SelfDualField, m: MetricField) -> np.ndarray:
     gam = m.christoffel
     nab = nab - np.einsum("...mki,...mj->...kij", gam, om, optimize=True)
     nab = nab - np.einsum("...mkj,...im->...kij", gam, om, optimize=True)
-    return 0.5 * np.einsum(
-        "...kc,...kij,...aij->...ca",
-        m.inv_coframe, nab, m.sd_basis_coord_up, optimize=True,
-    )
+    # one pair of operands per einsum keeps the contraction order fixed (see
+    # curvature._frame_to_coord)
+    t = np.einsum("...kij,...aij->...ka", nab, m.sd_basis_coord_up, optimize=True)
+    return 0.5 * np.einsum("...kc,...ka->...ca", m.inv_coframe, t, optimize=True)
 
 
 def nabla_transpose(tau: np.ndarray, m: MetricField) -> np.ndarray:
@@ -259,10 +289,8 @@ def nabla_transpose(tau: np.ndarray, m: MetricField) -> np.ndarray:
         for k in range(4):
             out -= d1(tau[..., k, :], k, hs[k])
         return out
-    y = 0.5 * np.einsum(
-        "...kc,...aij,...ca->...kij",
-        m.inv_coframe, m.sd_basis_coord_up, tau, optimize=True,
-    )
+    t = np.einsum("...kc,...ca->...ka", m.inv_coframe, tau, optimize=True)
+    y = 0.5 * np.einsum("...ka,...aij->...kij", t, m.sd_basis_coord_up, optimize=True)
     om_t = np.zeros(grid.dims + (4, 4))
     for k in range(4):
         om_t -= d1(y[..., k, :, :], k, hs[k])
@@ -280,8 +308,8 @@ def nabla_star_nabla(sigma: SelfDualField, m: MetricField) -> SelfDualField:
 
 
 # ---------------------------------------------------------------------------
-# quadratic forms and their gradients (shared by the eigensolver and the
-# spectral quotient minimiser)
+# quadratic forms and their gradients (shared by the harmonicity checks and
+# the spectral quotient minimiser)
 
 
 def hodge_energy_and_grad(comps: np.ndarray, m: MetricField) -> tuple[float, np.ndarray]:
@@ -443,183 +471,142 @@ def _resolved_filter(grid: GridSpec):
     return apply
 
 
-def _stencil_symbols(grid: GridSpec) -> list[np.ndarray]:
-    """Per-axis effective wavenumbers of the centred first difference."""
-    out = []
-    for n, h in zip(grid.dims, grid.spacing):
-        phi = 2.0 * np.pi * np.fft.fftfreq(n)
-        out.append((45.0 * np.sin(phi) - 9.0 * np.sin(2 * phi) + np.sin(3 * phi)) / (30.0 * h))
-    return out
+def _inverse_symbol(grid: GridSpec) -> np.ndarray:
+    """Inverse symbol 1/|s|^2 of the flat 1-form Hodge Laplacian, rfftn layout.
+
+    s_k is the effective wavenumber of the centred first difference on axis
+    k.  It vanishes exactly at zero and half frequency, and the modes where
+    it vanishes on every axis are closed for every metric; they get 0.
+    """
+    k2 = 0.0
+    for ax, (n, h) in enumerate(zip(grid.dims, grid.spacing)):
+        j = np.arange(n // 2 + 1) if ax == 3 else np.fft.fftfreq(n, 1.0 / n)
+        phi = 2.0 * np.pi * j / n
+        s = (45.0 * np.sin(phi) - 9.0 * np.sin(2 * phi) + np.sin(3 * phi)) / (30.0 * h)
+        s[(2 * j) % n == 0] = 0.0
+        shape = [1, 1, 1, 1]
+        shape[ax] = s.size
+        k2 = k2 + (s**2).reshape(shape)
+    seen = k2 > 0.0
+    return np.where(seen, 1.0 / np.where(seen, k2, 1.0), 0.0)
 
 
 # b+ of the 4-torus: the same for every metric
 B_PLUS = 3
 
+# the flat self-dual constant classes dx01+dx23, dx02-dx13, dx03+dx12 in
+# PAIRS order, one per column
+_SD_CLASSES = np.array([
+    [1.0, 0.0, 0.0],
+    [0.0, 1.0, 0.0],
+    [0.0, 0.0, 1.0],
+    [0.0, 0.0, 1.0],
+    [0.0, -1.0, 0.0],
+    [1.0, 0.0, 0.0],
+])
+
+# PCG stop: preconditioned residual at most _PCG_TOL of the class norm ||c||_G
+_PCG_TOL = 1e-12
+_PCG_MAXITER = 400
+
 
 class HarmonicSolveError(RuntimeError):
-    """Eigensolve did not separate harmonic candidates from the rest."""
-
-    def __init__(self, message: str, quotients=None):
-        super().__init__(message)
-        self.quotients = quotients
+    """The harmonic representatives did not converge within the iteration cap."""
 
 
 def default_harmonic_tol(m: MetricField) -> float:
-    """Zero-mode cutoff: 1e-6 of the natural spectral scale of the chart."""
+    """Harmonicity cutoff for a given omega: 1e-6 of the chart's spectral scale."""
     return 1e-6 * min((2.0 * np.pi / L) ** 2 for L in m.grid.periods)
 
 
-def harmonic_selfdual_basis(
-    m: MetricField,
-    count_tol: float | None = None,
-    n_candidates: int = 6,
-    tol: float = 1e-9,
-    maxiter: int = 400,
-    seed: int = 7,
-) -> list[SelfDualField]:
-    """Basis of discrete harmonic self-dual forms (zero modes of d + d*).
+@dataclass(frozen=True)
+class HarmonicBasis(Sequence):
+    """B_PLUS harmonic self-dual forms, B-orthonormal in class order, and
+    the record of the solve that built them (deterministic numbers)."""
 
-    Solves the generalised eigenproblem of the Hodge energy against the
-    L2(vol) mass in the stencil-resolved subspace with a block method,
-    preconditioned by the flat inverse symbol.  Candidates below count_tol
-    are returned (B-orthonormal, deterministic sign).  An ambiguous spectrum
-    near the cutoff, or any count of B-orthonormal candidates other than
-    B_PLUS, raises HarmonicSolveError with the achieved quotients.
+    forms: tuple[SelfDualField, ...]
+    iterations: int
+    residual: float  # largest over the classes, relative to ||c||_G
+
+    def __getitem__(self, index):
+        return self.forms[index]
+
+    def __len__(self) -> int:
+        return len(self.forms)
+
+    @property
+    def solve(self) -> dict:
+        return {"iterations": self.iterations, "residual": self.residual,
+                "converged": self.residual <= _PCG_TOL}
+
+
+def _col_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Plain-sum inner products of the trailing batch columns."""
+    return np.einsum("nK,nK->K", x.reshape(-1, x.shape[-1]), y.reshape(-1, y.shape[-1]))
+
+
+def harmonic_selfdual_basis(m: MetricField) -> HarmonicBasis:
+    """Harmonic self-dual forms by Hodge projection of the flat classes.
+
+    Each flat self-dual constant class c_a has the minimum-norm
+    representative h_a = c_a + d alpha_a, where d^T G (c_a + d alpha_a) = 0
+    with G = vol gram2 (d^T the plain-sum transpose).  Since
+    vol gram2 = WEDGE2 star2, that equation says d(star h_a) = 0, so the
+    discrete harmonic space is star-invariant and project(h_a) is harmonic.
+    The three projections are independent because the intersection form
+    is positive on the flat self-dual classes.
+
+    One PCG loop solves for the three alpha_a together, preconditioned by
+    the flat inverse symbol.  The operator is singular only on closed
+    1-forms, which never change d alpha, so no gauge is fixed.  Raises
+    HarmonicSolveError when the loop misses _PCG_TOL within _PCG_MAXITER.
     """
     grid = m.grid
-    if count_tol is None:
-        count_tol = default_harmonic_tol(m)
-    nnodes = grid.node_count
-    n_big = nnodes * 3
-    if n_candidates < 4:
-        raise ValueError("need at least 4 candidates to see past a rank-3 kernel")
+    G = m.vol[..., None, None] * m.gram2
+    inv_symbol = _inverse_symbol(grid)[..., None, None]
 
-    filt = _resolved_filter(grid)
-    mask = nyquist_mask(grid)
-    keep = None if mask is None else ~mask
-    bw = m.vol * grid.cell_volume
+    def g_apply(omega):
+        return np.einsum("...pq,...qK->...pK", G, omega, optimize=True)
 
-    def a_block(x: np.ndarray) -> np.ndarray:
-        comps = filt(np.ascontiguousarray(x).reshape(grid.dims + (3, -1)))
-        om = np.einsum("...pa,...aK->...pK", m.sd_pairs, comps, optimize=True)
-        tau = _d_pairs(om, grid)
-        wtau = np.einsum("...lk,...kK->...lK", m.hodge_weight, tau, optimize=True)
-        om_t = _d_pairs_T(wtau, grid)
-        out = np.einsum("...pa,...pK->...aK", m.sd_pairs, om_t, optimize=True)
-        out = filt(out) * grid.cell_volume
-        return out.reshape(n_big, -1)
+    def precondition(r):
+        spec = np.fft.rfftn(r, axes=(0, 1, 2, 3)) * inv_symbol
+        return np.fft.irfftn(spec, s=grid.dims, axes=(0, 1, 2, 3))
 
-    def b_block(x: np.ndarray) -> np.ndarray:
-        comps = np.ascontiguousarray(x).reshape(grid.dims + (3, -1))
-        return (bw[..., None, None] * comps).reshape(n_big, -1)
-
-    syms = _stencil_symbols(grid)
-    denom = np.zeros(grid.dims)
-    for ax, s in enumerate(syms):
-        shape = [1, 1, 1, 1]
-        shape[ax] = grid.dims[ax]
-        denom = denom + (s.reshape(shape)) ** 2
-    # the zero mode and the alternating (masked) modes have no real symbol;
-    # give them the smallest resolved one so the preconditioner stays bounded
-    resolved = denom > 1e-8 * np.max(denom)
-    floor = np.min(denom[resolved])
-    denom[~resolved] = floor
-    denom *= grid.cell_volume
-
-    def m_block(x: np.ndarray) -> np.ndarray:
-        comps = np.ascontiguousarray(x).reshape(grid.dims + (3, -1))
-        spec = np.fft.fftn(comps, axes=(0, 1, 2, 3))
-        spec /= denom[..., None, None]
-        if keep is not None:
-            spec *= keep[..., None, None]
-        out = np.fft.ifftn(spec, axes=(0, 1, 2, 3)).real
-        return out.reshape(n_big, -1)
-
-    ops = []
-    for fn in (a_block, b_block, m_block):
-        ops.append(
-            LinearOperator(
-                (n_big, n_big),
-                matvec=lambda v, fn=fn: fn(v.reshape(-1, 1)).ravel(),
-                matmat=fn,
-                dtype=float,
-            )
-        )
-    a_op, b_op, m_op = ops
-
-    rng = np.random.default_rng(seed)
-    x0 = np.zeros((n_big, n_candidates))
-    for a in range(3):
-        e = np.zeros(grid.dims + (3,))
-        e[..., a] = 1.0
-        x0[:, a] = e.ravel()
-    for j in range(3, n_candidates):
-        raw = rng.standard_normal(grid.dims + (3,))
-        # keep random starts independent of the constant columns
-        raw -= raw.mean(axis=(0, 1, 2, 3), keepdims=True)
-        x0[:, j] = m_block(raw.reshape(n_big, 1)).ravel()
-
-    # exact kernel vectors in the start block make the solver's internal
-    # Gram factorisations break down harmlessly; convergence is re-checked
-    # below from scratch, so its warnings carry no information here
-    with warnings.catch_warnings(), np.errstate(all="ignore"):
-        warnings.simplefilter("ignore")
-        vals, vecs = lobpcg(
-            a_op, x0, B=b_op, M=m_op, largest=False, tol=tol, maxiter=maxiter
-        )
-
-    order = np.argsort(vals)
-    vals = vals[order]
-    vecs = vecs[:, order]
-
-    # exact quotients of the returned vectors, not the solver's estimates
-    quotients = []
-    for j in range(vecs.shape[1]):
-        comps = filt(vecs[:, j].reshape(grid.dims + (3,)))
-        energy, _ = hodge_energy_and_grad(comps, m)
-        mass = float(np.sum(np.sum(comps**2, axis=-1) * bw))
-        quotients.append(energy / mass)
-    quotients = np.array(quotients)
-    ranked = np.sort(quotients)
-    listed = " ".join(f"{q:.3e}" for q in ranked)
-
-    ambiguous = (quotients >= count_tol) & (quotients < 100.0 * count_tol)
-    if ambiguous.any():
+    gc = g_apply(np.broadcast_to(_SD_CLASSES, grid.dims + _SD_CLASSES.shape))
+    class_norm2 = np.sum(gc * _SD_CLASSES, axis=(0, 1, 2, 3, 4))
+    alpha = np.zeros(grid.dims + (4, B_PLUS))
+    r = -_d_one_T(gc, grid)
+    z = precondition(r)
+    rz = _col_dot(r, z)
+    p = z
+    iterations = 0
+    while True:
+        live = np.flatnonzero(rz > _PCG_TOL**2 * class_norm2)
+        if live.size == 0 or iterations == _PCG_MAXITER:
+            break
+        pl = p[..., live]
+        q = _d_one_T(g_apply(_d_one(pl, grid)), grid)
+        step = rz[live] / _col_dot(pl, q)
+        alpha[..., live] += step * pl
+        r[..., live] -= step * q
+        z = precondition(r[..., live])
+        rz_live = _col_dot(r[..., live], z)
+        p[..., live] = z + (rz_live / rz[live]) * pl
+        rz[live] = rz_live
+        iterations += 1
+    residual = float(np.sqrt(np.max(rz / class_norm2)))
+    if residual > _PCG_TOL:
         raise HarmonicSolveError(
-            f"eigenvalues too close to the zero-mode cutoff {count_tol:.3e}: quotients {listed}",
-            quotients=ranked,
-        )
-    kept = [
-        filt(vecs[:, j].reshape(grid.dims + (3,)))
-        for j in range(vecs.shape[1])
-        if quotients[j] < count_tol
-    ]
-    if len(kept) == n_candidates:
-        raise HarmonicSolveError(
-            "every candidate looks harmonic; rerun with more candidates",
-            quotients=ranked,
+            f"harmonic representatives: PCG residual {residual:.3e} of the class norm "
+            f"after {iterations} iterations, above {_PCG_TOL:.0e}"
         )
 
-    # B-orthonormalise and fix signs so repeated runs agree exactly
-    basis: list[np.ndarray] = []
-    for comps in kept:
-        for prev in basis:
-            comps = comps - prev * np.sum(comps * prev * bw[..., None])
-        nrm = np.sqrt(np.sum(comps**2 * bw[..., None]))
-        if nrm < 1e-14:
-            continue
-        comps = comps / nrm
-        flat = comps.ravel()
-        lead = flat[np.argmax(np.abs(flat))]
-        if lead < 0:
-            comps = -comps
-        basis.append(comps)
-    if len(basis) != B_PLUS:
-        # LOBPCG can return near-duplicate candidates below the cutoff, and
-        # Gram-Schmidt turns their difference into a non-harmonic form
-        raise HarmonicSolveError(
-            f"{len(basis)} harmonic self-dual candidates, but b+ = {B_PLUS} on T^4: "
-            f"quotients {listed}",
-            quotients=ranked,
-        )
-    return [SelfDualField(grid, c) for c in basis]
+    h = _SD_CLASSES + _d_one(alpha, grid)
+    sd = np.einsum("...pa,...pK->...aK", m.sd_pairs_up, h, optimize=True)
+    forms: list[np.ndarray] = []
+    for k in range(B_PLUS):
+        comps = sd[..., k]
+        for prev in forms:
+            comps = comps - prev * integrate(np.sum(comps * prev, axis=-1), m)
+        forms.append(comps / math.sqrt(integrate(np.sum(comps**2, axis=-1), m)))
+    return HarmonicBasis(tuple(SelfDualField(grid, c) for c in forms), iterations, residual)

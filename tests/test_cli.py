@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from monolab import load_fields
+from monolab import load_fields, selfdual
 from monolab.cli import main
 
 
@@ -57,6 +57,7 @@ def test_config_file_overrides_flags(tmp_path, capsys):
     [
         ["psw-residual", "--dims", "8", "--pair", "gauge", "--chi", "0.2*sin(x1)"],
         ["sweep", "--check", "dirac", "--dims-list", "8,10"],
+        ["lebrun", "--catalog", "t2xsigma2", "--sweep-delta", "0,0.5,1", "--sweep-kind", "linear"],
     ],
 )
 def test_saved_config_replays_byte_identically(tmp_path, argv):
@@ -91,6 +92,7 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
         ["lebrun", "--catalog", "flat-t4", "--config", "bad_sweep_delta.json"],
         ["bounds", "--dims", "8", "--gate", "abc"],
         ["lebrun", "--dims", "8", "--omega-index", "99"],
+        ["bounds", "--dims", "8", "--config", "bad_dump.json"],
     ],
 )
 def test_parse_errors_exit_2(tmp_path, monkeypatch, capsys, argv):
@@ -98,7 +100,7 @@ def test_parse_errors_exit_2(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     bad = {"bad_eps": {"eps": "abc"}, "bad_variant": {"variant": "half"},
            "bad_metric": {"metric": 5}, "bad_theta": {"theta": 3},
-           "bad_sweep_delta": {"sweep_delta": [0, 0.5]}}
+           "bad_sweep_delta": {"sweep_delta": [0, "half"]}, "bad_dump": {"dump": "b.zip"}}
     for name, data in bad.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(data))
     code = main(argv)
@@ -116,6 +118,25 @@ def test_gate_errors_exit_1(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("command", ["bounds", "dirac-check", "lebrun", "sweep"])
+def test_dump_only_where_written(tmp_path, command):
+    # these commands write no field container, so they take no --dump
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--dump", str(tmp_path / "fields.zip")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "fields.zip").exists()
+
+
+def test_harmonic_solve_cap_exits_1(monkeypatch, capsys):
+    # the Kaehler product needs a few PCG iterations; a cap of one misses
+    monkeypatch.setattr(selfdual, "_PCG_MAXITER", 1)
+    code = main(["hodge", "--dims", "8", "--metric", "kaehler-product:0.3*sin(x2)*cos(x3)"])
+    failed = [line for line in capsys.readouterr().err.splitlines() if "failed" in line]
+    assert code == 1
+    assert len(failed) == 1 and failed[0].startswith("monolab: check failed:")
+    assert "after 1 iterations" in failed[0]
+
+
 def test_bad_json_config_exit_2(tmp_path, capsys):
     cfg = tmp_path / "broken.json"
     cfg.write_text("{not json")
@@ -130,6 +151,8 @@ def test_hodge_report(capsys):
     assert out["b_plus"] == 3
     assert out["orthonormality_error"] < 1e-8
     assert out["weitzenboeck_residual"] < 1e-10
+    # constant forms are exact on the flat torus: no PCG iteration runs
+    assert out["harmonic_solve"] == {"iterations": 0, "residual": 0.0, "converged": True}
 
 
 def test_dirac_check_report(capsys):
