@@ -1,14 +1,17 @@
-"""Riemannian curvature of a sampled 4-metric.
+"""Riemannian curvature of a sampled 4-metric as an operator on 2-forms.
 
-The stack is the textbook chain evaluated nodewise with periodic central
-differences: Christoffel symbols from first derivatives of g, the fully
-covariant Riemann tensor from second derivatives plus Gamma*Gamma terms,
-Ricci and scalar curvature by contraction, the Weyl tensor by removing the
-Ricci part, and finally the self-dual Weyl operator expressed in the
-orthonormal coframe fixed by the (upper-triangular) Cholesky factor
-e^T e = g.  In that coframe the self-dual 2-form bundle has the constant
-basis eta_1..eta_3 of `bases`, and W+ becomes a symmetric trace-free 3x3
-matrix per node whose lowest eigenvalue is the curvature weight w.
+Per node, the curvature is the symmetric 6x6 operator on stored 2-form pairs
+(`bases.PAIRS`), the block form of Singer and Thorpe (1969; Besse, Einstein
+Manifolds, 1987).  Its coordinate pair form R_{ij,kl} comes from periodic
+6th-order differences of the 10 stored components of g (one stencil call per
+axis or axis pair) plus Gamma_{p,jk} Gamma^p_il terms of the cached
+Christoffel symbols.  The frame operator is L^T R L with L = Lambda^2(e^-1)
+for the orthonormal coframe of the (upper-triangular) Cholesky factor
+e^T e = g, where the self-dual 2-forms have the constant basis eta_1..eta_3
+of `bases`.  The scalar curvature is twice its trace; W+ = H+ R H+^T - R/12,
+with H+ the eta-plus rows in pair order, is a symmetric trace-free 3x3 matrix
+whose lowest eigenvalue is the curvature weight w.  The eta-minus block gives
+W- the same way and the mixed block the traceless Ricci tensor.
 
 Sign conventions are pinned by two closed-form families used in the tests:
 
@@ -40,6 +43,15 @@ __all__ = [
 # orientation signs of the stored 3-form components (see MetricField.gram3)
 _S3 = np.array([1.0, -1.0, 1.0, -1.0])
 _PAIR_I, _PAIR_J = np.array(PAIRS).T
+# symmetric index pairs x = (i <= j), the 10 stored components of g
+_SYM_I, _SYM_J = np.triu_indices(4)
+_SYM_INDEX = np.empty((4, 4), dtype=int)
+_SYM_INDEX[_SYM_I, _SYM_J] = _SYM_INDEX[_SYM_J, _SYM_I] = range(10)
+# flat taps into M[x, y]: R_PQ = M[jk, il] - M[jl, ik] for P = (i, j), Q = (k, l)
+_TAP_PLUS = 10 * _SYM_INDEX[_PAIR_J[:, None], _PAIR_I] + _SYM_INDEX[_PAIR_I[:, None], _PAIR_J]
+_TAP_MINUS = 10 * _SYM_INDEX[_PAIR_J[:, None], _PAIR_J] + _SYM_INDEX[_PAIR_I[:, None], _PAIR_I]
+# eta-plus rows in stored pair order
+_H_PLUS = ETA_PLUS[:, _PAIR_I, _PAIR_J]
 
 
 class MetricField:
@@ -100,12 +112,7 @@ class MetricField:
     @cached_property
     def gram2(self) -> np.ndarray:
         """Gram matrix of stored 2-form components: <dx^i^dx^j, dx^k^dx^l>."""
-        gi = self.ginv
-        out = np.empty(self.grid.dims + (6, 6))
-        for p, (i, j) in enumerate(PAIRS):
-            for q, (k, l) in enumerate(PAIRS):
-                out[..., p, q] = gi[..., i, k] * gi[..., j, l] - gi[..., i, l] * gi[..., j, k]
-        return _freeze(out)
+        return _freeze(_lambda2(self.ginv))
 
     @cached_property
     def gram3(self) -> np.ndarray:
@@ -160,7 +167,7 @@ class MetricField:
         return _freeze(2.0 * _S3[:, None] * self.g * _S3 / self.vol[..., None, None])
 
 
-# The two helpers below contract one pair of operands at a time.  An
+# The three helpers below contract one pair of operands at a time.  An
 # optimised einsum over three operands names the "..." axes with letters drawn
 # from a set, so its intermediate's axis order, and with it the last digits
 # of the result, can change with the process's string-hash seed.
@@ -170,6 +177,12 @@ def _frame_to_coord(eta: np.ndarray, e: np.ndarray) -> np.ndarray:
     """Coordinate components eta[a, A, B] e[..., A, i] e[..., B, j]."""
     t = np.einsum("aAB,...Bj->...aAj", eta, e, optimize=True)
     return np.einsum("...Ai,...aAj->...aij", e, t, optimize=True)
+
+
+def _bilinear(x: np.ndarray, a: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Nodewise x[..., i] a[..., i, j] y[..., j]; `a` may be one constant matrix."""
+    return np.einsum("...i,...i->...", x, np.einsum("...ij,...j->...i", a, y, optimize=True),
+                     optimize=True)
 
 
 def _raise_pair(eb: np.ndarray, gi: np.ndarray) -> np.ndarray:
@@ -247,77 +260,67 @@ def lowest_eigenvalue(field3x3: np.ndarray, grid: GridSpec) -> ScalarField:
     return ScalarField(grid, ev[..., 0])
 
 
+def curvature_operator(m: MetricField, coframe: np.ndarray | None = None) -> np.ndarray:
+    """Curvature operator on 2-forms in the frame: [..., A, B] on stored pairs.
+
+    R_frame = L^T R_pair L with L = Lambda^2(e^-1); its trace is R/2 and its
+    eta-plus and eta-minus blocks are W+ and W- plus (R/12) 1.  `coframe`
+    overrides the Cholesky gauge as in `curvature_stack`.  Not in `__all__`:
+    bench/trace_cli.py spans the functions listed there, and this one is the
+    bulk of the `curvature_stack` span.
+    """
+    r = _pair_riemann(m)
+    einv = m.inv_coframe if coframe is None else np.linalg.inv(np.asarray(coframe))
+    lam = _lambda2(einv)
+    return np.swapaxes(lam, -1, -2) @ r @ lam
+
+
+def _pair_riemann(m: MetricField) -> np.ndarray:
+    """Coordinate Riemann tensor on stored pairs: [..., P, Q] = R_{i_P j_P k_Q l_Q}.
+
+    R_ijkl = M[jk, il] - M[jl, ik] on symmetric index pairs, where
+    M[x, y] = (d_x g_y + d_y g_x) / 2 + Gamma_{p,x} Gamma^p_y and d_x is the
+    second derivative along the axis pair x.
+    """
+    grid, hs = m.grid, m.grid.spacing
+    gam = m.christoffel[..., _SYM_I, _SYM_J]
+    mm = np.swapaxes(m.g @ gam, -1, -2) @ gam
+    del gam  # each intermediate goes as soon as it is used: 24^4 fits in 1 GiB
+    g10 = m.g[..., _SYM_I, _SYM_J]
+    for b in range(4):
+        dgb = d1(g10, b, hs[b]) if b > 0 else None
+        for a in range(b + 1):
+            ddg = d2(g10, a, hs[a]) if a == b else d1(dgb, a, hs[a])
+            ddg *= 0.5
+            x = _SYM_INDEX[a, b]
+            mm[..., x, :] += ddg
+            mm[..., :, x] += ddg
+        del ddg, dgb
+    mm = mm.reshape(grid.dims + (100,))
+    r = mm[..., _TAP_PLUS]
+    r -= mm[..., _TAP_MINUS]
+    return r
+
+
+def _lambda2(e: np.ndarray) -> np.ndarray:
+    """2x2 minors of a 4x4 field on stored pairs: [..., P, Q] = e[i,k] e[j,l] - e[i,l] e[j,k]
+    for P = (i, j), Q = (k, l); the matrix of Lambda^2 e."""
+    out = np.empty(e.shape[:-2] + (6, 6))
+    for p, (i, j) in enumerate(PAIRS):
+        for q, (k, l) in enumerate(PAIRS):
+            out[..., p, q] = e[..., i, k] * e[..., j, l] - e[..., i, l] * e[..., j, k]
+    return out
+
+
 def curvature_stack(m: MetricField, coframe: np.ndarray | None = None) -> CurvatureBundle:
-    """Full curvature bundle of a metric field.
+    """Scalar curvature, W+ and its lowest eigenvalue from the curvature operator.
 
     `coframe` overrides the Cholesky gauge (any e with e^T e = g), which
     only rotates the eta basis; scalar quantities are unaffected.
     """
-    grid = m.grid
-    hs = grid.spacing
-    g = m.g
-    gi = m.ginv
-
-    gam = m.christoffel
-
-    # ddg[..., i, j, k, l] = d_i d_j g_kl; same-axis uses the dedicated
-    # second-derivative stencil, mixed axes compose two first derivatives
-    ddg = np.empty(grid.dims + (4, 4, 4, 4))
-    dg_cache = _axis_derivatives(g, grid)
-    for i in range(4):
-        for j in range(4):
-            if i == j:
-                ddg[..., i, i, :, :] = d2(g, i, hs[i])
-            elif i < j:
-                ddg[..., i, j, :, :] = d1(dg_cache[j], i, hs[i])
-            else:
-                ddg[..., i, j, :, :] = ddg[..., j, i, :, :]
-    del dg_cache
-
-    # fully covariant Riemann, antisymmetric in (i,j) and (k,l):
-    # R_ijkl = 1/2 (d_j d_k g_il + d_i d_l g_jk - d_j d_l g_ik - d_i d_k g_jl)
-    #          + g_np (Gam^n_jk Gam^p_il - Gam^n_jl Gam^p_ik)
-    riem = 0.5 * (
-        np.einsum("...jkil->...ijkl", ddg)
-        + np.einsum("...iljk->...ijkl", ddg)
-        - np.einsum("...jlik->...ijkl", ddg)
-        - np.einsum("...ikjl->...ijkl", ddg)
-    )
-    del ddg
-    riem += np.einsum("...np,...njk,...pil->...ijkl", g, gam, gam, optimize=True)
-    riem -= np.einsum("...np,...njl,...pik->...ijkl", g, gam, gam, optimize=True)
-
-    ricci = np.einsum("...ik,...ijkl->...jl", gi, riem, optimize=True)
-    scal = np.einsum("...jl,...jl->...", gi, ricci, optimize=True)
-
-    # Weyl = Riemann - Ricci part (4D)
-    weyl = riem
-    del riem
-    weyl -= 0.5 * (
-        np.einsum("...ik,...jl->...ijkl", g, ricci, optimize=True)
-        - np.einsum("...il,...jk->...ijkl", g, ricci, optimize=True)
-        + np.einsum("...jl,...ik->...ijkl", g, ricci, optimize=True)
-        - np.einsum("...jk,...il->...ijkl", g, ricci, optimize=True)
-    )
-    weyl += (scal / 6.0)[..., None, None, None, None] * (
-        np.einsum("...ik,...jl->...ijkl", g, g, optimize=True)
-        - np.einsum("...il,...jk->...ijkl", g, g, optimize=True)
-    )
-
-    e = m.coframe if coframe is None else np.asarray(coframe)
-    einv = m.inv_coframe if coframe is None else np.linalg.inv(e)
-    weyl_frame = np.einsum(
-        "...ia,...jb,...ijkl,...kc,...ld->...abcd", einv, einv, weyl, einv, einv,
-        optimize=True,
-    )
-    del weyl
-    wplus = 0.25 * np.einsum(
-        "ast,...stuv,buv->...ab", ETA_PLUS, weyl_frame, ETA_PLUS, optimize=True
-    )
-    del weyl_frame
+    op = curvature_operator(m, coframe)
+    scal = 2.0 * np.trace(op, axis1=-2, axis2=-1)
+    wplus = _H_PLUS @ op @ _H_PLUS.T - (scal / 12.0)[..., None, None] * np.eye(3)
     # symmetrize away roundoff before the eigenvalue pass
     wplus = 0.5 * (wplus + np.swapaxes(wplus, -1, -2))
-
-    scalar = ScalarField(grid, scal)
-    w = lowest_eigenvalue(wplus, grid)
-    return CurvatureBundle(m, scalar, wplus, w)
+    return CurvatureBundle(m, ScalarField(m.grid, scal), wplus, lowest_eigenvalue(wplus, m.grid))

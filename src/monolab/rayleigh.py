@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import CurvatureBundle, MetricField
+from .curvature import CurvatureBundle, MetricField, _bilinear
 from .grid import GridSpec, ScalarField, _axis_derivatives, _freeze, d1
 from .selfdual import (
     SelfDualField,
@@ -94,7 +94,7 @@ def theta_from_sc(s: np.ndarray, c: np.ndarray, m: MetricField) -> ThetaField:
     ds = np.stack(_axis_derivatives(s, grid), axis=-1)
     dc = np.stack(_axis_derivatives(c, grid), axis=-1)
     dth = c[..., None] * ds - s[..., None] * dc
-    n2 = np.einsum("...kl,...k,...l->...", m.ginv, dth, dth, optimize=True)
+    n2 = _bilinear(dth, m.ginv, dth)
     return ThetaField(grid, s, c, dth, n2)
 
 

@@ -60,7 +60,8 @@ def render_report(report: dict) -> str:
 
 
 class Timer:
-    """Context manager that prints elapsed time to stderr only."""
+    """Context manager that prints elapsed time to stderr only, and only when
+    the block succeeds: a failure's one stderr line is its error message."""
 
     def __init__(self, label: str):
         self.label = label
@@ -69,7 +70,8 @@ class Timer:
         self.t0 = time.perf_counter()
         return self
 
-    def __exit__(self, *exc):
-        dt = time.perf_counter() - self.t0
-        print(f"[monolab] {self.label}: {dt:.2f}s", file=sys.stderr)
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type is None:
+            dt = time.perf_counter() - self.t0
+            print(f"[monolab] {self.label}: {dt:.2f}s", file=sys.stderr)
         return False

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bases import PAIRS, WEDGE2, X3
-from .curvature import CurvatureBundle, MetricField
+from .curvature import CurvatureBundle, MetricField, _bilinear
 from .grid import GridSpec, _axis_derivatives, _freeze, d1, integrate
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
     "star_two_form",
     "star_three_form",
     "d_plus_dstar",
-    "two_form_norm2",
     "three_form_norm2",
     "one_form_norm2",
     "sd_l2_norm",
@@ -162,22 +161,12 @@ def star_three_form(rho: ThreeFormField, m: MetricField) -> OneFormField:
     return OneFormField(rho.grid, comps)
 
 
-def two_form_norm2(omega: TwoFormField, m: MetricField) -> np.ndarray:
-    return np.einsum(
-        "...p,...pq,...q->...", omega.comps, m.gram2, omega.comps, optimize=True
-    )
-
-
 def three_form_norm2(rho: ThreeFormField, m: MetricField) -> np.ndarray:
-    return np.einsum(
-        "...l,...lk,...k->...", rho.comps, m.gram3, rho.comps, optimize=True
-    )
+    return _bilinear(rho.comps, m.gram3, rho.comps)
 
 
 def one_form_norm2(u: OneFormField, m: MetricField) -> np.ndarray:
-    return np.einsum(
-        "...i,...ij,...j->...", u.comps, m.ginv, u.comps, optimize=True
-    )
+    return _bilinear(u.comps, m.ginv, u.comps)
 
 
 def sd_l2_norm(sigma: SelfDualField, m: MetricField) -> float:
@@ -188,7 +177,7 @@ def wedge_integral(alpha: TwoFormField, beta: TwoFormField) -> float:
     """integral of alpha ^ beta; a top form, so no volume factor appears."""
     if not alpha.grid.compatible(beta.grid):
         raise ValueError("wedge integral needs both forms on the same grid")
-    den = np.einsum("...p,pq,...q->...", alpha.comps, WEDGE2, beta.comps, optimize=True)
+    den = _bilinear(alpha.comps, WEDGE2, beta.comps)
     return float(np.sum(den) * alpha.grid.cell_volume)
 
 
@@ -371,7 +360,7 @@ def _identity_pieces(sigma: SelfDualField, theta, m: MetricField):
     sig2 = np.sum(sigma.comps**2, axis=-1)
     nab2 = np.sum(nab**2, axis=(-2, -1))
     dth_frame = np.einsum("...kc,...k->...c", m.inv_coframe, theta.dtheta, optimize=True)
-    cross = np.einsum("...c,...a,...ca->...", dth_frame, sigma.comps, nab, optimize=True)
+    cross = _bilinear(dth_frame, nab, sigma.comps)
     return sig2, nab2, cross
 
 
@@ -390,9 +379,7 @@ def integral_identity_check_s(
     lhs = integrate(three_form_norm2(tau, m) + one_form_norm2(u, m), m)
 
     sig2, nab2, cross = _identity_pieces(sigma, theta, m)
-    wquad = np.einsum(
-        "...a,...ab,...b->...", sigma.comps, curv.wplus, sigma.comps, optimize=True
-    )
+    wquad = _bilinear(sigma.comps, curv.wplus, sigma.comps)
     c = theta.c
     integrand = (
         c**2 * theta.dtheta_norm2 * sig2

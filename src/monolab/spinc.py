@@ -201,9 +201,8 @@ class CliffordModel:
 
 def sigma_map(phi: SpinorField) -> SelfDualField:
     """Quadratic spinor-to-form map with |sigma(Phi)|^2 = |Phi|^4 / 8."""
-    comps = KAPPA_SIGMA * np.einsum(
-        "...s,ast,...t->...a", phi.comps.conj(), PAULI, phi.comps, optimize=True
-    ).real
+    t = np.einsum("ast,...t->...as", PAULI, phi.comps, optimize=True)
+    comps = KAPPA_SIGMA * np.einsum("...s,...as->...a", phi.comps.conj(), t, optimize=True).real
     return SelfDualField(phi.grid, comps)
 
 

@@ -2,11 +2,14 @@
 
 import filecmp
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from monolab import load_fields, selfdual
+from monolab import GridSpec, load_fields, random_smooth_scalar, save_fields, selfdual
 from monolab.cli import main
 
 
@@ -40,6 +43,30 @@ def test_report_is_byte_identical(tmp_path):
     for path in (a, b):
         assert main(["dirac-check", "--dims", "8", "--seed", "7", "--out", str(path)]) == 0
     assert filecmp.cmp(a, b, shallow=False)
+
+
+def test_curvature_report_ignores_the_hash_seed(tmp_path):
+    # a non-diagonal metric file, so that every curvature term is exercised
+    grid = GridSpec((8,) * 4)
+    rng = np.random.default_rng(5)
+    g = np.tile(np.eye(4), grid.dims + (1, 1))
+    for i in range(4):
+        for j in range(i, 4):
+            s = random_smooth_scalar(grid, rng, 1, 0.1)
+            g[..., i, j] += s
+            if i != j:
+                g[..., j, i] += s
+    save_fields(tmp_path / "g.zip", grid, {"g": g})
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    reports = []
+    for seed in ("1", "18"):
+        out = tmp_path / f"seed{seed}.json"
+        subprocess.run([sys.executable, "-m", "monolab.cli", "curvature", "--dims", "8",
+                        "--metric", "file:g.zip", "--out", str(out)],
+                       check=True, capture_output=True, cwd=tmp_path,
+                       env=dict(env, PYTHONHASHSEED=seed))
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_config_file_overrides_flags(tmp_path, capsys):
@@ -131,10 +158,11 @@ def test_harmonic_solve_cap_exits_1(monkeypatch, capsys):
     # the Kaehler product needs a few PCG iterations; a cap of one misses
     monkeypatch.setattr(selfdual, "_PCG_MAXITER", 1)
     code = main(["hodge", "--dims", "8", "--metric", "kaehler-product:0.3*sin(x2)*cos(x3)"])
-    failed = [line for line in capsys.readouterr().err.splitlines() if "failed" in line]
+    err = capsys.readouterr().err.splitlines()
     assert code == 1
-    assert len(failed) == 1 and failed[0].startswith("monolab: check failed:")
-    assert "after 1 iterations" in failed[0]
+    # the timing line is printed only on success: one line, the error
+    assert len(err) == 1 and err[0].startswith("monolab: check failed:")
+    assert "after 1 iterations" in err[0]
 
 
 def test_bad_json_config_exit_2(tmp_path, capsys):

@@ -11,8 +11,11 @@ from monolab import (
     curvature_stack,
     lowest_eigenvalue,
     metric_from_preset,
+    random_smooth_scalar,
 )
-from monolab.bases import EPS, TRIPLES, X3
+from monolab.bases import EPS, ETA_MINUS, PAIRS, TRIPLES, X2, X3
+from monolab.curvature import curvature_operator
+from monolab.grid import integrate
 
 TWO_PI = 2.0 * np.pi
 
@@ -147,3 +150,163 @@ def test_three_form_algebra_matches_tensor_definitions():
     assert rel(m.star3, star3) < 1e-13
     assert rel(m.gram3, gram3) < 1e-13
     assert rel(m.hodge_weight, weight) < 1e-13
+
+
+# ---------------------------------------------------------------------------
+# generic metrics: a test-only textbook chain and the topological oracles of T^4
+
+
+def generic_metric(n, seed=7, amp=0.1):
+    """Seeded non-diagonal SPD metric g = delta + sym(random fields); the same
+    continuum metric at every n, so refinements see one geometry."""
+    grid = GridSpec((n,) * 4)
+    rng = np.random.default_rng(seed)
+    g = np.tile(np.eye(4), grid.dims + (1, 1))
+    for i in range(4):
+        for j in range(i, 4):
+            s = random_smooth_scalar(grid, rng, 1, amp)
+            g[..., i, j] += s
+            if i != j:
+                g[..., j, i] += s
+    return grid, g
+
+
+def _roll_d1(v, axis, h):
+    r = np.roll
+    return (r(v, -3, axis) - 9 * r(v, -2, axis) + 45 * r(v, -1, axis)
+            - 45 * r(v, 1, axis) + 9 * r(v, 2, axis) - r(v, 3, axis)) / (60.0 * h)
+
+
+def _roll_d2(v, axis, h):
+    r = np.roll
+    return (2 * r(v, -3, axis) - 27 * r(v, -2, axis) + 270 * r(v, -1, axis) - 490 * v
+            + 270 * r(v, 1, axis) - 27 * r(v, 2, axis) + 2 * r(v, 3, axis)) / (180.0 * h * h)
+
+
+def textbook_curvature(g, spacing, coframe=None):
+    """Scalar curvature and W+ by the textbook chain on full index tensors:
+    ddg -> Riemann -> Ricci -> Weyl -> frame.  It shares no code with the
+    package; the eta basis and the stencils are written out here."""
+    gi = np.linalg.inv(g)
+    dg = [_roll_d1(g, k, h) for k, h in enumerate(spacing)]
+    dgs = np.stack(dg, axis=-3)  # dgs[..., k, i, j] = d_k g_ij
+    gam = 0.5 * (np.einsum("...kl,...ijl->...kij", gi, dgs)
+                 + np.einsum("...kl,...jil->...kij", gi, dgs)
+                 - np.einsum("...kl,...lij->...kij", gi, dgs))
+    ddg = np.empty(g.shape[:4] + (4, 4, 4, 4))
+    for i in range(4):
+        for j in range(4):
+            if i == j:
+                ddg[..., i, i, :, :] = _roll_d2(g, i, spacing[i])
+            else:
+                ddg[..., i, j, :, :] = _roll_d1(dg[max(i, j)], min(i, j), spacing[min(i, j)])
+    riem = 0.5 * (np.einsum("...jkil->...ijkl", ddg) + np.einsum("...iljk->...ijkl", ddg)
+                  - np.einsum("...jlik->...ijkl", ddg) - np.einsum("...ikjl->...ijkl", ddg))
+    riem += np.einsum("...np,...njk,...pil->...ijkl", g, gam, gam, optimize=True)
+    riem -= np.einsum("...np,...njl,...pik->...ijkl", g, gam, gam, optimize=True)
+    ricci = np.einsum("...ik,...ijkl->...jl", gi, riem)
+    scal = np.einsum("...jl,...jl->...", gi, ricci)
+    gric = (np.einsum("...ik,...jl->...ijkl", g, ricci)
+            - np.einsum("...il,...jk->...ijkl", g, ricci)
+            + np.einsum("...jl,...ik->...ijkl", g, ricci)
+            - np.einsum("...jk,...il->...ijkl", g, ricci))
+    gg = np.einsum("...ik,...jl->...ijkl", g, g) - np.einsum("...il,...jk->...ijkl", g, g)
+    weyl = riem - 0.5 * gric + (scal / 6.0)[..., None, None, None, None] * gg
+    if coframe is None:
+        coframe = np.swapaxes(np.linalg.cholesky(g), -1, -2)
+    einv = np.linalg.inv(coframe)
+    wf = np.einsum("...ia,...jb,...ijkl,...kc,...ld->...abcd", einv, einv, weyl, einv, einv,
+                   optimize=True)
+    eta = np.zeros((3, 4, 4))
+    for a, ((i, j), (k, l)) in enumerate((((0, 1), (2, 3)), ((0, 2), (3, 1)), ((0, 3), (1, 2)))):
+        eta[a, i, j], eta[a, j, i], eta[a, k, l], eta[a, l, k] = 1, -1, 1, -1
+    eta /= np.sqrt(2.0)
+    return scal, 0.25 * np.einsum("ast,...stuv,buv->...ab", eta, wf, eta)
+
+
+def _rel(x, ref):
+    return np.max(np.abs(x - ref)) / np.max(np.abs(ref))
+
+
+def test_pair_operator_matches_textbook_chain():
+    grid, g = generic_metric(8)
+    m = build_metric(grid, g)
+    cb = curvature_stack(m)
+    scal, wplus = textbook_curvature(g, grid.spacing)
+    assert _rel(cb.scalar.values, scal) < 1e-12
+    assert _rel(cb.wplus, wplus) < 1e-12
+
+
+def test_pair_operator_matches_textbook_chain_in_a_supplied_coframe():
+    # a node-dependent rotation of the frame, orientation preserving
+    grid, g = generic_metric(8, seed=11)
+    m = build_metric(grid, g)
+    t = 0.4 * np.sin(grid.mesh(0)) + 0.3 * np.cos(grid.mesh(2) + grid.mesh(3))
+    c, s = np.cos(t), np.sin(t)
+    rot = np.zeros(grid.dims + (4, 4))
+    rot[..., 0, 0] = rot[..., 1, 1] = rot[..., 2, 2] = rot[..., 3, 3] = c
+    rot[..., 0, 1] = rot[..., 3, 2] = -s
+    rot[..., 1, 0] = rot[..., 2, 3] = s
+    e = np.einsum("...ab,...bc->...ac", rot, m.coframe)
+    cb = curvature_stack(m, coframe=e)
+    scal, wplus = textbook_curvature(g, grid.spacing, coframe=e)
+    assert _rel(cb.scalar.values, scal) < 1e-12
+    assert _rel(cb.wplus, wplus) < 1e-12
+
+
+_H_MINUS = ETA_MINUS[:, [i for i, _ in PAIRS], [j for _, j in PAIRS]]
+
+
+def _topology_and_covariance(n):
+    """On one generic metric: the relative signature gap of int |W+|^2 - |W-|^2,
+    the relative Chern-Gauss-Bonnet integral (chi(T^4) = 0), and the pointwise
+    error of W+(e^{2f} g) = e^{-2f} W+(g) relative to max |W+(g)|."""
+    grid, g = generic_metric(n)
+    m = build_metric(grid, g)
+    op = curvature_operator(m)
+    cb = curvature_stack(m)
+    scal, wplus = cb.scalar.values, cb.wplus
+    wminus = _H_MINUS @ op @ _H_MINUS.T - (scal / 12.0)[..., None, None] * np.eye(3)
+    full = np.einsum("pab,...pq,qcd->...abcd", X2, op, X2, optimize=True)
+    ric0 = np.einsum("...abad->...bd", full) - (scal / 4.0)[..., None, None] * np.eye(4)
+    wp2 = integrate(np.sum(wplus**2, axis=(-2, -1)), m)
+    wm2 = integrate(np.sum(wminus**2, axis=(-2, -1)), m)
+    r2 = integrate(scal**2 / 24.0, m)
+    ric2 = integrate(np.sum(ric0**2, axis=(-2, -1)) / 2.0, m)
+    gap = abs(wp2 - wm2) / (wp2 + wm2)
+    euler = abs(wp2 + wm2 + r2 - ric2) / (wp2 + wm2 + r2 + ric2)
+
+    f = random_smooth_scalar(grid, np.random.default_rng(99), 1, 0.2)
+    conf = curvature_stack(build_metric(grid, np.exp(2.0 * f)[..., None, None] * g))
+    cov = _rel(conf.wplus, np.exp(-2.0 * f)[..., None, None] * wplus)
+    return np.array([gap, euler, cov])
+
+
+@pytest.fixture(scope="module")
+def refinement():
+    ns = (8, 12, 16)
+    errs = [_topology_and_covariance(n) for n in ns]
+    orders = [np.log(errs[k] / errs[k + 1]) / np.log(ns[k + 1] / ns[k]) for k in range(2)]
+    return errs, orders
+
+
+def test_signature_integral_converges_to_zero(refinement):
+    # tau(T^4) = 0: int |W+|^2 = int |W-|^2, a divergence at the stencil's order
+    errs, orders = refinement
+    assert errs[-1][0] < 1e-5
+    assert min(o[0] for o in orders) >= 5.0
+
+
+def test_chern_gauss_bonnet_integral_converges_to_zero(refinement):
+    # chi(T^4) = 0 pins the relative weights of |W+-|^2, R^2/24 and |Ric0|^2/2
+    errs, orders = refinement
+    assert errs[-1][1] < 1e-4
+    assert min(o[1] for o in orders) >= 5.0
+
+
+def test_selfdual_weyl_is_conformally_covariant(refinement):
+    # W+(e^{2f} g) = e^{-2f} W+(g) pointwise in the frame, up to the
+    # discretisation error of two different metrics
+    errs, orders = refinement
+    assert errs[-1][2] < 1e-2
+    assert min(o[2] for o in orders) >= 4.5
