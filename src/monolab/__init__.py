@@ -25,7 +25,6 @@ from .functionals import (
     catalog_delta_sweep,
     catalog_linear,
     catalog_quadratic,
-    chain_consistency,
     check_curvature_bound,
     check_phi_l4_bound,
     chern_pairing,
@@ -38,7 +37,6 @@ from .functionals import (
     psw_residual,
     reducible_config,
     reduction_spec,
-    reformulated_inequality_check,
     rotating_config,
 )
 from .grid import GridSpec, ScalarField, integrate
@@ -79,7 +77,6 @@ from .selfdual import (
     integral_identity_check_s,
     nabla_star_nabla,
     project,
-    project_asd,
     sd_l2_norm,
     star_three_form,
     star_two_form,
@@ -95,7 +92,6 @@ from .spinc import (
     gauge_transform,
     log_kato_check,
     nabla_a,
-    rho_selfdual,
     sigma_map,
 )
 

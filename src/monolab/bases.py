@@ -10,7 +10,8 @@ Storage conventions used across the package:
       eta_1 = (e^0^e^1 + e^2^e^3)/sqrt(2)
       eta_2 = (e^0^e^2 + e^3^e^1)/sqrt(2)
       eta_3 = (e^0^e^3 + e^1^e^2)/sqrt(2)
-  and the anti-self-dual triple flips the sign of the second wedge.
+  and the anti-self-dual triple flips the sign of the second wedge.  Both
+  are stored as rows in pair order, H_PLUS[a, p] and H_MINUS[a, p].
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import itertools
 import numpy as np
 
 PAIRS: tuple[tuple[int, int], ...] = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-PAIR_INDEX = {p: i for i, p in enumerate(PAIRS)}
 
 # complement triples, increasing: TRIPLES[l] omits axis l
 TRIPLES: tuple[tuple[int, int, int], ...] = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
@@ -37,33 +37,21 @@ for perm in itertools.permutations(range(4)):
     EPS[perm] = sgn
 EPS.flags.writeable = False
 
-# expansion tensors: full antisymmetric components from stored ones
-X2 = np.zeros((6, 4, 4))
-for p, (i, j) in enumerate(PAIRS):
-    X2[p, i, j] = 1.0
-    X2[p, j, i] = -1.0
-X2.flags.writeable = False
-
+# expansion tensor: full antisymmetric 3-form components from stored ones
 X3 = np.zeros((4, 4, 4, 4))
 for l, (i, j, k) in enumerate(TRIPLES):
     for perm in itertools.permutations((i, j, k)):
         X3[l][perm] = EPS[perm + (l,)] * EPS[(i, j, k, l)]
 X3.flags.writeable = False
 
-
-def _eta(sign: float) -> np.ndarray:
-    pairs = (((0, 1), (2, 3)), ((0, 2), (3, 1)), ((0, 3), (1, 2)))
-    H = np.zeros((3, 4, 4))
-    for a, ((i, j), (k, l)) in enumerate(pairs):
-        H[a, i, j], H[a, j, i] = 1.0, -1.0
-        H[a, k, l], H[a, l, k] = sign, -sign
-    H /= np.sqrt(2.0)
-    H.flags.writeable = False
-    return H
-
-
-ETA_PLUS = _eta(+1.0)   # frame components of the self-dual basis
-ETA_MINUS = _eta(-1.0)  # anti-self-dual counterpart
+# eta rows in pair order: the first wedge e^0^e^a and the second, whose sign
+# tells the self-dual triple from the anti-self-dual one (e^3^e^1 = -e^1^e^3)
+_FIRST_WEDGE = np.eye(3, 6)
+_SECOND_WEDGE = np.array([[0.0, 0, 0, 0, 0, 1], [0, 0, 0, 0, -1, 0], [0, 0, 0, 1, 0, 0]])
+H_PLUS = (_FIRST_WEDGE + _SECOND_WEDGE) / np.sqrt(2.0)
+H_MINUS = (_FIRST_WEDGE - _SECOND_WEDGE) / np.sqrt(2.0)
+H_PLUS.flags.writeable = False
+H_MINUS.flags.writeable = False
 
 # wedge pairing of stored 2-forms: (alpha ^ beta)_{0123} = alpha_p WEDGE2[p,q] beta_q
 WEDGE2 = np.zeros((6, 6))

@@ -69,8 +69,6 @@ __all__ = [
     "lebrun_linear",
     "lebrun_quadratic",
     "key_inequality_check",
-    "reformulated_inequality_check",
-    "chain_consistency",
     "CatalogSurface",
     "CATALOG",
     "catalog_linear",
@@ -547,43 +545,6 @@ def key_inequality_check(cfg: MonopoleConfig, theta: ThetaField) -> InequalityRe
         rhs_formula="-integral W |sigma|^2 + (sqrt8 iF+, |sigma| sigma) + cubic/2",
         notes={"scale": scale, "curvature_term": curv_term, "f_term": f_term, "cubic": cubic},
     )
-
-
-def reformulated_inequality_check(cfg: MonopoleConfig, K: KField) -> InequalityReport:
-    """Same content with lambda folded in: integral K |sigma|^2 <= rhs."""
-    sigma = sigma_map(cfg.phi)
-    lhs = integrate(K.k.values * np.sum(sigma.comps**2, axis=-1), cfg.metric)
-    f_term = _f_sigma_term(cfg)
-    cubic = 0.5 * dirac_cubic_pairing(cfg.phi, cfg.conn, cfg.metric)
-    rhs = f_term + cubic
-    return InequalityReport(
-        kind="key-inequality-reformulated",
-        lhs=lhs,
-        rhs=rhs,
-        margin=rhs - lhs,
-        lhs_formula="integral K |sigma|^2 dmu",
-        rhs_formula="(sqrt8 iF+, |sigma| sigma) + cubic/2",
-        notes={"scale": max(1.0, abs(lhs), abs(rhs)), "lambda": K.lam},
-    )
-
-
-def chain_consistency(cfg: MonopoleConfig, K: KField, eps: float, c1plus_sq: float) -> dict:
-    """The inequality chain linking (c1^+)^2, the curvature flux, and K.
-
-    Returns all four quantities so callers can assert
-    32 pi^2 (c1+)^2 <= integral |sqrt8 iF+|^2 <= integral (K_- + eps)^2
-    and the unscaled variant 4 pi^2 (c1+)^2 <= integral |iF+|^2.
-    """
-    m = cfg.metric
-    int_f2 = integrate(np.sum(cfg.conn.curv_plus.comps ** 2, axis=-1), m)
-    int_k2 = integrate((K.kminus.values + eps) ** 2, m)
-    return {
-        "lhs_32": 32.0 * np.pi**2 * c1plus_sq,
-        "int_sqrt8_f_plus_sq": 8.0 * int_f2,
-        "int_kminus_eps_sq": int_k2,
-        "lhs_4": 4.0 * np.pi**2 * c1plus_sq,
-        "int_f_plus_sq": int_f2,
-    }
 
 
 # ---------------------------------------------------------------------------

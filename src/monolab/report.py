@@ -17,7 +17,7 @@ import numpy as np
 
 __all__ = ["SCHEMA", "sanitize", "config_digest", "make_report", "render_report", "Timer"]
 
-SCHEMA = "monolab-report-v1"
+SCHEMA = "monolab-report-v2"
 
 
 def sanitize(obj):
@@ -51,7 +51,6 @@ def make_report(command: str, config: dict, outputs: dict) -> dict:
         "config": sanitize(config),
         "inputs_digest": config_digest(config),
         "outputs": sanitize(outputs),
-        "timings": None,
     }
 
 

@@ -4,7 +4,10 @@ A self-dual field sigma is stored by its three components in the pointwise
 orthonormal basis eta_1..eta_3 built from the metric coframe, so |sigma|^2
 is the plain component square sum.  General 2-forms are stored by their six
 coordinate components in `bases.PAIRS` order, 3-forms by the four components
-dual to the coordinate axes, and 1-forms by coordinate components.
+dual to the coordinate axes, and 1-forms by coordinate components.  The
+covariant derivative on the self-dual bundle differentiates the six pair
+components of the embedded form and adds the cached connection block
+`MetricField.sd_connection`; no 2-form is expanded to a 4x4 array.
 
 Only the exterior derivative is discretised (periodic 6th-order centred
 differences); every Hodge star and Gram matrix is exact pointwise algebra.
@@ -45,7 +48,6 @@ __all__ = [
     "SelfDualField",
     "embed",
     "project",
-    "project_asd",
     "d_one_form",
     "d_two_form",
     "star_two_form",
@@ -142,12 +144,6 @@ def embed(sigma: SelfDualField, m: MetricField) -> TwoFormField:
 
 def project(omega: TwoFormField, m: MetricField) -> SelfDualField:
     comps = np.einsum("...pa,...p->...a", m.sd_pairs_up, omega.comps, optimize=True)
-    return SelfDualField(omega.grid, comps)
-
-
-def project_asd(omega: TwoFormField, m: MetricField) -> SelfDualField:
-    """Anti-self-dual part, in the eta-bar basis (same storage layout)."""
-    comps = np.einsum("...pa,...p->...a", m.asd_pairs_up, omega.comps, optimize=True)
     return SelfDualField(omega.grid, comps)
 
 
@@ -253,20 +249,18 @@ def d_plus_dstar(sigma: SelfDualField, m: MetricField) -> tuple[ThreeFormField, 
 def covariant_derivative(sigma: SelfDualField, m: MetricField) -> np.ndarray:
     """(nabla sigma)[..., c, a] = eta_a component of nabla_{E_c} sigma.
 
-    Frame components, so the pointwise square sum is |nabla sigma|^2.
+    Frame components, so the pointwise square sum is |nabla sigma|^2.  On a
+    curved metric the coordinate derivative nabla_k sigma is
+    sd_pairs_up^T d_k(sd_pairs sigma) + A_k sigma, with A the cached
+    connection block `MetricField.sd_connection`.
     """
     grid = sigma.grid
     if m.is_flat:
         return np.stack(_axis_derivatives(sigma.comps, grid), axis=-2)
-    om = np.einsum("...aij,...a->...ij", m.sd_basis_coord, sigma.comps, optimize=True)
-    nab = np.stack(_axis_derivatives(om, grid), axis=-3)
-    gam = m.christoffel
-    nab = nab - np.einsum("...mki,...mj->...kij", gam, om, optimize=True)
-    nab = nab - np.einsum("...mkj,...im->...kij", gam, om, optimize=True)
-    # one pair of operands per einsum keeps the contraction order fixed (see
-    # curvature._frame_to_coord)
-    t = np.einsum("...kij,...aij->...ka", nab, m.sd_basis_coord_up, optimize=True)
-    return 0.5 * np.einsum("...kc,...ka->...ca", m.inv_coframe, t, optimize=True)
+    dom = np.stack(_axis_derivatives(embed(sigma, m).comps, grid), axis=-2)
+    nab = dom @ m.sd_pairs_up
+    nab += np.einsum("...kab,...b->...ka", m.sd_connection, sigma.comps, optimize=True)
+    return np.swapaxes(m.inv_coframe, -1, -2) @ nab
 
 
 def nabla_transpose(tau: np.ndarray, m: MetricField) -> np.ndarray:
@@ -278,15 +272,14 @@ def nabla_transpose(tau: np.ndarray, m: MetricField) -> np.ndarray:
         for k in range(4):
             out -= d1(tau[..., k, :], k, hs[k])
         return out
-    t = np.einsum("...kc,...ca->...ka", m.inv_coframe, tau, optimize=True)
-    y = 0.5 * np.einsum("...ka,...aij->...kij", t, m.sd_basis_coord_up, optimize=True)
-    om_t = np.zeros(grid.dims + (4, 4))
+    nab = m.inv_coframe @ tau
+    out = np.einsum("...kab,...ka->...b", m.sd_connection, nab, optimize=True)
+    y = nab @ np.swapaxes(m.sd_pairs_up, -1, -2)
+    om_t = np.zeros(grid.dims + (6,))
     for k in range(4):
-        om_t -= d1(y[..., k, :, :], k, hs[k])
-    gam = m.christoffel
-    om_t -= np.einsum("...aki,...kib->...ab", gam, y, optimize=True)
-    om_t -= np.einsum("...bkj,...kaj->...ab", gam, y, optimize=True)
-    return np.einsum("...aij,...ij->...a", m.sd_basis_coord, om_t, optimize=True)
+        om_t -= d1(y[..., k, :], k, hs[k])
+    out += np.einsum("...pa,...p->...a", m.sd_pairs, om_t, optimize=True)
+    return out
 
 
 def nabla_star_nabla(sigma: SelfDualField, m: MetricField) -> SelfDualField:

@@ -36,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bases import ETA_PLUS, PAIRS
+from .bases import H_PLUS, PAIRS
 from .curvature import MetricField
 from .grid import GridSpec, _axis_derivatives, _freeze
 from .selfdual import OneFormField, SelfDualField, TwoFormField, d_one_form
@@ -48,7 +48,6 @@ __all__ = [
     "U1Connection",
     "CliffordModel",
     "sigma_map",
-    "rho_selfdual",
     "nabla_a",
     "dirac",
     "dirac_cubic_pairing",
@@ -68,11 +67,6 @@ PAULI = np.array(
 
 # sigma-map scale solving |sigma(Phi)|^2 = |Phi|^4 / 8
 KAPPA_SIGMA = 1.0 / (2.0 * np.sqrt(2.0))
-
-# flat pair components of eta_a for the self-dual projection of curvatures
-_ETA_FLAT_PAIRS = np.stack(
-    [np.array([ETA_PLUS[a, i, j] for (i, j) in PAIRS]) for a in range(3)], axis=-1
-)
 
 
 def _require_flat(m: MetricField | None) -> None:
@@ -129,7 +123,7 @@ class U1Connection:
 
     @cached_property
     def curv_plus(self) -> SelfDualField:
-        proj = np.einsum("pa,...p->...a", _ETA_FLAT_PAIRS, self.curv.comps)
+        proj = np.einsum("ap,...p->...a", H_PLUS, self.curv.comps)
         return SelfDualField(self.grid, -2.0 * proj)
 
 
@@ -160,7 +154,7 @@ class CliffordModel:
                 rho[i].conj().T @ rho[j] - rho[j].conj().T @ rho[i]
             )
         self.rho_eta = _freeze(
-            np.einsum("pa,pst->ast", _ETA_FLAT_PAIRS, c_pairs)
+            np.einsum("ap,pst->ast", H_PLUS, c_pairs)
         )
 
     def identity_residuals(self, seed: int = 3) -> dict[str, float]:
@@ -204,12 +198,6 @@ def sigma_map(phi: SpinorField) -> SelfDualField:
     t = np.einsum("ast,...t->...as", PAULI, phi.comps, optimize=True)
     comps = KAPPA_SIGMA * np.einsum("...s,...as->...a", phi.comps.conj(), t, optimize=True).real
     return SelfDualField(phi.grid, comps)
-
-
-def rho_selfdual(sigma: SelfDualField, model: CliffordModel | None = None) -> np.ndarray:
-    """Clifford action of a self-dual field on W+, a 2x2 matrix per node."""
-    re = (model or _MODEL).rho_eta
-    return np.einsum("...a,ast->...st", sigma.comps, re, optimize=True)
 
 
 def nabla_a(phi: SpinorField, conn: U1Connection) -> np.ndarray:

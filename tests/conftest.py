@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from monolab import GridSpec, curvature_stack, metric_from_preset
+from monolab import GridSpec, curvature_stack, metric_from_preset, random_smooth_scalar
 
 TWO_PI = 2.0 * np.pi
 
@@ -39,3 +39,52 @@ def m8_conf(grid8):
 @pytest.fixture(scope="session")
 def curv8_conf(m8_conf):
     return curvature_stack(m8_conf)
+
+
+# ---------------------------------------------------------------------------
+# generic metrics and textbook pieces shared by the test-only oracles; they
+# share no code with the package
+
+
+def generic_metric(n, seed=7, amp=0.1):
+    """Seeded non-diagonal SPD metric g = delta + sym(random fields); the same
+    continuum metric at every n, so refinements see one geometry."""
+    grid = GridSpec((n,) * 4)
+    rng = np.random.default_rng(seed)
+    g = np.tile(np.eye(4), grid.dims + (1, 1))
+    for i in range(4):
+        for j in range(i, 4):
+            s = random_smooth_scalar(grid, rng, 1, amp)
+            g[..., i, j] += s
+            if i != j:
+                g[..., j, i] += s
+    return grid, g
+
+
+def rel_err(x, ref):
+    """Largest deviation relative to the largest reference entry."""
+    return np.max(np.abs(x - ref)) / np.max(np.abs(ref))
+
+
+def roll_d1(v, axis, h):
+    r = np.roll
+    return (r(v, -3, axis) - 9 * r(v, -2, axis) + 45 * r(v, -1, axis)
+            - 45 * r(v, 1, axis) + 9 * r(v, 2, axis) - r(v, 3, axis)) / (60.0 * h)
+
+
+def textbook_christoffel(g, spacing):
+    """Gamma^k_ij = g^kl (d_i g_jl + d_j g_il - d_l g_ij) / 2 from all 16
+    components of g: [..., k, i, j]."""
+    gi = np.linalg.inv(g)
+    dgs = np.stack([roll_d1(g, k, h) for k, h in enumerate(spacing)], axis=-3)
+    return 0.5 * (np.einsum("...kl,...ijl->...kij", gi, dgs)
+                  + np.einsum("...kl,...jil->...kij", gi, dgs)
+                  - np.einsum("...kl,...lij->...kij", gi, dgs))
+
+
+def textbook_eta():
+    """eta_1..eta_3 as full antisymmetric 4x4 frame components."""
+    eta = np.zeros((3, 4, 4))
+    for a, ((i, j), (k, l)) in enumerate((((0, 1), (2, 3)), ((0, 2), (3, 1)), ((0, 3), (1, 2)))):
+        eta[a, i, j], eta[a, j, i], eta[a, k, l], eta[a, l, k] = 1, -1, 1, -1
+    return eta / np.sqrt(2.0)

@@ -22,9 +22,9 @@ def run(capsys, argv):
 def test_curvature_report(capsys):
     code, report = run(capsys, ["curvature", "--dims", "8", "--metric", "conformal:0.2*sin(x0)"])
     assert code == 0
-    assert report["schema"] == "monolab-report-v1"
+    assert report["schema"] == "monolab-report-v2"
     assert report["command"] == "curvature"
-    assert report["timings"] is None
+    assert "timings" not in report
     assert report["outputs"]["scalar"]["max"] > 0
     assert "inputs_digest" in report
 

@@ -13,9 +13,11 @@ from monolab import (
     metric_from_preset,
     random_smooth_scalar,
 )
-from monolab.bases import EPS, ETA_MINUS, PAIRS, TRIPLES, X2, X3
+from monolab.bases import EPS, H_MINUS, PAIRS, TRIPLES, X3
 from monolab.curvature import curvature_operator
 from monolab.grid import integrate
+
+from conftest import generic_metric, rel_err, roll_d1, textbook_christoffel, textbook_eta
 
 TWO_PI = 2.0 * np.pi
 
@@ -156,27 +158,6 @@ def test_three_form_algebra_matches_tensor_definitions():
 # generic metrics: a test-only textbook chain and the topological oracles of T^4
 
 
-def generic_metric(n, seed=7, amp=0.1):
-    """Seeded non-diagonal SPD metric g = delta + sym(random fields); the same
-    continuum metric at every n, so refinements see one geometry."""
-    grid = GridSpec((n,) * 4)
-    rng = np.random.default_rng(seed)
-    g = np.tile(np.eye(4), grid.dims + (1, 1))
-    for i in range(4):
-        for j in range(i, 4):
-            s = random_smooth_scalar(grid, rng, 1, amp)
-            g[..., i, j] += s
-            if i != j:
-                g[..., j, i] += s
-    return grid, g
-
-
-def _roll_d1(v, axis, h):
-    r = np.roll
-    return (r(v, -3, axis) - 9 * r(v, -2, axis) + 45 * r(v, -1, axis)
-            - 45 * r(v, 1, axis) + 9 * r(v, 2, axis) - r(v, 3, axis)) / (60.0 * h)
-
-
 def _roll_d2(v, axis, h):
     r = np.roll
     return (2 * r(v, -3, axis) - 27 * r(v, -2, axis) + 270 * r(v, -1, axis) - 490 * v
@@ -186,20 +167,18 @@ def _roll_d2(v, axis, h):
 def textbook_curvature(g, spacing, coframe=None):
     """Scalar curvature and W+ by the textbook chain on full index tensors:
     ddg -> Riemann -> Ricci -> Weyl -> frame.  It shares no code with the
-    package; the eta basis and the stencils are written out here."""
+    package; the eta basis, the Christoffel symbols and the stencils are
+    written out here and in conftest."""
     gi = np.linalg.inv(g)
-    dg = [_roll_d1(g, k, h) for k, h in enumerate(spacing)]
-    dgs = np.stack(dg, axis=-3)  # dgs[..., k, i, j] = d_k g_ij
-    gam = 0.5 * (np.einsum("...kl,...ijl->...kij", gi, dgs)
-                 + np.einsum("...kl,...jil->...kij", gi, dgs)
-                 - np.einsum("...kl,...lij->...kij", gi, dgs))
+    dg = [roll_d1(g, k, h) for k, h in enumerate(spacing)]
+    gam = textbook_christoffel(g, spacing)
     ddg = np.empty(g.shape[:4] + (4, 4, 4, 4))
     for i in range(4):
         for j in range(4):
             if i == j:
                 ddg[..., i, i, :, :] = _roll_d2(g, i, spacing[i])
             else:
-                ddg[..., i, j, :, :] = _roll_d1(dg[max(i, j)], min(i, j), spacing[min(i, j)])
+                ddg[..., i, j, :, :] = roll_d1(dg[max(i, j)], min(i, j), spacing[min(i, j)])
     riem = 0.5 * (np.einsum("...jkil->...ijkl", ddg) + np.einsum("...iljk->...ijkl", ddg)
                   - np.einsum("...jlik->...ijkl", ddg) - np.einsum("...ikjl->...ijkl", ddg))
     riem += np.einsum("...np,...njk,...pil->...ijkl", g, gam, gam, optimize=True)
@@ -217,15 +196,8 @@ def textbook_curvature(g, spacing, coframe=None):
     einv = np.linalg.inv(coframe)
     wf = np.einsum("...ia,...jb,...ijkl,...kc,...ld->...abcd", einv, einv, weyl, einv, einv,
                    optimize=True)
-    eta = np.zeros((3, 4, 4))
-    for a, ((i, j), (k, l)) in enumerate((((0, 1), (2, 3)), ((0, 2), (3, 1)), ((0, 3), (1, 2)))):
-        eta[a, i, j], eta[a, j, i], eta[a, k, l], eta[a, l, k] = 1, -1, 1, -1
-    eta /= np.sqrt(2.0)
+    eta = textbook_eta()
     return scal, 0.25 * np.einsum("ast,...stuv,buv->...ab", eta, wf, eta)
-
-
-def _rel(x, ref):
-    return np.max(np.abs(x - ref)) / np.max(np.abs(ref))
 
 
 def test_pair_operator_matches_textbook_chain():
@@ -233,8 +205,8 @@ def test_pair_operator_matches_textbook_chain():
     m = build_metric(grid, g)
     cb = curvature_stack(m)
     scal, wplus = textbook_curvature(g, grid.spacing)
-    assert _rel(cb.scalar.values, scal) < 1e-12
-    assert _rel(cb.wplus, wplus) < 1e-12
+    assert rel_err(cb.scalar.values, scal) < 1e-12
+    assert rel_err(cb.wplus, wplus) < 1e-12
 
 
 def test_pair_operator_matches_textbook_chain_in_a_supplied_coframe():
@@ -250,11 +222,14 @@ def test_pair_operator_matches_textbook_chain_in_a_supplied_coframe():
     e = np.einsum("...ab,...bc->...ac", rot, m.coframe)
     cb = curvature_stack(m, coframe=e)
     scal, wplus = textbook_curvature(g, grid.spacing, coframe=e)
-    assert _rel(cb.scalar.values, scal) < 1e-12
-    assert _rel(cb.wplus, wplus) < 1e-12
+    assert rel_err(cb.scalar.values, scal) < 1e-12
+    assert rel_err(cb.wplus, wplus) < 1e-12
 
 
-_H_MINUS = ETA_MINUS[:, [i for i, _ in PAIRS], [j for _, j in PAIRS]]
+# full antisymmetric components of the stored pairs: X2[p, i, j]
+X2 = np.zeros((6, 4, 4))
+for p, (i, j) in enumerate(PAIRS):
+    X2[p, i, j], X2[p, j, i] = 1.0, -1.0
 
 
 def _topology_and_covariance(n):
@@ -266,7 +241,7 @@ def _topology_and_covariance(n):
     op = curvature_operator(m)
     cb = curvature_stack(m)
     scal, wplus = cb.scalar.values, cb.wplus
-    wminus = _H_MINUS @ op @ _H_MINUS.T - (scal / 12.0)[..., None, None] * np.eye(3)
+    wminus = H_MINUS @ op @ H_MINUS.T - (scal / 12.0)[..., None, None] * np.eye(3)
     full = np.einsum("pab,...pq,qcd->...abcd", X2, op, X2, optimize=True)
     ric0 = np.einsum("...abad->...bd", full) - (scal / 4.0)[..., None, None] * np.eye(4)
     wp2 = integrate(np.sum(wplus**2, axis=(-2, -1)), m)
@@ -278,7 +253,7 @@ def _topology_and_covariance(n):
 
     f = random_smooth_scalar(grid, np.random.default_rng(99), 1, 0.2)
     conf = curvature_stack(build_metric(grid, np.exp(2.0 * f)[..., None, None] * g))
-    cov = _rel(conf.wplus, np.exp(-2.0 * f)[..., None, None] * wplus)
+    cov = rel_err(conf.wplus, np.exp(-2.0 * f)[..., None, None] * wplus)
     return np.array([gap, euler, cov])
 
 

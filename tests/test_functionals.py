@@ -19,7 +19,6 @@ from monolab import (
     catalog_delta_sweep,
     catalog_linear,
     catalog_quadratic,
-    chain_consistency,
     check_curvature_bound,
     check_phi_l4_bound,
     chern_pairing,
@@ -34,7 +33,6 @@ from monolab import (
     random_smooth_scalar,
     reducible_config,
     reduction_spec,
-    reformulated_inequality_check,
     rotating_config,
     sigma_map,
     theta_from_angle,
@@ -397,19 +395,3 @@ def test_key_inequality_random_configs(m8, curv8, theta_preset):
         rep = key_inequality_check(random_config(m8, curv8, seed), theta)
         assert rep.margin >= -1e-3 * rep.notes["scale"]
 
-
-def test_reformulated_inequality(m8, curv8):
-    cfg = random_config(m8, curv8, 4)
-    theta, K = mixed_K(m8, curv8)
-    rep = reformulated_inequality_check(cfg, K)
-    assert rep.margin >= -1e-3 * rep.notes["scale"]
-    assert rep.notes["lambda"] == K.lam
-
-
-def test_chain_consistency_orderings(m8, kzero):
-    cfg = rotating_config(m8, EPS)
-    chain = chain_consistency(cfg, kzero, EPS, c1plus_sq=0.0)
-    assert chain["lhs_32"] <= chain["int_sqrt8_f_plus_sq"] + 1e-12
-    assert chain["int_sqrt8_f_plus_sq"] <= chain["int_kminus_eps_sq"] + 1e-12
-    assert chain["lhs_4"] <= chain["int_f_plus_sq"] + 1e-12
-    assert abs(chain["int_sqrt8_f_plus_sq"] - 8.0 * chain["int_f_plus_sq"]) < 1e-9

@@ -14,7 +14,6 @@ from monolab import (
     log_kato_check,
     nabla_a,
     random_smooth_scalar,
-    rho_selfdual,
     sigma_map,
 )
 
@@ -51,16 +50,6 @@ def test_sigma_norm_identity():
     sig = sigma_map(phi)
     err = np.abs(sig.norm() ** 2 - phi.norm2() ** 2 / 8.0)
     assert np.max(err) < 1e-12 * max(1.0, np.max(phi.norm2() ** 2))
-
-
-def test_rho_of_sigma_acts_as_rank_one(grid8):
-    rng = np.random.default_rng(2)
-    comps = rng.standard_normal(grid8.dims + (2,)) + 1j * rng.standard_normal(grid8.dims + (2,))
-    phi = SpinorField(grid8, comps)
-    act = rho_selfdual(sigma_map(phi))
-    outer = np.einsum("...s,...t->...st", phi.comps, phi.comps.conj())
-    target = -1j * (outer - 0.5 * phi.norm2()[..., None, None] * np.eye(2))
-    assert np.max(np.abs(act - target)) < 1e-12
 
 
 def test_dirac_plane_wave(grid8):
