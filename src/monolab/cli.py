@@ -396,6 +396,7 @@ def _run_lambda(args):
         "start_values": list(res.start_values),
         "iterations": len(res.quotient_history),
         "final_quotients": list(res.quotient_history[-5:]),
+        "quotient_evals": res.quotient_evals,
     }
     if args.dump:
         save_fields(args.dump, grid, {"minimizer": res.minimizer.comps})

@@ -166,8 +166,10 @@ class MetricField:
         up_t = np.swapaxes(self.sd_pairs_up, -1, -2)
         out = np.empty(self.grid.dims + (4, 3, 3))
         for k in range(4):
-            lam = _lambda2_derivation(gam[..., :, k, :])
-            out[..., k, :, :] = -(up_t @ (lam @ self.sd_pairs))
+            # the (dims,6,6) derivation dies before the second product
+            lam_sd = _lambda2_derivation(gam[..., :, k, :]) @ self.sd_pairs
+            np.matmul(up_t, lam_sd, out=out[..., k, :, :])
+        np.negative(out, out=out)
         return _freeze(out)
 
     @cached_property

@@ -2,10 +2,12 @@
 
 A chart is a uniform lattice on [0, L_0) x ... x [0, L_3) with periodic
 wraparound, node coordinates x_i = j * h_i and spacing h_i = L_i / n_i.
-All derivative operators are 7-point 6th-order central differences applied
-with `np.roll`, so they are exact on constants, antisymmetric as matrices
-(summation by parts holds to machine precision under plain sums), and
-commute across axes.  Quadrature is the metric-weighted Riemann sum
+All derivative operators are 7-point 6th-order central differences, each
+applied as one cached dense periodic circulant per axis (a matrix product
+along that axis).  They are exactly zero on fields constant along the
+axis, the first-derivative matrix is exactly antisymmetric (summation by
+parts holds to machine precision under plain sums), and they commute
+across axes.  Quadrature is the metric-weighted Riemann sum
 sum_p f(p) vol(p) prod_i h_i, which is spectrally accurate for smooth
 periodic integrands.
 
@@ -15,6 +17,7 @@ whose leading four axes are the grid axes (axis-major, C order).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,18 +99,47 @@ class ScalarField:
         object.__setattr__(self, "values", _freeze(v))
 
 
-# 7-point 6th-order central first derivative; antisymmetric circulant, so its
-# plain-sum adjoint is exactly -D and derivative-of-constant is exactly 0.
+# 7-point 6th-order stencils: (integer weights at offsets -3..3, common
+# denominator, derivative order); offset k reads node i + k
+_STENCILS = {
+    "d1": ((-1, 9, -45, 0, 45, -9, 1), 60.0, 1),
+    "d2": ((2, -27, 270, -490, 270, -27, 2), 180.0, 2),
+}
+
+
+@functools.cache
+def _circulant(stencil: str, n: int, h: float) -> np.ndarray:
+    """Dense periodic n x n matrix of one stencil at spacing h, read-only.
+
+    Entries are summed as integers (offsets wrap onto each other when n < 7)
+    and divided once, so the d1 matrix is exactly antisymmetric and the d2
+    matrix exactly symmetric.
+    """
+    weights, denom, order = _STENCILS[stencil]
+    m = np.zeros((n, n), dtype=np.int64)
+    rows = np.arange(n)
+    for offset, w in zip(range(-3, 4), weights):
+        np.add.at(m, (rows, (rows + offset) % n), w)
+    return _freeze(m / (denom * h**order))
+
+
+def _apply_along(stencil: str, values: np.ndarray, axis: int, h: float) -> np.ndarray:
+    """One product D @ values along `axis`, the same BLAS call whatever the
+    trailing components, so a stacked field and its components get equal bits."""
+    D = _circulant(stencil, values.shape[axis], float(h))
+    moved = values.swapaxes(0, axis)
+    # the stencils annihilate constants; removing one slice first makes the
+    # result exactly zero (not roundoff) on fields constant along the axis.
+    # The same copy puts the axis first in C order, ready for one matmul
+    shifted = np.subtract(moved, moved[:1], order="C")
+    out = D @ shifted.reshape(shifted.shape[0], -1)
+    return out.reshape(shifted.shape).swapaxes(0, axis)
+
+
 def d1(values: np.ndarray, axis: int, h: float) -> np.ndarray:
-    r = np.roll
-    return (
-        r(values, -3, axis)
-        - 9 * r(values, -2, axis)
-        + 45 * r(values, -1, axis)
-        - 45 * r(values, 1, axis)
-        + 9 * r(values, 2, axis)
-        - r(values, 3, axis)
-    ) / (60.0 * h)
+    """Centred 6th-order first derivative along `axis`; the plain-sum
+    adjoint is exactly its negative."""
+    return _apply_along("d1", values, axis, h)
 
 
 def _axis_derivatives(values: np.ndarray, grid: GridSpec) -> list[np.ndarray]:
@@ -115,20 +147,10 @@ def _axis_derivatives(values: np.ndarray, grid: GridSpec) -> list[np.ndarray]:
     return [d1(values, k, h) for k, h in enumerate(grid.spacing)]
 
 
-# dedicated 6th-order second derivative (same axis twice); used by the
-# curvature stack where composing two first-derivative stencils would waste
-# accuracy.
 def d2(values: np.ndarray, axis: int, h: float) -> np.ndarray:
-    r = np.roll
-    return (
-        2 * r(values, -3, axis)
-        - 27 * r(values, -2, axis)
-        + 270 * r(values, -1, axis)
-        - 490 * values
-        + 270 * r(values, 1, axis)
-        - 27 * r(values, 2, axis)
-        + 2 * r(values, 3, axis)
-    ) / (180.0 * h * h)
+    """Dedicated 6th-order second derivative (same axis twice); the curvature
+    stack uses it where composing two first derivatives would waste accuracy."""
+    return _apply_along("d2", values, axis, h)
 
 
 def integrate(values, m) -> float:

@@ -18,9 +18,14 @@ returned minimiser re-evaluated at the final smoothing (zero when the
 minimiser stays away from the zero section), so it is always a discrete
 upper-bound estimate, never a certified continuum value.
 
-Search directions are restricted to the stencil-resolved subspace: the
-centred first difference is blind to exact half-frequency modes, which
-would otherwise fake flat directions of the quotient on even grids.
+The conjugate gradient is preconditioned by the flat symbol
+1/(mu + |s|^2), with s the stencil's effective wavenumber and mu the
+spectral scale of the chart (Absil, Mahony and Sepulchre 2008, ch. 8;
+Knyazev 2001).  The symbol is zero on exact half-frequency planes, to
+which the centred first difference is blind, so the preconditioner also
+keeps every search direction in the stencil-resolved subspace; those
+modes would otherwise fake flat directions of the quotient on even grids.
+The starts are projected onto that subspace by the same mask.
 """
 
 from __future__ import annotations
@@ -33,8 +38,10 @@ from .curvature import CurvatureBundle, MetricField, _bilinear
 from .grid import GridSpec, ScalarField, _axis_derivatives, _freeze, d1
 from .selfdual import (
     SelfDualField,
-    _resolved_filter,
+    _fourier_multiply,
+    _stencil_symbol2,
     hodge_energy_and_grad,
+    nyquist_mask,
     sd_dirichlet_energy_and_grad,
 )
 
@@ -189,6 +196,7 @@ class LambdaResult:
 
     lam is a discrete upper-bound estimate of the infimum; it equals
     rayleigh_quotient(minimizer, ..., epsilon_final) by construction.
+    quotient_evals counts every quotient evaluation of every start.
     """
 
     lam: float
@@ -197,31 +205,46 @@ class LambdaResult:
     epsilon_final: float
     converged: bool
     start_values: tuple
+    quotient_evals: int
 
 
-def _stage(x, theta, m, eps, bw, filt, max_iter, tol, scale):
-    """One smoothing stage of sphere-constrained conjugate gradient."""
+def _sphere_symbol(grid: GridSpec, mu: float) -> np.ndarray:
+    """Flat preconditioner symbol 1/(mu + |s|^2), rfftn layout, zero on the
+    half-frequency planes that the centred first difference cannot see."""
+    symbol = 1.0 / (mu + _stencil_symbol2(grid))
+    mask = nyquist_mask(grid)
+    if mask is not None:
+        symbol[mask[..., : symbol.shape[3]]] = 0.0
+    return symbol
+
+
+def _stage(x, theta, m, eps, bw, symbol, max_iter, tol, scale):
+    """One smoothing stage of preconditioned sphere-constrained conjugate
+    gradient; returns (x, q, history, converged, quotient evaluations)."""
 
     def bnorm(v):
         return float(np.sqrt(np.sum(np.sum(v**2, axis=-1) * bw)))
 
-    def tangent(g, x):
-        return g - float(np.sum(g * (bw[..., None] * x))) * x
+    def tangent(v, x):
+        return v - float(np.sum(v * (bw[..., None] * x))) * x
 
     x = x / bnorm(x)
     q, g = _quotient_and_grad(x, theta, m, eps)
-    gt = tangent(filt(g), x)
-    p = -gt
+    evals = 1
+    z = tangent(_fourier_multiply(g, symbol), x)
+    gz = float(np.sum(g * z))
+    p = -z
     history = [q]
     alpha = 1.0
     stall = 0
     converged = False
     for _ in range(max_iter):
-        dphi = float(np.sum(gt * p))
+        # Armijo on the true directional derivative <g, p>
+        dphi = float(np.sum(g * p))
         if dphi >= 0.0:
-            p = -gt
-            dphi = -float(np.sum(gt * gt))
-            if dphi == 0.0:
+            p = -z
+            dphi = -gz
+            if dphi >= 0.0:
                 converged = True
                 break
         alpha = min(alpha * 2.0, 1e6)
@@ -232,6 +255,7 @@ def _stage(x, theta, m, eps, bw, filt, max_iter, tol, scale):
             if nrm > 0:
                 xn = xn / nrm
                 qn, gn = _quotient_and_grad(xn, theta, m, eps)
+                evals += 1
                 if qn <= q + 1e-4 * alpha * dphi:
                     accepted = True
                     break
@@ -239,13 +263,13 @@ def _stage(x, theta, m, eps, bw, filt, max_iter, tol, scale):
         if not accepted:
             converged = True  # no descent left at line-search resolution
             break
-        gtn = tangent(filt(gn), xn)
-        denom = float(np.sum(gt * gt))
-        b_pr = 0.0 if denom == 0 else max(0.0, float(np.sum(gtn * (gtn - gt))) / denom)
-        p = -gtn + b_pr * p
-        p = tangent(p, xn)
+        zn = tangent(_fourier_multiply(gn, symbol), xn)
+        gzn = float(np.sum(gn * zn))
+        # Polak-Ribiere+ on the preconditioned gradient
+        b_pr = 0.0 if gz <= 0.0 else max(0.0, float(np.sum(gn * (zn - z))) / gz)
+        p = tangent(-zn + b_pr * p, xn)
         drop = q - qn
-        x, q, gt = xn, qn, gtn
+        x, q, g, z, gz = xn, qn, gn, zn, gzn
         history.append(q)
         if drop <= tol * max(abs(q), scale):
             stall += 1
@@ -254,7 +278,7 @@ def _stage(x, theta, m, eps, bw, filt, max_iter, tol, scale):
                 break
         else:
             stall = 0
-    return x, q, history, converged
+    return x, q, history, converged, evals
 
 
 def minimize_lambda(
@@ -267,16 +291,18 @@ def minimize_lambda(
 
     Starts are the three constant basis forms plus seeded random
     low-frequency fields; each runs through the smoothing schedule.  The
-    curvature bundle only sets the absolute convergence scale (the
-    quotient itself contains no curvature).
+    curvature bundle only sets the absolute convergence scale mu, which is
+    also the preconditioner's shift (the quotient itself contains no
+    curvature).
     """
     opts = opts or LambdaOptions()
     grid = m.grid
     bw = m.vol * grid.cell_volume
-    filt = _resolved_filter(grid)
     scale = min((2.0 * np.pi / L) ** 2 for L in grid.periods)
     if curv is not None:
         scale += float(np.mean(np.abs(curv.scalar.values)))
+    symbol = _sphere_symbol(grid, scale)
+    resolved = symbol > 0.0
 
     starts = []
     for a in range(3):
@@ -297,22 +323,25 @@ def minimize_lambda(
 
     best = None
     start_values = []
+    total_evals = 0
     for x0 in starts:
-        x = filt(x0)
+        x = _fourier_multiply(x0, resolved)
         if not np.any(x):
             continue
         history = []
         run_converged = True
         for eps in opts.epsilons:
-            x, q, hist, conv = _stage(
-                x, theta, m, eps, bw, filt, opts.max_iter, opts.tol, scale
+            x, q, hist, conv, evals = _stage(
+                x, theta, m, eps, bw, symbol, opts.max_iter, opts.tol, scale
             )
             history.extend(hist)
             run_converged = run_converged and conv
+            total_evals += evals
         sigma = SelfDualField(grid, x)
         eps_last = opts.epsilons[-1]
         eps_final = 0.0 if float(np.min(sigma.norm())) > 10.0 * eps_last else eps_last
         lam = rayleigh_quotient(sigma, theta, m, eps_final)
+        total_evals += 1
         start_values.append(lam)
         if best is None or lam < best[0]:
             best = (lam, sigma, tuple(history), eps_final, run_converged)
@@ -327,6 +356,7 @@ def minimize_lambda(
         epsilon_final=eps_final,
         converged=conv,
         start_values=tuple(start_values),
+        quotient_evals=total_evals,
     )
 
 

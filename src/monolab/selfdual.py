@@ -25,8 +25,11 @@ the per-axis alternating mode (frequency n/2 on an even axis), so the
 energy ||d sigma||^2 + ||d* sigma||^2 has spurious null vectors built from
 alternating/constant tensor modes.  Searches over self-dual fields
 therefore work in the stencil-resolved subspace obtained by masking exact
-half-frequency planes; on odd axes the mask is empty.  The harmonic basis
-needs no mask: it solves for d alpha, and the blind 1-forms are closed.
+half-frequency planes (`nyquist_mask`; empty on odd axes).  The lambda
+minimiser's preconditioner carries that mask: its symbol is zero on those
+planes, so its search directions never leave the subspace.  The harmonic
+basis needs no mask: it solves for d alpha, and the blind 1-forms are
+closed.
 """
 
 from __future__ import annotations
@@ -436,27 +439,11 @@ def nyquist_mask(grid: GridSpec) -> np.ndarray | None:
     return out
 
 
-def _resolved_filter(grid: GridSpec):
-    """Projector onto the stencil-resolved subspace (identity on odd grids)."""
-    mask = nyquist_mask(grid)
-    if mask is None:
-        return lambda comps: comps
-    keep = ~mask
+def _stencil_symbol2(grid: GridSpec) -> np.ndarray:
+    """|s|^2 = sum_k s_k^2 of the centred first difference, rfftn layout.
 
-    def apply(comps: np.ndarray) -> np.ndarray:
-        spec = np.fft.fftn(comps, axes=(0, 1, 2, 3))
-        spec *= keep[(...,) + (None,) * (comps.ndim - 4)]
-        return np.fft.ifftn(spec, axes=(0, 1, 2, 3)).real
-
-    return apply
-
-
-def _inverse_symbol(grid: GridSpec) -> np.ndarray:
-    """Inverse symbol 1/|s|^2 of the flat 1-form Hodge Laplacian, rfftn layout.
-
-    s_k is the effective wavenumber of the centred first difference on axis
-    k.  It vanishes exactly at zero and half frequency, and the modes where
-    it vanishes on every axis are closed for every metric; they get 0.
+    s_k is the effective wavenumber of the stencil on axis k; it vanishes
+    exactly at zero and half frequency.
     """
     k2 = 0.0
     for ax, (n, h) in enumerate(zip(grid.dims, grid.spacing)):
@@ -467,8 +454,26 @@ def _inverse_symbol(grid: GridSpec) -> np.ndarray:
         shape = [1, 1, 1, 1]
         shape[ax] = s.size
         k2 = k2 + (s**2).reshape(shape)
+    return k2
+
+
+def _inverse_symbol(grid: GridSpec) -> np.ndarray:
+    """Inverse symbol 1/|s|^2 of the flat 1-form Hodge Laplacian, rfftn layout.
+
+    The modes where s vanishes on every axis are closed for every metric;
+    they get 0.
+    """
+    k2 = _stencil_symbol2(grid)
     seen = k2 > 0.0
     return np.where(seen, 1.0 / np.where(seen, k2, 1.0), 0.0)
+
+
+def _fourier_multiply(values: np.ndarray, symbol: np.ndarray) -> np.ndarray:
+    """Apply a real, even Fourier multiplier given in rfftn layout over the
+    grid axes; trailing component axes ride along."""
+    spec = np.fft.rfftn(values, axes=(0, 1, 2, 3))
+    spec *= symbol[(...,) + (None,) * (values.ndim - 4)]
+    return np.fft.irfftn(spec, s=values.shape[:4], axes=(0, 1, 2, 3))
 
 
 # b+ of the 4-torus: the same for every metric
@@ -543,14 +548,13 @@ def harmonic_selfdual_basis(m: MetricField) -> HarmonicBasis:
     """
     grid = m.grid
     G = m.vol[..., None, None] * m.gram2
-    inv_symbol = _inverse_symbol(grid)[..., None, None]
+    inv_symbol = _inverse_symbol(grid)
 
     def g_apply(omega):
         return np.einsum("...pq,...qK->...pK", G, omega, optimize=True)
 
     def precondition(r):
-        spec = np.fft.rfftn(r, axes=(0, 1, 2, 3)) * inv_symbol
-        return np.fft.irfftn(spec, s=grid.dims, axes=(0, 1, 2, 3))
+        return _fourier_multiply(r, inv_symbol)
 
     gc = g_apply(np.broadcast_to(_SD_CLASSES, grid.dims + _SD_CLASSES.shape))
     class_norm2 = np.sum(gc * _SD_CLASSES, axis=(0, 1, 2, 3, 4))

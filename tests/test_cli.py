@@ -69,6 +69,23 @@ def test_curvature_report_ignores_the_hash_seed(tmp_path):
     assert reports[0] == reports[1]
 
 
+def test_lambda_report_ignores_the_thread_count(tmp_path):
+    # the derivative kernels are BLAS products; a different pool size must
+    # not change a single report byte
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.json"
+        subprocess.run([sys.executable, "-m", "monolab.cli", "lambda", "--dims", "8",
+                        "--theta", "coord:0", "--multistarts", "1", "--out", str(out)],
+                       check=True, capture_output=True, cwd=tmp_path,
+                       env=dict(env, MONOLAB_THREADS=threads))
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_config_file_overrides_flags(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"seed": 9, "amplitude": 0.2}))
@@ -204,6 +221,7 @@ def test_lambda_report(tmp_path, capsys):
     assert out["lambda"] < 1e-7
     assert out["converged"] is True
     assert len(out["start_values"]) == 4
+    assert type(out["quotient_evals"]) is int and out["quotient_evals"] > 0
     _, arrays, _ = load_fields(dump)
     assert arrays["minimizer"].shape == (8, 8, 8, 8, 3)
 

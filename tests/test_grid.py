@@ -6,6 +6,8 @@ import pytest
 from monolab import GridSpec, ScalarField, integrate
 from monolab.grid import d1, d2
 
+from conftest import rel_err, roll_d1
+
 TWO_PI = 2.0 * np.pi
 
 
@@ -89,3 +91,53 @@ def test_integrate_matches_hand_written_sum(m8_conf):
     f = np.sin(g.mesh(0)) * np.cos(g.mesh(3)) + 0.3
     assert integrate(f, m8_conf) == float(np.sum(f * m8_conf.vol) * g.cell_volume)
     assert integrate(1.0, m8_conf) == float(np.sum(m8_conf.vol) * g.cell_volume)
+
+
+def roll_d2(v, axis, h):
+    r = np.roll
+    return (2 * r(v, -3, axis) - 27 * r(v, -2, axis) + 270 * r(v, -1, axis) - 490 * v
+            + 270 * r(v, 1, axis) - 27 * r(v, 2, axis) + 2 * r(v, 3, axis)) / (180.0 * h * h)
+
+
+# (node counts, periods, trailing component shape); the last grid has four
+# distinct (n, h) pairs, two with equal h and two with equal n, so that a
+# stencil matrix cached under the wrong key gives a wrong derivative
+KERNEL_CASES = [
+    ((8,) * 4, (TWO_PI,) * 4, ()),
+    ((8,) * 4, (TWO_PI,) * 4, (6,)),
+    ((8,) * 4, (TWO_PI,) * 4, (4, 3)),
+    ((8, 8, 16, 8), (TWO_PI, 3.0, 2 * TWO_PI, 5.0), ()),
+]
+
+
+@pytest.mark.parametrize("dims, periods, tail", KERNEL_CASES)
+def test_kernels_match_roll_stencils(dims, periods, tail):
+    g = GridSpec(dims, periods)
+    v = np.random.default_rng(8).standard_normal(dims + tail)
+    for axis, h in enumerate(g.spacing):
+        assert rel_err(d1(v, axis, h), roll_d1(v, axis, h)) < 1e-14
+        assert rel_err(d2(v, axis, h), roll_d2(v, axis, h)) < 1e-14
+
+
+@pytest.mark.parametrize("dims, periods, tail", KERNEL_CASES)
+def test_kernels_exactly_zero_along_constant_axis(dims, periods, tail):
+    g = GridSpec(dims, periods)
+    rng = np.random.default_rng(9)
+    for axis, h in enumerate(g.spacing):
+        shape = list(dims + tail)
+        shape[axis] = 1
+        v = np.broadcast_to(rng.standard_normal(shape), dims + tail).copy()
+        assert np.array_equal(d1(v, axis, h), np.zeros_like(v))
+        assert np.array_equal(d2(v, axis, h), np.zeros_like(v))
+
+
+@pytest.mark.parametrize("dims, periods, tail", KERNEL_CASES)
+def test_d1_plain_sum_adjoint(dims, periods, tail):
+    g = GridSpec(dims, periods)
+    rng = np.random.default_rng(10)
+    f = rng.standard_normal(dims + tail)
+    w = rng.standard_normal(dims + tail)
+    for axis, h in enumerate(g.spacing):
+        lhs = np.sum(d1(f, axis, h) * w)
+        rhs = -np.sum(f * d1(w, axis, h))
+        assert abs(lhs - rhs) <= 1e-12 * np.sum(np.abs(d1(f, axis, h) * w))

@@ -19,6 +19,8 @@ from monolab import (
     theta_from_preset,
     theta_from_sc,
 )
+from monolab.rayleigh import _sphere_symbol
+from monolab.selfdual import _fourier_multiply
 
 TRIMMED = LambdaOptions(n_random=2, epsilons=(1e-3, 1e-6), max_iter=60)
 
@@ -128,6 +130,49 @@ def test_minimize_flat_coordinate_theta(m8):
     res = minimize_lambda(theta, m8, opts=TRIMMED)
     assert res.lam >= 0.05
     assert res.lam <= keff2(m8.grid.spacing[0]) + 1e-9
+
+
+def flat_linear_lambda(n, angle):
+    """lambda and the smallest constant-sigma quotient for theta = angle(x)."""
+    grid = GridSpec((n,) * 4)
+    m = metric_from_preset("flat", grid)
+    theta = theta_from_angle(angle(grid), m)
+    res = minimize_lambda(theta, m, opts=LambdaOptions(n_random=0))
+    const = min(
+        rayleigh_quotient(SelfDualField(grid, np.tile(e, grid.dims + (1,))), theta, m)
+        for e in np.eye(3)
+    )
+    return res.lam, const
+
+
+@pytest.mark.parametrize("angle, a2", [
+    (lambda g: g.mesh(0), 1.0),
+    (lambda g: g.mesh(0) + g.mesh(1), 2.0),
+], ids=["x0", "x0+x1"])
+def test_flat_linear_theta_refines_to_closed_form(angle, a2):
+    # on the flat torus with theta = a.x (integer a) the continuum infimum
+    # is |a|^2, attained by constant sigma
+    errs = []
+    for n in (8, 12):
+        lam, const = flat_linear_lambda(n, angle)
+        assert lam <= const + 1e-12
+        errs.append(abs(lam - a2))
+    assert np.log(errs[0] / errs[1]) / np.log(12 / 8) >= 5.0
+
+
+def test_preconditioner_kills_blind_mode(grid8):
+    # the alternating-sign mode sits in the d1 stencil kernel; the
+    # preconditioner's symbol is zero on it, so no search direction can
+    # pick it up, and its support mask keeps smooth fields
+    n = grid8.dims[0]
+    alt = np.cos(np.pi * np.arange(n))
+    blind = alt[:, None, None, None] * alt[None, :, None, None] * np.ones(grid8.dims)
+    comps = np.stack([blind, np.zeros_like(blind), np.zeros_like(blind)], axis=-1)
+    symbol = _sphere_symbol(grid8, 1.0)
+    assert np.max(np.abs(_fourier_multiply(comps, symbol))) < 1e-12
+    assert np.max(np.abs(_fourier_multiply(comps, symbol > 0))) < 1e-12
+    smooth = smooth_sigma(grid8, 8).comps
+    assert np.max(np.abs(_fourier_multiply(smooth, symbol > 0) - smooth)) < 1e-10
 
 
 def test_minimize_kaehler_constant_theta():

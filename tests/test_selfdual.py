@@ -38,7 +38,6 @@ from monolab.selfdual import (
     _d_one_T,
     _d_pairs,
     _d_pairs_T,
-    _resolved_filter,
     hodge_energy_and_grad,
     nabla_transpose,
     nyquist_mask,
@@ -259,19 +258,6 @@ def test_nyquist_mask():
     assert mask is not None and mask.shape == even.dims
     odd = GridSpec((7,) * 4)
     assert nyquist_mask(odd) is None
-
-
-def test_resolved_filter_kills_blind_mode(grid8):
-    # the alternating-sign mode sits in the d1 stencil kernel; the subspace
-    # filter must remove it so it cannot fake a harmonic form
-    n = grid8.dims[0]
-    alt = np.cos(np.pi * np.arange(n))
-    blind = alt[:, None, None, None] * alt[None, :, None, None] * np.ones(grid8.dims)
-    comps = np.stack([blind, np.zeros_like(blind), np.zeros_like(blind)], axis=-1)
-    filt = _resolved_filter(grid8)
-    assert np.max(np.abs(filt(comps))) < 1e-12
-    smooth = smooth_sd(grid8, 8).comps
-    assert np.max(np.abs(filt(smooth) - smooth)) < 1e-10
 
 
 def b_gram(basis, m):
