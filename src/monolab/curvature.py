@@ -48,7 +48,7 @@ __all__ = [
     "christoffel",
 ]
 
-# orientation signs of the stored 3-form components (see MetricField.gram3)
+# orientation signs of the stored 3-form components (see MetricField.star3)
 _S3 = np.array([1.0, -1.0, 1.0, -1.0])
 _PAIR_I, _PAIR_J = np.array(PAIRS).T
 # symmetric index pairs x = (i <= j), the 10 stored components of g
@@ -117,21 +117,12 @@ class MetricField:
         return _freeze(_lambda2(self.ginv))
 
     @cached_property
-    def gram3(self) -> np.ndarray:
-        """Gram matrix of stored 3-form components: <dx^I_l, dx^I_m>.
-
-        Closed form S g S / vol^2 with S = diag(+1, -1, +1, -1), the sign in
-        dx^I_l = S_l i_{d_l}(dx^0^dx^1^dx^2^dx^3): star3 is an isometry, so
-        gram3 = star3^T ginv star3.
-        """
-        return _freeze(_S3[:, None] * self.g * _S3 / (self.vol**2)[..., None, None])
-
-    @cached_property
     def star3(self) -> np.ndarray:
         """Hodge star on 3-forms as a per-node matrix: alpha_m = star3[m,l] rho_l.
 
-        Closed form -g S / vol (S as in gram3): star1 takes u to the stored
-        components vol S ginv u, and star3 star1 = -1 on 1-forms in 4D.
+        Closed form -g S / vol with S = diag(+1, -1, +1, -1), the sign in
+        dx^I_l = S_l i_{d_l}(dx^0^dx^1^dx^2^dx^3): star1 takes u to the
+        stored components vol S ginv u, and star3 star1 = -1 on 1-forms in 4D.
         """
         return _freeze(-(self.g * _S3) / self.vol[..., None, None])
 
@@ -178,8 +169,8 @@ class MetricField:
         tau^T W tau = vol (|tau|^2 + |star3 tau|^2); the node sum times the
         cell volume is the L2 energy of (d sigma, d* sigma) combined.
 
-        Both terms equal vol tau^T gram3 tau, so W = 2 S g S / vol with
-        S = diag(+1, -1, +1, -1) as in gram3.
+        star3 is an isometry, so both terms equal vol tau^T star3^T ginv
+        star3 tau, and W = 2 S g S / vol with S as in star3.
         """
         return _freeze(2.0 * _S3[:, None] * self.g * _S3 / self.vol[..., None, None])
 
@@ -187,13 +178,14 @@ class MetricField:
 def _bilinear(x: np.ndarray, a: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Nodewise x[..., i] a[..., i, j] y[..., j]; `a` may be one constant matrix.
 
-    One pair of operands per einsum: an optimised einsum over three operands
-    names the "..." axes with letters drawn from a set, so its intermediate's
-    axis order, and with it the last digits of the result, can change with
-    the process's string-hash seed.
+    One pair of operands per einsum, unoptimised: an optimised einsum over
+    three operands names the "..." axes with letters drawn from a set, so its
+    intermediate's axis order, and with it the last digits of the result, can
+    change with the process's string-hash seed.  A two-operand contraction
+    has no order to choose, and `optimize` would only plan it again on every
+    call.
     """
-    return np.einsum("...i,...i->...", x, np.einsum("...ij,...j->...i", a, y, optimize=True),
-                     optimize=True)
+    return np.einsum("...i,...i->...", x, np.einsum("...ij,...j->...i", a, y))
 
 
 class CurvatureBundle:

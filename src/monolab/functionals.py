@@ -30,7 +30,7 @@ import numpy as np
 
 from .curvature import CurvatureBundle, MetricField
 from .grid import integrate
-from .rayleigh import KField, ThetaField, _scalar_dirichlet, beta
+from .rayleigh import KField, ThetaField, _curvature_weight, _numerator, beta
 from .selfdual import (
     SelfDualField,
     TwoFormField,
@@ -38,10 +38,8 @@ from .selfdual import (
     default_harmonic_tol,
     embed,
     harmonic_selfdual_basis,
-    hodge_energy_and_grad,
     hodge_rayleigh,
     project,
-    sd_dirichlet_energy_and_grad,
     sd_l2_norm,
     wedge_integral,
 )
@@ -159,14 +157,19 @@ class PswResidual:
 
 @dataclass(frozen=True)
 class BoundReport:
+    """A bound lhs <= rhs on solutions, margin = rhs - lhs."""
+
     kind: str
     lhs: float
     rhs: float
-    margin: float
+    margin: float = field(init=False)
     applicable: bool
     gate: float
     residual_l2: float
     notes: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "margin", self.rhs - self.lhs)
 
 
 @dataclass(frozen=True)
@@ -176,7 +179,7 @@ class InequalityReport:
     kind: str
     lhs: float
     rhs: float
-    margin: float
+    margin: float = field(init=False)
     lhs_formula: str
     rhs_formula: str
     notes: dict = field(default_factory=dict)
@@ -184,13 +187,25 @@ class InequalityReport:
     def __post_init__(self):
         if not (np.isfinite(self.lhs) and np.isfinite(self.rhs)):
             raise ValueError("inequality sides must be finite")
+        object.__setattr__(self, "margin", self.rhs - self.lhs)
 
 
 # ---------------------------------------------------------------------------
 # residuals
 
 
-def _psw_result(r1: SpinorField, r2: np.ndarray, m: MetricField) -> PswResidual:
+def _psw_result(
+    cfg: MonopoleConfig, coefficient: Callable, shift: np.ndarray | None
+) -> PswResidual:
+    """r1 = D_A Phi and r2 = sqrt(8) iF_A^+ + coefficient(|sigma|) sigma - shift,
+    sigma = sigma(Phi), with their L2 and sup norms."""
+    m = cfg.metric
+    r1 = dirac(cfg.phi, cfg.conn, m)
+    sigma = sigma_map(cfg.phi)
+    coef = np.asarray(coefficient(sigma.norm()), dtype=float)
+    r2 = SQRT8 * cfg.conn.curv_plus.comps + coef[..., None] * sigma.comps
+    if shift is not None:
+        r2 = r2 - shift
     n1 = np.sum(np.abs(r1.comps) ** 2, axis=-1)
     n2 = np.sum(r2**2, axis=-1)
     return PswResidual(r1, SelfDualField(m.grid, r2), {
@@ -212,21 +227,22 @@ def psw_residual(cfg: MonopoleConfig, pert: PerturbationSpec, K: KField) -> PswR
         raise ValueError("use general_psw_residual for the general variant")
     if not K.grid.compatible(cfg.metric.grid):
         raise ValueError("K lives on a different grid")
-    r1 = dirac(cfg.phi, cfg.conn, cfg.metric)
-    sigma = sigma_map(cfg.phi)
-    t = sigma.norm()
     if pert.variant == "simple":
         if cfg.curv is None:
             raise ValueError("the simple variant needs the curvature bundle")
         raw = (2.0 / 3.0) * cfg.curv.scalar.values + 2.0 * cfg.curv.w.values
-        coef = beta(t) * (np.maximum(-raw, 0.0) + pert.eps)
-        r2 = SQRT8 * cfg.conn.curv_plus.comps + coef[..., None] * sigma.comps
+        kminus = np.maximum(-raw, 0.0)
     else:
-        coef = beta(t) * (K.kminus.values + pert.eps)
-        r2 = SQRT8 * cfg.conn.curv_plus.comps + coef[..., None] * sigma.comps
-        if pert.omega_hat is not None:
-            r2 = r2 - K.kplus.values[..., None] * pert.omega_hat.comps
-    return _psw_result(r1, r2, cfg.metric)
+        kminus = K.kminus.values
+    shift = None
+    if pert.omega_hat is not None:
+        shift = K.kplus.values[..., None] * pert.omega_hat.comps
+    return _psw_result(cfg, lambda t: beta(t) * (kminus + pert.eps), shift)
+
+
+def _worst_node(values: np.ndarray) -> tuple:
+    """The node of the largest value, as plain ints."""
+    return tuple(int(i) for i in np.unravel_index(int(np.argmax(values)), values.shape))
 
 
 def general_psw_residual(
@@ -237,24 +253,26 @@ def general_psw_residual(
     Admissibility is sampled on a t-grid: kappa >= t F(x,t) >= 0 for all
     t, and t F(x,t) >= K_-(x) + delta for t >= t_switch.  The shift must
     obey |eta(x)| <= K_+(x) pointwise.  Violations raise with the first
-    offending sample points listed.
+    offending sample points listed, each at its worst node.
     """
     if pert.variant != "general":
         raise ValueError("general_psw_residual needs a general-variant spec")
     if not K.grid.compatible(cfg.metric.grid):
         raise ValueError("K lives on a different grid")
     kminus = K.kminus.values
+    kappa = np.inf if pert.kappa is None else pert.kappa
     t_hi = pert.t_max if pert.t_max is not None else max(10.0, 2.0 * pert.t_switch)
     bad = []
     for t in np.linspace(0.0, t_hi, pert.n_samples):
         tf = t * np.asarray(pert.F(kminus, t), dtype=float)
-        if np.any(tf < -1e-12) or (pert.kappa is not None and np.any(tf > pert.kappa + 1e-12)):
-            idx = np.unravel_index(int(np.argmax(np.abs(tf - np.clip(tf, 0.0, np.inf)))), tf.shape)
+        outside = np.maximum(-tf, tf - kappa)
+        if np.any(outside > 1e-12):
+            idx = _worst_node(outside)
             bad.append(f"t={t:.4g} node={idx}: t*F={tf[idx]:.4g} outside [0, kappa]")
         if t >= pert.t_switch:
             gap = tf - (kminus + pert.delta)
             if np.any(gap < -1e-12):
-                idx = np.unravel_index(int(np.argmin(gap)), gap.shape)
+                idx = _worst_node(-gap)
                 bad.append(
                     f"t={t:.4g} node={idx}: t*F={tf[idx]:.4g} < K_- + delta = "
                     f"{kminus[idx] + pert.delta:.4g}"
@@ -263,16 +281,11 @@ def general_psw_residual(
             break
     eta_excess = pert.eta.norm() - K.kplus.values
     if np.any(eta_excess > 1e-12):
-        idx = np.unravel_index(int(np.argmax(eta_excess)), eta_excess.shape)
+        idx = _worst_node(eta_excess)
         bad.append(f"node={idx}: |eta|={pert.eta.norm()[idx]:.4g} > K_+={K.kplus.values[idx]:.4g}")
     if bad:
         raise ValueError("inadmissible perturbation profile:\n  " + "\n  ".join(bad[:5]))
-
-    r1 = dirac(cfg.phi, cfg.conn, cfg.metric)
-    sigma = sigma_map(cfg.phi)
-    coef = np.asarray(pert.F(kminus, sigma.norm()), dtype=float)
-    r2 = SQRT8 * cfg.conn.curv_plus.comps + coef[..., None] * sigma.comps - pert.eta.comps
-    return _psw_result(r1, r2, cfg.metric)
+    return _psw_result(cfg, lambda t: pert.F(kminus, t), pert.eta.comps)
 
 
 def reduction_spec(full: PerturbationSpec, K: KField) -> PerturbationSpec:
@@ -327,7 +340,6 @@ def _bound_report(
         kind=kind,
         lhs=lhs,
         rhs=rhs,
-        margin=rhs - lhs,
         applicable=bool(res_l2 <= gate),
         gate=float(gate),
         residual_l2=res_l2,
@@ -437,7 +449,7 @@ def lebrun_linear(
     else:
         if curv is None:
             raise ValueError("delta mode needs the curvature bundle")
-        weight = (1.0 - delta / 3.0) * curv.scalar.values + 2.0 * delta * curv.w.values
+        weight = _curvature_weight(curv.scalar.values, curv.w.values, delta)
         lhs_formula = "integral ((1-delta/3) R + 2 delta w) |omega|/sqrt(2) dmu"
         notes = {"delta": delta}
     lhs = integrate(weight * omega.norm(), m) / math.sqrt(2.0)
@@ -453,7 +465,6 @@ def lebrun_linear(
         kind="lebrun-linear",
         lhs=lhs,
         rhs=rhs,
-        margin=rhs - lhs,
         lhs_formula=lhs_formula,
         rhs_formula="4 pi c1.[omega]",
         notes=notes,
@@ -490,7 +501,6 @@ def lebrun_quadratic(
         kind="lebrun-quadratic",
         lhs=lhs,
         rhs=rhs,
-        margin=rhs - lhs,
         lhs_formula="32 pi^2 (c1^+)^2",
         rhs_formula="integral K_-^2 dmu",
         notes=notes,
@@ -518,17 +528,11 @@ def key_inequality_check(cfg: MonopoleConfig, theta: ThetaField) -> InequalityRe
     if cfg.curv is None:
         raise ValueError("the key inequality needs the curvature bundle")
     m = cfg.metric
-    sigma = sigma_map(cfg.phi)
-    comps = sigma.comps
-    e1, _ = hodge_energy_and_grad(theta.s[..., None] * comps, m)
-    e2, _ = sd_dirichlet_energy_and_grad(theta.c[..., None] * comps, m)
-    e3, _ = _scalar_dirichlet(sigma.norm(), m)
-    lhs = e1 + e2 + 2.0 * e3
+    comps = sigma_map(cfg.phi).comps
+    lhs, _ = _numerator(comps, theta, m, 0.0)
 
-    s2 = theta.s**2
     weight = (
-        (1.0 - s2 / 3.0) * cfg.curv.scalar.values
-        + 2.0 * s2 * cfg.curv.w.values
+        _curvature_weight(cfg.curv.scalar.values, cfg.curv.w.values, theta.s**2)
         - theta.dtheta_norm2
     )
     curv_term = -integrate(weight * np.sum(comps**2, axis=-1), m)
@@ -540,7 +544,6 @@ def key_inequality_check(cfg: MonopoleConfig, theta: ThetaField) -> InequalityRe
         kind="key-inequality",
         lhs=lhs,
         rhs=rhs,
-        margin=rhs - lhs,
         lhs_formula="||(d+d*)(s sigma)||^2 + ||nabla(c sigma)||^2 + 2||nabla|sigma|||^2",
         rhs_formula="-integral W |sigma|^2 + (sqrt8 iF+, |sigma| sigma) + cubic/2",
         notes={"scale": scale, "curvature_term": curv_term, "f_term": f_term, "cubic": cubic},
@@ -609,14 +612,12 @@ def _entry(entry) -> CatalogSurface:
 def catalog_linear(entry, delta: float) -> InequalityReport:
     """Closed-form linear report; both sides are exact, no grid involved."""
     e = _entry(entry)
-    weight = (1.0 - delta / 3.0) * e.scalar + 2.0 * delta * e.w
-    lhs = weight * e.volume
+    lhs = _curvature_weight(e.scalar, e.w, delta) * e.volume
     rhs = 4.0 * np.pi * e.c1_dot_omega
     return InequalityReport(
         kind="catalog-linear",
         lhs=lhs,
         rhs=rhs,
-        margin=rhs - lhs,
         lhs_formula="((1-delta/3) R + 2 delta w) Vol",
         rhs_formula="4 pi c1.[omega] = 2 K Vol",
         notes={"surface": e.name, "delta": delta, "volume": e.volume},
@@ -626,14 +627,13 @@ def catalog_linear(entry, delta: float) -> InequalityReport:
 def catalog_quadratic(entry, delta: float = 0.0) -> InequalityReport:
     """Closed-form quadratic report at constant theta with weight delta."""
     e = _entry(entry)
-    k = (1.0 - delta / 3.0) * e.scalar + 2.0 * delta * e.w
+    k = _curvature_weight(e.scalar, e.w, delta)
     lhs = 32.0 * np.pi**2 * e.c1plus_sq
     rhs = max(-k, 0.0) ** 2 * e.volume
     return InequalityReport(
         kind="catalog-quadratic",
         lhs=lhs,
         rhs=rhs,
-        margin=rhs - lhs,
         lhs_formula="32 pi^2 (c1^+)^2 = 4 K^2 Vol",
         rhs_formula="(K_delta)_-^2 Vol",
         notes={"surface": e.name, "delta": delta, "volume": e.volume},

@@ -47,7 +47,7 @@ def save_fields(path, grid: GridSpec, arrays: dict[str, np.ndarray], meta: dict 
 def load_fields(path) -> tuple[GridSpec, dict[str, np.ndarray], dict]:
     with zipfile.ZipFile(path, "r") as zf:
         manifest = json.loads(zf.read(_MANIFEST).decode())
-        if manifest.get("format") != "monolab-fields":
+        if not isinstance(manifest, dict) or manifest.get("format") != "monolab-fields":
             raise ValueError(f"{path}: not a field container")
         grid = GridSpec(tuple(manifest["dims"]), tuple(manifest["periods"]))
         arrays = {}

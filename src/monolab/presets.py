@@ -23,6 +23,7 @@ find.
 from __future__ import annotations
 
 import re
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -232,6 +233,18 @@ def scalar_from_expression(text: str, grid: GridSpec) -> np.ndarray:
 # stock geometries and angles
 
 
+def _load_container(path: str, grid: GridSpec) -> dict:
+    """The arrays of a field container stored on `grid`."""
+    try:
+        fgrid, arrays, _ = load_fields(path)
+    except (zipfile.BadZipFile, KeyError, ValueError) as exc:
+        # a missing member or manifest key comes as a KeyError of its name
+        raise PresetError(f"{path}: not a readable field container ({exc})") from None
+    if not fgrid.compatible(grid):
+        raise PresetError(f"{path}: stored grid {fgrid.dims} != {grid.dims}")
+    return arrays
+
+
 def metric_from_preset(text: str, grid: GridSpec) -> MetricField:
     """flat | conformal:EXPR | kaehler-product:EXPR | file:PATH.
 
@@ -267,9 +280,7 @@ def metric_from_preset(text: str, grid: GridSpec) -> MetricField:
         g[..., 3, 3] = np.exp(2.0 * u)
         return build_metric(grid, g)
     if kind == "file":
-        fgrid, arrays, _ = load_fields(arg)
-        if not fgrid.compatible(grid):
-            raise PresetError(f"{arg}: stored grid {fgrid.dims} != {grid.dims}")
+        arrays = _load_container(arg, grid)
         if "g" not in arrays:
             raise PresetError(f"{arg}: container has no array named 'g'")
         return build_metric(grid, arrays["g"])
@@ -297,9 +308,7 @@ def theta_from_preset(text: str, m: MetricField) -> ThetaField:
             )
         return theta_from_angle(grid.mesh(axis), m)
     if kind == "file":
-        fgrid, arrays, _ = load_fields(arg)
-        if not fgrid.compatible(grid):
-            raise PresetError(f"{arg}: stored grid {fgrid.dims} != {grid.dims}")
+        arrays = _load_container(arg, grid)
         if "theta" in arrays:
             return theta_from_angle(arrays["theta"], m)
         if "s" in arrays and "c" in arrays:

@@ -41,7 +41,6 @@ from .selfdual import (
     _fourier_multiply,
     _stencil_symbol2,
     hodge_energy_and_grad,
-    nyquist_mask,
     sd_dirichlet_energy_and_grad,
 )
 
@@ -126,7 +125,7 @@ def _scalar_dirichlet(rho: np.ndarray, m: MetricField) -> tuple[float, np.ndarra
     grid = m.grid
     hs = grid.spacing
     drho = np.stack(_axis_derivatives(rho, grid), axis=-1)
-    flux = np.einsum("...kl,...l->...k", m.ginv, drho, optimize=True)
+    flux = np.einsum("...kl,...l->...k", m.ginv, drho)
     flux *= m.vol[..., None]
     energy = float(np.sum(drho * flux)) * grid.cell_volume
     grad = np.zeros(grid.dims)
@@ -136,12 +135,11 @@ def _scalar_dirichlet(rho: np.ndarray, m: MetricField) -> tuple[float, np.ndarra
     return energy, grad
 
 
-def _quotient_and_grad(
+def _numerator(
     comps: np.ndarray, theta: ThetaField, m: MetricField, eps: float
 ) -> tuple[float, np.ndarray]:
-    grid = m.grid
-    bw = m.vol * grid.cell_volume
-
+    """The quotient's numerator ||(d+d*)(s sigma)||^2 + ||nabla(c sigma)||^2
+    + 2 ||nabla|sigma|_eps||^2 and its gradient in the components."""
     y1 = theta.s[..., None] * comps
     e1, g1 = hodge_energy_and_grad(y1, m)
     g1 = theta.s[..., None] * g1
@@ -155,9 +153,14 @@ def _quotient_and_grad(
     e3 *= 2.0
     unit = np.divide(comps, r[..., None], out=np.zeros_like(comps), where=r[..., None] > 0)
     g3 = 2.0 * g3s[..., None] * unit
+    return e1 + e2 + e3, g1 + g2 + g3
 
-    num = e1 + e2 + e3
-    grad_num = g1 + g2 + g3
+
+def _quotient_and_grad(
+    comps: np.ndarray, theta: ThetaField, m: MetricField, eps: float
+) -> tuple[float, np.ndarray]:
+    bw = m.vol * m.grid.cell_volume
+    num, grad_num = _numerator(comps, theta, m, eps)
     den = float(np.sum(np.sum(comps**2, axis=-1) * bw))
     q = num / den
     grad = (grad_num - q * (2.0 * bw[..., None] * comps)) / den
@@ -187,7 +190,6 @@ class LambdaOptions:
     max_iter: int = 150
     tol: float = 1e-9
     seed: int = 11
-    start_bandwidth: int = 2
 
 
 @dataclass(frozen=True)
@@ -208,13 +210,18 @@ class LambdaResult:
     quotient_evals: int
 
 
+# highest frequency per axis of the random starts' spectrum
+_START_BANDWIDTH = 2
+
+
 def _sphere_symbol(grid: GridSpec, mu: float) -> np.ndarray:
     """Flat preconditioner symbol 1/(mu + |s|^2), rfftn layout, zero on the
     half-frequency planes that the centred first difference cannot see."""
     symbol = 1.0 / (mu + _stencil_symbol2(grid))
-    mask = nyquist_mask(grid)
-    if mask is not None:
-        symbol[mask[..., : symbol.shape[3]]] = 0.0
+    for ax, n in enumerate(grid.dims):
+        if n % 2 == 0:
+            # index n // 2 is the half frequency in both fftn and rfftn order
+            symbol[(slice(None),) * ax + (n // 2,)] = 0.0
     return symbol
 
 
@@ -310,7 +317,7 @@ def minimize_lambda(
         e[..., a] = 1.0
         starts.append(e)
     rng = np.random.default_rng(opts.seed)
-    fmax = opts.start_bandwidth
+    fmax = _START_BANDWIDTH
     for _ in range(opts.n_random):
         comps = np.empty(grid.dims + (3,))
         for a in range(3):
@@ -378,18 +385,18 @@ class KField:
         return float(np.max(np.abs(self.k.values)))
 
 
+def _curvature_weight(R, w, delta):
+    """LeBrun's family (1 - delta/3) R + 2 delta w; K takes delta = sin^2 theta."""
+    return (1.0 - delta / 3.0) * R + 2.0 * delta * w
+
+
 def assemble_K(theta: ThetaField, curv: CurvatureBundle, lam: float) -> KField:
     """Pointwise curvature weight; the split satisfies K = K+ - K- exactly."""
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     grid = theta.grid
-    s2 = theta.s**2
-    k = (
-        (1.0 - s2 / 3.0) * curv.scalar.values
-        + 2.0 * s2 * curv.w.values
-        - theta.dtheta_norm2
-        + lam
-    )
+    weight = _curvature_weight(curv.scalar.values, curv.w.values, theta.s**2)
+    k = weight - theta.dtheta_norm2 + lam
     kplus = np.maximum(k, 0.0)
     kminus = np.maximum(-k, 0.0)
     return KField(

@@ -24,12 +24,11 @@ One discrete artefact needs care: a centred first difference is blind to
 the per-axis alternating mode (frequency n/2 on an even axis), so the
 energy ||d sigma||^2 + ||d* sigma||^2 has spurious null vectors built from
 alternating/constant tensor modes.  Searches over self-dual fields
-therefore work in the stencil-resolved subspace obtained by masking exact
-half-frequency planes (`nyquist_mask`; empty on odd axes).  The lambda
-minimiser's preconditioner carries that mask: its symbol is zero on those
-planes, so its search directions never leave the subspace.  The harmonic
-basis needs no mask: it solves for d alpha, and the blind 1-forms are
-closed.
+therefore work in the stencil-resolved subspace, without the exact
+half-frequency planes (there are none on odd axes).  The lambda
+minimiser's preconditioner symbol is zero on those planes, so its search
+directions never leave the subspace.  The harmonic basis needs no mask: it
+solves for d alpha, and the blind 1-forms are closed.
 """
 
 from __future__ import annotations
@@ -56,8 +55,6 @@ __all__ = [
     "star_two_form",
     "star_three_form",
     "d_plus_dstar",
-    "three_form_norm2",
-    "one_form_norm2",
     "sd_l2_norm",
     "wedge_integral",
     "covariant_derivative",
@@ -69,7 +66,6 @@ __all__ = [
     "integral_identity_check_s",
     "integral_identity_check_c",
     "hodge_rayleigh",
-    "nyquist_mask",
     "B_PLUS",
     "HarmonicSolveError",
     "HarmonicBasis",
@@ -141,31 +137,23 @@ class SelfDualField(_Components):
 
 
 def embed(sigma: SelfDualField, m: MetricField) -> TwoFormField:
-    comps = np.einsum("...pa,...a->...p", m.sd_pairs, sigma.comps, optimize=True)
+    comps = np.einsum("...pa,...a->...p", m.sd_pairs, sigma.comps)
     return TwoFormField(sigma.grid, comps)
 
 
 def project(omega: TwoFormField, m: MetricField) -> SelfDualField:
-    comps = np.einsum("...pa,...p->...a", m.sd_pairs_up, omega.comps, optimize=True)
+    comps = np.einsum("...pa,...p->...a", m.sd_pairs_up, omega.comps)
     return SelfDualField(omega.grid, comps)
 
 
 def star_two_form(omega: TwoFormField, m: MetricField) -> TwoFormField:
-    comps = np.einsum("...qr,...r->...q", m.star2, omega.comps, optimize=True)
+    comps = np.einsum("...qr,...r->...q", m.star2, omega.comps)
     return TwoFormField(omega.grid, comps)
 
 
 def star_three_form(rho: ThreeFormField, m: MetricField) -> OneFormField:
-    comps = np.einsum("...ml,...l->...m", m.star3, rho.comps, optimize=True)
+    comps = np.einsum("...ml,...l->...m", m.star3, rho.comps)
     return OneFormField(rho.grid, comps)
-
-
-def three_form_norm2(rho: ThreeFormField, m: MetricField) -> np.ndarray:
-    return _bilinear(rho.comps, m.gram3, rho.comps)
-
-
-def one_form_norm2(u: OneFormField, m: MetricField) -> np.ndarray:
-    return _bilinear(u.comps, m.ginv, u.comps)
 
 
 def sd_l2_norm(sigma: SelfDualField, m: MetricField) -> float:
@@ -262,7 +250,7 @@ def covariant_derivative(sigma: SelfDualField, m: MetricField) -> np.ndarray:
         return np.stack(_axis_derivatives(sigma.comps, grid), axis=-2)
     dom = np.stack(_axis_derivatives(embed(sigma, m).comps, grid), axis=-2)
     nab = dom @ m.sd_pairs_up
-    nab += np.einsum("...kab,...b->...ka", m.sd_connection, sigma.comps, optimize=True)
+    nab += np.einsum("...kab,...b->...ka", m.sd_connection, sigma.comps)
     return np.swapaxes(m.inv_coframe, -1, -2) @ nab
 
 
@@ -276,12 +264,12 @@ def nabla_transpose(tau: np.ndarray, m: MetricField) -> np.ndarray:
             out -= d1(tau[..., k, :], k, hs[k])
         return out
     nab = m.inv_coframe @ tau
-    out = np.einsum("...kab,...ka->...b", m.sd_connection, nab, optimize=True)
+    out = np.einsum("...kab,...ka->...b", m.sd_connection, nab)
     y = nab @ np.swapaxes(m.sd_pairs_up, -1, -2)
     om_t = np.zeros(grid.dims + (6,))
     for k in range(4):
         om_t -= d1(y[..., k, :], k, hs[k])
-    out += np.einsum("...pa,...p->...a", m.sd_pairs, om_t, optimize=True)
+    out += np.einsum("...pa,...p->...a", m.sd_pairs, om_t)
     return out
 
 
@@ -305,12 +293,12 @@ def hodge_energy_and_grad(comps: np.ndarray, m: MetricField) -> tuple[float, np.
     of the evaluation chain.
     """
     grid = m.grid
-    om = np.einsum("...pa,...a->...p", m.sd_pairs, comps, optimize=True)
+    om = np.einsum("...pa,...a->...p", m.sd_pairs, comps)
     tau = _d_pairs(om, grid)
-    wtau = np.einsum("...lk,...k->...l", m.hodge_weight, tau, optimize=True)
+    wtau = np.einsum("...lk,...k->...l", m.hodge_weight, tau)
     energy = float(np.sum(tau * wtau)) * grid.cell_volume
     om_t = _d_pairs_T(wtau, grid)
-    grad = np.einsum("...pa,...p->...a", m.sd_pairs, om_t, optimize=True)
+    grad = np.einsum("...pa,...p->...a", m.sd_pairs, om_t)
     grad *= 2.0 * grid.cell_volume
     return energy, grad
 
@@ -343,7 +331,7 @@ def weitzenboeck_residual(
     lhs = project(vplus, m).comps
     rhs = nabla_star_nabla(sigma, m).comps
     rhs = rhs + (curv.scalar.values[..., None] / 3.0) * sigma.comps
-    rhs = rhs - 2.0 * np.einsum("...ab,...b->...a", curv.wplus, sigma.comps, optimize=True)
+    rhs = rhs - 2.0 * np.einsum("...ab,...b->...a", curv.wplus, sigma.comps)
     num = np.sum(np.sum((lhs - rhs) ** 2, axis=-1) * m.vol)
     den = np.sum(np.sum(sigma.comps**2, axis=-1) * m.vol)
     return float(np.sqrt(num / den))
@@ -355,7 +343,7 @@ def _identity_pieces(sigma: SelfDualField, theta, m: MetricField):
     nab = covariant_derivative(sigma, m)
     sig2 = np.sum(sigma.comps**2, axis=-1)
     nab2 = np.sum(nab**2, axis=(-2, -1))
-    dth_frame = np.einsum("...kc,...k->...c", m.inv_coframe, theta.dtheta, optimize=True)
+    dth_frame = np.einsum("...kc,...k->...c", m.inv_coframe, theta.dtheta)
     cross = _bilinear(dth_frame, nab, sigma.comps)
     return sig2, nab2, cross
 
@@ -365,14 +353,12 @@ def integral_identity_check_s(
 ) -> tuple[float, float]:
     """||(d+d*)(sin(theta) sigma)||^2 against its Bochner-type expansion.
 
-    `theta` provides arrays s, c, dtheta, dtheta_norm2 (see ThetaField).
-    Returns (lhs, rhs); both are plain numbers, equal up to discretisation.
+    The lhs is `hodge_energy_and_grad`'s energy, the lambda quotient's first
+    term.  `theta` provides arrays s, c, dtheta, dtheta_norm2 (see
+    ThetaField).  Returns (lhs, rhs), equal up to discretisation.
     """
-    grid = sigma.grid
     s = theta.s
-    scaled = SelfDualField(grid, s[..., None] * sigma.comps)
-    tau, u = d_plus_dstar(scaled, m)
-    lhs = integrate(three_form_norm2(tau, m) + one_form_norm2(u, m), m)
+    lhs, _ = hodge_energy_and_grad(s[..., None] * sigma.comps, m)
 
     sig2, nab2, cross = _identity_pieces(sigma, theta, m)
     wquad = _bilinear(sigma.comps, curv.wplus, sigma.comps)
@@ -390,12 +376,10 @@ def integral_identity_check_s(
 def integral_identity_check_c(
     sigma: SelfDualField, theta, m: MetricField
 ) -> tuple[float, float]:
-    """||nabla(cos(theta) sigma)||^2 against its expansion."""
-    grid = sigma.grid
+    """||nabla(cos(theta) sigma)||^2 against its expansion; the lhs is
+    `sd_dirichlet_energy_and_grad`'s energy, the lambda quotient's second term."""
     c = theta.c
-    scaled = SelfDualField(grid, c[..., None] * sigma.comps)
-    nab = covariant_derivative(scaled, m)
-    lhs = integrate(np.sum(nab**2, axis=(-2, -1)), m)
+    lhs, _ = sd_dirichlet_energy_and_grad(c[..., None] * sigma.comps, m)
 
     sig2, nab2, cross = _identity_pieces(sigma, theta, m)
     s = theta.s
@@ -414,29 +398,6 @@ def hodge_rayleigh(sigma: SelfDualField, m: MetricField) -> float:
     if den == 0.0:
         raise ValueError("cannot form a Rayleigh quotient of the zero field")
     return energy / den
-
-
-def nyquist_mask(grid: GridSpec) -> np.ndarray | None:
-    """Boolean FFT mask of modes invisible to the centred first difference.
-
-    True marks a mode with exact half frequency on at least one (even)
-    axis.  None when every axis is odd and no such plane exists.
-    """
-    masks = []
-    any_even = False
-    for ax, n in enumerate(grid.dims):
-        freqs = np.fft.fftfreq(n) * n
-        hit = np.abs(np.abs(freqs) - n / 2.0) < 0.5e-9
-        any_even = any_even or bool(hit.any())
-        shape = [1, 1, 1, 1]
-        shape[ax] = n
-        masks.append(hit.reshape(shape))
-    if not any_even:
-        return None
-    out = np.zeros(grid.dims, dtype=bool)
-    for h in masks:
-        out |= h
-    return out
 
 
 def _stencil_symbol2(grid: GridSpec) -> np.ndarray:
@@ -551,7 +512,7 @@ def harmonic_selfdual_basis(m: MetricField) -> HarmonicBasis:
     inv_symbol = _inverse_symbol(grid)
 
     def g_apply(omega):
-        return np.einsum("...pq,...qK->...pK", G, omega, optimize=True)
+        return np.einsum("...pq,...qK->...pK", G, omega)
 
     def precondition(r):
         return _fourier_multiply(r, inv_symbol)
@@ -586,7 +547,7 @@ def harmonic_selfdual_basis(m: MetricField) -> HarmonicBasis:
         )
 
     h = _SD_CLASSES + _d_one(alpha, grid)
-    sd = np.einsum("...pa,...pK->...aK", m.sd_pairs_up, h, optimize=True)
+    sd = np.einsum("...pa,...pK->...aK", m.sd_pairs_up, h)
     forms: list[np.ndarray] = []
     for k in range(B_PLUS):
         comps = sd[..., k]

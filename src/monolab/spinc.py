@@ -195,8 +195,8 @@ class CliffordModel:
 
 def sigma_map(phi: SpinorField) -> SelfDualField:
     """Quadratic spinor-to-form map with |sigma(Phi)|^2 = |Phi|^4 / 8."""
-    t = np.einsum("ast,...t->...as", PAULI, phi.comps, optimize=True)
-    comps = KAPPA_SIGMA * np.einsum("...s,...as->...a", phi.comps.conj(), t, optimize=True).real
+    t = np.einsum("ast,...t->...as", PAULI, phi.comps)
+    comps = KAPPA_SIGMA * np.einsum("...s,...as->...a", phi.comps.conj(), t).real
     return SelfDualField(phi.grid, comps)
 
 
@@ -213,7 +213,7 @@ def dirac(phi: SpinorField, conn: U1Connection, m: MetricField | None = None) ->
     """Coupled Dirac operator on the flat chart, W+ -> W-."""
     _require_flat(m)
     nab = nabla_a(phi, conn)
-    out = np.einsum("ist,...it->...s", _MODEL.rho_coord, nab, optimize=True)
+    out = np.einsum("ist,...it->...s", _MODEL.rho_coord, nab)
     return SpinorField(phi.grid, out)
 
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import zipfile
 
 import numpy as np
 import pytest
@@ -151,6 +152,33 @@ def test_parse_errors_exit_2(tmp_path, monkeypatch, capsys, argv):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("monolab: config error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "fault", ["not-a-zip", "no-manifest", "no-dims", "wrong-format", "manifest-not-object"]
+)
+def test_bad_field_container_exit_2(tmp_path, capsys, fault):
+    path = tmp_path / "fields.zip"
+    if fault == "not-a-zip":
+        path.write_text("plain text\n")
+    else:
+        manifest = {"format": "monolab-fields", "version": 1, "dims": [8] * 4,
+                    "periods": [2.0 * np.pi] * 4, "arrays": []}
+        if fault == "no-dims":
+            del manifest["dims"]
+        if fault == "wrong-format":
+            manifest["format"] = "other"
+        if fault == "manifest-not-object":
+            manifest = [manifest]
+        with zipfile.ZipFile(path, "w") as zf:
+            zf.writestr("readme.txt" if fault == "no-manifest" else "manifest.json",
+                        json.dumps(manifest))
+    for argv in (["curvature", "--dims", "8", "--metric", f"file:{path}"],
+                 ["lambda", "--dims", "8", "--theta", f"file:{path}"]):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("monolab: config error:") and err.count("\n") == 1
 
 
 def test_gate_errors_exit_1(capsys):

@@ -150,7 +150,6 @@ def test_three_form_algebra_matches_tensor_definitions():
         return np.max(np.abs(x - y)) / np.max(np.abs(y))
 
     assert rel(m.star3, star3) < 1e-13
-    assert rel(m.gram3, gram3) < 1e-13
     assert rel(m.hodge_weight, weight) < 1e-13
 
 

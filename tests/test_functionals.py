@@ -31,9 +31,11 @@ from monolab import (
     lebrun_quadratic,
     psw_residual,
     random_smooth_scalar,
+    rayleigh_quotient,
     reducible_config,
     reduction_spec,
     rotating_config,
+    sd_l2_norm,
     sigma_map,
     theta_from_angle,
     theta_from_preset,
@@ -194,6 +196,19 @@ def test_general_admissibility_rejections(m8, curv8):
     )
     with pytest.raises(ValueError, match="kappa"):
         general_psw_residual(cfg, toobig, K)
+    # t*F leaves [0, kappa] at one node only; the message names that node
+    spike = np.full(m8.grid.dims, 0.1)
+    spike[3, 4, 5, 6] = 50.0
+    peak = PerturbationSpec(
+        "general",
+        F=lambda k, t: spike,
+        eta=zeros_sd(m8.grid),
+        kappa=1.0,
+        t_switch=1.0,
+        delta=0.0,
+    )
+    with pytest.raises(ValueError, match=r"node=\(3, 4, 5, 6\): t\*F=15\.62 outside"):
+        general_psw_residual(cfg, peak, K)
     from monolab import beta
 
     shift = SelfDualField(m8.grid, np.full(m8.grid.dims + (3,), 10.0))
@@ -392,6 +407,11 @@ def random_config(m8, curv8, seed):
 def test_key_inequality_random_configs(m8, curv8, theta_preset):
     theta = theta_from_preset(theta_preset, m8)
     for seed in (0, 1, 2):
-        rep = key_inequality_check(random_config(m8, curv8, seed), theta)
+        cfg = random_config(m8, curv8, seed)
+        rep = key_inequality_check(cfg, theta)
         assert rep.margin >= -1e-3 * rep.notes["scale"]
+        # the gradient side is the lambda quotient's numerator at sigma(Phi)
+        sigma = sigma_map(cfg.phi)
+        numerator = rayleigh_quotient(sigma, theta, m8) * sd_l2_norm(sigma, m8) ** 2
+        assert abs(rep.lhs - numerator) <= 1e-13 * abs(numerator)
 

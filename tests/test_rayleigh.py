@@ -173,6 +173,13 @@ def test_preconditioner_kills_blind_mode(grid8):
     assert np.max(np.abs(_fourier_multiply(comps, symbol > 0))) < 1e-12
     smooth = smooth_sigma(grid8, 8).comps
     assert np.max(np.abs(_fourier_multiply(smooth, symbol > 0) - smooth)) < 1e-10
+    # odd axes have no half frequency; on even ones the zeros are exactly the
+    # index n/2 planes, in fftn order on axes 0-2 and rfftn order on axis 3
+    zero = _sphere_symbol(GridSpec((7, 8, 9, 8)), 1.0) == 0.0
+    want = np.zeros((7, 8, 9, 5), dtype=bool)
+    want[:, 4] = True
+    want[..., 4] = True
+    assert np.array_equal(zero, want)
 
 
 def test_minimize_kaehler_constant_theta():

@@ -14,6 +14,7 @@ from monolab import (
     TwoFormField,
     build_metric,
     covariant_derivative,
+    curvature_stack,
     d_one_form,
     d_plus_dstar,
     d_two_form,
@@ -38,9 +39,9 @@ from monolab.selfdual import (
     _d_one_T,
     _d_pairs,
     _d_pairs_T,
+    _stencil_symbol2,
     hodge_energy_and_grad,
     nabla_transpose,
-    nyquist_mask,
     sd_dirichlet_energy_and_grad,
 )
 
@@ -252,12 +253,29 @@ def test_integral_identities_coordinate_theta(m8, curv8):
     assert abs(lhs - rhs) / (1 + abs(lhs) + abs(rhs)) < 1e-2
 
 
+def test_integral_identities_generic_metric(generic8):
+    # non-diagonal and not conformally flat: both identities check the lambda
+    # quotient's energies on a curved metric, at an observed order
+    residuals = []
+    for m in (generic8[1], build_metric(*generic_metric(12))):
+        sig = smooth_sd(m.grid, 5)
+        theta = theta_from_preset("coord:0", m)
+        sides = (integral_identity_check_s(sig, theta, m, curvature_stack(m)),
+                 integral_identity_check_c(sig, theta, m))
+        residuals.append([abs(lhs - rhs) / (1 + abs(lhs) + abs(rhs)) for lhs, rhs in sides])
+    coarse, fine = np.array(residuals)
+    assert np.all(fine <= 2e-3)
+    assert np.all(np.log(coarse / fine) / np.log(12 / 8) >= 4.5)
+
+
 def test_nyquist_mask():
+    # the modes the centred first difference cannot see: on even axes the
+    # stencil symbol vanishes at index 0 and n/2, on odd axes only at 0
     even = GridSpec((8,) * 4)
-    mask = nyquist_mask(even)
-    assert mask is not None and mask.shape == even.dims
+    blind = np.argwhere(_stencil_symbol2(even) == 0.0)
+    assert len(blind) == 16 and np.all(np.isin(blind, (0, 4)))
     odd = GridSpec((7,) * 4)
-    assert nyquist_mask(odd) is None
+    assert np.array_equal(np.argwhere(_stencil_symbol2(odd) == 0.0), np.zeros((1, 4)))
 
 
 def b_gram(basis, m):
