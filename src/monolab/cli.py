@@ -397,6 +397,8 @@ def _run_lambda(args):
         "iterations": len(res.quotient_history),
         "final_quotients": list(res.quotient_history[-5:]),
         "quotient_evals": res.quotient_evals,
+        "start_evals": list(res.start_evals),
+        "start_converged": list(res.start_converged),
     }
     if args.dump:
         save_fields(args.dump, grid, {"minimizer": res.minimizer.comps})

@@ -511,13 +511,6 @@ def lebrun_quadratic(
 # the key inequality
 
 
-def _f_sigma_term(cfg: MonopoleConfig) -> float:
-    """integral (sqrt(8) iF_A^+, |sigma| sigma) dmu."""
-    sigma = sigma_map(cfg.phi)
-    pair = np.sum(cfg.conn.curv_plus.comps * sigma.comps, axis=-1) * sigma.norm()
-    return SQRT8 * integrate(pair, cfg.metric)
-
-
 def key_inequality_check(cfg: MonopoleConfig, theta: ThetaField) -> InequalityReport:
     """Gradient-side versus curvature-side of the pivotal inequality.
 
@@ -528,7 +521,8 @@ def key_inequality_check(cfg: MonopoleConfig, theta: ThetaField) -> InequalityRe
     if cfg.curv is None:
         raise ValueError("the key inequality needs the curvature bundle")
     m = cfg.metric
-    comps = sigma_map(cfg.phi).comps
+    sigma = sigma_map(cfg.phi)
+    comps = sigma.comps
     lhs, _ = _numerator(comps, theta, m, 0.0)
 
     weight = (
@@ -536,7 +530,9 @@ def key_inequality_check(cfg: MonopoleConfig, theta: ThetaField) -> InequalityRe
         - theta.dtheta_norm2
     )
     curv_term = -integrate(weight * np.sum(comps**2, axis=-1), m)
-    f_term = _f_sigma_term(cfg)
+    # integral (sqrt(8) iF_A^+, |sigma| sigma) dmu
+    pair = np.sum(cfg.conn.curv_plus.comps * comps, axis=-1) * sigma.norm()
+    f_term = SQRT8 * integrate(pair, m)
     cubic = 0.5 * dirac_cubic_pairing(cfg.phi, cfg.conn, m)
     rhs = curv_term + f_term + cubic
     scale = max(1.0, abs(lhs), abs(rhs))

@@ -26,6 +26,14 @@ which the centred first difference is blind, so the preconditioner also
 keeps every search direction in the stencil-resolved subspace; those
 modes would otherwise fake flat directions of the quotient on even grids.
 The starts are projected onto that subspace by the same mask.
+
+The line search tries Nocedal and Wright's step (Numerical Optimization,
+3.60) from the last drop of q, backtracks to the safeguarded minimiser of
+the interpolating quadratic (3.57-3.58) and accepts on the Armijo test.  A
+stage stops, converged, once the preconditioned gradient <g, P g> is below
+tol * max(|q|, mu), so a start that has already converged pays one
+evaluation for it.  Each start reports its evaluations and whether every
+stage converged; a stage whose line search finds no descent has not.
 """
 
 from __future__ import annotations
@@ -198,7 +206,10 @@ class LambdaResult:
 
     lam is a discrete upper-bound estimate of the infimum; it equals
     rayleigh_quotient(minimizer, ..., epsilon_final) by construction.
-    quotient_evals counts every quotient evaluation of every start.
+    start_values, start_evals and start_converged hold one entry per start:
+    its final quotient, its quotient evaluations (the final re-evaluation
+    included) and whether every stage converged.  quotient_evals is the
+    sum of start_evals; converged is the winning start's flag.
     """
 
     lam: float
@@ -208,6 +219,8 @@ class LambdaResult:
     converged: bool
     start_values: tuple
     quotient_evals: int
+    start_evals: tuple
+    start_converged: tuple
 
 
 # highest frequency per axis of the random starts' spectrum
@@ -227,7 +240,18 @@ def _sphere_symbol(grid: GridSpec, mu: float) -> np.ndarray:
 
 def _stage(x, theta, m, eps, bw, symbol, max_iter, tol, scale):
     """One smoothing stage of preconditioned sphere-constrained conjugate
-    gradient; returns (x, q, history, converged, quotient evaluations)."""
+    gradient; returns (x, q, history, converged, quotient evaluations).
+
+    The first trial step of an iteration is Nocedal and Wright's (3.60),
+    twice the last drop of q over the directional derivative, times 1.01;
+    the first iteration tries 1.  A trial that fails the Armijo test is
+    replaced by the minimiser of the quadratic through phi(0), phi'(0) and
+    phi(alpha), kept within [alpha/10, alpha/2] (N&W 3.57-3.58).  The stage
+    has converged once <g, P g> <= tol * max(|q|, scale), at entry or after
+    a step: a unit preconditioned step would lower q by about half that.
+    Two drops of q below the same threshold also stop it, as converged; a
+    line search whose 50 trials all fail stops it unconverged.
+    """
 
     def bnorm(v):
         return float(np.sqrt(np.sum(np.sum(v**2, axis=-1) * bw)))
@@ -242,49 +266,47 @@ def _stage(x, theta, m, eps, bw, symbol, max_iter, tol, scale):
     gz = float(np.sum(g * z))
     p = -z
     history = [q]
-    alpha = 1.0
+    q_prev = None
     stall = 0
-    converged = False
-    for _ in range(max_iter):
+    converged = gz <= tol * max(abs(q), scale)
+    for _ in range(0 if converged else max_iter):
         # Armijo on the true directional derivative <g, p>
         dphi = float(np.sum(g * p))
         if dphi >= 0.0:
             p = -z
             dphi = -gz
-            if dphi >= 0.0:
-                converged = True
-                break
-        alpha = min(alpha * 2.0, 1e6)
+        if q_prev is None or q_prev <= q:
+            alpha = 1.0
+        else:
+            alpha = min(2.02 * (q - q_prev) / dphi, 1e6)
         accepted = False
         for _bt in range(50):
+            # p is tangent to the unit sphere at x, so |x + alpha p| >= 1
             xn = x + alpha * p
-            nrm = bnorm(xn)
-            if nrm > 0:
-                xn = xn / nrm
-                qn, gn = _quotient_and_grad(xn, theta, m, eps)
-                evals += 1
-                if qn <= q + 1e-4 * alpha * dphi:
-                    accepted = True
-                    break
-            alpha *= 0.5
+            xn = xn / bnorm(xn)
+            qn, gn = _quotient_and_grad(xn, theta, m, eps)
+            evals += 1
+            if qn <= q + 1e-4 * alpha * dphi:
+                accepted = True
+                break
+            step = -dphi * alpha * alpha / (2.0 * (qn - q - dphi * alpha))
+            alpha = min(max(step, 0.1 * alpha), 0.5 * alpha)
         if not accepted:
-            converged = True  # no descent left at line-search resolution
             break
         zn = tangent(_fourier_multiply(gn, symbol), xn)
         gzn = float(np.sum(gn * zn))
-        # Polak-Ribiere+ on the preconditioned gradient
-        b_pr = 0.0 if gz <= 0.0 else max(0.0, float(np.sum(gn * (zn - z))) / gz)
+        # Polak-Ribiere+ on the preconditioned gradient; gz > 0, else the
+        # stage would have stopped
+        b_pr = max(0.0, float(np.sum(gn * (zn - z))) / gz)
         p = tangent(-zn + b_pr * p, xn)
-        drop = q - qn
+        q_prev = q
         x, q, g, z, gz = xn, qn, gn, zn, gzn
         history.append(q)
-        if drop <= tol * max(abs(q), scale):
-            stall += 1
-            if stall >= 2:
-                converged = True
-                break
-        else:
-            stall = 0
+        threshold = tol * max(abs(q), scale)
+        stall = stall + 1 if q_prev - q <= threshold else 0
+        if gz <= threshold or stall >= 2:
+            converged = True
+            break
     return x, q, history, converged, evals
 
 
@@ -330,26 +352,29 @@ def minimize_lambda(
 
     best = None
     start_values = []
-    total_evals = 0
+    start_evals = []
+    start_converged = []
     for x0 in starts:
         x = _fourier_multiply(x0, resolved)
         if not np.any(x):
             continue
         history = []
         run_converged = True
+        run_evals = 1  # the final re-evaluation below
         for eps in opts.epsilons:
             x, q, hist, conv, evals = _stage(
                 x, theta, m, eps, bw, symbol, opts.max_iter, opts.tol, scale
             )
             history.extend(hist)
             run_converged = run_converged and conv
-            total_evals += evals
+            run_evals += evals
         sigma = SelfDualField(grid, x)
         eps_last = opts.epsilons[-1]
         eps_final = 0.0 if float(np.min(sigma.norm())) > 10.0 * eps_last else eps_last
         lam = rayleigh_quotient(sigma, theta, m, eps_final)
-        total_evals += 1
         start_values.append(lam)
+        start_evals.append(run_evals)
+        start_converged.append(run_converged)
         if best is None or lam < best[0]:
             best = (lam, sigma, tuple(history), eps_final, run_converged)
 
@@ -363,7 +388,9 @@ def minimize_lambda(
         epsilon_final=eps_final,
         converged=conv,
         start_values=tuple(start_values),
-        quotient_evals=total_evals,
+        quotient_evals=sum(start_evals),
+        start_evals=tuple(start_evals),
+        start_converged=tuple(start_converged),
     )
 
 

@@ -250,6 +250,9 @@ def test_lambda_report(tmp_path, capsys):
     assert out["converged"] is True
     assert len(out["start_values"]) == 4
     assert type(out["quotient_evals"]) is int and out["quotient_evals"] > 0
+    assert len(out["start_evals"]) == len(out["start_converged"]) == 4
+    assert sum(out["start_evals"]) == out["quotient_evals"]
+    assert all(flag is True for flag in out["start_converged"])
     _, arrays, _ = load_fields(dump)
     assert arrays["minimizer"].shape == (8, 8, 8, 8, 3)
 

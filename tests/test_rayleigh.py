@@ -19,6 +19,7 @@ from monolab import (
     theta_from_preset,
     theta_from_sc,
 )
+from monolab import rayleigh
 from monolab.rayleigh import _sphere_symbol
 from monolab.selfdual import _fourier_multiply
 
@@ -158,6 +159,57 @@ def test_flat_linear_theta_refines_to_closed_form(angle, a2):
         assert lam <= const + 1e-12
         errs.append(abs(lam - a2))
     assert np.log(errs[0] / errs[1]) / np.log(12 / 8) >= 5.0
+
+
+def test_constant_starts_stop_at_entry(m8):
+    # constant sigma is the minimiser for theta = x0 on the flat torus, so
+    # each stage of each constant start stops on its first evaluation
+    res = minimize_lambda(theta_from_preset("coord:0", m8), m8,
+                          opts=LambdaOptions(n_random=0))
+    assert res.start_evals == (6, 6, 6)  # 5 stages + the final re-evaluation
+    assert res.quotient_evals == 18
+    assert res.start_converged == (True, True, True)
+
+
+def test_lambda8_input_evaluation_count(m8):
+    # lambda --dims 8 --theta coord:0 --multistarts 4 --seed 0
+    res = minimize_lambda(theta_from_preset("coord:0", m8), m8, curvature_stack(m8),
+                          LambdaOptions(n_random=4, seed=0))
+    assert res.quotient_evals <= 300
+    assert sum(res.start_evals) == res.quotient_evals
+    assert len(res.start_evals) == len(res.start_converged) == len(res.start_values) == 7
+    assert all(res.start_converged) and res.converged
+    assert abs(res.lam - 0.9970285200830123) <= 1e-12 * 0.9970285200830123
+
+
+def test_conformal_lambda_starts_converge(grid8):
+    # the input of lambda --dims 8 --theta coord:1 --metric conformal:0.1*sin(x0)
+    # --multistarts 2, with the library's default seed
+    m = metric_from_preset("conformal:0.1*sin(x0)", grid8)
+    res = minimize_lambda(theta_from_preset("coord:1", m), m, curvature_stack(m),
+                          LambdaOptions(n_random=2))
+    assert abs(res.lam - 0.9805946265871868) <= 1e-8 * 0.9805946265871868
+    assert res.start_converged == (True,) * 5
+    assert res.quotient_evals <= 250  # measured: 222
+
+
+def test_line_search_exhaustion_is_not_converged(m8, monkeypatch):
+    # every evaluation after the first comes out higher, so no trial step
+    # passes the Armijo test and the random start's only stage gives up
+    real = rayleigh._quotient_and_grad
+    calls = []
+
+    def rising(comps, theta, m, eps):
+        q, g = real(comps, theta, m, eps)
+        calls.append(q)
+        return q + 10.0 * len(calls), g
+
+    monkeypatch.setattr(rayleigh, "_quotient_and_grad", rising)
+    res = minimize_lambda(theta_from_preset("coord:0", m8), m8,
+                          opts=LambdaOptions(n_random=1, epsilons=(1e-3,)))
+    assert res.start_converged == (True, True, True, False)
+    assert res.start_evals == (2, 2, 2, 52)  # 1 + 50 failed trials + the final one
+    assert res.quotient_evals == len(calls)
 
 
 def test_preconditioner_kills_blind_mode(grid8):
