@@ -399,6 +399,7 @@ def _run_lambda(args):
         "quotient_evals": res.quotient_evals,
         "start_evals": list(res.start_evals),
         "start_converged": list(res.start_converged),
+        "operator_applies": res.operator_applies,
     }
     if args.dump:
         save_fields(args.dump, grid, {"minimizer": res.minimizer.comps})

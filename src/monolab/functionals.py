@@ -30,7 +30,14 @@ import numpy as np
 
 from .curvature import CurvatureBundle, MetricField
 from .grid import integrate
-from .rayleigh import KField, ThetaField, _curvature_weight, _numerator, beta
+from .rayleigh import (
+    KField,
+    ThetaField,
+    _apply_quadratic,
+    _curvature_weight,
+    _numerator,
+    beta,
+)
 from .selfdual import (
     SelfDualField,
     TwoFormField,
@@ -523,7 +530,7 @@ def key_inequality_check(cfg: MonopoleConfig, theta: ThetaField) -> InequalityRe
     m = cfg.metric
     sigma = sigma_map(cfg.phi)
     comps = sigma.comps
-    lhs, _ = _numerator(comps, theta, m, 0.0)
+    lhs, _ = _numerator(comps, _apply_quadratic(comps, theta, m), m, 0.0)
 
     weight = (
         _curvature_weight(cfg.curv.scalar.values, cfg.curv.w.values, theta.s**2)

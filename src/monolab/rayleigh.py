@@ -34,6 +34,17 @@ stage stops, converged, once the preconditioned gradient <g, P g> is below
 tol * max(|q|, mu), so a start that has already converged pays one
 evaluation for it.  Each start reports its evaluations and whether every
 stage converged; a stage whose line search finds no descent has not.
+
+The first two terms form a fixed quadratic form <sigma, A sigma> (plain
+sum over nodes and components), so the minimiser carries the pair
+(x, A x) instead of applying A at every evaluation, as LOBPCG carries AX
+and AP (Knyazev 2001).  Each CG iteration applies A once, to its search
+direction p; the trial (x + alpha p) / |x + alpha p| then has A-image
+(A x + alpha A p) / |x + alpha p|, and a stage entry, where only epsilon
+changes, reuses the carried A x.  Only the smoothed term is recomputed at
+each evaluation.  A start applies A once more before its first stage and
+once in the final re-evaluation, which, like rayleigh_quotient, applies A
+afresh.
 """
 
 from __future__ import annotations
@@ -143,33 +154,37 @@ def _scalar_dirichlet(rho: np.ndarray, m: MetricField) -> tuple[float, np.ndarra
     return energy, grad
 
 
+def _comp_norm2(v: np.ndarray) -> np.ndarray:
+    """|v|^2 over the three trailing components, summed in storage order."""
+    return v[..., 0] ** 2 + v[..., 1] ** 2 + v[..., 2] ** 2
+
+
+def _apply_quadratic(comps: np.ndarray, theta: ThetaField, m: MetricField) -> np.ndarray:
+    """A sigma for the quotient's quadratic part <sigma, A sigma> =
+    ||(d+d*)(s sigma)||^2 + ||nabla(c sigma)||^2 (plain sum, A symmetric)."""
+    _, g1 = hodge_energy_and_grad(theta.s[..., None] * comps, m)
+    _, g2 = sd_dirichlet_energy_and_grad(theta.c[..., None] * comps, m)
+    return 0.5 * (theta.s[..., None] * g1 + theta.c[..., None] * g2)
+
+
 def _numerator(
-    comps: np.ndarray, theta: ThetaField, m: MetricField, eps: float
+    comps: np.ndarray, a_comps: np.ndarray, m: MetricField, eps: float
 ) -> tuple[float, np.ndarray]:
-    """The quotient's numerator ||(d+d*)(s sigma)||^2 + ||nabla(c sigma)||^2
-    + 2 ||nabla|sigma|_eps||^2 and its gradient in the components."""
-    y1 = theta.s[..., None] * comps
-    e1, g1 = hodge_energy_and_grad(y1, m)
-    g1 = theta.s[..., None] * g1
-
-    y2 = theta.c[..., None] * comps
-    e2, g2 = sd_dirichlet_energy_and_grad(y2, m)
-    g2 = theta.c[..., None] * g2
-
-    r = np.sqrt(np.sum(comps**2, axis=-1) + eps * eps)
+    """The quotient's numerator <sigma, A sigma> + 2 ||nabla|sigma|_eps||^2
+    and its gradient in the components, given a_comps = A sigma."""
+    r = np.sqrt(_comp_norm2(comps) + eps * eps)
     e3, g3s = _scalar_dirichlet(r - eps, m)
-    e3 *= 2.0
     unit = np.divide(comps, r[..., None], out=np.zeros_like(comps), where=r[..., None] > 0)
-    g3 = 2.0 * g3s[..., None] * unit
-    return e1 + e2 + e3, g1 + g2 + g3
+    num = float(np.sum(comps * a_comps)) + 2.0 * e3
+    return num, 2.0 * a_comps + 2.0 * g3s[..., None] * unit
 
 
 def _quotient_and_grad(
-    comps: np.ndarray, theta: ThetaField, m: MetricField, eps: float
+    comps: np.ndarray, a_comps: np.ndarray, m: MetricField, eps: float
 ) -> tuple[float, np.ndarray]:
     bw = m.vol * m.grid.cell_volume
-    num, grad_num = _numerator(comps, theta, m, eps)
-    den = float(np.sum(np.sum(comps**2, axis=-1) * bw))
+    num, grad_num = _numerator(comps, a_comps, m, eps)
+    den = float(np.sum(_comp_norm2(comps) * bw))
     q = num / den
     grad = (grad_num - q * (2.0 * bw[..., None] * comps)) / den
     return q, grad
@@ -183,7 +198,8 @@ def rayleigh_quotient(
         raise ValueError("smoothing parameter must be nonnegative")
     if not np.any(sigma.comps):
         raise ValueError("the quotient is undefined at sigma = 0")
-    q, _ = _quotient_and_grad(sigma.comps, theta, m, eps_smooth)
+    comps = sigma.comps
+    q, _ = _quotient_and_grad(comps, _apply_quadratic(comps, theta, m), m, eps_smooth)
     return q
 
 
@@ -210,6 +226,8 @@ class LambdaResult:
     its final quotient, its quotient evaluations (the final re-evaluation
     included) and whether every stage converged.  quotient_evals is the
     sum of start_evals; converged is the winning start's flag.
+    operator_applies counts the applications of the quadratic part A over
+    every start, each start's final re-evaluation included.
     """
 
     lam: float
@@ -221,6 +239,7 @@ class LambdaResult:
     quotient_evals: int
     start_evals: tuple
     start_converged: tuple
+    operator_applies: int
 
 
 # highest frequency per axis of the random starts' spectrum
@@ -238,9 +257,34 @@ def _sphere_symbol(grid: GridSpec, mu: float) -> np.ndarray:
     return symbol
 
 
-def _stage(x, theta, m, eps, bw, symbol, max_iter, tol, scale):
+def _random_start(grid: GridSpec, rng: np.random.Generator) -> np.ndarray:
+    """One random low-frequency start.
+
+    Each component gets standard normal real and imaginary parts on the
+    modes |k_i| <= _START_BANDWIDTH, one draw per component in C order of
+    the modes (real part first).  On an axis too short for the band the
+    later of two aliased modes is kept.
+    """
+    band = range(-_START_BANDWIDTH, _START_BANDWIDTH + 1)
+    src, dst = [], []
+    for n in grid.dims:
+        slot = {k % n: i for i, k in enumerate(band)}  # later modes overwrite
+        src.append(list(slot.values()))
+        dst.append(list(slot))
+    src, dst = np.ix_(*src), np.ix_(*dst)
+    comps = np.empty(grid.dims + (3,))
+    for a in range(3):
+        draw = rng.standard_normal((len(band),) * 4 + (2,))
+        spec = np.zeros(grid.dims, dtype=complex)
+        spec[dst] = (draw[..., 0] + 1j * draw[..., 1])[src]
+        comps[..., a] = np.fft.ifftn(spec).real
+    return comps
+
+
+def _stage(x, ax, theta, m, eps, bw, symbol, max_iter, tol, scale):
     """One smoothing stage of preconditioned sphere-constrained conjugate
-    gradient; returns (x, q, history, converged, quotient evaluations).
+    gradient from x, with ax = A x carried in; returns (x, ax, q, history,
+    converged, quotient evaluations, applications of A).
 
     The first trial step of an iteration is Nocedal and Wright's (3.60),
     twice the last drop of q over the directional derivative, times 1.01;
@@ -251,17 +295,21 @@ def _stage(x, theta, m, eps, bw, symbol, max_iter, tol, scale):
     a step: a unit preconditioned step would lower q by about half that.
     Two drops of q below the same threshold also stop it, as converged; a
     line search whose 50 trials all fail stops it unconverged.
+    Each iteration applies A once, to p; the entry and the trials reuse the
+    carried ax (see the module docstring).
     """
 
     def bnorm(v):
-        return float(np.sqrt(np.sum(np.sum(v**2, axis=-1) * bw)))
+        return float(np.sqrt(np.sum(_comp_norm2(v) * bw)))
 
     def tangent(v, x):
         return v - float(np.sum(v * (bw[..., None] * x))) * x
 
-    x = x / bnorm(x)
-    q, g = _quotient_and_grad(x, theta, m, eps)
+    nrm = bnorm(x)
+    x, ax = x / nrm, ax / nrm
+    q, g = _quotient_and_grad(x, ax, m, eps)
     evals = 1
+    applies = 0
     z = tangent(_fourier_multiply(g, symbol), x)
     gz = float(np.sum(g * z))
     p = -z
@@ -275,6 +323,8 @@ def _stage(x, theta, m, eps, bw, symbol, max_iter, tol, scale):
         if dphi >= 0.0:
             p = -z
             dphi = -gz
+        ap = _apply_quadratic(p, theta, m)
+        applies += 1
         if q_prev is None or q_prev <= q:
             alpha = 1.0
         else:
@@ -283,8 +333,10 @@ def _stage(x, theta, m, eps, bw, symbol, max_iter, tol, scale):
         for _bt in range(50):
             # p is tangent to the unit sphere at x, so |x + alpha p| >= 1
             xn = x + alpha * p
-            xn = xn / bnorm(xn)
-            qn, gn = _quotient_and_grad(xn, theta, m, eps)
+            nrm = bnorm(xn)
+            xn = xn / nrm
+            axn = (ax + alpha * ap) / nrm
+            qn, gn = _quotient_and_grad(xn, axn, m, eps)
             evals += 1
             if qn <= q + 1e-4 * alpha * dphi:
                 accepted = True
@@ -300,14 +352,14 @@ def _stage(x, theta, m, eps, bw, symbol, max_iter, tol, scale):
         b_pr = max(0.0, float(np.sum(gn * (zn - z))) / gz)
         p = tangent(-zn + b_pr * p, xn)
         q_prev = q
-        x, q, g, z, gz = xn, qn, gn, zn, gzn
+        x, ax, q, g, z, gz = xn, axn, qn, gn, zn, gzn
         history.append(q)
         threshold = tol * max(abs(q), scale)
         stall = stall + 1 if q_prev - q <= threshold else 0
         if gz <= threshold or stall >= 2:
             converged = True
             break
-    return x, q, history, converged, evals
+    return x, ax, q, history, converged, evals, applies
 
 
 def minimize_lambda(
@@ -339,35 +391,30 @@ def minimize_lambda(
         e[..., a] = 1.0
         starts.append(e)
     rng = np.random.default_rng(opts.seed)
-    fmax = _START_BANDWIDTH
-    for _ in range(opts.n_random):
-        comps = np.empty(grid.dims + (3,))
-        for a in range(3):
-            spec = np.zeros(grid.dims, dtype=complex)
-            for idx in np.ndindex(*(2 * fmax + 1,) * 4):
-                k = tuple(i - fmax for i in idx)
-                spec[k] = rng.standard_normal() + 1j * rng.standard_normal()
-            comps[..., a] = np.fft.ifftn(spec).real
-        starts.append(comps)
+    starts.extend(_random_start(grid, rng) for _ in range(opts.n_random))
 
     best = None
     start_values = []
     start_evals = []
     start_converged = []
+    operator_applies = 0
     for x0 in starts:
         x = _fourier_multiply(x0, resolved)
         if not np.any(x):
             continue
+        ax = _apply_quadratic(x, theta, m)
         history = []
         run_converged = True
         run_evals = 1  # the final re-evaluation below
+        operator_applies += 2  # ax above and the final re-evaluation
         for eps in opts.epsilons:
-            x, q, hist, conv, evals = _stage(
-                x, theta, m, eps, bw, symbol, opts.max_iter, opts.tol, scale
+            x, ax, q, hist, conv, evals, applies = _stage(
+                x, ax, theta, m, eps, bw, symbol, opts.max_iter, opts.tol, scale
             )
             history.extend(hist)
             run_converged = run_converged and conv
             run_evals += evals
+            operator_applies += applies
         sigma = SelfDualField(grid, x)
         eps_last = opts.epsilons[-1]
         eps_final = 0.0 if float(np.min(sigma.norm())) > 10.0 * eps_last else eps_last
@@ -391,6 +438,7 @@ def minimize_lambda(
         quotient_evals=sum(start_evals),
         start_evals=tuple(start_evals),
         start_converged=tuple(start_converged),
+        operator_applies=operator_applies,
     )
 
 

@@ -431,10 +431,20 @@ def _inverse_symbol(grid: GridSpec) -> np.ndarray:
 
 def _fourier_multiply(values: np.ndarray, symbol: np.ndarray) -> np.ndarray:
     """Apply a real, even Fourier multiplier given in rfftn layout over the
-    grid axes; trailing component axes ride along."""
-    spec = np.fft.rfftn(values, axes=(0, 1, 2, 3))
-    spec *= symbol[(...,) + (None,) * (values.ndim - 4)]
-    return np.fft.irfftn(spec, s=values.shape[:4], axes=(0, 1, 2, 3))
+    grid axes, one trailing component at a time.
+
+    Each component is transformed as a scalar field of its own, which gives
+    the bits of one transform over the stacked array's grid axes without
+    its strided passes over the trailing axes.
+    """
+    dims = values.shape[:4]
+    flat = values.reshape(dims + (-1,))
+    out = np.empty(flat.shape)
+    for j in range(flat.shape[-1]):
+        spec = np.fft.rfftn(flat[..., j], axes=(0, 1, 2, 3))
+        spec *= symbol
+        out[..., j] = np.fft.irfftn(spec, s=dims, axes=(0, 1, 2, 3))
+    return out.reshape(values.shape)
 
 
 # b+ of the 4-torus: the same for every metric

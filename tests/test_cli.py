@@ -253,6 +253,9 @@ def test_lambda_report(tmp_path, capsys):
     assert len(out["start_evals"]) == len(out["start_converged"]) == 4
     assert sum(out["start_evals"]) == out["quotient_evals"]
     assert all(flag is True for flag in out["start_converged"])
+    # A is applied at most once per quotient evaluation
+    assert type(out["operator_applies"]) is int
+    assert 0 < out["operator_applies"] <= out["quotient_evals"]
     _, arrays, _ = load_fields(dump)
     assert arrays["minimizer"].shape == (8, 8, 8, 8, 3)
 

@@ -20,7 +20,7 @@ from monolab import (
     theta_from_sc,
 )
 from monolab import rayleigh
-from monolab.rayleigh import _sphere_symbol
+from monolab.rayleigh import _apply_quadratic, _random_start, _sphere_symbol
 from monolab.selfdual import _fourier_multiply
 
 TRIMMED = LambdaOptions(n_random=2, epsilons=(1e-3, 1e-6), max_iter=60)
@@ -168,6 +168,9 @@ def test_constant_starts_stop_at_entry(m8):
                           opts=LambdaOptions(n_random=0))
     assert res.start_evals == (6, 6, 6)  # 5 stages + the final re-evaluation
     assert res.quotient_evals == 18
+    # A x once at the start, carried through the stages, and once more in
+    # the final re-evaluation
+    assert res.operator_applies == 6
     assert res.start_converged == (True, True, True)
 
 
@@ -180,6 +183,8 @@ def test_lambda8_input_evaluation_count(m8):
     assert len(res.start_evals) == len(res.start_converged) == len(res.start_values) == 7
     assert all(res.start_converged) and res.converged
     assert abs(res.lam - 0.9970285200830123) <= 1e-12 * 0.9970285200830123
+    # measured: 130, against 220 before A x was carried through the trials
+    assert res.operator_applies <= 140
 
 
 def test_conformal_lambda_starts_converge(grid8):
@@ -196,20 +201,79 @@ def test_conformal_lambda_starts_converge(grid8):
 def test_line_search_exhaustion_is_not_converged(m8, monkeypatch):
     # every evaluation after the first comes out higher, so no trial step
     # passes the Armijo test and the random start's only stage gives up
-    real = rayleigh._quotient_and_grad
+    real = rayleigh._numerator
     calls = []
 
-    def rising(comps, theta, m, eps):
-        q, g = real(comps, theta, m, eps)
-        calls.append(q)
-        return q + 10.0 * len(calls), g
+    def rising(comps, a_comps, m, eps):
+        num, g = real(comps, a_comps, m, eps)
+        calls.append(num)
+        return num + 10.0 * len(calls), g
 
-    monkeypatch.setattr(rayleigh, "_quotient_and_grad", rising)
+    monkeypatch.setattr(rayleigh, "_numerator", rising)
     res = minimize_lambda(theta_from_preset("coord:0", m8), m8,
                           opts=LambdaOptions(n_random=1, epsilons=(1e-3,)))
     assert res.start_converged == (True, True, True, False)
     assert res.start_evals == (2, 2, 2, 52)  # 1 + 50 failed trials + the final one
     assert res.quotient_evals == len(calls)
+
+
+@pytest.mark.parametrize("metric, theta, opts", [
+    ("flat", "coord:0", LambdaOptions(n_random=4, seed=0)),
+    ("conformal:0.1*sin(x0)", "coord:1", LambdaOptions(n_random=2)),
+], ids=["lambda8", "conformal-coord1"])
+def test_carried_image_matches_a_fresh_application(grid8, monkeypatch, metric, theta, opts):
+    # each stage hands on A x updated as (A x + alpha A p) / |x + alpha p|;
+    # it must stay the image of the x it is handed on with
+    real = rayleigh._stage
+    errors = []
+
+    def checked(*args):
+        out = real(*args)
+        x, ax = out[0], out[1]
+        fresh = _apply_quadratic(x, th, m)
+        errors.append(np.max(np.abs(ax - fresh)) / np.max(np.abs(fresh)))
+        return out
+
+    monkeypatch.setattr(rayleigh, "_stage", checked)
+    m = metric_from_preset(metric, grid8)
+    th = theta_from_preset(theta, m)
+    minimize_lambda(th, m, curvature_stack(m), opts)
+    assert len(errors) == 5 * (3 + opts.n_random)
+    assert max(errors) <= 1e-12
+
+
+def mode_loop_start(grid, rng):
+    """The random start drawn one mode at a time, in np.ndindex order."""
+    comps = np.empty(grid.dims + (3,))
+    for a in range(3):
+        spec = np.zeros(grid.dims, dtype=complex)
+        for idx in np.ndindex(*(5,) * 4):
+            spec[tuple(i - 2 for i in idx)] = rng.standard_normal() + 1j * rng.standard_normal()
+        comps[..., a] = np.fft.ifftn(spec).real
+    return comps
+
+
+@pytest.mark.parametrize("dims", [(8, 8, 8, 8), (4, 5, 8, 6)])
+def test_random_start_matches_mode_loop(dims):
+    # a 4-node axis aliases modes -2 and 2; the loop keeps the later one
+    grid = GridSpec(dims)
+    rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+    for _ in range(2):
+        assert np.array_equal(_random_start(grid, rng), mode_loop_start(grid, ref))
+    assert rng.standard_normal() == ref.standard_normal()
+
+
+@pytest.mark.parametrize("tail", [(3,), (4, 3)])
+def test_fourier_multiply_matches_per_component_transforms(tail):
+    grid = GridSpec((7, 8, 9, 6))
+    symbol = _sphere_symbol(grid, 1.0)
+    values = np.random.default_rng(5).standard_normal(grid.dims + tail)
+    axes = (0, 1, 2, 3)
+    want = np.empty_like(values)
+    for idx in np.ndindex(*tail):
+        spec = np.fft.rfftn(np.ascontiguousarray(values[(...,) + idx]), axes=axes)
+        want[(...,) + idx] = np.fft.irfftn(spec * symbol, s=grid.dims, axes=axes)
+    assert np.array_equal(_fourier_multiply(values, symbol), want)
 
 
 def test_preconditioner_kills_blind_mode(grid8):
