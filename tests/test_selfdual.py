@@ -11,13 +11,10 @@ from monolab import (
     GridSpec,
     OneFormField,
     SelfDualField,
-    TwoFormField,
     build_metric,
     covariant_derivative,
     curvature_stack,
     d_one_form,
-    d_plus_dstar,
-    d_two_form,
     embed,
     harmonic_selfdual_basis,
     hodge_rayleigh,
@@ -27,11 +24,11 @@ from monolab import (
     project,
     random_smooth_scalar,
     sd_l2_norm,
-    star_two_form,
     theta_from_preset,
     wedge_integral,
     weitzenboeck_residual,
 )
+from monolab.bases import WEDGE2
 from monolab.grid import d1
 from monolab.selfdual import (
     _D3_TERMS,
@@ -45,7 +42,14 @@ from monolab.selfdual import (
     sd_dirichlet_energy_and_grad,
 )
 
-from conftest import generic_metric, rel_err, roll_d1, textbook_christoffel, textbook_eta
+from conftest import (
+    generic_metric,
+    rel_err,
+    roll_d1,
+    textbook_christoffel,
+    textbook_eta,
+    textbook_three_form_star,
+)
 
 
 def smooth_sd(grid, seed, offset=1.0, amp=0.4):
@@ -57,35 +61,29 @@ def smooth_sd(grid, seed, offset=1.0, amp=0.4):
     return SelfDualField(grid, comps)
 
 
-def test_projection_algebra(m8):
-    grid = m8.grid
-    sig = smooth_sd(grid, 0)
-    omega = embed(sig, m8)
-    back = project(omega, m8)
+def test_projection_algebra(generic8):
+    m = generic8[1]
+    sig = smooth_sd(m.grid, 0)
+    omega = embed(sig, m)
+    back = project(omega, m)
     assert np.max(np.abs(back.comps - sig.comps)) < 1e-12
-    starred = star_two_form(omega, m8)
-    assert np.max(np.abs(starred.comps - omega.comps)) < 1e-12
-
-
-def test_star_is_involutive(m8_conf):
-    rng = np.random.default_rng(4)
-    omega = TwoFormField(m8_conf.grid, rng.standard_normal(m8_conf.grid.dims + (6,)))
-    twice = star_two_form(star_two_form(omega, m8_conf), m8_conf)
-    assert np.max(np.abs(twice.comps - omega.comps)) < 1e-10
+    # self-dual at every node: omega ^ omega = |omega|^2 vol
+    wedge = np.einsum("...p,pq,...q->...", omega.comps, WEDGE2, omega.comps)
+    norm2 = np.einsum("...p,...pq,...q->...", omega.comps, m.gram2, omega.comps)
+    assert rel_err(wedge, m.vol * norm2) < 1e-12
 
 
 def test_d_squared_vanishes(grid8):
     rng = np.random.default_rng(7)
     a = OneFormField(grid8, rng.standard_normal(grid8.dims + (4,)))
-    dd = d_two_form(d_one_form(a))
-    assert np.max(np.abs(dd.comps)) < 1e-12
+    dd = _d_pairs(d_one_form(a).comps, grid8)
+    assert np.max(np.abs(dd)) < 1e-12
 
 
 def test_constant_form_is_harmonic(m8):
     sig = SelfDualField(m8.grid, np.tile([1.0, -0.3, 0.2], m8.grid.dims + (1,)))
-    tau, u = d_plus_dstar(sig, m8)
-    assert np.max(np.abs(tau.comps)) < 1e-12
-    assert np.max(np.abs(u.comps)) < 1e-12
+    _, grad = hodge_energy_and_grad(sig.comps, m8)
+    assert np.max(np.abs(grad)) < 1e-12
     assert hodge_rayleigh(sig, m8) < 1e-12
 
 
@@ -151,22 +149,44 @@ def test_energy_gradients_match_finite_differences(m8_conf):
     grad_check(lambda x: sd_dirichlet_energy_and_grad(x, m8_conf), x0, 2)
 
 
+def textbook_eta_fields(g):
+    """The Cholesky coframe e of g and eta_a in coordinate components, with
+    lower and with raised indices, on full antisymmetric index tensors."""
+    gi = np.linalg.inv(g)
+    e = np.swapaxes(np.linalg.cholesky(g), -1, -2)
+    eta = np.einsum("aAB,...Ai,...Bj->...aij", textbook_eta(), e, e)
+    return e, eta, np.einsum("...ik,...jl,...akl->...aij", gi, gi, eta)
+
+
 def textbook_covariant_derivative(g, spacing, sigma):
     """(nabla sigma)[..., c, a] by the coordinate chain on full index tensors:
     the 2-form omega_ij = sigma_a (eta_a)_ij, its covariant derivative
     d_k omega_ij - Gamma^m_ki omega_mj - Gamma^m_kj omega_im, and the eta_a
     component along the frame vector E_c.  Its Cholesky coframe, eta basis,
     Christoffel symbols and stencil are its own."""
-    gi = np.linalg.inv(g)
-    e = np.swapaxes(np.linalg.cholesky(g), -1, -2)
-    eta = np.einsum("aAB,...Ai,...Bj->...aij", textbook_eta(), e, e)
-    eta_up = np.einsum("...ik,...jl,...akl->...aij", gi, gi, eta)
+    e, eta, eta_up = textbook_eta_fields(g)
     omega = np.einsum("...aij,...a->...ij", eta, sigma)
     gam = textbook_christoffel(g, spacing)
     nab = np.stack([roll_d1(omega, k, h) for k, h in enumerate(spacing)], axis=-3)
     nab -= np.einsum("...mki,...mj->...kij", gam, omega)
     nab -= np.einsum("...mkj,...im->...kij", gam, omega)
     return 0.5 * np.einsum("...kc,...kij,...aij->...ca", np.linalg.inv(e), nab, eta_up)
+
+
+def textbook_hodge_square(g, spacing, sigma):
+    """eta components of (d+d*)^2 sigma by the coordinate chain on full
+    index tensors: omega = sigma_a eta_a, tau = d omega, u = d* omega =
+    -star tau (omega is self-dual), and (d+d*)^2 omega = du + star du, whose
+    eta_a component is 2 <du, eta_a>.  Its Cholesky coframe, eta basis,
+    Hodge star and stencil are its own."""
+    _, eta, eta_up = textbook_eta_fields(g)
+    omega = np.einsum("...aij,...a->...ij", eta, sigma)
+    dom = np.stack([roll_d1(omega, k, h) for k, h in enumerate(spacing)], axis=-3)
+    tau = dom + np.einsum("...jki->...ijk", dom) + np.einsum("...kij->...ijk", dom)
+    u = -np.einsum("...mijk,...ijk->...m", textbook_three_form_star(g), tau)
+    du = np.stack([roll_d1(u, k, h) for k, h in enumerate(spacing)], axis=-2)
+    du -= np.swapaxes(du, -1, -2)
+    return np.einsum("...ij,...aij->...a", du, eta_up)
 
 
 @pytest.fixture(scope="module")
@@ -185,6 +205,15 @@ def test_covariant_derivative_matches_textbook_chain(generic8):
     sigma = np.random.default_rng(41).standard_normal(m.grid.dims + (3,))
     nab = covariant_derivative(SelfDualField(m.grid, sigma), m)
     assert rel_err(nab, textbook_covariant_derivative(g, m.grid.spacing, sigma)) < 1e-12
+
+
+def test_hodge_gradient_is_the_textbook_hodge_square(generic8):
+    # the left side of the Weitzenboeck residual
+    g, m = generic8
+    sigma = np.random.default_rng(47).standard_normal(m.grid.dims + (3,))
+    _, grad = hodge_energy_and_grad(sigma, m)
+    lhs = grad / (2.0 * m.grid.cell_volume * m.vol[..., None])
+    assert rel_err(lhs, textbook_hodge_square(g, m.grid.spacing, sigma)) < 1e-12
 
 
 def test_nabla_transpose_is_adjoint(m8, generic8):
@@ -326,6 +355,40 @@ def test_harmonic_basis_generic_metric(grid8):
     again = harmonic_selfdual_basis(m)
     assert all(np.array_equal(a.comps, b.comps) for a, b in zip(basis, again))
     assert again.solve == basis.solve
+
+
+def pulled_back_flat(n, eps=0.1):
+    """g = J^T J for phi(x) = x + eps (sin x1, sin x2, sin x3, sin x0), J = D phi,
+    and the eta components of the pullbacks phi^* c_a of the flat self-dual
+    classes.  phi is an orientation-preserving isometry onto the flat torus,
+    so those pullbacks are self-dual and harmonic for g."""
+    grid = GridSpec((n,) * 4)
+    t = 2.0 * np.pi * np.arange(n) / n
+    x = np.stack(np.meshgrid(t, t, t, t, indexing="ij"), axis=-1)
+    jac = np.tile(np.eye(4), grid.dims + (1, 1))
+    for i in range(4):
+        jac[..., i, (i + 1) % 4] += eps * np.cos(x[..., (i + 1) % 4])
+    g = np.swapaxes(jac, -1, -2) @ jac
+    _, _, eta_up = textbook_eta_fields(g)
+    flat = np.sqrt(2.0) * textbook_eta()  # dx01 + dx23, dx02 + dx31, dx03 + dx12
+    pulled = np.einsum("...ki,bkl,...lj->...bij", jac, flat, jac)
+    return build_metric(grid, g), 0.5 * np.einsum("...bij,...aij->...ba", pulled, eta_up)
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_harmonic_basis_spans_pulled_back_flat_classes(n):
+    # non-diagonal and varying from node to node, yet isometric to the flat
+    # torus.  phi^* c_a - c_a is exact, and each of its Fourier modes has
+    # frequency at most 1 on every axis, where the stencil's d is the exact d
+    # times one constant; so it is exact for the discrete d too, and the
+    # span agrees to roundoff
+    m, oracle = pulled_back_flat(n)
+    basis = harmonic_selfdual_basis(m)
+    assert basis.solve["converged"]
+    w = np.linalg.det(m.g)[..., None] ** 0.25  # L2 weight sqrt(vol)
+    found = np.stack([(w * omega.comps).ravel() for omega in basis], -1)
+    expected = np.stack([(w * oracle[..., b, :]).ravel() for b in range(3)], -1)
+    assert max_principal_sine(expected, found) < 1e-10
 
 
 def test_harmonic_basis_kaehler_product(grid8):
