@@ -62,11 +62,9 @@ from .rayleigh import (
 )
 from .selfdual import (
     HarmonicSolveError,
-    OneFormField,
     SelfDualField,
     TwoFormField,
     covariant_derivative,
-    d_one_form,
     embed,
     harmonic_selfdual_basis,
     hodge_rayleigh,

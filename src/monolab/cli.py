@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from dataclasses import asdict, dataclass
 from typing import Callable
@@ -72,13 +71,6 @@ from .spinc import (
 )
 
 __all__ = ["main"]
-
-
-def _apply_thread_env() -> None:
-    n = os.environ.get("MONOLAB_THREADS")
-    if n:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, n)
 
 
 # ---------------------------------------------------------------------------
@@ -179,11 +171,9 @@ def _deltas(value) -> list:
     return [_float(v) for v in _items(value)]
 
 
-def _gate(value) -> float | None:
-    # null keeps the default gate and inf is "off", as a report records them
-    if value is None:
-        return None
-    return np.inf if value in ("off", np.inf) else _float(value)
+def _gate(value) -> float | str | None:
+    # null keeps the default gate; "off" is recorded as itself (JSON has no inf)
+    return value if value in (None, "off") else _float(value)
 
 
 def _omega_index(value) -> int:
@@ -441,11 +431,15 @@ def _run_psw(args):
 def _run_bounds(args):
     _, m, curv, K = _weight(args)
     cfg = _manufactured(args, m, curv)
+    off = args.gate == "off"
+    gate = np.inf if off else args.gate
     with Timer("bounds"):
         res = psw_residual(cfg, PerturbationSpec("full", eps=args.eps), K)
-        b1 = check_curvature_bound(cfg, K, args.eps, residual=res, gate=args.gate)
-        b2 = check_phi_l4_bound(cfg, K, args.eps, residual=res, gate=args.gate)
-    return {"curvature_bound": asdict(b1), "phi_l4_bound": asdict(b2)}
+        b1 = check_curvature_bound(cfg, K, args.eps, residual=res, gate=gate)
+        b2 = check_phi_l4_bound(cfg, K, args.eps, residual=res, gate=gate)
+    # the open gate is reported as "off", as the config records it
+    return {name: dict(asdict(b), gate="off") if off else asdict(b)
+            for name, b in (("curvature_bound", b1), ("phi_l4_bound", b2))}
 
 
 def _write_csv(path, rows, fieldnames):
@@ -503,8 +497,10 @@ def _run_sweep(args):
             rows.append({"n": n, "residual": _sweep_residual(args, n)})
     orders = []
     for a, b in zip(rows, rows[1:]):
-        num = np.log(a["residual"] / b["residual"]) if b["residual"] > 0 else np.inf
-        orders.append(float(num / np.log(b["n"] / a["n"])))
+        # undefined (null) once a residual is exactly 0
+        defined = a["residual"] > 0 and b["residual"] > 0
+        orders.append(float(np.log(a["residual"] / b["residual"]) / np.log(b["n"] / a["n"]))
+                      if defined else None)
     if args.csv:
         _write_csv(args.csv, rows, ["n", "residual"])
     return {"rows": rows, "observed_orders": orders}
@@ -561,20 +557,18 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    _apply_thread_env()
     flags = _build_parser().parse_args(argv)
     try:
         args = _resolve(flags)
         config = _recorded(args)
         outputs = _COMMANDS[args.command][1](args)
+        text = render_report(make_report(args.command, config, outputs))
     except (PresetError, OSError, json.JSONDecodeError) as exc:
         print(f"monolab: config error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError) as exc:
         print(f"monolab: check failed: {exc}", file=sys.stderr)
         return 1
-    report = make_report(args.command, config, outputs)
-    text = render_report(report)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

@@ -37,7 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from .bases import H_PLUS, PAIRS
-from .grid import GridSpec, ScalarField, _axis_derivatives, _freeze, d1, d2
+from .grid import GridSpec, ScalarField, _freeze, d1, d2, gradient
 
 __all__ = [
     "MetricField",
@@ -192,7 +192,7 @@ class CurvatureBundle:
         self.w = w
 
 
-def build_metric(grid: GridSpec, g: np.ndarray, sym_tol: float = 1e-12) -> MetricField:
+def build_metric(grid: GridSpec, g: np.ndarray) -> MetricField:
     """Validate and wrap sampled metric components.
 
     Rejects non-symmetric storage and non-SPD nodes; the error names the
@@ -202,7 +202,7 @@ def build_metric(grid: GridSpec, g: np.ndarray, sym_tol: float = 1e-12) -> Metri
     if g.shape != grid.dims + (4, 4):
         raise ValueError(f"metric shape {g.shape} != {grid.dims + (4, 4)}")
     asym = np.max(np.abs(g - np.swapaxes(g, -1, -2)))
-    if asym > sym_tol * max(1.0, float(np.max(np.abs(g)))):
+    if asym > 1e-12 * max(1.0, float(np.max(np.abs(g)))):
         raise ValueError(f"metric storage asymmetry {asym:.3e} exceeds tolerance")
     try:
         np.linalg.cholesky(g)
@@ -228,7 +228,7 @@ def christoffel(m: MetricField) -> np.ndarray:
     # above them in the heap and keep their pages resident (curvature --dims
     # 16: peak RSS 190 MiB against 177 MiB)
     gi = m.ginv
-    dg = np.stack(_axis_derivatives(m.g[..., _SYM_I, _SYM_J], m.grid), axis=-2)
+    dg = gradient(m.g[..., _SYM_I, _SYM_J], m.grid)
     dg = dg.reshape(m.grid.dims + (40,))
     first = dg[..., _TAP_DI]
     first += dg[..., _TAP_DJ]

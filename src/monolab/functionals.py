@@ -41,7 +41,7 @@ from .rayleigh import (
 from .selfdual import (
     SelfDualField,
     TwoFormField,
-    _d_pairs,
+    d,
     default_harmonic_tol,
     embed,
     harmonic_selfdual_basis,
@@ -101,8 +101,8 @@ class PerturbationSpec:
     "general" replaces beta(t)(K_- + eps) by a caller-supplied profile
     F(x, t), vectorized as F(kminus_values, t) -> array, together with an
     inhomogeneity eta and the admissibility parameters (kappa, t_switch,
-    delta).  Admissibility of the general profile is sampled on a t-grid
-    up to t_max at residual time, since it depends on K.
+    delta).  Admissibility of the general profile is sampled at 33 points
+    of t in [0, max(10, 2 t_switch)] at residual time, since it depends on K.
     """
 
     variant: str
@@ -113,8 +113,6 @@ class PerturbationSpec:
     kappa: float | None = None
     t_switch: float | None = None
     delta: float | None = None
-    t_max: float | None = None
-    n_samples: int = 33
 
     def __post_init__(self):
         if self.variant not in ("simple", "full", "general"):
@@ -268,9 +266,8 @@ def general_psw_residual(
         raise ValueError("K lives on a different grid")
     kminus = K.kminus.values
     kappa = np.inf if pert.kappa is None else pert.kappa
-    t_hi = pert.t_max if pert.t_max is not None else max(10.0, 2.0 * pert.t_switch)
     bad = []
-    for t in np.linspace(0.0, t_hi, pert.n_samples):
+    for t in np.linspace(0.0, max(10.0, 2.0 * pert.t_switch), 33):
         tf = t * np.asarray(pert.F(kminus, t), dtype=float)
         outside = np.maximum(-tf, tf - kappa)
         if np.any(outside > 1e-12):
@@ -312,7 +309,6 @@ def reduction_spec(full: PerturbationSpec, K: KField) -> PerturbationSpec:
         kappa=kmax + eps,
         t_switch=1.0,
         delta=eps / 2.0,
-        t_max=10.0,
     )
 
 
@@ -396,9 +392,9 @@ def check_phi_l4_bound(
 # curvature inequalities
 
 
-def _require_closed(f_rep: TwoFormField, closed_tol: float = 1e-8) -> None:
-    dn = float(np.max(np.abs(_d_pairs(f_rep.comps, f_rep.grid))))
-    if dn > closed_tol * (1.0 + float(np.max(np.abs(f_rep.comps)))):
+def _require_closed(f_rep: TwoFormField) -> None:
+    dn = float(np.max(np.abs(d(f_rep.comps, f_rep.grid))))
+    if dn > 1e-8 * (1.0 + float(np.max(np.abs(f_rep.comps)))):
         raise ValueError(f"representative is not closed: ||dF|| = {dn:.3e}")
 
 
@@ -406,8 +402,6 @@ def chern_pairing(
     f_rep: TwoFormField,
     omega: SelfDualField,
     m: MetricField,
-    closed_tol: float = 1e-8,
-    harmonic_tol: float | None = None,
     allow_nonharmonic: bool = False,
 ) -> float:
     """integral (F_rep / 2 pi) wedge omega for a closed representative.
@@ -416,9 +410,9 @@ def chern_pairing(
     class with [omega] up to quadrature; exactness of the discrete d
     makes it insensitive to adding d(alpha) at stencil accuracy.
     """
-    _require_closed(f_rep, closed_tol)
+    _require_closed(f_rep)
     if not allow_nonharmonic:
-        tol = harmonic_tol if harmonic_tol is not None else default_harmonic_tol(m)
+        tol = default_harmonic_tol(m)
         q = hodge_rayleigh(omega, m)
         if q > tol:
             raise ValueError(f"omega is not harmonic: quotient {q:.3e} > {tol:.3e}")
@@ -433,7 +427,6 @@ def lebrun_linear(
     delta: float | None = None,
     curv: CurvatureBundle | None = None,
     c1: float | TwoFormField = 0.0,
-    harmonic_tol: float | None = None,
     allow_nonharmonic: bool = False,
 ) -> InequalityReport:
     """Linear curvature inequality against the Chern pairing.
@@ -445,7 +438,7 @@ def lebrun_linear(
     """
     if (kfield is None) == (delta is None):
         raise ValueError("pass exactly one of kfield or (delta, curv)")
-    tol = harmonic_tol if harmonic_tol is not None else default_harmonic_tol(m)
+    tol = default_harmonic_tol(m)
     q = hodge_rayleigh(omega, m)
     if q > tol and not allow_nonharmonic:
         raise ValueError(f"omega is not harmonic: quotient {q:.3e} > {tol:.3e}")
@@ -572,7 +565,6 @@ class CatalogSurface:
     gauss: float
     area_sigma: float
     area_torus: float = 4.0 * np.pi**2
-    kaehler: bool = True
 
     @property
     def volume(self) -> float:
@@ -648,10 +640,11 @@ def catalog_delta_sweep(entry, deltas, kind: str = "quadratic") -> list:
     over-unity weights where the quadratic bound is expected to fail on
     positive-curvature entries."""
     rows = []
-    for d in deltas:
-        rep = catalog_quadratic(entry, d) if kind == "quadratic" else catalog_linear(entry, d)
+    for delta in deltas:
+        rep = (catalog_quadratic(entry, delta) if kind == "quadratic"
+               else catalog_linear(entry, delta))
         rows.append(
-            {"delta": float(d), "lhs": rep.lhs, "rhs": rep.rhs, "margin": rep.margin}
+            {"delta": float(delta), "lhs": rep.lhs, "rhs": rep.rhs, "margin": rep.margin}
         )
     return rows
 

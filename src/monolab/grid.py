@@ -28,6 +28,8 @@ __all__ = [
     "integrate",
     "d1",
     "d2",
+    "gradient",
+    "gradient_T",
 ]
 
 
@@ -145,6 +147,21 @@ def d1(values: np.ndarray, axis: int, h: float) -> np.ndarray:
 def _axis_derivatives(values: np.ndarray, grid: GridSpec) -> list[np.ndarray]:
     """d1 of every stored component along each grid axis k, one call per axis."""
     return [d1(values, k, h) for k, h in enumerate(grid.spacing)]
+
+
+def gradient(values: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """d of 0-forms: d1 of every stored component along each grid axis,
+    stacked as a new axis right after the grid axes."""
+    return np.stack(_axis_derivatives(values, grid), axis=4)
+
+
+def gradient_T(flux: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Plain-sum transpose of `gradient`, -sum_k d1(flux[:, :, :, :, k]) along
+    axis k (the d1 stencil's transpose is its negative)."""
+    out = np.zeros(grid.dims + flux.shape[5:])
+    for k, h in enumerate(grid.spacing):
+        out -= d1(flux[:, :, :, :, k], k, h)
+    return out
 
 
 def d2(values: np.ndarray, axis: int, h: float) -> np.ndarray:

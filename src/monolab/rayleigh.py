@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import CurvatureBundle, MetricField, _bilinear
-from .grid import GridSpec, ScalarField, _axis_derivatives, _freeze, d1
+from .grid import GridSpec, ScalarField, _freeze, gradient, gradient_T
 from .selfdual import (
     SelfDualField,
     _fourier_multiply,
@@ -116,8 +116,8 @@ def theta_from_sc(s: np.ndarray, c: np.ndarray, m: MetricField) -> ThetaField:
     grid = m.grid
     s = np.asarray(s, dtype=float)
     c = np.asarray(c, dtype=float)
-    ds = np.stack(_axis_derivatives(s, grid), axis=-1)
-    dc = np.stack(_axis_derivatives(c, grid), axis=-1)
+    ds = gradient(s, grid)
+    dc = gradient(c, grid)
     dth = c[..., None] * ds - s[..., None] * dc
     n2 = _bilinear(dth, m.ginv, dth)
     return ThetaField(grid, s, c, dth, n2)
@@ -142,14 +142,11 @@ def beta(t):
 def _scalar_dirichlet(rho: np.ndarray, m: MetricField) -> tuple[float, np.ndarray]:
     """E = integral |d rho|^2 dmu and its gradient in rho (plain-sum chain)."""
     grid = m.grid
-    hs = grid.spacing
-    drho = np.stack(_axis_derivatives(rho, grid), axis=-1)
+    drho = gradient(rho, grid)
     flux = np.einsum("...kl,...l->...k", m.ginv, drho)
     flux *= m.vol[..., None]
     energy = float(np.sum(drho * flux)) * grid.cell_volume
-    grad = np.zeros(grid.dims)
-    for k in range(4):
-        grad -= d1(flux[..., k], k, hs[k])
+    grad = gradient_T(flux, grid)
     grad *= 2.0 * grid.cell_volume
     return energy, grad
 
@@ -214,6 +211,14 @@ class LambdaOptions:
     max_iter: int = 150
     tol: float = 1e-9
     seed: int = 11
+
+    def __post_init__(self):
+        if not (np.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be a positive finite number, got {self.tol}")
+        if self.n_random < 0 or self.max_iter < 0:
+            raise ValueError("n_random and max_iter must be non-negative")
+        if not self.epsilons or not all(e > 0 for e in self.epsilons):
+            raise ValueError(f"epsilons must be positive numbers, got {self.epsilons}")
 
 
 @dataclass(frozen=True)

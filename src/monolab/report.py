@@ -55,7 +55,11 @@ def make_report(command: str, config: dict, outputs: dict) -> dict:
 
 
 def render_report(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """Sorted, indented JSON (RFC 8259), so a non-finite number is refused."""
+    try:
+        return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        raise ValueError("a report cannot hold a non-finite number") from None
 
 
 class Timer:

@@ -10,12 +10,15 @@ components of the embedded form and adds the cached connection block
 `MetricField.sd_connection`; no 2-form is expanded to a 4x4 array.
 
 Only the exterior derivative is discretised (periodic 6th-order centred
-differences); every Gram matrix is exact pointwise algebra.  Consequences
-used throughout:
+differences); every Gram matrix is exact pointwise algebra.  d is written
+once: `grid.gradient` on 0-forms, and one coupling table per degree,
+1-forms -> pairs and pairs -> 3-forms, read by `d` and by its plain-sum
+transpose `d_T`.  Consequences used throughout:
 
 * d(d omega) = 0 holds exactly because the difference stencils commute;
-* the plain-sum transpose of a difference stencil is its negative, which
-  gives hand-written transposes for all quadratic-form gradients.
+* the plain-sum transpose of a difference stencil is its negative, so
+  `d_T` and `grid.gradient_T` are exact transposes, from which every
+  quadratic-form gradient is built.
 
 The lambda quotient's energies are the only discretisations of (d+d*)^2
 and nabla*nabla on Lambda+; the Weitzenboeck residual takes both operators
@@ -42,15 +45,15 @@ import numpy as np
 
 from .bases import PAIRS, WEDGE2, X3
 from .curvature import CurvatureBundle, MetricField, _bilinear
-from .grid import GridSpec, _axis_derivatives, _freeze, d1, integrate
+from .grid import GridSpec, _axis_derivatives, _freeze, gradient, gradient_T, integrate
 
 __all__ = [
     "TwoFormField",
-    "OneFormField",
     "SelfDualField",
     "embed",
     "project",
-    "d_one_form",
+    "d",
+    "d_T",
     "sd_l2_norm",
     "wedge_integral",
     "covariant_derivative",
@@ -105,12 +108,6 @@ class TwoFormField(_Components):
     width = 6
 
 
-class OneFormField(_Components):
-    """1-form by coordinate components."""
-
-    width = 4
-
-
 class SelfDualField(_Components):
     """Self-dual 2-form by components in the orthonormal eta basis."""
 
@@ -150,54 +147,43 @@ def wedge_integral(alpha: TwoFormField, beta: TwoFormField) -> float:
 # ---------------------------------------------------------------------------
 # exterior derivative
 
-# nonzero couplings of (d omega)_l = X3[l,k,i_p,j_p] D_k omega_p
-_D3_TERMS = tuple(
-    (l, k, p, float(X3[l, k, i, j]))
-    for l in range(4)
-    for k in range(4)
-    for p, (i, j) in enumerate(PAIRS)
-    if X3[l, k, i, j] != 0.0
-)
+# coupling table of d per degree, keyed by the width of the stored input
+# (4: 1-forms, 6: pairs) and giving the output width (6: pairs, 4: 3-forms)
+# and the terms (o, k, i, s) of (d f)_o = sum of s D_k f_i, s = +-1
+_D_TABLES = {
+    4: (6, tuple(t for p, (i, j) in enumerate(PAIRS) for t in ((p, i, j, 1), (p, j, i, -1)))),
+    6: (4, tuple((l, k, p, int(X3[l, k, i, j])) for l in range(4) for k in range(4)
+                 for p, (i, j) in enumerate(PAIRS) if X3[l, k, i, j] != 0.0)),
+}
 
 
-def _d_one(a: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """d of 1-form components into pair components; extra trailing axes ride along."""
-    dk = _axis_derivatives(a, grid)
-    out = np.empty(grid.dims + (6,) + a.shape[5:])
-    for p, (i, j) in enumerate(PAIRS):
-        out[:, :, :, :, p] = dk[i][:, :, :, :, j] - dk[j][:, :, :, :, i]
+def d(f: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Exterior derivative of 1-form (width 4) or pair (width 6) components
+    into pair or 3-form components; extra trailing axes ride along."""
+    width, terms = _D_TABLES[f.shape[4]]
+    dk = _axis_derivatives(f, grid)
+    out = np.zeros(grid.dims + (width,) + f.shape[5:])
+    for o, k, i, s in terms:
+        if s > 0:
+            out[:, :, :, :, o] += dk[k][:, :, :, :, i]
+        else:
+            out[:, :, :, :, o] -= dk[k][:, :, :, :, i]
     return out
 
 
-def _d_one_T(omega: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Plain-sum transpose of _d_one (stencil transpose is its negative)."""
-    dk = _axis_derivatives(omega, grid)
-    out = np.zeros(grid.dims + (4,) + omega.shape[5:])
-    for p, (i, j) in enumerate(PAIRS):
-        out[:, :, :, :, j] -= dk[i][:, :, :, :, p]
-        out[:, :, :, :, i] += dk[j][:, :, :, :, p]
-    return out
-
-
-def d_one_form(a: OneFormField) -> TwoFormField:
-    return TwoFormField(a.grid, _d_one(a.comps, a.grid))
-
-
-def _d_pairs(omega: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """d of pair components; extra trailing axes ride along."""
-    dk = _axis_derivatives(omega, grid)
-    out = np.zeros(grid.dims + (4,) + omega.shape[5:])
-    for l, k, p, s in _D3_TERMS:
-        out[:, :, :, :, l] += s * dk[k][:, :, :, :, p]
-    return out
-
-
-def _d_pairs_T(tau: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Plain-sum transpose of _d_pairs (stencil transpose is its negative)."""
+def d_T(tau: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Plain-sum transpose of `d`: pair components (width 6) to 1-form ones,
+    3-form components (width 4) to pairs.  The stencil's transpose is its
+    negative, so each term's sign flips."""
+    width = 10 - tau.shape[4]  # pairs (6) -> 1-forms (4), 3-forms (4) -> pairs (6)
+    _, terms = _D_TABLES[width]
     dk = _axis_derivatives(tau, grid)
-    out = np.zeros(grid.dims + (6,) + tau.shape[5:])
-    for l, k, p, s in _D3_TERMS:
-        out[:, :, :, :, p] -= s * dk[k][:, :, :, :, l]
+    out = np.zeros(grid.dims + (width,) + tau.shape[5:])
+    for o, k, i, s in terms:
+        if s > 0:
+            out[:, :, :, :, i] -= dk[k][:, :, :, :, o]
+        else:
+            out[:, :, :, :, i] += dk[k][:, :, :, :, o]
     return out
 
 
@@ -215,8 +201,8 @@ def covariant_derivative(sigma: SelfDualField, m: MetricField) -> np.ndarray:
     """
     grid = sigma.grid
     if m.is_flat:
-        return np.stack(_axis_derivatives(sigma.comps, grid), axis=-2)
-    dom = np.stack(_axis_derivatives(embed(sigma, m).comps, grid), axis=-2)
+        return gradient(sigma.comps, grid)
+    dom = gradient(embed(sigma, m).comps, grid)
     nab = dom @ m.sd_pairs_up
     nab += np.einsum("...kab,...b->...ka", m.sd_connection, sigma.comps)
     return np.swapaxes(m.inv_coframe, -1, -2) @ nab
@@ -224,19 +210,12 @@ def covariant_derivative(sigma: SelfDualField, m: MetricField) -> np.ndarray:
 
 def nabla_transpose(tau: np.ndarray, m: MetricField) -> np.ndarray:
     """Plain-sum transpose of covariant_derivative, (dims,4,3) -> (dims,3)."""
-    grid = m.grid
-    hs = grid.spacing
     if m.is_flat:
-        out = np.zeros(grid.dims + (3,))
-        for k in range(4):
-            out -= d1(tau[..., k, :], k, hs[k])
-        return out
+        return gradient_T(tau, m.grid)
     nab = m.inv_coframe @ tau
     out = np.einsum("...kab,...ka->...b", m.sd_connection, nab)
     y = nab @ np.swapaxes(m.sd_pairs_up, -1, -2)
-    om_t = np.zeros(grid.dims + (6,))
-    for k in range(4):
-        om_t -= d1(y[..., k, :], k, hs[k])
+    om_t = gradient_T(y, m.grid)
     out += np.einsum("...pa,...p->...a", m.sd_pairs, om_t)
     return out
 
@@ -255,10 +234,10 @@ def hodge_energy_and_grad(comps: np.ndarray, m: MetricField) -> tuple[float, np.
     """
     grid = m.grid
     om = np.einsum("...pa,...a->...p", m.sd_pairs, comps)
-    tau = _d_pairs(om, grid)
+    tau = d(om, grid)
     wtau = np.einsum("...lk,...k->...l", m.hodge_weight, tau)
     energy = float(np.sum(tau * wtau)) * grid.cell_volume
-    om_t = _d_pairs_T(wtau, grid)
+    om_t = d_T(wtau, grid)
     grad = np.einsum("...pa,...p->...a", m.sd_pairs, om_t)
     grad *= 2.0 * grid.cell_volume
     return energy, grad
@@ -492,7 +471,7 @@ def harmonic_selfdual_basis(m: MetricField) -> HarmonicBasis:
     gc = g_apply(np.broadcast_to(_SD_CLASSES, grid.dims + _SD_CLASSES.shape))
     class_norm2 = np.sum(gc * _SD_CLASSES, axis=(0, 1, 2, 3, 4))
     alpha = np.zeros(grid.dims + (4, B_PLUS))
-    r = -_d_one_T(gc, grid)
+    r = -d_T(gc, grid)
     z = precondition(r)
     rz = _col_dot(r, z)
     p = z
@@ -502,7 +481,7 @@ def harmonic_selfdual_basis(m: MetricField) -> HarmonicBasis:
         if live.size == 0 or iterations == _PCG_MAXITER:
             break
         pl = p[..., live]
-        q = _d_one_T(g_apply(_d_one(pl, grid)), grid)
+        q = d_T(g_apply(d(pl, grid)), grid)
         step = rz[live] / _col_dot(pl, q)
         alpha[..., live] += step * pl
         r[..., live] -= step * q
@@ -518,7 +497,7 @@ def harmonic_selfdual_basis(m: MetricField) -> HarmonicBasis:
             f"after {iterations} iterations, above {_PCG_TOL:.0e}"
         )
 
-    h = _SD_CLASSES + _d_one(alpha, grid)
+    h = _SD_CLASSES + d(alpha, grid)
     sd = np.einsum("...pa,...pK->...aK", m.sd_pairs_up, h)
     forms: list[np.ndarray] = []
     for k in range(B_PLUS):

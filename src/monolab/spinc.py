@@ -38,8 +38,8 @@ import numpy as np
 
 from .bases import H_PLUS, PAIRS
 from .curvature import MetricField
-from .grid import GridSpec, _axis_derivatives, _freeze
-from .selfdual import OneFormField, SelfDualField, TwoFormField, d_one_form
+from .grid import GridSpec, _axis_derivatives, _freeze, gradient
+from .selfdual import SelfDualField, TwoFormField, d
 
 __all__ = [
     "PAULI",
@@ -114,12 +114,8 @@ class U1Connection:
         self.a = _freeze(a)
 
     @cached_property
-    def one_form(self) -> OneFormField:
-        return OneFormField(self.grid, self.a)
-
-    @cached_property
     def curv(self) -> TwoFormField:
-        return d_one_form(self.one_form)
+        return TwoFormField(self.grid, d(self.a, self.grid))
 
     @cached_property
     def curv_plus(self) -> SelfDualField:
@@ -204,7 +200,7 @@ def nabla_a(phi: SpinorField, conn: U1Connection) -> np.ndarray:
     """Coupled covariant derivative (partial_i + i a_i) Phi, (dims, 4, 2)."""
     if not phi.grid.compatible(conn.grid):
         raise ValueError("spinor and connection live on different grids")
-    out = np.stack(_axis_derivatives(phi.comps, phi.grid), axis=-2)
+    out = gradient(phi.comps, phi.grid)
     out += 1j * conn.a[..., :, None] * phi.comps[..., None, :]
     return out
 
@@ -244,7 +240,7 @@ def dirac_weitzenboeck_check(
     phi2 = phi.norm2()
     nab = nabla_a(phi, conn)
     t_grad = float(np.sum(phi2 * np.sum(np.abs(nab) ** 2, axis=(-2, -1))) * cell)
-    grad2 = sum(d**2 for d in _axis_derivatives(phi2, grid))
+    grad2 = sum(dk**2 for dk in _axis_derivatives(phi2, grid))
     t_mod = 0.5 * float(np.sum(grad2) * cell)
     sig = sigma_map(phi)
     pair = np.sum(conn.curv_plus.comps * sig.comps, axis=-1)
@@ -277,7 +273,7 @@ def log_kato_check(
     nab = nabla_a(phi, conn)
     lhs = 2.0 * np.sqrt(np.sum(np.abs(nab) ** 2, axis=(-2, -1)))
     sig = sigma_map(phi)
-    dsig = np.stack(_axis_derivatives(sig.comps, grid), axis=-2)
+    dsig = gradient(sig.comps, grid)
     rhs = np.sqrt(np.sum(dsig**2, axis=(-2, -1)))
     margin = lhs[keep] / absphi[keep] - rhs[keep] / sig.norm()[keep]
     return float(np.min(margin))
@@ -294,7 +290,7 @@ def gauge_transform(
     chi = np.asarray(chi, dtype=float)
     if chi.shape != conn.grid.dims:
         raise ValueError("chi must be a scalar grid array")
-    dchi = np.stack(_axis_derivatives(chi, conn.grid), axis=-1)
+    dchi = gradient(chi, conn.grid)
     new_conn = U1Connection(conn.grid, conn.a + dchi)
     new_phi = SpinorField(phi.grid, np.exp(-1j * chi)[..., None] * phi.comps)
     return new_conn, new_phi

@@ -63,6 +63,20 @@ def generic_metric(n, seed=7, amp=0.1):
     return grid, g
 
 
+def pulled_back_flat_chart(n, eps=0.1):
+    """Node coordinates x (dims, 4), J = D phi and g = J^T J for the
+    diffeomorphism phi(x) = x + eps (sin x1, sin x2, sin x3, sin x0) of the
+    torus.  phi is an orientation-preserving isometry from (T^4, g) onto the
+    flat torus, so every curvature of g vanishes."""
+    grid = GridSpec((n,) * 4)
+    t = TWO_PI * np.arange(n) / n
+    x = np.stack(np.meshgrid(t, t, t, t, indexing="ij"), axis=-1)
+    jac = np.tile(np.eye(4), grid.dims + (1, 1))
+    for i in range(4):
+        jac[..., i, (i + 1) % 4] += eps * np.cos(x[..., (i + 1) % 4])
+    return grid, x, jac, np.swapaxes(jac, -1, -2) @ jac
+
+
 def rel_err(x, ref):
     """Largest deviation relative to the largest reference entry."""
     return np.max(np.abs(x - ref)) / np.max(np.abs(ref))

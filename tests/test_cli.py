@@ -12,6 +12,7 @@ import pytest
 
 from monolab import GridSpec, load_fields, random_smooth_scalar, save_fields, selfdual
 from monolab.cli import main
+from monolab.report import render_report
 
 
 def run(capsys, argv):
@@ -72,17 +73,16 @@ def test_curvature_report_ignores_the_hash_seed(tmp_path):
 
 def test_lambda_report_ignores_the_thread_count(tmp_path):
     # the derivative kernels are BLAS products; a different pool size must
-    # not change a single report byte
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
-    env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+    # not change a single report byte.  The pools are sized when numpy is
+    # imported, so the count is set in the environment of a fresh process
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
     reports = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}.json"
         subprocess.run([sys.executable, "-m", "monolab.cli", "lambda", "--dims", "8",
                         "--theta", "coord:0", "--multistarts", "1", "--out", str(out)],
                        check=True, capture_output=True, cwd=tmp_path,
-                       env=dict(env, MONOLAB_THREADS=threads))
+                       env=dict(env, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads))
         reports.append(out.read_bytes())
     assert reports[0] == reports[1]
 
@@ -103,7 +103,7 @@ def test_config_file_overrides_flags(tmp_path, capsys):
         ["psw-residual", "--dims", "8", "--pair", "gauge", "--chi", "0.2*sin(x1)"],
         ["sweep", "--check", "dirac", "--dims-list", "8,10"],
         ["lebrun", "--catalog", "t2xsigma2", "--sweep-delta", "0,0.5,1", "--sweep-kind", "linear"],
-        # the config block records --gate off as Infinity
+        # the config block records --gate off as "off"
         ["bounds", "--dims", "8", "--gate", "off"],
     ],
 )
@@ -332,6 +332,27 @@ def test_sweep_dirac(capsys):
     assert [r["n"] for r in rows] == [8, 10]
     assert rows[1]["residual"] < rows[0]["residual"]
     assert len(report["outputs"]["observed_orders"]) == 1
+
+
+def test_reports_are_strict_json(capsys):
+    # RFC 8259 has no Infinity or NaN: an open gate is recorded as "off" and
+    # an order between two zero residuals as null
+    def refuse(token):
+        raise ValueError(f"report holds {token}")
+
+    assert main(["bounds", "--dims", "8", "--gate", "off"]) == 0
+    bounds = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    assert bounds["config"]["gate"] == "off"
+    assert bounds["outputs"]["curvature_bound"]["gate"] == "off"
+    assert bounds["outputs"]["phi_l4_bound"]["gate"] == "off"
+    assert main(["sweep", "--check", "dirac", "--amplitude", "0", "--dims-list", "8,12"]) == 0
+    sweep = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    assert sweep["outputs"]["observed_orders"] == [None]
+
+
+def test_renderer_refuses_non_finite_numbers():
+    with pytest.raises(ValueError, match="non-finite"):
+        render_report({"value": float("inf")})
 
 
 def test_sweep_needs_two_sizes(capsys):

@@ -9,7 +9,6 @@ from monolab import (
     CATALOG,
     GridSpec,
     MonopoleConfig,
-    OneFormField,
     PerturbationSpec,
     SelfDualField,
     SpinorField,
@@ -23,7 +22,6 @@ from monolab import (
     check_phi_l4_bound,
     chern_pairing,
     constant_config,
-    d_one_form,
     gauge_trick_config,
     general_psw_residual,
     key_inequality_check,
@@ -262,13 +260,13 @@ def test_chern_pairing_integer_fluxes(m8):
 
 def test_chern_pairing_ignores_exact_forms(m8):
     rng = np.random.default_rng(11)
-    a = OneFormField(
+    a = U1Connection(
         m8.grid,
         np.stack([random_smooth_scalar(m8.grid, rng, amp=0.5) for _ in range(4)], axis=-1),
     )
     omega = SelfDualField(m8.grid, np.tile([1.0, 0.0, 0.0], m8.grid.dims + (1,)))
     rep = flux_rep(m8.grid, 1)
-    shifted = TwoFormField(m8.grid, rep.comps + d_one_form(a).comps)
+    shifted = TwoFormField(m8.grid, rep.comps + a.curv.comps)
     p0 = chern_pairing(rep, omega, m8)
     p1 = chern_pairing(shifted, omega, m8)
     assert abs(p0 - p1) < 1e-9
@@ -330,12 +328,9 @@ def test_lebrun_quadratic_from_representative(m8, kzero):
     rep = lebrun_quadratic(kzero, m8, f_rep=flux_rep(m8.grid, 2))
     assert abs(rep.notes["c1plus_sq"] - 2.0) < 1e-9
     assert rep.notes["b_plus"] == 3
-    exact = lebrun_quadratic(kzero, m8, f_rep=TwoFormField(
-        m8.grid,
-        d_one_form(OneFormField(m8.grid, np.stack(
-            [random_smooth_scalar(m8.grid, np.random.default_rng(1), amp=0.5)
-             for _ in range(4)], axis=-1))).comps,
-    ))
+    exact = lebrun_quadratic(kzero, m8, f_rep=U1Connection(m8.grid, np.stack(
+        [random_smooth_scalar(m8.grid, np.random.default_rng(1), amp=0.5)
+         for _ in range(4)], axis=-1)).curv)
     assert abs(exact.notes["c1plus_sq"]) < 1e-12
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from monolab import GridSpec, ScalarField, integrate
-from monolab.grid import d1, d2
+from monolab.grid import d1, d2, gradient, gradient_T
 
 from conftest import rel_err, roll_d1
 
@@ -141,3 +141,18 @@ def test_d1_plain_sum_adjoint(dims, periods, tail):
         lhs = np.sum(d1(f, axis, h) * w)
         rhs = -np.sum(f * d1(w, axis, h))
         assert abs(lhs - rhs) <= 1e-12 * np.sum(np.abs(d1(f, axis, h) * w))
+
+
+@pytest.mark.parametrize("dims, periods, tail", KERNEL_CASES)
+def test_gradient_pair_is_adjoint(dims, periods, tail):
+    # the derivative axis sits right after the grid axes; trailing axes ride along
+    g = GridSpec(dims, periods)
+    rng = np.random.default_rng(11)
+    f = rng.standard_normal(dims + tail)
+    flux = rng.standard_normal(dims + (4,) + tail)
+    df = gradient(f, g)
+    for axis, h in enumerate(g.spacing):
+        assert np.array_equal(df[:, :, :, :, axis], d1(f, axis, h))
+    lhs = np.sum(df * flux)
+    rhs = np.sum(f * gradient_T(flux, g))
+    assert abs(lhs - rhs) <= 1e-12 * np.sum(np.abs(df * flux))

@@ -10,6 +10,7 @@ from monolab import (
     ThetaField,
     assemble_K,
     beta,
+    build_metric,
     curvature_stack,
     metric_from_preset,
     minimize_lambda,
@@ -22,6 +23,8 @@ from monolab import (
 from monolab import rayleigh
 from monolab.rayleigh import _apply_quadratic, _random_start, _sphere_symbol
 from monolab.selfdual import _fourier_multiply
+
+from conftest import pulled_back_flat_chart
 
 TRIMMED = LambdaOptions(n_random=2, epsilons=(1e-3, 1e-6), max_iter=60)
 
@@ -159,6 +162,34 @@ def test_flat_linear_theta_refines_to_closed_form(angle, a2):
         assert lam <= const + 1e-12
         errs.append(abs(lam - a2))
     assert np.log(errs[0] / errs[1]) / np.log(12 / 8) >= 5.0
+
+
+def test_pulled_back_flat_lambda_and_scalar_converge():
+    # g = J^T J is isometric to the flat torus through phi, and
+    # theta = x0 + 0.1 sin x1 is the pullback of x0, so lambda = 1 and R = 0
+    # exactly, on a non-diagonal metric that varies from node to node
+    lam_errs, r_errs = [], []
+    for n in (8, 12):
+        grid, x, _, g = pulled_back_flat_chart(n)
+        m = build_metric(grid, g)
+        curv = curvature_stack(m)
+        theta = theta_from_angle(x[..., 0] + 0.1 * np.sin(x[..., 1]), m)
+        res = minimize_lambda(theta, m, curv, LambdaOptions(n_random=2))
+        lam_errs.append(abs(res.lam - 1.0))
+        r_errs.append(np.max(np.abs(curv.scalar.values)))
+    # measured: orders 5.87 for lambda and 5.24 for R
+    for errs in (lam_errs, r_errs):
+        assert np.log(errs[0] / errs[1]) / np.log(12 / 8) >= 5.0
+
+
+@pytest.mark.parametrize("bad", [
+    {"tol": -1.0}, {"tol": 0.0}, {"tol": float("nan")}, {"tol": float("inf")},
+    {"n_random": -2}, {"max_iter": -1}, {"epsilons": ()}, {"epsilons": (1e-3, 0.0)},
+    {"epsilons": (float("nan"),)},
+], ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
+def test_lambda_options_reject_bad_values(bad):
+    with pytest.raises(ValueError):
+        LambdaOptions(**bad)
 
 
 def test_constant_starts_stop_at_entry(m8):

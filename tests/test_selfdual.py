@@ -9,12 +9,11 @@ import pytest
 
 from monolab import (
     GridSpec,
-    OneFormField,
     SelfDualField,
+    U1Connection,
     build_metric,
     covariant_derivative,
     curvature_stack,
-    d_one_form,
     embed,
     harmonic_selfdual_basis,
     hodge_rayleigh,
@@ -31,12 +30,10 @@ from monolab import (
 from monolab.bases import WEDGE2
 from monolab.grid import d1
 from monolab.selfdual import (
-    _D3_TERMS,
-    _d_one,
-    _d_one_T,
-    _d_pairs,
-    _d_pairs_T,
+    _D_TABLES,
     _stencil_symbol2,
+    d,
+    d_T,
     hodge_energy_and_grad,
     nabla_transpose,
     sd_dirichlet_energy_and_grad,
@@ -44,6 +41,7 @@ from monolab.selfdual import (
 
 from conftest import (
     generic_metric,
+    pulled_back_flat_chart,
     rel_err,
     roll_d1,
     textbook_christoffel,
@@ -75,8 +73,8 @@ def test_projection_algebra(generic8):
 
 def test_d_squared_vanishes(grid8):
     rng = np.random.default_rng(7)
-    a = OneFormField(grid8, rng.standard_normal(grid8.dims + (4,)))
-    dd = _d_pairs(d_one_form(a).comps, grid8)
+    a = rng.standard_normal(grid8.dims + (4,))
+    dd = d(d(a, grid8), grid8)
     assert np.max(np.abs(dd)) < 1e-12
 
 
@@ -100,32 +98,34 @@ def grad_check(fn, x0, seed):
     assert abs(fd - an) < 1e-6 * max(1.0, abs(fd))
 
 
-def _d_pairs_per_component(omega, grid, transpose=False):
+def _d_per_component(f, grid, n_in, transpose=False):
     # one stencil call per (axis, component): the reference for the stacked form
     hs = grid.spacing
-    n_out = 6 if transpose else 4
-    out = np.zeros(grid.dims + (n_out,) + omega.shape[5:])
-    for l, k, p, s in _D3_TERMS:
+    n_out, terms = _D_TABLES[n_in]
+    out = np.zeros(grid.dims + ((n_in,) if transpose else (n_out,)) + f.shape[5:])
+    for o, k, i, s in terms:
         if transpose:
-            out[:, :, :, :, p] -= s * d1(omega[:, :, :, :, l], k, hs[k])
+            out[:, :, :, :, i] -= s * d1(f[:, :, :, :, o], k, hs[k])
         else:
-            out[:, :, :, :, l] += s * d1(omega[:, :, :, :, p], k, hs[k])
+            out[:, :, :, :, o] += s * d1(f[:, :, :, :, i], k, hs[k])
     return out
 
 
 @pytest.mark.parametrize("extra", [(), (5,)], ids=["single", "batched"])
 def test_stacked_d_pairs_match_per_component(grid8, extra):
-    # extra=(5,) is the block layout of the harmonic solver's operator
+    # extra=(5,) is the block layout of the harmonic solver's operator; both
+    # degrees' coupling tables, 1-forms -> pairs and pairs -> 3-forms
     rng = np.random.default_rng(17)
-    omega = rng.standard_normal(grid8.dims + (6,) + extra)
-    tau = rng.standard_normal(grid8.dims + (4,) + extra)
-    d_omega = _d_pairs(omega, grid8)
-    dt_tau = _d_pairs_T(tau, grid8)
-    assert np.array_equal(d_omega, _d_pairs_per_component(omega, grid8))
-    assert np.array_equal(dt_tau, _d_pairs_per_component(tau, grid8, transpose=True))
-    lhs = np.sum(d_omega * tau)
-    rhs = np.sum(omega * dt_tau)
-    assert abs(lhs - rhs) < 1e-12 * np.sqrt(np.sum(d_omega**2) * np.sum(tau**2))
+    for n_in, n_out in ((6, 4), (4, 6)):
+        omega = rng.standard_normal(grid8.dims + (n_in,) + extra)
+        tau = rng.standard_normal(grid8.dims + (n_out,) + extra)
+        d_omega = d(omega, grid8)
+        dt_tau = d_T(tau, grid8)
+        assert np.array_equal(d_omega, _d_per_component(omega, grid8, n_in))
+        assert np.array_equal(dt_tau, _d_per_component(tau, grid8, n_in, transpose=True))
+        lhs = np.sum(d_omega * tau)
+        rhs = np.sum(omega * dt_tau)
+        assert abs(lhs - rhs) < 1e-12 * np.sqrt(np.sum(d_omega**2) * np.sum(tau**2))
 
 
 @pytest.mark.parametrize("extra", [(), (3,)], ids=["single", "batched"])
@@ -133,14 +133,14 @@ def test_d_one_transpose_is_adjoint(grid8, extra):
     rng = np.random.default_rng(23)
     a = rng.standard_normal(grid8.dims + (4,) + extra)
     omega = rng.standard_normal(grid8.dims + (6,) + extra)
-    d_a = _d_one(a, grid8)
-    dt_omega = _d_one_T(omega, grid8)
+    d_a = d(a, grid8)
+    dt_omega = d_T(omega, grid8)
     lhs = np.sum(d_a * omega)
     rhs = np.sum(a * dt_omega)
     assert abs(lhs - rhs) < 1e-12 * np.sqrt(np.sum(d_a**2) * np.sum(omega**2))
     # the batch columns are independent 1-forms
     col = (...,) + (0,) * len(extra)
-    assert np.array_equal(d_a[col], d_one_form(OneFormField(grid8, a[col])).comps)
+    assert np.array_equal(d_a[col], U1Connection(grid8, a[col]).curv.comps)
 
 
 def test_energy_gradients_match_finite_differences(m8_conf):
@@ -357,18 +357,11 @@ def test_harmonic_basis_generic_metric(grid8):
     assert again.solve == basis.solve
 
 
-def pulled_back_flat(n, eps=0.1):
-    """g = J^T J for phi(x) = x + eps (sin x1, sin x2, sin x3, sin x0), J = D phi,
-    and the eta components of the pullbacks phi^* c_a of the flat self-dual
-    classes.  phi is an orientation-preserving isometry onto the flat torus,
-    so those pullbacks are self-dual and harmonic for g."""
-    grid = GridSpec((n,) * 4)
-    t = 2.0 * np.pi * np.arange(n) / n
-    x = np.stack(np.meshgrid(t, t, t, t, indexing="ij"), axis=-1)
-    jac = np.tile(np.eye(4), grid.dims + (1, 1))
-    for i in range(4):
-        jac[..., i, (i + 1) % 4] += eps * np.cos(x[..., (i + 1) % 4])
-    g = np.swapaxes(jac, -1, -2) @ jac
+def pulled_back_flat(n):
+    """The pulled-back flat metric g of `pulled_back_flat_chart` and the eta
+    components of the pullbacks phi^* c_a of the flat self-dual classes,
+    which are self-dual and harmonic for g."""
+    grid, _, jac, g = pulled_back_flat_chart(n)
     _, _, eta_up = textbook_eta_fields(g)
     flat = np.sqrt(2.0) * textbook_eta()  # dx01 + dx23, dx02 + dx31, dx03 + dx12
     pulled = np.einsum("...ki,bkl,...lj->...bij", jac, flat, jac)
