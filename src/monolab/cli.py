@@ -373,7 +373,7 @@ def _run_dirac_check(args):
     conn, phi = _random_pair(grid, args.seed, args.amplitude)
     with Timer("dirac-check"):
         lhs, rhs, residual = dirac_weitzenboeck_check(phi, conn, m)
-        kato = log_kato_check(phi, conn, floor=0.2, m=m)
+        kato = log_kato_check(phi, conn, m=m)
         model = CliffordModel()
         ident = {k: float(v) for k, v in model.identity_residuals().items()}
         sig = sigma_map(phi)

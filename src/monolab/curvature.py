@@ -37,7 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from .bases import H_PLUS, PAIRS
-from .grid import GridSpec, ScalarField, _freeze, d1, d2, gradient
+from .grid import GridSpec, ScalarField, _freeze, _worst_node, d1, d2, gradient
 
 __all__ = [
     "MetricField",
@@ -71,8 +71,8 @@ class MetricField:
     """Sampled Riemannian metric with lazily cached derived geometry.
 
     The raw component array is read-only; the derived tensors (inverse,
-    volume factor, coframe, Christoffels, form Grams) are computed once on
-    first use and cached.
+    volume factor, coframe, Christoffels, self-dual pair algebra) are
+    computed once on first use and cached.
     """
 
     def __init__(self, grid: GridSpec, g: np.ndarray):
@@ -113,11 +113,6 @@ class MetricField:
     # ---- cached form algebra (used by the self-dual module) ----
 
     @cached_property
-    def gram2(self) -> np.ndarray:
-        """Gram matrix of stored 2-form components: <dx^i^dx^j, dx^k^dx^l>."""
-        return _freeze(_lambda2(self.ginv))
-
-    @cached_property
     def sd_pairs(self) -> np.ndarray:
         """Stored components of eta_a: sd_pairs[..., p, a], i.e. (H+ Lambda^2 e)^T."""
         return _freeze(np.swapaxes(H_PLUS @ _lambda2(self.coframe), -1, -2))
@@ -133,7 +128,8 @@ class MetricField:
         """Connection block on the self-dual bundle: A[..., k, a, b].
 
         A_k = -sd_pairs_up^T lambda2(Gamma_k) sd_pairs, where Gamma_k is the
-        4x4 matrix [m, i] = Gamma^m_ki and lambda2 its action on stored
+        4x4 matrix [m, i] = Gamma^m_ki, read off the symmetric pairs (k, i)
+        of the cached Christoffel symbols, and lambda2 its action on stored
         pairs as a derivation.  With it, the eta components of the
         coordinate covariant derivative of sigma are
         sd_pairs_up^T d_k(sd_pairs sigma) + A_k sigma.
@@ -143,7 +139,7 @@ class MetricField:
         out = np.empty(self.grid.dims + (4, 3, 3))
         for k in range(4):
             # the (dims,6,6) derivation dies before the second product
-            lam_sd = _lambda2_derivation(gam[..., :, k, :]) @ self.sd_pairs
+            lam_sd = _lambda2_derivation(gam[..., :, _SYM_INDEX[k]]) @ self.sd_pairs
             np.matmul(up_t, lam_sd, out=out[..., k, :, :])
         np.negative(out, out=out)
         return _freeze(out)
@@ -195,34 +191,44 @@ class CurvatureBundle:
 def build_metric(grid: GridSpec, g: np.ndarray) -> MetricField:
     """Validate and wrap sampled metric components.
 
-    Rejects non-symmetric storage and non-SPD nodes; the error names the
-    first offending node so bad input files are debuggable.
+    Rejects non-finite components, non-symmetric storage, non-SPD nodes and
+    a volume factor outside the float range; the error names the first
+    offending node so bad input files are debuggable.
     """
     g = np.asarray(g, dtype=float)
     if g.shape != grid.dims + (4, 4):
         raise ValueError(f"metric shape {g.shape} != {grid.dims + (4, 4)}")
+    finite = np.isfinite(g)
+    if not finite.all():
+        raise ValueError(f"metric component is not finite at node {_worst_node(~finite)}")
     asym = np.max(np.abs(g - np.swapaxes(g, -1, -2)))
     if asym > 1e-12 * max(1.0, float(np.max(np.abs(g)))):
         raise ValueError(f"metric storage asymmetry {asym:.3e} exceeds tolerance")
     try:
         np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
-        eig = np.linalg.eigvalsh(g)
-        bad = np.argwhere(eig[..., 0] <= 0)
-        node = tuple(int(i) for i in bad[0])
+        lowest = np.linalg.eigvalsh(g)[..., 0]
+        node = _worst_node(lowest <= 0)
         raise ValueError(
             f"metric is not positive definite at node {node} "
-            f"(lowest eigenvalue {eig[..., 0][node]:.3e})"
+            f"(lowest eigenvalue {lowest[node]:.3e})"
         ) from None
-    return MetricField(grid, g)
+    m = MetricField(grid, g)
+    with np.errstate(over="ignore"):  # det g may overflow; cached from here on
+        vol = m.vol
+    usable = (vol > 0) & (vol < np.inf)
+    if not usable.all():
+        raise ValueError(f"metric volume factor is 0 or overflows at node {_worst_node(~usable)}")
+    return m
 
 
 def christoffel(m: MetricField) -> np.ndarray:
-    """Gamma^k_ij from 6th-order differences of the metric, [..., k, i, j].
+    """Gamma^k_ij from 6th-order differences of the metric, [..., k, x] on
+    the symmetric pairs x = _SYM_INDEX[i, j].
 
     One stencil call per axis on the 10 stored components of g gives the
-    first-kind symbols on the symmetric pairs i <= j; one ginv matmul raises
-    their first index.
+    first-kind symbols on those pairs; one ginv matmul raises their first
+    index.
     """
     # ginv lives as long as m; made after the temporaries below, it would sit
     # above them in the heap and keep their pages resident (curvature --dims
@@ -235,7 +241,7 @@ def christoffel(m: MetricField) -> np.ndarray:
     first -= dg[..., _TAP_DL]
     del dg
     first *= 0.5
-    return (gi @ first)[..., _SYM_INDEX]
+    return gi @ first
 
 
 def lowest_eigenvalue(field3x3: np.ndarray, grid: GridSpec) -> ScalarField:
@@ -270,9 +276,8 @@ def _pair_riemann(m: MetricField) -> np.ndarray:
     second derivative along the axis pair x.
     """
     grid, hs = m.grid, m.grid.spacing
-    gam = m.christoffel[..., _SYM_I, _SYM_J]
+    gam = m.christoffel
     mm = np.swapaxes(m.g @ gam, -1, -2) @ gam
-    del gam  # each intermediate goes as soon as it is used: 24^4 fits in 1 GiB
     g10 = m.g[..., _SYM_I, _SYM_J]
     for b in range(4):
         dgb = d1(g10, b, hs[b]) if b > 0 else None

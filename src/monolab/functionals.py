@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .curvature import CurvatureBundle, MetricField
-from .grid import integrate
+from .grid import _worst_node, integrate
 from .rayleigh import (
     KField,
     ThetaField,
@@ -145,7 +145,6 @@ class MonopoleConfig:
     phi: SpinorField
     metric: MetricField
     curv: CurvatureBundle | None = None
-    theta: ThetaField | None = None
 
     def __post_init__(self):
         grid = self.metric.grid
@@ -243,11 +242,6 @@ def psw_residual(cfg: MonopoleConfig, pert: PerturbationSpec, K: KField) -> PswR
     if pert.omega_hat is not None:
         shift = K.kplus.values[..., None] * pert.omega_hat.comps
     return _psw_result(cfg, lambda t: beta(t) * (kminus + pert.eps), shift)
-
-
-def _worst_node(values: np.ndarray) -> tuple:
-    """The node of the largest value, as plain ints."""
-    return tuple(int(i) for i in np.unravel_index(int(np.argmax(values)), values.shape))
 
 
 def general_psw_residual(

@@ -39,6 +39,12 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _worst_node(values: np.ndarray) -> tuple:
+    """Grid node of the largest entry of a (dims, ...) array, as plain ints;
+    of a mask, the first node that holds a True."""
+    return tuple(int(i) for i in np.unravel_index(int(np.argmax(values)), values.shape)[:4])
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Shape of a periodic 4-torus chart: node counts and box periods."""

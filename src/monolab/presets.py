@@ -3,11 +3,12 @@
 The expression grammar is deliberately small, sums of trigonometric
 monomials:
 
-    EXPR   := ['+'|'-'] TERM (('+'|'-') TERM)*
+    EXPR   := TERM (('+'|'-') TERM)*
     TERM   := FACTOR ('*' FACTOR)*
-    FACTOR := NUMBER | ('sin'|'cos') '(' LINEAR ')'
+    FACTOR := SIGN* (NUMBER | ('sin'|'cos') '(' LINEAR ')')
     LINEAR := ITEM (('+'|'-') ITEM)*
-    ITEM   := NUMBER ['*' VARIABLE] | VARIABLE
+    ITEM   := SIGN* (NUMBER ['*' VARIABLE] | VARIABLE)
+    SIGN   := '+' | '-'
 
 with variables x0..x3.  Everything this grammar can produce is a smooth
 periodic function once the frequencies match the box, which is exactly
@@ -16,13 +17,21 @@ compatibility is enforced at evaluation time: a factor sin(k*xi) whose k
 does not complete whole turns over the period of axis i is rejected, not
 silently wrapped.
 
-Parse errors carry the source column so config typos are one glance to
-find.
+The text is read by `ast.parse` as a Python expression, so NUMBER is any
+finite int or float literal and redundant parentheses are allowed; the terms
+come out bit for bit as from the hand-written parser this replaced.  Against
+that parser, `--8`, `+-5`, `2*-3`, `(5)`, `0x4` and `1_0` are now accepted,
+while `08`, a number, coefficient, frequency or phase that is not finite, a
+newline between terms, whitespace other than space and tab between tokens,
+`#` and sums of about 3,000 or more terms are rejected.  Parse errors carry
+the source column so config typos are one glance to find.
 """
 
 from __future__ import annotations
 
-import re
+import ast
+import math
+import sys
 import zipfile
 from dataclasses import dataclass
 
@@ -48,33 +57,6 @@ class PresetError(ValueError):
     pass
 
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[+\-*()]))"
-)
-
-
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        mo = _TOKEN.match(text, pos)
-        if mo is None:
-            if text[pos:].strip() == "":
-                break
-            raise PresetError(f"column {pos + 1}: unexpected character {text[pos]!r}")
-        if mo.group("num") is not None:
-            tokens.append(("num", float(mo.group("num")), mo.start("num")))
-        elif mo.group("name") is not None:
-            tokens.append(("name", mo.group("name"), mo.start("name")))
-        else:
-            tokens.append(("op", mo.group("op"), mo.start("op")))
-        pos = mo.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
-
-
 @dataclass(frozen=True)
 class TrigFactor:
     fn: str  # "sin" or "cos"
@@ -89,117 +71,96 @@ class Term:
     factors: tuple  # of TrigFactor
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
+class _Rejected(Exception):
+    """(node, reason): a node of the Python tree outside the grammar."""
 
-    def peek(self):
-        return self.tokens[self.i]
 
-    def take(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+def _chain(node, ops):
+    """Operands of a left-nested chain of `ops`, left to right, each with the
+    sign of the operator in front of it (+1.0 for the first)."""
+    items = []
+    while isinstance(node, ast.BinOp) and isinstance(node.op, ops):
+        items.append((node.right, -1.0 if isinstance(node.op, ast.Sub) else 1.0))
+        node = node.left
+    return [(node, 1.0)] + items[::-1]
 
-    def fail(self, tok, expected):
-        raise PresetError(f"column {tok[2] + 1}: expected {expected}, found "
-                          f"{tok[1]!r}" if tok[0] != "end"
-                          else f"column {tok[2] + 1}: expected {expected}, found end of input")
 
-    def expect_op(self, op):
-        tok = self.take()
-        if tok[0] != "op" or tok[1] != op:
-            self.fail(tok, f"'{op}'")
+def _unsigned(node, sign: float):
+    """Strip the unary signs off `node`, each a flip of `sign`."""
+    while isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        sign = -sign if isinstance(node.op, ast.USub) else sign
+        node = node.operand
+    return node, sign
 
-    def parse(self):
-        terms = [self.parse_term(lead=True)]
-        while True:
-            tok = self.peek()
-            if tok[0] == "op" and tok[1] in "+-":
-                self.take()
-                t = self.parse_term()
-                if tok[1] == "-":
-                    t = Term(-t.coefficient, t.factors)
-                terms.append(t)
-            elif tok[0] == "end":
-                return tuple(terms)
-            else:
-                self.fail(tok, "'+', '-', or end of expression")
 
-    def parse_term(self, lead: bool = False):
-        sign = 1.0
-        if lead:
-            tok = self.peek()
-            if tok[0] == "op" and tok[1] in "+-":
-                self.take()
-                sign = -1.0 if tok[1] == "-" else 1.0
-        coefficient = sign
-        factors = []
-        while True:
-            coefficient, factors = self.parse_factor(coefficient, factors)
-            tok = self.peek()
-            if tok[0] == "op" and tok[1] == "*":
-                self.take()
-                continue
-            return Term(coefficient, tuple(factors))
+def _number(node, expected: str = "a finite number") -> float:
+    # exact for ints too, whose float() would raise above the largest float
+    if not (isinstance(node, ast.Constant) and type(node.value) in (int, float)
+            and abs(node.value) <= sys.float_info.max):
+        raise _Rejected(node, f"expected {expected}")
+    return float(node.value)
 
-    def parse_factor(self, coefficient, factors):
-        tok = self.take()
-        if tok[0] == "num":
-            return coefficient * tok[1], factors
-        if tok[0] == "name" and tok[1] in ("sin", "cos"):
-            start = tok[2]
-            self.expect_op("(")
-            coeffs, phase = self.parse_linear()
-            self.expect_op(")")
-            end = self.peek()[2]
-            src = self.text[start:end].strip()
-            factors = factors + [TrigFactor(tok[1], coeffs, phase, src)]
-            return coefficient, factors
-        self.fail(tok, "a number or sin/cos")
 
-    def parse_linear(self):
-        coeffs = [0.0, 0.0, 0.0, 0.0]
-        phase = 0.0
-        first = True
-        while True:
-            sign = 1.0
-            tok = self.peek()
-            if tok[0] == "op" and tok[1] in "+-":
-                self.take()
-                sign = -1.0 if tok[1] == "-" else 1.0
-            elif not first:
-                return tuple(coeffs), phase
-            first = False
-            tok = self.take()
-            if tok[0] == "num":
-                nxt = self.peek()
-                if nxt[0] == "op" and nxt[1] == "*":
-                    self.take()
-                    var = self.take()
-                    axis = self._axis(var)
-                    coeffs[axis] += sign * tok[1]
-                else:
-                    phase += sign * tok[1]
-            elif tok[0] == "name":
-                coeffs[self._axis(tok)] += sign
-            else:
-                self.fail(tok, "a number or coordinate inside sin/cos")
+def _axis(node) -> int:
+    if not (isinstance(node, ast.Name) and node.id in ("x0", "x1", "x2", "x3")):
+        raise _Rejected(node, "expected a coordinate x0..x3")
+    return int(node.id[1])
 
-    def _axis(self, tok):
-        mo = re.fullmatch(r"x([0-3])", tok[1]) if tok[0] == "name" else None
-        if mo is None:
-            self.fail(tok, "a coordinate x0..x3")
-        return int(mo.group(1))
+
+def _trig(node, src: str) -> TrigFactor:
+    """sin/cos of a linear form: sign * k added to its slot left to right."""
+    if not (isinstance(node.func, ast.Name) and node.func.id in ("sin", "cos")
+            and len(node.args) == 1 and not node.keywords):
+        raise _Rejected(node, "expected a number or sin/cos of one argument")
+    coeffs, phase = [0.0] * 4, 0.0
+    for item, sign in _chain(node.args[0], (ast.Add, ast.Sub)):
+        item, sign = _unsigned(item, sign)
+        if isinstance(item, ast.BinOp) and isinstance(item.op, ast.Mult):
+            k, sign = _unsigned(item.left, sign)
+            coeffs[_axis(item.right)] += sign * _number(k)
+        elif isinstance(item, ast.Name):
+            coeffs[_axis(item)] += sign
+        else:
+            phase += sign * _number(item)
+    return TrigFactor(node.func.id, tuple(coeffs), phase, ast.get_source_segment(src, node))
+
+
+def _term(node, sign: float, src: str) -> Term:
+    """A product; its coefficient starts as `sign` and takes the numbers in order."""
+    coefficient, factors = sign, []
+    for factor, _ in _chain(node, ast.Mult):
+        factor, coefficient = _unsigned(factor, coefficient)
+        if isinstance(factor, ast.Call):
+            factors.append(_trig(factor, src))
+        else:
+            coefficient *= _number(factor, "a finite number or sin/cos")
+    values = [coefficient] + [x for f in factors for x in (*f.coeffs, f.phase)]
+    if not all(map(math.isfinite, values)):
+        raise _Rejected(node, "a coefficient, frequency or phase is not finite")
+    return Term(coefficient, tuple(factors))
 
 
 def parse_expression(text: str):
     """Parse to a tuple of terms; raises PresetError with a column."""
-    if not text.strip():
+    src = text.strip()  # ast reads leading whitespace as an indent
+    lead = len(text) - len(text.lstrip())
+    if not src:
         raise PresetError("column 1: empty expression")
-    return _Parser(text).parse()
+    if "#" in src:  # a comment would hide the rest of the text
+        raise PresetError(f"column {src.index('#') + 1 + lead}: unexpected character '#'")
+    try:
+        body = ast.parse(src, mode="eval").body
+        return tuple(_term(node, sign, src) for node, sign in _chain(body, (ast.Add, ast.Sub)))
+    except SyntaxError as exc:
+        line, column, reason = exc.lineno or 1, exc.offset or 1, exc.msg
+    except RecursionError:
+        line, column, reason = 1, 1, "expression nests too deeply for the parser"
+    except _Rejected as exc:
+        node, reason = exc.args
+        line, column = node.lineno, node.col_offset + 1
+    # ast counts columns from the start of the line
+    column += lead + len("".join(src.splitlines(keepends=True)[:line - 1]))
+    raise PresetError(f"column {column}: {reason}")
 
 
 def evaluate_expression(terms, grid: GridSpec) -> np.ndarray:
@@ -211,7 +172,7 @@ def evaluate_expression(terms, grid: GridSpec) -> np.ndarray:
         for f in term.factors:
             for axis, (k, L) in enumerate(zip(f.coeffs, grid.periods)):
                 turns = k * L / (2.0 * np.pi)
-                if abs(turns - round(turns)) > 1e-9:
+                if not math.isfinite(turns) or abs(turns - round(turns)) > 1e-9:
                     raise PresetError(
                         f"factor {f.source!r}: frequency {k:g} on axis {axis} is not "
                         f"periodic over length {L:g}"
@@ -226,7 +187,11 @@ def evaluate_expression(terms, grid: GridSpec) -> np.ndarray:
 
 
 def scalar_from_expression(text: str, grid: GridSpec) -> np.ndarray:
-    return evaluate_expression(parse_expression(text), grid)
+    with np.errstate(over="ignore"):  # a sum of finite terms may overflow
+        values = evaluate_expression(parse_expression(text), grid)
+    if not np.isfinite(values).all():
+        raise PresetError(f"{text!r} overflows on the grid")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +210,14 @@ def _load_container(path: str, grid: GridSpec) -> dict:
     return arrays
 
 
+def _checked(preset: str, build, *args):
+    """build(*args); the ValueError of a bad field becomes a PresetError."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise PresetError(f"{preset}: {exc}") from None
+
+
 def metric_from_preset(text: str, grid: GridSpec) -> MetricField:
     """flat | conformal:EXPR | kaehler-product:EXPR | file:PATH.
 
@@ -254,37 +227,38 @@ def metric_from_preset(text: str, grid: GridSpec) -> MetricField:
     """
     kind, _, arg = text.partition(":")
     kind = kind.strip()
-    if kind == "flat":
-        if arg:
-            raise PresetError("flat takes no argument")
-        g = np.broadcast_to(np.eye(4), grid.dims + (4, 4)).copy()
-        return build_metric(grid, g)
-    if kind == "conformal":
-        f = scalar_from_expression(arg, grid)
-        g = np.exp(2.0 * f)[..., None, None] * np.eye(4)
-        return build_metric(grid, g)
-    if kind == "kaehler-product":
-        terms = parse_expression(arg)
-        for term in terms:
-            for fac in term.factors:
-                if fac.coeffs[0] != 0.0 or fac.coeffs[1] != 0.0:
-                    raise PresetError(
-                        f"factor {fac.source!r}: kaehler-product profiles may only "
-                        "involve x2 and x3"
-                    )
-        u = evaluate_expression(terms, grid)
-        g = np.zeros(grid.dims + (4, 4))
-        g[..., 0, 0] = 1.0
-        g[..., 1, 1] = 1.0
-        g[..., 2, 2] = np.exp(2.0 * u)
-        g[..., 3, 3] = np.exp(2.0 * u)
-        return build_metric(grid, g)
-    if kind == "file":
-        arrays = _load_container(arg, grid)
-        if "g" not in arrays:
-            raise PresetError(f"{arg}: container has no array named 'g'")
-        return build_metric(grid, arrays["g"])
-    raise PresetError(f"unknown metric preset {kind!r}")
+    # an overflow shows up as a non-finite component, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kind == "flat":
+            if arg:
+                raise PresetError("flat takes no argument")
+            g = np.broadcast_to(np.eye(4), grid.dims + (4, 4)).copy()
+        elif kind == "conformal":
+            f = scalar_from_expression(arg, grid)
+            g = np.exp(2.0 * f)[..., None, None] * np.eye(4)
+        elif kind == "kaehler-product":
+            terms = parse_expression(arg)
+            for term in terms:
+                for fac in term.factors:
+                    if fac.coeffs[0] != 0.0 or fac.coeffs[1] != 0.0:
+                        raise PresetError(
+                            f"factor {fac.source!r}: kaehler-product profiles may only "
+                            "involve x2 and x3"
+                        )
+            u = evaluate_expression(terms, grid)
+            g = np.zeros(grid.dims + (4, 4))
+            g[..., 0, 0] = 1.0
+            g[..., 1, 1] = 1.0
+            g[..., 2, 2] = np.exp(2.0 * u)
+            g[..., 3, 3] = np.exp(2.0 * u)
+        elif kind == "file":
+            arrays = _load_container(arg, grid)
+            if "g" not in arrays:
+                raise PresetError(f"{arg}: container has no array named 'g'")
+            g = arrays["g"]
+        else:
+            raise PresetError(f"unknown metric preset {kind!r}")
+    return _checked(text, build_metric, grid, g)
 
 
 def theta_from_preset(text: str, m: MetricField) -> ThetaField:
@@ -297,7 +271,7 @@ def theta_from_preset(text: str, m: MetricField) -> ThetaField:
             value = float(arg)
         except ValueError:
             raise PresetError(f"const needs a number, got {arg!r}")
-        return theta_from_angle(np.full(grid.dims, value), m)
+        return _checked(text, theta_from_angle, np.full(grid.dims, value), m)
     if kind == "coord":
         if arg not in ("0", "1", "2", "3"):
             raise PresetError(f"coord needs an axis 0..3, got {arg!r}")
@@ -310,9 +284,9 @@ def theta_from_preset(text: str, m: MetricField) -> ThetaField:
     if kind == "file":
         arrays = _load_container(arg, grid)
         if "theta" in arrays:
-            return theta_from_angle(arrays["theta"], m)
+            return _checked(text, theta_from_angle, arrays["theta"], m)
         if "s" in arrays and "c" in arrays:
-            return theta_from_sc(arrays["s"], arrays["c"], m)
+            return _checked(text, theta_from_sc, arrays["s"], arrays["c"], m)
         raise PresetError(f"{arg}: container needs 'theta' or the pair 's', 'c'")
     raise PresetError(f"unknown theta preset {kind!r}")
 

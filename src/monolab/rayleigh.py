@@ -92,7 +92,8 @@ class ThetaField:
         c = np.asarray(self.c, dtype=float)
         if s.shape != self.grid.dims or c.shape != self.grid.dims:
             raise ValueError("angle fields must be scalar grid arrays")
-        if np.max(np.abs(s**2 + c**2 - 1.0)) > 1e-12:
+        # "not <=" also fails on NaN
+        if not np.max(np.abs(s**2 + c**2 - 1.0)) <= 1e-12:
             raise ValueError("sin^2 + cos^2 must equal 1 at every node")
         object.__setattr__(self, "s", _freeze(s))
         object.__setattr__(self, "c", _freeze(c))
@@ -108,6 +109,8 @@ def theta_from_angle(samples, m: MetricField) -> ThetaField:
     th = np.asarray(samples, float)
     if th.shape != grid.dims:
         raise ValueError("angle samples must be a scalar grid array")
+    if not np.all(np.isfinite(th)):
+        raise ValueError("angle samples must be finite")
     return theta_from_sc(np.sin(th), np.cos(th), m)
 
 
@@ -116,6 +119,8 @@ def theta_from_sc(s: np.ndarray, c: np.ndarray, m: MetricField) -> ThetaField:
     grid = m.grid
     s = np.asarray(s, dtype=float)
     c = np.asarray(c, dtype=float)
+    if s.shape != grid.dims or c.shape != grid.dims or not np.isfinite([s, c]).all():
+        raise ValueError("sin and cos samples must be finite scalar grid arrays")
     ds = gradient(s, grid)
     dc = gradient(c, grid)
     dth = c[..., None] * ds - s[..., None] * dc

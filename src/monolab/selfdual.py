@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bases import PAIRS, WEDGE2, X3
-from .curvature import CurvatureBundle, MetricField, _bilinear
+from .curvature import CurvatureBundle, MetricField, _bilinear, _lambda2
 from .grid import GridSpec, _axis_derivatives, _freeze, gradient, gradient_T, integrate
 
 __all__ = [
@@ -446,10 +446,11 @@ def harmonic_selfdual_basis(m: MetricField) -> HarmonicBasis:
 
     Each flat self-dual constant class c_a has the minimum-norm
     representative h_a = c_a + d alpha_a, where d^T G (c_a + d alpha_a) = 0
-    with G = vol gram2 (d^T the plain-sum transpose).  Since vol gram2 is
-    WEDGE2 times the Hodge star on stored pairs (alpha ^ star beta =
-    <alpha, beta> vol), that equation says d(star h_a) = 0, so the discrete
-    harmonic space is star-invariant and project(h_a) is harmonic.
+    with G = vol Lambda^2(ginv), the volume-weighted Gram matrix of stored
+    pairs (d^T the plain-sum transpose).  Since G is WEDGE2 times the Hodge
+    star on stored pairs (alpha ^ star beta = <alpha, beta> vol), that
+    equation says d(star h_a) = 0, so the discrete harmonic space is
+    star-invariant and project(h_a) is harmonic.
     The three projections are independent because the intersection form
     is positive on the flat self-dual classes.
 
@@ -459,7 +460,7 @@ def harmonic_selfdual_basis(m: MetricField) -> HarmonicBasis:
     HarmonicSolveError when the loop misses _PCG_TOL within _PCG_MAXITER.
     """
     grid = m.grid
-    G = m.vol[..., None, None] * m.gram2
+    G = m.vol[..., None, None] * _lambda2(m.ginv)
     inv_symbol = _inverse_symbol(grid)
 
     def g_apply(omega):

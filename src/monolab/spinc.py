@@ -252,23 +252,22 @@ def dirac_weitzenboeck_check(
     return lhs, rhs, residual
 
 
-def log_kato_check(
-    phi: SpinorField,
-    conn: U1Connection,
-    floor: float = 1e-6,
-    m: MetricField | None = None,
-) -> float:
+# |Phi| below which log_kato_check skips a node
+_KATO_FLOOR = 0.2
+
+
+def log_kato_check(phi: SpinorField, conn: U1Connection, m: MetricField | None = None) -> float:
     """Worst-case margin of 2|nabla_A Phi|/|Phi| - |nabla sigma|/|sigma|.
 
-    Nodes with |Phi| <= floor are skipped; all nodes below the floor is an
-    error.  Smooth data keeps the margin above -O(h^2).
+    Nodes with |Phi| <= _KATO_FLOOR are skipped; all nodes below the floor
+    is an error.  Smooth data keeps the margin above -O(h^2).
     """
     _require_flat(m)
     grid = phi.grid
     absphi = phi.norm()
-    keep = absphi > floor
+    keep = absphi > _KATO_FLOOR
     if not keep.any():
-        raise ValueError(f"no nodes with |Phi| above the floor {floor}")
+        raise ValueError(f"no nodes with |Phi| above the floor {_KATO_FLOOR}")
 
     nab = nabla_a(phi, conn)
     lhs = 2.0 * np.sqrt(np.sum(np.abs(nab) ** 2, axis=(-2, -1)))

@@ -146,8 +146,15 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
         ["lambda", "--tol", "-1"],
         ["sweep", "--check", "weitzenboeck", "--dims-list", "8,12", "--amplitude", "nan"],
         ["dirac-check", "--dims", "8", "--config", "bad_seed.json"],
+        ["curvature", "--metric", "conformal:sin(1e400*x0)"],
+        ["curvature", "--metric", "conformal:400"],
+        ["curvature", "--metric", "conformal:300"],
+        ["lambda", "--theta", "const:inf"],
+        ["bounds", "--pair", "gauge", "--chi", "1e308+1e308"],
     ],
 )
+# a numpy warning would be a second stderr line
+@pytest.mark.filterwarnings("error")
 def test_parse_errors_exit_2(tmp_path, monkeypatch, capsys, argv):
     # relative --config paths name the bad files written here
     monkeypatch.chdir(tmp_path)
@@ -163,13 +170,29 @@ def test_parse_errors_exit_2(tmp_path, monkeypatch, capsys, argv):
     assert err.startswith("monolab: config error:") and err.count("\n") == 1
 
 
+# readable containers whose arrays are not a metric or an angle
+_BAD_FIELDS = {
+    "nan-metric": lambda x0: {"g": np.where(x0[..., None, None] > 3.0, np.nan, np.eye(4))},
+    "non-spd-metric": lambda x0: {"g": np.where(x0[..., None, None] > 3.0, -1.0, 1.0) * np.eye(4)},
+    "nan-theta": lambda x0: {"theta": np.where(x0 > 3.0, np.nan, x0)},
+    "non-unit-sc": lambda x0: {"s": np.zeros_like(x0), "c": np.full_like(x0, 2.0)},
+    "inf-sc": lambda x0: {"s": np.where(x0 > 3.0, np.inf, 0.0), "c": np.ones_like(x0)},
+    "wrong-shape-theta": lambda x0: {"theta": x0[..., :4]},
+}
+
+
 @pytest.mark.parametrize(
-    "fault", ["not-a-zip", "no-manifest", "no-dims", "wrong-format", "manifest-not-object"]
+    "fault", ["not-a-zip", "no-manifest", "no-dims", "wrong-format", "manifest-not-object",
+              *_BAD_FIELDS]
 )
+@pytest.mark.filterwarnings("error")
 def test_bad_field_container_exit_2(tmp_path, capsys, fault):
     path = tmp_path / "fields.zip"
     if fault == "not-a-zip":
         path.write_text("plain text\n")
+    elif fault in _BAD_FIELDS:
+        grid = GridSpec((8,) * 4)
+        save_fields(path, grid, _BAD_FIELDS[fault](grid.mesh(0)))
     else:
         manifest = {"format": "monolab-fields", "version": 1, "dims": [8] * 4,
                     "periods": [2.0 * np.pi] * 4, "arrays": []}

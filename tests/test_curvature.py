@@ -59,6 +59,15 @@ def test_build_metric_rejects_bad_storage():
     spd[2, 3, 4, 5, 0, 0] = -1.0
     with pytest.raises(ValueError, match="node"):
         build_metric(g, spd)
+    for value in (np.nan, np.inf):
+        finite = np.tile(np.eye(4), g.dims + (1, 1))
+        finite[1, 2, 3, 4, 2, 2] = value
+        with pytest.raises(ValueError, match=r"node \(1, 2, 3, 4\)"):
+            build_metric(g, finite)
+    # SPD, but det g overflows or underflows
+    for scale in (1e200, 1e-200):
+        with pytest.raises(ValueError, match="volume factor"):
+            build_metric(g, np.tile(scale * np.eye(4), g.dims + (1, 1)))
 
 
 def test_conformal_scalar_matches_closed_form():

@@ -13,6 +13,7 @@ from monolab import (
     scalar_from_expression,
     theta_from_preset,
 )
+from monolab.presets import Term, TrigFactor, parse_expression
 
 TWO_PI = 2.0 * np.pi
 
@@ -41,6 +42,14 @@ def test_expression_whitespace_and_sign(grid8):
         "cos(x0)*",
         "tan(x0)",
         "sin(x0*x1)",
+        "1e400",
+        "sin(1e400*x0)",
+        pytest.param("+".join(["sin(x0)"] * 5000), id="5000-term-sum"),
+        pytest.param("1" + "0" * 400, id="401-digit-int"),
+        "sin(1e308*x0)",
+        "1e200*1e200",
+        "08",
+        "0.5 # comment",
     ],
 )
 def test_expression_rejects(bad, grid8):
@@ -48,9 +57,56 @@ def test_expression_rejects(bad, grid8):
         scalar_from_expression(bad, grid8)
 
 
+def _trig(fn, source, coeffs, phase=0.0):
+    return TrigFactor(fn, coeffs, phase, source)
+
+
+X0, X1, X2, X3 = ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0),
+                  (0.0, 0.0, 0.0, 1.0))
+
+
+# the expressions of the tests, CI and README, and the literal forms accepted
+# since Python's parser reads the text
+@pytest.mark.parametrize("text, terms", [
+    ("0.1*sin(x0)", (Term(0.1, (_trig("sin", "sin(x0)", X0),)),)),
+    ("0.2*sin(x2)", (Term(0.2, (_trig("sin", "sin(x2)", X2),)),)),
+    ("0.1*cos(x1)", (Term(0.1, (_trig("cos", "cos(x1)", X1),)),)),
+    ("0.1*sin(x0)*cos(x2)",
+     (Term(0.1, (_trig("sin", "sin(x0)", X0), _trig("cos", "cos(x2)", X2))),)),
+    ("0.3*sin(x2)*cos(x3)",
+     (Term(0.3, (_trig("sin", "sin(x2)", X2), _trig("cos", "cos(x3)", X3))),)),
+    ("0.3*sin(x0)*cos(x1)+0.2*sin(x2+x3)",
+     (Term(0.3, (_trig("sin", "sin(x0)", X0), _trig("cos", "cos(x1)", X1))),
+      Term(0.2, (_trig("sin", "sin(x2+x3)", (0.0, 0.0, 1.0, 1.0)),)))),
+    ("1.5*sin(x0)*cos(2*x1+0.5)+3-0.2*sin(x2+x3)",
+     (Term(1.5, (_trig("sin", "sin(x0)", X0),
+                 _trig("cos", "cos(2*x1+0.5)", (0.0, 2.0, 0.0, 0.0), 0.5))),
+      Term(3.0, ()),
+      Term(-0.2, (_trig("sin", "sin(x2+x3)", (0.0, 0.0, 1.0, 1.0)),)))),
+    (" - 0.5 * cos( x3 ) + 1 ", (Term(-0.5, (_trig("cos", "cos( x3 )", X3),)), Term(1.0, ()))),
+    ("sin(0.5*x1)", (Term(1.0, (_trig("sin", "sin(0.5*x1)", (0.0, 0.5, 0.0, 0.0)),)),)),
+    ("-2*cos(-x0 + 3*x1 - 0.25)",
+     (Term(-2.0, (_trig("cos", "cos(-x0 + 3*x1 - 0.25)", (-1.0, 3.0, 0.0, 0.0), -0.25),)),)),
+    ("(5)", (Term(5.0, ()),)),
+    ("--8", (Term(8.0, ()),)),
+    ("1 +-5", (Term(1.0, ()), Term(-5.0, ()))),
+    ("2*-3", (Term(-6.0, ()),)),
+    ("0x4*sin(1_0*x3)", (Term(4.0, (_trig("sin", "sin(1_0*x3)", (0.0, 0.0, 0.0, 10.0)),)),)),
+])
+def test_expression_terms(text, terms):
+    # repr also tells -0.0 from 0.0
+    assert repr(parse_expression(text)) == repr(terms)
+
+
 def test_expression_error_names_column(grid8):
     with pytest.raises(PresetError, match="column"):
         scalar_from_expression("sin(x0)+%", grid8)
+    # leading blanks and earlier lines count, and a node outside the grammar
+    # names its own column
+    with pytest.raises(PresetError, match="column 7: expected a coordinate"):
+        scalar_from_expression("  sin(x4)", grid8)
+    with pytest.raises(PresetError, match="column 11: expected a coordinate"):
+        scalar_from_expression("sin(x0 +\n x4)", grid8)
 
 
 def test_periodicity_guard():

@@ -82,6 +82,10 @@ def test_theta_field_validation(grid8):
     c = np.full(grid8.dims, 0.8)  # s^2 + c^2 != 1
     with pytest.raises(ValueError):
         ThetaField(grid8, s, c, np.zeros(grid8.dims + (4,)), np.zeros(grid8.dims))
+    s, c = np.zeros(grid8.dims), np.ones(grid8.dims)
+    s[1, 2, 3, 4] = np.nan
+    with pytest.raises(ValueError):
+        ThetaField(grid8, s, c, np.zeros(grid8.dims + (4,)), np.zeros(grid8.dims))
 
 
 def smooth_sigma(grid, seed):

@@ -120,12 +120,12 @@ def test_dirac_weitzenboeck_identity(grid8):
 
 def test_log_kato(grid8):
     conn, phi = smooth_pair(grid8, 7)
-    margin = log_kato_check(phi, conn, floor=0.2)
+    margin = log_kato_check(phi, conn)
     # continuum inequality, allow stencil slack near small |Phi|
     assert margin > -0.05
     zero = SpinorField(grid8, np.zeros(grid8.dims + (2,), dtype=complex))
     with pytest.raises(ValueError):
-        log_kato_check(zero, conn, floor=0.2)
+        log_kato_check(zero, conn)
 
 
 def test_dirac_rejects_curved_metric(m8_conf):
