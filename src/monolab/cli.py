@@ -1,10 +1,11 @@
 """Command-line front door.
 
-Every subcommand builds its geometry from presets, runs one family of
-checks, and emits a schema-versioned JSON report (stdout or --out).  A
-JSON config file passed with --config overrides command-line flags, so a
-saved config always reproduces the run it came from regardless of what
-was typed next to it.  One option table, `_COMMANDS`, drives argparse,
+Every subcommand but `catalog`, whose surfaces have closed forms, builds
+its geometry from presets; each runs one family of checks and emits a
+schema-versioned JSON report (stdout or --out).  A JSON config file
+passed with --config overrides command-line flags, so a saved config
+always reproduces the run it came from regardless of what was typed
+next to it.  One option table, `_COMMANDS`, drives argparse,
 the parsing of flag and config values and the config block each report
 records.  Exit codes: 0 success, 1 invariant-gate or numerical failure,
 2 config/parse errors.
@@ -118,6 +119,20 @@ def _positive(value) -> float:
     return x
 
 
+def _nonnegative(value) -> float:
+    x = _float(value)
+    if x < 0:
+        raise ValueError("needs a non-negative number")
+    return x
+
+
+def _fraction(value) -> float:
+    x = _float(value)
+    if not 0 < x < 1:
+        raise ValueError("needs a number strictly between 0 and 1")
+    return x
+
+
 def _choice(*choices):
     def parse(value):
         if value not in choices:
@@ -164,6 +179,9 @@ def _dims_list(value) -> list:
     sizes = [_size(v) for v in _items(value)]
     if len(sizes) < 2:
         raise ValueError("needs at least two sizes")
+    if any(a >= b for a, b in zip(sizes, sizes[1:])):
+        # an observed order divides by log(n1 / n0)
+        raise ValueError("needs strictly increasing sizes")
     return sizes
 
 
@@ -189,21 +207,23 @@ class _Option:
     parse: Callable  # flag text or saved-config value -> value
     default: object = None
     help: str | None = None
-    # True: the report's config block records it; "catalog": only lebrun's
-    # catalog mode records it, when set, and that mode records nothing else
-    record: bool | str = True
+    record: bool = True  # the report's config block records it
 
 
 _GRID = {
     "dims": _Option(_dims, (8,) * 4, "grid nodes per axis (N or N0,N1,N2,N3)"),
     "periods": _Option(_periods, (2.0 * np.pi,) * 4, "box lengths (default 2*pi each)"),
 }
-_COMMON = {
-    "metric": _Option(_text, "flat", "flat | conformal:EXPR | kaehler-product:EXPR | file:PATH"),
-    "seed": _Option(_nonnegative_int, 0),
+_IO = {
     "out": _Option(_text, None, "report path (default stdout)", False),
     "config": _Option(_text, None, "JSON config file; its keys override flags", False),
 }
+_COMMON = {
+    "metric": _Option(_text, "flat", "flat | conformal:EXPR | kaehler-product:EXPR | file:PATH"),
+    **_IO,
+}
+# only the commands that draw random fields take --seed
+_SEED = {"seed": _Option(_nonnegative_int, 0)}
 # only the commands that write a field container take --dump
 _DUMP = {"dump": _Option(_text, None, "optional field-container output", False)}
 _THETA = _Option(_text, "const:0", "const:VALUE | coord:AXIS | file:PATH")
@@ -212,10 +232,10 @@ _CSV = _Option(_text, None, "write sweep rows as CSV", False)
 # the manufactured pair shared by psw-residual and bounds
 _PAIR = {
     "theta": _THETA,
-    "eps": _Option(_float, 0.5),
+    "eps": _Option(_positive, 0.5),
     "pair": _Option(_choice("reducible", "constant", "gauge", "rotating"), "rotating"),
     "chi": _Option(_text, "0.3*sin(x0)", "gauge function for --pair gauge"),
-    "amplitude": _Option(_float, 0.9, "sup |sigma| for --pair rotating"),
+    "amplitude": _Option(_fraction, 0.9, "sup |sigma| for --pair rotating"),
     "lambda_value": _LAMBDA_VALUE,
 }
 
@@ -272,10 +292,8 @@ def _resolve(flags: argparse.Namespace) -> argparse.Namespace:
 
 def _recorded(args: argparse.Namespace) -> dict:
     """The report's config block: the options the command records."""
-    mode = "catalog" if getattr(args, "catalog", None) is not None else True
     return {name: getattr(args, name)
-            for name, opt in _COMMANDS[args.command][2].items()
-            if opt.record == mode and (mode is True or getattr(args, name) is not None)}
+            for name, opt in _COMMANDS[args.command][2].items() if opt.record}
 
 
 def _geometry(args):
@@ -451,19 +469,20 @@ def _write_csv(path, rows, fieldnames):
                              for k, v in row.items()})
 
 
-def _run_lebrun(args):
-    if args.catalog is not None:
-        entry = args.catalog
-        lin = catalog_linear(entry, args.delta)
-        quad = catalog_quadratic(entry, args.delta)
-        outputs = {"linear": asdict(lin), "quadratic": asdict(quad)}
-        if args.sweep_delta:
-            rows = catalog_delta_sweep(entry, args.sweep_delta, kind=args.sweep_kind)
-            outputs["sweep"] = rows
-            if args.csv:
-                _write_csv(args.csv, rows, ["delta", "lhs", "rhs", "margin"])
-        return outputs
+def _run_catalog(args):
+    entry = args.surface
+    lin = catalog_linear(entry, args.delta)
+    quad = catalog_quadratic(entry, args.delta)
+    outputs = {"linear": asdict(lin), "quadratic": asdict(quad)}
+    if args.sweep_delta:
+        rows = catalog_delta_sweep(entry, args.sweep_delta, kind=args.sweep_kind)
+        outputs["sweep"] = rows
+        if args.csv:
+            _write_csv(args.csv, rows, ["delta", "lhs", "rhs", "margin"])
+    return outputs
 
+
+def _run_lebrun(args):
     _, m, _, K = _weight(args)
     with Timer("lebrun"):
         basis = harmonic_selfdual_basis(m)
@@ -512,11 +531,11 @@ _COMMANDS = {
     "curvature": ("curvature fields of a preset metric", _run_curvature,
                   {**_GRID, **_COMMON, **_DUMP}),
     "hodge": ("harmonic self-dual basis of a preset metric", _run_hodge,
-              {**_GRID, **_COMMON, **_DUMP}),
+              {**_GRID, **_COMMON, **_SEED, **_DUMP}),
     "dirac-check": ("spinor identities on a random smooth pair", _run_dirac_check,
-                    {**_GRID, **_COMMON, "amplitude": _Option(_float, 0.3)}),
+                    {**_GRID, **_COMMON, **_SEED, "amplitude": _Option(_float, 0.3)}),
     "lambda": ("minimize the spectral quotient", _run_lambda, {
-        **_GRID, **_COMMON, **_DUMP,
+        **_GRID, **_COMMON, **_SEED, **_DUMP,
         "theta": _THETA,
         "multistarts": _Option(_nonnegative_int, 8, "random starts beyond the 3 constants"),
         "max_iter": _Option(_nonnegative_int, 150),
@@ -530,22 +549,24 @@ _COMMANDS = {
         **_GRID, **_COMMON, **_PAIR,
         "gate": _Option(_gate, None, "residual gate (number, or 'off')"),
     }),
-    "lebrun": ("curvature inequalities, grid or catalog mode", _run_lebrun, {
+    "lebrun": ("curvature inequalities on grid fields", _run_lebrun, {
         **_GRID, **_COMMON,
-        "catalog": _Option(_choice(*sorted(CATALOG)), None, "closed-form mode", "catalog"),
-        "delta": _Option(_float, 0.0, record="catalog"),
-        "sweep_delta": _Option(_deltas, None, "comma list of weights for a margin sweep",
-                               record="catalog"),
-        "sweep_kind": _Option(_choice("linear", "quadratic"), "quadratic", record="catalog"),
         "theta": _THETA,
         "lambda_value": _LAMBDA_VALUE,
         "c1": _Option(_float, 0.0, "Chern pairing c1.[omega]"),
-        "c1plus_sq": _Option(_float, 0.0, "(c1^+)^2 for the quadratic report"),
+        "c1plus_sq": _Option(_nonnegative, 0.0, "(c1^+)^2 for the quadratic report"),
         "omega_index": _Option(_omega_index, 0, "harmonic basis vector used as omega"),
+    }),
+    "catalog": ("curvature inequalities on closed-form product surfaces", _run_catalog, {
+        "surface": _Option(_choice(*sorted(CATALOG)), "flat-t4"),
+        "delta": _Option(_float, 0.0),
+        "sweep_delta": _Option(_deltas, (), "comma list of weights for a margin sweep"),
+        "sweep_kind": _Option(_choice("linear", "quadratic"), "quadratic"),
         "csv": _CSV,
+        **_IO,
     }),
     "sweep": ("refinement sweep of one residual check", _run_sweep, {
-        **_COMMON,
+        **_COMMON, **_SEED,
         "check": _Option(_choice("weitzenboeck", "dirac", "identity-s", "identity-c"),
                          "weitzenboeck"),
         "dims_list": _Option(_dims_list, (8, 16), "comma list of grid sizes"),

@@ -392,76 +392,53 @@ def _require_closed(f_rep: TwoFormField) -> None:
         raise ValueError(f"representative is not closed: ||dF|| = {dn:.3e}")
 
 
-def chern_pairing(
-    f_rep: TwoFormField,
-    omega: SelfDualField,
-    m: MetricField,
-    allow_nonharmonic: bool = False,
-) -> float:
+def _harmonic_quotient(omega: SelfDualField, m: MetricField) -> float:
+    """The Hodge quotient of omega; raises unless omega is harmonic."""
+    tol = default_harmonic_tol(m)
+    q = hodge_rayleigh(omega, m)
+    if q > tol:
+        raise ValueError(f"omega is not harmonic: quotient {q:.3e} > {tol:.3e}")
+    return q
+
+
+def _flux_pairing(f_rep: TwoFormField, omega: SelfDualField, m: MetricField) -> float:
+    _require_closed(f_rep)
+    return wedge_integral(f_rep, embed(omega, m)) / (2.0 * np.pi)
+
+
+def chern_pairing(f_rep: TwoFormField, omega: SelfDualField, m: MetricField) -> float:
     """integral (F_rep / 2 pi) wedge omega for a closed representative.
 
     The wedge pairing is metric-free, so this is the pairing of the flux
     class with [omega] up to quadrature; exactness of the discrete d
     makes it insensitive to adding d(alpha) at stencil accuracy.
     """
-    _require_closed(f_rep)
-    if not allow_nonharmonic:
-        tol = default_harmonic_tol(m)
-        q = hodge_rayleigh(omega, m)
-        if q > tol:
-            raise ValueError(f"omega is not harmonic: quotient {q:.3e} > {tol:.3e}")
-    return wedge_integral(f_rep, embed(omega, m)) / (2.0 * np.pi)
+    _harmonic_quotient(omega, m)
+    return _flux_pairing(f_rep, omega, m)
 
 
 def lebrun_linear(
     omega: SelfDualField,
     m: MetricField,
     *,
-    kfield: KField | None = None,
-    delta: float | None = None,
-    curv: CurvatureBundle | None = None,
+    kfield: KField,
     c1: float | TwoFormField = 0.0,
-    allow_nonharmonic: bool = False,
 ) -> InequalityReport:
     """Linear curvature inequality against the Chern pairing.
 
-    Either pass kfield (full weight, lhs = integral K |omega|/sqrt(2))
-    or (delta, curv) for the one-parameter family with integrand
-    ((1 - delta/3) R + 2 delta w) |omega|/sqrt(2).  rhs = 4 pi c1.[omega]
-    with c1 given as a number or a closed flux representative.
+    lhs = integral K |omega|/sqrt(2) and rhs = 4 pi c1.[omega], with c1
+    given as a number or a closed flux representative.
     """
-    if (kfield is None) == (delta is None):
-        raise ValueError("pass exactly one of kfield or (delta, curv)")
-    tol = default_harmonic_tol(m)
-    q = hodge_rayleigh(omega, m)
-    if q > tol and not allow_nonharmonic:
-        raise ValueError(f"omega is not harmonic: quotient {q:.3e} > {tol:.3e}")
-    if kfield is not None:
-        weight = kfield.k.values
-        lhs_formula = "integral K |omega|/sqrt(2) dmu"
-        notes = {"lambda": kfield.lam}
-    else:
-        if curv is None:
-            raise ValueError("delta mode needs the curvature bundle")
-        weight = _curvature_weight(curv.scalar.values, curv.w.values, delta)
-        lhs_formula = "integral ((1-delta/3) R + 2 delta w) |omega|/sqrt(2) dmu"
-        notes = {"delta": delta}
-    lhs = integrate(weight * omega.norm(), m) / math.sqrt(2.0)
-    if isinstance(c1, TwoFormField):
-        # harmonicity is settled above
-        pairing = chern_pairing(c1, omega, m, allow_nonharmonic=True)
-    else:
-        pairing = float(c1)
-    rhs = 4.0 * np.pi * pairing
-    notes["harmonic_quotient"] = q
-    notes["c1_dot_omega"] = pairing
+    q = _harmonic_quotient(omega, m)
+    lhs = integrate(kfield.k.values * omega.norm(), m) / math.sqrt(2.0)
+    pairing = _flux_pairing(c1, omega, m) if isinstance(c1, TwoFormField) else float(c1)
     return InequalityReport(
         kind="lebrun-linear",
         lhs=lhs,
-        rhs=rhs,
-        lhs_formula=lhs_formula,
+        rhs=4.0 * np.pi * pairing,
+        lhs_formula="integral K |omega|/sqrt(2) dmu",
         rhs_formula="4 pi c1.[omega]",
-        notes=notes,
+        notes={"lambda": kfield.lam, "harmonic_quotient": q, "c1_dot_omega": pairing},
     )
 
 
@@ -589,9 +566,7 @@ CATALOG = {
 }
 
 
-def _entry(entry) -> CatalogSurface:
-    if isinstance(entry, CatalogSurface):
-        return entry
+def _entry(entry: str) -> CatalogSurface:
     try:
         return CATALOG[entry]
     except KeyError:
@@ -685,6 +660,8 @@ def rotating_config(m: MetricField, eps: float, amplitude: float = 0.9) -> Monop
     """
     if not 0.0 < amplitude < 1.0:
         raise ValueError("amplitude must sit in (0, 1) to keep beta inactive")
+    if not eps > 0.0:
+        raise ValueError("eps must be positive")
     grid = m.grid
     x2 = grid.mesh(2)
     alpha = amplitude * eps / 4.0  # continuum estimate; modulus is rebuilt from da below

@@ -153,7 +153,7 @@ class CliffordModel:
             np.einsum("ap,pst->ast", H_PLUS, c_pairs)
         )
 
-    def identity_residuals(self, seed: int = 3) -> dict[str, float]:
+    def identity_residuals(self) -> dict[str, float]:
         """Max deviation of each defining identity, for assertion in tests."""
         out = {}
         anti = np.einsum("ist,jtu->ijsu", self.gamma, self.gamma)
@@ -173,7 +173,7 @@ class CliffordModel:
         quat = quat + 4.0 * np.eye(3)[:, :, None, None] * np.eye(2)[None, None, :, :]
         out["rho_eta_quaternion"] = float(np.max(np.abs(quat)))
 
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(3)
         phi = rng.standard_normal((64, 2)) + 1j * rng.standard_normal((64, 2))
         sig = KAPPA_SIGMA * np.einsum(
             "...s,ast,...t->...a", phi.conj(), PAULI, phi

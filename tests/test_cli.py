@@ -102,9 +102,11 @@ def test_config_file_overrides_flags(tmp_path, capsys):
     [
         ["psw-residual", "--dims", "8", "--pair", "gauge", "--chi", "0.2*sin(x1)"],
         ["sweep", "--check", "dirac", "--dims-list", "8,10"],
-        ["lebrun", "--catalog", "t2xsigma2", "--sweep-delta", "0,0.5,1", "--sweep-kind", "linear"],
+        ["catalog", "--surface", "t2xsigma2", "--sweep-delta", "0,0.5,1", "--sweep-kind", "linear"],
         # the config block records --gate off as "off"
         ["bounds", "--dims", "8", "--gate", "off"],
+        # an empty sweep is recorded too, so the replay has none either
+        ["catalog", "--surface", "t2xs2", "--delta", "0.5"],
     ],
 )
 def test_saved_config_replays_byte_identically(tmp_path, argv):
@@ -136,7 +138,7 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
         ["psw-residual", "--dims", "8", "--config", "bad_variant.json"],
         ["curvature", "--config", "bad_metric.json"],
         ["lambda", "--config", "bad_theta.json"],
-        ["lebrun", "--catalog", "flat-t4", "--config", "bad_sweep_delta.json"],
+        ["catalog", "--config", "bad_sweep_delta.json"],
         ["bounds", "--dims", "8", "--gate", "abc"],
         ["lebrun", "--dims", "8", "--omega-index", "99"],
         ["bounds", "--dims", "8", "--config", "bad_dump.json"],
@@ -151,6 +153,13 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
         ["curvature", "--metric", "conformal:300"],
         ["lambda", "--theta", "const:inf"],
         ["bounds", "--pair", "gauge", "--chi", "1e308+1e308"],
+        ["bounds", "--eps", "0"],
+        ["psw-residual", "--eps", "-1"],
+        ["psw-residual", "--amplitude", "1.5"],
+        ["lebrun", "--c1plus-sq", "-1"],
+        ["sweep", "--dims-list", "8,8"],
+        # curvature draws no random field, so "seed" is an unknown key
+        ["curvature", "--config", "seed_key.json"],
     ],
 )
 # a numpy warning would be a second stderr line
@@ -161,7 +170,7 @@ def test_parse_errors_exit_2(tmp_path, monkeypatch, capsys, argv):
     bad = {"bad_eps": {"eps": "abc"}, "bad_variant": {"variant": "half"},
            "bad_metric": {"metric": 5}, "bad_theta": {"theta": 3},
            "bad_sweep_delta": {"sweep_delta": [0, "half"]}, "bad_dump": {"dump": "b.zip"},
-           "bad_seed": {"seed": -1}}
+           "bad_seed": {"seed": -1}, "seed_key": {"seed": 3}}
     for name, data in bad.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(data))
     code = main(argv)
@@ -222,7 +231,7 @@ def test_gate_errors_exit_1(capsys):
     assert code == 1
 
 
-@pytest.mark.parametrize("command", ["bounds", "dirac-check", "lebrun", "sweep"])
+@pytest.mark.parametrize("command", ["bounds", "dirac-check", "lebrun", "sweep", "catalog"])
 def test_dump_only_where_written(tmp_path, command):
     # these commands write no field container, so they take no --dump
     with pytest.raises(SystemExit) as exc:
@@ -323,7 +332,7 @@ def test_lebrun_catalog_with_sweep_csv(tmp_path, capsys):
     csv = tmp_path / "sweep.csv"
     code, report = run(
         capsys,
-        ["lebrun", "--catalog", "t2xsigma2", "--sweep-delta", "0,0.5,1",
+        ["catalog", "--surface", "t2xsigma2", "--sweep-delta", "0,0.5,1",
          "--sweep-kind", "linear", "--csv", str(csv)],
     )
     assert code == 0
@@ -389,3 +398,26 @@ def test_sweep_takes_no_dims_or_periods(flag):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--check", "dirac", "--dims-list", "8,9"] + flag)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["curvature", "--seed", "3"],
+        ["psw-residual", "--seed", "3"],
+        ["bounds", "--seed", "3"],
+        ["lebrun", "--seed", "3"],
+        ["lebrun", "--catalog", "flat-t4"],
+        ["lebrun", "--delta", "0.5"],
+        ["lebrun", "--csv", "x.csv"],
+        ["catalog", "--dims", "8"],
+        ["catalog", "--metric", "flat"],
+    ],
+)
+def test_flags_only_where_read(tmp_path, monkeypatch, argv):
+    # a command takes no flag it never reads; argparse refuses the rest
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert not (tmp_path / "x.csv").exists()

@@ -24,6 +24,7 @@ from monolab import (
     constant_config,
     gauge_trick_config,
     general_psw_residual,
+    harmonic_selfdual_basis,
     key_inequality_check,
     lebrun_linear,
     lebrun_quadratic,
@@ -130,6 +131,9 @@ def test_rotating_config_solves_curvature_equation(m8, kzero):
     assert bl.margin > 0
     with pytest.raises(ValueError):
         rotating_config(m8, EPS, amplitude=1.1)
+    for eps in (0.0, -1.0):
+        with pytest.raises(ValueError, match="eps"):
+            rotating_config(m8, eps)
 
 
 def test_default_gate_flags_near_solutions(m8, kzero):
@@ -287,7 +291,6 @@ def test_chern_pairing_guards(m8):
     )
     with pytest.raises(ValueError, match="harmonic"):
         chern_pairing(flux_rep(m8.grid, 1), wobbly, m8)
-    chern_pairing(flux_rep(m8.grid, 1), wobbly, m8, allow_nonharmonic=True)
 
 
 def test_lebrun_linear_flat_equality(m8, kzero):
@@ -295,19 +298,14 @@ def test_lebrun_linear_flat_equality(m8, kzero):
     rep = lebrun_linear(omega, m8, kfield=kzero, c1=0.0)
     assert abs(rep.lhs) < 1e-8
     assert abs(rep.rhs) < 1e-8
-    with pytest.raises(ValueError):
-        lebrun_linear(omega, m8, kfield=kzero, delta=0.5, c1=0.0)
-    with pytest.raises(ValueError):
-        lebrun_linear(omega, m8, c1=0.0)
 
 
-def test_lebrun_linear_scales_with_omega(m8, curv8_conf, m8_conf):
-    omega = SelfDualField(m8_conf.grid, np.tile([1.0, 0.0, 0.0], m8_conf.grid.dims + (1,)))
-    r1 = lebrun_linear(omega, m8_conf, delta=0.7, curv=curv8_conf, c1=0.25,
-                       allow_nonharmonic=True)
+def test_lebrun_linear_scales_with_omega(curv8_conf, m8_conf):
+    omega = harmonic_selfdual_basis(m8_conf)[0]
+    K = assemble_K(theta_from_preset("coord:0", m8_conf), curv8_conf, lam=0.2)
+    r1 = lebrun_linear(omega, m8_conf, kfield=K, c1=0.25)
     two = SelfDualField(m8_conf.grid, 2.0 * omega.comps)
-    r2 = lebrun_linear(two, m8_conf, delta=0.7, curv=curv8_conf, c1=0.5,
-                       allow_nonharmonic=True)
+    r2 = lebrun_linear(two, m8_conf, kfield=K, c1=0.5)
     assert abs(r2.lhs - 2.0 * r1.lhs) < 1e-9 * max(1.0, abs(r1.lhs))
     assert abs(r2.rhs - 2.0 * r1.rhs) < 1e-12
 
