@@ -12,7 +12,6 @@ from .curvature import (
     MetricField,
     build_metric,
     curvature_stack,
-    lowest_eigenvalue,
 )
 from .functionals import (
     CATALOG,

@@ -170,8 +170,10 @@ def _periods(value) -> tuple:
     vals = [_float(v) for v in _items(value)]
     if len(vals) == 1:
         vals = vals * 4
-    if len(vals) != 4 or any(v <= 0 for v in vals):
-        raise ValueError("needs 1 or 4 positive lengths")
+    # the lambda quotient's integrands at unit norm scale like L^-6: in this
+    # range they and their squares stay far inside the float range
+    if len(vals) != 4 or not all(1e-20 <= v <= 1e20 for v in vals):
+        raise ValueError("needs 1 or 4 lengths between 1e-20 and 1e20")
     return tuple(vals)
 
 
@@ -470,6 +472,8 @@ def _write_csv(path, rows, fieldnames):
 
 
 def _run_catalog(args):
+    if args.csv and not args.sweep_delta:
+        raise PresetError("--csv needs --sweep-delta")
     entry = args.surface
     lin = catalog_linear(entry, args.delta)
     quad = catalog_quadratic(entry, args.delta)

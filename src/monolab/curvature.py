@@ -44,8 +44,6 @@ __all__ = [
     "CurvatureBundle",
     "build_metric",
     "curvature_stack",
-    "lowest_eigenvalue",
-    "christoffel",
 ]
 
 # orientation signs S of the stored 3-form components: component l is the
@@ -102,9 +100,25 @@ class MetricField:
 
     @cached_property
     def christoffel(self) -> np.ndarray:
-        out = christoffel(self)
-        out.flags.writeable = False
-        return out
+        """Gamma^k_ij from 6th-order differences of the metric, [..., k, x] on
+        the symmetric pairs x = _SYM_INDEX[i, j].
+
+        One stencil call per axis on the 10 stored components of g gives the
+        first-kind symbols on those pairs; one ginv matmul raises their first
+        index.
+        """
+        # ginv lives as long as the metric; made after the temporaries below,
+        # it would sit above them in the heap and keep their pages resident
+        # (curvature --dims 16: peak RSS 190 MiB against 177 MiB)
+        gi = self.ginv
+        dg = gradient(self.g[..., _SYM_I, _SYM_J], self.grid)
+        dg = dg.reshape(self.grid.dims + (40,))
+        first = dg[..., _TAP_DI]
+        first += dg[..., _TAP_DJ]
+        first -= dg[..., _TAP_DL]
+        del dg
+        first *= 0.5
+        return _freeze(gi @ first)
 
     @cached_property
     def is_flat(self) -> bool:
@@ -173,8 +187,7 @@ def _bilinear(x: np.ndarray, a: np.ndarray, y: np.ndarray) -> np.ndarray:
 class CurvatureBundle:
     """Scalar curvature, self-dual Weyl matrix field and its lowest eigenvalue."""
 
-    def __init__(self, metric: MetricField, scalar: ScalarField, wplus: np.ndarray,
-                 w: ScalarField):
+    def __init__(self, scalar: ScalarField, wplus: np.ndarray, w: ScalarField):
         tol = 1e-8 * max(1.0, float(np.max(np.abs(wplus))))
         if np.max(np.abs(wplus - np.swapaxes(wplus, -1, -2))) > tol:
             raise ValueError("wplus storage is not symmetric")
@@ -182,7 +195,6 @@ class CurvatureBundle:
             raise ValueError("wplus storage is not trace-free")
         if np.max(w.values) > tol:
             raise ValueError("lowest Weyl eigenvalue came out positive")
-        self.metric = metric
         self.scalar = scalar
         self.wplus = _freeze(wplus)
         self.w = w
@@ -222,49 +234,17 @@ def build_metric(grid: GridSpec, g: np.ndarray) -> MetricField:
     return m
 
 
-def christoffel(m: MetricField) -> np.ndarray:
-    """Gamma^k_ij from 6th-order differences of the metric, [..., k, x] on
-    the symmetric pairs x = _SYM_INDEX[i, j].
-
-    One stencil call per axis on the 10 stored components of g gives the
-    first-kind symbols on those pairs; one ginv matmul raises their first
-    index.
-    """
-    # ginv lives as long as m; made after the temporaries below, it would sit
-    # above them in the heap and keep their pages resident (curvature --dims
-    # 16: peak RSS 190 MiB against 177 MiB)
-    gi = m.ginv
-    dg = gradient(m.g[..., _SYM_I, _SYM_J], m.grid)
-    dg = dg.reshape(m.grid.dims + (40,))
-    first = dg[..., _TAP_DI]
-    first += dg[..., _TAP_DJ]
-    first -= dg[..., _TAP_DL]
-    del dg
-    first *= 0.5
-    return gi @ first
-
-
-def lowest_eigenvalue(field3x3: np.ndarray, grid: GridSpec) -> ScalarField:
-    """Lowest eigenvalue of a symmetric 3x3 matrix field, nodewise."""
-    a = np.asarray(field3x3)
-    if a.shape != grid.dims + (3, 3):
-        raise ValueError("expected a (dims + (3,3)) matrix field")
-    ev = np.linalg.eigvalsh(a)
-    return ScalarField(grid, ev[..., 0])
-
-
-def curvature_operator(m: MetricField, coframe: np.ndarray | None = None) -> np.ndarray:
+def curvature_operator(m: MetricField) -> np.ndarray:
     """Curvature operator on 2-forms in the frame: [..., A, B] on stored pairs.
 
-    R_frame = L^T R_pair L with L = Lambda^2(e^-1); its trace is R/2 and its
-    eta-plus and eta-minus blocks are W+ and W- plus (R/12) 1.  `coframe`
-    overrides the Cholesky gauge as in `curvature_stack`.  Not in `__all__`:
+    R_frame = L^T R_pair L with L = Lambda^2(e^-1) for the Cholesky coframe
+    e = `MetricField.coframe`; its trace is R/2 and its eta-plus and
+    eta-minus blocks are W+ and W- plus (R/12) 1.  Not in `__all__`:
     bench/trace_cli.py spans the functions listed there, and this one is the
     bulk of the `curvature_stack` span.
     """
     r = _pair_riemann(m)
-    einv = m.inv_coframe if coframe is None else np.linalg.inv(np.asarray(coframe))
-    lam = _lambda2(einv)
+    lam = _lambda2(m.inv_coframe)
     return np.swapaxes(lam, -1, -2) @ r @ lam
 
 
@@ -322,15 +302,16 @@ def _lambda2_derivation(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def curvature_stack(m: MetricField, coframe: np.ndarray | None = None) -> CurvatureBundle:
+def curvature_stack(m: MetricField) -> CurvatureBundle:
     """Scalar curvature, W+ and its lowest eigenvalue from the curvature operator.
 
-    `coframe` overrides the Cholesky gauge (any e with e^T e = g), which
-    only rotates the eta basis; scalar quantities are unaffected.
+    W+ is stored in the eta basis of the Cholesky coframe `MetricField.coframe`,
+    the basis of every self-dual field.
     """
-    op = curvature_operator(m, coframe)
+    op = curvature_operator(m)
     scal = 2.0 * np.trace(op, axis1=-2, axis2=-1)
     wplus = H_PLUS @ op @ H_PLUS.T - (scal / 12.0)[..., None, None] * np.eye(3)
     # symmetrize away roundoff before the eigenvalue pass
     wplus = 0.5 * (wplus + np.swapaxes(wplus, -1, -2))
-    return CurvatureBundle(m, ScalarField(m.grid, scal), wplus, lowest_eigenvalue(wplus, m.grid))
+    w = ScalarField(m.grid, np.linalg.eigvalsh(wplus)[..., 0])
+    return CurvatureBundle(ScalarField(m.grid, scal), wplus, w)

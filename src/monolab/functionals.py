@@ -42,7 +42,6 @@ from .selfdual import (
     SelfDualField,
     TwoFormField,
     d,
-    default_harmonic_tol,
     embed,
     harmonic_selfdual_basis,
     hodge_rayleigh,
@@ -393,8 +392,8 @@ def _require_closed(f_rep: TwoFormField) -> None:
 
 
 def _harmonic_quotient(omega: SelfDualField, m: MetricField) -> float:
-    """The Hodge quotient of omega; raises unless omega is harmonic."""
-    tol = default_harmonic_tol(m)
+    """The Hodge quotient of omega; raises above 1e-6 of the chart's spectral scale."""
+    tol = 1e-6 * m.grid.spectral_scale
     q = hodge_rayleigh(omega, m)
     if q > tol:
         raise ValueError(f"omega is not harmonic: quotient {q:.3e} > {tol:.3e}")

@@ -11,6 +11,10 @@ across axes.  Quadrature is the metric-weighted Riemann sum
 sum_p f(p) vol(p) prod_i h_i, which is spectrally accurate for smooth
 periodic integrands.
 
+The d1 Fourier symbol `_stencil_symbol2`, which preconditions the harmonic
+solve and the lambda minimiser through `_fourier_multiply`, is computed
+from the same stencil table.
+
 Fields are immutable value objects: a `GridSpec` plus a read-only ndarray
 whose leading four axes are the grid axes (axis-major, C order).
 """
@@ -76,6 +80,11 @@ class GridSpec:
     def node_count(self) -> int:
         return int(np.prod(self.dims))
 
+    @property
+    def spectral_scale(self) -> float:
+        """(2 pi / L)^2 of the longest period, the chart's lowest squared wavenumber."""
+        return min((2.0 * np.pi / L) ** 2 for L in self.periods)
+
     def coordinate(self, axis: int) -> np.ndarray:
         """1D node coordinates along one axis."""
         h = self.spacing[axis]
@@ -129,6 +138,42 @@ def _circulant(stencil: str, n: int, h: float) -> np.ndarray:
     for offset, w in zip(range(-3, 4), weights):
         np.add.at(m, (rows, (rows + offset) % n), w)
     return _freeze(m / (denom * h**order))
+
+
+def _stencil_symbol2(grid: GridSpec) -> np.ndarray:
+    """|s|^2 = sum_k s_k^2 of the d1 stencil, rfftn layout.  d1 multiplies
+    exp(i j x) by i s_k, the sum of w sin(o phi) over the positive offsets o
+    and weights w of the stencil, divided by (denominator / 2) h; s_k is
+    exactly 0 at zero and half frequency."""
+    weights, denom, _ = _STENCILS["d1"]
+    k2 = 0.0
+    for ax, (n, h) in enumerate(zip(grid.dims, grid.spacing)):
+        j = np.arange(n // 2 + 1) if ax == 3 else np.fft.fftfreq(n, 1.0 / n)
+        phi = 2.0 * np.pi * j / n
+        s = sum(w * np.sin(o * phi) for o, w in enumerate(weights[4:], 1)) / (denom / 2 * h)
+        s[(2 * j) % n == 0] = 0.0
+        shape = [1, 1, 1, 1]
+        shape[ax] = s.size
+        k2 = k2 + (s**2).reshape(shape)
+    return k2
+
+
+def _fourier_multiply(values: np.ndarray, symbol: np.ndarray) -> np.ndarray:
+    """Apply a real, even Fourier multiplier given in rfftn layout over the
+    grid axes, one trailing component at a time.
+
+    Each component is transformed as a scalar field of its own, which gives
+    the bits of one transform over the stacked array's grid axes without
+    its strided passes over the trailing axes.
+    """
+    dims = values.shape[:4]
+    flat = values.reshape(dims + (-1,))
+    out = np.empty(flat.shape)
+    for j in range(flat.shape[-1]):
+        spec = np.fft.rfftn(flat[..., j], axes=(0, 1, 2, 3))
+        spec *= symbol
+        out[..., j] = np.fft.irfftn(spec, s=dims, axes=(0, 1, 2, 3))
+    return out.reshape(values.shape)
 
 
 def _apply_along(stencil: str, values: np.ndarray, axis: int, h: float) -> np.ndarray:

@@ -19,12 +19,13 @@ minimiser stays away from the zero section), so it is always a discrete
 upper-bound estimate, never a certified continuum value.
 
 The conjugate gradient is preconditioned by the flat symbol
-1/(mu + |s|^2), with s the stencil's effective wavenumber and mu the
-spectral scale of the chart (Absil, Mahony and Sepulchre 2008, ch. 8;
-Knyazev 2001).  The symbol is zero on exact half-frequency planes, to
-which the centred first difference is blind, so the preconditioner also
-keeps every search direction in the stencil-resolved subspace; those
-modes would otherwise fake flat directions of the quotient on even grids.
+1/(mu + |s|^2), with |s|^2 the d1 symbol of `grid` and mu the chart's
+`GridSpec.spectral_scale`, plus the mean |R| of a given curvature bundle
+(Absil, Mahony and Sepulchre 2008, ch. 8; Knyazev 2001).  The symbol is
+zero on exact half-frequency planes, to which the centred first
+difference is blind, so the preconditioner also keeps every search
+direction in the stencil-resolved subspace; those modes would otherwise
+fake flat directions of the quotient on even grids.
 The starts are projected onto that subspace by the same mask.
 
 The line search tries Nocedal and Wright's step (Numerical Optimization,
@@ -54,14 +55,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import CurvatureBundle, MetricField, _bilinear
-from .grid import GridSpec, ScalarField, _freeze, gradient, gradient_T
-from .selfdual import (
-    SelfDualField,
+from .grid import (
+    GridSpec,
+    ScalarField,
     _fourier_multiply,
+    _freeze,
     _stencil_symbol2,
-    hodge_energy_and_grad,
-    sd_dirichlet_energy_and_grad,
+    gradient,
+    gradient_T,
 )
+from .selfdual import SelfDualField, hodge_energy_and_grad, sd_dirichlet_energy_and_grad
 
 __all__ = [
     "ThetaField",
@@ -389,7 +392,7 @@ def minimize_lambda(
     opts = opts or LambdaOptions()
     grid = m.grid
     bw = m.vol * grid.cell_volume
-    scale = min((2.0 * np.pi / L) ** 2 for L in grid.periods)
+    scale = grid.spectral_scale
     if curv is not None:
         scale += float(np.mean(np.abs(curv.scalar.values)))
     symbol = _sphere_symbol(grid, scale)

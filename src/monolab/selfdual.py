@@ -45,7 +45,16 @@ import numpy as np
 
 from .bases import PAIRS, WEDGE2, X3
 from .curvature import CurvatureBundle, MetricField, _bilinear, _lambda2
-from .grid import GridSpec, _axis_derivatives, _freeze, gradient, gradient_T, integrate
+from .grid import (
+    GridSpec,
+    _axis_derivatives,
+    _fourier_multiply,
+    _freeze,
+    _stencil_symbol2,
+    gradient,
+    gradient_T,
+    integrate,
+)
 
 __all__ = [
     "TwoFormField",
@@ -67,7 +76,6 @@ __all__ = [
     "B_PLUS",
     "HarmonicSolveError",
     "HarmonicBasis",
-    "default_harmonic_tol",
     "harmonic_selfdual_basis",
 ]
 
@@ -340,24 +348,6 @@ def hodge_rayleigh(sigma: SelfDualField, m: MetricField) -> float:
     return energy / den
 
 
-def _stencil_symbol2(grid: GridSpec) -> np.ndarray:
-    """|s|^2 = sum_k s_k^2 of the centred first difference, rfftn layout.
-
-    s_k is the effective wavenumber of the stencil on axis k; it vanishes
-    exactly at zero and half frequency.
-    """
-    k2 = 0.0
-    for ax, (n, h) in enumerate(zip(grid.dims, grid.spacing)):
-        j = np.arange(n // 2 + 1) if ax == 3 else np.fft.fftfreq(n, 1.0 / n)
-        phi = 2.0 * np.pi * j / n
-        s = (45.0 * np.sin(phi) - 9.0 * np.sin(2 * phi) + np.sin(3 * phi)) / (30.0 * h)
-        s[(2 * j) % n == 0] = 0.0
-        shape = [1, 1, 1, 1]
-        shape[ax] = s.size
-        k2 = k2 + (s**2).reshape(shape)
-    return k2
-
-
 def _inverse_symbol(grid: GridSpec) -> np.ndarray:
     """Inverse symbol 1/|s|^2 of the flat 1-form Hodge Laplacian, rfftn layout.
 
@@ -367,24 +357,6 @@ def _inverse_symbol(grid: GridSpec) -> np.ndarray:
     k2 = _stencil_symbol2(grid)
     seen = k2 > 0.0
     return np.where(seen, 1.0 / np.where(seen, k2, 1.0), 0.0)
-
-
-def _fourier_multiply(values: np.ndarray, symbol: np.ndarray) -> np.ndarray:
-    """Apply a real, even Fourier multiplier given in rfftn layout over the
-    grid axes, one trailing component at a time.
-
-    Each component is transformed as a scalar field of its own, which gives
-    the bits of one transform over the stacked array's grid axes without
-    its strided passes over the trailing axes.
-    """
-    dims = values.shape[:4]
-    flat = values.reshape(dims + (-1,))
-    out = np.empty(flat.shape)
-    for j in range(flat.shape[-1]):
-        spec = np.fft.rfftn(flat[..., j], axes=(0, 1, 2, 3))
-        spec *= symbol
-        out[..., j] = np.fft.irfftn(spec, s=dims, axes=(0, 1, 2, 3))
-    return out.reshape(values.shape)
 
 
 # b+ of the 4-torus: the same for every metric
@@ -408,11 +380,6 @@ _PCG_MAXITER = 400
 
 class HarmonicSolveError(RuntimeError):
     """The harmonic representatives did not converge within the iteration cap."""
-
-
-def default_harmonic_tol(m: MetricField) -> float:
-    """Harmonicity cutoff for a given omega: 1e-6 of the chart's spectral scale."""
-    return 1e-6 * min((2.0 * np.pi / L) ** 2 for L in m.grid.periods)
 
 
 @dataclass(frozen=True)
@@ -455,7 +422,7 @@ def harmonic_selfdual_basis(m: MetricField) -> HarmonicBasis:
     is positive on the flat self-dual classes.
 
     One PCG loop solves for the three alpha_a together, preconditioned by
-    the flat inverse symbol.  The operator is singular only on closed
+    the inverse of `grid`'s d1 symbol.  The operator is singular only on closed
     1-forms, which never change d alpha, so no gauge is fixed.  Raises
     HarmonicSolveError when the loop misses _PCG_TOL within _PCG_MAXITER.
     """

@@ -160,6 +160,10 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
         ["sweep", "--dims-list", "8,8"],
         # curvature draws no random field, so "seed" is an unknown key
         ["curvature", "--config", "seed_key.json"],
+        ["curvature", "--dims", "8", "--periods", "1e300"],
+        ["hodge", "--dims", "8", "--periods", "1e-300"],
+        # without a sweep there are no rows for the CSV
+        ["catalog", "--csv", "x.csv"],
     ],
 )
 # a numpy warning would be a second stderr line
@@ -173,10 +177,13 @@ def test_parse_errors_exit_2(tmp_path, monkeypatch, capsys, argv):
            "bad_seed": {"seed": -1}, "seed_key": {"seed": 3}}
     for name, data in bad.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(data))
+    written = sorted(tmp_path.iterdir())
     code = main(argv)
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert code == 2
     assert err.startswith("monolab: config error:") and err.count("\n") == 1
+    # no report and no CSV
+    assert out == "" and sorted(tmp_path.iterdir()) == written
 
 
 # readable containers whose arrays are not a metric or an angle

@@ -9,7 +9,6 @@ from monolab import (
     ScalarField,
     build_metric,
     curvature_stack,
-    lowest_eigenvalue,
     metric_from_preset,
     random_smooth_scalar,
 )
@@ -99,45 +98,23 @@ def test_kaehler_product_matches_closed_form():
 
 
 def test_lowest_eigenvalue_against_cubic_oracle():
-    g = GridSpec((4, 4, 4, 4))
-    rng = np.random.default_rng(12)
-    a = rng.standard_normal(g.dims + (3, 3))
-    a = 0.5 * (a + np.swapaxes(a, -1, -2))
-    low = lowest_eigenvalue(a, g).values
-    flat = a.reshape(-1, 3, 3)
-    idx = rng.choice(flat.shape[0], size=40, replace=False)
-    for i in idx:
-        assert abs(low.reshape(-1)[i] - sym3x3_eigs(flat[i])[0]) < 1e-10
-    with pytest.raises(ValueError):
-        lowest_eigenvalue(np.zeros(g.dims + (3, 4)), g)
+    # w is the lowest eigenvalue of the stack's own W+, node by node
+    grid, g = generic_metric(8)
+    cb = curvature_stack(build_metric(grid, g))
+    cubic = [sym3x3_eigs(a)[0] for a in cb.wplus.reshape(-1, 3, 3)]
+    assert np.max(np.abs(cb.w.values.reshape(-1) - cubic)) < 1e-12 * np.max(np.abs(cb.wplus))
 
 
-def test_coframe_gauge_only_rotates_weyl(m8_conf, curv8_conf):
-    # any coframe with e^T e = g gives the same scalars and Weyl spectrum
-    g = m8_conf.grid
-    c, s = np.cos(0.7), np.sin(0.7)
-    rot = np.array(
-        [[c, -s, 0, 0], [s, c, 0, 0], [0, 0, c, s], [0, 0, -s, c]]
-    )
-    e = np.einsum("...ab,bc->...ac", m8_conf.coframe, rot)
-    cb2 = curvature_stack(m8_conf, coframe=e)
-    assert np.max(np.abs(cb2.scalar.values - curv8_conf.scalar.values)) < 1e-9
-    assert np.max(np.abs(cb2.w.values - curv8_conf.w.values)) < 1e-9
-    e1 = np.linalg.eigvalsh(curv8_conf.wplus)
-    e2 = np.linalg.eigvalsh(cb2.wplus)
-    assert np.max(np.abs(e1 - e2)) < 1e-9
-
-
-def test_bundle_rejects_bad_weyl_storage(m8):
-    g = m8.grid
+def test_bundle_rejects_bad_weyl_storage(grid8):
+    g = grid8
     zeros = ScalarField(g, np.zeros(g.dims))
     wbad = np.zeros(g.dims + (3, 3))
     wbad[..., 0, 1] = 1.0
     with pytest.raises(ValueError):
-        CurvatureBundle(m8, zeros, wbad, zeros)
+        CurvatureBundle(zeros, wbad, zeros)
     wpos = ScalarField(g, np.full(g.dims, 0.5))
     with pytest.raises(ValueError):
-        CurvatureBundle(m8, zeros, np.zeros(g.dims + (3, 3)), wpos)
+        CurvatureBundle(zeros, np.zeros(g.dims + (3, 3)), wpos)
 
 
 def test_three_form_algebra_matches_tensor_definitions():
@@ -176,7 +153,7 @@ def _roll_d2(v, axis, h):
             + 270 * r(v, 1, axis) - 27 * r(v, 2, axis) + 2 * r(v, 3, axis)) / (180.0 * h * h)
 
 
-def textbook_curvature(g, spacing, coframe=None):
+def textbook_curvature(g, spacing):
     """Scalar curvature and W+ by the textbook chain on full index tensors:
     ddg -> Riemann -> Ricci -> Weyl -> frame.  It shares no code with the
     package; the eta basis, the Christoffel symbols and the stencils are
@@ -203,9 +180,7 @@ def textbook_curvature(g, spacing, coframe=None):
             - np.einsum("...jk,...il->...ijkl", g, ricci))
     gg = np.einsum("...ik,...jl->...ijkl", g, g) - np.einsum("...il,...jk->...ijkl", g, g)
     weyl = riem - 0.5 * gric + (scal / 6.0)[..., None, None, None, None] * gg
-    if coframe is None:
-        coframe = np.swapaxes(np.linalg.cholesky(g), -1, -2)
-    einv = np.linalg.inv(coframe)
+    einv = np.linalg.inv(np.swapaxes(np.linalg.cholesky(g), -1, -2))
     wf = np.einsum("...ia,...jb,...ijkl,...kc,...ld->...abcd", einv, einv, weyl, einv, einv,
                    optimize=True)
     eta = textbook_eta()
@@ -217,23 +192,6 @@ def test_pair_operator_matches_textbook_chain():
     m = build_metric(grid, g)
     cb = curvature_stack(m)
     scal, wplus = textbook_curvature(g, grid.spacing)
-    assert rel_err(cb.scalar.values, scal) < 1e-12
-    assert rel_err(cb.wplus, wplus) < 1e-12
-
-
-def test_pair_operator_matches_textbook_chain_in_a_supplied_coframe():
-    # a node-dependent rotation of the frame, orientation preserving
-    grid, g = generic_metric(8, seed=11)
-    m = build_metric(grid, g)
-    t = 0.4 * np.sin(grid.mesh(0)) + 0.3 * np.cos(grid.mesh(2) + grid.mesh(3))
-    c, s = np.cos(t), np.sin(t)
-    rot = np.zeros(grid.dims + (4, 4))
-    rot[..., 0, 0] = rot[..., 1, 1] = rot[..., 2, 2] = rot[..., 3, 3] = c
-    rot[..., 0, 1] = rot[..., 3, 2] = -s
-    rot[..., 1, 0] = rot[..., 2, 3] = s
-    e = np.einsum("...ab,...bc->...ac", rot, m.coframe)
-    cb = curvature_stack(m, coframe=e)
-    scal, wplus = textbook_curvature(g, grid.spacing, coframe=e)
     assert rel_err(cb.scalar.values, scal) < 1e-12
     assert rel_err(cb.wplus, wplus) < 1e-12
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from monolab import GridSpec, ScalarField, integrate
-from monolab.grid import d1, d2, gradient, gradient_T
+from monolab.grid import _circulant, _stencil_symbol2, d1, d2, gradient, gradient_T
 
 from conftest import rel_err, roll_d1
 
@@ -49,6 +49,21 @@ def test_d1_exact_on_resolved_mode():
         got = d1(np.sin(k * x), 0, h)
         want = keff(k * h, h) * np.cos(k * x)
         assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_d1_symbol_matches_circulant_spectrum():
+    # the first row of a circulant transforms to its eigenvalues, i s_k for
+    # the d1 matrix; the symbol's axis-k line is s_k^2, since the other
+    # axes contribute exactly 0 at index 0
+    grid = GridSpec((7, 8, 9, 16), (1.0, 2.0, 3.0, 4.0))
+    k2 = _stencil_symbol2(grid)
+    for ax, (n, h) in enumerate(zip(grid.dims, grid.spacing)):
+        got = k2[(0,) * ax + (slice(None),) + (0,) * (3 - ax)]
+        want = np.fft.fft(_circulant("d1", n, h)[0]).imag[: got.size] ** 2
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
+        assert got[0] == 0.0
+        if n % 2 == 0:
+            assert got[n // 2] == 0.0
 
 
 def test_d1_constant_is_zero():

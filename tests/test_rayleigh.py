@@ -21,8 +21,8 @@ from monolab import (
     theta_from_sc,
 )
 from monolab import rayleigh
+from monolab.grid import _fourier_multiply
 from monolab.rayleigh import _apply_quadratic, _random_start, _sphere_symbol
-from monolab.selfdual import _fourier_multiply
 
 from conftest import pulled_back_flat_chart
 

@@ -29,10 +29,9 @@ from monolab import (
 )
 from monolab.bases import WEDGE2
 from monolab.curvature import _SYM_I, _SYM_J, _lambda2
-from monolab.grid import d1
+from monolab.grid import _stencil_symbol2, d1
 from monolab.selfdual import (
     _D_TABLES,
-    _stencil_symbol2,
     d,
     d_T,
     hodge_energy_and_grad,
