@@ -164,6 +164,8 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
         ["hodge", "--dims", "8", "--periods", "1e-300"],
         # without a sweep there are no rows for the CSV
         ["catalog", "--csv", "x.csv"],
+        # vol = exp(460) is a float, det g = vol^2 is not
+        ["curvature", "--metric", "conformal:115"],
     ],
 )
 # a numpy warning would be a second stderr line

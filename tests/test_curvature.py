@@ -12,8 +12,8 @@ from monolab import (
     metric_from_preset,
     random_smooth_scalar,
 )
-from monolab.bases import H_MINUS, PAIRS, TRIPLES, X3
-from monolab.curvature import curvature_operator
+from monolab.bases import H_MINUS, H_PLUS, PAIRS, TRIPLES, X3
+from monolab.curvature import _lambda2, _pair_riemann
 from monolab.grid import integrate
 
 from conftest import (
@@ -63,10 +63,51 @@ def test_build_metric_rejects_bad_storage():
         finite[1, 2, 3, 4, 2, 2] = value
         with pytest.raises(ValueError, match=r"node \(1, 2, 3, 4\)"):
             build_metric(g, finite)
-    # SPD, but det g overflows or underflows
-    for scale in (1e200, 1e-200):
+    # SPD, but det g = vol^2 overflows or underflows, though vol may not
+    for scale in (1e200, 1e-200, 1e100, 1e-100):
         with pytest.raises(ValueError, match="volume factor"):
             build_metric(g, np.tile(scale * np.eye(4), g.dims + (1, 1)))
+
+
+def test_metric_algebra_from_the_factor():
+    # LAPACK references on a generic (non-diagonal) metric; the package
+    # reads these off the Cholesky factor without inverse or determinant
+    grid, g = generic_metric(8)
+    m = build_metric(grid, g)
+    e, einv, gi = m.coframe, m.inv_coframe, m.ginv
+    eye = np.broadcast_to(np.eye(4), g.shape)
+    assert np.max(np.abs(np.swapaxes(e, -1, -2) @ e - g)) < 1e-13
+    assert np.max(np.abs(einv @ e - eye)) < 1e-13
+    assert np.max(np.abs(gi @ g - eye)) < 1e-13
+    assert np.array_equal(np.tril(e, -1), np.zeros(g.shape))
+    assert rel_err(m.vol, np.sqrt(np.linalg.det(g))) < 1e-14
+
+
+def test_metric_is_factored_once(monkeypatch):
+    grid, g = generic_metric(8)
+    factors = []
+    cholesky = np.linalg.cholesky
+
+    def counted(a):
+        factors.append(cholesky(a))
+        return factors[-1]
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    m = build_metric(grid, g)
+    curvature_stack(m)
+    for derived in (m.ginv, m.vol, m.sd_pairs, m.sd_connection):
+        assert np.isfinite(derived).all()
+    assert len(factors) == 1
+    assert np.array_equal(m.coframe, np.swapaxes(factors[0], -1, -2))
+
+
+def test_flat_metric_algebra_is_exact(m8):
+    # a -0.0 that reaches a report prints as -0.0 and breaks flat byte-identity
+    eye = np.broadcast_to(np.eye(4), m8.g.shape)
+    for x, ref in ((m8.ginv, eye), (m8.inv_coframe, eye), (m8.coframe, eye),
+                   (m8.vol, np.ones(m8.vol.shape))):
+        assert np.array_equal(x, ref)
+        assert not np.signbit(x).any()
 
 
 def test_conformal_scalar_matches_closed_form():
@@ -187,6 +228,25 @@ def textbook_curvature(g, spacing):
     return scal, 0.25 * np.einsum("ast,...stuv,buv->...ab", eta, wf, eta)
 
 
+def _frame_operator(m):
+    """L^T R_pair L with L = Lambda^2(e^-1), e^-1 by LAPACK: the frame
+    curvature operator whose trace is R/2 and whose eta-plus and eta-minus
+    blocks are W+ and W- plus (R/12) 1."""
+    lam = _lambda2(np.linalg.inv(m.coframe))
+    return np.swapaxes(lam, -1, -2) @ _pair_riemann(m) @ lam
+
+
+def test_stack_matches_frame_operator():
+    grid, g = generic_metric(8)
+    m = build_metric(grid, g)
+    cb = curvature_stack(m)
+    op = _frame_operator(m)
+    scal = 2.0 * np.trace(op, axis1=-2, axis2=-1)
+    wplus = H_PLUS @ op @ H_PLUS.T - (scal / 12.0)[..., None, None] * np.eye(3)
+    assert rel_err(cb.scalar.values, scal) < 1e-12
+    assert rel_err(cb.wplus, wplus) < 1e-12
+
+
 def test_pair_operator_matches_textbook_chain():
     grid, g = generic_metric(8)
     m = build_metric(grid, g)
@@ -208,7 +268,7 @@ def _topology_and_covariance(n):
     error of W+(e^{2f} g) = e^{-2f} W+(g) relative to max |W+(g)|."""
     grid, g = generic_metric(n)
     m = build_metric(grid, g)
-    op = curvature_operator(m)
+    op = _frame_operator(m)
     cb = curvature_stack(m)
     scal, wplus = cb.scalar.values, cb.wplus
     wminus = H_MINUS @ op @ H_MINUS.T - (scal / 12.0)[..., None, None] * np.eye(3)
