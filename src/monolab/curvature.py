@@ -25,9 +25,9 @@ LAPACK inverse or determinant.
 Stored pairs and per-node Lambda^2 matrices are the only 2-form
 representation.  `MetricField` caches, for the self-dual module, the pair
 components of eta_a, sd_pairs = (H+ Lambda^2 e)^T, their projection weights
-sd_pairs_up = Lambda^2(e^-1) H+^T, and the connection block on Lambda+,
-A_k = -sd_pairs_up^T lambda2(Gamma_k) sd_pairs, where lambda2 is the action
-of a 4x4 matrix on pairs as a derivation (Atiyah, Hitchin and Singer 1978;
+sd_pairs_up = Lambda^2(e^-1) H+^T, and the frame connection on Lambda+ = so(3),
+one 3-vector a_k per axis, with nabla_k sigma = d_k sigma + a_k x sigma since
+[eta_a, eta_b] = -sqrt(2) eps_abc eta_c (Atiyah, Hitchin and Singer 1978;
 Besse 1987, ch. 13).
 
 Sign conventions are pinned by two closed-form families used in the tests:
@@ -59,6 +59,8 @@ __all__ = [
 # coefficient of dx^I_l = S_l i_{d_l}(dx^0^dx^1^dx^2^dx^3), I_l = TRIPLES[l]
 _S3 = np.array([1.0, -1.0, 1.0, -1.0])
 _PAIR_I, _PAIR_J = np.array(PAIRS).T
+# a = -sqrt(2) H+ (w - w^T)_pairs / 2 as a product from the right
+_A_WEIGHTS = H_PLUS.T / -np.sqrt(2.0)
 # symmetric index pairs x = (i <= j), the 10 stored components of g
 _SYM_I, _SYM_J = np.triu_indices(4)
 _SYM_INDEX = np.empty((4, 4), dtype=int)
@@ -159,23 +161,25 @@ class MetricField:
 
     @cached_property
     def sd_connection(self) -> np.ndarray:
-        """Connection block on the self-dual bundle: A[..., k, a, b].
+        """Frame connection on the self-dual bundle: a[..., k, a], so that the
+        eta components of the coordinate covariant derivative are
+        nabla_k sigma = d_k sigma + a_k x sigma.
 
-        A_k = -sd_pairs_up^T lambda2(Gamma_k) sd_pairs, where Gamma_k is the
-        4x4 matrix [m, i] = Gamma^m_ki, read off the symmetric pairs (k, i)
-        of the cached Christoffel symbols, and lambda2 its action on stored
-        pairs as a derivation.  With it, the eta components of the
-        coordinate covariant derivative of sigma are
-        sd_pairs_up^T d_k(sd_pairs sigma) + A_k sigma.
+        a_k = -sqrt(2) H+ (w_k - w_k^T)_pairs / 2, the self-dual half of the
+        Levi-Civita connection w_k = (e Gamma_k - d_k e) e^-1 in the Cholesky
+        frame.  Gamma_k is the 4x4 matrix [m, i] = Gamma^m_ki, read off the
+        symmetric pairs (k, i) of the cached Christoffel symbols, and d_k e
+        the difference of the factor along axis k.
         """
-        gam = self.christoffel
-        up_t = np.swapaxes(self.sd_pairs_up, -1, -2)
-        out = np.empty(self.grid.dims + (4, 3, 3))
-        for k in range(4):
-            # the (dims,6,6) derivation dies before the second product
-            lam_sd = _lambda2_derivation(gam[..., :, _SYM_INDEX[k]]) @ self.sd_pairs
-            np.matmul(up_t, lam_sd, out=out[..., k, :, :])
-        np.negative(out, out=out)
+        e, einv, gam = self.coframe, self.inv_coframe, self.christoffel
+        out = np.empty(self.grid.dims + (4, 3))
+        # axis by axis, never a (dims,4,4,4) d e; Gamma_k is copied to C
+        # order, as a product with a strided operand takes 3.5 times as long
+        for k, h in enumerate(self.grid.spacing):
+            w = e @ np.ascontiguousarray(gam[..., :, _SYM_INDEX[k]])
+            w -= d1(e, k, h)
+            w = w @ einv
+            out[..., k, :] = (w[..., _PAIR_I, _PAIR_J] - w[..., _PAIR_J, _PAIR_I]) @ _A_WEIGHTS
         return _freeze(out)
 
     @cached_property
@@ -225,9 +229,10 @@ def build_metric(grid: GridSpec, g: np.ndarray) -> MetricField:
 
     Rejects non-finite components, non-symmetric storage, non-SPD nodes and
     a volume factor outside the float range; the error names the first
-    offending node so bad input files are debuggable.
+    offending node so bad input files are debuggable.  g is copied: the
+    field caches tensors derived from it.
     """
-    g = np.asarray(g, dtype=float)
+    g = np.array(g, dtype=float)
     if g.shape != grid.dims + (4, 4):
         raise ValueError(f"metric shape {g.shape} != {grid.dims + (4, 4)}")
     finite = np.isfinite(g)
@@ -294,24 +299,6 @@ def _lambda2(e: np.ndarray) -> np.ndarray:
         for q, (k, l) in enumerate(PAIRS):
             out[p, q] = et[i, k] * et[j, l] - et[i, l] * et[j, k]
     return np.ascontiguousarray(np.moveaxis(out, (0, 1), (-2, -1)))
-
-
-def _lambda2_derivation(x: np.ndarray) -> np.ndarray:
-    """A 4x4 field acting on stored pairs as a derivation: [..., P, Q] with
-    (lambda2(x) omega)_ij = x[m, i] omega_mj + x[m, j] omega_im for P = (i, j);
-    the derivative of _lambda2 at the identity, transposed."""
-    out = np.zeros(x.shape[:-2] + (6, 6))
-    for p, (i, j) in enumerate(PAIRS):
-        for q, (k, l) in enumerate(PAIRS):
-            if j == l:
-                out[..., p, q] += x[..., k, i]
-            if i == k:
-                out[..., p, q] += x[..., l, j]
-            if j == k:
-                out[..., p, q] -= x[..., l, i]
-            if i == l:
-                out[..., p, q] -= x[..., k, j]
-    return out
 
 
 def curvature_stack(m: MetricField) -> CurvatureBundle:

@@ -38,7 +38,8 @@ __all__ = [
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
+    """A read-only contiguous view of `a`; the caller's own array stays writable."""
+    a = np.ascontiguousarray(a).view()
     a.flags.writeable = False
     return a
 

@@ -17,14 +17,13 @@ compatibility is enforced at evaluation time: a factor sin(k*xi) whose k
 does not complete whole turns over the period of axis i is rejected, not
 silently wrapped.
 
-The text is read by `ast.parse` as a Python expression, so NUMBER is any
-finite int or float literal and redundant parentheses are allowed; the terms
-come out bit for bit as from the hand-written parser this replaced.  Against
-that parser, `--8`, `+-5`, `2*-3`, `(5)`, `0x4` and `1_0` are now accepted,
-while `08`, a number, coefficient, frequency or phase that is not finite, a
-newline between terms, whitespace other than space and tab between tokens,
-`#` and sums of about 3,000 or more terms are rejected.  Parse errors carry
-the source column so config typos are one glance to find.
+The text is read by `ast.parse` as a Python expression: NUMBER is any finite
+int or float literal Python reads (`0x4`, `1_0`), signs repeat (`--8`, `2*-3`)
+and redundant parentheses are allowed.  Rejected are anything else, `08`, a
+number, coefficient, frequency or phase that is not finite, a newline between
+terms, whitespace other than space and tab between tokens, `#`, and sums of
+about 3,000 or more terms, which exhaust Python's parser recursion.  Parse
+errors carry the source column so config typos are one glance to find.
 """
 
 from __future__ import annotations

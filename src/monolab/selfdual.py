@@ -5,9 +5,10 @@ orthonormal basis eta_1..eta_3 built from the metric coframe, so |sigma|^2
 is the plain component square sum.  General 2-forms are stored by their six
 coordinate components in `bases.PAIRS` order, 3-forms by the four components
 dual to the coordinate axes, and 1-forms by coordinate components.  The
-covariant derivative on the self-dual bundle differentiates the six pair
-components of the embedded form and adds the cached connection block
-`MetricField.sd_connection`; no 2-form is expanded to a 4x4 array.
+covariant derivative on the self-dual bundle differentiates the three eta
+components and adds the cross product with the cached frame connection
+`MetricField.sd_connection`, nabla_k sigma = d_k sigma + a_k x sigma; no
+2-form is expanded to a 4x4 array.
 
 Only the exterior derivative is discretised (periodic 6th-order centred
 differences); every Gram matrix is exact pointwise algebra.  d is written
@@ -203,28 +204,28 @@ def covariant_derivative(sigma: SelfDualField, m: MetricField) -> np.ndarray:
     """(nabla sigma)[..., c, a] = eta_a component of nabla_{E_c} sigma.
 
     Frame components, so the pointwise square sum is |nabla sigma|^2.  On a
-    curved metric the coordinate derivative nabla_k sigma is
-    sd_pairs_up^T d_k(sd_pairs sigma) + A_k sigma, with A the cached
-    connection block `MetricField.sd_connection`.
+    curved metric the coordinate derivative is
+    nabla_k sigma = d_k sigma + a_k x sigma, with a the cached frame
+    connection `MetricField.sd_connection`, and e^-T turns k into c.
     """
-    grid = sigma.grid
+    nab = gradient(sigma.comps, sigma.grid)
     if m.is_flat:
-        return gradient(sigma.comps, grid)
-    dom = gradient(embed(sigma, m).comps, grid)
-    nab = dom @ m.sd_pairs_up
-    nab += np.einsum("...kab,...b->...ka", m.sd_connection, sigma.comps)
+        return nab
+    nab += np.cross(m.sd_connection, sigma.comps[..., None, :])
     return np.swapaxes(m.inv_coframe, -1, -2) @ nab
 
 
 def nabla_transpose(tau: np.ndarray, m: MetricField) -> np.ndarray:
-    """Plain-sum transpose of covariant_derivative, (dims,4,3) -> (dims,3)."""
+    """Plain-sum transpose of covariant_derivative, (dims,4,3) -> (dims,3):
+    gradient_T(e^-1 tau) + sum_k (e^-1 tau)_k x a_k."""
     if m.is_flat:
         return gradient_T(tau, m.grid)
     nab = m.inv_coframe @ tau
-    out = np.einsum("...kab,...ka->...b", m.sd_connection, nab)
-    y = nab @ np.swapaxes(m.sd_pairs_up, -1, -2)
-    om_t = gradient_T(y, m.grid)
-    out += np.einsum("...pa,...p->...a", m.sd_pairs, om_t)
+    out = gradient_T(nab, m.grid)
+    # the cross products summed over k from one 3x3 product per node,
+    # [j, l] = sum_k nab_kj a_kl
+    prod = np.swapaxes(nab, -1, -2) @ m.sd_connection
+    out += prod[..., (1, 2, 0), (2, 0, 1)] - prod[..., (2, 0, 1), (1, 2, 0)]
     return out
 
 

@@ -158,7 +158,7 @@ def textbook_eta_fields(g):
     return e, eta, np.einsum("...ik,...jl,...akl->...aij", gi, gi, eta)
 
 
-def textbook_covariant_derivative(g, spacing, sigma):
+def textbook_omega_chain(g, spacing, sigma):
     """(nabla sigma)[..., c, a] by the coordinate chain on full index tensors:
     the 2-form omega_ij = sigma_a (eta_a)_ij, its covariant derivative
     d_k omega_ij - Gamma^m_ki omega_mj - Gamma^m_kj omega_im, and the eta_a
@@ -171,6 +171,27 @@ def textbook_covariant_derivative(g, spacing, sigma):
     nab -= np.einsum("...mki,...mj->...kij", gam, omega)
     nab -= np.einsum("...mkj,...im->...kij", gam, omega)
     return 0.5 * np.einsum("...kc,...kij,...aij->...ca", np.linalg.inv(e), nab, eta_up)
+
+
+def textbook_frame_covariant_derivative(g, spacing, sigma):
+    """(nabla sigma)[..., c, a] by the product rule in the Cholesky frame, on
+    full index tensors: w_k = (e Gamma_k - d_k e) e^-1 is the Levi-Civita
+    connection in that frame and W_k its antisymmetric part, the frame form
+    Omega = sigma_a eta_a has nabla_k Omega = d_k Omega + [W_k, Omega], and
+    <nabla_k Omega, eta_a> is its eta_a component.  Its Cholesky factor,
+    inverse, Christoffel symbols, eta basis and stencil are its own."""
+    e = np.swapaxes(np.linalg.cholesky(g), -1, -2)
+    einv = np.linalg.inv(e)
+    gam = textbook_christoffel(g, spacing)
+    de = np.stack([roll_d1(e, k, h) for k, h in enumerate(spacing)], axis=-3)
+    w = (np.einsum("...am,...mki->...kai", e, gam) - de) @ einv[..., None, :, :]
+    w = 0.5 * (w - np.swapaxes(w, -1, -2))
+    eta = textbook_eta()
+    omega = np.einsum("...a,aij->...ij", sigma, eta)
+    nab = np.stack([roll_d1(omega, k, h) for k, h in enumerate(spacing)], axis=-3)
+    omega = omega[..., None, :, :]
+    nab += w @ omega - omega @ w
+    return 0.5 * np.einsum("...kc,...kij,aij->...ca", einv, nab, eta)
 
 
 def textbook_hodge_square(g, spacing, sigma):
@@ -205,7 +226,48 @@ def test_covariant_derivative_matches_textbook_chain(generic8):
     g, m = generic8
     sigma = np.random.default_rng(41).standard_normal(m.grid.dims + (3,))
     nab = covariant_derivative(SelfDualField(m.grid, sigma), m)
-    assert rel_err(nab, textbook_covariant_derivative(g, m.grid.spacing, sigma)) < 1e-12
+    assert rel_err(nab, textbook_frame_covariant_derivative(g, m.grid.spacing, sigma)) < 1e-12
+
+
+def test_covariant_derivative_converges_to_the_omega_chain():
+    # the frame product rule and the coordinate chain on the embedded 2-form
+    # discretise one continuum derivative: their distance falls at the
+    # stencil's order
+    errs = []
+    for n in (12, 16):
+        grid, g = generic_metric(n)
+        sigma = smooth_sd(grid, 3)
+        nab = covariant_derivative(sigma, build_metric(grid, g))
+        errs.append(rel_err(nab, textbook_omega_chain(g, grid.spacing, sigma.comps)))
+    assert np.log(errs[0] / errs[1]) / np.log(16 / 12) >= 5.0  # measured: 5.34
+
+
+def test_conformal_connection_matches_closed_form():
+    # g = exp(2f) delta has e = exp(f) 1 and w_k[a, i] = delta_ak d_i f - delta_ik d_a f,
+    # here with the exact d f
+    errs = []
+    for n in (12, 16):
+        grid = GridSpec((n,) * 4)
+        x0, x1, x2, x3 = (grid.mesh(i) for i in range(4))
+        f = 0.3 * np.sin(x0) * np.cos(x1) + 0.2 * np.sin(x2 + x3)
+        df = np.stack([0.3 * np.cos(x0) * np.cos(x1), -0.3 * np.sin(x0) * np.sin(x1),
+                       0.2 * np.cos(x2 + x3), 0.2 * np.cos(x2 + x3)], axis=-1)
+        m = build_metric(grid, np.exp(2.0 * f)[..., None, None] * np.eye(4))
+        eye = np.eye(4)
+        w = np.einsum("ka,...i->...kai", eye, df) - np.einsum("ki,...a->...kai", eye, df)
+        closed = -np.einsum("...kij,cij->...kc", w, textbook_eta()) / np.sqrt(2.0)
+        errs.append(rel_err(m.sd_connection, closed))
+    assert np.log(errs[0] / errs[1]) / np.log(16 / 12) >= 5.0  # measured: 5.53
+
+
+def test_kaehler_form_is_parallel(grid8):
+    # on a Kaehler product eta_1 is the Kaehler form: the connection turns
+    # only about it, so it and the constant field along it are exactly parallel
+    m = metric_from_preset("kaehler-product:0.3*sin(x2)*cos(x3)", grid8)
+    assert np.any(m.sd_connection[..., 0])
+    assert not np.any(m.sd_connection[..., 1:])
+    kaehler = SelfDualField(grid8, np.broadcast_to([1.0, 0.0, 0.0], grid8.dims + (3,)))
+    assert not np.any(covariant_derivative(kaehler, m))
 
 
 def test_hodge_gradient_is_the_textbook_hodge_square(generic8):
@@ -217,15 +279,30 @@ def test_hodge_gradient_is_the_textbook_hodge_square(generic8):
     assert rel_err(lhs, textbook_hodge_square(g, m.grid.spacing, sigma)) < 1e-12
 
 
-def test_nabla_transpose_is_adjoint(m8, generic8):
+def test_nabla_transpose_is_adjoint(m8, m8_conf, generic8):
     rng = np.random.default_rng(43)
-    for m in (m8, generic8[1]):
+    for m in (m8, m8_conf, generic8[1]):
         sigma = SelfDualField(m.grid, rng.standard_normal(m.grid.dims + (3,)))
         tau = rng.standard_normal(m.grid.dims + (4, 3))
         nab = covariant_derivative(sigma, m)
         lhs = np.sum(nab * tau)
         rhs = np.sum(sigma.comps * nabla_transpose(tau, m))
         assert abs(lhs - rhs) < 1e-12 * np.sqrt(np.sum(nab**2) * np.sum(tau**2))
+
+
+def test_wrapping_leaves_the_callers_arrays_writable():
+    grid, g = generic_metric(8)
+    m = build_metric(grid, g)
+    kept = m.g.copy()
+    comps = smooth_sd(grid, 3).comps.copy()
+    sigma = SelfDualField(grid, comps)
+    other = comps.copy()
+    sd_dirichlet_energy_and_grad(other, m)
+    g[...] = 2.0
+    comps[...] = 0.0
+    other[...] = 0.0
+    assert np.array_equal(m.g, kept)
+    assert not m.g.flags.writeable and not sigma.comps.flags.writeable
 
 
 def test_weitzenboeck_flat_is_machine_zero(m8, curv8):
