@@ -3,8 +3,8 @@
 Per node, the curvature is the symmetric 6x6 operator on stored 2-form pairs
 (`bases.PAIRS`), the block form of Singer and Thorpe (1969; Besse, Einstein
 Manifolds, 1987).  Its coordinate pair form r = R_{ij,kl} comes from periodic
-6th-order differences of the 10 stored components of g (one stencil call per
-axis or axis pair) plus Gamma_{p,jk} Gamma^p_il terms of the cached
+6th-order differences of the 10 stored components of g (see below for which
+run on the whole grid) plus Gamma_{p,jk} Gamma^p_il terms of the cached
 Christoffel symbols.  In the orthonormal coframe of the (upper-triangular)
 Cholesky factor e, e^T e = g, where the self-dual 2-forms have the constant
 basis eta_1..eta_3 of `bases`, the operator is L^T r L with
@@ -16,6 +16,18 @@ with sd_pairs_up = L H+^T.  r satisfies the first Bianchi identity exactly
 (its taps are symmetric index pairs), so the eta-plus and eta-minus blocks
 have equal trace and R = 4 tr B; W+ = B - (R/12) 1 is a symmetric trace-free
 3x3 matrix whose lowest eigenvalue is the curvature weight w.
+
+The stack and the two cached tensors it reads (`MetricField.christoffel` and
+`sd_pairs_up`) work one axis-0 slab at a time: the n1 n2 n3 nodes that share
+one index of grid axis 0.  Only the stencils along axis 0, d1 and d2 of the
+10 stored components of g, run on the whole grid, and each slab's results
+are written into the final whole-grid arrays (Christoffel symbols, projection
+weights, R, W+ and w).  The stencils along axes 1-3, the Christoffel taps
+and raise, the 10x10 matrix M behind r, the pair form r, the Lambda^2 minors,
+the eta-plus block B and the eigenvalue pass all run on the slab, whose
+arrays are 1/n0 the size of whole-grid ones.  A stencil along axes 1-3 gives a
+slab the bits of the same rows of the whole-grid call; a mixed derivative
+with axis 0 is d_b (d_0 g), since a slab has no axis 0 to difference along.
 
 `build_metric` factors g once, and the factor is `MetricField.coframe`.  The
 volume factor vol = e_00 e_11 e_22 e_33, the inverse coframe e^-1 (back
@@ -41,12 +53,13 @@ Sign conventions are pinned by two closed-form families used in the tests:
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import cached_property
 
 import numpy as np
 
 from .bases import H_PLUS, PAIRS
-from .grid import GridSpec, ScalarField, _freeze, _worst_node, d1, d2, gradient
+from .grid import GridSpec, ScalarField, _freeze, _worst_node, d1, d2
 
 __all__ = [
     "MetricField",
@@ -128,23 +141,31 @@ class MetricField:
         """Gamma^k_ij from 6th-order differences of the metric, [..., k, x] on
         the symmetric pairs x = _SYM_INDEX[i, j].
 
-        One stencil call per axis on the 10 stored components of g gives the
-        first-kind symbols on those pairs; e^-1 (e^-T Gamma_lower) raises
-        their first index.
+        d1 of the 10 stored components of g gives the first-kind symbols on
+        those pairs, and e^-1 (e^-T Gamma_lower) raises their first index.
+        Only the axis-0 stencil runs on the whole grid; the axis 1-3
+        stencils, the taps and the raise run one axis-0 slab at a time.
         """
-        dg = gradient(self.g[..., _SYM_I, _SYM_J], self.grid)
-        dg = dg.reshape(self.grid.dims + (40,))
-        first = dg[..., _TAP_DI]
-        first += dg[..., _TAP_DJ]
-        first -= dg[..., _TAP_DL]
-        del dg
-        first *= 0.5
+        hs = self.grid.spacing
+        g10 = self.g[..., _SYM_I, _SYM_J]
+        d0 = d1(g10, 0, hs[0])
         einv = self.inv_coframe
-        return _freeze(einv @ (np.swapaxes(einv, -1, -2) @ first))
+        out = np.empty(self.grid.dims + (4, 10))
+        for i in range(self.grid.dims[0]):
+            # the slab's gradient on [..., 10 k + x]; slab axis k - 1 is grid axis k
+            dg = np.stack([d0[i]] + [d1(g10[i], k - 1, hs[k]) for k in (1, 2, 3)], axis=-2)
+            dg = dg.reshape(dg.shape[:3] + (40,))
+            first = dg[..., _TAP_DI]
+            first += dg[..., _TAP_DJ]
+            first -= dg[..., _TAP_DL]
+            first *= 0.5
+            out[i] = einv[i] @ (np.swapaxes(einv[i], -1, -2) @ first)
+        return _freeze(out)
 
     @cached_property
     def is_flat(self) -> bool:
-        return bool(np.allclose(self.g, np.eye(4), atol=1e-12))
+        """Every entry of g within 1e-12 of the identity's, absolutely."""
+        return bool(np.allclose(self.g, np.eye(4), rtol=0.0, atol=1e-12))
 
     # ---- cached form algebra (used by the self-dual module) ----
 
@@ -156,8 +177,13 @@ class MetricField:
     @cached_property
     def sd_pairs_up(self) -> np.ndarray:
         """Index-raised pair components of eta_a, Lambda^2(e^-1) H+^T: the
-        projection weights, sd_pairs_up^T sd_pairs = 1."""
-        return _freeze(_lambda2(self.inv_coframe) @ H_PLUS.T)
+        projection weights, sd_pairs_up^T sd_pairs = 1.  The minors are
+        formed one axis-0 slab at a time."""
+        einv = self.inv_coframe
+        out = np.empty(self.grid.dims + (6, 3))
+        for i in range(self.grid.dims[0]):
+            out[i] = _lambda2(einv[i]) @ H_PLUS.T
+        return _freeze(out)
 
     @cached_property
     def sd_connection(self) -> np.ndarray:
@@ -259,32 +285,41 @@ def build_metric(grid: GridSpec, g: np.ndarray) -> MetricField:
     return m
 
 
-def _pair_riemann(m: MetricField) -> np.ndarray:
-    """Coordinate Riemann tensor on stored pairs: [..., P, Q] = R_{i_P j_P k_Q l_Q}.
+def _pair_riemann(m: MetricField) -> Iterator[np.ndarray]:
+    """Coordinate Riemann tensor on stored pairs, [..., P, Q] = R_{i_P j_P k_Q l_Q},
+    one axis-0 slab at a time, in axis-0 order.
 
     R_ijkl = M[jk, il] - M[jl, ik] on symmetric index pairs, where
     M[x, y] = (d_x g_y + d_y g_x) / 2 + Gamma_{p,x} Gamma^p_y and d_x is the
-    second derivative along the axis pair x.
+    second derivative along the axis pair x.  d1 and d2 along axis 0 run on
+    the whole grid; everything else per slab, the mixed derivatives with
+    axis 0 as d_b (d_0 g).
     """
-    grid, hs = m.grid, m.grid.spacing
+    hs = m.grid.spacing
     gam = m.christoffel
-    mm = np.swapaxes(m.g @ gam, -1, -2) @ gam
     g10 = m.g[..., _SYM_I, _SYM_J]
-    for b in range(4):
-        dgb = d1(g10, b, hs[b]) if b > 0 else None
-        for a in range(b + 1):
-            ddg = d2(g10, a, hs[a]) if a == b else d1(dgb, a, hs[a])
-            ddg *= 0.5
-            x = _SYM_INDEX[a, b]
-            mm[..., x, :] += ddg
-            mm[..., :, x] += ddg
-        del ddg, dgb
-    mm = mm.reshape(grid.dims + (100,))
-    r = mm[..., _TAP_PLUS]
-    # row by row: a whole (dims,6,6) gather next to mm sets the stack's peak
-    for p in range(6):
-        r[..., p, :] -= mm[..., _TAP_MINUS[p]]
-    return r
+    d0 = d1(g10, 0, hs[0])
+    dd0 = d2(g10, 0, hs[0])
+    for i in range(m.grid.dims[0]):
+        mm = np.swapaxes(m.g[i] @ gam[i], -1, -2) @ gam[i]
+        for b in range(4):
+            dgb = d1(g10[i], b - 1, hs[b]) if b > 0 else None
+            for a in range(b + 1):
+                if a == b:
+                    ddg = d2(g10[i], a - 1, hs[a]) if a > 0 else dd0[i]
+                elif a > 0:
+                    ddg = d1(dgb, a - 1, hs[a])
+                else:
+                    # a slab has no axis 0 to difference along
+                    ddg = d1(d0[i], b - 1, hs[b])
+                ddg = 0.5 * ddg
+                x = _SYM_INDEX[a, b]
+                mm[..., x, :] += ddg
+                mm[..., :, x] += ddg
+        mm = mm.reshape(mm.shape[:3] + (100,))
+        r = mm[..., _TAP_PLUS]
+        r -= mm[..., _TAP_MINUS]
+        yield r
 
 
 def _lambda2(e: np.ndarray) -> np.ndarray:
@@ -307,17 +342,20 @@ def curvature_stack(m: MetricField) -> CurvatureBundle:
     B = sd_pairs_up^T R_pair sd_pairs_up is the eta-plus block W+ + (R/12) 1
     of the frame curvature operator, so R = 4 tr B and W+ = B - (R/12) 1.
     W+ is stored in the eta basis of the Cholesky coframe
-    `MetricField.coframe`, the basis of every self-dual field.
+    `MetricField.coframe`, the basis of every self-dual field.  B, R, W+ and
+    its lowest eigenvalue are formed per axis-0 slab of the pair form and
+    written into the whole-grid results.
     """
-    # the pair form before sd_pairs_up: made after it, its temporaries sit
-    # above the cached array in the heap and stay resident (curvature
-    # --dims 16: peak RSS 179 MiB against 164 MiB)
-    r = _pair_riemann(m)
+    dims = m.grid.dims
+    scal = np.empty(dims)
+    wplus = np.empty(dims + (3, 3))
+    w = np.empty(dims)
     up = m.sd_pairs_up
-    block = np.swapaxes(up, -1, -2) @ (r @ up)
-    scal = 4.0 * np.trace(block, axis1=-2, axis2=-1)
-    wplus = block - (scal / 12.0)[..., None, None] * np.eye(3)
-    # symmetrize away roundoff before the eigenvalue pass
-    wplus = 0.5 * (wplus + np.swapaxes(wplus, -1, -2))
-    w = ScalarField(m.grid, np.linalg.eigvalsh(wplus)[..., 0])
-    return CurvatureBundle(ScalarField(m.grid, scal), wplus, w)
+    for i, r in enumerate(_pair_riemann(m)):
+        block = np.swapaxes(up[i], -1, -2) @ (r @ up[i])
+        scal[i] = 4.0 * np.trace(block, axis1=-2, axis2=-1)
+        wp = block - (scal[i] / 12.0)[..., None, None] * np.eye(3)
+        # symmetrize away roundoff before the eigenvalue pass
+        wplus[i] = 0.5 * (wp + np.swapaxes(wp, -1, -2))
+        w[i] = np.linalg.eigvalsh(wplus[i])[..., 0]
+    return CurvatureBundle(ScalarField(m.grid, scal), wplus, ScalarField(m.grid, w))

@@ -48,10 +48,11 @@ def curv8_conf(m8_conf):
 # share no code with the package
 
 
-def generic_metric(n, seed=7, amp=0.1):
-    """Seeded non-diagonal SPD metric g = delta + sym(random fields); the same
-    continuum metric at every n, so refinements see one geometry."""
-    grid = GridSpec((n,) * 4)
+def generic_metric(n, seed=7, amp=0.1, periods=None):
+    """Seeded non-diagonal SPD metric g = delta + sym(random fields) on n
+    nodes per axis, or on dims n = (n0, n1, n2, n3); the same continuum
+    metric at every n, so refinements see one geometry."""
+    grid = GridSpec((n,) * 4 if np.isscalar(n) else n, periods or (TWO_PI,) * 4)
     rng = np.random.default_rng(seed)
     g = np.tile(np.eye(4), grid.dims + (1, 1))
     for i in range(4):

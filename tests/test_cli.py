@@ -287,6 +287,16 @@ def test_dirac_check_report(capsys):
     assert all(v < 1e-12 for v in out["clifford_identity_residuals"].values())
 
 
+@pytest.mark.parametrize("amplitude", ["4e-6", "1e-4"])
+def test_dirac_check_refuses_a_nearly_flat_metric(capsys, amplitude):
+    # at amplitude 4e-6, |g - 1| reaches 8e-6: curved, though within numpy's
+    # default relative tolerance of the identity
+    code = main(["dirac-check", "--dims", "8", "--metric", f"conformal:{amplitude}*sin(x0)"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "spin^c operators are implemented on flat charts only" in captured.err
+
+
 def test_lambda_report(tmp_path, capsys):
     dump = tmp_path / "minimizer.zip"
     code, report = run(

@@ -1,5 +1,7 @@
 """Curvature stack against closed forms and an independent eigenvalue oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,8 +15,8 @@ from monolab import (
     random_smooth_scalar,
 )
 from monolab.bases import H_MINUS, H_PLUS, PAIRS, TRIPLES, X3
-from monolab.curvature import _lambda2, _pair_riemann
-from monolab.grid import integrate
+from monolab.curvature import _SYM_I, _SYM_J, _lambda2, _pair_riemann
+from monolab.grid import d1, d2, integrate
 
 from conftest import (
     generic_metric,
@@ -46,6 +48,17 @@ def test_flat_is_flat(m8, curv8):
     assert np.max(np.abs(curv8.scalar.values)) < 1e-11
     assert np.max(np.abs(curv8.wplus)) < 1e-11
     assert np.max(np.abs(curv8.w.values)) < 1e-11
+
+
+def test_is_flat_is_an_absolute_test(grid8):
+    # conformal:4e-6*sin(x0) is the identity to a relative 1e-5 only:
+    # |g - 1| reaches 8e-6, so its connection and e^-T may not be dropped
+    assert not metric_from_preset("conformal:4e-6*sin(x0)", grid8).is_flat
+    g = np.tile(np.eye(4), grid8.dims + (1, 1))
+    g[1, 2, 3, 4, 0, 1] = g[1, 2, 3, 4, 1, 0] = 5e-13
+    assert build_metric(grid8, g).is_flat
+    g[1, 2, 3, 4, 0, 1] = g[1, 2, 3, 4, 1, 0] = 2e-12
+    assert not build_metric(grid8, g).is_flat
 
 
 def test_build_metric_rejects_bad_storage():
@@ -233,7 +246,7 @@ def _frame_operator(m):
     curvature operator whose trace is R/2 and whose eta-plus and eta-minus
     blocks are W+ and W- plus (R/12) 1."""
     lam = _lambda2(np.linalg.inv(m.coframe))
-    return np.swapaxes(lam, -1, -2) @ _pair_riemann(m) @ lam
+    return np.swapaxes(lam, -1, -2) @ np.stack(list(_pair_riemann(m))) @ lam
 
 
 def test_stack_matches_frame_operator():
@@ -254,6 +267,51 @@ def test_pair_operator_matches_textbook_chain():
     scal, wplus = textbook_curvature(g, grid.spacing)
     assert rel_err(cb.scalar.values, scal) < 1e-12
     assert rel_err(cb.wplus, wplus) < 1e-12
+
+
+# unequal node counts and periods: a transposed axis, a swapped spacing or a
+# slab that is not one index of axis 0 shows here and not on a cube
+NONCUBIC = dict(n=(8, 9, 10, 12), seed=17, periods=(6.0, 7.0, 5.5, 8.0))
+
+
+def test_pair_operator_matches_textbook_chain_on_a_noncubic_grid():
+    grid, g = generic_metric(**NONCUBIC)
+    m = build_metric(grid, g)
+    cb = curvature_stack(m)
+    scal, wplus = textbook_curvature(g, grid.spacing)
+    assert rel_err(cb.scalar.values, scal) < 1e-12
+    assert rel_err(cb.wplus, wplus) < 1e-12
+    textbook = textbook_christoffel(g, grid.spacing)
+    assert rel_err(m.christoffel, textbook[..., _SYM_I, _SYM_J]) < 1e-13
+
+
+def test_slab_stencils_match_the_whole_grid_rows():
+    # the stack differences along axes 1-3 one axis-0 slab at a time and
+    # relies on getting the whole-grid call's bits
+    grid, g = generic_metric(**NONCUBIC)
+    g10 = g[..., _SYM_I, _SYM_J]
+    for k in (1, 2, 3):
+        h = grid.spacing[k]
+        whole1, whole2 = d1(g10, k, h), d2(g10, k, h)
+        for i in range(grid.dims[0]):
+            assert np.array_equal(d1(g10[i], k - 1, h), whole1[i])
+            assert np.array_equal(d2(g10[i], k - 1, h), whole2[i])
+
+
+def test_stack_builds_no_whole_grid_matrix_field():
+    # with the metric's cached tensors built, the stack's own allocations
+    # stay below one (dims,10,10) float64 array, the size of the matrix M
+    # behind the pair form, which the stack forms one axis-0 slab at a time
+    grid, g = generic_metric(12)
+    m = build_metric(grid, g)
+    assert m.christoffel.size and m.sd_pairs_up.size
+    tracemalloc.start()
+    try:
+        curvature_stack(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < grid.node_count * 100 * 8
 
 
 # full antisymmetric components of the stored pairs: X2[p, i, j]
