@@ -425,6 +425,8 @@ def _run_lambda(args):
         "quotient_evals": res.quotient_evals,
         "start_evals": list(res.start_evals),
         "start_converged": list(res.start_converged),
+        "start_gpg": list(res.start_gpg),
+        "start_backtracks": list(res.start_backtracks),
         "operator_applies": res.operator_applies,
     }
     if args.dump:

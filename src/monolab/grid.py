@@ -69,19 +69,21 @@ class GridSpec:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "periods", periods)
 
-    @property
+    # the derived values are computed once per instance; cached_property
+    # writes the instance __dict__ directly, which a frozen dataclass allows
+    @functools.cached_property
     def spacing(self) -> tuple[float, float, float, float]:
         return tuple(L / n for L, n in zip(self.periods, self.dims))
 
-    @property
+    @functools.cached_property
     def cell_volume(self) -> float:
         return float(np.prod(self.spacing))
 
-    @property
+    @functools.cached_property
     def node_count(self) -> int:
         return int(np.prod(self.dims))
 
-    @property
+    @functools.cached_property
     def spectral_scale(self) -> float:
         """(2 pi / L)^2 of the longest period, the chart's lowest squared wavenumber."""
         return min((2.0 * np.pi / L) ** 2 for L in self.periods)

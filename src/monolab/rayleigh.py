@@ -28,13 +28,23 @@ direction in the stencil-resolved subspace; those modes would otherwise
 fake flat directions of the quotient on even grids.
 The starts are projected onto that subspace by the same mask.
 
-The line search tries Nocedal and Wright's step (Numerical Optimization,
-3.60) from the last drop of q, backtracks to the safeguarded minimiser of
-the interpolating quadratic (3.57-3.58) and accepts on the Armijo test.  A
-stage stops, converged, once the preconditioned gradient <g, P g> is below
-tol * max(|q|, mu), so a start that has already converged pays one
-evaluation for it.  Each start reports its evaluations and whether every
-stage converged; a stage whose line search finds no descent has not.
+The line search first tries the Newton step of the quotient's quadratic
+part along the great circle through x in the direction p.  Its second
+derivative there, 2 (<p, A p> - <x, A x> |p|^2), comes from the carried
+pair below and the A p that the iteration computes anyway.  Where it is
+not positive, the trial is Nocedal and Wright's step (Numerical
+Optimization, 3.60) from the last drop of q.  A rejected trial is replaced
+by the safeguarded minimiser of the interpolating quadratic (3.57-3.58),
+and a trial is accepted on the Armijo test.  The accepted step is refined
+once, to the same quadratic's minimiser, when that lies more than 10% away
+and below four times the step; the lower of the two points is kept.
+Trials evaluate q alone, and the gradient is formed once per iteration, at
+the kept point, from that evaluation's arrays.  A stage stops, converged,
+once the preconditioned gradient <g, P g> is below tol * max(|q|, mu), so
+a start that has already converged pays one evaluation for it.  Each start
+reports its evaluations, its rejected trials, its final <g, P g> and
+whether every stage converged; a stage whose line search finds no descent
+has not.
 
 The first two terms form a fixed quadratic form <sigma, A sigma> (plain
 sum over nodes and components), so the minimiser carries the pair
@@ -147,21 +157,14 @@ def beta(t):
 # quotient evaluation
 
 
-def _scalar_dirichlet(rho: np.ndarray, m: MetricField) -> tuple[float, np.ndarray]:
-    """E = integral |d rho|^2 dmu and its gradient in rho (plain-sum chain)."""
-    grid = m.grid
-    drho = gradient(rho, grid)
-    flux = np.einsum("...kl,...l->...k", m.ginv, drho)
-    flux *= m.vol[..., None]
-    energy = float(np.sum(drho * flux)) * grid.cell_volume
-    grad = gradient_T(flux, grid)
-    grad *= 2.0 * grid.cell_volume
-    return energy, grad
-
-
 def _comp_norm2(v: np.ndarray) -> np.ndarray:
     """|v|^2 over the three trailing components, summed in storage order."""
     return v[..., 0] ** 2 + v[..., 1] ** 2 + v[..., 2] ** 2
+
+
+def _bnorm(v: np.ndarray, bw: np.ndarray) -> float:
+    """The L2 norm sqrt(sum |v|^2 vol h^4), with bw = vol h^4."""
+    return float(np.sqrt(np.sum(_comp_norm2(v) * bw)))
 
 
 def _apply_quadratic(comps: np.ndarray, theta: ThetaField, m: MetricField) -> np.ndarray:
@@ -172,26 +175,39 @@ def _apply_quadratic(comps: np.ndarray, theta: ThetaField, m: MetricField) -> np
     return 0.5 * (theta.s[..., None] * g1 + theta.c[..., None] * g2)
 
 
-def _numerator(
-    comps: np.ndarray, a_comps: np.ndarray, m: MetricField, eps: float
-) -> tuple[float, np.ndarray]:
-    """The quotient's numerator <sigma, A sigma> + 2 ||nabla|sigma|_eps||^2
-    and its gradient in the components, given a_comps = A sigma."""
+def _numerator(comps: np.ndarray, a_comps: np.ndarray, m: MetricField, eps: float):
+    """The quotient's numerator <sigma, A sigma> + 2 ||nabla|sigma|_eps||^2,
+    given a_comps = A sigma, and a function that forms its gradient in the
+    components from this evaluation's arrays.  An evaluation whose gradient
+    is never asked for skips the transpose chain."""
+    grid = m.grid
     r = np.sqrt(_comp_norm2(comps) + eps * eps)
-    e3, g3s = _scalar_dirichlet(r - eps, m)
-    unit = np.divide(comps, r[..., None], out=np.zeros_like(comps), where=r[..., None] > 0)
+    # integral |d rho|^2 dmu for rho = |sigma|_eps, through the flux g^-1 d rho vol
+    drho = gradient(r - eps, grid)
+    flux = np.einsum("...kl,...l->...k", m.ginv, drho)
+    flux *= m.vol[..., None]
+    e3 = float(np.sum(drho * flux)) * grid.cell_volume
     num = float(np.sum(comps * a_comps)) + 2.0 * e3
-    return num, 2.0 * a_comps + 2.0 * g3s[..., None] * unit
+
+    def grad() -> np.ndarray:
+        g3s = gradient_T(flux, grid)
+        g3s *= 2.0 * grid.cell_volume
+        unit = np.divide(comps, r[..., None], out=np.zeros_like(comps), where=r[..., None] > 0)
+        return 2.0 * a_comps + 2.0 * g3s[..., None] * unit
+
+    return num, grad
 
 
-def _quotient_and_grad(
-    comps: np.ndarray, a_comps: np.ndarray, m: MetricField, eps: float
-) -> tuple[float, np.ndarray]:
+def _quotient(comps: np.ndarray, a_comps: np.ndarray, m: MetricField, eps: float):
+    """The quotient at comps and a function that forms its gradient there."""
     bw = m.vol * m.grid.cell_volume
     num, grad_num = _numerator(comps, a_comps, m, eps)
     den = float(np.sum(_comp_norm2(comps) * bw))
     q = num / den
-    grad = (grad_num - q * (2.0 * bw[..., None] * comps)) / den
+
+    def grad() -> np.ndarray:
+        return (grad_num() - q * (2.0 * bw[..., None] * comps)) / den
+
     return q, grad
 
 
@@ -204,7 +220,7 @@ def rayleigh_quotient(
     if not np.any(sigma.comps):
         raise ValueError("the quotient is undefined at sigma = 0")
     comps = sigma.comps
-    q, _ = _quotient_and_grad(comps, _apply_quadratic(comps, theta, m), m, eps_smooth)
+    q, _ = _quotient(comps, _apply_quadratic(comps, theta, m), m, eps_smooth)
     return q
 
 
@@ -235,10 +251,13 @@ class LambdaResult:
 
     lam is a discrete upper-bound estimate of the infimum; it equals
     rayleigh_quotient(minimizer, ..., epsilon_final) by construction.
-    start_values, start_evals and start_converged hold one entry per start:
-    its final quotient, its quotient evaluations (the final re-evaluation
-    included) and whether every stage converged.  quotient_evals is the
-    sum of start_evals; converged is the winning start's flag.
+    start_values, start_evals, start_converged, start_gpg and
+    start_backtracks hold one entry per start: its final quotient, its
+    quotient evaluations (the final re-evaluation included), whether every
+    stage converged, the preconditioned gradient <g, P g> at the end of its
+    last stage and its line-search trials that failed the Armijo test.
+    quotient_evals is the sum of start_evals; converged is the winning
+    start's flag.
     operator_applies counts the applications of the quadratic part A over
     every start, each start's final re-evaluation included.
     """
@@ -252,6 +271,8 @@ class LambdaResult:
     quotient_evals: int
     start_evals: tuple
     start_converged: tuple
+    start_gpg: tuple
+    start_backtracks: tuple
     operator_applies: int
 
 
@@ -294,35 +315,55 @@ def _random_start(grid: GridSpec, rng: np.random.Generator) -> np.ndarray:
     return comps
 
 
+def _trial(x, ax, p, ap, alpha, m, eps, bw):
+    """The point (x + alpha p) / |x + alpha p| of the unit sphere, its carried
+    image (A x + alpha A p) / |x + alpha p|, its quotient and the function
+    that forms the quotient's gradient there."""
+    xn = x + alpha * p
+    # p is tangent to the unit sphere at x, so |x + alpha p| >= 1
+    nrm = _bnorm(xn, bw)
+    xn /= nrm
+    axn = (ax + alpha * ap) / nrm
+    q, grad = _quotient(xn, axn, m, eps)
+    return q, xn, axn, grad
+
+
 def _stage(x, ax, theta, m, eps, bw, symbol, max_iter, tol, scale):
     """One smoothing stage of preconditioned sphere-constrained conjugate
-    gradient from x, with ax = A x carried in; returns (x, ax, q, history,
-    converged, quotient evaluations, applications of A).
+    gradient from x, with ax = A x carried in; returns (x, ax, history,
+    converged, quotient evaluations, applications of A, rejected trials,
+    the final <g, P g>).
 
-    The first trial step of an iteration is Nocedal and Wright's (3.60),
-    twice the last drop of q over the directional derivative, times 1.01;
-    the first iteration tries 1.  A trial that fails the Armijo test is
-    replaced by the minimiser of the quadratic through phi(0), phi'(0) and
-    phi(alpha), kept within [alpha/10, alpha/2] (N&W 3.57-3.58).  The stage
-    has converged once <g, P g> <= tol * max(|q|, scale), at entry or after
-    a step: a unit preconditioned step would lower q by about half that.
-    Two drops of q below the same threshold also stop it, as converged; a
-    line search whose 50 trials all fail stops it unconverged.
-    Each iteration applies A once, to p; the entry and the trials reuse the
-    carried ax (see the module docstring).
+    The first trial step of an iteration is the Newton step -<g, p> / kappa
+    of the quadratic part along the great circle through x and p, whose
+    second derivative there is kappa = 2 (<p, A p> - <x, A x> |p|^2); it
+    needs only the A p that the iteration computes anyway.  Where kappa <= 0
+    the trial is Nocedal and Wright's (3.60), twice the last drop of q over
+    the directional derivative, times 1.01, or 1 on a stage's first
+    iteration.  A trial that fails the Armijo test is replaced by the
+    minimiser of the quadratic through phi(0), phi'(0) and phi(alpha), kept
+    within [alpha/10, alpha/2] (N&W 3.57-3.58).  Once a trial passes, the
+    same quadratic's minimiser is evaluated once more if it lies more than
+    10% from alpha and below 4 alpha, and the lower of the two points is
+    kept.  Trials evaluate q alone; the gradient is formed once, at the
+    kept point.  The stage has converged once <g, P g> <= tol * max(|q|,
+    scale), at entry or after a step: a unit preconditioned step would
+    lower q by about half that.  Two drops of q below the same threshold
+    also stop it, as converged; a line search whose 50 trials all fail
+    stops it unconverged.  Each iteration applies A once, to p; the entry
+    and the trials reuse the carried ax (see the module docstring).
     """
-
-    def bnorm(v):
-        return float(np.sqrt(np.sum(_comp_norm2(v) * bw)))
 
     def tangent(v, x):
         return v - float(np.sum(v * (bw[..., None] * x))) * x
 
-    nrm = bnorm(x)
+    nrm = _bnorm(x, bw)
     x, ax = x / nrm, ax / nrm
-    q, g = _quotient_and_grad(x, ax, m, eps)
+    q, grad = _quotient(x, ax, m, eps)
+    g = grad()
     evals = 1
     applies = 0
+    backtracks = 0
     z = tangent(_fourier_multiply(g, symbol), x)
     gz = float(np.sum(g * z))
     p = -z
@@ -338,26 +379,34 @@ def _stage(x, ax, theta, m, eps, bw, symbol, max_iter, tol, scale):
             dphi = -gz
         ap = _apply_quadratic(p, theta, m)
         applies += 1
-        if q_prev is None or q_prev <= q:
+        kappa = 2.0 * (float(np.sum(p * ap)) - float(np.sum(x * ax)) * _bnorm(p, bw) ** 2)
+        if kappa > 0.0:
+            alpha = -dphi / kappa
+        elif q_prev is None or q_prev <= q:
             alpha = 1.0
         else:
             alpha = min(2.02 * (q - q_prev) / dphi, 1e6)
-        accepted = False
         for _bt in range(50):
-            # p is tangent to the unit sphere at x, so |x + alpha p| >= 1
-            xn = x + alpha * p
-            nrm = bnorm(xn)
-            xn = xn / nrm
-            axn = (ax + alpha * ap) / nrm
-            qn, gn = _quotient_and_grad(xn, axn, m, eps)
+            qn, xn, axn, grad = _trial(x, ax, p, ap, alpha, m, eps, bw)
             evals += 1
             if qn <= q + 1e-4 * alpha * dphi:
-                accepted = True
                 break
+            backtracks += 1
             step = -dphi * alpha * alpha / (2.0 * (qn - q - dphi * alpha))
             alpha = min(max(step, 0.1 * alpha), 0.5 * alpha)
-        if not accepted:
+        else:
             break
+        curv = qn - q - dphi * alpha
+        if curv > 0.0:
+            refined = -dphi * alpha * alpha / (2.0 * curv)
+            if abs(refined - alpha) > 0.1 * alpha and refined < 4.0 * alpha:
+                other = _trial(x, ax, p, ap, refined, m, eps, bw)
+                evals += 1
+                if other[0] < qn:
+                    qn, xn, axn, grad = other
+                other = None  # free the losing point's arrays before the next A p
+        gn = grad()
+        grad = None  # likewise the kept point's forward arrays
         zn = tangent(_fourier_multiply(gn, symbol), xn)
         gzn = float(np.sum(gn * zn))
         # Polak-Ribiere+ on the preconditioned gradient; gz > 0, else the
@@ -372,7 +421,7 @@ def _stage(x, ax, theta, m, eps, bw, symbol, max_iter, tol, scale):
         if gz <= threshold or stall >= 2:
             converged = True
             break
-    return x, ax, q, history, converged, evals, applies
+    return x, ax, history, converged, evals, applies, backtracks, gz
 
 
 def minimize_lambda(
@@ -410,6 +459,8 @@ def minimize_lambda(
     start_values = []
     start_evals = []
     start_converged = []
+    start_gpg = []
+    start_backtracks = []
     operator_applies = 0
     for x0 in starts:
         x = _fourier_multiply(x0, resolved)
@@ -419,14 +470,16 @@ def minimize_lambda(
         history = []
         run_converged = True
         run_evals = 1  # the final re-evaluation below
+        run_backtracks = 0
         operator_applies += 2  # ax above and the final re-evaluation
         for eps in opts.epsilons:
-            x, ax, q, hist, conv, evals, applies = _stage(
+            x, ax, hist, conv, evals, applies, backtracks, gpg = _stage(
                 x, ax, theta, m, eps, bw, symbol, opts.max_iter, opts.tol, scale
             )
             history.extend(hist)
             run_converged = run_converged and conv
             run_evals += evals
+            run_backtracks += backtracks
             operator_applies += applies
         sigma = SelfDualField(grid, x)
         eps_last = opts.epsilons[-1]
@@ -435,6 +488,8 @@ def minimize_lambda(
         start_values.append(lam)
         start_evals.append(run_evals)
         start_converged.append(run_converged)
+        start_gpg.append(gpg)
+        start_backtracks.append(run_backtracks)
         if best is None or lam < best[0]:
             best = (lam, sigma, tuple(history), eps_final, run_converged)
 
@@ -451,6 +506,8 @@ def minimize_lambda(
         quotient_evals=sum(start_evals),
         start_evals=tuple(start_evals),
         start_converged=tuple(start_converged),
+        start_gpg=tuple(start_gpg),
+        start_backtracks=tuple(start_backtracks),
         operator_applies=operator_applies,
     )
 

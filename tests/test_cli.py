@@ -313,6 +313,8 @@ def test_lambda_report(tmp_path, capsys):
     assert len(out["start_evals"]) == len(out["start_converged"]) == 4
     assert sum(out["start_evals"]) == out["quotient_evals"]
     assert all(flag is True for flag in out["start_converged"])
+    assert len(out["start_gpg"]) == len(out["start_backtracks"]) == 4
+    assert all(type(n) is int and n >= 0 for n in out["start_backtracks"])
     # A is applied at most once per quotient evaluation
     assert type(out["operator_applies"]) is int
     assert 0 < out["operator_applies"] <= out["quotient_evals"]
