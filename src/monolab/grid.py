@@ -12,8 +12,12 @@ sum_p f(p) vol(p) prod_i h_i, which is spectrally accurate for smooth
 periodic integrands.
 
 The d1 Fourier symbol `_stencil_symbol2`, which preconditions the harmonic
-solve and the lambda minimiser through `_fourier_multiply`, is computed
-from the same stencil table.
+solve and the lambda minimiser, is computed from the same stencil table.
+Every stencil matrix is a symmetric-circulant problem (D^T D for d1, d2
+itself): a real orthonormal Fourier basis per axis, `_real_fourier`,
+diagonalises it (Davis, Circulant Matrices, 1979; Strang, SIAM Review 41,
+1999).  `_fourier_multiply` therefore applies a symbol as dense per-axis
+matrix products, the same kernel as the derivatives.
 
 Fields are immutable value objects: a `GridSpec` plus a read-only ndarray
 whose leading four axes are the grid axes (axis-major, C order).
@@ -143,15 +147,37 @@ def _circulant(stencil: str, n: int, h: float) -> np.ndarray:
     return _freeze(m / (denom * h**order))
 
 
+@functools.cache
+def _real_fourier(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal real Fourier basis of length n and each column's frequency,
+    both read-only.
+
+    Column order: the constant, then cos and sin of each frequency j from 1
+    to (n - 1) // 2, then the alternating mode when n is even.  Q^T D Q is
+    diagonal for every symmetric circulant D, so any real multiplier that is
+    even in each frequency acts column by column.
+    """
+    j = (np.arange(n) + 1) // 2
+    # the phase j k mod n is reduced in integers before scaling, so the
+    # basis is as accurate at every n
+    phase = 2.0 * np.pi / n * ((np.arange(n)[:, None] * j) % n)
+    q = np.cos(phase)
+    q[:, 2::2] = np.sin(phase[:, 2::2])
+    q *= np.where((j == 0) | (2 * j == n), 1.0, np.sqrt(2.0)) / np.sqrt(n)
+    return _freeze(q), _freeze(j)
+
+
 def _stencil_symbol2(grid: GridSpec) -> np.ndarray:
-    """|s|^2 = sum_k s_k^2 of the d1 stencil, rfftn layout.  d1 multiplies
-    exp(i j x) by i s_k, the sum of w sin(o phi) over the positive offsets o
-    and weights w of the stencil, divided by (denominator / 2) h; s_k is
-    exactly 0 at zero and half frequency."""
+    """|s|^2 = sum_k s_k^2 of the d1 stencil on the full grid, in the column
+    layout of `_real_fourier` along every axis.  d1 maps the cos and sin
+    pair of frequency j into each other with gain s_k, the sum of
+    w sin(o phi) over the positive offsets o and weights w of the stencil,
+    divided by (denominator / 2) h; s_k is exactly 0 at zero and half
+    frequency."""
     weights, denom, _ = _STENCILS["d1"]
     k2 = 0.0
     for ax, (n, h) in enumerate(zip(grid.dims, grid.spacing)):
-        j = np.arange(n // 2 + 1) if ax == 3 else np.fft.fftfreq(n, 1.0 / n)
+        j = _real_fourier(n)[1]
         phi = 2.0 * np.pi * j / n
         s = sum(w * np.sin(o * phi) for o, w in enumerate(weights[4:], 1)) / (denom / 2 * h)
         s[(2 * j) % n == 0] = 0.0
@@ -162,21 +188,26 @@ def _stencil_symbol2(grid: GridSpec) -> np.ndarray:
 
 
 def _fourier_multiply(values: np.ndarray, symbol: np.ndarray) -> np.ndarray:
-    """Apply a real, even Fourier multiplier given in rfftn layout over the
-    grid axes, one trailing component at a time.
+    """Apply a real multiplier, even in each frequency and given in
+    `_stencil_symbol2`'s layout, over the grid axes of a (dims, ...) array.
 
-    Each component is transformed as a scalar field of its own, which gives
-    the bits of one transform over the stacked array's grid axes without
-    its strided passes over the trailing axes.
+    Each of four products x.reshape(n, -1).T @ Q transforms the front grid
+    axis and rotates it to the back, so the trailing components end up in
+    front of the four frequency axes, where the symbol broadcasts; four
+    products Q @ x.reshape(-1, n).T transform back in reverse order.  No
+    product sums over a trailing component, and each output entry is the
+    same length-n dot product whatever their number, so a stacked field and
+    its components get equal bits.
     """
     dims = values.shape[:4]
-    flat = values.reshape(dims + (-1,))
-    out = np.empty(flat.shape)
-    for j in range(flat.shape[-1]):
-        spec = np.fft.rfftn(flat[..., j], axes=(0, 1, 2, 3))
-        spec *= symbol
-        out[..., j] = np.fft.irfftn(spec, s=dims, axes=(0, 1, 2, 3))
-    return out.reshape(values.shape)
+    x = values
+    for n in dims:
+        x = x.reshape(n, -1).T @ _real_fourier(n)[0]
+    x = x.reshape((-1,) + dims)
+    x *= symbol
+    for n in reversed(dims):
+        x = _real_fourier(n)[0] @ x.reshape(-1, n).T
+    return x.reshape(values.shape)
 
 
 def _apply_along(stencil: str, values: np.ndarray, axis: int, h: float) -> np.ndarray:

@@ -21,9 +21,11 @@ upper-bound estimate, never a certified continuum value.
 The conjugate gradient is preconditioned by the flat symbol
 1/(mu + |s|^2), with |s|^2 the d1 symbol of `grid` and mu the chart's
 `GridSpec.spectral_scale`, plus the mean |R| of a given curvature bundle
-(Absil, Mahony and Sepulchre 2008, ch. 8; Knyazev 2001).  The symbol is
-zero on exact half-frequency planes, to which the centred first
-difference is blind, so the preconditioner also keeps every search
+(Absil, Mahony and Sepulchre 2008, ch. 8; Knyazev 2001), applied in the
+real Fourier basis of `grid._real_fourier` by `grid._fourier_multiply`.
+The symbol is zero on the exact half-frequency planes, the alternating
+column of each even axis (frequency j with 2 j = n), to which the centred
+first difference is blind, so the preconditioner also keeps every search
 direction in the stencil-resolved subspace; those modes would otherwise
 fake flat directions of the quotient on even grids.
 The starts are projected onto that subspace by the same mask.
@@ -70,6 +72,7 @@ from .grid import (
     ScalarField,
     _fourier_multiply,
     _freeze,
+    _real_fourier,
     _stencil_symbol2,
     gradient,
     gradient_T,
@@ -281,13 +284,13 @@ _START_BANDWIDTH = 2
 
 
 def _sphere_symbol(grid: GridSpec, mu: float) -> np.ndarray:
-    """Flat preconditioner symbol 1/(mu + |s|^2), rfftn layout, zero on the
-    half-frequency planes that the centred first difference cannot see."""
+    """Flat preconditioner symbol 1/(mu + |s|^2) in `_stencil_symbol2`'s
+    layout, zero on the half-frequency planes that the centred first
+    difference cannot see."""
     symbol = 1.0 / (mu + _stencil_symbol2(grid))
     for ax, n in enumerate(grid.dims):
-        if n % 2 == 0:
-            # index n // 2 is the half frequency in both fftn and rfftn order
-            symbol[(slice(None),) * ax + (n // 2,)] = 0.0
+        half = 2 * _real_fourier(n)[1] == n
+        symbol[(slice(None),) * ax + (half,)] = 0.0
     return symbol
 
 

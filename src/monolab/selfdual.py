@@ -350,7 +350,8 @@ def hodge_rayleigh(sigma: SelfDualField, m: MetricField) -> float:
 
 
 def _inverse_symbol(grid: GridSpec) -> np.ndarray:
-    """Inverse symbol 1/|s|^2 of the flat 1-form Hodge Laplacian, rfftn layout.
+    """Inverse symbol 1/|s|^2 of the flat 1-form Hodge Laplacian, in
+    `_stencil_symbol2`'s layout.
 
     The modes where s vanishes on every axis are closed for every metric;
     they get 0.

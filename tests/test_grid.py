@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from monolab import GridSpec, ScalarField, integrate
-from monolab.grid import _circulant, _stencil_symbol2, d1, d2, gradient, gradient_T
+from monolab.grid import (
+    _circulant,
+    _real_fourier,
+    _stencil_symbol2,
+    d1,
+    d2,
+    gradient,
+    gradient_T,
+)
 
 from conftest import rel_err, roll_d1
 
@@ -52,18 +60,23 @@ def test_d1_exact_on_resolved_mode():
 
 
 def test_d1_symbol_matches_circulant_spectrum():
-    # the first row of a circulant transforms to its eigenvalues, i s_k for
-    # the d1 matrix; the symbol's axis-k line is s_k^2, since the other
-    # axes contribute exactly 0 at index 0
-    grid = GridSpec((7, 8, 9, 16), (1.0, 2.0, 3.0, 4.0))
-    k2 = _stencil_symbol2(grid)
-    for ax, (n, h) in enumerate(zip(grid.dims, grid.spacing)):
-        got = k2[(0,) * ax + (slice(None),) + (0,) * (3 - ax)]
-        want = np.fft.fft(_circulant("d1", n, h)[0]).imag[: got.size] ** 2
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
-        assert got[0] == 0.0
-        if n % 2 == 0:
-            assert got[n // 2] == 0.0
+    # the real Fourier basis is orthonormal and diagonalises C^T C for the
+    # d1 matrix C, with the symbol's axis-k line, s_k^2, on the diagonal
+    # (the other axes contribute exactly 0 at column 0); the line also
+    # matches the circulant's eigenvalues i s_k, read off the FFT of its
+    # first row.  Below 7 nodes the stencil wraps onto itself
+    for dims in ((4, 5, 6, 7), (8, 9, 16, 7)):
+        grid = GridSpec(dims, (1.0, 2.0, 3.0, 4.0))
+        k2 = _stencil_symbol2(grid)
+        for ax, (n, h) in enumerate(zip(grid.dims, grid.spacing)):
+            q, j = _real_fourier(n)
+            got = k2[(0,) * ax + (slice(None),) + (0,) * (3 - ax)]
+            c = _circulant("d1", n, h)
+            assert np.max(np.abs(q.T @ q - np.eye(n))) <= 1e-15
+            assert np.max(np.abs(q.T @ c.T @ c @ q - np.diag(got))) <= 1e-13 * np.max(got)
+            want = np.fft.fft(c[0]).imag[j] ** 2
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
+            assert np.all(got[(j == 0) | (2 * j == n)] == 0.0)
 
 
 def test_d1_constant_is_zero():

@@ -377,10 +377,11 @@ def test_integral_identities_generic_metric(generic8):
 
 def test_nyquist_mask():
     # the modes the centred first difference cannot see: on even axes the
-    # stencil symbol vanishes at index 0 and n/2, on odd axes only at 0
+    # stencil symbol vanishes on the constant and the alternating column
+    # (0 and n - 1), on odd axes only on the constant
     even = GridSpec((8,) * 4)
     blind = np.argwhere(_stencil_symbol2(even) == 0.0)
-    assert len(blind) == 16 and np.all(np.isin(blind, (0, 4)))
+    assert len(blind) == 16 and np.all(np.isin(blind, (0, 7)))
     odd = GridSpec((7,) * 4)
     assert np.array_equal(np.argwhere(_stencil_symbol2(odd) == 0.0), np.zeros((1, 4)))
 
