@@ -40,7 +40,12 @@ components of eta_a, sd_pairs = (H+ Lambda^2 e)^T, their projection weights
 sd_pairs_up = Lambda^2(e^-1) H+^T, and the frame connection on Lambda+ = so(3),
 one 3-vector a_k per axis, with nabla_k sigma = d_k sigma + a_k x sigma since
 [eta_a, eta_b] = -sqrt(2) eps_abc eta_c (Atiyah, Hitchin and Singer 1978;
-Besse 1987, ch. 13).
+Besse 1987, ch. 13).  The tensors that only the component-major kernels of
+`selfdual` and `rayleigh` read are cached component-major, components
+leading and grid axes last: sd_pairs, the connection, the Hodge weight and
+the flux weight vol g^-1.  The curvature stack's own tensors (g, the
+coframe and its inverse, g^-1, the Christoffel symbols and sd_pairs_up)
+stay node-major.
 
 Sign conventions are pinned by two closed-form families used in the tests:
 
@@ -171,8 +176,9 @@ class MetricField:
 
     @cached_property
     def sd_pairs(self) -> np.ndarray:
-        """Stored components of eta_a: sd_pairs[..., p, a], i.e. (H+ Lambda^2 e)^T."""
-        return _freeze(np.swapaxes(H_PLUS @ _lambda2(self.coframe), -1, -2))
+        """Stored components of eta_a, component-major: sd_pairs[p, a, ...],
+        i.e. (H+ Lambda^2 e)^T."""
+        return _freeze(np.einsum("aq,qp...->pa...", H_PLUS, _lambda2_cm(self.coframe)))
 
     @cached_property
     def sd_pairs_up(self) -> np.ndarray:
@@ -187,9 +193,9 @@ class MetricField:
 
     @cached_property
     def sd_connection(self) -> np.ndarray:
-        """Frame connection on the self-dual bundle: a[..., k, a], so that the
-        eta components of the coordinate covariant derivative are
-        nabla_k sigma = d_k sigma + a_k x sigma.
+        """Frame connection on the self-dual bundle, component-major:
+        a[k, a, ...], so that the eta components of the coordinate covariant
+        derivative are nabla_k sigma = d_k sigma + a_k x sigma.
 
         a_k = -sqrt(2) H+ (w_k - w_k^T)_pairs / 2, the self-dual half of the
         Levi-Civita connection w_k = (e Gamma_k - d_k e) e^-1 in the Cholesky
@@ -206,19 +212,28 @@ class MetricField:
             w -= d1(e, k, h)
             w = w @ einv
             out[..., k, :] = (w[..., _PAIR_I, _PAIR_J] - w[..., _PAIR_J, _PAIR_I]) @ _A_WEIGHTS
-        return _freeze(out)
+        return _freeze(np.moveaxis(out, (-2, -1), (0, 1)))
 
     @cached_property
     def hodge_weight(self) -> np.ndarray:
-        """Per-node 4x4 weight so that for any 3-form components tau,
-        tau^T W tau = vol (|tau|^2 + |star tau|^2); the node sum times the
-        cell volume is the L2 energy of (d sigma, d* sigma = -star d sigma).
+        """Per-node 4x4 weight W[l, k, ...], component-major, so that for any
+        3-form components tau, tau^T W tau = vol (|tau|^2 + |star tau|^2);
+        the node sum times the cell volume is the L2 energy of
+        (d sigma, d* sigma = -star d sigma).
 
         star is an isometry, so both terms are vol |tau|^2.  The Gram matrix
         of the stored components, the 3x3 minors of ginv, is S g S / vol^2 by
         Jacobi's complementary minors, so W = 2 S g S / vol with S = _S3.
         """
-        return _freeze(2.0 * _S3[:, None] * self.g * _S3 / self.vol[..., None, None])
+        w = 2.0 * _S3[:, None] * self.g * _S3 / self.vol[..., None, None]
+        return _freeze(np.moveaxis(w, (-2, -1), (0, 1)))
+
+    @cached_property
+    def flux_weight(self) -> np.ndarray:
+        """vol g^-1, component-major [k, l, ...]: it turns the coordinate
+        gradient of a field into its L2 flux, so that
+        integral |d f|^2 dmu = sum d f . (vol g^-1 d f) h^4."""
+        return _freeze(self.vol * np.moveaxis(self.ginv, (-2, -1), (0, 1)))
 
 
 def _bilinear(x: np.ndarray, a: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -322,18 +337,24 @@ def _pair_riemann(m: MetricField) -> Iterator[np.ndarray]:
         yield r
 
 
-def _lambda2(e: np.ndarray) -> np.ndarray:
-    """2x2 minors of a 4x4 field on stored pairs: [..., P, Q] = e[i,k] e[j,l] - e[i,l] e[j,k]
-    for P = (i, j), Q = (k, l); the matrix of Lambda^2 e."""
-    # built component-major and transposed once: written entry by entry
-    # into the node-major array, it takes 1.4 times as long (16^4 on one
-    # Xeon core: 75 ms against 55 ms)
+def _lambda2_cm(e: np.ndarray) -> np.ndarray:
+    """2x2 minors of a node-major 4x4 field on stored pairs, component-major:
+    [P, Q, ...] = e[i,k] e[j,l] - e[i,l] e[j,k] for P = (i, j), Q = (k, l);
+    the matrix of Lambda^2 e."""
     et = np.moveaxis(e, (-2, -1), (0, 1))
     out = np.empty((6, 6) + e.shape[:-2])
     for p, (i, j) in enumerate(PAIRS):
         for q, (k, l) in enumerate(PAIRS):
             out[p, q] = et[i, k] * et[j, l] - et[i, l] * et[j, k]
-    return np.ascontiguousarray(np.moveaxis(out, (0, 1), (-2, -1)))
+    return out
+
+
+def _lambda2(e: np.ndarray) -> np.ndarray:
+    """`_lambda2_cm` node-major, [..., P, Q]."""
+    # built component-major and transposed once: written entry by entry
+    # into the node-major array, it takes 1.4 times as long (16^4 on one
+    # Xeon core: 75 ms against 55 ms)
+    return np.ascontiguousarray(np.moveaxis(_lambda2_cm(e), (0, 1), (-2, -1)))
 
 
 def curvature_stack(m: MetricField) -> CurvatureBundle:

@@ -29,13 +29,13 @@ from typing import Callable
 import numpy as np
 
 from .curvature import CurvatureBundle, MetricField
-from .grid import _worst_node, integrate
+from .grid import _component_major, _worst_node, integrate
 from .rayleigh import (
     KField,
     ThetaField,
-    _apply_quadratic,
     _curvature_weight,
-    _numerator,
+    _modulus_term,
+    _quadratic_energy,
     beta,
 )
 from .selfdual import (
@@ -493,7 +493,8 @@ def key_inequality_check(cfg: MonopoleConfig, theta: ThetaField) -> InequalityRe
     m = cfg.metric
     sigma = sigma_map(cfg.phi)
     comps = sigma.comps
-    lhs, _ = _numerator(comps, _apply_quadratic(comps, theta, m), m, 0.0)
+    cm = _component_major(comps)
+    lhs = _quadratic_energy(cm, theta, m) + _modulus_term(cm, m, 0.0)[0]
 
     weight = (
         _curvature_weight(cfg.curv.scalar.values, cfg.curv.w.values, theta.s**2)

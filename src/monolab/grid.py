@@ -19,13 +19,22 @@ diagonalises it (Davis, Circulant Matrices, 1979; Strang, SIAM Review 41,
 1999).  `_fourier_multiply` therefore applies a symbol as dense per-axis
 matrix products, the same kernel as the derivatives.
 
-Fields are immutable value objects: a `GridSpec` plus a read-only ndarray
-whose leading four axes are the grid axes (axis-major, C order).
+Two layouts of a field's samples occur.  The public value objects here and
+in `selfdual`, `rayleigh` and `spinc` are node-major: the four grid axes
+lead and the components trail, (n0, n1, n2, n3, c...), C order.  The
+kernels behind the lambda minimiser and the harmonic solve work
+component-major, (c..., n0, n1, n2, n3): each component is one contiguous
+block, so a stencil along any grid axis is one matrix product into a
+C-contiguous result and each per-node contraction runs over the long node
+axis.  `_component_major` and `_node_major` convert, once where a public
+function is entered and left.  A plain sum whose bits a report carries is
+taken in node-major order whatever the layout (`_dot`).
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -189,25 +198,59 @@ def _stencil_symbol2(grid: GridSpec) -> np.ndarray:
 
 def _fourier_multiply(values: np.ndarray, symbol: np.ndarray) -> np.ndarray:
     """Apply a real multiplier, even in each frequency and given in
-    `_stencil_symbol2`'s layout, over the grid axes of a (dims, ...) array.
+    `_stencil_symbol2`'s layout, over the grid axes of a component-major
+    (c..., dims) array.
 
-    Each of four products x.reshape(n, -1).T @ Q transforms the front grid
-    axis and rotates it to the back, so the trailing components end up in
-    front of the four frequency axes, where the symbol broadcasts; four
-    products Q @ x.reshape(-1, n).T transform back in reverse order.  No
-    product sums over a trailing component, and each output entry is the
-    same length-n dot product whatever their number, so a stacked field and
-    its components get equal bits.
+    Each component is one contiguous scalar field.  Of it, four products
+    x.reshape(n, -1).T @ Q transform the front grid axis and rotate it to
+    the back, the symbol multiplies the frequencies, and four products
+    Q @ x.reshape(-1, n).T transform back in reverse order, the last one
+    straight into the component's block of the result.  Each output entry
+    is one length-n dot product per axis, so a stacked field and its
+    components get equal bits.
     """
-    dims = values.shape[:4]
-    x = values
-    for n in dims:
-        x = x.reshape(n, -1).T @ _real_fourier(n)[0]
-    x = x.reshape((-1,) + dims)
-    x *= symbol
-    for n in reversed(dims):
-        x = _real_fourier(n)[0] @ x.reshape(-1, n).T
-    return x.reshape(values.shape)
+    dims = values.shape[-4:]
+    out = np.empty(values.shape)
+    for x, o in zip(values.reshape((-1,) + dims), out.reshape((-1,) + dims)):
+        for n in dims:
+            x = x.reshape(n, -1).T @ _real_fourier(n)[0]
+        x = x.reshape(dims)
+        x *= symbol
+        for n in reversed(dims[1:]):
+            x = _real_fourier(n)[0] @ x.reshape(-1, n).T
+        np.matmul(_real_fourier(dims[0])[0], x.reshape(-1, dims[0]).T,
+                  out=o.reshape(dims[0], -1))
+    return out
+
+
+def _component_major(values: np.ndarray) -> np.ndarray:
+    """A node-major (dims, c...) array as a C-contiguous (c..., dims) copy."""
+    return np.ascontiguousarray(np.moveaxis(values, (0, 1, 2, 3), (-4, -3, -2, -1)))
+
+
+def _node_major(values: np.ndarray) -> np.ndarray:
+    """A component-major (c..., dims) array as a C-contiguous (dims, c...)
+    copy, written one component column at a time: for the few components
+    here that takes half the time of one moveaxis copy."""
+    dims = values.shape[-4:]
+    comps = values.reshape(-1, math.prod(dims))
+    out = np.empty(comps.shape[::-1], dtype=values.dtype)
+    for i, comp in enumerate(comps):
+        out[:, i] = comp
+    return out.reshape(dims + values.shape[:-4])
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Plain sum of a * b over two component-major arrays of one shape,
+    taken in node-major order, so that it has the bits of np.sum over the
+    same product stored node-major.  Each component's products are written
+    straight into their column of the node-major buffer."""
+    n = math.prod(a.shape[-4:])
+    a, b = a.reshape(-1, n), b.reshape(-1, n)
+    prod = np.empty((n, len(a)))
+    for i in range(len(a)):
+        np.multiply(a[i], b[i], out=prod[:, i])
+    return float(np.sum(prod))
 
 
 def _apply_along(stencil: str, values: np.ndarray, axis: int, h: float) -> np.ndarray:
@@ -224,29 +267,62 @@ def _apply_along(stencil: str, values: np.ndarray, axis: int, h: float) -> np.nd
 
 
 def d1(values: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Centred 6th-order first derivative along `axis`; the plain-sum
-    adjoint is exactly its negative."""
+    """Centred 6th-order first derivative along grid `axis` of a node-major
+    array; the plain-sum adjoint is exactly its negative."""
     return _apply_along("d1", values, axis, h)
 
 
-def _axis_derivatives(values: np.ndarray, grid: GridSpec) -> list[np.ndarray]:
-    """d1 of every stored component along each grid axis k, one call per axis."""
-    return [d1(values, k, h) for k, h in enumerate(grid.spacing)]
+def _d1(values: np.ndarray, axis: int, h: float, out: np.ndarray | None = None) -> np.ndarray:
+    """d1 along grid `axis` of a component-major (c..., dims) array, as one
+    C-contiguous product (into `out`, which must be C-contiguous, when
+    given).
+
+    Viewed as (pre, n, post), with post the nodes after the axis, the
+    derivative is np.matmul(D, x), one D @ (n, post) block per leading
+    index; along the last axis (post = 1) it is x.reshape(-1, n) @ D^T.  As
+    in `_apply_along`, the first slice along the axis is subtracted first,
+    so the result is exactly zero on fields constant along the axis.
+    """
+    n = values.shape[axis - 4]
+    D = _circulant("d1", n, float(h))
+    x = values.reshape(-1, n, math.prod(values.shape[axis - 3:]) if axis < 3 else 1)
+    shifted = np.subtract(x, x[:, :1])
+    if out is None:
+        out = np.empty(values.shape, dtype=values.dtype)
+    if axis == 3:
+        np.matmul(shifted.reshape(-1, n), D.T, out=out.reshape(-1, n))
+    else:
+        np.matmul(D, shifted, out=out.reshape(x.shape))
+    return out
+
+
+def _gradient(values: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """d of component-major 0-forms (c..., dims): d1 of every component along
+    each grid axis k, stacked as a new leading axis, (4, c..., dims)."""
+    out = np.empty((4,) + values.shape, dtype=values.dtype)
+    for k, h in enumerate(grid.spacing):
+        _d1(values, k, h, out=out[k])
+    return out
+
+
+def _gradient_T(flux: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Plain-sum transpose of `_gradient`, -sum_k d1(flux[k]) along axis k
+    (the d1 stencil's transpose is its negative)."""
+    out = np.zeros(flux.shape[1:], dtype=flux.dtype)
+    for k, h in enumerate(grid.spacing):
+        out -= _d1(flux[k], k, h)
+    return out
 
 
 def gradient(values: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """d of 0-forms: d1 of every stored component along each grid axis,
-    stacked as a new axis right after the grid axes."""
-    return np.stack(_axis_derivatives(values, grid), axis=4)
+    """d of node-major 0-forms: d1 of every stored component along each grid
+    axis, stacked as a new axis right after the grid axes."""
+    return _node_major(_gradient(_component_major(values), grid))
 
 
 def gradient_T(flux: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Plain-sum transpose of `gradient`, -sum_k d1(flux[:, :, :, :, k]) along
-    axis k (the d1 stencil's transpose is its negative)."""
-    out = np.zeros(grid.dims + flux.shape[5:])
-    for k, h in enumerate(grid.spacing):
-        out -= d1(flux[:, :, :, :, k], k, h)
-    return out
+    """Plain-sum transpose of `gradient` on node-major arrays."""
+    return _node_major(_gradient_T(_component_major(flux), grid))
 
 
 def d2(values: np.ndarray, axis: int, h: float) -> np.ndarray:

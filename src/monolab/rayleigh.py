@@ -28,7 +28,8 @@ column of each even axis (frequency j with 2 j = n), to which the centred
 first difference is blind, so the preconditioner also keeps every search
 direction in the stencil-resolved subspace; those modes would otherwise
 fake flat directions of the quotient on even grids.
-The starts are projected onto that subspace by the same mask.
+The random starts are projected onto that subspace by the same mask; the
+constant ones already lie in it and are left exact.
 
 The line search first tries the Newton step of the quotient's quadratic
 part along the great circle through x in the direction p.  Its second
@@ -58,6 +59,13 @@ changes, reuses the carried A x.  Only the smoothed term is recomputed at
 each evaluation.  A start applies A once more before its first stage and
 once in the final re-evaluation, which, like rayleigh_quotient, applies A
 afresh.
+
+The minimiser's state (x, A x, the gradient, the search direction) and its
+kernels are component-major, (3, n0, n1, n2, n3): each component is one
+contiguous block (see `grid`).  The public `rayleigh_quotient`, `ThetaField`
+and `LambdaResult.minimizer` are node-major and convert once.  Every plain
+sum the minimiser forms is taken in node-major order (`grid._dot`), so its
+reports have the bits of a node-major minimiser.
 """
 
 from __future__ import annotations
@@ -70,14 +78,25 @@ from .curvature import CurvatureBundle, MetricField, _bilinear
 from .grid import (
     GridSpec,
     ScalarField,
+    _component_major,
+    _dot,
     _fourier_multiply,
     _freeze,
+    _gradient,
+    _gradient_T,
+    _node_major,
     _real_fourier,
     _stencil_symbol2,
     gradient,
-    gradient_T,
 )
-from .selfdual import SelfDualField, hodge_energy_and_grad, sd_dirichlet_energy_and_grad
+from .selfdual import (
+    SelfDualField,
+    _dirichlet_forward,
+    _flux,
+    _hodge_forward,
+    _hodge_transpose,
+    _nabla_T,
+)
 
 __all__ = [
     "ThetaField",
@@ -161,8 +180,8 @@ def beta(t):
 
 
 def _comp_norm2(v: np.ndarray) -> np.ndarray:
-    """|v|^2 over the three trailing components, summed in storage order."""
-    return v[..., 0] ** 2 + v[..., 1] ** 2 + v[..., 2] ** 2
+    """|v|^2 over the three leading components, summed in storage order."""
+    return v[0] ** 2 + v[1] ** 2 + v[2] ** 2
 
 
 def _bnorm(v: np.ndarray, bw: np.ndarray) -> float:
@@ -172,10 +191,39 @@ def _bnorm(v: np.ndarray, bw: np.ndarray) -> float:
 
 def _apply_quadratic(comps: np.ndarray, theta: ThetaField, m: MetricField) -> np.ndarray:
     """A sigma for the quotient's quadratic part <sigma, A sigma> =
-    ||(d+d*)(s sigma)||^2 + ||nabla(c sigma)||^2 (plain sum, A symmetric)."""
-    _, g1 = hodge_energy_and_grad(theta.s[..., None] * comps, m)
-    _, g2 = sd_dirichlet_energy_and_grad(theta.c[..., None] * comps, m)
-    return 0.5 * (theta.s[..., None] * g1 + theta.c[..., None] * g2)
+    ||(d+d*)(s sigma)||^2 + ||nabla(c sigma)||^2 (plain sum, A symmetric):
+    the two energies' transpose chains, without their sums."""
+    cell = m.grid.cell_volume
+    g1 = _hodge_transpose(_hodge_forward(theta.s * comps, m)[1], m)
+    g1 *= 2.0 * cell
+    g2 = _nabla_T(_dirichlet_forward(theta.c * comps, m)[1], m) * (2.0 * cell)
+    return 0.5 * (theta.s * g1 + theta.c * g2)
+
+
+def _quadratic_energy(comps: np.ndarray, theta: ThetaField, m: MetricField) -> float:
+    """<sigma, A sigma> as the sum of the two energies, without applying A."""
+    cell = m.grid.cell_volume
+    return (_dot(*_hodge_forward(theta.s * comps, m)) * cell
+            + _dot(*_dirichlet_forward(theta.c * comps, m)) * cell)
+
+
+def _modulus_term(comps: np.ndarray, m: MetricField, eps: float):
+    """The quotient's smoothed term 2 ||nabla|sigma|_eps||^2 and a function
+    that forms its gradient in the components from this evaluation's arrays."""
+    grid = m.grid
+    r = np.sqrt(_comp_norm2(comps) + eps * eps)
+    # integral |d rho|^2 dmu for rho = |sigma|_eps, through the flux vol g^-1 d rho
+    drho = _gradient(r - eps, grid)
+    flux = _flux(drho, m)
+    e3 = _dot(drho, flux) * grid.cell_volume
+
+    def grad() -> np.ndarray:
+        g3s = _gradient_T(flux, grid)
+        g3s *= 2.0 * grid.cell_volume
+        unit = np.divide(comps, r, out=np.zeros_like(comps), where=r > 0)
+        return 2.0 * g3s * unit
+
+    return 2.0 * e3, grad
 
 
 def _numerator(comps: np.ndarray, a_comps: np.ndarray, m: MetricField, eps: float):
@@ -183,20 +231,11 @@ def _numerator(comps: np.ndarray, a_comps: np.ndarray, m: MetricField, eps: floa
     given a_comps = A sigma, and a function that forms its gradient in the
     components from this evaluation's arrays.  An evaluation whose gradient
     is never asked for skips the transpose chain."""
-    grid = m.grid
-    r = np.sqrt(_comp_norm2(comps) + eps * eps)
-    # integral |d rho|^2 dmu for rho = |sigma|_eps, through the flux g^-1 d rho vol
-    drho = gradient(r - eps, grid)
-    flux = np.einsum("...kl,...l->...k", m.ginv, drho)
-    flux *= m.vol[..., None]
-    e3 = float(np.sum(drho * flux)) * grid.cell_volume
-    num = float(np.sum(comps * a_comps)) + 2.0 * e3
+    smooth, grad_smooth = _modulus_term(comps, m, eps)
+    num = _dot(comps, a_comps) + smooth
 
     def grad() -> np.ndarray:
-        g3s = gradient_T(flux, grid)
-        g3s *= 2.0 * grid.cell_volume
-        unit = np.divide(comps, r[..., None], out=np.zeros_like(comps), where=r[..., None] > 0)
-        return 2.0 * a_comps + 2.0 * g3s[..., None] * unit
+        return 2.0 * a_comps + grad_smooth()
 
     return num, grad
 
@@ -209,7 +248,7 @@ def _quotient(comps: np.ndarray, a_comps: np.ndarray, m: MetricField, eps: float
     q = num / den
 
     def grad() -> np.ndarray:
-        return (grad_num() - q * (2.0 * bw[..., None] * comps)) / den
+        return (grad_num() - q * (2.0 * bw * comps)) / den
 
     return q, grad
 
@@ -222,7 +261,7 @@ def rayleigh_quotient(
         raise ValueError("smoothing parameter must be nonnegative")
     if not np.any(sigma.comps):
         raise ValueError("the quotient is undefined at sigma = 0")
-    comps = sigma.comps
+    comps = _component_major(sigma.comps)
     q, _ = _quotient(comps, _apply_quadratic(comps, theta, m), m, eps_smooth)
     return q
 
@@ -309,12 +348,12 @@ def _random_start(grid: GridSpec, rng: np.random.Generator) -> np.ndarray:
         src.append(list(slot.values()))
         dst.append(list(slot))
     src, dst = np.ix_(*src), np.ix_(*dst)
-    comps = np.empty(grid.dims + (3,))
+    comps = np.empty((3,) + grid.dims)
     for a in range(3):
         draw = rng.standard_normal((len(band),) * 4 + (2,))
         spec = np.zeros(grid.dims, dtype=complex)
         spec[dst] = (draw[..., 0] + 1j * draw[..., 1])[src]
-        comps[..., a] = np.fft.ifftn(spec).real
+        comps[a] = np.fft.ifftn(spec).real
     return comps
 
 
@@ -358,7 +397,7 @@ def _stage(x, ax, theta, m, eps, bw, symbol, max_iter, tol, scale):
     """
 
     def tangent(v, x):
-        return v - float(np.sum(v * (bw[..., None] * x))) * x
+        return v - _dot(v, bw * x) * x
 
     nrm = _bnorm(x, bw)
     x, ax = x / nrm, ax / nrm
@@ -368,7 +407,7 @@ def _stage(x, ax, theta, m, eps, bw, symbol, max_iter, tol, scale):
     applies = 0
     backtracks = 0
     z = tangent(_fourier_multiply(g, symbol), x)
-    gz = float(np.sum(g * z))
+    gz = _dot(g, z)
     p = -z
     history = [q]
     q_prev = None
@@ -376,13 +415,13 @@ def _stage(x, ax, theta, m, eps, bw, symbol, max_iter, tol, scale):
     converged = gz <= tol * max(abs(q), scale)
     for _ in range(0 if converged else max_iter):
         # Armijo on the true directional derivative <g, p>
-        dphi = float(np.sum(g * p))
+        dphi = _dot(g, p)
         if dphi >= 0.0:
             p = -z
             dphi = -gz
         ap = _apply_quadratic(p, theta, m)
         applies += 1
-        kappa = 2.0 * (float(np.sum(p * ap)) - float(np.sum(x * ax)) * _bnorm(p, bw) ** 2)
+        kappa = 2.0 * (_dot(p, ap) - _dot(x, ax) * _bnorm(p, bw) ** 2)
         if kappa > 0.0:
             alpha = -dphi / kappa
         elif q_prev is None or q_prev <= q:
@@ -411,10 +450,10 @@ def _stage(x, ax, theta, m, eps, bw, symbol, max_iter, tol, scale):
         gn = grad()
         grad = None  # likewise the kept point's forward arrays
         zn = tangent(_fourier_multiply(gn, symbol), xn)
-        gzn = float(np.sum(gn * zn))
+        gzn = _dot(gn, zn)
         # Polak-Ribiere+ on the preconditioned gradient; gz > 0, else the
         # stage would have stopped
-        b_pr = max(0.0, float(np.sum(gn * (zn - z))) / gz)
+        b_pr = max(0.0, _dot(gn, zn - z) / gz)
         p = tangent(-zn + b_pr * p, xn)
         q_prev = q
         x, ax, q, g, z, gz = xn, axn, qn, gn, zn, gzn
@@ -450,13 +489,16 @@ def minimize_lambda(
     symbol = _sphere_symbol(grid, scale)
     resolved = symbol > 0.0
 
+    # the constant starts already lie in the resolved subspace; the random
+    # ones are projected onto it
     starts = []
     for a in range(3):
-        e = np.zeros(grid.dims + (3,))
-        e[..., a] = 1.0
+        e = np.zeros((3,) + grid.dims)
+        e[a] = 1.0
         starts.append(e)
     rng = np.random.default_rng(opts.seed)
-    starts.extend(_random_start(grid, rng) for _ in range(opts.n_random))
+    starts.extend(_fourier_multiply(_random_start(grid, rng), resolved)
+                  for _ in range(opts.n_random))
 
     best = None
     start_values = []
@@ -465,8 +507,7 @@ def minimize_lambda(
     start_gpg = []
     start_backtracks = []
     operator_applies = 0
-    for x0 in starts:
-        x = _fourier_multiply(x0, resolved)
+    for x in starts:
         if not np.any(x):
             continue
         ax = _apply_quadratic(x, theta, m)
@@ -484,10 +525,10 @@ def minimize_lambda(
             run_evals += evals
             run_backtracks += backtracks
             operator_applies += applies
-        sigma = SelfDualField(grid, x)
+        sigma = SelfDualField(grid, _node_major(x))
         eps_last = opts.epsilons[-1]
         eps_final = 0.0 if float(np.min(sigma.norm())) > 10.0 * eps_last else eps_last
-        lam = rayleigh_quotient(sigma, theta, m, eps_final)
+        lam, _ = _quotient(x, _apply_quadratic(x, theta, m), m, eps_final)
         start_values.append(lam)
         start_evals.append(run_evals)
         start_converged.append(run_converged)

@@ -16,7 +16,7 @@ once: `grid.gradient` on 0-forms, and one coupling table per degree,
 1-forms -> pairs and pairs -> 3-forms, read by `d` and by its plain-sum
 transpose `d_T`.  Consequences used throughout:
 
-* d(d omega) = 0 holds exactly because the difference stencils commute;
+* d(d omega) = 0 holds up to roundoff because the difference stencils commute;
 * the plain-sum transpose of a difference stencil is its negative, so
   `d_T` and `grid.gradient_T` are exact transposes, from which every
   quadratic-form gradient is built.
@@ -24,6 +24,15 @@ transpose `d_T`.  Consequences used throughout:
 The lambda quotient's energies are the only discretisations of (d+d*)^2
 and nabla*nabla on Lambda+; the Weitzenboeck residual takes both operators
 from their gradients.
+
+The public types and functions are node-major (grid axes first, components
+last; see `grid`).  The kernels behind them (`_d`, `_nabla`, `_nabla_T`,
+`_flux` and the forward and transpose halves of each energy) and the state
+of the harmonic solve are component-major, (components, [batch,] dims), and
+read the metric tensors that `MetricField` caches component-major; a public
+function converts its arguments once on entry and its result once on exit.
+Energies are plain sums taken in node-major order (`grid._dot`), so either
+layout gives them the same bits.
 
 One discrete artefact needs care: a centred first difference is blind to
 the per-axis alternating mode (frequency n/2 on an even axis), so the
@@ -45,15 +54,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bases import PAIRS, WEDGE2, X3
-from .curvature import CurvatureBundle, MetricField, _bilinear, _lambda2
+from .curvature import CurvatureBundle, MetricField, _bilinear, _lambda2_cm
 from .grid import (
     GridSpec,
-    _axis_derivatives,
+    _component_major,
+    _d1,
+    _dot,
     _fourier_multiply,
     _freeze,
+    _gradient,
+    _gradient_T,
+    _node_major,
     _stencil_symbol2,
-    gradient,
-    gradient_T,
     integrate,
 )
 
@@ -132,7 +144,7 @@ class SelfDualField(_Components):
 
 
 def embed(sigma: SelfDualField, m: MetricField) -> TwoFormField:
-    comps = np.einsum("...pa,...a->...p", m.sd_pairs, sigma.comps)
+    comps = np.einsum("pa...,...a->...p", m.sd_pairs, sigma.comps)
     return TwoFormField(sigma.grid, comps)
 
 
@@ -166,38 +178,89 @@ _D_TABLES = {
 }
 
 
+def _d(f: np.ndarray, grid: GridSpec, transpose: bool = False) -> np.ndarray:
+    """`d` (or, with transpose, `d_T`) on component-major components
+    (width, [batch,] dims).
+
+    One d1 product per axis of every component, then each term of the
+    coupling table along that axis is a whole-plane add; the outputs are
+    accumulated one axis at a time, in the table's order per output.
+    """
+    # the tables are keyed by the width d reads: d_T maps pairs (6) to
+    # 1-forms (4) and 3-forms (4) to pairs (6)
+    width = 10 - f.shape[0] if transpose else f.shape[0]
+    n_out, terms = _D_TABLES[width]
+    out = np.zeros((width if transpose else n_out,) + f.shape[1:])
+    for k, h in enumerate(grid.spacing):
+        dk = _d1(f, k, h)
+        for o, axis, i, s in terms:
+            if axis != k:
+                continue
+            if transpose:  # the stencil's transpose is its negative
+                o, i, s = i, o, -s
+            if s > 0:
+                out[o] += dk[i]
+            else:
+                out[o] -= dk[i]
+    return out
+
+
 def d(f: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Exterior derivative of 1-form (width 4) or pair (width 6) components
     into pair or 3-form components; extra trailing axes ride along."""
-    width, terms = _D_TABLES[f.shape[4]]
-    dk = _axis_derivatives(f, grid)
-    out = np.zeros(grid.dims + (width,) + f.shape[5:])
-    for o, k, i, s in terms:
-        if s > 0:
-            out[:, :, :, :, o] += dk[k][:, :, :, :, i]
-        else:
-            out[:, :, :, :, o] -= dk[k][:, :, :, :, i]
-    return out
+    return _node_major(_d(_component_major(f), grid))
 
 
 def d_T(tau: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Plain-sum transpose of `d`: pair components (width 6) to 1-form ones,
     3-form components (width 4) to pairs.  The stencil's transpose is its
     negative, so each term's sign flips."""
-    width = 10 - tau.shape[4]  # pairs (6) -> 1-forms (4), 3-forms (4) -> pairs (6)
-    _, terms = _D_TABLES[width]
-    dk = _axis_derivatives(tau, grid)
-    out = np.zeros(grid.dims + (width,) + tau.shape[5:])
-    for o, k, i, s in terms:
-        if s > 0:
-            out[:, :, :, :, i] -= dk[k][:, :, :, :, o]
-        else:
-            out[:, :, :, :, i] += dk[k][:, :, :, :, o]
-    return out
+    return _node_major(_d(_component_major(tau), grid, transpose=True))
 
 
 # ---------------------------------------------------------------------------
 # covariant derivative on the self-dual bundle
+#
+# The kernels take component-major eta components (3, dims) and work with
+# coordinate derivatives, nab[k, a] = eta_a component of nabla_k sigma, whose
+# L2 flux is vol g^-1 nab (`_flux`); the public functions convert to and
+# from the node-major frame components.
+
+
+def _nabla(comps: np.ndarray, m: MetricField) -> np.ndarray:
+    """Coordinate covariant derivative (4, 3, dims) of component-major eta
+    components: nabla_k sigma = d_k sigma + a_k x sigma."""
+    nab = _gradient(comps, m.grid)
+    if not m.is_flat:
+        a = m.sd_connection
+        for c, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
+            nab[:, c] += a[:, i] * comps[j] - a[:, j] * comps[i]
+    return nab
+
+
+def _flux(x: np.ndarray, m: MetricField) -> np.ndarray:
+    """vol g^-1 x for coordinate components x[k, ...]: the L2 flux of a
+    gradient, x itself on the flat metric (vol = 1, g^-1 = 1 exactly)."""
+    if m.is_flat:
+        return x
+    n = m.grid.node_count
+    flux = np.einsum("kln,lan->kan", m.flux_weight.reshape(4, 4, n), x.reshape(4, -1, n))
+    return flux.reshape(x.shape)
+
+
+def _nabla_T(flux: np.ndarray, m: MetricField) -> np.ndarray:
+    """Plain-sum transpose of `_nabla`, (4, 3, dims) -> (3, dims):
+    `_gradient_T`(flux) + sum_k flux_k x a_k."""
+    out = _gradient_T(flux, m.grid)
+    if not m.is_flat:
+        # the cross products summed over k from one 3x3 product per node,
+        # [j, l] = sum_k flux_kj a_kl
+        n = m.grid.node_count
+        prod = np.einsum("kjn,kln->jln", flux.reshape(4, 3, n),
+                         m.sd_connection.reshape(4, 3, n)).reshape((3, 3) + m.grid.dims)
+        for c, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
+            out[c] += prod[i, j] - prod[j, i]
+    return out
 
 
 def covariant_derivative(sigma: SelfDualField, m: MetricField) -> np.ndarray:
@@ -208,30 +271,55 @@ def covariant_derivative(sigma: SelfDualField, m: MetricField) -> np.ndarray:
     nabla_k sigma = d_k sigma + a_k x sigma, with a the cached frame
     connection `MetricField.sd_connection`, and e^-T turns k into c.
     """
-    nab = gradient(sigma.comps, sigma.grid)
+    nab = _node_major(_nabla(_component_major(sigma.comps), m))
     if m.is_flat:
         return nab
-    nab += np.cross(m.sd_connection, sigma.comps[..., None, :])
     return np.swapaxes(m.inv_coframe, -1, -2) @ nab
 
 
 def nabla_transpose(tau: np.ndarray, m: MetricField) -> np.ndarray:
     """Plain-sum transpose of covariant_derivative, (dims,4,3) -> (dims,3):
-    gradient_T(e^-1 tau) + sum_k (e^-1 tau)_k x a_k."""
-    if m.is_flat:
-        return gradient_T(tau, m.grid)
-    nab = m.inv_coframe @ tau
-    out = gradient_T(nab, m.grid)
-    # the cross products summed over k from one 3x3 product per node,
-    # [j, l] = sum_k nab_kj a_kl
-    prod = np.swapaxes(nab, -1, -2) @ m.sd_connection
-    out += prod[..., (1, 2, 0), (2, 0, 1)] - prod[..., (2, 0, 1), (1, 2, 0)]
-    return out
+    the gradient's transpose of e^-1 tau plus sum_k (e^-1 tau)_k x a_k."""
+    if not m.is_flat:
+        tau = m.inv_coframe @ tau
+    return _node_major(_nabla_T(_component_major(tau), m))
 
 
 # ---------------------------------------------------------------------------
 # quadratic forms and their gradients (shared by the harmonicity checks and
 # the spectral quotient minimiser)
+#
+# Each energy E is given by a forward kernel on component-major components
+# that returns a pair (x, w) with E = _dot(x, w) h^4, and a transpose kernel
+# that turns w into the gradient over 2 h^4.  A caller that needs only the
+# energy skips the transpose chain; one that needs only the gradient, as the
+# lambda minimiser's applications of A do, skips the energy's sum.
+
+
+def _hodge_forward(comps: np.ndarray, m: MetricField) -> tuple[np.ndarray, np.ndarray]:
+    """tau = d sigma on stored pairs and its weighted flux W tau, with W the
+    per-node `MetricField.hodge_weight`, which folds ||d sigma||^2 and
+    ||d* sigma||^2 into one term."""
+    n = m.grid.node_count
+    om = np.einsum("pan,an->pn", m.sd_pairs.reshape(6, 3, n), comps.reshape(3, n))
+    tau = _d(om.reshape((6,) + m.grid.dims), m.grid)
+    wtau = np.einsum("lkn,kn->ln", m.hodge_weight.reshape(4, 4, n), tau.reshape(4, n))
+    return tau, wtau.reshape(tau.shape)
+
+
+def _hodge_transpose(wtau: np.ndarray, m: MetricField) -> np.ndarray:
+    """Gradient of the Hodge energy over 2 h^4: the exact plain-sum transpose
+    of `_hodge_forward`'s chain applied to W tau."""
+    n = m.grid.node_count
+    om_t = _d(wtau, m.grid, transpose=True)
+    grad = np.einsum("pan,pn->an", m.sd_pairs.reshape(6, 3, n), om_t.reshape(6, n))
+    return grad.reshape((3,) + m.grid.dims)
+
+
+def _dirichlet_forward(comps: np.ndarray, m: MetricField) -> tuple[np.ndarray, np.ndarray]:
+    """nabla sigma in coordinate components and its flux vol g^-1 nabla sigma."""
+    nab = _nabla(comps, m)
+    return nab, _flux(nab, m)
 
 
 def hodge_energy_and_grad(comps: np.ndarray, m: MetricField) -> tuple[float, np.ndarray]:
@@ -241,28 +329,21 @@ def hodge_energy_and_grad(comps: np.ndarray, m: MetricField) -> tuple[float, np.
     MetricField.hodge_weight; the gradient is the exact plain-sum transpose
     of the evaluation chain.
     """
-    grid = m.grid
-    om = np.einsum("...pa,...a->...p", m.sd_pairs, comps)
-    tau = d(om, grid)
-    wtau = np.einsum("...lk,...k->...l", m.hodge_weight, tau)
-    energy = float(np.sum(tau * wtau)) * grid.cell_volume
-    om_t = d_T(wtau, grid)
-    grad = np.einsum("...pa,...p->...a", m.sd_pairs, om_t)
-    grad *= 2.0 * grid.cell_volume
-    return energy, grad
+    cell = m.grid.cell_volume
+    tau, wtau = _hodge_forward(_component_major(comps), m)
+    grad = _node_major(_hodge_transpose(wtau, m))
+    grad *= 2.0 * cell
+    return _dot(tau, wtau) * cell, grad
 
 
 def sd_dirichlet_energy_and_grad(
     comps: np.ndarray, m: MetricField
 ) -> tuple[float, np.ndarray]:
     """E = ||nabla sigma||^2_{L2} and its gradient in the components."""
-    grid = m.grid
-    sigma = SelfDualField(grid, comps)
-    tau = covariant_derivative(sigma, m)
-    wtau = m.vol[..., None, None] * tau
-    energy = float(np.sum(tau * wtau)) * grid.cell_volume
-    grad = nabla_transpose(wtau, m) * (2.0 * grid.cell_volume)
-    return energy, grad
+    cell = m.grid.cell_volume
+    nab, flux = _dirichlet_forward(_component_major(comps), m)
+    grad = _node_major(_nabla_T(flux, m)) * (2.0 * cell)
+    return _dot(nab, flux) * cell, grad
 
 
 # ---------------------------------------------------------------------------
@@ -303,11 +384,12 @@ def integral_identity_check_s(
     """||(d+d*)(sin(theta) sigma)||^2 against its Bochner-type expansion.
 
     The lhs is `hodge_energy_and_grad`'s energy, the lambda quotient's first
-    term.  `theta` provides arrays s, c, dtheta, dtheta_norm2 (see
-    ThetaField).  Returns (lhs, rhs), equal up to discretisation.
+    term, without its gradient.  `theta` provides arrays s, c, dtheta,
+    dtheta_norm2 (see ThetaField).  Returns (lhs, rhs), equal up to
+    discretisation.
     """
     s = theta.s
-    lhs, _ = hodge_energy_and_grad(s[..., None] * sigma.comps, m)
+    lhs = _dot(*_hodge_forward(s * _component_major(sigma.comps), m)) * m.grid.cell_volume
 
     sig2, nab2, cross = _identity_pieces(sigma, theta, m)
     wquad = _bilinear(sigma.comps, curv.wplus, sigma.comps)
@@ -326,9 +408,10 @@ def integral_identity_check_c(
     sigma: SelfDualField, theta, m: MetricField
 ) -> tuple[float, float]:
     """||nabla(cos(theta) sigma)||^2 against its expansion; the lhs is
-    `sd_dirichlet_energy_and_grad`'s energy, the lambda quotient's second term."""
+    `sd_dirichlet_energy_and_grad`'s energy, the lambda quotient's second
+    term, without its gradient."""
     c = theta.c
-    lhs, _ = sd_dirichlet_energy_and_grad(c[..., None] * sigma.comps, m)
+    lhs = _dot(*_dirichlet_forward(c * _component_major(sigma.comps), m)) * m.grid.cell_volume
 
     sig2, nab2, cross = _identity_pieces(sigma, theta, m)
     s = theta.s
@@ -342,7 +425,7 @@ def integral_identity_check_c(
 
 def hodge_rayleigh(sigma: SelfDualField, m: MetricField) -> float:
     """(||d sigma||^2 + ||d* sigma||^2) / ||sigma||^2, the harmonicity defect."""
-    energy, _ = hodge_energy_and_grad(sigma.comps, m)
+    energy = _dot(*_hodge_forward(_component_major(sigma.comps), m)) * m.grid.cell_volume
     den = sd_l2_norm(sigma, m) ** 2
     if den == 0.0:
         raise ValueError("cannot form a Rayleigh quotient of the zero field")
@@ -406,8 +489,10 @@ class HarmonicBasis(Sequence):
 
 
 def _col_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Plain-sum inner products of the trailing batch columns."""
-    return np.einsum("nK,nK->K", x.reshape(-1, x.shape[-1]), y.reshape(-1, y.shape[-1]))
+    """Plain-sum inner products of the batch columns K of two component-major
+    (c, K, dims) arrays."""
+    c, k = x.shape[:2]
+    return np.einsum("cKn,cKn->K", x.reshape(c, k, -1), y.reshape(c, k, -1))
 
 
 def harmonic_selfdual_basis(m: MetricField) -> HarmonicBasis:
@@ -427,21 +512,29 @@ def harmonic_selfdual_basis(m: MetricField) -> HarmonicBasis:
     the inverse of `grid`'s d1 symbol.  The operator is singular only on closed
     1-forms, which never change d alpha, so no gauge is fixed.  Raises
     HarmonicSolveError when the loop misses _PCG_TOL within _PCG_MAXITER.
+    The loop's state and G are component-major, (components, class, dims);
+    the representatives turn node-major once the loop is done.
     """
     grid = m.grid
-    G = m.vol[..., None, None] * _lambda2(m.ginv)
+    n = grid.node_count
+    G = _lambda2_cm(m.ginv)
+    G *= m.vol
+    G = G.reshape(6, 6, n)
     inv_symbol = _inverse_symbol(grid)
 
     def g_apply(omega):
-        return np.einsum("...pq,...qK->...pK", G, omega)
+        return np.einsum("pqn,qKn->pKn", G, omega.reshape(6, -1, n)).reshape(omega.shape)
 
     def precondition(r):
         return _fourier_multiply(r, inv_symbol)
 
-    gc = g_apply(np.broadcast_to(_SD_CLASSES, grid.dims + _SD_CLASSES.shape))
-    class_norm2 = np.sum(gc * _SD_CLASSES, axis=(0, 1, 2, 3, 4))
-    alpha = np.zeros(grid.dims + (4, B_PLUS))
-    r = -d_T(gc, grid)
+    def columns(v):
+        return v[:, None, None, None, None]
+
+    gc = np.einsum("pqn,qK->pKn", G, _SD_CLASSES).reshape((6, B_PLUS) + grid.dims)
+    class_norm2 = np.sum(gc * _SD_CLASSES[..., None, None, None, None], axis=(0, 2, 3, 4, 5))
+    alpha = np.zeros((4, B_PLUS) + grid.dims)
+    r = -_d(gc, grid, transpose=True)
     z = precondition(r)
     rz = _col_dot(r, z)
     p = z
@@ -450,14 +543,14 @@ def harmonic_selfdual_basis(m: MetricField) -> HarmonicBasis:
         live = np.flatnonzero(rz > _PCG_TOL**2 * class_norm2)
         if live.size == 0 or iterations == _PCG_MAXITER:
             break
-        pl = p[..., live]
-        q = d_T(g_apply(d(pl, grid)), grid)
-        step = rz[live] / _col_dot(pl, q)
-        alpha[..., live] += step * pl
-        r[..., live] -= step * q
-        z = precondition(r[..., live])
-        rz_live = _col_dot(r[..., live], z)
-        p[..., live] = z + (rz_live / rz[live]) * pl
+        pl = p[:, live]
+        q = _d(g_apply(_d(pl, grid)), grid, transpose=True)
+        step = columns(rz[live] / _col_dot(pl, q))
+        alpha[:, live] += step * pl
+        r[:, live] -= step * q
+        z = precondition(r[:, live])
+        rz_live = _col_dot(r[:, live], z)
+        p[:, live] = z + columns(rz_live / rz[live]) * pl
         rz[live] = rz_live
         iterations += 1
     residual = float(np.sqrt(np.max(rz / class_norm2)))
@@ -467,7 +560,7 @@ def harmonic_selfdual_basis(m: MetricField) -> HarmonicBasis:
             f"after {iterations} iterations, above {_PCG_TOL:.0e}"
         )
 
-    h = _SD_CLASSES + d(alpha, grid)
+    h = _SD_CLASSES + _node_major(_d(alpha, grid))
     sd = np.einsum("...pa,...pK->...aK", m.sd_pairs_up, h)
     forms: list[np.ndarray] = []
     for k in range(B_PLUS):

@@ -38,7 +38,7 @@ import numpy as np
 
 from .bases import H_PLUS, PAIRS
 from .curvature import MetricField
-from .grid import GridSpec, _axis_derivatives, _freeze, gradient
+from .grid import GridSpec, _freeze, _gradient, gradient
 from .selfdual import SelfDualField, TwoFormField, d
 
 __all__ = [
@@ -240,7 +240,7 @@ def dirac_weitzenboeck_check(
     phi2 = phi.norm2()
     nab = nabla_a(phi, conn)
     t_grad = float(np.sum(phi2 * np.sum(np.abs(nab) ** 2, axis=(-2, -1))) * cell)
-    grad2 = sum(dk**2 for dk in _axis_derivatives(phi2, grid))
+    grad2 = sum(dk**2 for dk in _gradient(phi2, grid))
     t_mod = 0.5 * float(np.sum(grad2) * cell)
     sig = sigma_map(phi)
     pair = np.sum(conn.curv_plus.comps * sig.comps, axis=-1)

@@ -194,7 +194,8 @@ def test_three_form_algebra_matches_tensor_definitions():
     def rel(x, y):
         return np.max(np.abs(x - y)) / np.max(np.abs(y))
 
-    assert rel(m.hodge_weight, weight) < 1e-13
+    # the weight is cached component-major, [l, k, ...]
+    assert rel(np.moveaxis(m.hodge_weight, (0, 1), (-2, -1)), weight) < 1e-13
 
 
 # ---------------------------------------------------------------------------

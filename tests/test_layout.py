@@ -1,0 +1,143 @@
+"""Component-major kernels against node-major and np.roll references.
+
+The kernels behind the lambda minimiser and the harmonic solve store a
+field as (components, [batch,] n0, n1, n2, n3).  A reshape that mixes up
+grid axes goes unseen on a cubic grid, so each kernel is also checked on
+the odd, non-cubic grid (7, 9, 11, 13) with four distinct spacings.  At 8^4
+the kernels must give the bits of the node-major stencil `grid.d1`; on the
+odd grid the last-axis product sums in another order there, so they agree
+to roundoff.
+"""
+
+import numpy as np
+import pytest
+
+from monolab import GridSpec, build_metric
+from monolab.bases import PAIRS, TRIPLES
+from monolab.grid import (
+    _component_major,
+    _d1,
+    _dot,
+    _gradient,
+    _gradient_T,
+    _node_major,
+    d1,
+)
+from monolab.selfdual import _d, _nabla, _nabla_T
+
+from conftest import generic_metric, rel_err, roll_d1
+
+CUBIC = GridSpec((8,) * 4)
+ODD = GridSpec((7, 9, 11, 13), (6.0, 7.0, 8.0, 9.0))
+PAIR_INDEX = {pair: p for p, pair in enumerate(PAIRS)}
+
+
+def node_major_d1(v, axis, h):
+    """`grid.d1` on the node-major copy of a component-major array, moved back."""
+    lead = v.ndim - 4
+    nm = np.moveaxis(v, range(lead), range(-lead, 0)) if lead else v
+    out = d1(np.ascontiguousarray(nm), axis, h)
+    return np.moveaxis(out, range(-lead, 0), range(lead)) if lead else out
+
+
+def roll_d(f, spacing):
+    """d of component-major 1-form or pair components by the textbook
+    formulas on np.roll stencils: (dA)_ij = d_i A_j - d_j A_i and
+    (d omega)_abc = d_a omega_bc - d_b omega_ac + d_c omega_ab."""
+    def dk(v, k):
+        return roll_d1(v, k - 4, spacing[k])
+
+    if f.shape[0] == 4:
+        return np.stack([dk(f[j], i) - dk(f[i], j) for i, j in PAIRS])
+    return np.stack([dk(f[PAIR_INDEX[b, c]], a) - dk(f[PAIR_INDEX[a, c]], b)
+                     + dk(f[PAIR_INDEX[a, b]], c) for a, b, c in TRIPLES])
+
+
+def roll_nabla(sigma, m):
+    """Coordinate covariant derivative on np.roll stencils, node-major
+    cross products with the cached connection."""
+    a = np.moveaxis(m.sd_connection, (0, 1), (-2, -1))
+    s = np.moveaxis(sigma, 0, -1)
+    nab = np.stack([roll_d1(s, k, h) for k, h in enumerate(m.grid.spacing)], axis=-2)
+    nab += np.cross(a, s[..., None, :])
+    return np.moveaxis(nab, (-2, -1), (0, 1))
+
+
+@pytest.mark.parametrize("grid", [CUBIC, ODD], ids=["8^4", "odd"])
+@pytest.mark.parametrize("lead", [(3,), (4, 3)], ids=["single", "batched"])
+def test_d1_matches_node_major_and_roll(grid, lead):
+    v = np.random.default_rng(61).standard_normal(lead + grid.dims)
+    for k, h in enumerate(grid.spacing):
+        got = _d1(v, k, h)
+        assert got.flags.c_contiguous
+        ref = node_major_d1(v, k, h)
+        if grid is CUBIC:
+            assert np.array_equal(got, ref)
+        else:
+            assert rel_err(got, ref) < 1e-14
+        assert rel_err(got, roll_d1(v, k - 4, h)) < 1e-14
+    flux = np.random.default_rng(62).standard_normal((4,) + lead + grid.dims)
+    df = _gradient(v, grid)
+    lhs = np.sum(df * flux)
+    rhs = np.sum(v * _gradient_T(flux, grid))
+    assert abs(lhs - rhs) <= 1e-12 * np.sum(np.abs(df * flux))
+
+
+@pytest.mark.parametrize("grid", [CUBIC, ODD], ids=["8^4", "odd"])
+@pytest.mark.parametrize("lead", [(), (3,), (4, 3)], ids=["scalar", "single", "batched"])
+def test_conversions_and_node_major_sums(grid, lead):
+    # the reports' plain sums keep the bits of the node-major layout
+    rng = np.random.default_rng(65)
+    a, b = (rng.standard_normal(grid.dims + lead) for _ in range(2))
+    ca = _component_major(a)
+    assert ca.shape == lead + grid.dims and ca.flags.c_contiguous
+    assert np.array_equal(np.moveaxis(ca, range(len(lead)), range(-len(lead), 0)), a)
+    back = _node_major(ca)
+    assert back.flags.c_contiguous and np.array_equal(back, a)
+    assert _dot(ca, _component_major(b)) == float(np.sum(a * b))
+
+
+@pytest.mark.parametrize("grid", [CUBIC, ODD], ids=["8^4", "odd"])
+@pytest.mark.parametrize("batch", [(), (3,)], ids=["single", "batched"])
+def test_d_matches_roll_reference_and_transposes(grid, batch):
+    rng = np.random.default_rng(63)
+    for width, out_width in ((4, 6), (6, 4)):
+        f = rng.standard_normal((width,) + batch + grid.dims)
+        y = rng.standard_normal((out_width,) + batch + grid.dims)
+        df = _d(f, grid)
+        dty = _d(y, grid, transpose=True)
+        assert df.shape == y.shape and dty.shape == f.shape
+        assert rel_err(df, roll_d(f, grid.spacing)) < 1e-13
+        lhs = np.sum(df * y)
+        rhs = np.sum(f * dty)
+        assert abs(lhs - rhs) <= 1e-12 * np.sqrt(np.sum(df**2) * np.sum(y**2))
+        # each batch column is the unbatched field's derivative, bit for bit
+        for col in np.ndindex(*batch):
+            one = (slice(None),) + col
+            assert np.array_equal(df[one], _d(np.ascontiguousarray(f[one]), grid))
+            assert np.array_equal(dty[one], _d(np.ascontiguousarray(y[one]), grid,
+                                               transpose=True))
+    # d d = 0 up to roundoff: the stencils commute
+    a = rng.standard_normal((4,) + batch + grid.dims)
+    assert np.max(np.abs(_d(_d(a, grid), grid))) < 1e-12
+
+
+@pytest.mark.parametrize("grid", [CUBIC, ODD], ids=["8^4", "odd"])
+def test_covariant_derivative_kernels_match_roll_and_transpose(grid):
+    m = build_metric(grid, generic_metric(grid.dims, periods=grid.periods)[1])
+    rng = np.random.default_rng(64)
+    sigma = rng.standard_normal((3,) + grid.dims)
+    flux = rng.standard_normal((4, 3) + grid.dims)
+    nab = _nabla(sigma, m)
+    assert nab.shape == flux.shape
+    assert rel_err(nab, roll_nabla(sigma, m)) < 1e-13
+    lhs = np.sum(nab * flux)
+    rhs = np.sum(sigma * _nabla_T(flux, m))
+    assert abs(lhs - rhs) <= 1e-12 * np.sqrt(np.sum(nab**2) * np.sum(flux**2))
+    if grid is CUBIC:
+        # the node-major derivative plus np.cross, bit for bit
+        a = np.moveaxis(m.sd_connection, (0, 1), (-2, -1))
+        s = np.moveaxis(sigma, 0, -1)
+        ref = np.stack([node_major_d1(sigma, k, h) for k, h in enumerate(grid.spacing)])
+        ref += np.moveaxis(np.cross(a, s[..., None, :]), (-2, -1), (0, 1))
+        assert np.array_equal(nab, ref)

@@ -133,6 +133,18 @@ def test_minimize_flat_constant_theta(m8):
     assert abs(res.lam - check) < 1e-12 * max(1.0, res.lam)
 
 
+def test_constant_starts_give_exact_zero_on_constant_theta(m8, curv8):
+    # lambda --dims 8 --theta const:0.2 --multistarts 1 --max-iter 50: a
+    # field constant on every axis already lies in the stencil-resolved
+    # subspace, so the constant starts are not projected, and the stencils
+    # and the modulus term vanish on them exactly
+    res = minimize_lambda(theta_from_preset("const:0.2", m8), m8, curv8,
+                          LambdaOptions(n_random=1, max_iter=50, seed=0))
+    assert res.lam == 0.0
+    assert res.start_values[:3] == (0.0, 0.0, 0.0)
+    assert res.start_gpg[:3] == (0.0, 0.0, 0.0)
+
+
 def test_minimize_flat_coordinate_theta(m8):
     theta = theta_from_preset("coord:0", m8)
     res = minimize_lambda(theta, m8, opts=TRIMMED)
@@ -309,13 +321,14 @@ def test_carried_image_matches_a_fresh_application(grid8, monkeypatch, metric, t
 
 
 def mode_loop_start(grid, rng):
-    """The random start drawn one mode at a time, in np.ndindex order."""
-    comps = np.empty(grid.dims + (3,))
+    """The random start drawn one mode at a time, in np.ndindex order, stored
+    component-major like the minimiser's state."""
+    comps = np.empty((3,) + grid.dims)
     for a in range(3):
         spec = np.zeros(grid.dims, dtype=complex)
         for idx in np.ndindex(*(5,) * 4):
             spec[tuple(i - 2 for i in idx)] = rng.standard_normal() + 1j * rng.standard_normal()
-        comps[..., a] = np.fft.ifftn(spec).real
+        comps[a] = np.fft.ifftn(spec).real
     return comps
 
 
@@ -330,9 +343,10 @@ def test_random_start_matches_mode_loop(dims):
 
 
 def fft_sphere_multiply(values, grid, mu):
-    """1/(mu + |s|^2) applied to each component by complex FFTs: the d1
-    symbol in closed form on np.fft's frequencies, zero at zero frequency,
-    and the whole symbol zero on the half-frequency planes."""
+    """1/(mu + |s|^2) applied to each component of a component-major array
+    by complex FFTs: the d1 symbol in closed form on np.fft's frequencies,
+    zero at zero frequency, and the whole symbol zero on the half-frequency
+    planes."""
     symbol = 0.0
     half = np.zeros(grid.dims, dtype=bool)
     for ax, (n, h) in enumerate(zip(grid.dims, grid.spacing)):
@@ -345,8 +359,8 @@ def fft_sphere_multiply(values, grid, mu):
         half |= 2 * np.abs(j) == n
     symbol = np.where(half, 0.0, 1.0 / (mu + symbol))
     out = np.empty_like(values)
-    for idx in np.ndindex(*values.shape[4:]):
-        out[(...,) + idx] = np.fft.ifftn(np.fft.fftn(values[(...,) + idx]) * symbol).real
+    for idx in np.ndindex(*values.shape[:-4]):
+        out[idx] = np.fft.ifftn(np.fft.fftn(values[idx]) * symbol).real
     return out
 
 
@@ -356,13 +370,13 @@ def test_fourier_multiply_matches_per_component_transforms(tail):
     # stacked field and each of its scalar components get equal bits
     grid = GridSpec((7, 8, 9, 6))
     symbol = _sphere_symbol(grid, 1.0)
-    values = np.random.default_rng(5).standard_normal(grid.dims + tail)
+    values = np.random.default_rng(5).standard_normal(tail + grid.dims)
     got = _fourier_multiply(values, symbol)
     want = fft_sphere_multiply(values, grid, 1.0)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     for idx in np.ndindex(*tail):
-        one = _fourier_multiply(np.ascontiguousarray(values[(...,) + idx]), symbol)
-        assert np.array_equal(got[(...,) + idx], one)
+        one = _fourier_multiply(values[idx], symbol)
+        assert np.array_equal(got[idx], one)
 
 
 def test_preconditioner_kills_blind_mode(grid8):
@@ -372,11 +386,11 @@ def test_preconditioner_kills_blind_mode(grid8):
     n = grid8.dims[0]
     alt = np.cos(np.pi * np.arange(n))
     blind = alt[:, None, None, None] * alt[None, :, None, None] * np.ones(grid8.dims)
-    comps = np.stack([blind, np.zeros_like(blind), np.zeros_like(blind)], axis=-1)
+    comps = np.stack([blind, np.zeros_like(blind), np.zeros_like(blind)])
     symbol = _sphere_symbol(grid8, 1.0)
     assert np.max(np.abs(_fourier_multiply(comps, symbol))) < 1e-12
     assert np.max(np.abs(_fourier_multiply(comps, symbol > 0))) < 1e-12
-    smooth = smooth_sigma(grid8, 8).comps
+    smooth = np.moveaxis(smooth_sigma(grid8, 8).comps, -1, 0)
     assert np.max(np.abs(_fourier_multiply(smooth, symbol > 0) - smooth)) < 1e-10
     # odd axes have no half frequency; on even ones the zeros are exactly the
     # planes of the alternating mode, the last column of the real basis

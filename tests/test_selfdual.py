@@ -256,7 +256,8 @@ def test_conformal_connection_matches_closed_form():
         eye = np.eye(4)
         w = np.einsum("ka,...i->...kai", eye, df) - np.einsum("ki,...a->...kai", eye, df)
         closed = -np.einsum("...kij,cij->...kc", w, textbook_eta()) / np.sqrt(2.0)
-        errs.append(rel_err(m.sd_connection, closed))
+        # the connection is cached component-major, [k, a, ...]
+        errs.append(rel_err(np.moveaxis(m.sd_connection, (0, 1), (-2, -1)), closed))
     assert np.log(errs[0] / errs[1]) / np.log(16 / 12) >= 5.0  # measured: 5.53
 
 
@@ -264,8 +265,8 @@ def test_kaehler_form_is_parallel(grid8):
     # on a Kaehler product eta_1 is the Kaehler form: the connection turns
     # only about it, so it and the constant field along it are exactly parallel
     m = metric_from_preset("kaehler-product:0.3*sin(x2)*cos(x3)", grid8)
-    assert np.any(m.sd_connection[..., 0])
-    assert not np.any(m.sd_connection[..., 1:])
+    assert np.any(m.sd_connection[:, 0])
+    assert not np.any(m.sd_connection[:, 1:])
     kaehler = SelfDualField(grid8, np.broadcast_to([1.0, 0.0, 0.0], grid8.dims + (3,)))
     assert not np.any(covariant_derivative(kaehler, m))
 
@@ -358,6 +359,21 @@ def test_integral_identities_coordinate_theta(m8, curv8):
     assert abs(lhs - rhs) / (1 + abs(lhs) + abs(rhs)) < 1e-2
     lhs, rhs = integral_identity_check_c(sig, theta, m8)
     assert abs(lhs - rhs) / (1 + abs(lhs) + abs(rhs)) < 1e-2
+
+
+def test_energy_only_callers_keep_the_energies_bits(generic8):
+    # the identity checks and the Hodge quotient read only the forward half
+    # of the energies; they must give the bits of the energy-and-gradient
+    # functions
+    m = generic8[1]
+    sig = smooth_sd(m.grid, 5)
+    theta = theta_from_preset("coord:0", m)
+    lhs_s, _ = integral_identity_check_s(sig, theta, m, curvature_stack(m))
+    assert lhs_s == hodge_energy_and_grad(theta.s[..., None] * sig.comps, m)[0]
+    lhs_c, _ = integral_identity_check_c(sig, theta, m)
+    assert lhs_c == sd_dirichlet_energy_and_grad(theta.c[..., None] * sig.comps, m)[0]
+    energy = hodge_energy_and_grad(sig.comps, m)[0]
+    assert hodge_rayleigh(sig, m) == energy / sd_l2_norm(sig, m) ** 2
 
 
 def test_integral_identities_generic_metric(generic8):
