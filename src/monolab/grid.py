@@ -19,16 +19,18 @@ diagonalises it (Davis, Circulant Matrices, 1979; Strang, SIAM Review 41,
 1999).  `_fourier_multiply` therefore applies a symbol as dense per-axis
 matrix products, the same kernel as the derivatives.
 
-Two layouts of a field's samples occur.  The public value objects here and
-in `selfdual`, `rayleigh` and `spinc` are node-major: the four grid axes
-lead and the components trail, (n0, n1, n2, n3, c...), C order.  The
-kernels behind the lambda minimiser and the harmonic solve work
-component-major, (c..., n0, n1, n2, n3): each component is one contiguous
-block, so a stencil along any grid axis is one matrix product into a
-C-contiguous result and each per-node contraction runs over the long node
-axis.  `_component_major` and `_node_major` convert, once where a public
-function is entered and left.  A plain sum whose bits a report carries is
-taken in node-major order whatever the layout (`_dot`).
+The public value objects here and in `selfdual`, `rayleigh` and `spinc`
+are node-major: the four grid axes lead and the components trail,
+(n0, n1, n2, n3, c...), C order.  Everything behind them is
+component-major, (c..., n0, n1, n2, n3): the one stencil kernel behind
+`d1` and `d2`, every tensor `curvature.MetricField` caches, the curvature
+stack and the kernels of the lambda minimiser and the harmonic solve.
+Each component is one contiguous block, so a stencil along any grid axis
+is one matrix product into a C-contiguous result and each per-node
+contraction runs over the long node axis.  A scalar field has the same
+layout either way.  `_component_major` and `_node_major` convert, once
+where a public function is entered and left.  A plain sum whose bits a
+report carries is taken in node-major order whatever the layout (`_dot`).
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ __all__ = [
     "d1",
     "d2",
     "gradient",
-    "gradient_T",
 ]
 
 
@@ -253,38 +254,20 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(prod))
 
 
-def _apply_along(stencil: str, values: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """One product D @ values along `axis`, the same BLAS call whatever the
-    trailing components, so a stacked field and its components get equal bits."""
-    D = _circulant(stencil, values.shape[axis], float(h))
-    moved = values.swapaxes(0, axis)
-    # the stencils annihilate constants; removing one slice first makes the
-    # result exactly zero (not roundoff) on fields constant along the axis.
-    # The same copy puts the axis first in C order, ready for one matmul
-    shifted = np.subtract(moved, moved[:1], order="C")
-    out = D @ shifted.reshape(shifted.shape[0], -1)
-    return out.reshape(shifted.shape).swapaxes(0, axis)
-
-
-def d1(values: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Centred 6th-order first derivative along grid `axis` of a node-major
-    array; the plain-sum adjoint is exactly its negative."""
-    return _apply_along("d1", values, axis, h)
-
-
-def _d1(values: np.ndarray, axis: int, h: float, out: np.ndarray | None = None) -> np.ndarray:
-    """d1 along grid `axis` of a component-major (c..., dims) array, as one
-    C-contiguous product (into `out`, which must be C-contiguous, when
-    given).
+def _stencil_along(stencil: str, values: np.ndarray, axis: int, h: float,
+                   out: np.ndarray | None) -> np.ndarray:
+    """The one stencil kernel behind `d1` and `d2`: one C-contiguous product
+    along grid `axis`, counted from the end of the shape.
 
     Viewed as (pre, n, post), with post the nodes after the axis, the
     derivative is np.matmul(D, x), one D @ (n, post) block per leading
-    index; along the last axis (post = 1) it is x.reshape(-1, n) @ D^T.  As
-    in `_apply_along`, the first slice along the axis is subtracted first,
-    so the result is exactly zero on fields constant along the axis.
+    index; along the last axis (post = 1) it is x.reshape(-1, n) @ D^T.
+    The first slice along the axis is subtracted first, which the stencils
+    annihilate, so the result is exactly zero (not roundoff) on fields
+    constant along the axis.
     """
     n = values.shape[axis - 4]
-    D = _circulant("d1", n, float(h))
+    D = _circulant(stencil, n, float(h))
     x = values.reshape(-1, n, math.prod(values.shape[axis - 3:]) if axis < 3 else 1)
     shifted = np.subtract(x, x[:, :1])
     if out is None:
@@ -296,12 +279,29 @@ def _d1(values: np.ndarray, axis: int, h: float, out: np.ndarray | None = None) 
     return out
 
 
+def d1(values: np.ndarray, axis: int, h: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Centred 6th-order first derivative along grid `axis` of a
+    component-major (c..., n0, n1, n2, n3) array, or of an axis-0 slab of
+    one, (c..., n1, n2, n3), with the grid's own axis numbers; into `out`,
+    which must be C-contiguous, when given.  The plain-sum adjoint is
+    exactly its negative, and a slab gets the bits of the same rows of the
+    whole-grid call."""
+    return _stencil_along("d1", values, axis, h, out)
+
+
+def d2(values: np.ndarray, axis: int, h: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Dedicated 6th-order second derivative (same axis twice), on the
+    layouts of `d1`; the curvature stack uses it where composing two first
+    derivatives would waste accuracy."""
+    return _stencil_along("d2", values, axis, h, out)
+
+
 def _gradient(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     """d of component-major 0-forms (c..., dims): d1 of every component along
     each grid axis k, stacked as a new leading axis, (4, c..., dims)."""
     out = np.empty((4,) + values.shape, dtype=values.dtype)
     for k, h in enumerate(grid.spacing):
-        _d1(values, k, h, out=out[k])
+        d1(values, k, h, out=out[k])
     return out
 
 
@@ -310,7 +310,7 @@ def _gradient_T(flux: np.ndarray, grid: GridSpec) -> np.ndarray:
     (the d1 stencil's transpose is its negative)."""
     out = np.zeros(flux.shape[1:], dtype=flux.dtype)
     for k, h in enumerate(grid.spacing):
-        out -= _d1(flux[k], k, h)
+        out -= d1(flux[k], k, h)
     return out
 
 
@@ -318,17 +318,6 @@ def gradient(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     """d of node-major 0-forms: d1 of every stored component along each grid
     axis, stacked as a new axis right after the grid axes."""
     return _node_major(_gradient(_component_major(values), grid))
-
-
-def gradient_T(flux: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Plain-sum transpose of `gradient` on node-major arrays."""
-    return _node_major(_gradient_T(_component_major(flux), grid))
-
-
-def d2(values: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Dedicated 6th-order second derivative (same axis twice); the curvature
-    stack uses it where composing two first derivatives would waste accuracy."""
-    return _apply_along("d2", values, axis, h)
 
 
 def integrate(values, m) -> float:

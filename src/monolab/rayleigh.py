@@ -62,10 +62,11 @@ afresh.
 
 The minimiser's state (x, A x, the gradient, the search direction) and its
 kernels are component-major, (3, n0, n1, n2, n3): each component is one
-contiguous block (see `grid`).  The public `rayleigh_quotient`, `ThetaField`
-and `LambdaResult.minimizer` are node-major and convert once.  Every plain
-sum the minimiser forms is taken in node-major order (`grid._dot`), so its
-reports have the bits of a node-major minimiser.
+contiguous block (see `grid`), as is every tensor of `MetricField`.  The
+public `rayleigh_quotient`, `ThetaField` and `LambdaResult.minimizer` are
+node-major and convert once.  Every plain sum the minimiser forms is
+taken in node-major order (`grid._dot`), so its reports have the bits of a
+node-major minimiser.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import CurvatureBundle, MetricField, _bilinear
+from .curvature import CurvatureBundle, MetricField
 from .grid import (
     GridSpec,
     ScalarField,
@@ -159,7 +160,9 @@ def theta_from_sc(s: np.ndarray, c: np.ndarray, m: MetricField) -> ThetaField:
     ds = gradient(s, grid)
     dc = gradient(c, grid)
     dth = c[..., None] * ds - s[..., None] * dc
-    n2 = _bilinear(dth, m.ginv, dth)
+    # |d theta|^2 by two two-operand einsums, as in `curvature._bilinear`,
+    # reading the component-major g^-1
+    n2 = np.einsum("...k,...k->...", dth, np.einsum("kl...,...l->...k", m.ginv, dth))
     return ThetaField(grid, s, c, dth, n2)
 
 

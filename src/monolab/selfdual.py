@@ -12,14 +12,14 @@ components and adds the cross product with the cached frame connection
 
 Only the exterior derivative is discretised (periodic 6th-order centred
 differences); every Gram matrix is exact pointwise algebra.  d is written
-once: `grid.gradient` on 0-forms, and one coupling table per degree,
-1-forms -> pairs and pairs -> 3-forms, read by `d` and by its plain-sum
-transpose `d_T`.  Consequences used throughout:
+once: `grid._gradient` on 0-forms, and one coupling table per degree,
+1-forms -> pairs and pairs -> 3-forms, read by `_d` forward and transposed.
+Consequences used throughout:
 
 * d(d omega) = 0 holds up to roundoff because the difference stencils commute;
 * the plain-sum transpose of a difference stencil is its negative, so
-  `d_T` and `grid.gradient_T` are exact transposes, from which every
-  quadratic-form gradient is built.
+  `_d(..., transpose=True)` and `grid._gradient_T` are exact transposes,
+  from which every quadratic-form gradient is built.
 
 The lambda quotient's energies are the only discretisations of (d+d*)^2
 and nabla*nabla on Lambda+; the Weitzenboeck residual takes both operators
@@ -28,9 +28,10 @@ from their gradients.
 The public types and functions are node-major (grid axes first, components
 last; see `grid`).  The kernels behind them (`_d`, `_nabla`, `_nabla_T`,
 `_flux` and the forward and transpose halves of each energy) and the state
-of the harmonic solve are component-major, (components, [batch,] dims), and
-read the metric tensors that `MetricField` caches component-major; a public
-function converts its arguments once on entry and its result once on exit.
+of the harmonic solve are component-major, (components, [batch,] dims), as
+is every tensor `MetricField` caches; a public function converts its
+arguments once on entry and its result once on exit, and reads the metric
+tensors in their own layout.
 Energies are plain sums taken in node-major order (`grid._dot`), so either
 layout gives them the same bits.
 
@@ -54,11 +55,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bases import PAIRS, WEDGE2, X3
-from .curvature import CurvatureBundle, MetricField, _bilinear, _lambda2_cm
+from .curvature import CurvatureBundle, MetricField, _bilinear, _lambda2
 from .grid import (
     GridSpec,
     _component_major,
-    _d1,
     _dot,
     _fourier_multiply,
     _freeze,
@@ -66,6 +66,7 @@ from .grid import (
     _gradient_T,
     _node_major,
     _stencil_symbol2,
+    d1,
     integrate,
 )
 
@@ -75,11 +76,9 @@ __all__ = [
     "embed",
     "project",
     "d",
-    "d_T",
     "sd_l2_norm",
     "wedge_integral",
     "covariant_derivative",
-    "nabla_transpose",
     "hodge_energy_and_grad",
     "sd_dirichlet_energy_and_grad",
     "weitzenboeck_residual",
@@ -149,7 +148,7 @@ def embed(sigma: SelfDualField, m: MetricField) -> TwoFormField:
 
 
 def project(omega: TwoFormField, m: MetricField) -> SelfDualField:
-    comps = np.einsum("...pa,...p->...a", m.sd_pairs_up, omega.comps)
+    comps = np.einsum("pa...,...p->...a", m.sd_pairs_up, omega.comps)
     return SelfDualField(omega.grid, comps)
 
 
@@ -179,20 +178,20 @@ _D_TABLES = {
 
 
 def _d(f: np.ndarray, grid: GridSpec, transpose: bool = False) -> np.ndarray:
-    """`d` (or, with transpose, `d_T`) on component-major components
-    (width, [batch,] dims).
+    """`d` (or, with transpose, its plain-sum transpose) on component-major
+    components (width, [batch,] dims).
 
     One d1 product per axis of every component, then each term of the
     coupling table along that axis is a whole-plane add; the outputs are
     accumulated one axis at a time, in the table's order per output.
     """
-    # the tables are keyed by the width d reads: d_T maps pairs (6) to
-    # 1-forms (4) and 3-forms (4) to pairs (6)
+    # the tables are keyed by the width d reads: the transpose maps pairs
+    # (6) to 1-forms (4) and 3-forms (4) to pairs (6)
     width = 10 - f.shape[0] if transpose else f.shape[0]
     n_out, terms = _D_TABLES[width]
     out = np.zeros((width if transpose else n_out,) + f.shape[1:])
     for k, h in enumerate(grid.spacing):
-        dk = _d1(f, k, h)
+        dk = d1(f, k, h)
         for o, axis, i, s in terms:
             if axis != k:
                 continue
@@ -209,13 +208,6 @@ def d(f: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Exterior derivative of 1-form (width 4) or pair (width 6) components
     into pair or 3-form components; extra trailing axes ride along."""
     return _node_major(_d(_component_major(f), grid))
-
-
-def d_T(tau: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Plain-sum transpose of `d`: pair components (width 6) to 1-form ones,
-    3-form components (width 4) to pairs.  The stencil's transpose is its
-    negative, so each term's sign flips."""
-    return _node_major(_d(_component_major(tau), grid, transpose=True))
 
 
 # ---------------------------------------------------------------------------
@@ -271,18 +263,10 @@ def covariant_derivative(sigma: SelfDualField, m: MetricField) -> np.ndarray:
     nabla_k sigma = d_k sigma + a_k x sigma, with a the cached frame
     connection `MetricField.sd_connection`, and e^-T turns k into c.
     """
-    nab = _node_major(_nabla(_component_major(sigma.comps), m))
-    if m.is_flat:
-        return nab
-    return np.swapaxes(m.inv_coframe, -1, -2) @ nab
-
-
-def nabla_transpose(tau: np.ndarray, m: MetricField) -> np.ndarray:
-    """Plain-sum transpose of covariant_derivative, (dims,4,3) -> (dims,3):
-    the gradient's transpose of e^-1 tau plus sum_k (e^-1 tau)_k x a_k."""
+    nab = _nabla(_component_major(sigma.comps), m)
     if not m.is_flat:
-        tau = m.inv_coframe @ tau
-    return _node_major(_nabla_T(_component_major(tau), m))
+        nab = np.einsum("kc...,ka...->ca...", m.inv_coframe, nab)
+    return _node_major(nab)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +357,7 @@ def _identity_pieces(sigma: SelfDualField, theta, m: MetricField):
     nab = covariant_derivative(sigma, m)
     sig2 = np.sum(sigma.comps**2, axis=-1)
     nab2 = np.sum(nab**2, axis=(-2, -1))
-    dth_frame = np.einsum("...kc,...k->...c", m.inv_coframe, theta.dtheta)
+    dth_frame = np.einsum("kc...,...k->...c", m.inv_coframe, theta.dtheta)
     cross = _bilinear(dth_frame, nab, sigma.comps)
     return sig2, nab2, cross
 
@@ -517,7 +501,7 @@ def harmonic_selfdual_basis(m: MetricField) -> HarmonicBasis:
     """
     grid = m.grid
     n = grid.node_count
-    G = _lambda2_cm(m.ginv)
+    G = _lambda2(m.ginv)
     G *= m.vol
     G = G.reshape(6, 6, n)
     inv_symbol = _inverse_symbol(grid)
@@ -561,7 +545,7 @@ def harmonic_selfdual_basis(m: MetricField) -> HarmonicBasis:
         )
 
     h = _SD_CLASSES + _node_major(_d(alpha, grid))
-    sd = np.einsum("...pa,...pK->...aK", m.sd_pairs_up, h)
+    sd = np.einsum("pa...,...pK->...aK", m.sd_pairs_up, h)
     forms: list[np.ndarray] = []
     for k in range(B_PLUS):
         comps = sd[..., k]

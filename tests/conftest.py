@@ -89,6 +89,12 @@ def roll_d1(v, axis, h):
             - 45 * r(v, 1, axis) + 9 * r(v, 2, axis) - r(v, 3, axis)) / (60.0 * h)
 
 
+def roll_d2(v, axis, h):
+    r = np.roll
+    return (2 * r(v, -3, axis) - 27 * r(v, -2, axis) + 270 * r(v, -1, axis) - 490 * v
+            + 270 * r(v, 1, axis) - 27 * r(v, 2, axis) + 2 * r(v, 3, axis)) / (180.0 * h * h)
+
+
 def textbook_christoffel(g, spacing):
     """Gamma^k_ij = g^kl (d_i g_jl + d_j g_il - d_l g_ij) / 2 from all 16
     components of g: [..., k, i, j]."""

@@ -16,12 +16,13 @@ from monolab import (
 )
 from monolab.bases import H_MINUS, H_PLUS, PAIRS, TRIPLES, X3
 from monolab.curvature import _SYM_I, _SYM_J, _lambda2, _pair_riemann
-from monolab.grid import d1, d2, integrate
+from monolab.grid import _component_major, _node_major, d1, d2, integrate
 
 from conftest import (
     generic_metric,
     rel_err,
     roll_d1,
+    roll_d2,
     textbook_christoffel,
     textbook_eta,
     textbook_three_form_star,
@@ -87,7 +88,7 @@ def test_metric_algebra_from_the_factor():
     # reads these off the Cholesky factor without inverse or determinant
     grid, g = generic_metric(8)
     m = build_metric(grid, g)
-    e, einv, gi = m.coframe, m.inv_coframe, m.ginv
+    e, einv, gi = (_node_major(x) for x in (m.coframe, m.inv_coframe, m.ginv))
     eye = np.broadcast_to(np.eye(4), g.shape)
     assert np.max(np.abs(np.swapaxes(e, -1, -2) @ e - g)) < 1e-13
     assert np.max(np.abs(einv @ e - eye)) < 1e-13
@@ -111,12 +112,12 @@ def test_metric_is_factored_once(monkeypatch):
     for derived in (m.ginv, m.vol, m.sd_pairs, m.sd_connection):
         assert np.isfinite(derived).all()
     assert len(factors) == 1
-    assert np.array_equal(m.coframe, np.swapaxes(factors[0], -1, -2))
+    assert np.array_equal(m.coframe, _component_major(np.swapaxes(factors[0], -1, -2)))
 
 
 def test_flat_metric_algebra_is_exact(m8):
     # a -0.0 that reaches a report prints as -0.0 and breaks flat byte-identity
-    eye = np.broadcast_to(np.eye(4), m8.g.shape)
+    eye = np.broadcast_to(np.eye(4).reshape(4, 4, 1, 1, 1, 1), m8.g.shape)
     for x, ref in ((m8.ginv, eye), (m8.inv_coframe, eye), (m8.coframe, eye),
                    (m8.vol, np.ones(m8.vol.shape))):
         assert np.array_equal(x, ref)
@@ -179,7 +180,7 @@ def test_three_form_algebra_matches_tensor_definitions():
     a = rng.standard_normal(grid.dims + (4, 4))
     g = np.einsum("...ij,...kj->...ik", a, a) + 0.5 * np.eye(4)
     m = build_metric(grid, g)
-    gi, vol = m.ginv, m.vol
+    gi, vol = _node_major(m.ginv), m.vol
 
     star_stored = np.einsum("...mijk,lijk->...ml", textbook_three_form_star(g), X3)
     gram3 = np.empty(grid.dims + (4, 4))
@@ -202,12 +203,6 @@ def test_three_form_algebra_matches_tensor_definitions():
 # generic metrics: a test-only textbook chain and the topological oracles of T^4
 
 
-def _roll_d2(v, axis, h):
-    r = np.roll
-    return (2 * r(v, -3, axis) - 27 * r(v, -2, axis) + 270 * r(v, -1, axis) - 490 * v
-            + 270 * r(v, 1, axis) - 27 * r(v, 2, axis) + 2 * r(v, 3, axis)) / (180.0 * h * h)
-
-
 def textbook_curvature(g, spacing):
     """Scalar curvature and W+ by the textbook chain on full index tensors:
     ddg -> Riemann -> Ricci -> Weyl -> frame.  It shares no code with the
@@ -220,7 +215,7 @@ def textbook_curvature(g, spacing):
     for i in range(4):
         for j in range(4):
             if i == j:
-                ddg[..., i, i, :, :] = _roll_d2(g, i, spacing[i])
+                ddg[..., i, i, :, :] = roll_d2(g, i, spacing[i])
             else:
                 ddg[..., i, j, :, :] = roll_d1(dg[max(i, j)], min(i, j), spacing[min(i, j)])
     riem = 0.5 * (np.einsum("...jkil->...ijkl", ddg) + np.einsum("...iljk->...ijkl", ddg)
@@ -246,8 +241,9 @@ def _frame_operator(m):
     """L^T R_pair L with L = Lambda^2(e^-1), e^-1 by LAPACK: the frame
     curvature operator whose trace is R/2 and whose eta-plus and eta-minus
     blocks are W+ and W- plus (R/12) 1."""
-    lam = _lambda2(np.linalg.inv(m.coframe))
-    return np.swapaxes(lam, -1, -2) @ np.stack(list(_pair_riemann(m))) @ lam
+    lam = _node_major(_lambda2(_component_major(np.linalg.inv(_node_major(m.coframe)))))
+    pair = _node_major(np.stack(list(_pair_riemann(m)), axis=2))
+    return np.swapaxes(lam, -1, -2) @ pair @ lam
 
 
 def test_stack_matches_frame_operator():
@@ -283,20 +279,22 @@ def test_pair_operator_matches_textbook_chain_on_a_noncubic_grid():
     assert rel_err(cb.scalar.values, scal) < 1e-12
     assert rel_err(cb.wplus, wplus) < 1e-12
     textbook = textbook_christoffel(g, grid.spacing)
-    assert rel_err(m.christoffel, textbook[..., _SYM_I, _SYM_J]) < 1e-13
+    assert rel_err(_node_major(m.christoffel), textbook[..., _SYM_I, _SYM_J]) < 1e-13
 
 
 def test_slab_stencils_match_the_whole_grid_rows():
-    # the stack differences along axes 1-3 one axis-0 slab at a time and
-    # relies on getting the whole-grid call's bits
+    # the stack differences along axes 1-3 one axis-0 slab (10, n1, n2, n3)
+    # of the component-major g at a time, with the grid's own axis numbers,
+    # and relies on getting the whole-grid call's bits
     grid, g = generic_metric(**NONCUBIC)
-    g10 = g[..., _SYM_I, _SYM_J]
+    g10 = _component_major(g[..., _SYM_I, _SYM_J])
     for k in (1, 2, 3):
         h = grid.spacing[k]
         whole1, whole2 = d1(g10, k, h), d2(g10, k, h)
         for i in range(grid.dims[0]):
-            assert np.array_equal(d1(g10[i], k - 1, h), whole1[i])
-            assert np.array_equal(d2(g10[i], k - 1, h), whole2[i])
+            for slab in (g10[:, i], np.ascontiguousarray(g10[:, i])):
+                assert np.array_equal(d1(slab, k, h), whole1[:, i])
+                assert np.array_equal(d2(slab, k, h), whole2[:, i])
 
 
 def test_stack_builds_no_whole_grid_matrix_field():

@@ -6,15 +6,17 @@ import pytest
 from monolab import GridSpec, ScalarField, integrate
 from monolab.grid import (
     _circulant,
+    _component_major,
+    _gradient_T,
+    _node_major,
     _real_fourier,
     _stencil_symbol2,
     d1,
     d2,
     gradient,
-    gradient_T,
 )
 
-from conftest import rel_err, roll_d1
+from conftest import rel_err, roll_d1, roll_d2
 
 TWO_PI = 2.0 * np.pi
 
@@ -97,8 +99,10 @@ def test_stencils_are_sixth_order():
         f = np.exp(np.sin(x))
         want1 = np.cos(x) * f
         want2 = (np.cos(x) ** 2 - np.sin(x)) * f
-        errs1.append(np.max(np.abs(d1(f, 0, h) - want1)))
-        errs2.append(np.max(np.abs(d2(f, 0, h) - want2)))
+        # a 1-D line is differenced as the last grid axis, the one counted
+        # from the end of the shape
+        errs1.append(np.max(np.abs(d1(f, 3, h) - want1)))
+        errs2.append(np.max(np.abs(d2(f, 3, h) - want2)))
     assert order_between(errs1[0], errs1[1], 2.0) > 5.5
     assert order_between(errs2[0], errs2[1], 2.0) > 5.5
 
@@ -121,15 +125,11 @@ def test_integrate_matches_hand_written_sum(m8_conf):
     assert integrate(1.0, m8_conf) == float(np.sum(m8_conf.vol) * g.cell_volume)
 
 
-def roll_d2(v, axis, h):
-    r = np.roll
-    return (2 * r(v, -3, axis) - 27 * r(v, -2, axis) + 270 * r(v, -1, axis) - 490 * v
-            + 270 * r(v, 1, axis) - 27 * r(v, 2, axis) + 2 * r(v, 3, axis)) / (180.0 * h * h)
-
-
-# (node counts, periods, trailing component shape); the last grid has four
-# distinct (n, h) pairs, two with equal h and two with equal n, so that a
-# stencil matrix cached under the wrong key gives a wrong derivative
+# (node counts, periods, trailing component shape of the node-major field);
+# the last grid has four distinct (n, h) pairs, two with equal h and two
+# with equal n, so that a stencil matrix cached under the wrong key gives a
+# wrong derivative.  The kernels see the field's component-major copy,
+# (tail, dims), as every caller in the package hands it over
 KERNEL_CASES = [
     ((8,) * 4, (TWO_PI,) * 4, ()),
     ((8,) * 4, (TWO_PI,) * 4, (6,)),
@@ -141,10 +141,10 @@ KERNEL_CASES = [
 @pytest.mark.parametrize("dims, periods, tail", KERNEL_CASES)
 def test_kernels_match_roll_stencils(dims, periods, tail):
     g = GridSpec(dims, periods)
-    v = np.random.default_rng(8).standard_normal(dims + tail)
+    v = _component_major(np.random.default_rng(8).standard_normal(dims + tail))
     for axis, h in enumerate(g.spacing):
-        assert rel_err(d1(v, axis, h), roll_d1(v, axis, h)) < 1e-14
-        assert rel_err(d2(v, axis, h), roll_d2(v, axis, h)) < 1e-14
+        assert rel_err(d1(v, axis, h), roll_d1(v, axis - 4, h)) < 1e-14
+        assert rel_err(d2(v, axis, h), roll_d2(v, axis - 4, h)) < 1e-14
 
 
 @pytest.mark.parametrize("dims, periods, tail", KERNEL_CASES)
@@ -154,7 +154,7 @@ def test_kernels_exactly_zero_along_constant_axis(dims, periods, tail):
     for axis, h in enumerate(g.spacing):
         shape = list(dims + tail)
         shape[axis] = 1
-        v = np.broadcast_to(rng.standard_normal(shape), dims + tail).copy()
+        v = _component_major(np.broadcast_to(rng.standard_normal(shape), dims + tail))
         assert np.array_equal(d1(v, axis, h), np.zeros_like(v))
         assert np.array_equal(d2(v, axis, h), np.zeros_like(v))
 
@@ -163,8 +163,8 @@ def test_kernels_exactly_zero_along_constant_axis(dims, periods, tail):
 def test_d1_plain_sum_adjoint(dims, periods, tail):
     g = GridSpec(dims, periods)
     rng = np.random.default_rng(10)
-    f = rng.standard_normal(dims + tail)
-    w = rng.standard_normal(dims + tail)
+    f = _component_major(rng.standard_normal(dims + tail))
+    w = _component_major(rng.standard_normal(dims + tail))
     for axis, h in enumerate(g.spacing):
         lhs = np.sum(d1(f, axis, h) * w)
         rhs = -np.sum(f * d1(w, axis, h))
@@ -180,7 +180,8 @@ def test_gradient_pair_is_adjoint(dims, periods, tail):
     flux = rng.standard_normal(dims + (4,) + tail)
     df = gradient(f, g)
     for axis, h in enumerate(g.spacing):
-        assert np.array_equal(df[:, :, :, :, axis], d1(f, axis, h))
+        assert np.array_equal(_component_major(df[:, :, :, :, axis]),
+                              d1(_component_major(f), axis, h))
     lhs = np.sum(df * flux)
-    rhs = np.sum(f * gradient_T(flux, g))
+    rhs = np.sum(f * _node_major(_gradient_T(_component_major(flux), g)))
     assert abs(lhs - rhs) <= 1e-12 * np.sum(np.abs(df * flux))

@@ -1,12 +1,11 @@
-"""Component-major kernels against node-major and np.roll references.
+"""The one stencil kernel and the component-major layout against np.roll
+and node-major references.
 
-The kernels behind the lambda minimiser and the harmonic solve store a
-field as (components, [batch,] n0, n1, n2, n3).  A reshape that mixes up
-grid axes goes unseen on a cubic grid, so each kernel is also checked on
-the odd, non-cubic grid (7, 9, 11, 13) with four distinct spacings.  At 8^4
-the kernels must give the bits of the node-major stencil `grid.d1`; on the
-odd grid the last-axis product sums in another order there, so they agree
-to roundoff.
+Behind the public node-major types, every field and every tensor that
+`MetricField` caches is stored as (components, [batch,] n0, n1, n2, n3).
+A reshape that mixes up grid axes goes unseen on a cubic grid, so each
+kernel is also checked on the odd, non-cubic grid (7, 9, 11, 13) with four
+distinct spacings.
 """
 
 import numpy as np
@@ -14,30 +13,30 @@ import pytest
 
 from monolab import GridSpec, build_metric
 from monolab.bases import PAIRS, TRIPLES
+from monolab.curvature import _SYM_I, _SYM_J
 from monolab.grid import (
     _component_major,
-    _d1,
     _dot,
     _gradient,
     _gradient_T,
     _node_major,
     d1,
+    d2,
 )
 from monolab.selfdual import _d, _nabla, _nabla_T
 
-from conftest import generic_metric, rel_err, roll_d1
+from conftest import (
+    generic_metric,
+    rel_err,
+    roll_d1,
+    roll_d2,
+    textbook_christoffel,
+    textbook_eta,
+)
 
 CUBIC = GridSpec((8,) * 4)
 ODD = GridSpec((7, 9, 11, 13), (6.0, 7.0, 8.0, 9.0))
 PAIR_INDEX = {pair: p for p, pair in enumerate(PAIRS)}
-
-
-def node_major_d1(v, axis, h):
-    """`grid.d1` on the node-major copy of a component-major array, moved back."""
-    lead = v.ndim - 4
-    nm = np.moveaxis(v, range(lead), range(-lead, 0)) if lead else v
-    out = d1(np.ascontiguousarray(nm), axis, h)
-    return np.moveaxis(out, range(-lead, 0), range(lead)) if lead else out
 
 
 def roll_d(f, spacing):
@@ -65,22 +64,26 @@ def roll_nabla(sigma, m):
 
 @pytest.mark.parametrize("grid", [CUBIC, ODD], ids=["8^4", "odd"])
 @pytest.mark.parametrize("lead", [(3,), (4, 3)], ids=["single", "batched"])
-def test_d1_matches_node_major_and_roll(grid, lead):
+def test_d1_matches_roll(grid, lead):
     v = np.random.default_rng(61).standard_normal(lead + grid.dims)
     for k, h in enumerate(grid.spacing):
-        got = _d1(v, k, h)
+        got = d1(v, k, h)
         assert got.flags.c_contiguous
-        ref = node_major_d1(v, k, h)
-        if grid is CUBIC:
-            assert np.array_equal(got, ref)
-        else:
-            assert rel_err(got, ref) < 1e-14
         assert rel_err(got, roll_d1(v, k - 4, h)) < 1e-14
     flux = np.random.default_rng(62).standard_normal((4,) + lead + grid.dims)
     df = _gradient(v, grid)
     lhs = np.sum(df * flux)
     rhs = np.sum(v * _gradient_T(flux, grid))
     assert abs(lhs - rhs) <= 1e-12 * np.sum(np.abs(df * flux))
+
+
+@pytest.mark.parametrize("lead", [(), (3,), (4, 3)], ids=["scalar", "single", "batched"])
+def test_d2_matches_roll(lead):
+    v = np.random.default_rng(66).standard_normal(lead + ODD.dims)
+    for k, h in enumerate(ODD.spacing):
+        got = d2(v, k, h)
+        assert got.flags.c_contiguous
+        assert rel_err(got, roll_d2(v, k - 4, h)) < 1e-14
 
 
 @pytest.mark.parametrize("grid", [CUBIC, ODD], ids=["8^4", "odd"])
@@ -135,9 +138,56 @@ def test_covariant_derivative_kernels_match_roll_and_transpose(grid):
     rhs = np.sum(sigma * _nabla_T(flux, m))
     assert abs(lhs - rhs) <= 1e-12 * np.sqrt(np.sum(nab**2) * np.sum(flux**2))
     if grid is CUBIC:
-        # the node-major derivative plus np.cross, bit for bit
+        # the stencil on the stacked components plus np.cross, bit for bit
         a = np.moveaxis(m.sd_connection, (0, 1), (-2, -1))
         s = np.moveaxis(sigma, 0, -1)
-        ref = np.stack([node_major_d1(sigma, k, h) for k, h in enumerate(grid.spacing)])
+        ref = np.stack([d1(sigma, k, h) for k, h in enumerate(grid.spacing)])
         ref += np.moveaxis(np.cross(a, s[..., None, :]), (-2, -1), (0, 1))
         assert np.array_equal(nab, ref)
+
+
+def metric_references(g, spacing):
+    """Node-major references for every tensor `MetricField` caches, built
+    with LAPACK, np.roll stencils and full index tensors."""
+    e = np.swapaxes(np.linalg.cholesky(g), -1, -2)
+    einv, gi = np.linalg.inv(e), np.linalg.inv(g)
+    vol = np.sqrt(np.linalg.det(g))
+    gam = textbook_christoffel(g, spacing)
+    eta = textbook_eta()
+    pi, pj = np.array(PAIRS).T
+    # eta_a with lower and with raised coordinate indices, on stored pairs
+    eta_low = np.einsum("aAB,...Ai,...Bj->...ija", eta, e, e)
+    eta_up = np.einsum("...ik,...jl,...kla->...ija", gi, gi, eta_low)
+    # a_k = -sqrt(2) H+ (w_k - w_k^T)_pairs / 2 with w_k = (e Gamma_k - d_k e) e^-1
+    conn = np.empty(g.shape[:4] + (4, 3))
+    for k, h in enumerate(spacing):
+        w = (e @ gam[..., :, k, :] - roll_d1(e, k, h)) @ einv
+        conn[..., k, :] = -np.einsum("aij,...ij->...a", eta, w) / np.sqrt(2.0)
+    signs = np.array([1.0, -1.0, 1.0, -1.0])
+    return {
+        "g": g,
+        "coframe": e,
+        "vol": vol,
+        "inv_coframe": einv,
+        "ginv": gi,
+        "christoffel": gam[..., _SYM_I, _SYM_J],
+        "sd_pairs": eta_low[..., pi, pj, :],
+        "sd_pairs_up": eta_up[..., pi, pj, :],
+        "sd_connection": conn,
+        "hodge_weight": 2.0 * signs[:, None] * g * signs / vol[..., None, None],
+        "flux_weight": vol[..., None, None] * gi,
+    }
+
+
+def test_metric_field_tensors_are_component_major():
+    # every cached tensor has its grid axes last, and its node-major copy is
+    # the reference tensor
+    g = generic_metric(ODD.dims, periods=ODD.periods)[1]
+    m = build_metric(ODD, g)
+    for name, ref in metric_references(g, ODD.spacing).items():
+        got = getattr(m, name)
+        assert got.shape[-4:] == ODD.dims, name
+        assert got.flags.c_contiguous and not got.flags.writeable, name
+        if got.ndim > 4:
+            got = _node_major(got)
+        assert rel_err(got, ref) <= 1e-14, name

@@ -13,6 +13,7 @@ from monolab import (
     scalar_from_expression,
     theta_from_preset,
 )
+from monolab.grid import _node_major
 from monolab.presets import Term, TrigFactor, parse_expression
 
 TWO_PI = 2.0 * np.pi
@@ -124,9 +125,9 @@ def test_metric_presets(grid8):
     assert metric_from_preset("flat", grid8).is_flat
     m = metric_from_preset("conformal:0.2*sin(x0)", grid8)
     want = np.exp(0.4 * np.sin(grid8.mesh(0)))
-    assert np.max(np.abs(m.g[..., 0, 0] - want)) < 1e-12
+    assert np.max(np.abs(m.g[0, 0] - want)) < 1e-12
     mk = metric_from_preset("kaehler-product:0.2*sin(x2)", grid8)
-    assert np.max(np.abs(mk.g[..., 0, 0] - 1.0)) < 1e-15
+    assert np.max(np.abs(mk.g[0, 0] - 1.0)) < 1e-15
     with pytest.raises(PresetError):
         metric_from_preset("kaehler-product:0.2*sin(x0)", grid8)
     with pytest.raises(PresetError):
@@ -138,10 +139,11 @@ def test_metric_presets(grid8):
 def test_metric_file_preset(tmp_path, grid8):
     m = metric_from_preset("conformal:0.1*cos(x1)", grid8)
     path = tmp_path / "metric.zip"
-    save_fields(path, grid8, {"g": np.asarray(m.g)})
+    # metric files hold g node-major, (dims, 4, 4)
+    save_fields(path, grid8, {"g": _node_major(m.g)})
     m2 = metric_from_preset(f"file:{path}", grid8)
     assert np.max(np.abs(m2.g - m.g)) == 0.0
-    save_fields(tmp_path / "empty.zip", grid8, {"h": np.asarray(m.g)})
+    save_fields(tmp_path / "empty.zip", grid8, {"h": _node_major(m.g)})
     with pytest.raises(PresetError):
         metric_from_preset(f"file:{tmp_path / 'empty.zip'}", grid8)
 

@@ -29,13 +29,14 @@ from monolab import (
 )
 from monolab.bases import WEDGE2
 from monolab.curvature import _SYM_I, _SYM_J, _lambda2
-from monolab.grid import _stencil_symbol2, d1
+from monolab.grid import _component_major, _node_major, _stencil_symbol2, d1
 from monolab.selfdual import (
     _D_TABLES,
+    _d,
+    _nabla,
+    _nabla_T,
     d,
-    d_T,
     hodge_energy_and_grad,
-    nabla_transpose,
     sd_dirichlet_energy_and_grad,
 )
 
@@ -67,7 +68,7 @@ def test_projection_algebra(generic8):
     assert np.max(np.abs(back.comps - sig.comps)) < 1e-12
     # self-dual at every node: omega ^ omega = |omega|^2 vol
     wedge = np.einsum("...p,pq,...q->...", omega.comps, WEDGE2, omega.comps)
-    norm2 = np.einsum("...p,...pq,...q->...", omega.comps, _lambda2(m.ginv), omega.comps)
+    norm2 = np.einsum("...p,pq...,...q->...", omega.comps, _lambda2(m.ginv), omega.comps)
     assert rel_err(wedge, m.vol * norm2) < 1e-12
 
 
@@ -99,16 +100,23 @@ def grad_check(fn, x0, seed):
 
 
 def _d_per_component(f, grid, n_in, transpose=False):
-    # one stencil call per (axis, component): the reference for the stacked form
+    # one stencil call per (axis, component) of the node-major f's
+    # component-major copy: the reference for the stacked form
     hs = grid.spacing
+    f = _component_major(f)
     n_out, terms = _D_TABLES[n_in]
-    out = np.zeros(grid.dims + ((n_in,) if transpose else (n_out,)) + f.shape[5:])
+    out = np.zeros(((n_in,) if transpose else (n_out,)) + f.shape[1:])
     for o, k, i, s in terms:
         if transpose:
-            out[:, :, :, :, i] -= s * d1(f[:, :, :, :, o], k, hs[k])
+            out[i] -= s * d1(f[o], k, hs[k])
         else:
-            out[:, :, :, :, o] += s * d1(f[:, :, :, :, i], k, hs[k])
-    return out
+            out[o] += s * d1(f[i], k, hs[k])
+    return _node_major(out)
+
+
+def d_transpose(tau, grid):
+    """Plain-sum transpose of `d` on node-major components."""
+    return _node_major(_d(_component_major(tau), grid, transpose=True))
 
 
 @pytest.mark.parametrize("extra", [(), (5,)], ids=["single", "batched"])
@@ -120,7 +128,7 @@ def test_stacked_d_pairs_match_per_component(grid8, extra):
         omega = rng.standard_normal(grid8.dims + (n_in,) + extra)
         tau = rng.standard_normal(grid8.dims + (n_out,) + extra)
         d_omega = d(omega, grid8)
-        dt_tau = d_T(tau, grid8)
+        dt_tau = d_transpose(tau, grid8)
         assert np.array_equal(d_omega, _d_per_component(omega, grid8, n_in))
         assert np.array_equal(dt_tau, _d_per_component(tau, grid8, n_in, transpose=True))
         lhs = np.sum(d_omega * tau)
@@ -134,7 +142,7 @@ def test_d_one_transpose_is_adjoint(grid8, extra):
     a = rng.standard_normal(grid8.dims + (4,) + extra)
     omega = rng.standard_normal(grid8.dims + (6,) + extra)
     d_a = d(a, grid8)
-    dt_omega = d_T(omega, grid8)
+    dt_omega = d_transpose(omega, grid8)
     lhs = np.sum(d_a * omega)
     rhs = np.sum(a * dt_omega)
     assert abs(lhs - rhs) < 1e-12 * np.sqrt(np.sum(d_a**2) * np.sum(omega**2))
@@ -219,7 +227,7 @@ def generic8():
 def test_christoffel_matches_textbook(generic8):
     g, m = generic8
     textbook = textbook_christoffel(g, m.grid.spacing)
-    assert rel_err(m.christoffel, textbook[..., _SYM_I, _SYM_J]) < 1e-13
+    assert rel_err(_node_major(m.christoffel), textbook[..., _SYM_I, _SYM_J]) < 1e-13
 
 
 def test_covariant_derivative_matches_textbook_chain(generic8):
@@ -281,14 +289,16 @@ def test_hodge_gradient_is_the_textbook_hodge_square(generic8):
 
 
 def test_nabla_transpose_is_adjoint(m8, m8_conf, generic8):
+    # the coordinate covariant derivative's kernels on component-major
+    # components, (3, dims) -> (4, 3, dims) and back
     rng = np.random.default_rng(43)
     for m in (m8, m8_conf, generic8[1]):
-        sigma = SelfDualField(m.grid, rng.standard_normal(m.grid.dims + (3,)))
-        tau = rng.standard_normal(m.grid.dims + (4, 3))
-        nab = covariant_derivative(sigma, m)
-        lhs = np.sum(nab * tau)
-        rhs = np.sum(sigma.comps * nabla_transpose(tau, m))
-        assert abs(lhs - rhs) < 1e-12 * np.sqrt(np.sum(nab**2) * np.sum(tau**2))
+        sigma = rng.standard_normal((3,) + m.grid.dims)
+        flux = rng.standard_normal((4, 3) + m.grid.dims)
+        nab = _nabla(sigma, m)
+        lhs = np.sum(nab * flux)
+        rhs = np.sum(sigma * _nabla_T(flux, m))
+        assert abs(lhs - rhs) < 1e-12 * np.sqrt(np.sum(nab**2) * np.sum(flux**2))
 
 
 def test_wrapping_leaves_the_callers_arrays_writable():
@@ -429,7 +439,7 @@ def test_harmonic_basis_conformal(m8_conf):
     # components
     basis = harmonic_selfdual_basis(m8_conf)
     assert len(basis) == 3
-    weight = 1.0 / m8_conf.g[..., 0, 0]
+    weight = 1.0 / m8_conf.g[0, 0]
     oracle = np.stack([(weight[..., None] * np.eye(3)[a]).ravel() for a in range(3)], -1)
     found = np.stack([omega.comps.ravel() for omega in basis], -1)
     assert max_principal_sine(oracle, found) < 1e-12
@@ -473,7 +483,7 @@ def test_harmonic_basis_spans_pulled_back_flat_classes(n):
     m, oracle = pulled_back_flat(n)
     basis = harmonic_selfdual_basis(m)
     assert basis.solve["converged"]
-    w = np.linalg.det(m.g)[..., None] ** 0.25  # L2 weight sqrt(vol)
+    w = np.linalg.det(_node_major(m.g))[..., None] ** 0.25  # L2 weight sqrt(vol)
     found = np.stack([(w * omega.comps).ravel() for omega in basis], -1)
     expected = np.stack([(w * oracle[..., b, :]).ravel() for b in range(3)], -1)
     assert max_principal_sine(expected, found) < 1e-10
