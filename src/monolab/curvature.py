@@ -266,9 +266,11 @@ class CurvatureBundle:
     """Scalar curvature, self-dual Weyl matrix field and its lowest eigenvalue."""
 
     def __init__(self, scalar: ScalarField, wplus: np.ndarray, w: ScalarField):
-        tol = 1e-8 * max(1.0, float(np.max(np.abs(wplus))))
-        if np.max(np.abs(wplus - np.swapaxes(wplus, -1, -2))) > tol:
+        wmax = float(np.max(np.abs(wplus)))
+        if np.max(np.abs(wplus - np.swapaxes(wplus, -1, -2))) > 1e-8 * max(1.0, wmax):
             raise ValueError("wplus storage is not symmetric")
+        # W+ = B - R/12: its trace and lowest eigenvalue carry the roundoff of R
+        tol = 1e-8 * max(1.0, float(np.max(np.abs(scalar.values))), wmax)
         if np.max(np.abs(np.trace(wplus, axis1=-2, axis2=-1))) > tol:
             raise ValueError("wplus storage is not trace-free")
         if np.max(w.values) > tol:

@@ -29,8 +29,8 @@ Each component is one contiguous block, so a stencil along any grid axis
 is one matrix product into a C-contiguous result and each per-node
 contraction runs over the long node axis.  A scalar field has the same
 layout either way.  `_component_major` and `_node_major` convert, once
-where a public function is entered and left.  A plain sum whose bits a
-report carries is taken in node-major order whatever the layout (`_dot`).
+where a public function is entered and left.  Plain sums are taken over an
+array as it is stored.
 """
 
 from __future__ import annotations
@@ -239,19 +239,6 @@ def _node_major(values: np.ndarray) -> np.ndarray:
     for i, comp in enumerate(comps):
         out[:, i] = comp
     return out.reshape(dims + values.shape[:-4])
-
-
-def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """Plain sum of a * b over two component-major arrays of one shape,
-    taken in node-major order, so that it has the bits of np.sum over the
-    same product stored node-major.  Each component's products are written
-    straight into their column of the node-major buffer."""
-    n = math.prod(a.shape[-4:])
-    a, b = a.reshape(-1, n), b.reshape(-1, n)
-    prod = np.empty((n, len(a)))
-    for i in range(len(a)):
-        np.multiply(a[i], b[i], out=prod[:, i])
-    return float(np.sum(prod))
 
 
 def _stencil_along(stencil: str, values: np.ndarray, axis: int, h: float,

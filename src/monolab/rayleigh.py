@@ -64,9 +64,7 @@ The minimiser's state (x, A x, the gradient, the search direction) and its
 kernels are component-major, (3, n0, n1, n2, n3): each component is one
 contiguous block (see `grid`), as is every tensor of `MetricField`.  The
 public `rayleigh_quotient`, `ThetaField` and `LambdaResult.minimizer` are
-node-major and convert once.  Every plain sum the minimiser forms is
-taken in node-major order (`grid._dot`), so its reports have the bits of a
-node-major minimiser.
+node-major and convert once.
 """
 
 from __future__ import annotations
@@ -80,7 +78,6 @@ from .grid import (
     GridSpec,
     ScalarField,
     _component_major,
-    _dot,
     _fourier_multiply,
     _freeze,
     _gradient,
@@ -206,8 +203,10 @@ def _apply_quadratic(comps: np.ndarray, theta: ThetaField, m: MetricField) -> np
 def _quadratic_energy(comps: np.ndarray, theta: ThetaField, m: MetricField) -> float:
     """<sigma, A sigma> as the sum of the two energies, without applying A."""
     cell = m.grid.cell_volume
-    return (_dot(*_hodge_forward(theta.s * comps, m)) * cell
-            + _dot(*_dirichlet_forward(theta.c * comps, m)) * cell)
+    tau, wtau = _hodge_forward(theta.s * comps, m)
+    energy = float(np.sum(tau * wtau)) * cell
+    nab, flux = _dirichlet_forward(theta.c * comps, m)
+    return energy + float(np.sum(nab * flux)) * cell
 
 
 def _modulus_term(comps: np.ndarray, m: MetricField, eps: float):
@@ -218,7 +217,7 @@ def _modulus_term(comps: np.ndarray, m: MetricField, eps: float):
     # integral |d rho|^2 dmu for rho = |sigma|_eps, through the flux vol g^-1 d rho
     drho = _gradient(r - eps, grid)
     flux = _flux(drho, m)
-    e3 = _dot(drho, flux) * grid.cell_volume
+    e3 = float(np.sum(drho * flux)) * grid.cell_volume
 
     def grad() -> np.ndarray:
         g3s = _gradient_T(flux, grid)
@@ -235,7 +234,7 @@ def _numerator(comps: np.ndarray, a_comps: np.ndarray, m: MetricField, eps: floa
     components from this evaluation's arrays.  An evaluation whose gradient
     is never asked for skips the transpose chain."""
     smooth, grad_smooth = _modulus_term(comps, m, eps)
-    num = _dot(comps, a_comps) + smooth
+    num = float(np.sum(comps * a_comps)) + smooth
 
     def grad() -> np.ndarray:
         return 2.0 * a_comps + grad_smooth()
@@ -400,7 +399,7 @@ def _stage(x, ax, theta, m, eps, bw, symbol, max_iter, tol, scale):
     """
 
     def tangent(v, x):
-        return v - _dot(v, bw * x) * x
+        return v - float(np.sum(v * (bw * x))) * x
 
     nrm = _bnorm(x, bw)
     x, ax = x / nrm, ax / nrm
@@ -410,7 +409,7 @@ def _stage(x, ax, theta, m, eps, bw, symbol, max_iter, tol, scale):
     applies = 0
     backtracks = 0
     z = tangent(_fourier_multiply(g, symbol), x)
-    gz = _dot(g, z)
+    gz = float(np.sum(g * z))
     p = -z
     history = [q]
     q_prev = None
@@ -418,13 +417,13 @@ def _stage(x, ax, theta, m, eps, bw, symbol, max_iter, tol, scale):
     converged = gz <= tol * max(abs(q), scale)
     for _ in range(0 if converged else max_iter):
         # Armijo on the true directional derivative <g, p>
-        dphi = _dot(g, p)
+        dphi = float(np.sum(g * p))
         if dphi >= 0.0:
             p = -z
             dphi = -gz
         ap = _apply_quadratic(p, theta, m)
         applies += 1
-        kappa = 2.0 * (_dot(p, ap) - _dot(x, ax) * _bnorm(p, bw) ** 2)
+        kappa = 2.0 * (float(np.sum(p * ap)) - float(np.sum(x * ax)) * _bnorm(p, bw) ** 2)
         if kappa > 0.0:
             alpha = -dphi / kappa
         elif q_prev is None or q_prev <= q:
@@ -453,10 +452,10 @@ def _stage(x, ax, theta, m, eps, bw, symbol, max_iter, tol, scale):
         gn = grad()
         grad = None  # likewise the kept point's forward arrays
         zn = tangent(_fourier_multiply(gn, symbol), xn)
-        gzn = _dot(gn, zn)
+        gzn = float(np.sum(gn * zn))
         # Polak-Ribiere+ on the preconditioned gradient; gz > 0, else the
         # stage would have stopped
-        b_pr = max(0.0, _dot(gn, zn - z) / gz)
+        b_pr = max(0.0, float(np.sum(gn * (zn - z))) / gz)
         p = tangent(-zn + b_pr * p, xn)
         q_prev = q
         x, ax, q, g, z, gz = xn, axn, qn, gn, zn, gzn

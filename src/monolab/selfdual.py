@@ -23,7 +23,7 @@ Consequences used throughout:
 
 The lambda quotient's energies are the only discretisations of (d+d*)^2
 and nabla*nabla on Lambda+; the Weitzenboeck residual takes both operators
-from their gradients.
+from their transpose kernels.
 
 The public types and functions are node-major (grid axes first, components
 last; see `grid`).  The kernels behind them (`_d`, `_nabla`, `_nabla_T`,
@@ -32,8 +32,6 @@ of the harmonic solve are component-major, (components, [batch,] dims), as
 is every tensor `MetricField` caches; a public function converts its
 arguments once on entry and its result once on exit, and reads the metric
 tensors in their own layout.
-Energies are plain sums taken in node-major order (`grid._dot`), so either
-layout gives them the same bits.
 
 One discrete artefact needs care: a centred first difference is blind to
 the per-axis alternating mode (frequency n/2 on an even axis), so the
@@ -59,7 +57,6 @@ from .curvature import CurvatureBundle, MetricField, _bilinear, _lambda2
 from .grid import (
     GridSpec,
     _component_major,
-    _dot,
     _fourier_multiply,
     _freeze,
     _gradient,
@@ -79,8 +76,6 @@ __all__ = [
     "sd_l2_norm",
     "wedge_integral",
     "covariant_derivative",
-    "hodge_energy_and_grad",
-    "sd_dirichlet_energy_and_grad",
     "weitzenboeck_residual",
     "integral_identity_check_s",
     "integral_identity_check_c",
@@ -274,7 +269,7 @@ def covariant_derivative(sigma: SelfDualField, m: MetricField) -> np.ndarray:
 # the spectral quotient minimiser)
 #
 # Each energy E is given by a forward kernel on component-major components
-# that returns a pair (x, w) with E = _dot(x, w) h^4, and a transpose kernel
+# that returns a pair (x, w) with E = sum(x w) h^4, and a transpose kernel
 # that turns w into the gradient over 2 h^4.  A caller that needs only the
 # energy skips the transpose chain; one that needs only the gradient, as the
 # lambda minimiser's applications of A do, skips the energy's sum.
@@ -306,30 +301,6 @@ def _dirichlet_forward(comps: np.ndarray, m: MetricField) -> tuple[np.ndarray, n
     return nab, _flux(nab, m)
 
 
-def hodge_energy_and_grad(comps: np.ndarray, m: MetricField) -> tuple[float, np.ndarray]:
-    """E = ||d sigma||^2 + ||d* sigma||^2 and its gradient in the components.
-
-    The two terms are folded into one per-node weight on d sigma, see
-    MetricField.hodge_weight; the gradient is the exact plain-sum transpose
-    of the evaluation chain.
-    """
-    cell = m.grid.cell_volume
-    tau, wtau = _hodge_forward(_component_major(comps), m)
-    grad = _node_major(_hodge_transpose(wtau, m))
-    grad *= 2.0 * cell
-    return _dot(tau, wtau) * cell, grad
-
-
-def sd_dirichlet_energy_and_grad(
-    comps: np.ndarray, m: MetricField
-) -> tuple[float, np.ndarray]:
-    """E = ||nabla sigma||^2_{L2} and its gradient in the components."""
-    cell = m.grid.cell_volume
-    nab, flux = _dirichlet_forward(_component_major(comps), m)
-    grad = _node_major(_nabla_T(flux, m)) * (2.0 * cell)
-    return _dot(nab, flux) * cell, grad
-
-
 # ---------------------------------------------------------------------------
 # Weitzenboeck identity and the two integral identities
 
@@ -340,15 +311,17 @@ def weitzenboeck_residual(
     """Relative L2 residual of (d+d*)^2 = nabla*nabla + R/3 - 2 W+ on sigma.
 
     Both operators are the lambda quotient's energy gradients over 2 h^4 vol
-    (grad <sigma, A sigma>_L2 = 2 h^4 vol A sigma in eta components), so the
-    residual checks the curvature term that the quotient leaves out.
+    (grad <sigma, A sigma>_L2 = 2 h^4 vol A sigma in eta components), that is
+    their transpose kernels over vol, so the residual checks the curvature
+    term that the quotient leaves out.
     """
-    scale = 2.0 * m.grid.cell_volume * m.vol[..., None]
-    lhs = hodge_energy_and_grad(sigma.comps, m)[1] / scale
-    rhs = sd_dirichlet_energy_and_grad(sigma.comps, m)[1] / scale
-    rhs += (curv.scalar.values[..., None] / 3.0) * sigma.comps
-    rhs -= 2.0 * np.einsum("...ab,...b->...a", curv.wplus, sigma.comps)
-    return sd_l2_norm(SelfDualField(sigma.grid, lhs - rhs), m) / sd_l2_norm(sigma, m)
+    comps = _component_major(sigma.comps)
+    res = _hodge_transpose(_hodge_forward(comps, m)[1], m)
+    res -= _nabla_T(_dirichlet_forward(comps, m)[1], m)
+    res /= m.vol
+    res -= (curv.scalar.values / 3.0) * comps
+    res += 2.0 * np.einsum("...ab,b...->a...", curv.wplus, comps)
+    return math.sqrt(integrate(np.sum(res**2, axis=0), m)) / sd_l2_norm(sigma, m)
 
 
 def _identity_pieces(sigma: SelfDualField, theta, m: MetricField):
@@ -367,13 +340,14 @@ def integral_identity_check_s(
 ) -> tuple[float, float]:
     """||(d+d*)(sin(theta) sigma)||^2 against its Bochner-type expansion.
 
-    The lhs is `hodge_energy_and_grad`'s energy, the lambda quotient's first
-    term, without its gradient.  `theta` provides arrays s, c, dtheta,
+    The lhs is the Hodge energy, the lambda quotient's first term, from its
+    forward kernel alone.  `theta` provides arrays s, c, dtheta,
     dtheta_norm2 (see ThetaField).  Returns (lhs, rhs), equal up to
     discretisation.
     """
     s = theta.s
-    lhs = _dot(*_hodge_forward(s * _component_major(sigma.comps), m)) * m.grid.cell_volume
+    tau, wtau = _hodge_forward(s * _component_major(sigma.comps), m)
+    lhs = float(np.sum(tau * wtau)) * m.grid.cell_volume
 
     sig2, nab2, cross = _identity_pieces(sigma, theta, m)
     wquad = _bilinear(sigma.comps, curv.wplus, sigma.comps)
@@ -391,11 +365,12 @@ def integral_identity_check_s(
 def integral_identity_check_c(
     sigma: SelfDualField, theta, m: MetricField
 ) -> tuple[float, float]:
-    """||nabla(cos(theta) sigma)||^2 against its expansion; the lhs is
-    `sd_dirichlet_energy_and_grad`'s energy, the lambda quotient's second
-    term, without its gradient."""
+    """||nabla(cos(theta) sigma)||^2 against its expansion; the lhs is the
+    Dirichlet energy, the lambda quotient's second term, from its forward
+    kernel alone."""
     c = theta.c
-    lhs = _dot(*_dirichlet_forward(c * _component_major(sigma.comps), m)) * m.grid.cell_volume
+    nab, flux = _dirichlet_forward(c * _component_major(sigma.comps), m)
+    lhs = float(np.sum(nab * flux)) * m.grid.cell_volume
 
     sig2, nab2, cross = _identity_pieces(sigma, theta, m)
     s = theta.s
@@ -409,7 +384,8 @@ def integral_identity_check_c(
 
 def hodge_rayleigh(sigma: SelfDualField, m: MetricField) -> float:
     """(||d sigma||^2 + ||d* sigma||^2) / ||sigma||^2, the harmonicity defect."""
-    energy = _dot(*_hodge_forward(_component_major(sigma.comps), m)) * m.grid.cell_volume
+    tau, wtau = _hodge_forward(_component_major(sigma.comps), m)
+    energy = float(np.sum(tau * wtau)) * m.grid.cell_volume
     den = sd_l2_norm(sigma, m) ** 2
     if den == 0.0:
         raise ValueError("cannot form a Rayleigh quotient of the zero field")

@@ -172,6 +172,20 @@ def test_bundle_rejects_bad_weyl_storage(grid8):
         CurvatureBundle(zeros, np.zeros(g.dims + (3, 3)), wpos)
 
 
+@pytest.mark.parametrize("n, expr", [(8, "4*sin(x0)"), (16, "8*sin(x0)")])
+def test_bundle_checks_scale_with_the_scalar_curvature(n, expr):
+    # W+ = B - R/12 is 0 in the continuum, but its trace and w carry the
+    # roundoff of R: measured max|tr W+| 8.9e-8 and 12 against max|R| 3.2e9
+    # and 3.0e17, above 1e-8 of max(1, max|W+|)
+    curv = curvature_stack(metric_from_preset(f"conformal:{expr}", GridSpec((n,) * 4)))
+    rmax = float(np.max(np.abs(curv.scalar.values)))
+    assert rmax > 1e8 * max(1.0, float(np.max(np.abs(curv.wplus))))
+    traced = curv.wplus.copy()
+    traced[..., 0, 0] += 1e-6 * rmax
+    with pytest.raises(ValueError, match="trace-free"):
+        CurvatureBundle(curv.scalar, traced, curv.w)
+
+
 def test_three_form_algebra_matches_tensor_definitions():
     # a generic metric: non-diagonal SPD and not conformally flat; no
     # derivatives are taken, so a small grid suffices

@@ -33,11 +33,12 @@ from monolab.grid import _component_major, _node_major, _stencil_symbol2, d1
 from monolab.selfdual import (
     _D_TABLES,
     _d,
+    _dirichlet_forward,
+    _hodge_forward,
+    _hodge_transpose,
     _nabla,
     _nabla_T,
     d,
-    hodge_energy_and_grad,
-    sd_dirichlet_energy_and_grad,
 )
 
 from conftest import (
@@ -79,9 +80,24 @@ def test_d_squared_vanishes(grid8):
     assert np.max(np.abs(dd)) < 1e-12
 
 
+def hodge_energy_and_grad(comps, m):
+    """The Hodge energy and its gradient on component-major components, from
+    the forward and transpose kernels."""
+    tau, wtau = _hodge_forward(comps, m)
+    cell = m.grid.cell_volume
+    return float(np.sum(tau * wtau)) * cell, 2.0 * cell * _hodge_transpose(wtau, m)
+
+
+def dirichlet_energy_and_grad(comps, m):
+    """The Dirichlet energy ||nabla sigma||^2 and its gradient, likewise."""
+    nab, flux = _dirichlet_forward(comps, m)
+    cell = m.grid.cell_volume
+    return float(np.sum(nab * flux)) * cell, 2.0 * cell * _nabla_T(flux, m)
+
+
 def test_constant_form_is_harmonic(m8):
     sig = SelfDualField(m8.grid, np.tile([1.0, -0.3, 0.2], m8.grid.dims + (1,)))
-    _, grad = hodge_energy_and_grad(sig.comps, m8)
+    _, grad = hodge_energy_and_grad(_component_major(sig.comps), m8)
     assert np.max(np.abs(grad)) < 1e-12
     assert hodge_rayleigh(sig, m8) < 1e-12
 
@@ -152,9 +168,9 @@ def test_d_one_transpose_is_adjoint(grid8, extra):
 
 
 def test_energy_gradients_match_finite_differences(m8_conf):
-    x0 = smooth_sd(m8_conf.grid, 11).comps
+    x0 = _component_major(smooth_sd(m8_conf.grid, 11).comps)
     grad_check(lambda x: hodge_energy_and_grad(x, m8_conf), x0, 1)
-    grad_check(lambda x: sd_dirichlet_energy_and_grad(x, m8_conf), x0, 2)
+    grad_check(lambda x: dirichlet_energy_and_grad(x, m8_conf), x0, 2)
 
 
 def textbook_eta_fields(g):
@@ -283,8 +299,8 @@ def test_hodge_gradient_is_the_textbook_hodge_square(generic8):
     # the left side of the Weitzenboeck residual
     g, m = generic8
     sigma = np.random.default_rng(47).standard_normal(m.grid.dims + (3,))
-    _, grad = hodge_energy_and_grad(sigma, m)
-    lhs = grad / (2.0 * m.grid.cell_volume * m.vol[..., None])
+    _, grad = hodge_energy_and_grad(_component_major(sigma), m)
+    lhs = _node_major(grad) / (2.0 * m.grid.cell_volume * m.vol[..., None])
     assert rel_err(lhs, textbook_hodge_square(g, m.grid.spacing, sigma)) < 1e-12
 
 
@@ -308,7 +324,7 @@ def test_wrapping_leaves_the_callers_arrays_writable():
     comps = smooth_sd(grid, 3).comps.copy()
     sigma = SelfDualField(grid, comps)
     other = comps.copy()
-    sd_dirichlet_energy_and_grad(other, m)
+    covariant_derivative(SelfDualField(grid, other), m)
     g[...] = 2.0
     comps[...] = 0.0
     other[...] = 0.0
@@ -374,15 +390,16 @@ def test_integral_identities_coordinate_theta(m8, curv8):
 def test_energy_only_callers_keep_the_energies_bits(generic8):
     # the identity checks and the Hodge quotient read only the forward half
     # of the energies; they must give the bits of the energy-and-gradient
-    # functions
+    # kernel pairs
     m = generic8[1]
     sig = smooth_sd(m.grid, 5)
+    comps = _component_major(sig.comps)
     theta = theta_from_preset("coord:0", m)
     lhs_s, _ = integral_identity_check_s(sig, theta, m, curvature_stack(m))
-    assert lhs_s == hodge_energy_and_grad(theta.s[..., None] * sig.comps, m)[0]
+    assert lhs_s == hodge_energy_and_grad(theta.s * comps, m)[0]
     lhs_c, _ = integral_identity_check_c(sig, theta, m)
-    assert lhs_c == sd_dirichlet_energy_and_grad(theta.c[..., None] * sig.comps, m)[0]
-    energy = hodge_energy_and_grad(sig.comps, m)[0]
+    assert lhs_c == dirichlet_energy_and_grad(theta.c * comps, m)[0]
+    energy = hodge_energy_and_grad(comps, m)[0]
     assert hodge_rayleigh(sig, m) == energy / sd_l2_norm(sig, m) ** 2
 
 
