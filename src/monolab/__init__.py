@@ -26,7 +26,6 @@ from .functionals import (
     catalog_quadratic,
     check_curvature_bound,
     check_phi_l4_bound,
-    chern_pairing,
     constant_config,
     gauge_trick_config,
     general_psw_residual,

@@ -133,6 +133,15 @@ def _fraction(value) -> float:
     return x
 
 
+def _amplitude(value) -> float:
+    x = _float(value)
+    # the checks' integrands grow like up to amplitude^6: they overflowed
+    # between 1e50 and 1e60 and ran clean up to 1e50 at 8^4
+    if abs(x) > 1e20:
+        raise ValueError("needs a number between -1e20 and 1e20")
+    return x
+
+
 def _choice(*choices):
     def parse(value):
         if value not in choices:
@@ -231,6 +240,7 @@ _DUMP = {"dump": _Option(_text, None, "optional field-container output", False)}
 _THETA = _Option(_text, "const:0", "const:VALUE | coord:AXIS | file:PATH")
 _LAMBDA_VALUE = _Option(_float, 0.0, "lambda folded into K")
 _CSV = _Option(_text, None, "write sweep rows as CSV", False)
+_AMPLITUDE = _Option(_amplitude, 0.3)
 # the manufactured pair shared by psw-residual and bounds
 _PAIR = {
     "theta": _THETA,
@@ -539,7 +549,7 @@ _COMMANDS = {
     "hodge": ("harmonic self-dual basis of a preset metric", _run_hodge,
               {**_GRID, **_COMMON, **_SEED, **_DUMP}),
     "dirac-check": ("spinor identities on a random smooth pair", _run_dirac_check,
-                    {**_GRID, **_COMMON, **_SEED, "amplitude": _Option(_float, 0.3)}),
+                    {**_GRID, **_COMMON, **_SEED, "amplitude": _AMPLITUDE}),
     "lambda": ("minimize the spectral quotient", _run_lambda, {
         **_GRID, **_COMMON, **_SEED, **_DUMP,
         "theta": _THETA,
@@ -577,7 +587,7 @@ _COMMANDS = {
                          "weitzenboeck"),
         "dims_list": _Option(_dims_list, (8, 16), "comma list of grid sizes"),
         "theta": _Option(_text, "const:0.3"),
-        "amplitude": _Option(_float, 0.3),
+        "amplitude": _AMPLITUDE,
         "csv": _CSV,
     }),
 }

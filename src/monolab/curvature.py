@@ -4,7 +4,7 @@ Per node, the curvature is the symmetric 6x6 operator on stored 2-form pairs
 (`bases.PAIRS`), the block form of Singer and Thorpe (1969; Besse, Einstein
 Manifolds, 1987).  Its coordinate pair form r = R_{ij,kl} comes from periodic
 6th-order differences of the 10 stored components of g (see below for which
-run on the whole grid) plus Gamma_{p,jk} Gamma^p_il terms of the cached
+run on the whole grid) plus Gamma_{p,jk} Gamma^p_il terms of the
 Christoffel symbols.  In the orthonormal coframe of the (upper-triangular)
 Cholesky factor e, e^T e = g, where the self-dual 2-forms have the constant
 basis eta_1..eta_3 of `bases`, the operator is L^T r L with
@@ -17,18 +17,21 @@ with sd_pairs_up = L H+^T.  r satisfies the first Bianchi identity exactly
 have equal trace and R = 4 tr B; W+ = B - (R/12) 1 is a symmetric trace-free
 3x3 matrix whose lowest eigenvalue is the curvature weight w.
 
-The stack and the two cached tensors it reads (`MetricField.christoffel` and
-`sd_pairs_up`) work one axis-0 slab at a time: the n1 n2 n3 nodes that share
-one index of grid axis 0.  Only the stencils along axis 0, d1 and d2 of the
-10 stored components of g, run on the whole grid, and each slab's results
-are written into the final whole-grid arrays (Christoffel symbols, projection
-weights, R, W+ and w).  The stencils along axes 1-3, the Christoffel taps
-and raise, the 10x10 matrix M behind r, the pair form r, the Lambda^2 minors,
-the eta-plus block B and the eigenvalue pass all run on the slab, whose
-arrays are 1/n0 the size of whole-grid ones.  A slab (c, n1, n2, n3) is
-differenced with the grid's own axis numbers and gets the bits of the same
-rows of the whole-grid call; a mixed derivative with axis 0 is d_b (d_0 g),
-since a slab has no axis 0 to difference along.
+The stack, the cached tensor it reads (`sd_pairs_up`) and the Christoffel
+symbols work one axis-0 slab at a time: the n1 n2 n3 nodes that share one
+index of grid axis 0.  `_metric_slabs` yields per slab the first
+derivatives of g and the Christoffel symbols, which both the pair form and
+`MetricField.sd_connection` read; no whole-grid array of either is kept.
+Only the stencils along axis 0, d1 and d2 of the 10 stored components of
+g, run on the whole grid, and each slab's results are written into the
+final whole-grid arrays (projection weights, R, W+ and w).  The stencils
+along axes 1-3, the Christoffel taps and raise, the 10x10 matrix M behind
+r, the pair form r, the Lambda^2 minors, the eta-plus block B and the
+eigenvalue pass all run on the slab, whose arrays are 1/n0 the size of
+whole-grid ones.  A slab (c, n1, n2, n3) is differenced with the grid's own
+axis numbers and gets the bits of the same rows of the whole-grid call; a
+mixed derivative with axis 0 is d_b (d_0 g), since a slab has no axis 0 to
+difference along.
 
 `build_metric` factors g once, and the factor is `MetricField.coframe`.  The
 volume factor vol = e_00 e_11 e_22 e_33, the inverse coframe e^-1 (back
@@ -36,7 +39,8 @@ substitution) and g^-1 = e^-1 e^-T are read off its 10 entries, with no
 LAPACK inverse or determinant.  g and the factor are converted once to the
 component-major layout of `grid`, and every tensor `MetricField` caches is
 stored that way: components first, grid axes last, for example g[i, j, ...],
-christoffel[k, x, ...] and sd_pairs_up[p, a, ...].  A stencil is then one
+sd_connection[k, a, ...] and sd_pairs_up[p, a, ...]; a slab drops the
+axis-0 index, as in Gamma[k, x, n1, n2, n3].  A stencil is then one
 matrix product and each per-node product a two-operand einsum over the
 trailing node axes (see `_bilinear` for why two).  The one node-major
 result is `CurvatureBundle.wplus`, converted slab by slab for the
@@ -102,10 +106,10 @@ class MetricField:
 
     Made only by `build_metric`, which hands over g and the Cholesky factor
     it checked g with as `coframe`, both component-major.  The derived
-    tensors (volume factor, inverse coframe and metric, Christoffels,
-    self-dual pair algebra) are computed from them once on first use and
-    cached.  Every array has its components first and the grid axes last,
-    and all are read-only.
+    tensors (volume factor, inverse coframe and metric, self-dual pair
+    algebra) are computed from them once on first use and cached.  Every
+    array has its components first and the grid axes last, and all are
+    read-only.
     """
 
     def __init__(self, grid: GridSpec, g: np.ndarray, coframe: np.ndarray):
@@ -146,39 +150,6 @@ class MetricField:
         return _freeze(np.einsum("ia...,ja...->ij...", einv, einv))
 
     @cached_property
-    def christoffel(self) -> np.ndarray:
-        """Gamma^k_ij from 6th-order differences of the metric, [k, x, ...] on
-        the symmetric pairs x = _SYM_INDEX[i, j].
-
-        d1 of the 10 stored components of g gives the first-kind symbols on
-        those pairs, and e^-1 (e^-T Gamma_lower) raises their first index.
-        Only the axis-0 stencil runs on the whole grid; the axis 1-3
-        stencils, the taps and the raise run one axis-0 slab at a time.
-        """
-        hs = self.grid.spacing
-        g10 = self.g[_SYM_I, _SYM_J]
-        d0 = d1(g10, 0, hs[0])
-        einv = self.inv_coframe
-        out = np.empty((4, 10) + self.grid.dims)
-        for i in range(self.grid.dims[0]):
-            # the slab's gradient on [10 k + x, ...]; the slab is copied
-            # once, where a strided view would be copied by each stencil
-            # along axes 2 and 3
-            g10i = np.ascontiguousarray(g10[:, i])
-            dg = np.empty((4,) + g10i.shape)
-            dg[0] = d0[:, i]
-            for k in (1, 2, 3):
-                d1(g10i, k, hs[k], out=dg[k])
-            dg = dg.reshape((40,) + dg.shape[2:])
-            first = dg[_TAP_DI]
-            first += dg[_TAP_DJ]
-            first -= dg[_TAP_DL]
-            first *= 0.5
-            raised = np.einsum("la...,lx...->ax...", einv[:, :, i], first)
-            np.einsum("ka...,ax...->kx...", einv[:, :, i], raised, out=out[:, :, i])
-        return _freeze(out)
-
-    @cached_property
     def is_flat(self) -> bool:
         """Every entry of g within 1e-12 of the identity's, absolutely."""
         eye = np.eye(4).reshape(4, 4, 1, 1, 1, 1)
@@ -213,18 +184,22 @@ class MetricField:
         a_k = -sqrt(2) H+ (w_k - w_k^T)_pairs / 2, the self-dual half of the
         Levi-Civita connection w_k = (e Gamma_k - d_k e) e^-1 in the Cholesky
         frame.  Gamma_k is the 4x4 matrix [m, i] = Gamma^m_ki, read off the
-        symmetric pairs (k, i) of the cached Christoffel symbols, and d_k e
-        the difference of the factor along axis k.
+        symmetric pairs (k, i) of the Christoffel symbols, and d_k e the
+        difference of the factor along axis k.  Both run one axis-0 slab at
+        a time (`_metric_slabs`); only d_0 e runs on the whole grid.
         """
-        e, einv, gam = self.coframe, self.inv_coframe, self.christoffel
+        e, einv = self.coframe, self.inv_coframe
+        de0 = d1(e, 0, self.grid.spacing[0])
         out = np.empty((4, 3) + self.grid.dims)
-        # axis by axis, never a (4,4,4,dims) d e
-        for k, h in enumerate(self.grid.spacing):
-            w = np.einsum("am...,mi...->ai...", e, gam[:, _SYM_INDEX[k]])
-            w -= d1(e, k, h)
-            w = np.einsum("ai...,ib...->ab...", w, einv)
-            np.einsum("p...,pa->a...", w[_PAIR_I, _PAIR_J] - w[_PAIR_J, _PAIR_I], _A_WEIGHTS,
-                      out=out[k])
+        for i, (_, _, gam) in enumerate(_metric_slabs(self)):
+            # axis by axis on a slab copied once, never a (4,4,4,slab) d e
+            ei = np.ascontiguousarray(e[:, :, i])
+            for k, h in enumerate(self.grid.spacing):
+                w = np.einsum("am...,mi...->ai...", ei, gam[:, _SYM_INDEX[k]])
+                w -= de0[:, :, i] if k == 0 else d1(ei, k, h)
+                w = np.einsum("ai...,ib...->ab...", w, einv[:, :, i])
+                np.einsum("p...,pa->a...", w[_PAIR_I, _PAIR_J] - w[_PAIR_J, _PAIR_I],
+                          _A_WEIGHTS, out=out[k, :, i])
         return _freeze(out)
 
     @cached_property
@@ -315,38 +290,61 @@ def build_metric(grid: GridSpec, g: np.ndarray) -> MetricField:
     return m
 
 
+def _metric_slabs(m: MetricField) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per axis-0 slab, in axis-0 order: the slab's 10 stored components of
+    g, g10[x, ...] on the symmetric pairs x = _SYM_INDEX[i, j], their first
+    derivatives dg[k, x, ...] along all four axes, and Gamma^k_ij on those
+    pairs, [k, x, ...].
+
+    dg gives the first-kind symbols by flat taps, and e^-1 (e^-T Gamma_lower)
+    raises their first index.  Only the axis-0 stencil runs on the whole
+    grid; the axis 1-3 stencils, the taps and the raise run on the slab.
+    """
+    hs = m.grid.spacing
+    g10 = m.g[_SYM_I, _SYM_J]
+    d0 = d1(g10, 0, hs[0])
+    einv = m.inv_coframe
+    for i in range(m.grid.dims[0]):
+        # the slab is copied once, where a strided view would be copied by
+        # each stencil along axes 2 and 3
+        g10i = np.ascontiguousarray(g10[:, i])
+        dg = np.empty((4,) + g10i.shape)
+        dg[0] = d0[:, i]
+        for k in (1, 2, 3):
+            d1(g10i, k, hs[k], out=dg[k])
+        flat = dg.reshape((40,) + dg.shape[2:])
+        first = flat[_TAP_DI]
+        first += flat[_TAP_DJ]
+        first -= flat[_TAP_DL]
+        first *= 0.5
+        raised = np.einsum("la...,lx...->ax...", einv[:, :, i], first)
+        yield g10i, dg, np.einsum("ka...,ax...->kx...", einv[:, :, i], raised)
+
+
 def _pair_riemann(m: MetricField) -> Iterator[np.ndarray]:
     """Coordinate Riemann tensor on stored pairs, [P, Q, ...] = R_{i_P j_P k_Q l_Q},
     one axis-0 slab at a time, in axis-0 order.
 
     R_ijkl = M[jk, il] - M[jl, ik] on symmetric index pairs, where
     M[x, y] = (d_x g_y + d_y g_x) / 2 + Gamma_{p,x} Gamma^p_y and d_x is the
-    second derivative along the axis pair x.  d1 and d2 along axis 0 run on
-    the whole grid; everything else per slab, the mixed derivatives with
-    axis 0 as d_b (d_0 g).  M is held as (10, 10, slab), so each half
-    d_x g / 2 is added to row x and column x as whole planes.
+    second derivative along the axis pair x.  The first derivatives and
+    Gamma come from `_metric_slabs`; d2 along axis 0 runs on the whole grid,
+    everything else per slab, the mixed derivatives with axis 0 as
+    d_b (d_0 g).  M is held as (10, 10, slab), so each half d_x g / 2 is
+    added to row x and column x as whole planes.
     """
     hs = m.grid.spacing
-    gam = m.christoffel
-    g10 = m.g[_SYM_I, _SYM_J]
-    d0 = d1(g10, 0, hs[0])
-    dd0 = d2(g10, 0, hs[0])
-    for i in range(m.grid.dims[0]):
-        # the slabs that are differenced, copied once (see christoffel)
-        g10i, d0i = np.ascontiguousarray(g10[:, i]), np.ascontiguousarray(d0[:, i])
-        gami = gam[:, :, i]
+    dd0 = d2(m.g[_SYM_I, _SYM_J], 0, hs[0])
+    for i, (g10i, dg, gami) in enumerate(_metric_slabs(m)):
         lower = np.einsum("pq...,qx...->px...", m.g[:, :, i], gami)  # Gamma_{p,x}
         mm = np.einsum("px...,py...->xy...", lower, gami)
         for b in range(4):
-            dgb = d1(g10i, b, hs[b]) if b > 0 else None
             for a in range(b + 1):
                 if a == b:
                     ddg = d2(g10i, a, hs[a]) if a > 0 else dd0[:, i]
-                elif a > 0:
-                    ddg = d1(dgb, a, hs[a])
                 else:
-                    # a slab has no axis 0 to difference along
-                    ddg = d1(d0i, b, hs[b])
+                    # a slab has no axis 0 to difference along: d_b (d_0 g)
+                    ddg = d1(dg[b], a, hs[a]) if a > 0 else d1(dg[0], b, hs[b])
                 ddg = 0.5 * ddg
                 x = _SYM_INDEX[a, b]
                 mm[x] += ddg

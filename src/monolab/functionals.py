@@ -69,7 +69,6 @@ __all__ = [
     "reduction_spec",
     "check_curvature_bound",
     "check_phi_l4_bound",
-    "chern_pairing",
     "lebrun_linear",
     "lebrun_quadratic",
     "key_inequality_check",
@@ -405,17 +404,6 @@ def _flux_pairing(f_rep: TwoFormField, omega: SelfDualField, m: MetricField) -> 
     return wedge_integral(f_rep, embed(omega, m)) / (2.0 * np.pi)
 
 
-def chern_pairing(f_rep: TwoFormField, omega: SelfDualField, m: MetricField) -> float:
-    """integral (F_rep / 2 pi) wedge omega for a closed representative.
-
-    The wedge pairing is metric-free, so this is the pairing of the flux
-    class with [omega] up to quadrature; exactness of the discrete d
-    makes it insensitive to adding d(alpha) at stencil accuracy.
-    """
-    _harmonic_quotient(omega, m)
-    return _flux_pairing(f_rep, omega, m)
-
-
 def lebrun_linear(
     omega: SelfDualField,
     m: MetricField,
@@ -426,7 +414,10 @@ def lebrun_linear(
     """Linear curvature inequality against the Chern pairing.
 
     lhs = integral K |omega|/sqrt(2) and rhs = 4 pi c1.[omega], with c1
-    given as a number or a closed flux representative.
+    given as a number or a closed flux representative F.  The pairing
+    integral (F / 2 pi) wedge omega is metric-free, so it pairs the flux
+    class with [omega] up to quadrature; exactness of the discrete d makes
+    it insensitive to adding d(alpha) at stencil accuracy.
     """
     q = _harmonic_quotient(omega, m)
     lhs = integrate(kfield.k.values * omega.norm(), m) / math.sqrt(2.0)

@@ -536,7 +536,8 @@ def minimize_lambda(
         start_converged.append(run_converged)
         start_gpg.append(gpg)
         start_backtracks.append(run_backtracks)
-        if best is None or lam < best[0]:
+        # of starts that end within a few ulps of each other, the earliest wins
+        if best is None or lam < best[0] - 4.0 * np.finfo(float).eps * abs(best[0]):
             best = (lam, sigma, tuple(history), eps_final, run_converged)
 
     lam, sigma, history, eps_final, conv = best

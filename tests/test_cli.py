@@ -297,6 +297,24 @@ def test_dirac_check_refuses_a_nearly_flat_metric(capsys, amplitude):
     assert "spin^c operators are implemented on flat charts only" in captured.err
 
 
+@pytest.mark.parametrize("argv", [["dirac-check", "--dims", "8"],
+                                  ["sweep", "--check", "identity-s", "--dims-list", "8,9"]])
+# a numpy warning would be a second stderr line
+@pytest.mark.filterwarnings("error")
+def test_amplitude_is_bounded(tmp_path, capsys, argv):
+    # the checks' integrands grow like up to amplitude^6; at 1e60 they
+    # overflowed into a check failure (exit 1, several stderr lines)
+    report = tmp_path / "r.json"
+    for amplitude in ("1e60", "-1e60", "1.0000001e20"):
+        code = main(argv + [f"--amplitude={amplitude}", "--out", str(report)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("monolab: config error:") and err.count("\n") == 1
+        assert not report.exists()
+    assert main(argv + ["--amplitude", "1e20", "--out", str(report)]) == 0
+    assert report.exists()
+
+
 def test_lambda_report(tmp_path, capsys):
     dump = tmp_path / "minimizer.zip"
     code, report = run(

@@ -15,7 +15,7 @@ from monolab import (
     random_smooth_scalar,
 )
 from monolab.bases import H_MINUS, H_PLUS, PAIRS, TRIPLES, X3
-from monolab.curvature import _SYM_I, _SYM_J, _lambda2, _pair_riemann
+from monolab.curvature import _SYM_I, _SYM_J, _lambda2, _metric_slabs, _pair_riemann
 from monolab.grid import _component_major, _node_major, d1, d2, integrate
 
 from conftest import (
@@ -292,8 +292,9 @@ def test_pair_operator_matches_textbook_chain_on_a_noncubic_grid():
     scal, wplus = textbook_curvature(g, grid.spacing)
     assert rel_err(cb.scalar.values, scal) < 1e-12
     assert rel_err(cb.wplus, wplus) < 1e-12
+    gam = np.stack([gam for _, _, gam in _metric_slabs(m)], axis=2)
     textbook = textbook_christoffel(g, grid.spacing)
-    assert rel_err(_node_major(m.christoffel), textbook[..., _SYM_I, _SYM_J]) < 1e-13
+    assert rel_err(_node_major(gam), textbook[..., _SYM_I, _SYM_J]) < 1e-13
 
 
 def test_slab_stencils_match_the_whole_grid_rows():
@@ -317,7 +318,7 @@ def test_stack_builds_no_whole_grid_matrix_field():
     # behind the pair form, which the stack forms one axis-0 slab at a time
     grid, g = generic_metric(12)
     m = build_metric(grid, g)
-    assert m.christoffel.size and m.sd_pairs_up.size
+    assert m.inv_coframe.size and m.sd_pairs_up.size
     tracemalloc.start()
     try:
         curvature_stack(m)
@@ -325,6 +326,23 @@ def test_stack_builds_no_whole_grid_matrix_field():
     finally:
         tracemalloc.stop()
     assert peak < grid.node_count * 100 * 8
+
+
+def test_cold_stack_differences_g_along_axis_0_once(monkeypatch):
+    # the first derivatives of g feed both the Christoffel symbols and the
+    # pair form; the whole-grid axis-0 stencil of its 10 stored components
+    # is the one that costs a (dims,10) array
+    grid, g = generic_metric(8)
+    m = build_metric(grid, g)
+    calls = []
+
+    def counted(values, axis, h, out=None):
+        calls.append((values.shape, axis))
+        return d1(values, axis, h, out=out)
+
+    monkeypatch.setattr("monolab.curvature.d1", counted)
+    curvature_stack(m)
+    assert calls.count(((10,) + grid.dims, 0)) == 1
 
 
 # full antisymmetric components of the stored pairs: X2[p, i, j]

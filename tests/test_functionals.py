@@ -20,7 +20,6 @@ from monolab import (
     catalog_quadratic,
     check_curvature_bound,
     check_phi_l4_bound,
-    chern_pairing,
     constant_config,
     gauge_trick_config,
     general_psw_residual,
@@ -253,16 +252,20 @@ def flux_rep(grid, n):
     return TwoFormField(grid, comps)
 
 
-def test_chern_pairing_integer_fluxes(m8):
+def flux_pairing(rep, omega, m, kfield):
+    return lebrun_linear(omega, m, kfield=kfield, c1=rep).notes["c1_dot_omega"]
+
+
+def test_lebrun_linear_pairs_integer_fluxes(m8, kzero):
     omega = SelfDualField(m8.grid, np.tile([1.0, 0.0, 0.0], m8.grid.dims + (1,)))
     want = (2.0 * np.pi) ** 2 / math.sqrt(2.0)
-    p1 = chern_pairing(flux_rep(m8.grid, 1), omega, m8)
-    p2 = chern_pairing(flux_rep(m8.grid, 2), omega, m8)
+    p1 = flux_pairing(flux_rep(m8.grid, 1), omega, m8, kzero)
+    p2 = flux_pairing(flux_rep(m8.grid, 2), omega, m8, kzero)
     assert abs(p1 - want) < 1e-9
     assert abs(p2 - 2.0 * p1) < 1e-9
 
 
-def test_chern_pairing_ignores_exact_forms(m8):
+def test_lebrun_linear_pairing_ignores_exact_forms(m8, kzero):
     rng = np.random.default_rng(11)
     a = U1Connection(
         m8.grid,
@@ -271,12 +274,12 @@ def test_chern_pairing_ignores_exact_forms(m8):
     omega = SelfDualField(m8.grid, np.tile([1.0, 0.0, 0.0], m8.grid.dims + (1,)))
     rep = flux_rep(m8.grid, 1)
     shifted = TwoFormField(m8.grid, rep.comps + a.curv.comps)
-    p0 = chern_pairing(rep, omega, m8)
-    p1 = chern_pairing(shifted, omega, m8)
+    p0 = flux_pairing(rep, omega, m8, kzero)
+    p1 = flux_pairing(shifted, omega, m8, kzero)
     assert abs(p0 - p1) < 1e-9
 
 
-def test_chern_pairing_guards(m8):
+def test_lebrun_linear_pairing_guards(m8, kzero):
     omega = SelfDualField(m8.grid, np.tile([1.0, 0.0, 0.0], m8.grid.dims + (1,)))
     rng = np.random.default_rng(12)
     open_form = TwoFormField(
@@ -284,13 +287,13 @@ def test_chern_pairing_guards(m8):
         np.stack([random_smooth_scalar(m8.grid, rng, amp=1.0) for _ in range(6)], axis=-1),
     )
     with pytest.raises(ValueError, match="closed"):
-        chern_pairing(open_form, omega, m8)
+        flux_pairing(open_form, omega, m8, kzero)
     wobbly = SelfDualField(
         m8.grid,
         np.stack([1 + random_smooth_scalar(m8.grid, rng, amp=0.5) for _ in range(3)], axis=-1),
     )
     with pytest.raises(ValueError, match="harmonic"):
-        chern_pairing(flux_rep(m8.grid, 1), wobbly, m8)
+        flux_pairing(flux_rep(m8.grid, 1), wobbly, m8, kzero)
 
 
 def test_lebrun_linear_flat_equality(m8, kzero):

@@ -13,7 +13,6 @@ import pytest
 
 from monolab import GridSpec, build_metric
 from monolab.bases import PAIRS, TRIPLES
-from monolab.curvature import _SYM_I, _SYM_J
 from monolab.grid import (
     _component_major,
     _gradient,
@@ -168,7 +167,6 @@ def metric_references(g, spacing):
         "vol": vol,
         "inv_coframe": einv,
         "ginv": gi,
-        "christoffel": gam[..., _SYM_I, _SYM_J],
         "sd_pairs": eta_low[..., pi, pj, :],
         "sd_pairs_up": eta_up[..., pi, pj, :],
         "sd_connection": conn,

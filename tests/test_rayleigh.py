@@ -152,6 +152,20 @@ def test_minimize_flat_coordinate_theta(m8):
     assert res.lam <= keff2(m8.grid.spacing[0]) + 1e-9
 
 
+@pytest.mark.parametrize("n, preset", [(8, "coord:0"), (12, "coord:1")])
+def test_tied_starts_keep_the_earliest(n, preset):
+    # the three constant starts end a few ulps apart (8^4: ...0127, ...0127
+    # and ...0126), so the lowest one would pick the dumped minimizer by
+    # roundoff; the eta_1 constant is kept
+    m = metric_from_preset("flat", GridSpec((n,) * 4))
+    res = minimize_lambda(theta_from_preset(preset, m), m, curvature_stack(m),
+                          LambdaOptions(n_random=0))
+    comps = res.minimizer.comps
+    assert res.lam == res.start_values[0]
+    assert comps[..., 0].min() == comps[..., 0].max() != 0.0
+    assert not comps[..., 1:].any()
+
+
 def flat_linear_lambda(n, angle):
     """lambda and the smallest constant-sigma quotient for theta = angle(x)."""
     grid = GridSpec((n,) * 4)
