@@ -19,7 +19,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
+import time
 from dataclasses import asdict, dataclass
 from typing import Callable
 
@@ -53,7 +55,7 @@ from .presets import (
     theta_from_preset,
 )
 from .rayleigh import LambdaOptions, assemble_K, minimize_lambda
-from .report import Timer, make_report, render_report
+from .report import make_report, render_report
 from .selfdual import (
     B_PLUS,
     SelfDualField,
@@ -263,10 +265,22 @@ def _parse(options: dict, name: str, value, where: str = ""):
         raise PresetError(f"{where}{_flag(name)} {exc}, got {value!r}") from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with one-line usage errors (exit 2 through SystemExit) that
+    takes a negative number in exponent form (-1e-3) as a flag's value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+    def error(self, message):
+        self.exit(2, f"monolab: config error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     # values stay text here; _resolve parses flags and config values alike.
     # No abbreviations: sweep's --dims-list must not answer to --dims.
-    p = argparse.ArgumentParser(prog="monolab", description=__doc__.splitlines()[0])
+    p = _Parser(prog="monolab", description=__doc__.splitlines()[0])
     subs = p.add_subparsers(dest="command", required=True)
     for command, (help_text, _, options) in _COMMANDS.items():
         s = subs.add_parser(command, help=help_text, allow_abbrev=False)
@@ -365,8 +379,7 @@ def _summary(values: np.ndarray) -> dict:
 
 def _run_curvature(args):
     grid, m = _geometry(args)
-    with Timer("curvature"):
-        curv = curvature_stack(m)
+    curv = curvature_stack(m)
     outputs = {
         "scalar": _summary(curv.scalar.values),
         "w": _summary(curv.w.values),
@@ -380,9 +393,8 @@ def _run_curvature(args):
 
 def _run_hodge(args):
     grid, m = _geometry(args)
-    with Timer("hodge"):
-        curv = curvature_stack(m)
-        basis = harmonic_selfdual_basis(m)
+    curv = curvature_stack(m)
+    basis = harmonic_selfdual_basis(m)
     gram = np.array([[integrate(np.sum(a.comps * b.comps, -1), m) for b in basis]
                      for a in basis])
     sigma = _random_selfdual(grid, args.seed, 0.3, [1.0, 0.0, 0.0])
@@ -401,13 +413,12 @@ def _run_hodge(args):
 def _run_dirac_check(args):
     grid, m = _geometry(args)
     conn, phi = _random_pair(grid, args.seed, args.amplitude)
-    with Timer("dirac-check"):
-        lhs, rhs, residual = dirac_weitzenboeck_check(phi, conn, m)
-        kato = log_kato_check(phi, conn, m=m)
-        model = CliffordModel()
-        ident = {k: float(v) for k, v in model.identity_residuals().items()}
-        sig = sigma_map(phi)
-        sig_err = float(np.max(np.abs(np.sum(sig.comps**2, -1) - phi.norm2() ** 2 / 8.0)))
+    lhs, rhs, residual = dirac_weitzenboeck_check(phi, conn, m)
+    kato = log_kato_check(phi, conn, m=m)
+    model = CliffordModel()
+    ident = {k: float(v) for k, v in model.identity_residuals().items()}
+    sig = sigma_map(phi)
+    sig_err = float(np.max(np.abs(np.sum(sig.comps**2, -1) - phi.norm2() ** 2 / 8.0)))
     return {
         "weitzenboeck": {"lhs": lhs, "rhs": rhs, "residual": residual},
         "log_kato_min_margin": kato,
@@ -423,8 +434,7 @@ def _run_lambda(args):
     opts = LambdaOptions(
         n_random=args.multistarts, max_iter=args.max_iter, tol=args.tol, seed=args.seed
     )
-    with Timer("lambda"):
-        res = minimize_lambda(theta, m, curv, opts)
+    res = minimize_lambda(theta, m, curv, opts)
     outputs = {
         "lambda": res.lam,
         "epsilon_final": res.epsilon_final,
@@ -448,8 +458,7 @@ def _run_psw(args):
     grid, m, curv, K = _weight(args)
     cfg = _manufactured(args, m, curv)
     pert = PerturbationSpec(args.variant, eps=args.eps)
-    with Timer("psw-residual"):
-        res = psw_residual(cfg, pert, K)
+    res = psw_residual(cfg, pert, K)
     outputs = {
         "norms": res.norms,
         "K": {"max": K.max_norm(), "max_kminus": float(np.max(K.kminus.values))},
@@ -465,10 +474,9 @@ def _run_bounds(args):
     cfg = _manufactured(args, m, curv)
     off = args.gate == "off"
     gate = np.inf if off else args.gate
-    with Timer("bounds"):
-        res = psw_residual(cfg, PerturbationSpec("full", eps=args.eps), K)
-        b1 = check_curvature_bound(cfg, K, args.eps, residual=res, gate=gate)
-        b2 = check_phi_l4_bound(cfg, K, args.eps, residual=res, gate=gate)
+    res = psw_residual(cfg, PerturbationSpec("full", eps=args.eps), K)
+    b1 = check_curvature_bound(cfg, K, args.eps, residual=res, gate=gate)
+    b2 = check_phi_l4_bound(cfg, K, args.eps, residual=res, gate=gate)
     # the open gate is reported as "off", as the config records it
     return {name: dict(asdict(b), gate="off") if off else asdict(b)
             for name, b in (("curvature_bound", b1), ("phi_l4_bound", b2))}
@@ -500,11 +508,10 @@ def _run_catalog(args):
 
 def _run_lebrun(args):
     _, m, _, K = _weight(args)
-    with Timer("lebrun"):
-        basis = harmonic_selfdual_basis(m)
-        omega = basis[args.omega_index]
-        lin = lebrun_linear(omega, m, kfield=K, c1=args.c1)
-        quad = lebrun_quadratic(K, m, c1plus_sq=args.c1plus_sq)
+    basis = harmonic_selfdual_basis(m)
+    omega = basis[args.omega_index]
+    lin = lebrun_linear(omega, m, kfield=K, c1=args.c1)
+    quad = lebrun_quadratic(K, m, c1plus_sq=args.c1plus_sq)
     return {"linear": asdict(lin), "quadratic": asdict(quad), "b_plus": len(basis)}
 
 
@@ -527,9 +534,8 @@ def _sweep_residual(args, n: int) -> float:
 
 def _run_sweep(args):
     rows = []
-    with Timer("sweep"):
-        for n in args.dims_list:
-            rows.append({"n": n, "residual": _sweep_residual(args, n)})
+    for n in args.dims_list:
+        rows.append({"n": n, "residual": _sweep_residual(args, n)})
     orders = []
     for a, b in zip(rows, rows[1:]):
         # undefined (null) once a residual is exactly 0
@@ -598,19 +604,24 @@ def main(argv=None) -> int:
     try:
         args = _resolve(flags)
         config = _recorded(args)
+        t0 = time.perf_counter()
         outputs = _COMMANDS[args.command][1](args)
+        seconds = time.perf_counter() - t0
         text = render_report(make_report(args.command, config, outputs))
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except (PresetError, OSError, json.JSONDecodeError) as exc:
         print(f"monolab: config error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError) as exc:
-        print(f"monolab: check failed: {exc}", file=sys.stderr)
+    except (ValueError, RuntimeError, MemoryError) as exc:
+        print(f"monolab: check failed: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    # only a command that succeeded prints its time: a failure's one stderr
+    # line is its error message
+    print(f"[monolab] {args.command}: {seconds:.2f}s", file=sys.stderr)
     return 0
 
 

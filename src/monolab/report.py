@@ -10,12 +10,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-import sys
-import time
 
 import numpy as np
 
-__all__ = ["SCHEMA", "sanitize", "config_digest", "make_report", "render_report", "Timer"]
+__all__ = ["SCHEMA", "sanitize", "config_digest", "make_report", "render_report"]
 
 SCHEMA = "monolab-report-v2"
 
@@ -60,21 +58,3 @@ def render_report(report: dict) -> str:
         return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
     except ValueError:
         raise ValueError("a report cannot hold a non-finite number") from None
-
-
-class Timer:
-    """Context manager that prints elapsed time to stderr only, and only when
-    the block succeeds: a failure's one stderr line is its error message."""
-
-    def __init__(self, label: str):
-        self.label = label
-
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if exc_type is None:
-            dt = time.perf_counter() - self.t0
-            print(f"[monolab] {self.label}: {dt:.2f}s", file=sys.stderr)
-        return False

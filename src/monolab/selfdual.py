@@ -12,8 +12,8 @@ components and adds the cross product with the cached frame connection
 
 Only the exterior derivative is discretised (periodic 6th-order centred
 differences); every Gram matrix is exact pointwise algebra.  d is written
-once: `grid._gradient` on 0-forms, and one coupling table per degree,
-1-forms -> pairs and pairs -> 3-forms, read by `_d` forward and transposed.
+once: `grid._gradient` on 0-forms, and one signed coupling per grid axis
+(1-forms -> pairs, pairs -> 3-forms) that `_d` reads forward and transposed.
 Consequences used throughout:
 
 * d(d omega) = 0 holds up to roundoff because the difference stencils commute;
@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import PAIRS, WEDGE2, X3
+from .bases import PAIRS, TRIPLES, WEDGE2
 from .curvature import CurvatureBundle, MetricField, _bilinear, _lambda2
 from .grid import (
     GridSpec,
@@ -162,40 +162,42 @@ def wedge_integral(alpha: TwoFormField, beta: TwoFormField) -> float:
 # ---------------------------------------------------------------------------
 # exterior derivative
 
-# coupling table of d per degree, keyed by the width of the stored input
-# (4: 1-forms, 6: pairs) and giving the output width (6: pairs, 4: 3-forms)
-# and the terms (o, k, i, s) of (d f)_o = sum of s D_k f_i, s = +-1
-_D_TABLES = {
-    4: (6, tuple(t for p, (i, j) in enumerate(PAIRS) for t in ((p, i, j, 1), (p, j, i, -1)))),
-    6: (4, tuple((l, k, p, int(X3[l, k, i, j])) for l in range(4) for k in range(4)
-                 for p, (i, j) in enumerate(PAIRS) if X3[l, k, i, j] != 0.0)),
-}
+def _couplings(inputs, outputs) -> dict:
+    """d as a signed incidence map from forms stored by the increasing index
+    tuples `inputs` to forms stored by `outputs`, and its plain-sum
+    transpose, keyed by (width read, transpose): the output width and, per
+    grid axis k, the (input, output, sign) entries of
+    (d f)_I = sum_q (-1)^q D_{I_q} f_{I without I_q}, one per output I that
+    holds k.  The transpose swaps inputs and outputs and flips the signs, as
+    the d1 stencil's transpose is its negative."""
+    index = {I: n for n, I in enumerate(inputs)}
+    axes = tuple(tuple((index[I[:q] + I[q + 1:]], o, (-1) ** q)
+                       for o, I in enumerate(outputs) for q, k in enumerate(I) if k == axis)
+                 for axis in range(4))
+    return {(len(inputs), False): (len(outputs), axes),
+            (len(outputs), True): (len(inputs),
+                                   tuple(tuple((o, i, -s) for i, o, s in e) for e in axes))}
+
+
+# three entries per axis: 3 of the 4 1-forms feed 3 pairs, 3 of the 6 pairs
+# feed 3 of the 4 3-forms
+_D_COUPLINGS = {**_couplings(((0,), (1,), (2,), (3,)), PAIRS), **_couplings(PAIRS, TRIPLES)}
 
 
 def _d(f: np.ndarray, grid: GridSpec, transpose: bool = False) -> np.ndarray:
     """`d` (or, with transpose, its plain-sum transpose) on component-major
     components (width, [batch,] dims).
 
-    One d1 product per axis of every component, then each term of the
-    coupling table along that axis is a whole-plane add; the outputs are
-    accumulated one axis at a time, in the table's order per output.
+    Per axis, one d1 product of the three components the axis couples, then
+    one whole-plane signed add into each of their outputs; every output
+    receives its terms in axis order.
     """
-    # the tables are keyed by the width d reads: the transpose maps pairs
-    # (6) to 1-forms (4) and 3-forms (4) to pairs (6)
-    width = 10 - f.shape[0] if transpose else f.shape[0]
-    n_out, terms = _D_TABLES[width]
-    out = np.zeros((width if transpose else n_out,) + f.shape[1:])
-    for k, h in enumerate(grid.spacing):
-        dk = d1(f, k, h)
-        for o, axis, i, s in terms:
-            if axis != k:
-                continue
-            if transpose:  # the stencil's transpose is its negative
-                o, i, s = i, o, -s
-            if s > 0:
-                out[o] += dk[i]
-            else:
-                out[o] -= dk[i]
+    n_out, coupling = _D_COUPLINGS[f.shape[0], transpose]
+    out = np.zeros((n_out,) + f.shape[1:])
+    for k, (h, entries) in enumerate(zip(grid.spacing, coupling)):
+        dk = d1(f[[i for i, _, _ in entries]], k, h)
+        for dki, (_, o, s) in zip(dk, entries):
+            (np.add if s > 0 else np.subtract)(out[o], dki, out=out[o])
     return out
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from monolab import GridSpec, curvature_stack, metric_from_preset, random_smooth_scalar
+from monolab.bases import PAIRS, X3
 
 TWO_PI = 2.0 * np.pi
 
@@ -93,6 +94,17 @@ def roll_d2(v, axis, h):
     r = np.roll
     return (2 * r(v, -3, axis) - 27 * r(v, -2, axis) + 270 * r(v, -1, axis) - 490 * v
             + 270 * r(v, 1, axis) - 27 * r(v, 2, axis) + 2 * r(v, 3, axis)) / (180.0 * h * h)
+
+
+# the terms (o, k, i, s) of (d f)_o = sum s D_k f_i, keyed by the stored
+# input width (4: 1-forms, 6: pairs) with the output width: a flat list read
+# off PAIRS and the 3-form expansion X3, independent of `selfdual`'s
+# per-axis coupling
+D_TERMS = {
+    4: (6, tuple(t for p, (i, j) in enumerate(PAIRS) for t in ((p, i, j, 1), (p, j, i, -1)))),
+    6: (4, tuple((l, k, p, int(X3[l, k, i, j])) for l in range(4) for k in range(4)
+                 for p, (i, j) in enumerate(PAIRS) if X3[l, k, i, j] != 0.0)),
+}
 
 
 def textbook_christoffel(g, spacing):

@@ -10,7 +10,7 @@ import zipfile
 import numpy as np
 import pytest
 
-from monolab import GridSpec, load_fields, random_smooth_scalar, save_fields, selfdual
+from monolab import GridSpec, cli, load_fields, random_smooth_scalar, save_fields, selfdual
 from monolab.cli import main
 from monolab.report import render_report
 
@@ -258,6 +258,51 @@ def test_harmonic_solve_cap_exits_1(monkeypatch, capsys):
     # the timing line is printed only on success: one line, the error
     assert len(err) == 1 and err[0].startswith("monolab: check failed:")
     assert "after 1 iterations" in err[0]
+
+
+def test_unwritable_out_exit_2(tmp_path, capsys):
+    # the report is written inside main's error handling: one line, no file
+    out = tmp_path / "missing" / "x.json"
+    code = main(["curvature", "--dims", "8", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("monolab: config error:") and captured.err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("exc", [MemoryError("Unable to allocate 116. TiB for an array"),
+                                 MemoryError()], ids=["numpy", "bare"])
+def test_memory_error_exit_1(monkeypatch, capsys, exc):
+    # a grid too large for memory (curvature --dims 1000 asks for 116 TiB),
+    # raised here without allocating
+    def refuse(m):
+        raise exc
+
+    monkeypatch.setattr(cli, "curvature_stack", refuse)
+    code = main(["curvature", "--dims", "8"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("monolab: check failed: ") and captured.err.count("\n") == 1
+    assert captured.err.strip() != "monolab: check failed:"
+
+
+@pytest.mark.parametrize("argv", [["curvature", "--bogus"], ["curvature", "--dims"],
+                                  ["lebrun", "--seed", "3"], []],
+                         ids=["unknown-flag", "missing-value", "flag-not-taken", "no-command"])
+def test_usage_errors_are_one_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith("monolab: config error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, key", [(["lebrun", "--dims", "8", "--c1", "-1e-3"], "c1"),
+                                       (["catalog", "--delta", "-1e-3"], "delta")],
+                         ids=["lebrun-c1", "catalog-delta"])
+def test_negative_number_in_exponent_form_is_a_value(capsys, argv, key):
+    code, report = run(capsys, argv)
+    assert code == 0 and report["config"][key] == -1e-3
 
 
 def test_bad_json_config_exit_2(tmp_path, capsys):

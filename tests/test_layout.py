@@ -11,7 +11,7 @@ distinct spacings.
 import numpy as np
 import pytest
 
-from monolab import GridSpec, build_metric
+from monolab import GridSpec, build_metric, selfdual
 from monolab.bases import PAIRS, TRIPLES
 from monolab.grid import (
     _component_major,
@@ -24,6 +24,7 @@ from monolab.grid import (
 from monolab.selfdual import _d, _nabla, _nabla_T
 
 from conftest import (
+    D_TERMS,
     generic_metric,
     rel_err,
     roll_d1,
@@ -48,6 +49,26 @@ def roll_d(f, spacing):
         return np.stack([dk(f[j], i) - dk(f[i], j) for i, j in PAIRS])
     return np.stack([dk(f[PAIR_INDEX[b, c]], a) - dk(f[PAIR_INDEX[a, c]], b)
                      + dk(f[PAIR_INDEX[a, b]], c) for a, b, c in TRIPLES])
+
+
+def full_stencil_d(f, grid, transpose=False):
+    """`_d` as a scan of the flat coupling-term list that takes d1 of every
+    component along every axis and adds each term's plane, axis by axis."""
+    width = 10 - f.shape[0] if transpose else f.shape[0]
+    n_out, terms = D_TERMS[width]
+    out = np.zeros((width if transpose else n_out,) + f.shape[1:])
+    for k, h in enumerate(grid.spacing):
+        dk = d1(f, k, h)
+        for o, axis, i, s in terms:
+            if axis != k:
+                continue
+            if transpose:
+                o, i, s = i, o, -s
+            if s > 0:
+                out[o] += dk[i]
+            else:
+                out[o] -= dk[i]
+    return out
 
 
 def roll_nabla(sigma, m):
@@ -108,6 +129,9 @@ def test_d_matches_roll_reference_and_transposes(grid, batch):
         dty = _d(y, grid, transpose=True)
         assert df.shape == y.shape and dty.shape == f.shape
         assert rel_err(df, roll_d(f, grid.spacing)) < 1e-13
+        # three components per axis give the bits of all of them
+        assert np.array_equal(df, full_stencil_d(f, grid))
+        assert np.array_equal(dty, full_stencil_d(y, grid, transpose=True))
         lhs = np.sum(df * y)
         rhs = np.sum(f * dty)
         assert abs(lhs - rhs) <= 1e-12 * np.sqrt(np.sum(df**2) * np.sum(y**2))
@@ -120,6 +144,23 @@ def test_d_matches_roll_reference_and_transposes(grid, batch):
     # d d = 0 up to roundoff: the stencils commute
     a = rng.standard_normal((4,) + batch + grid.dims)
     assert np.max(np.abs(_d(_d(a, grid), grid))) < 1e-12
+
+
+def test_d_differentiates_three_components_per_axis(monkeypatch):
+    # along each axis, 3 of the 4 1-forms feed 3 pairs and 3 of the 6 pairs
+    # feed 3 of the 4 3-forms, in either direction
+    calls = []
+
+    def recording_d1(values, axis, h, out=None):
+        calls.append((axis, values.shape[0]))
+        return d1(values, axis, h, out)
+
+    monkeypatch.setattr(selfdual, "d1", recording_d1)
+    for width in (4, 6):
+        for transpose in (False, True):
+            calls.clear()
+            _d(np.ones((width, 2) + CUBIC.dims), CUBIC, transpose)
+            assert calls == [(k, 3) for k in range(4)]
 
 
 @pytest.mark.parametrize("grid", [CUBIC, ODD], ids=["8^4", "odd"])

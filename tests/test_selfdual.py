@@ -31,7 +31,6 @@ from monolab.bases import WEDGE2
 from monolab.curvature import _SYM_I, _SYM_J, _lambda2, _metric_slabs
 from monolab.grid import _component_major, _node_major, _stencil_symbol2, d1
 from monolab.selfdual import (
-    _D_TABLES,
     _d,
     _dirichlet_forward,
     _hodge_forward,
@@ -42,6 +41,7 @@ from monolab.selfdual import (
 )
 
 from conftest import (
+    D_TERMS,
     generic_metric,
     pulled_back_flat_chart,
     rel_err,
@@ -120,7 +120,7 @@ def _d_per_component(f, grid, n_in, transpose=False):
     # component-major copy: the reference for the stacked form
     hs = grid.spacing
     f = _component_major(f)
-    n_out, terms = _D_TABLES[n_in]
+    n_out, terms = D_TERMS[n_in]
     out = np.zeros(((n_in,) if transpose else (n_out,)) + f.shape[1:])
     for o, k, i, s in terms:
         if transpose:
@@ -138,7 +138,7 @@ def d_transpose(tau, grid):
 @pytest.mark.parametrize("extra", [(), (5,)], ids=["single", "batched"])
 def test_stacked_d_pairs_match_per_component(grid8, extra):
     # extra=(5,) is the block layout of the harmonic solver's operator; both
-    # degrees' coupling tables, 1-forms -> pairs and pairs -> 3-forms
+    # degrees' couplings, 1-forms -> pairs and pairs -> 3-forms
     rng = np.random.default_rng(17)
     for n_in, n_out in ((6, 4), (4, 6)):
         omega = rng.standard_normal(grid8.dims + (n_in,) + extra)
