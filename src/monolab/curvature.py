@@ -17,42 +17,42 @@ with sd_pairs_up = L H+^T.  r satisfies the first Bianchi identity exactly
 have equal trace and R = 4 tr B; W+ = B - (R/12) 1 is a symmetric trace-free
 3x3 matrix whose lowest eigenvalue is the curvature weight w.
 
-The stack, the cached tensor it reads (`sd_pairs_up`) and the Christoffel
-symbols work one axis-0 slab at a time: the n1 n2 n3 nodes that share one
-index of grid axis 0.  `_metric_slabs` yields per slab the first
-derivatives of g and the Christoffel symbols, which both the pair form and
-`MetricField.sd_connection` read; no whole-grid array of either is kept.
-Only the stencils along axis 0, d1 and d2 of the 10 stored components of
-g, run on the whole grid, and each slab's results are written into the
-final whole-grid arrays (projection weights, R, W+ and w).  The stencils
-along axes 1-3, the Christoffel taps and raise, the 10x10 matrix M behind
-r, the pair form r, the Lambda^2 minors, the eta-plus block B and the
-eigenvalue pass all run on the slab, whose arrays are 1/n0 the size of
-whole-grid ones.  A slab (c, n1, n2, n3) is differenced with the grid's own
-axis numbers and gets the bits of the same rows of the whole-grid call; a
-mixed derivative with axis 0 is d_b (d_0 g), since a slab has no axis 0 to
+The stack and the Christoffel symbols work one axis-0 slab at a time: the
+n1 n2 n3 nodes that share one index of grid axis 0.  `_metric_slabs` yields
+per slab the first derivatives of g, the Christoffel symbols and e^-1,
+which both the pair form and `MetricField.sd_connection` read; no whole-grid
+array of any of them is kept.  Only the stencils along axis 0, d1 and d2 of
+the 10 stored components of g, run on the whole grid; each slab's R, W+ and
+w are written into the whole-grid results.  The stencils along axes 1-3,
+e^-1, the Christoffel taps and raise, the 10x10 matrix M behind r, the pair
+form r, the projection weights, the eta-plus block B and the eigenvalue
+pass all run on the slab, whose arrays are 1/n0 the size of whole-grid
+ones.  A slab (c, n1, n2, n3) is differenced with the grid's own axis
+numbers and gets the bits of the same rows of the whole-grid call; a mixed
+derivative with axis 0 is d_b (d_0 g), since a slab has no axis 0 to
 difference along.
 
 `build_metric` factors g once, and the factor is `MetricField.coframe`.  The
 volume factor vol = e_00 e_11 e_22 e_33, the inverse coframe e^-1 (back
 substitution) and g^-1 = e^-1 e^-T are read off its 10 entries, with no
 LAPACK inverse or determinant.  g and the factor are converted once to the
-component-major layout of `grid`, and every tensor `MetricField` caches is
-stored that way: components first, grid axes last, for example g[i, j, ...],
-sd_connection[k, a, ...] and sd_pairs_up[p, a, ...]; a slab drops the
-axis-0 index, as in Gamma[k, x, n1, n2, n3].  A stencil is then one
-matrix product and each per-node product a two-operand einsum over the
-trailing node axes (see `_bilinear` for why two).  The one node-major
-result is `CurvatureBundle.wplus`, converted slab by slab for the
-eigenvalue pass, which needs that layout.
+component-major layout of `grid`, and every metric tensor is stored that
+way: components first, grid axes last, as in g[i, j, ...] and
+sd_connection[k, a, ...]; a slab drops the axis-0 index, as in
+Gamma[k, x, n1, n2, n3].  A stencil is then one matrix product and each
+per-node product a two-operand einsum over the trailing node axes (see
+`_bilinear` for why two).  The one node-major result is
+`CurvatureBundle.wplus`, converted slab by slab for the eigenvalue pass,
+which needs that layout.
 
 Stored pairs and per-node Lambda^2 matrices are the only 2-form
-representation.  `MetricField` caches, for the self-dual module, the pair
-components of eta_a, sd_pairs = (H+ Lambda^2 e)^T, their projection weights
-sd_pairs_up = Lambda^2(e^-1) H+^T, and the frame connection on Lambda+ = so(3),
-one 3-vector a_k per axis, with nabla_k sigma = d_k sigma + a_k x sigma since
-[eta_a, eta_b] = -sqrt(2) eps_abc eta_c (Atiyah, Hitchin and Singer 1978;
-Besse 1987, ch. 13).
+representation.  `MetricField` caches only what every application of the
+lambda operator reads: vol, the Hodge and flux weights, the pair components
+of eta_a, sd_pairs = (H+ Lambda^2 e)^T, and the frame connection on
+Lambda+ = so(3), one 3-vector a_k per axis, with nabla_k sigma = d_k sigma +
+a_k x sigma since [eta_a, eta_b] = -sqrt(2) eps_abc eta_c (Atiyah, Hitchin
+and Singer 1978; Besse 1987, ch. 13).  e^-1, g^-1 and the projection weights
+sd_pairs_up = Lambda^2(e^-1) H+^T are formed per slab or per use instead.
 
 Sign conventions are pinned by two closed-form families used in the tests:
 
@@ -106,10 +106,10 @@ class MetricField:
 
     Made only by `build_metric`, which hands over g and the Cholesky factor
     it checked g with as `coframe`, both component-major.  The derived
-    tensors (volume factor, inverse coframe and metric, self-dual pair
-    algebra) are computed from them once on first use and cached.  Every
-    array has its components first and the grid axes last, and all are
-    read-only.
+    tensors every application of the lambda operator reads are computed
+    from them once on first use and cached; e^-1, g^-1 and the projection
+    weights are not kept.  Every array has its components first and the
+    grid axes last, and all are read-only.
     """
 
     def __init__(self, grid: GridSpec, g: np.ndarray, coframe: np.ndarray):
@@ -122,32 +122,6 @@ class MetricField:
         """sqrt(det g) = e_00 e_11 e_22 e_33."""
         e = self.coframe
         return _freeze(e[0, 0] * e[1, 1] * e[2, 2] * e[3, 3])
-
-    @cached_property
-    def inv_coframe(self) -> np.ndarray:
-        """einv[i, a, ...]: coordinate components of the frame vectors E_a.
-
-        e^-1 by back substitution, column by column:
-        einv[i, j] = -sum_{i <= k < j} einv[i, k] e[k, j] / e[j, j].
-        """
-        e = self.coframe
-        einv = np.zeros(e.shape)
-        for j in range(4):
-            einv[j, j] = 1.0 / e[j, j]
-            for i in range(j):
-                # a sum subtracted from +0.0 is +0.0 where it vanishes, so
-                # the flat einv holds no -0.0 to reach a report
-                acc = 0.0
-                for k in range(i, j):
-                    acc = acc - einv[i, k] * e[k, j]
-                einv[i, j] = acc / e[j, j]
-        return _freeze(einv)
-
-    @cached_property
-    def ginv(self) -> np.ndarray:
-        """g^-1 = e^-1 e^-T."""
-        einv = self.inv_coframe
-        return _freeze(np.einsum("ia...,ja...->ij...", einv, einv))
 
     @cached_property
     def is_flat(self) -> bool:
@@ -164,18 +138,6 @@ class MetricField:
         return _freeze(np.einsum("aq,qp...->pa...", H_PLUS, _lambda2(self.coframe)))
 
     @cached_property
-    def sd_pairs_up(self) -> np.ndarray:
-        """Index-raised pair components of eta_a, [p, a, ...] =
-        (Lambda^2(e^-1) H+^T)[p, a]: the projection weights,
-        sd_pairs_up^T sd_pairs = 1.  The minors are formed one axis-0 slab
-        at a time."""
-        einv = self.inv_coframe
-        out = np.empty((6, 3) + self.grid.dims)
-        for i in range(self.grid.dims[0]):
-            np.einsum("pq...,aq->pa...", _lambda2(einv[:, :, i]), H_PLUS, out=out[:, :, i])
-        return _freeze(out)
-
-    @cached_property
     def sd_connection(self) -> np.ndarray:
         """Frame connection on the self-dual bundle, a[k, a, ...], so that the
         eta components of the coordinate covariant derivative are
@@ -188,16 +150,16 @@ class MetricField:
         difference of the factor along axis k.  Both run one axis-0 slab at
         a time (`_metric_slabs`); only d_0 e runs on the whole grid.
         """
-        e, einv = self.coframe, self.inv_coframe
+        e = self.coframe
         de0 = d1(e, 0, self.grid.spacing[0])
         out = np.empty((4, 3) + self.grid.dims)
-        for i, (_, _, gam) in enumerate(_metric_slabs(self)):
+        for i, (_, _, gam, einv) in enumerate(_metric_slabs(self)):
             # axis by axis on a slab copied once, never a (4,4,4,slab) d e
             ei = np.ascontiguousarray(e[:, :, i])
             for k, h in enumerate(self.grid.spacing):
                 w = np.einsum("am...,mi...->ai...", ei, gam[:, _SYM_INDEX[k]])
                 w -= de0[:, :, i] if k == 0 else d1(ei, k, h)
-                w = np.einsum("ai...,ib...->ab...", w, einv[:, :, i])
+                w = np.einsum("ai...,ib...->ab...", w, einv)
                 np.einsum("p...,pa->a...", w[_PAIR_I, _PAIR_J] - w[_PAIR_J, _PAIR_I],
                           _A_WEIGHTS, out=out[k, :, i])
         return _freeze(out)
@@ -210,7 +172,7 @@ class MetricField:
         (d sigma, d* sigma = -star d sigma).
 
         star is an isometry, so both terms are vol |tau|^2.  The Gram matrix
-        of the stored components, the 3x3 minors of ginv, is S g S / vol^2 by
+        of the stored components, the 3x3 minors of g^-1, is S g S / vol^2 by
         Jacobi's complementary minors, so W = 2 S g S / vol with S = _S3.
         """
         signs = (2.0 * _S3[:, None] * _S3).reshape(4, 4, 1, 1, 1, 1)
@@ -221,7 +183,7 @@ class MetricField:
         """vol g^-1, [k, l, ...]: it turns the coordinate gradient of a field
         into its L2 flux, so that
         integral |d f|^2 dmu = sum d f . (vol g^-1 d f) h^4."""
-        return _freeze(self.vol * self.ginv)
+        return _freeze(self.vol * _inverse_metric(self.coframe))
 
 
 def _bilinear(x: np.ndarray, a: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -290,20 +252,19 @@ def build_metric(grid: GridSpec, g: np.ndarray) -> MetricField:
     return m
 
 
-def _metric_slabs(m: MetricField) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def _metric_slabs(m: MetricField) -> Iterator[tuple[np.ndarray, ...]]:
     """Per axis-0 slab, in axis-0 order: the slab's 10 stored components of
     g, g10[x, ...] on the symmetric pairs x = _SYM_INDEX[i, j], their first
-    derivatives dg[k, x, ...] along all four axes, and Gamma^k_ij on those
-    pairs, [k, x, ...].
+    derivatives dg[k, x, ...] along all four axes, Gamma^k_ij on those
+    pairs, [k, x, ...], and the slab's e^-1, einv[i, a, ...].
 
     dg gives the first-kind symbols by flat taps, and e^-1 (e^-T Gamma_lower)
     raises their first index.  Only the axis-0 stencil runs on the whole
-    grid; the axis 1-3 stencils, the taps and the raise run on the slab.
+    grid; the axis 1-3 stencils, e^-1, the taps and the raise run on the slab.
     """
     hs = m.grid.spacing
     g10 = m.g[_SYM_I, _SYM_J]
     d0 = d1(g10, 0, hs[0])
-    einv = m.inv_coframe
     for i in range(m.grid.dims[0]):
         # the slab is copied once, where a strided view would be copied by
         # each stencil along axes 2 and 3
@@ -317,13 +278,14 @@ def _metric_slabs(m: MetricField) -> Iterator[tuple[np.ndarray, np.ndarray, np.n
         first += flat[_TAP_DJ]
         first -= flat[_TAP_DL]
         first *= 0.5
-        raised = np.einsum("la...,lx...->ax...", einv[:, :, i], first)
-        yield g10i, dg, np.einsum("ka...,ax...->kx...", einv[:, :, i], raised)
+        einv = _inverse_coframe(m.coframe[:, :, i])
+        raised = np.einsum("la...,lx...->ax...", einv, first)
+        yield g10i, dg, np.einsum("ka...,ax...->kx...", einv, raised), einv
 
 
-def _pair_riemann(m: MetricField) -> Iterator[np.ndarray]:
+def _pair_riemann(m: MetricField) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Coordinate Riemann tensor on stored pairs, [P, Q, ...] = R_{i_P j_P k_Q l_Q},
-    one axis-0 slab at a time, in axis-0 order.
+    one axis-0 slab at a time, in axis-0 order, with the slab's e^-1.
 
     R_ijkl = M[jk, il] - M[jl, ik] on symmetric index pairs, where
     M[x, y] = (d_x g_y + d_y g_x) / 2 + Gamma_{p,x} Gamma^p_y and d_x is the
@@ -335,7 +297,7 @@ def _pair_riemann(m: MetricField) -> Iterator[np.ndarray]:
     """
     hs = m.grid.spacing
     dd0 = d2(m.g[_SYM_I, _SYM_J], 0, hs[0])
-    for i, (g10i, dg, gami) in enumerate(_metric_slabs(m)):
+    for i, (g10i, dg, gami, einv) in enumerate(_metric_slabs(m)):
         lower = np.einsum("pq...,qx...->px...", m.g[:, :, i], gami)  # Gamma_{p,x}
         mm = np.einsum("px...,py...->xy...", lower, gami)
         for b in range(4):
@@ -352,7 +314,7 @@ def _pair_riemann(m: MetricField) -> Iterator[np.ndarray]:
         mm = mm.reshape((100,) + mm.shape[2:])
         r = mm[_TAP_PLUS]
         r -= mm[_TAP_MINUS]
-        yield r
+        yield r, einv
 
 
 def _lambda2(e: np.ndarray) -> np.ndarray:
@@ -366,25 +328,53 @@ def _lambda2(e: np.ndarray) -> np.ndarray:
     return out
 
 
+def _inverse_coframe(e: np.ndarray) -> np.ndarray:
+    """einv[i, a, ...], the coordinate components of the frame vectors E_a, for
+    the upper-triangular factor e of any trailing shape, by back substitution:
+    einv[i, j] = -sum_{i <= k < j} einv[i, k] e[k, j] / e[j, j]."""
+    einv = np.zeros(e.shape)
+    for j in range(4):
+        einv[j, j] = 1.0 / e[j, j]
+        for i in range(j):
+            # a sum subtracted from +0.0 is +0.0 where it vanishes, so
+            # the flat einv holds no -0.0 to reach a report
+            acc = 0.0
+            for k in range(i, j):
+                acc = acc - einv[i, k] * e[k, j]
+            einv[i, j] = acc / e[j, j]
+    return einv
+
+
+def _inverse_metric(e: np.ndarray) -> np.ndarray:
+    """g^-1 = e^-1 e^-T, [i, j, ...], for the factor e of g."""
+    einv = _inverse_coframe(e)
+    return np.einsum("ia...,ja...->ij...", einv, einv)
+
+
+def _sd_pairs_up(einv: np.ndarray) -> np.ndarray:
+    """Projection weights [p, a, ...] = (Lambda^2(e^-1) H+^T)[p, a], the raised
+    pair components of eta_a: their transpose times `MetricField.sd_pairs` is 1."""
+    return np.einsum("pq...,aq->pa...", _lambda2(einv), H_PLUS)
+
+
 def curvature_stack(m: MetricField) -> CurvatureBundle:
     """Scalar curvature, W+ and its lowest eigenvalue, read off the pair form.
 
     B = sd_pairs_up^T R_pair sd_pairs_up is the eta-plus block W+ + (R/12) 1
     of the frame curvature operator, so R = 4 tr B and W+ = B - (R/12) 1.
     W+ is stored in the eta basis of the Cholesky coframe
-    `MetricField.coframe`, the basis of every self-dual field.  B, R, W+ and
-    its lowest eigenvalue are formed per axis-0 slab of the pair form and
-    written into the whole-grid results.
+    `MetricField.coframe`, the basis of every self-dual field.  sd_pairs_up,
+    B, R, W+ and its lowest eigenvalue are formed per axis-0 slab of the pair
+    form, and the last three written into the whole-grid results.
     """
     dims = m.grid.dims
     scal = np.empty(dims)
     wplus = np.empty(dims + (3, 3))
     w = np.empty(dims)
-    up = m.sd_pairs_up
     eye = np.eye(3).reshape(3, 3, 1, 1, 1)
-    for i, r in enumerate(_pair_riemann(m)):
-        upi = up[:, :, i]
-        block = np.einsum("pa...,pb...->ab...", upi, np.einsum("pq...,qb...->pb...", r, upi))
+    for i, (r, einv) in enumerate(_pair_riemann(m)):
+        up = _sd_pairs_up(einv)
+        block = np.einsum("pa...,pb...->ab...", up, np.einsum("pq...,qb...->pb...", r, up))
         scal[i] = 4.0 * np.trace(block)
         wp = block - (scal[i] / 12.0) * eye
         # symmetrize away roundoff, node-major for the eigenvalue pass

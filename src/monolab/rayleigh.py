@@ -73,7 +73,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import CurvatureBundle, MetricField
+from .curvature import CurvatureBundle, MetricField, _inverse_metric
 from .grid import (
     GridSpec,
     ScalarField,
@@ -157,9 +157,9 @@ def theta_from_sc(s: np.ndarray, c: np.ndarray, m: MetricField) -> ThetaField:
     ds = gradient(s, grid)
     dc = gradient(c, grid)
     dth = c[..., None] * ds - s[..., None] * dc
-    # |d theta|^2 by two two-operand einsums, as in `curvature._bilinear`,
-    # reading the component-major g^-1
-    n2 = np.einsum("...k,...k->...", dth, np.einsum("kl...,...l->...k", m.ginv, dth))
+    # |d theta|^2 on g^-1 by two two-operand einsums, as in `curvature._bilinear`
+    gi = _inverse_metric(m.coframe)
+    n2 = np.einsum("...k,...k->...", dth, np.einsum("kl...,...l->...k", gi, dth))
     return ThetaField(grid, s, c, dth, n2)
 
 

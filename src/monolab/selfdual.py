@@ -53,7 +53,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bases import PAIRS, TRIPLES, WEDGE2
-from .curvature import CurvatureBundle, MetricField, _bilinear, _lambda2
+from .curvature import (
+    CurvatureBundle,
+    MetricField,
+    _bilinear,
+    _inverse_coframe,
+    _inverse_metric,
+    _lambda2,
+    _sd_pairs_up,
+)
 from .grid import (
     GridSpec,
     _component_major,
@@ -143,7 +151,7 @@ def embed(sigma: SelfDualField, m: MetricField) -> TwoFormField:
 
 
 def project(omega: TwoFormField, m: MetricField) -> SelfDualField:
-    comps = np.einsum("pa...,...p->...a", m.sd_pairs_up, omega.comps)
+    comps = np.einsum("pa...,...p->...a", _sd_pairs_up(_inverse_coframe(m.coframe)), omega.comps)
     return SelfDualField(omega.grid, comps)
 
 
@@ -262,7 +270,7 @@ def covariant_derivative(sigma: SelfDualField, m: MetricField) -> np.ndarray:
     """
     nab = _nabla(_component_major(sigma.comps), m)
     if not m.is_flat:
-        nab = np.einsum("kc...,ka...->ca...", m.inv_coframe, nab)
+        nab = np.einsum("kc...,ka...->ca...", _inverse_coframe(m.coframe), nab)
     return _node_major(nab)
 
 
@@ -332,7 +340,7 @@ def _identity_pieces(sigma: SelfDualField, theta, m: MetricField):
     nab = covariant_derivative(sigma, m)
     sig2 = np.sum(sigma.comps**2, axis=-1)
     nab2 = np.sum(nab**2, axis=(-2, -1))
-    dth_frame = np.einsum("kc...,...k->...c", m.inv_coframe, theta.dtheta)
+    dth_frame = np.einsum("kc...,...k->...c", _inverse_coframe(m.coframe), theta.dtheta)
     cross = _bilinear(dth_frame, nab, sigma.comps)
     return sig2, nab2, cross
 
@@ -462,7 +470,7 @@ def harmonic_selfdual_basis(m: MetricField) -> HarmonicBasis:
 
     Each flat self-dual constant class c_a has the minimum-norm
     representative h_a = c_a + d alpha_a, where d^T G (c_a + d alpha_a) = 0
-    with G = vol Lambda^2(ginv), the volume-weighted Gram matrix of stored
+    with G = vol Lambda^2(g^-1), the volume-weighted Gram matrix of stored
     pairs (d^T the plain-sum transpose).  Since G is WEDGE2 times the Hodge
     star on stored pairs (alpha ^ star beta = <alpha, beta> vol), that
     equation says d(star h_a) = 0, so the discrete harmonic space is
@@ -479,7 +487,7 @@ def harmonic_selfdual_basis(m: MetricField) -> HarmonicBasis:
     """
     grid = m.grid
     n = grid.node_count
-    G = _lambda2(m.ginv)
+    G = _lambda2(_inverse_metric(m.coframe))
     G *= m.vol
     G = G.reshape(6, 6, n)
     inv_symbol = _inverse_symbol(grid)
@@ -523,7 +531,7 @@ def harmonic_selfdual_basis(m: MetricField) -> HarmonicBasis:
         )
 
     h = _SD_CLASSES + _node_major(_d(alpha, grid))
-    sd = np.einsum("pa...,...pK->...aK", m.sd_pairs_up, h)
+    sd = np.einsum("pa...,...pK->...aK", _sd_pairs_up(_inverse_coframe(m.coframe)), h)
     forms: list[np.ndarray] = []
     for k in range(B_PLUS):
         comps = sd[..., k]

@@ -8,14 +8,28 @@ import pytest
 from monolab import (
     CurvatureBundle,
     GridSpec,
+    LambdaOptions,
     ScalarField,
     build_metric,
     curvature_stack,
+    harmonic_selfdual_basis,
+    integral_identity_check_s,
     metric_from_preset,
+    minimize_lambda,
     random_smooth_scalar,
+    theta_from_preset,
+    weitzenboeck_residual,
 )
 from monolab.bases import H_MINUS, H_PLUS, PAIRS, TRIPLES, X3
-from monolab.curvature import _SYM_I, _SYM_J, _lambda2, _metric_slabs, _pair_riemann
+from monolab.curvature import (
+    _SYM_I,
+    _SYM_J,
+    _inverse_coframe,
+    _inverse_metric,
+    _lambda2,
+    _metric_slabs,
+    _pair_riemann,
+)
 from monolab.grid import _component_major, _node_major, d1, d2, integrate
 
 from conftest import (
@@ -88,7 +102,8 @@ def test_metric_algebra_from_the_factor():
     # reads these off the Cholesky factor without inverse or determinant
     grid, g = generic_metric(8)
     m = build_metric(grid, g)
-    e, einv, gi = (_node_major(x) for x in (m.coframe, m.inv_coframe, m.ginv))
+    e = _node_major(m.coframe)
+    einv, gi = (_node_major(f(m.coframe)) for f in (_inverse_coframe, _inverse_metric))
     eye = np.broadcast_to(np.eye(4), g.shape)
     assert np.max(np.abs(np.swapaxes(e, -1, -2) @ e - g)) < 1e-13
     assert np.max(np.abs(einv @ e - eye)) < 1e-13
@@ -109,7 +124,7 @@ def test_metric_is_factored_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "cholesky", counted)
     m = build_metric(grid, g)
     curvature_stack(m)
-    for derived in (m.ginv, m.vol, m.sd_pairs, m.sd_connection):
+    for derived in (m.flux_weight, m.vol, m.sd_pairs, m.sd_connection):
         assert np.isfinite(derived).all()
     assert len(factors) == 1
     assert np.array_equal(m.coframe, _component_major(np.swapaxes(factors[0], -1, -2)))
@@ -118,8 +133,8 @@ def test_metric_is_factored_once(monkeypatch):
 def test_flat_metric_algebra_is_exact(m8):
     # a -0.0 that reaches a report prints as -0.0 and breaks flat byte-identity
     eye = np.broadcast_to(np.eye(4).reshape(4, 4, 1, 1, 1, 1), m8.g.shape)
-    for x, ref in ((m8.ginv, eye), (m8.inv_coframe, eye), (m8.coframe, eye),
-                   (m8.vol, np.ones(m8.vol.shape))):
+    for x, ref in ((_inverse_metric(m8.coframe), eye), (_inverse_coframe(m8.coframe), eye),
+                   (m8.coframe, eye), (m8.vol, np.ones(m8.vol.shape))):
         assert np.array_equal(x, ref)
         assert not np.signbit(x).any()
 
@@ -194,7 +209,7 @@ def test_three_form_algebra_matches_tensor_definitions():
     a = rng.standard_normal(grid.dims + (4, 4))
     g = np.einsum("...ij,...kj->...ik", a, a) + 0.5 * np.eye(4)
     m = build_metric(grid, g)
-    gi, vol = _node_major(m.ginv), m.vol
+    gi, vol = _node_major(_inverse_metric(m.coframe)), m.vol
 
     star_stored = np.einsum("...mijk,lijk->...ml", textbook_three_form_star(g), X3)
     gram3 = np.empty(grid.dims + (4, 4))
@@ -256,7 +271,7 @@ def _frame_operator(m):
     curvature operator whose trace is R/2 and whose eta-plus and eta-minus
     blocks are W+ and W- plus (R/12) 1."""
     lam = _node_major(_lambda2(_component_major(np.linalg.inv(_node_major(m.coframe)))))
-    pair = _node_major(np.stack(list(_pair_riemann(m)), axis=2))
+    pair = _node_major(np.stack([r for r, _ in _pair_riemann(m)], axis=2))
     return np.swapaxes(lam, -1, -2) @ pair @ lam
 
 
@@ -292,7 +307,7 @@ def test_pair_operator_matches_textbook_chain_on_a_noncubic_grid():
     scal, wplus = textbook_curvature(g, grid.spacing)
     assert rel_err(cb.scalar.values, scal) < 1e-12
     assert rel_err(cb.wplus, wplus) < 1e-12
-    gam = np.stack([gam for _, _, gam in _metric_slabs(m)], axis=2)
+    gam = np.stack([gam for _, _, gam, _ in _metric_slabs(m)], axis=2)
     textbook = textbook_christoffel(g, grid.spacing)
     assert rel_err(_node_major(gam), textbook[..., _SYM_I, _SYM_J]) < 1e-13
 
@@ -313,12 +328,11 @@ def test_slab_stencils_match_the_whole_grid_rows():
 
 
 def test_stack_builds_no_whole_grid_matrix_field():
-    # with the metric's cached tensors built, the stack's own allocations
-    # stay below one (dims,10,10) float64 array, the size of the matrix M
-    # behind the pair form, which the stack forms one axis-0 slab at a time
+    # the stack's own allocations, e^-1 and the projection weights among
+    # them, stay below one (dims,10,10) float64 array, the size of the matrix
+    # M behind the pair form, which the stack forms one axis-0 slab at a time
     grid, g = generic_metric(12)
     m = build_metric(grid, g)
-    assert m.inv_coframe.size and m.sd_pairs_up.size
     tracemalloc.start()
     try:
         curvature_stack(m)
@@ -404,3 +418,20 @@ def test_selfdual_weyl_is_conformally_covariant(refinement):
     errs, orders = refinement
     assert errs[-1][2] < 1e-2
     assert min(o[2] for o in orders) >= 4.5
+
+
+def test_metric_keeps_only_what_every_application_reads():
+    # e^-1, g^-1 and the projection weights are formed per slab or per use;
+    # after every kernel that reads them has run, the metric holds only its
+    # inputs and the tensors an application of the lambda operator reads
+    grid, g = generic_metric(8)
+    m = build_metric(grid, g)
+    curv = curvature_stack(m)
+    sigma = harmonic_selfdual_basis(m)[0]
+    weitzenboeck_residual(sigma, m, curv)
+    theta = theta_from_preset("coord:1", m)
+    integral_identity_check_s(sigma, theta, m, curv)
+    minimize_lambda(theta, m, curv, LambdaOptions(n_random=0, epsilons=(1e-3,), max_iter=5))
+    kept = {"grid", "g", "coframe", "vol", "is_flat", "sd_pairs", "sd_connection",
+            "hodge_weight", "flux_weight"}
+    assert set(vars(m)) <= kept, sorted(set(vars(m)) - kept)

@@ -13,6 +13,7 @@ import pytest
 
 from monolab import GridSpec, build_metric, selfdual
 from monolab.bases import PAIRS, TRIPLES
+from monolab.curvature import _inverse_coframe, _inverse_metric, _sd_pairs_up
 from monolab.grid import (
     _component_major,
     _gradient,
@@ -185,8 +186,9 @@ def test_covariant_derivative_kernels_match_roll_and_transpose(grid):
 
 
 def metric_references(g, spacing):
-    """Node-major references for every tensor `MetricField` caches, built
-    with LAPACK, np.roll stencils and full index tensors."""
+    """Node-major references for every tensor `MetricField` caches and for
+    the three it forms per use (inv_coframe, ginv, sd_pairs_up), built with
+    LAPACK, np.roll stencils and full index tensors."""
     e = np.swapaxes(np.linalg.cholesky(g), -1, -2)
     einv, gi = np.linalg.inv(e), np.linalg.inv(g)
     vol = np.sqrt(np.linalg.det(g))
@@ -217,14 +219,18 @@ def metric_references(g, spacing):
 
 
 def test_metric_field_tensors_are_component_major():
-    # every cached tensor has its grid axes last, and its node-major copy is
-    # the reference tensor
+    # every cached tensor and every one formed per use has its grid axes
+    # last, and its node-major copy is the reference tensor
     g = generic_metric(ODD.dims, periods=ODD.periods)[1]
     m = build_metric(ODD, g)
+    einv = _inverse_coframe(m.coframe)
+    formed = {"inv_coframe": einv, "ginv": _inverse_metric(m.coframe),
+              "sd_pairs_up": _sd_pairs_up(einv)}
     for name, ref in metric_references(g, ODD.spacing).items():
-        got = getattr(m, name)
+        got = formed[name] if name in formed else getattr(m, name)
         assert got.shape[-4:] == ODD.dims, name
-        assert got.flags.c_contiguous and not got.flags.writeable, name
+        assert got.flags.c_contiguous, name
+        assert name in formed or not got.flags.writeable, name
         if got.ndim > 4:
             got = _node_major(got)
         assert rel_err(got, ref) <= 1e-14, name

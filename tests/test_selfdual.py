@@ -28,7 +28,7 @@ from monolab import (
     weitzenboeck_residual,
 )
 from monolab.bases import WEDGE2
-from monolab.curvature import _SYM_I, _SYM_J, _lambda2, _metric_slabs
+from monolab.curvature import _SYM_I, _SYM_J, _inverse_metric, _lambda2, _metric_slabs
 from monolab.grid import _component_major, _node_major, _stencil_symbol2, d1
 from monolab.selfdual import (
     _d,
@@ -69,7 +69,8 @@ def test_projection_algebra(generic8):
     assert np.max(np.abs(back.comps - sig.comps)) < 1e-12
     # self-dual at every node: omega ^ omega = |omega|^2 vol
     wedge = np.einsum("...p,pq,...q->...", omega.comps, WEDGE2, omega.comps)
-    norm2 = np.einsum("...p,pq...,...q->...", omega.comps, _lambda2(m.ginv), omega.comps)
+    gram = _lambda2(_inverse_metric(m.coframe))
+    norm2 = np.einsum("...p,pq...,...q->...", omega.comps, gram, omega.comps)
     assert rel_err(wedge, m.vol * norm2) < 1e-12
 
 
@@ -242,7 +243,7 @@ def generic8():
 
 def test_christoffel_matches_textbook(generic8):
     g, m = generic8
-    gam = np.stack([gam for _, _, gam in _metric_slabs(m)], axis=2)
+    gam = np.stack([gam for _, _, gam, _ in _metric_slabs(m)], axis=2)
     textbook = textbook_christoffel(g, m.grid.spacing)
     assert rel_err(_node_major(gam), textbook[..., _SYM_I, _SYM_J]) < 1e-13
 
