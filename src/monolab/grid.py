@@ -242,7 +242,7 @@ def _node_major(values: np.ndarray) -> np.ndarray:
 
 
 def _stencil_along(stencil: str, values: np.ndarray, axis: int, h: float,
-                   out: np.ndarray | None) -> np.ndarray:
+                   out: np.ndarray | None, rows=None) -> np.ndarray:
     """The one stencil kernel behind `d1` and `d2`: one C-contiguous product
     along grid `axis`, counted from the end of the shape.
 
@@ -251,29 +251,40 @@ def _stencil_along(stencil: str, values: np.ndarray, axis: int, h: float,
     index; along the last axis (post = 1) it is x.reshape(-1, n) @ D^T.
     The first slice along the axis is subtracted first, which the stencils
     annihilate, so the result is exactly zero (not roundoff) on fields
-    constant along the axis.
+    constant along the axis.  With `rows`, each of those indices of the
+    first axis is one such product on its view of `values`, so nothing is
+    gathered into a copy first.
     """
     n = values.shape[axis - 4]
     D = _circulant(stencil, n, float(h))
-    x = values.reshape(-1, n, math.prod(values.shape[axis - 3:]) if axis < 3 else 1)
-    shifted = np.subtract(x, x[:, :1])
-    if out is None:
-        out = np.empty(values.shape, dtype=values.dtype)
-    if axis == 3:
-        np.matmul(shifted.reshape(-1, n), D.T, out=out.reshape(-1, n))
+    post = math.prod(values.shape[axis - 3:]) if axis < 3 else 1
+    if rows is None:
+        blocks, shape = [values], values.shape
     else:
-        np.matmul(D, shifted, out=out.reshape(x.shape))
+        blocks, shape = [values[i] for i in rows], (len(rows),) + values.shape[1:]
+    if out is None:
+        out = np.empty(shape, dtype=values.dtype)
+    for block, o in zip(blocks, out.reshape(len(blocks), -1)):
+        x = block.reshape(-1, n, post)
+        shifted = np.subtract(x, x[:, :1])
+        if axis == 3:
+            np.matmul(shifted.reshape(-1, n), D.T, out=o.reshape(-1, n))
+        else:
+            np.matmul(D, shifted, out=o.reshape(x.shape))
     return out
 
 
-def d1(values: np.ndarray, axis: int, h: float, out: np.ndarray | None = None) -> np.ndarray:
+def d1(values: np.ndarray, axis: int, h: float, out: np.ndarray | None = None,
+       rows=None) -> np.ndarray:
     """Centred 6th-order first derivative along grid `axis` of a
     component-major (c..., n0, n1, n2, n3) array, or of an axis-0 slab of
     one, (c..., n1, n2, n3), with the grid's own axis numbers; into `out`,
-    which must be C-contiguous, when given.  The plain-sum adjoint is
-    exactly its negative, and a slab gets the bits of the same rows of the
+    which must be C-contiguous, when given.  With `rows`, a sequence of
+    indices of the first axis, only those components: the bits of
+    d1(values[rows]) without its copy.  The plain-sum adjoint is exactly
+    its negative, and a slab gets the bits of the same rows of the
     whole-grid call."""
-    return _stencil_along("d1", values, axis, h, out)
+    return _stencil_along("d1", values, axis, h, out, rows)
 
 
 def d2(values: np.ndarray, axis: int, h: float, out: np.ndarray | None = None) -> np.ndarray:

@@ -33,13 +33,16 @@ import math
 import sys
 import zipfile
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .curvature import MetricField, build_metric
 from .grid import GridSpec
 from .io import load_fields
-from .rayleigh import ThetaField, theta_from_angle, theta_from_sc
+
+if TYPE_CHECKING:
+    from .rayleigh import ThetaField
 
 __all__ = [
     "PresetError",
@@ -262,6 +265,8 @@ def metric_from_preset(text: str, grid: GridSpec) -> MetricField:
 
 def theta_from_preset(text: str, m: MetricField) -> ThetaField:
     """const:VALUE | coord:AXIS | file:PATH (samples or an (s, c) pair)."""
+    from .rayleigh import theta_from_angle, theta_from_sc
+
     grid = m.grid
     kind, _, arg = text.partition(":")
     kind = kind.strip()

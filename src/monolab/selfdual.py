@@ -196,14 +196,16 @@ def _d(f: np.ndarray, grid: GridSpec, transpose: bool = False) -> np.ndarray:
     """`d` (or, with transpose, its plain-sum transpose) on component-major
     components (width, [batch,] dims).
 
-    Per axis, one d1 product of the three components the axis couples, then
-    one whole-plane signed add into each of their outputs; every output
-    receives its terms in axis order.
+    Per axis, one d1 call on the three components the axis couples, each
+    read from f in place (no gathered copy), into one buffer that every axis
+    reuses, then one whole-plane signed add into each of their outputs;
+    every output receives its terms in axis order.
     """
     n_out, coupling = _D_COUPLINGS[f.shape[0], transpose]
     out = np.zeros((n_out,) + f.shape[1:])
+    dk = np.empty((3,) + f.shape[1:])
     for k, (h, entries) in enumerate(zip(grid.spacing, coupling)):
-        dk = d1(f[[i for i, _, _ in entries]], k, h)
+        d1(f, k, h, out=dk, rows=[i for i, _, _ in entries])
         for dki, (_, o, s) in zip(dk, entries):
             (np.add if s > 0 else np.subtract)(out[o], dki, out=out[o])
     return out

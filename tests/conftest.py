@@ -5,8 +5,10 @@ import itertools
 import numpy as np
 import pytest
 
-from monolab import GridSpec, curvature_stack, metric_from_preset, random_smooth_scalar
 from monolab.bases import PAIRS, X3
+from monolab.curvature import curvature_stack
+from monolab.grid import GridSpec
+from monolab.presets import metric_from_preset, random_smooth_scalar
 
 TWO_PI = 2.0 * np.pi
 

@@ -11,42 +11,32 @@ import math
 import numpy as np
 import pytest
 
-from monolab import (
+from monolab.cli import main as cli_main
+from monolab.curvature import curvature_stack
+from monolab.functionals import (
     CATALOG,
-    GridSpec,
     MonopoleConfig,
-    LambdaOptions,
     PerturbationSpec,
-    SelfDualField,
-    SpinorField,
-    U1Connection,
-    assemble_K,
     catalog_linear,
     catalog_quadratic,
     check_curvature_bound,
     check_phi_l4_bound,
     constant_config,
-    curvature_stack,
-    dirac_weitzenboeck_check,
     gauge_trick_config,
     general_psw_residual,
-    harmonic_selfdual_basis,
     key_inequality_check,
     lebrun_linear,
     lebrun_quadratic,
-    metric_from_preset,
-    minimize_lambda,
     psw_residual,
-    random_smooth_scalar,
     reducible_config,
     reduction_spec,
     rotating_config,
-    sigma_map,
-    theta_from_angle,
-    theta_from_preset,
-    weitzenboeck_residual,
 )
-from monolab.cli import main as cli_main
+from monolab.grid import GridSpec
+from monolab.presets import metric_from_preset, random_smooth_scalar, theta_from_preset
+from monolab.rayleigh import LambdaOptions, assemble_K, minimize_lambda, theta_from_angle
+from monolab.selfdual import SelfDualField, harmonic_selfdual_basis, weitzenboeck_residual
+from monolab.spinc import SpinorField, U1Connection, dirac_weitzenboeck_check, sigma_map
 
 TWO_PI = 2.0 * np.pi
 SQRT8 = math.sqrt(8.0)

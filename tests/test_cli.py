@@ -10,8 +10,12 @@ import zipfile
 import numpy as np
 import pytest
 
-from monolab import GridSpec, cli, load_fields, random_smooth_scalar, save_fields, selfdual
+from monolab import cli, selfdual
 from monolab.cli import main
+from monolab.functionals import CATALOG
+from monolab.grid import GridSpec
+from monolab.io import load_fields, save_fields
+from monolab.presets import random_smooth_scalar
 from monolab.report import render_report
 
 
@@ -85,6 +89,56 @@ def test_lambda_report_ignores_the_thread_count(tmp_path):
                        env=dict(env, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads))
         reports.append(out.read_bytes())
     assert reports[0] == reports[1]
+
+
+def loaded_modules(tmp_path, code):
+    """The monolab modules a fresh interpreter holds after running `code`."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    script = code + "\nimport sys\nprint(*(m for m in sys.modules if m.startswith('monolab')))"
+    done = subprocess.run([sys.executable, "-c", script], check=True, capture_output=True,
+                          text=True, cwd=tmp_path, env=env)
+    return set(done.stdout.split())
+
+
+def test_package_import_loads_no_submodule(tmp_path):
+    assert loaded_modules(tmp_path, "import monolab") == {"monolab"}
+    # the parser and the geometry need these, and nothing else
+    assert loaded_modules(tmp_path, "import monolab.cli") == {
+        "monolab", *(f"monolab.{m}" for m in
+                     ("bases", "grid", "curvature", "io", "presets", "report", "cli"))}
+
+
+@pytest.mark.parametrize("argv, unused", [
+    (["curvature"], ("functionals", "rayleigh", "selfdual", "spinc")),
+    (["hodge"], ("functionals", "rayleigh", "spinc")),
+    (["lambda", "--theta", "coord:0", "--multistarts", "0", "--max-iter", "2"],
+     ("functionals", "spinc")),
+], ids=["curvature", "hodge", "lambda"])
+def test_a_command_loads_only_its_layers(tmp_path, argv, unused):
+    argv = argv + ["--dims", "8", "--out", "r.json"]
+    code = f"from monolab.cli import main\nassert main({argv!r}) == 0"
+    loaded = loaded_modules(tmp_path, code)
+    assert "monolab.grid" in loaded
+    assert loaded.isdisjoint(f"monolab.{m}" for m in unused)
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_help_exits_0(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: monolab {command}")
+
+
+def test_catalog_surfaces_are_the_catalog(capsys):
+    # the parser spells the surface names out; help and errors name them all
+    names = sorted(CATALOG)
+    with pytest.raises(SystemExit):
+        main(["catalog", "--help"])
+    assert "--surface {" + ",".join(names) + "}" in capsys.readouterr().out
+    assert main(["catalog", "--surface", "k3"]) == 2
+    assert capsys.readouterr().err == (
+        f"monolab: config error: --surface needs one of {', '.join(names)}, got 'k3'\n")
 
 
 def test_config_file_overrides_flags(tmp_path, capsys):

@@ -5,23 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from monolab import (
-    CurvatureBundle,
-    GridSpec,
-    LambdaOptions,
-    ScalarField,
-    build_metric,
-    curvature_stack,
-    harmonic_selfdual_basis,
-    integral_identity_check_s,
-    metric_from_preset,
-    minimize_lambda,
-    random_smooth_scalar,
-    theta_from_preset,
-    weitzenboeck_residual,
-)
 from monolab.bases import H_MINUS, H_PLUS, PAIRS, TRIPLES, X3
 from monolab.curvature import (
+    CurvatureBundle,
     _SYM_I,
     _SYM_J,
     _inverse_coframe,
@@ -29,8 +15,17 @@ from monolab.curvature import (
     _lambda2,
     _metric_slabs,
     _pair_riemann,
+    build_metric,
+    curvature_stack,
 )
-from monolab.grid import _component_major, _node_major, d1, d2, integrate
+from monolab.grid import GridSpec, ScalarField, _component_major, _node_major, d1, d2, integrate
+from monolab.presets import metric_from_preset, random_smooth_scalar, theta_from_preset
+from monolab.rayleigh import LambdaOptions, minimize_lambda
+from monolab.selfdual import (
+    harmonic_selfdual_basis,
+    integral_identity_check_s,
+    weitzenboeck_residual,
+)
 
 from conftest import (
     generic_metric,

@@ -5,16 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from monolab import (
+from monolab.functionals import (
     CATALOG,
-    GridSpec,
     MonopoleConfig,
     PerturbationSpec,
-    SelfDualField,
-    SpinorField,
-    TwoFormField,
-    U1Connection,
-    assemble_K,
     catalog_delta_sweep,
     catalog_linear,
     catalog_quadratic,
@@ -23,21 +17,19 @@ from monolab import (
     constant_config,
     gauge_trick_config,
     general_psw_residual,
-    harmonic_selfdual_basis,
     key_inequality_check,
     lebrun_linear,
     lebrun_quadratic,
     psw_residual,
-    random_smooth_scalar,
-    rayleigh_quotient,
     reducible_config,
     reduction_spec,
     rotating_config,
-    sd_l2_norm,
-    sigma_map,
-    theta_from_angle,
-    theta_from_preset,
 )
+from monolab.grid import GridSpec
+from monolab.presets import random_smooth_scalar, theta_from_preset
+from monolab.rayleigh import assemble_K, rayleigh_quotient, theta_from_angle
+from monolab.selfdual import SelfDualField, TwoFormField, harmonic_selfdual_basis, sd_l2_norm
+from monolab.spinc import SpinorField, U1Connection, sigma_map
 
 SQRT8 = math.sqrt(8.0)
 EPS = 0.5
@@ -210,7 +202,7 @@ def test_general_admissibility_rejections(m8, curv8):
     )
     with pytest.raises(ValueError, match=r"node=\(3, 4, 5, 6\): t\*F=15\.62 outside"):
         general_psw_residual(cfg, peak, K)
-    from monolab import beta
+    from monolab.rayleigh import beta
 
     shift = SelfDualField(m8.grid, np.full(m8.grid.dims + (3,), 10.0))
     badeta = PerturbationSpec(

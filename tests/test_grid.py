@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from monolab import GridSpec, ScalarField, integrate
 from monolab.grid import (
+    GridSpec,
+    ScalarField,
     _circulant,
     _component_major,
     _gradient_T,
@@ -14,6 +15,7 @@ from monolab.grid import (
     d1,
     d2,
     gradient,
+    integrate,
 )
 
 from conftest import rel_err, roll_d1, roll_d2
@@ -169,6 +171,18 @@ def test_d1_plain_sum_adjoint(dims, periods, tail):
         lhs = np.sum(d1(f, axis, h) * w)
         rhs = -np.sum(f * d1(w, axis, h))
         assert abs(lhs - rhs) <= 1e-12 * np.sum(np.abs(d1(f, axis, h) * w))
+
+
+@pytest.mark.parametrize("tail, rows", [((6,), [0, 2, 5]), ((4, 3), [3, 0, 1])])
+def test_d1_rows_match_the_gathered_call(tail, rows):
+    # the bits of d1(f[rows]) on the whole grid and on an axis-0 slab
+    g = GridSpec((8, 8, 16, 8), (TWO_PI, 3.0, 2 * TWO_PI, 5.0))
+    f = _component_major(np.random.default_rng(12).standard_normal(g.dims + tail))
+    slab = np.ascontiguousarray(f[..., 3, :, :, :])
+    for axis, h in enumerate(g.spacing):
+        assert np.array_equal(d1(f, axis, h, rows=rows), d1(f[rows], axis, h))
+        if axis:
+            assert np.array_equal(d1(slab, axis, h, rows=rows), d1(slab[rows], axis, h))
 
 
 @pytest.mark.parametrize("dims, periods, tail", KERNEL_CASES)

@@ -5,7 +5,8 @@ import filecmp
 import numpy as np
 import pytest
 
-from monolab import GridSpec, load_fields, save_fields
+from monolab.grid import GridSpec
+from monolab.io import load_fields, save_fields
 
 TWO_PI = 2.0 * np.pi
 

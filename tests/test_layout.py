@@ -11,17 +11,10 @@ distinct spacings.
 import numpy as np
 import pytest
 
-from monolab import GridSpec, build_metric, selfdual
+from monolab import selfdual
 from monolab.bases import PAIRS, TRIPLES
-from monolab.curvature import _inverse_coframe, _inverse_metric, _sd_pairs_up
-from monolab.grid import (
-    _component_major,
-    _gradient,
-    _gradient_T,
-    _node_major,
-    d1,
-    d2,
-)
+from monolab.curvature import _inverse_coframe, _inverse_metric, _sd_pairs_up, build_metric
+from monolab.grid import GridSpec, _component_major, _gradient, _gradient_T, _node_major, d1, d2
 from monolab.selfdual import _d, _nabla, _nabla_T
 
 from conftest import (
@@ -149,19 +142,21 @@ def test_d_matches_roll_reference_and_transposes(grid, batch):
 
 def test_d_differentiates_three_components_per_axis(monkeypatch):
     # along each axis, 3 of the 4 1-forms feed 3 pairs and 3 of the 6 pairs
-    # feed 3 of the 4 3-forms, in either direction
+    # feed 3 of the 4 3-forms, in either direction; d1 reads them from f
+    # itself, not from a gathered copy
     calls = []
 
-    def recording_d1(values, axis, h, out=None):
-        calls.append((axis, values.shape[0]))
-        return d1(values, axis, h, out)
+    def recording_d1(values, axis, h, out=None, rows=None):
+        calls.append((axis, len(rows), values is f))
+        return d1(values, axis, h, out, rows)
 
     monkeypatch.setattr(selfdual, "d1", recording_d1)
     for width in (4, 6):
         for transpose in (False, True):
             calls.clear()
-            _d(np.ones((width, 2) + CUBIC.dims), CUBIC, transpose)
-            assert calls == [(k, 3) for k in range(4)]
+            f = np.ones((width, 2) + CUBIC.dims)
+            _d(f, CUBIC, transpose)
+            assert calls == [(k, 3, True) for k in range(4)]
 
 
 @pytest.mark.parametrize("grid", [CUBIC, ODD], ids=["8^4", "odd"])

@@ -3,18 +3,18 @@
 import numpy as np
 import pytest
 
-from monolab import (
-    GridSpec,
+from monolab.grid import GridSpec, _node_major
+from monolab.io import load_fields, save_fields
+from monolab.presets import (
     PresetError,
-    load_fields,
+    Term,
+    TrigFactor,
     metric_from_preset,
+    parse_expression,
     random_smooth_scalar,
-    save_fields,
     scalar_from_expression,
     theta_from_preset,
 )
-from monolab.grid import _node_major
-from monolab.presets import Term, TrigFactor, parse_expression
 
 TWO_PI = 2.0 * np.pi
 
@@ -163,8 +163,6 @@ def test_theta_presets(m8):
 
 def test_theta_coord_needs_2pi_axis():
     g = GridSpec((8,) * 4, (TWO_PI, 2 * TWO_PI, TWO_PI, TWO_PI))
-    from monolab import metric_from_preset
-
     m = metric_from_preset("flat", g)
     theta_from_preset("coord:0", m)
     with pytest.raises(PresetError):

@@ -3,26 +3,24 @@
 import numpy as np
 import pytest
 
-from monolab import (
-    GridSpec,
+from monolab import rayleigh
+from monolab.curvature import build_metric, curvature_stack
+from monolab.grid import GridSpec, _fourier_multiply
+from monolab.presets import metric_from_preset, random_smooth_scalar, theta_from_preset
+from monolab.rayleigh import (
     LambdaOptions,
-    SelfDualField,
     ThetaField,
+    _apply_quadratic,
+    _random_start,
+    _sphere_symbol,
     assemble_K,
     beta,
-    build_metric,
-    curvature_stack,
-    metric_from_preset,
     minimize_lambda,
-    random_smooth_scalar,
     rayleigh_quotient,
     theta_from_angle,
-    theta_from_preset,
     theta_from_sc,
 )
-from monolab import rayleigh
-from monolab.grid import _fourier_multiply
-from monolab.rayleigh import _apply_quadratic, _random_start, _sphere_symbol
+from monolab.selfdual import SelfDualField
 
 from conftest import pulled_back_flat_chart
 

@@ -7,38 +7,39 @@ import sys
 import numpy as np
 import pytest
 
-from monolab import (
-    GridSpec,
-    SelfDualField,
-    U1Connection,
-    build_metric,
-    covariant_derivative,
-    curvature_stack,
-    embed,
-    harmonic_selfdual_basis,
-    hodge_rayleigh,
-    integral_identity_check_c,
-    integral_identity_check_s,
-    metric_from_preset,
-    project,
-    random_smooth_scalar,
-    sd_l2_norm,
-    theta_from_preset,
-    wedge_integral,
-    weitzenboeck_residual,
-)
 from monolab.bases import WEDGE2
-from monolab.curvature import _SYM_I, _SYM_J, _inverse_metric, _lambda2, _metric_slabs
-from monolab.grid import _component_major, _node_major, _stencil_symbol2, d1
+from monolab.curvature import (
+    _SYM_I,
+    _SYM_J,
+    _inverse_metric,
+    _lambda2,
+    _metric_slabs,
+    build_metric,
+    curvature_stack,
+)
+from monolab.grid import GridSpec, _component_major, _node_major, _stencil_symbol2, d1
+from monolab.presets import metric_from_preset, random_smooth_scalar, theta_from_preset
 from monolab.selfdual import (
+    SelfDualField,
     _d,
     _dirichlet_forward,
     _hodge_forward,
     _hodge_transpose,
     _nabla,
     _nabla_T,
+    covariant_derivative,
     d,
+    embed,
+    harmonic_selfdual_basis,
+    hodge_rayleigh,
+    integral_identity_check_c,
+    integral_identity_check_s,
+    project,
+    sd_l2_norm,
+    wedge_integral,
+    weitzenboeck_residual,
 )
+from monolab.spinc import U1Connection
 
 from conftest import (
     D_TERMS,
@@ -346,8 +347,10 @@ def test_weitzenboeck_conformal_small(m8_conf, curv8_conf):
 
 _RESIDUAL_SCRIPT = """
 import numpy as np
-from monolab import (GridSpec, SelfDualField, build_metric, curvature_stack,
-                     random_smooth_scalar, weitzenboeck_residual)
+from monolab.curvature import build_metric, curvature_stack
+from monolab.grid import GridSpec
+from monolab.presets import random_smooth_scalar
+from monolab.selfdual import SelfDualField, weitzenboeck_residual
 grid = GridSpec((8,) * 4)
 f = random_smooth_scalar(grid, np.random.default_rng(601), 1, 0.3)
 m = build_metric(grid, np.exp(2.0 * f)[..., None, None] * np.eye(4))

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from monolab import (
+from monolab.grid import GridSpec
+from monolab.presets import random_smooth_scalar
+from monolab.spinc import (
     CliffordModel,
-    GridSpec,
     SpinorField,
     U1Connection,
     dirac,
@@ -13,7 +14,6 @@ from monolab import (
     gauge_transform,
     log_kato_check,
     nabla_a,
-    random_smooth_scalar,
     sigma_map,
 )
 
