@@ -19,27 +19,31 @@ have equal trace and R = 4 tr B; W+ = B - (R/12) 1 is a symmetric trace-free
 
 The stack and the Christoffel symbols work one axis-0 slab at a time: the
 n1 n2 n3 nodes that share one index of grid axis 0.  `_metric_slabs` yields
-per slab the first derivatives of g, the Christoffel symbols and e^-1,
-which both the pair form and `MetricField.sd_connection` read; no whole-grid
-array of any of them is kept.  Only the stencils along axis 0, d1 and d2 of
-the 10 stored components of g, run on the whole grid; each slab's R, W+ and
-w are written into the whole-grid results.  The stencils along axes 1-3,
-e^-1, the Christoffel taps and raise, the 10x10 matrix M behind r, the pair
-form r, the projection weights, the eta-plus block B and the eigenvalue
-pass all run on the slab, whose arrays are 1/n0 the size of whole-grid
-ones.  A slab (c, n1, n2, n3) is differenced with the grid's own axis
+per slab the first derivatives of g, the Christoffel symbols in the frame,
+F = e^-T Gamma_lower, and e^-1, which both the pair form and
+`MetricField.sd_connection` read; no whole-grid array of any of them is
+kept.  F is the one form of the symbols either reader needs: e Gamma_k is
+F on the pairs (k, .), and Gamma_{p,x} Gamma^p_y is the Gram matrix F^T F.
+Only the stencils along axis 0, d1 and d2 of the 10 stored components of g,
+run on the whole grid; each slab's R, W+ and w are written into the
+whole-grid results.  The stencils along axes 1-3, e^-1, the Christoffel
+taps and F, the 55 entries x <= y of the symmetric 10x10 matrix M behind
+r, the pair form r, the projection weights, the eta-plus block B and the
+eigenvalue pass all run on the slab, whose arrays are 1/n0 the size of
+whole-grid ones.  A slab (c, n1, n2, n3) is differenced with the grid's own axis
 numbers and gets the bits of the same rows of the whole-grid call; a mixed
 derivative with axis 0 is d_b (d_0 g), since a slab has no axis 0 to
 difference along.
 
-`build_metric` factors g once, and the factor is `MetricField.coframe`.  The
+`build_metric` converts g once to the component-major layout of `grid`
+and factors it once, by the closed-form 4x4 Cholesky on whole planes
+(`_upper_factor`, no LAPACK); the factor is `MetricField.coframe`.  The
 volume factor vol = e_00 e_11 e_22 e_33, the inverse coframe e^-1 (back
 substitution) and g^-1 = e^-1 e^-T are read off its 10 entries, with no
-LAPACK inverse or determinant.  g and the factor are converted once to the
-component-major layout of `grid`, and every metric tensor is stored that
-way: components first, grid axes last, as in g[i, j, ...] and
+LAPACK inverse or determinant.  Every metric tensor is stored
+component-major: components first, grid axes last, as in g[i, j, ...] and
 sd_connection[k, a, ...]; a slab drops the axis-0 index, as in
-Gamma[k, x, n1, n2, n3].  A stencil is then one matrix product and each
+F[a, x, n1, n2, n3].  A stencil is then one matrix product and each
 per-node product a two-operand einsum over the trailing node axes (see
 `_bilinear` for why two).  The one node-major result is
 `CurvatureBundle.wplus`, converted slab by slab for the eigenvalue pass,
@@ -71,7 +75,7 @@ from functools import cached_property
 import numpy as np
 
 from .bases import H_PLUS, PAIRS
-from .grid import GridSpec, ScalarField, _component_major, _freeze, _worst_node, d1, d2
+from .grid import GridSpec, ScalarField, _freeze, _worst_node, d1, d2
 
 __all__ = [
     "MetricField",
@@ -90,9 +94,14 @@ _A_WEIGHTS = H_PLUS.T / -np.sqrt(2.0)
 _SYM_I, _SYM_J = np.triu_indices(4)
 _SYM_INDEX = np.empty((4, 4), dtype=int)
 _SYM_INDEX[_SYM_I, _SYM_J] = _SYM_INDEX[_SYM_J, _SYM_I] = range(10)
-# flat taps into M[x, y]: R_PQ = M[jk, il] - M[jl, ik] for P = (i, j), Q = (k, l)
-_TAP_PLUS = 10 * _SYM_INDEX[_PAIR_J[:, None], _PAIR_I] + _SYM_INDEX[_PAIR_I[:, None], _PAIR_J]
-_TAP_MINUS = 10 * _SYM_INDEX[_PAIR_J[:, None], _PAIR_J] + _SYM_INDEX[_PAIR_I[:, None], _PAIR_I]
+# the symmetric M[x, y] is stored as its 55 entries x <= y, row by row; entry
+# (x, y) of either triangle is _TRI[x, y], so row x is _TRI[x, x] onwards
+_TRI_X, _TRI_Y = np.triu_indices(10)
+_TRI = np.empty((10, 10), dtype=int)
+_TRI[_TRI_X, _TRI_Y] = _TRI[_TRI_Y, _TRI_X] = range(55)
+# taps into M: R_PQ = M[jk, il] - M[jl, ik] for P = (i, j), Q = (k, l)
+_TAP_PLUS = _TRI[_SYM_INDEX[_PAIR_J[:, None], _PAIR_I], _SYM_INDEX[_PAIR_I[:, None], _PAIR_J]]
+_TAP_MINUS = _TRI[_SYM_INDEX[_PAIR_J[:, None], _PAIR_J], _SYM_INDEX[_PAIR_I[:, None], _PAIR_I]]
 # flat taps into [axis, x] of d g_x: the first-kind Christoffel symbol
 # Gamma_{l,ij} = (d_i g_jl + d_j g_il - d_l g_ij) / 2 on [l, (i <= j)]
 _LOWER = np.arange(4)[:, None]
@@ -104,8 +113,8 @@ _TAP_DL = 10 * _LOWER + _SYM_INDEX[_SYM_I, _SYM_J]
 class MetricField:
     """Sampled Riemannian metric with lazily cached derived geometry.
 
-    Made only by `build_metric`, which hands over g and the Cholesky factor
-    it checked g with as `coframe`, both component-major.  The derived
+    Made only by `build_metric`, which hands over g and the closed-form
+    Cholesky factor it checked g with as `coframe`, both component-major.  The derived
     tensors every application of the lambda operator reads are computed
     from them once on first use and cached; e^-1, g^-1 and the projection
     weights are not kept.  Every array has its components first and the
@@ -145,19 +154,20 @@ class MetricField:
 
         a_k = -sqrt(2) H+ (w_k - w_k^T)_pairs / 2, the self-dual half of the
         Levi-Civita connection w_k = (e Gamma_k - d_k e) e^-1 in the Cholesky
-        frame.  Gamma_k is the 4x4 matrix [m, i] = Gamma^m_ki, read off the
-        symmetric pairs (k, i) of the Christoffel symbols, and d_k e the
-        difference of the factor along axis k.  Both run one axis-0 slab at
-        a time (`_metric_slabs`); only d_0 e runs on the whole grid.
+        frame.  Gamma_k is the 4x4 matrix [m, i] = Gamma^m_ki, so e Gamma_k
+        is the frame Christoffel symbols F[:, x] on the symmetric pairs
+        x = (k, i), and d_k e is the difference of the factor along axis k.
+        Both run one axis-0 slab at a time (`_metric_slabs`); only d_0 e runs
+        on the whole grid.
         """
         e = self.coframe
         de0 = d1(e, 0, self.grid.spacing[0])
         out = np.empty((4, 3) + self.grid.dims)
-        for i, (_, _, gam, einv) in enumerate(_metric_slabs(self)):
+        for i, (_, _, frame, einv) in enumerate(_metric_slabs(self)):
             # axis by axis on a slab copied once, never a (4,4,4,slab) d e
             ei = np.ascontiguousarray(e[:, :, i])
             for k, h in enumerate(self.grid.spacing):
-                w = np.einsum("am...,mi...->ai...", ei, gam[:, _SYM_INDEX[k]])
+                w = frame[:, _SYM_INDEX[k]]
                 w -= de0[:, :, i] if k == 0 else d1(ei, k, h)
                 w = np.einsum("ai...,ib...->ab...", w, einv)
                 np.einsum("p...,pa->a...", w[_PAIR_I, _PAIR_J] - w[_PAIR_J, _PAIR_I],
@@ -222,28 +232,31 @@ def build_metric(grid: GridSpec, g: np.ndarray) -> MetricField:
 
     Rejects non-finite components, non-symmetric storage, non-SPD nodes and
     a volume factor outside the float range; the error names the first
-    offending node so bad input files are debuggable.  g is copied: the
-    field caches tensors derived from it.
+    offending node so bad input files are debuggable.  g is converted once
+    to a component-major copy, which the field keeps, and factored by
+    `_upper_factor`; a node where a pivot is not positive is reported with
+    the lowest eigenvalue of its g.
     """
-    g = np.array(g, dtype=float)
+    g = np.asarray(g, dtype=float)
     if g.shape != grid.dims + (4, 4):
         raise ValueError(f"metric shape {g.shape} != {grid.dims + (4, 4)}")
     finite = np.isfinite(g)
     if not finite.all():
         raise ValueError(f"metric component is not finite at node {_worst_node(~finite)}")
-    asym = np.max(np.abs(g - np.swapaxes(g, -1, -2)))
-    if asym > 1e-12 * max(1.0, float(np.max(np.abs(g)))):
+    # always a copy, never a view of the caller's array: the field caches
+    # tensors derived from it
+    gc = np.array(np.moveaxis(g, (-2, -1), (0, 1)), order="C")
+    asym = max(float(np.max(np.abs(gc[i, j] - gc[j, i]))) for i, j in zip(*np.triu_indices(4, 1)))
+    if asym > 1e-12 * max(1.0, float(np.max(gc)), -float(np.min(gc))):
         raise ValueError(f"metric storage asymmetry {asym:.3e} exceeds tolerance")
-    try:
-        coframe = np.swapaxes(np.linalg.cholesky(g), -1, -2)
-    except np.linalg.LinAlgError:
-        lowest = np.linalg.eigvalsh(g)[..., 0]
-        node = _worst_node(lowest <= 0)
+    coframe, failed = _upper_factor(gc)
+    if failed.any():
+        node = _worst_node(failed)
         raise ValueError(
             f"metric is not positive definite at node {node} "
-            f"(lowest eigenvalue {lowest[node]:.3e})"
-        ) from None
-    m = MetricField(grid, _component_major(g), _component_major(coframe))
+            f"(lowest eigenvalue {np.linalg.eigvalsh(g[node])[0]:.3e})"
+        )
+    m = MetricField(grid, gc, coframe)
     with np.errstate(over="ignore"):  # vol and det g may overflow; vol is cached from here on
         det = m.vol * m.vol
     usable = (det > 0) & (det < np.inf)
@@ -252,15 +265,43 @@ def build_metric(grid: GridSpec, g: np.ndarray) -> MetricField:
     return m
 
 
+def _upper_factor(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The upper-triangular factor e[i, j, ...] of a component-major g,
+    e^T e = g, and the mask of nodes where a pivot is not > 0 (NaN
+    included); e is not finite there.
+
+    The closed-form Cholesky on whole planes, row j at a time from g's upper
+    triangle: the pivot is g_jj - sum_{k<j} e_kj^2, e_jj its square root and
+    e_ji = (g_ji - sum_{k<j} e_kj e_ki) / e_jj.  The strict lower triangle
+    is exact zeros.
+    """
+    e = np.zeros(g.shape)
+    failed = np.zeros(g.shape[2:], dtype=bool)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for j in range(4):
+            row = e[j, j:]
+            row[...] = g[j, j:]
+            for k in range(j):
+                row -= e[k, j] * e[k, j:]
+            failed |= ~(row[0] > 0)
+            np.sqrt(row[0], out=row[0])
+            row[1:] /= row[0]
+    return e, failed
+
+
 def _metric_slabs(m: MetricField) -> Iterator[tuple[np.ndarray, ...]]:
     """Per axis-0 slab, in axis-0 order: the slab's 10 stored components of
     g, g10[x, ...] on the symmetric pairs x = _SYM_INDEX[i, j], their first
-    derivatives dg[k, x, ...] along all four axes, Gamma^k_ij on those
-    pairs, [k, x, ...], and the slab's e^-1, einv[i, a, ...].
+    derivatives dg[k, x, ...] along all four axes, the frame Christoffel
+    symbols on those pairs, F[a, x, ...] = (e^-T Gamma_lower)[a, x], and the
+    slab's e^-1, einv[i, a, ...].
 
-    dg gives the first-kind symbols by flat taps, and e^-1 (e^-T Gamma_lower)
-    raises their first index.  Only the axis-0 stencil runs on the whole
-    grid; the axis 1-3 stencils, e^-1, the taps and the raise run on the slab.
+    dg gives the first-kind symbols Gamma_lower[l, x] = Gamma_{l,ij} by flat
+    taps.  F is what both readers need: e Gamma_k = F[:, (k, .)] in the frame
+    connection, and Gamma_{p,x} Gamma^p_y = sum_a F[a, x] F[a, y] in the pair
+    form, since g^-1 = e^-1 e^-T; Gamma^k_x itself is e^-1 F.  Only the axis-0
+    stencil runs on the whole grid; the axis 1-3 stencils, e^-1, the taps
+    and F run on the slab.
     """
     hs = m.grid.spacing
     g10 = m.g[_SYM_I, _SYM_J]
@@ -279,8 +320,7 @@ def _metric_slabs(m: MetricField) -> Iterator[tuple[np.ndarray, ...]]:
         first -= flat[_TAP_DL]
         first *= 0.5
         einv = _inverse_coframe(m.coframe[:, :, i])
-        raised = np.einsum("la...,lx...->ax...", einv, first)
-        yield g10i, dg, np.einsum("ka...,ax...->kx...", einv, raised), einv
+        yield g10i, dg, np.einsum("la...,lx...->ax...", einv, first), einv
 
 
 def _pair_riemann(m: MetricField) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -289,17 +329,21 @@ def _pair_riemann(m: MetricField) -> Iterator[tuple[np.ndarray, np.ndarray]]:
 
     R_ijkl = M[jk, il] - M[jl, ik] on symmetric index pairs, where
     M[x, y] = (d_x g_y + d_y g_x) / 2 + Gamma_{p,x} Gamma^p_y and d_x is the
-    second derivative along the axis pair x.  The first derivatives and
-    Gamma come from `_metric_slabs`; d2 along axis 0 runs on the whole grid,
-    everything else per slab, the mixed derivatives with axis 0 as
-    d_b (d_0 g).  M is held as (10, 10, slab), so each half d_x g / 2 is
-    added to row x and column x as whole planes.
+    second derivative along the axis pair x.  The first derivatives and the
+    frame symbols F, whose Gram matrix F^T F is the Gamma Gamma term, come
+    from `_metric_slabs`; d2 along axis 0 runs on the whole grid, everything
+    else per slab, the mixed derivatives with axis 0 as d_b (d_0 g).  M is
+    symmetric, so only its 55 entries x <= y are formed (`_TRI`): the Gram
+    matrix one row at a time, then d_x g_y / 2 added to entry (x, y) for
+    every y, and both halves, d_x g_x, to the diagonal entry (x, x).
     """
     hs = m.grid.spacing
     dd0 = d2(m.g[_SYM_I, _SYM_J], 0, hs[0])
-    for i, (g10i, dg, gami, einv) in enumerate(_metric_slabs(m)):
-        lower = np.einsum("pq...,qx...->px...", m.g[:, :, i], gami)  # Gamma_{p,x}
-        mm = np.einsum("px...,py...->xy...", lower, gami)
+    for i, (g10i, dg, frame, einv) in enumerate(_metric_slabs(m)):
+        mm = np.empty((55,) + frame.shape[2:])
+        for x in range(10):
+            row = mm[_TRI[x, x]:_TRI[x, 9] + 1]
+            np.einsum("a...,ay...->y...", frame[:, x], frame[:, x:], out=row)
         for b in range(4):
             for a in range(b + 1):
                 if a == b:
@@ -307,11 +351,10 @@ def _pair_riemann(m: MetricField) -> Iterator[tuple[np.ndarray, np.ndarray]]:
                 else:
                     # a slab has no axis 0 to difference along: d_b (d_0 g)
                     ddg = d1(dg[b], a, hs[a]) if a > 0 else d1(dg[0], b, hs[b])
-                ddg = 0.5 * ddg
                 x = _SYM_INDEX[a, b]
-                mm[x] += ddg
-                mm[:, x] += ddg
-        mm = mm.reshape((100,) + mm.shape[2:])
+                half = 0.5 * ddg
+                half[x] = ddg[x]
+                mm[_TRI[x]] += half
         r = mm[_TAP_PLUS]
         r -= mm[_TAP_MINUS]
         yield r, einv

@@ -79,8 +79,15 @@ def test_build_metric_rejects_bad_storage():
         build_metric(g, bad)
     spd = np.tile(np.eye(4), g.dims + (1, 1))
     spd[2, 3, 4, 5, 0, 0] = -1.0
-    with pytest.raises(ValueError, match="node"):
+    with pytest.raises(ValueError, match=r"not positive definite at node \(2, 3, 4, 5\)"):
         build_metric(g, spd)
+    # the first two pivots are 1, the third 1 - 0.8^2 - 0.8^2 < 0
+    third = np.tile(np.eye(4), g.dims + (1, 1))
+    for i in (0, 1):
+        third[3, 1, 4, 1, i, 2] = third[3, 1, 4, 1, 2, i] = 0.8
+    with pytest.raises(ValueError, match=r"not positive definite at node \(3, 1, 4, 1\) "
+                                         r"\(lowest eigenvalue -1\.3"):
+        build_metric(g, third)
     for value in (np.nan, np.inf):
         finite = np.tile(np.eye(4), g.dims + (1, 1))
         finite[1, 2, 3, 4, 2, 2] = value
@@ -107,22 +114,23 @@ def test_metric_algebra_from_the_factor():
     assert rel_err(m.vol, np.sqrt(np.linalg.det(g))) < 1e-14
 
 
-def test_metric_is_factored_once(monkeypatch):
+def test_metric_is_factored_without_lapack(monkeypatch):
+    # the factor is the closed-form Cholesky on whole planes; every derived
+    # tensor is read off it, so no LAPACK factorisation runs anywhere
     grid, g = generic_metric(8)
-    factors = []
     cholesky = np.linalg.cholesky
 
-    def counted(a):
-        factors.append(cholesky(a))
-        return factors[-1]
+    def refused(a):
+        raise AssertionError("np.linalg.cholesky was called")
 
-    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    monkeypatch.setattr(np.linalg, "cholesky", refused)
     m = build_metric(grid, g)
     curvature_stack(m)
     for derived in (m.flux_weight, m.vol, m.sd_pairs, m.sd_connection):
         assert np.isfinite(derived).all()
-    assert len(factors) == 1
-    assert np.array_equal(m.coframe, _component_major(np.swapaxes(factors[0], -1, -2)))
+    e = _node_major(m.coframe)
+    assert rel_err(e, np.swapaxes(cholesky(g), -1, -2)) < 1e-15
+    assert np.array_equal(np.tril(e, -1), np.zeros(g.shape))
 
 
 def test_flat_metric_algebra_is_exact(m8):
@@ -302,7 +310,9 @@ def test_pair_operator_matches_textbook_chain_on_a_noncubic_grid():
     scal, wplus = textbook_curvature(g, grid.spacing)
     assert rel_err(cb.scalar.values, scal) < 1e-12
     assert rel_err(cb.wplus, wplus) < 1e-12
-    gam = np.stack([gam for _, _, gam, _ in _metric_slabs(m)], axis=2)
+    # Gamma^k_x = (e^-1 F)[k, x] from the frame symbols
+    gam = np.stack([np.einsum("ka...,ax...->kx...", einv, frame)
+                    for _, _, frame, einv in _metric_slabs(m)], axis=2)
     textbook = textbook_christoffel(g, grid.spacing)
     assert rel_err(_node_major(gam), textbook[..., _SYM_I, _SYM_J]) < 1e-13
 

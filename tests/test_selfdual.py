@@ -244,9 +244,24 @@ def generic8():
 
 def test_christoffel_matches_textbook(generic8):
     g, m = generic8
-    gam = np.stack([gam for _, _, gam, _ in _metric_slabs(m)], axis=2)
+    # Gamma^k_x = (e^-1 F)[k, x] from the frame symbols
+    gam = np.stack([np.einsum("ka...,ax...->kx...", einv, frame)
+                    for _, _, frame, einv in _metric_slabs(m)], axis=2)
     textbook = textbook_christoffel(g, m.grid.spacing)
     assert rel_err(_node_major(gam), textbook[..., _SYM_I, _SYM_J]) < 1e-13
+
+
+def test_frame_connection_matches_textbook(generic8):
+    # a_k = -<eta_a, w_k> / sqrt(2) with w_k = (e Gamma_k - d_k e) e^-1 on full
+    # index tensors: LAPACK's factor and inverse, the textbook Christoffel
+    # symbols, np.roll stencils and the eta basis of its own
+    g, m = generic8
+    e = np.swapaxes(np.linalg.cholesky(g), -1, -2)
+    gam = textbook_christoffel(g, m.grid.spacing)
+    de = np.stack([roll_d1(e, k, h) for k, h in enumerate(m.grid.spacing)], axis=-3)
+    w = (np.einsum("...am,...mki->...kai", e, gam) - de) @ np.linalg.inv(e)[..., None, :, :]
+    a = -np.einsum("aij,...kij->...ka", textbook_eta(), w) / np.sqrt(2.0)
+    assert rel_err(_node_major(m.sd_connection), a) < 1e-13
 
 
 def test_covariant_derivative_matches_textbook_chain(generic8):
