@@ -3,8 +3,8 @@
 Per node, the curvature is the symmetric 6x6 operator on stored 2-form pairs
 (`bases.PAIRS`), the block form of Singer and Thorpe (1969; Besse, Einstein
 Manifolds, 1987).  Its coordinate pair form r = R_{ij,kl} comes from periodic
-6th-order differences of the 10 stored components of g (see below for which
-run on the whole grid) plus Gamma_{p,jk} Gamma^p_il terms of the
+6th-order differences of the 10 stored components of g, taken one axis-0
+slab at a time (see below), plus Gamma_{p,jk} Gamma^p_il terms of the
 Christoffel symbols.  In the orthonormal coframe of the (upper-triangular)
 Cholesky factor e, e^T e = g, where the self-dual 2-forms have the constant
 basis eta_1..eta_3 of `bases`, the operator is L^T r L with
@@ -24,16 +24,19 @@ F = e^-T Gamma_lower, and e^-1, which both the pair form and
 `MetricField.sd_connection` read; no whole-grid array of any of them is
 kept.  F is the one form of the symbols either reader needs: e Gamma_k is
 F on the pairs (k, .), and Gamma_{p,x} Gamma^p_y is the Gram matrix F^T F.
-Only the stencils along axis 0, d1 and d2 of the 10 stored components of g,
-run on the whole grid; each slab's R, W+ and w are written into the
-whole-grid results.  The stencils along axes 1-3, e^-1, the Christoffel
-taps and F, the 55 entries x <= y of the symmetric 10x10 matrix M behind
-r, the pair form r, the projection weights, the eta-plus block B and the
-eigenvalue pass all run on the slab, whose arrays are 1/n0 the size of
-whole-grid ones.  A slab (c, n1, n2, n3) is differenced with the grid's own axis
-numbers and gets the bits of the same rows of the whole-grid call; a mixed
-derivative with axis 0 is d_b (d_0 g), since a slab has no axis 0 to
-difference along.
+No stencil runs on the whole grid: d1 and d2 along axis 0 of the slab's
+10 stored components of g come from `grid._slab_stencils`, which reads only
+the neighbouring slices of g.  The stencils along axes 1-3, e^-1, the
+Christoffel taps and F, the 55 entries x <= y of the symmetric 10x10 matrix
+M behind r, the pair form r, the projection weights, the eta-plus block B
+and the eigenvalue pass all run on the slab, whose arrays are 1/n0 the size
+of whole-grid ones, and each slab's R, W+ and w are written into the
+whole-grid results.  Besides g, the factor, the cached tensors and those
+results, no whole-grid array is formed.  A slab (c, n1, n2, n3) is
+differenced along axes 1-3 with the grid's own axis numbers and gets the
+bits of the same rows of the whole-grid call; its axis-0 rows agree with
+the whole-grid ones to roundoff.  A mixed derivative with axis 0 is
+d_b (d_0 g), since a slab has no axis 0 to difference along.
 
 `build_metric` converts g once to the component-major layout of `grid`
 and factors it once, by the closed-form 4x4 Cholesky on whole planes
@@ -75,7 +78,7 @@ from functools import cached_property
 import numpy as np
 
 from .bases import H_PLUS, PAIRS
-from .grid import GridSpec, ScalarField, _freeze, _worst_node, d1, d2
+from .grid import GridSpec, ScalarField, _freeze, _slab_stencils, _worst_node, d1, d2
 
 __all__ = [
     "MetricField",
@@ -94,6 +97,9 @@ _A_WEIGHTS = H_PLUS.T / -np.sqrt(2.0)
 _SYM_I, _SYM_J = np.triu_indices(4)
 _SYM_INDEX = np.empty((4, 4), dtype=int)
 _SYM_INDEX[_SYM_I, _SYM_J] = _SYM_INDEX[_SYM_J, _SYM_I] = range(10)
+# the same pairs as indices of a (16, dims) view of a 4x4 field: g's stored
+# components, and the upper entries of the factor, whose others are zeros
+_SYM_FLAT = 4 * _SYM_I + _SYM_J
 # the symmetric M[x, y] is stored as its 55 entries x <= y, row by row; entry
 # (x, y) of either triangle is _TRI[x, y], so row x is _TRI[x, x] onwards
 _TRI_X, _TRI_Y = np.triu_indices(10)
@@ -156,19 +162,23 @@ class MetricField:
         Levi-Civita connection w_k = (e Gamma_k - d_k e) e^-1 in the Cholesky
         frame.  Gamma_k is the 4x4 matrix [m, i] = Gamma^m_ki, so e Gamma_k
         is the frame Christoffel symbols F[:, x] on the symmetric pairs
-        x = (k, i), and d_k e is the difference of the factor along axis k.
-        Both run one axis-0 slab at a time (`_metric_slabs`); only d_0 e runs
-        on the whole grid.
+        x = (k, i), and d_k e is the difference of the factor along axis k,
+        taken on its 10 upper entries only: the strict lower triangle is
+        exact zeros.  Both run one axis-0 slab at a time (`_metric_slabs`),
+        d_0 e by `grid._slab_stencils` from the neighbouring slices of the
+        factor, so no whole-grid array is formed but the result.
         """
-        e = self.coframe
-        de0 = d1(e, 0, self.grid.spacing[0])
+        hs = self.grid.spacing
+        e16 = self.coframe.reshape((16,) + self.grid.dims)
         out = np.empty((4, 3) + self.grid.dims)
-        for i, (_, _, frame, einv) in enumerate(_metric_slabs(self)):
-            # axis by axis on a slab copied once, never a (4,4,4,slab) d e
-            ei = np.ascontiguousarray(e[:, :, i])
-            for k, h in enumerate(self.grid.spacing):
+        for i, (*_, frame, einv) in enumerate(_metric_slabs(self)):
+            # axis by axis on the slab's upper entries, gathered once, never
+            # a (4,4,4,slab) d e
+            ei = e16[_SYM_FLAT, i]
+            de0 = _slab_stencils(e16, i, hs[0], _SYM_FLAT)[0]
+            for k, h in enumerate(hs):
                 w = frame[:, _SYM_INDEX[k]]
-                w -= de0[:, :, i] if k == 0 else d1(ei, k, h)
+                w[_SYM_I, _SYM_J] -= de0 if k == 0 else d1(ei, k, h)
                 w = np.einsum("ai...,ib...->ab...", w, einv)
                 np.einsum("p...,pa->a...", w[_PAIR_I, _PAIR_J] - w[_PAIR_J, _PAIR_I],
                           _A_WEIGHTS, out=out[k, :, i])
@@ -213,12 +223,17 @@ class CurvatureBundle:
     """Scalar curvature, self-dual Weyl matrix field and its lowest eigenvalue."""
 
     def __init__(self, scalar: ScalarField, wplus: np.ndarray, w: ScalarField):
-        wmax = float(np.max(np.abs(wplus)))
-        if np.max(np.abs(wplus - np.swapaxes(wplus, -1, -2))) > 1e-8 * max(1.0, wmax):
+        # every check reads wplus one (i, j) plane at a time, so no whole
+        # (dims, 3, 3) temporary is made
+        wmax = float(max(np.max(wplus), -np.min(wplus)))
+        asym = np.max([np.max(np.abs(wplus[..., i, j] - wplus[..., j, i]))
+                       for i, j in ((0, 1), (0, 2), (1, 2))])
+        if asym > 1e-8 * max(1.0, wmax):
             raise ValueError("wplus storage is not symmetric")
         # W+ = B - R/12: its trace and lowest eigenvalue carry the roundoff of R
         tol = 1e-8 * max(1.0, float(np.max(np.abs(scalar.values))), wmax)
-        if np.max(np.abs(np.trace(wplus, axis1=-2, axis2=-1))) > tol:
+        trace = wplus[..., 0, 0] + wplus[..., 1, 1] + wplus[..., 2, 2]
+        if np.max(np.abs(trace)) > tol:
             raise ValueError("wplus storage is not trace-free")
         if np.max(w.values) > tol:
             raise ValueError("lowest Weyl eigenvalue came out positive")
@@ -292,26 +307,26 @@ def _upper_factor(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _metric_slabs(m: MetricField) -> Iterator[tuple[np.ndarray, ...]]:
     """Per axis-0 slab, in axis-0 order: the slab's 10 stored components of
     g, g10[x, ...] on the symmetric pairs x = _SYM_INDEX[i, j], their first
-    derivatives dg[k, x, ...] along all four axes, the frame Christoffel
-    symbols on those pairs, F[a, x, ...] = (e^-T Gamma_lower)[a, x], and the
-    slab's e^-1, einv[i, a, ...].
+    derivatives dg[k, x, ...] along all four axes and their second
+    derivative along axis 0, the frame Christoffel symbols on those pairs,
+    F[a, x, ...] = (e^-T Gamma_lower)[a, x], and the slab's e^-1,
+    einv[i, a, ...].
 
     dg gives the first-kind symbols Gamma_lower[l, x] = Gamma_{l,ij} by flat
     taps.  F is what both readers need: e Gamma_k = F[:, (k, .)] in the frame
     connection, and Gamma_{p,x} Gamma^p_y = sum_a F[a, x] F[a, y] in the pair
-    form, since g^-1 = e^-1 e^-T; Gamma^k_x itself is e^-1 F.  Only the axis-0
-    stencil runs on the whole grid; the axis 1-3 stencils, e^-1, the taps
-    and F run on the slab.
+    form, since g^-1 = e^-1 e^-T; Gamma^k_x itself is e^-1 F.  The slab's 10
+    components are gathered from g, and both axis-0 stencils come from
+    `grid._slab_stencils`, which reads only the neighbouring slices of g;
+    the axis 1-3 stencils, e^-1, the taps and F run on the slab, so no
+    whole-grid array is formed.
     """
     hs = m.grid.spacing
-    g10 = m.g[_SYM_I, _SYM_J]
-    d0 = d1(g10, 0, hs[0])
+    g16 = m.g.reshape((16,) + m.grid.dims)
     for i in range(m.grid.dims[0]):
-        # the slab is copied once, where a strided view would be copied by
-        # each stencil along axes 2 and 3
-        g10i = np.ascontiguousarray(g10[:, i])
+        g10i = g16[_SYM_FLAT, i]
         dg = np.empty((4,) + g10i.shape)
-        dg[0] = d0[:, i]
+        dg[0], dd0 = _slab_stencils(g16, i, hs[0], _SYM_FLAT)
         for k in (1, 2, 3):
             d1(g10i, k, hs[k], out=dg[k])
         flat = dg.reshape((40,) + dg.shape[2:])
@@ -320,7 +335,7 @@ def _metric_slabs(m: MetricField) -> Iterator[tuple[np.ndarray, ...]]:
         first -= flat[_TAP_DL]
         first *= 0.5
         einv = _inverse_coframe(m.coframe[:, :, i])
-        yield g10i, dg, np.einsum("la...,lx...->ax...", einv, first), einv
+        yield g10i, dg, dd0, np.einsum("la...,lx...->ax...", einv, first), einv
 
 
 def _pair_riemann(m: MetricField) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -331,15 +346,14 @@ def _pair_riemann(m: MetricField) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     M[x, y] = (d_x g_y + d_y g_x) / 2 + Gamma_{p,x} Gamma^p_y and d_x is the
     second derivative along the axis pair x.  The first derivatives and the
     frame symbols F, whose Gram matrix F^T F is the Gamma Gamma term, come
-    from `_metric_slabs`; d2 along axis 0 runs on the whole grid, everything
-    else per slab, the mixed derivatives with axis 0 as d_b (d_0 g).  M is
+    from `_metric_slabs`, with d2 along axis 0; everything else runs per
+    slab, the mixed derivatives with axis 0 as d_b (d_0 g).  M is
     symmetric, so only its 55 entries x <= y are formed (`_TRI`): the Gram
     matrix one row at a time, then d_x g_y / 2 added to entry (x, y) for
     every y, and both halves, d_x g_x, to the diagonal entry (x, x).
     """
     hs = m.grid.spacing
-    dd0 = d2(m.g[_SYM_I, _SYM_J], 0, hs[0])
-    for i, (g10i, dg, frame, einv) in enumerate(_metric_slabs(m)):
+    for g10i, dg, dd0, frame, einv in _metric_slabs(m):
         mm = np.empty((55,) + frame.shape[2:])
         for x in range(10):
             row = mm[_TRI[x, x]:_TRI[x, 9] + 1]
@@ -347,7 +361,7 @@ def _pair_riemann(m: MetricField) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         for b in range(4):
             for a in range(b + 1):
                 if a == b:
-                    ddg = d2(g10i, a, hs[a]) if a > 0 else dd0[:, i]
+                    ddg = d2(g10i, a, hs[a]) if a > 0 else dd0
                 else:
                     # a slab has no axis 0 to difference along: d_b (d_0 g)
                     ddg = d1(dg[b], a, hs[a]) if a > 0 else d1(dg[0], b, hs[b])

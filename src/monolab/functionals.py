@@ -33,6 +33,7 @@ from .grid import _component_major, _worst_node, integrate
 from .rayleigh import (
     KField,
     ThetaField,
+    _comp_norm2,
     _curvature_weight,
     _modulus_term,
     _quadratic_energy,
@@ -485,7 +486,7 @@ def key_inequality_check(cfg: MonopoleConfig, theta: ThetaField) -> InequalityRe
     sigma = sigma_map(cfg.phi)
     comps = sigma.comps
     cm = _component_major(comps)
-    lhs = _quadratic_energy(cm, theta, m) + _modulus_term(cm, m, 0.0)[0]
+    lhs = _quadratic_energy(cm, theta, m) + _modulus_term(cm, _comp_norm2(cm), m, 0.0)[0]
 
     weight = (
         _curvature_weight(cfg.curv.scalar.values, cfg.curv.w.values, theta.s**2)

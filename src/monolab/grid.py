@@ -7,7 +7,9 @@ applied as one cached dense periodic circulant per axis (a matrix product
 along that axis).  They are exactly zero on fields constant along the
 axis, the first-derivative matrix is exactly antisymmetric (summation by
 parts holds to machine precision under plain sums), and they commute
-across axes.  Quadrature is the metric-weighted Riemann sum
+across axes.  Code that works one axis-0 slab at a time takes the axis-0
+rows of d1 and d2 from `_slab_stencils`, which reads only the slab's
+neighbouring slices.  Quadrature is the metric-weighted Riemann sum
 sum_p f(p) vol(p) prod_i h_i, which is spectrally accurate for smooth
 periodic integrands.
 
@@ -272,6 +274,32 @@ def _stencil_along(stencil: str, values: np.ndarray, axis: int, h: float,
         else:
             np.matmul(D, shifted, out=o.reshape(x.shape))
     return out
+
+
+def _slab_stencils(values: np.ndarray, i: int, h: float, rows) -> np.ndarray:
+    """d1 and d2 along grid axis 0 of the components `rows` of a
+    component-major (c, n0, n1, n2, n3) array at the one axis-0 index i,
+    stacked as (2, len(rows), n1, n2, n3).
+
+    Row i of a circulant D applied to x is sum_{j != i} D[i, j] (x_j - x_i),
+    since each row of a stencil sums to zero: the slices j where row i of
+    either stencil is nonzero are gathered once, x_i is subtracted, and
+    both rows are one (2, columns) @ (columns, rest) product.  Only those
+    neighbouring slices are read, never a whole-grid copy.  The result is
+    exactly zero on fields constant along axis 0, and for n0 < 7 the
+    circulant's own entries sum the offsets that wrap onto one column.  It
+    agrees with the same rows of the whole-grid `d1` and `d2` to roundoff,
+    not in bits.
+    """
+    n = values.shape[1]
+    weights = np.stack([_circulant(s, n, float(h))[i] for s in ("d1", "d2")])
+    cols = np.flatnonzero(weights.any(axis=0) & (np.arange(n) != i))
+    rows = np.asarray(rows)
+    # (columns, rows, n1, n2, n3): each neighbour's slices minus slice i
+    diff = values[rows[None, :], cols[:, None]]
+    diff -= values[rows, i]
+    both = np.matmul(weights[:, cols], diff.reshape(len(cols), -1))
+    return both.reshape((2,) + diff.shape[1:])
 
 
 def d1(values: np.ndarray, axis: int, h: float, out: np.ndarray | None = None,

@@ -52,6 +52,7 @@ def load_fields(path) -> tuple[GridSpec, dict[str, np.ndarray], dict]:
         grid = GridSpec(tuple(manifest["dims"]), tuple(manifest["periods"]))
         arrays = {}
         for name in manifest["arrays"]:
-            buf = _io.BytesIO(zf.read(name + ".npy"))
-            arrays[name] = np.lib.format.read_array(buf)
+            # read from the member's stream, with no whole-member bytes copy
+            with zf.open(name + ".npy") as member:
+                arrays[name] = np.lib.format.read_array(member)
     return grid, arrays, manifest.get("meta", {})

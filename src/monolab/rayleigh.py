@@ -192,12 +192,15 @@ def _bnorm(v: np.ndarray, bw: np.ndarray) -> float:
 def _apply_quadratic(comps: np.ndarray, theta: ThetaField, m: MetricField) -> np.ndarray:
     """A sigma for the quotient's quadratic part <sigma, A sigma> =
     ||(d+d*)(s sigma)||^2 + ||nabla(c sigma)||^2 (plain sum, A symmetric):
-    the two energies' transpose chains, without their sums."""
+    the two energies' transpose chains, without their sums.  Each energy's
+    gradient is twice its chain times the cell volume, and A sigma is half
+    the sum, so the chains are scaled by the cell volume alone."""
     cell = m.grid.cell_volume
     g1 = _hodge_transpose(_hodge_forward(theta.s * comps, m)[1], m)
-    g1 *= 2.0 * cell
-    g2 = _nabla_T(_dirichlet_forward(theta.c * comps, m)[1], m) * (2.0 * cell)
-    return 0.5 * (theta.s * g1 + theta.c * g2)
+    g1 *= cell
+    g2 = _nabla_T(_dirichlet_forward(theta.c * comps, m)[1], m)
+    g2 *= cell
+    return theta.s * g1 + theta.c * g2
 
 
 def _quadratic_energy(comps: np.ndarray, theta: ThetaField, m: MetricField) -> float:
@@ -209,11 +212,12 @@ def _quadratic_energy(comps: np.ndarray, theta: ThetaField, m: MetricField) -> f
     return energy + float(np.sum(nab * flux)) * cell
 
 
-def _modulus_term(comps: np.ndarray, m: MetricField, eps: float):
-    """The quotient's smoothed term 2 ||nabla|sigma|_eps||^2 and a function
-    that forms its gradient in the components from this evaluation's arrays."""
+def _modulus_term(comps: np.ndarray, norm2: np.ndarray, m: MetricField, eps: float):
+    """The quotient's smoothed term 2 ||nabla|sigma|_eps||^2, given
+    norm2 = |sigma|^2, and a function that forms its gradient in the
+    components from this evaluation's arrays."""
     grid = m.grid
-    r = np.sqrt(_comp_norm2(comps) + eps * eps)
+    r = np.sqrt(norm2 + eps * eps)
     # integral |d rho|^2 dmu for rho = |sigma|_eps, through the flux vol g^-1 d rho
     drho = _gradient(r - eps, grid)
     flux = _flux(drho, m)
@@ -228,12 +232,13 @@ def _modulus_term(comps: np.ndarray, m: MetricField, eps: float):
     return 2.0 * e3, grad
 
 
-def _numerator(comps: np.ndarray, a_comps: np.ndarray, m: MetricField, eps: float):
+def _numerator(comps: np.ndarray, a_comps: np.ndarray, norm2: np.ndarray, m: MetricField,
+               eps: float):
     """The quotient's numerator <sigma, A sigma> + 2 ||nabla|sigma|_eps||^2,
-    given a_comps = A sigma, and a function that forms its gradient in the
-    components from this evaluation's arrays.  An evaluation whose gradient
-    is never asked for skips the transpose chain."""
-    smooth, grad_smooth = _modulus_term(comps, m, eps)
+    given a_comps = A sigma and norm2 = |sigma|^2, and a function that forms
+    its gradient in the components from this evaluation's arrays.  An
+    evaluation whose gradient is never asked for skips the transpose chain."""
+    smooth, grad_smooth = _modulus_term(comps, norm2, m, eps)
     num = float(np.sum(comps * a_comps)) + smooth
 
     def grad() -> np.ndarray:
@@ -242,11 +247,14 @@ def _numerator(comps: np.ndarray, a_comps: np.ndarray, m: MetricField, eps: floa
     return num, grad
 
 
-def _quotient(comps: np.ndarray, a_comps: np.ndarray, m: MetricField, eps: float):
-    """The quotient at comps and a function that forms its gradient there."""
-    bw = m.vol * m.grid.cell_volume
-    num, grad_num = _numerator(comps, a_comps, m, eps)
-    den = float(np.sum(_comp_norm2(comps) * bw))
+def _quotient(comps: np.ndarray, a_comps: np.ndarray, m: MetricField, eps: float,
+              bw: np.ndarray):
+    """The quotient at comps and a function that forms its gradient there,
+    with bw = vol h^4; |sigma|^2 is formed once, for the numerator's modulus
+    term and the denominator."""
+    norm2 = _comp_norm2(comps)
+    num, grad_num = _numerator(comps, a_comps, norm2, m, eps)
+    den = float(np.sum(norm2 * bw))
     q = num / den
 
     def grad() -> np.ndarray:
@@ -264,7 +272,8 @@ def rayleigh_quotient(
     if not np.any(sigma.comps):
         raise ValueError("the quotient is undefined at sigma = 0")
     comps = _component_major(sigma.comps)
-    q, _ = _quotient(comps, _apply_quadratic(comps, theta, m), m, eps_smooth)
+    q, _ = _quotient(comps, _apply_quadratic(comps, theta, m), m, eps_smooth,
+                     m.vol * m.grid.cell_volume)
     return q
 
 
@@ -368,7 +377,7 @@ def _trial(x, ax, p, ap, alpha, m, eps, bw):
     nrm = _bnorm(xn, bw)
     xn /= nrm
     axn = (ax + alpha * ap) / nrm
-    q, grad = _quotient(xn, axn, m, eps)
+    q, grad = _quotient(xn, axn, m, eps, bw)
     return q, xn, axn, grad
 
 
@@ -403,7 +412,7 @@ def _stage(x, ax, theta, m, eps, bw, symbol, max_iter, tol, scale):
 
     nrm = _bnorm(x, bw)
     x, ax = x / nrm, ax / nrm
-    q, grad = _quotient(x, ax, m, eps)
+    q, grad = _quotient(x, ax, m, eps, bw)
     g = grad()
     evals = 1
     applies = 0
@@ -530,7 +539,7 @@ def minimize_lambda(
         sigma = SelfDualField(grid, _node_major(x))
         eps_last = opts.epsilons[-1]
         eps_final = 0.0 if float(np.min(sigma.norm())) > 10.0 * eps_last else eps_last
-        lam, _ = _quotient(x, _apply_quadratic(x, theta, m), m, eps_final)
+        lam, _ = _quotient(x, _apply_quadratic(x, theta, m), m, eps_final, bw)
         start_values.append(lam)
         start_evals.append(run_evals)
         start_converged.append(run_converged)

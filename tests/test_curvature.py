@@ -18,6 +18,7 @@ from monolab.curvature import (
     build_metric,
     curvature_stack,
 )
+import monolab.grid as grid_module
 from monolab.grid import GridSpec, ScalarField, _component_major, _node_major, d1, d2, integrate
 from monolab.presets import metric_from_preset, random_smooth_scalar, theta_from_preset
 from monolab.rayleigh import LambdaOptions, minimize_lambda
@@ -190,6 +191,41 @@ def test_bundle_rejects_bad_weyl_storage(grid8):
         CurvatureBundle(zeros, np.zeros(g.dims + (3, 3)), wpos)
 
 
+@pytest.mark.parametrize("i, j", [(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)])
+def test_bundle_rejects_asymmetry_in_any_off_diagonal_pair(grid8, i, j):
+    zeros = ScalarField(grid8, np.zeros(grid8.dims))
+    wbad = np.zeros(grid8.dims + (3, 3))
+    wbad[2, 3, 4, 5, i, j] = 1e-6
+    with pytest.raises(ValueError, match="not symmetric"):
+        CurvatureBundle(zeros, wbad, zeros)
+    wbad[2, 3, 4, 5, j, i] = 1e-6
+    CurvatureBundle(zeros, wbad, zeros)
+
+
+@pytest.mark.parametrize("a", range(3))
+def test_bundle_rejects_a_trace_on_any_diagonal_entry(grid8, a):
+    zeros = ScalarField(grid8, np.zeros(grid8.dims))
+    wbad = np.zeros(grid8.dims + (3, 3))
+    wbad[2, 3, 4, 5, a, a] = 1e-6
+    with pytest.raises(ValueError, match="trace-free"):
+        CurvatureBundle(zeros, wbad, zeros)
+    wbad[2, 3, 4, 5, a - 1, a - 1] = -1e-6
+    CurvatureBundle(zeros, wbad, zeros)
+
+
+def test_bundle_checks_make_no_whole_weyl_temporary(curv8_conf):
+    # the checks read W+ one (i, j) plane at a time: a few whole-grid
+    # doubles per node, where one (dims, 3, 3) temporary is 9
+    curv, grid = curv8_conf, curv8_conf.scalar.grid
+    tracemalloc.start()
+    try:
+        CurvatureBundle(curv.scalar, curv.wplus, curv.w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < grid.node_count * 4 * 8
+
+
 @pytest.mark.parametrize("n, expr", [(8, "4*sin(x0)"), (16, "8*sin(x0)")])
 def test_bundle_checks_scale_with_the_scalar_curvature(n, expr):
     # W+ = B - R/12 is 0 in the continuum, but its trace and w carry the
@@ -312,7 +348,7 @@ def test_pair_operator_matches_textbook_chain_on_a_noncubic_grid():
     assert rel_err(cb.wplus, wplus) < 1e-12
     # Gamma^k_x = (e^-1 F)[k, x] from the frame symbols
     gam = np.stack([np.einsum("ka...,ax...->kx...", einv, frame)
-                    for _, _, frame, einv in _metric_slabs(m)], axis=2)
+                    for *_, frame, einv in _metric_slabs(m)], axis=2)
     textbook = textbook_christoffel(g, grid.spacing)
     assert rel_err(_node_major(gam), textbook[..., _SYM_I, _SYM_J]) < 1e-13
 
@@ -347,21 +383,41 @@ def test_stack_builds_no_whole_grid_matrix_field():
     assert peak < grid.node_count * 100 * 8
 
 
-def test_cold_stack_differences_g_along_axis_0_once(monkeypatch):
-    # the first derivatives of g feed both the Christoffel symbols and the
-    # pair form; the whole-grid axis-0 stencil of its 10 stored components
-    # is the one that costs a (dims,10) array
-    grid, g = generic_metric(8)
+def test_stack_peak_at_16_stays_near_its_outputs():
+    # R, W+ and w are 11 whole-grid doubles per node; the per-slab work and
+    # the bundle's checks add the rest.  Measured 38.7 doubles per node; the
+    # whole-grid axis-0 stencils of g and the (dims, 3, 3) check temporaries
+    # made it 66.1
+    grid, g = generic_metric(16)
     m = build_metric(grid, g)
-    calls = []
+    tracemalloc.start()
+    try:
+        curvature_stack(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < grid.node_count * 44 * 8
 
-    def counted(values, axis, h, out=None):
-        calls.append((values.shape, axis))
-        return d1(values, axis, h, out=out)
 
-    monkeypatch.setattr("monolab.curvature.d1", counted)
+def test_cold_stack_runs_no_whole_grid_stencil(monkeypatch):
+    # the stack and the frame connection difference g and the factor one
+    # axis-0 slab at a time, axis 0 included: no stencil sees a whole-grid
+    # (10,) + dims or (4, 4) + dims array, nor any other
+    grid, g = generic_metric(**NONCUBIC)
+    m = build_metric(grid, g)
+    shapes = []
+    stencil_along = grid_module._stencil_along
+
+    def recorded(stencil, values, axis, h, out, rows=None):
+        shapes.append(values.shape)
+        return stencil_along(stencil, values, axis, h, out, rows)
+
+    monkeypatch.setattr(grid_module, "_stencil_along", recorded)
     curvature_stack(m)
-    assert calls.count(((10,) + grid.dims, 0)) == 1
+    m.sd_connection
+    assert shapes
+    assert not any(s[-4:] == grid.dims for s in shapes)
+    assert set(shapes) == {(10,) + grid.dims[1:]}
 
 
 # full antisymmetric components of the stored pairs: X2[p, i, j]

@@ -11,6 +11,7 @@ from monolab.grid import (
     _gradient_T,
     _node_major,
     _real_fourier,
+    _slab_stencils,
     _stencil_symbol2,
     d1,
     d2,
@@ -173,7 +174,8 @@ def test_d1_plain_sum_adjoint(dims, periods, tail):
         assert abs(lhs - rhs) <= 1e-12 * np.sum(np.abs(d1(f, axis, h) * w))
 
 
-@pytest.mark.parametrize("tail, rows", [((6,), [0, 2, 5]), ((4, 3), [3, 0, 1])])
+@pytest.mark.parametrize("tail, rows", [((6,), [0, 2, 5]), ((4, 3), [3, 0, 1]),
+                                        ((6,), [1, 2, 3, 5, 4, 0, 1])])
 def test_d1_rows_match_the_gathered_call(tail, rows):
     # the bits of d1(f[rows]) on the whole grid and on an axis-0 slab
     g = GridSpec((8, 8, 16, 8), (TWO_PI, 3.0, 2 * TWO_PI, 5.0))
@@ -183,6 +185,34 @@ def test_d1_rows_match_the_gathered_call(tail, rows):
         assert np.array_equal(d1(f, axis, h, rows=rows), d1(f[rows], axis, h))
         if axis:
             assert np.array_equal(d1(slab, axis, h, rows=rows), d1(slab[rows], axis, h))
+
+
+# n0 from below the stencil's width, where offsets wrap onto one column, up
+# to a full row, and a non-cubic grid
+SLAB_GRIDS = [GridSpec((n0, 5, 6, 4), (TWO_PI, 3.0, 7.0, 5.0)) for n0 in (4, 5, 6, 7, 8)] + [
+    GridSpec((8, 9, 10, 12), (6.0, 7.0, 5.5, 8.0))]
+
+
+@pytest.mark.parametrize("g", SLAB_GRIDS, ids=lambda g: "x".join(map(str, g.dims)))
+def test_axis0_slab_stencils_match_the_whole_grid_rows(g):
+    f = np.random.default_rng(13).standard_normal((12,) + g.dims)
+    h = g.spacing[0]
+    whole = np.stack([d1(f, 0, h), d2(f, 0, h)])
+    for i in range(g.dims[0]):
+        for rows in (range(12), [5, 6, 7, 0]):
+            slab = _slab_stencils(f, i, h, rows)
+            ref = whole[:, rows, i]
+            assert slab.shape == ref.shape
+            assert np.max(np.abs(slab - ref)) <= 1e-14 * np.max(np.abs(whole))
+
+
+@pytest.mark.parametrize("g", SLAB_GRIDS, ids=lambda g: "x".join(map(str, g.dims)))
+def test_axis0_slab_stencils_are_exactly_zero_on_fields_constant_along_axis_0(g):
+    rng = np.random.default_rng(14)
+    f = np.broadcast_to(rng.standard_normal((3, 1) + g.dims[1:]), (3,) + g.dims).copy()
+    f += 1e3  # far from 0: only subtracting x_i makes the rows exactly 0
+    for i in range(g.dims[0]):
+        assert np.all(_slab_stencils(f, i, g.spacing[0], [2, 0]) == 0.0)
 
 
 @pytest.mark.parametrize("dims, periods, tail", KERNEL_CASES)
