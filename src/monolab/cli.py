@@ -33,7 +33,7 @@ import numpy as np
 
 from .curvature import curvature_stack
 from .grid import GridSpec, integrate
-from .io import save_fields
+from .io import _node_major, save_fields
 from .presets import (
     PresetError,
     metric_from_preset,
@@ -303,11 +303,11 @@ def _random_pair(grid, seed, amplitude):
     from .spinc import SpinorField, U1Connection
 
     rng = np.random.default_rng(seed)
-    a = np.stack([random_smooth_scalar(grid, rng, 1, amplitude) for _ in range(4)], axis=-1)
-    phi = np.empty(grid.dims + (2,), dtype=complex)
-    phi[..., 0] = 1.0 + random_smooth_scalar(grid, rng, 1, amplitude) \
+    a = np.stack([random_smooth_scalar(grid, rng, 1, amplitude) for _ in range(4)])
+    phi = np.empty((2,) + grid.dims, dtype=complex)
+    phi[0] = 1.0 + random_smooth_scalar(grid, rng, 1, amplitude) \
         + 1j * random_smooth_scalar(grid, rng, 1, amplitude)
-    phi[..., 1] = 0.4 + random_smooth_scalar(grid, rng, 1, amplitude) \
+    phi[1] = 0.4 + random_smooth_scalar(grid, rng, 1, amplitude) \
         + 1j * random_smooth_scalar(grid, rng, 1, amplitude)
     return U1Connection(grid, a), SpinorField(grid, phi)
 
@@ -316,8 +316,8 @@ def _random_selfdual(grid, seed, amplitude, offset):
     from .selfdual import SelfDualField
 
     rng = np.random.default_rng(seed)
-    comps = np.stack([random_smooth_scalar(grid, rng, 1, amplitude) for _ in range(3)], axis=-1)
-    return SelfDualField(grid, comps + np.array(offset))
+    comps = np.stack([random_smooth_scalar(grid, rng, 1, amplitude) + o for o in offset])
+    return SelfDualField(grid, comps)
 
 
 def _weight(args):
@@ -383,7 +383,7 @@ def _run_hodge(args):
     grid, m = _geometry(args)
     curv = curvature_stack(m)
     basis = harmonic_selfdual_basis(m)
-    gram = np.array([[integrate(np.sum(a.comps * b.comps, -1), m) for b in basis]
+    gram = np.array([[integrate(np.sum(a.comps * b.comps, 0), m) for b in basis]
                      for a in basis])
     sigma = _random_selfdual(grid, args.seed, 0.3, [1.0, 0.0, 0.0])
     outputs = {
@@ -394,7 +394,7 @@ def _run_hodge(args):
     }
     if args.dump:
         save_fields(args.dump, grid,
-                    {f"h{i}": b.comps for i, b in enumerate(basis)})
+                    {f"h{i}": _node_major(b.comps) for i, b in enumerate(basis)})
     return outputs
 
 
@@ -408,7 +408,7 @@ def _run_dirac_check(args):
     model = CliffordModel()
     ident = {k: float(v) for k, v in model.identity_residuals().items()}
     sig = sigma_map(phi)
-    sig_err = float(np.max(np.abs(np.sum(sig.comps**2, -1) - phi.norm2() ** 2 / 8.0)))
+    sig_err = float(np.max(np.abs(np.sum(sig.comps**2, 0) - phi.norm2() ** 2 / 8.0)))
     return {
         "weitzenboeck": {"lhs": lhs, "rhs": rhs, "residual": residual},
         "log_kato_min_margin": kato,
@@ -442,7 +442,7 @@ def _run_lambda(args):
         "operator_applies": res.operator_applies,
     }
     if args.dump:
-        save_fields(args.dump, grid, {"minimizer": res.minimizer.comps})
+        save_fields(args.dump, grid, {"minimizer": _node_major(res.minimizer.comps)})
     return outputs
 
 
@@ -460,7 +460,7 @@ def _run_psw(args):
         "sigma_sup": float(np.max(sigma_map(cfg.phi).norm())),
     }
     if args.dump:
-        save_fields(args.dump, grid, {"r2": res.r2.comps})
+        save_fields(args.dump, grid, {"r2": _node_major(res.r2.comps)})
     return outputs
 
 

@@ -38,19 +38,17 @@ bits of the same rows of the whole-grid call; its axis-0 rows agree with
 the whole-grid ones to roundoff.  A mixed derivative with axis 0 is
 d_b (d_0 g), since a slab has no axis 0 to difference along.
 
-`build_metric` converts g once to the component-major layout of `grid`
-and factors it once, by the closed-form 4x4 Cholesky on whole planes
-(`_upper_factor`, no LAPACK); the factor is `MetricField.coframe`.  The
-volume factor vol = e_00 e_11 e_22 e_33, the inverse coframe e^-1 (back
-substitution) and g^-1 = e^-1 e^-T are read off its 10 entries, with no
-LAPACK inverse or determinant.  Every metric tensor is stored
-component-major: components first, grid axes last, as in g[i, j, ...] and
-sd_connection[k, a, ...]; a slab drops the axis-0 index, as in
-F[a, x, n1, n2, n3].  A stencil is then one matrix product and each
-per-node product a two-operand einsum over the trailing node axes (see
-`_bilinear` for why two).  The one node-major result is
-`CurvatureBundle.wplus`, converted slab by slab for the eigenvalue pass,
-which needs that layout.
+`build_metric` copies g once and factors it once, by the closed-form 4x4
+Cholesky on whole planes (`_upper_factor`, no LAPACK); the factor is
+`MetricField.coframe`.  The volume factor vol = e_00 e_11 e_22 e_33, the
+inverse coframe e^-1 (back substitution) and g^-1 = e^-1 e^-T are read off
+its 10 entries, with no LAPACK inverse or determinant.  Every tensor here
+has the one in-memory layout of `grid`: components first, grid axes last,
+as in g[i, j, ...], sd_connection[k, a, ...] and `CurvatureBundle.wplus`
+[a, b, ...]; a slab drops the axis-0 index, as in F[a, x, n1, n2, n3].  A
+stencil is then one matrix product and each per-node product a two-operand
+einsum over the trailing node axes (see `_bilinear` for why two).  Only
+the eigenvalue pass reads W+ node-major, one slab's view at a time.
 
 Stored pairs and per-node Lambda^2 matrices are the only 2-form
 representation.  `MetricField` caches only what every application of the
@@ -120,7 +118,7 @@ class MetricField:
     """Sampled Riemannian metric with lazily cached derived geometry.
 
     Made only by `build_metric`, which hands over g and the closed-form
-    Cholesky factor it checked g with as `coframe`, both component-major.  The derived
+    Cholesky factor it checked g with as `coframe`.  The derived
     tensors every application of the lambda operator reads are computed
     from them once on first use and cached; e^-1, g^-1 and the projection
     weights are not kept.  Every array has its components first and the
@@ -207,7 +205,7 @@ class MetricField:
 
 
 def _bilinear(x: np.ndarray, a: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Nodewise x[..., i] a[..., i, j] y[..., j]; `a` may be one constant matrix.
+    """Nodewise x[i, ...] a[i, j, ...] y[j, ...]; `a` may be one constant matrix.
 
     One pair of operands per einsum, unoptimised: an optimised einsum over
     three operands names the "..." axes with letters drawn from a set, so its
@@ -216,23 +214,24 @@ def _bilinear(x: np.ndarray, a: np.ndarray, y: np.ndarray) -> np.ndarray:
     has no order to choose, and `optimize` would only plan it again on every
     call.
     """
-    return np.einsum("...i,...i->...", x, np.einsum("...ij,...j->...i", a, y))
+    return np.einsum("i...,i...->...", x, np.einsum("ij...,j...->i...", a, y))
 
 
 class CurvatureBundle:
-    """Scalar curvature, self-dual Weyl matrix field and its lowest eigenvalue."""
+    """Scalar curvature, self-dual Weyl matrix field wplus[a, b, ...] and its
+    lowest eigenvalue."""
 
     def __init__(self, scalar: ScalarField, wplus: np.ndarray, w: ScalarField):
         # every check reads wplus one (i, j) plane at a time, so no whole
-        # (dims, 3, 3) temporary is made
+        # (3, 3, dims) temporary is made
         wmax = float(max(np.max(wplus), -np.min(wplus)))
-        asym = np.max([np.max(np.abs(wplus[..., i, j] - wplus[..., j, i]))
+        asym = np.max([np.max(np.abs(wplus[i, j] - wplus[j, i]))
                        for i, j in ((0, 1), (0, 2), (1, 2))])
         if asym > 1e-8 * max(1.0, wmax):
             raise ValueError("wplus storage is not symmetric")
         # W+ = B - R/12: its trace and lowest eigenvalue carry the roundoff of R
         tol = 1e-8 * max(1.0, float(np.max(np.abs(scalar.values))), wmax)
-        trace = wplus[..., 0, 0] + wplus[..., 1, 1] + wplus[..., 2, 2]
+        trace = wplus[0, 0] + wplus[1, 1] + wplus[2, 2]
         if np.max(np.abs(trace)) > tol:
             raise ValueError("wplus storage is not trace-free")
         if np.max(w.values) > tol:
@@ -243,24 +242,24 @@ class CurvatureBundle:
 
 
 def build_metric(grid: GridSpec, g: np.ndarray) -> MetricField:
-    """Validate and wrap sampled metric components.
+    """Validate and wrap sampled metric components g[i, j, ...].
 
     Rejects non-finite components, non-symmetric storage, non-SPD nodes and
     a volume factor outside the float range; the error names the first
-    offending node so bad input files are debuggable.  g is converted once
-    to a component-major copy, which the field keeps, and factored by
+    offending node so bad input files are debuggable.  g is copied once,
+    into the C-contiguous array the field keeps, and factored by
     `_upper_factor`; a node where a pivot is not positive is reported with
     the lowest eigenvalue of its g.
     """
     g = np.asarray(g, dtype=float)
-    if g.shape != grid.dims + (4, 4):
-        raise ValueError(f"metric shape {g.shape} != {grid.dims + (4, 4)}")
-    finite = np.isfinite(g)
+    if g.shape != (4, 4) + grid.dims:
+        raise ValueError(f"metric shape {g.shape} != {(4, 4) + grid.dims}")
+    finite = np.isfinite(g).all(axis=(0, 1))
     if not finite.all():
         raise ValueError(f"metric component is not finite at node {_worst_node(~finite)}")
     # always a copy, never a view of the caller's array: the field caches
     # tensors derived from it
-    gc = np.array(np.moveaxis(g, (-2, -1), (0, 1)), order="C")
+    gc = np.array(g, order="C")
     asym = max(float(np.max(np.abs(gc[i, j] - gc[j, i]))) for i, j in zip(*np.triu_indices(4, 1)))
     if asym > 1e-12 * max(1.0, float(np.max(gc)), -float(np.min(gc))):
         raise ValueError(f"metric storage asymmetry {asym:.3e} exceeds tolerance")
@@ -269,7 +268,7 @@ def build_metric(grid: GridSpec, g: np.ndarray) -> MetricField:
         node = _worst_node(failed)
         raise ValueError(
             f"metric is not positive definite at node {node} "
-            f"(lowest eigenvalue {np.linalg.eigvalsh(g[node])[0]:.3e})"
+            f"(lowest eigenvalue {np.linalg.eigvalsh(gc[(...,) + node])[0]:.3e})"
         )
     m = MetricField(grid, gc, coframe)
     with np.errstate(over="ignore"):  # vol and det g may overflow; vol is cached from here on
@@ -426,7 +425,7 @@ def curvature_stack(m: MetricField) -> CurvatureBundle:
     """
     dims = m.grid.dims
     scal = np.empty(dims)
-    wplus = np.empty(dims + (3, 3))
+    wplus = np.empty((3, 3) + dims)
     w = np.empty(dims)
     eye = np.eye(3).reshape(3, 3, 1, 1, 1)
     for i, (r, einv) in enumerate(_pair_riemann(m)):
@@ -434,7 +433,8 @@ def curvature_stack(m: MetricField) -> CurvatureBundle:
         block = np.einsum("pa...,pb...->ab...", up, np.einsum("pq...,qb...->pb...", r, up))
         scal[i] = 4.0 * np.trace(block)
         wp = block - (scal[i] / 12.0) * eye
-        # symmetrize away roundoff, node-major for the eigenvalue pass
-        wplus[i] = np.moveaxis(0.5 * (wp + wp.swapaxes(0, 1)), (0, 1), (-2, -1))
-        w[i] = np.linalg.eigvalsh(wplus[i])[..., 0]
+        # symmetrize away roundoff; the eigenvalue pass reads the slab node-major
+        wi = wplus[:, :, i]
+        np.multiply(0.5, wp + wp.swapaxes(0, 1), out=wi)
+        w[i] = np.linalg.eigvalsh(np.moveaxis(wi, (0, 1), (-2, -1)))[..., 0]
     return CurvatureBundle(ScalarField(m.grid, scal), wplus, ScalarField(m.grid, w))

@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .curvature import CurvatureBundle, MetricField
-from .grid import _component_major, _worst_node, integrate
+from .grid import _worst_node, integrate
 from .rayleigh import (
     KField,
     ThetaField,
@@ -42,7 +42,7 @@ from .rayleigh import (
 from .selfdual import (
     SelfDualField,
     TwoFormField,
-    d,
+    _d,
     embed,
     harmonic_selfdual_basis,
     hodge_rayleigh,
@@ -206,11 +206,11 @@ def _psw_result(
     r1 = dirac(cfg.phi, cfg.conn, m)
     sigma = sigma_map(cfg.phi)
     coef = np.asarray(coefficient(sigma.norm()), dtype=float)
-    r2 = SQRT8 * cfg.conn.curv_plus.comps + coef[..., None] * sigma.comps
+    r2 = SQRT8 * cfg.conn.curv_plus.comps + coef * sigma.comps
     if shift is not None:
         r2 = r2 - shift
-    n1 = np.sum(np.abs(r1.comps) ** 2, axis=-1)
-    n2 = np.sum(r2**2, axis=-1)
+    n1 = np.sum(np.abs(r1.comps) ** 2, axis=0)
+    n2 = np.sum(r2**2, axis=0)
     return PswResidual(r1, SelfDualField(m.grid, r2), {
         "r1_l2": math.sqrt(integrate(n1, m)),
         "r1_linf": float(np.sqrt(np.max(n1))),
@@ -239,7 +239,7 @@ def psw_residual(cfg: MonopoleConfig, pert: PerturbationSpec, K: KField) -> PswR
         kminus = K.kminus.values
     shift = None
     if pert.omega_hat is not None:
-        shift = K.kplus.values[..., None] * pert.omega_hat.comps
+        shift = K.kplus.values * pert.omega_hat.comps
     return _psw_result(cfg, lambda t: beta(t) * (kminus + pert.eps), shift)
 
 
@@ -291,9 +291,9 @@ def reduction_spec(full: PerturbationSpec, K: KField) -> PerturbationSpec:
         raise ValueError("reduction starts from a full psw spec")
     eps = full.eps
     if full.omega_hat is None:
-        eta = SelfDualField(K.grid, np.zeros(K.grid.dims + (3,)))
+        eta = SelfDualField(K.grid, np.zeros((3,) + K.grid.dims))
     else:
-        eta = SelfDualField(K.grid, K.kplus.values[..., None] * full.omega_hat.comps)
+        eta = SelfDualField(K.grid, K.kplus.values * full.omega_hat.comps)
     kmax = float(np.max(K.kminus.values))
     return PerturbationSpec(
         variant="general",
@@ -372,7 +372,7 @@ def check_phi_l4_bound(
 ) -> BoundReport:
     """L4 spinor bound: integral |Phi|^4 <= 8 (1 + max K_- / eps) Vol."""
     m = cfg.metric
-    phi2 = np.sum(np.abs(cfg.phi.comps) ** 2, axis=-1)
+    phi2 = np.sum(np.abs(cfg.phi.comps) ** 2, axis=0)
     lhs = integrate(phi2**2, m)
     km = float(np.max(K.kminus.values))
     volume = integrate(1.0, m)
@@ -386,7 +386,7 @@ def check_phi_l4_bound(
 
 
 def _require_closed(f_rep: TwoFormField) -> None:
-    dn = float(np.max(np.abs(d(f_rep.comps, f_rep.grid))))
+    dn = float(np.max(np.abs(_d(f_rep.comps, f_rep.grid))))
     if dn > 1e-8 * (1.0 + float(np.max(np.abs(f_rep.comps)))):
         raise ValueError(f"representative is not closed: ||dF|| = {dn:.3e}")
 
@@ -438,7 +438,7 @@ def _c1plus_sq_from_rep(f_rep: TwoFormField, m: MetricField) -> tuple[float, dic
     _require_closed(f_rep)
     basis = harmonic_selfdual_basis(m)
     sd = project(TwoFormField(f_rep.grid, f_rep.comps / (2.0 * np.pi)), m)
-    coeffs = [integrate(np.sum(sd.comps * h.comps, axis=-1), m) for h in basis]
+    coeffs = [integrate(np.sum(sd.comps * h.comps, axis=0), m) for h in basis]
     c1sq = float(sum(c * c for c in coeffs))
     return c1sq, {"harmonic_coefficients": coeffs, "b_plus": len(basis)}
 
@@ -485,16 +485,16 @@ def key_inequality_check(cfg: MonopoleConfig, theta: ThetaField) -> InequalityRe
     m = cfg.metric
     sigma = sigma_map(cfg.phi)
     comps = sigma.comps
-    cm = _component_major(comps)
-    lhs = _quadratic_energy(cm, theta, m) + _modulus_term(cm, _comp_norm2(cm), m, 0.0)[0]
+    smooth = _modulus_term(comps, _comp_norm2(comps), m, 0.0)[0]
+    lhs = _quadratic_energy(comps, theta, m) + smooth
 
     weight = (
         _curvature_weight(cfg.curv.scalar.values, cfg.curv.w.values, theta.s**2)
         - theta.dtheta_norm2
     )
-    curv_term = -integrate(weight * np.sum(comps**2, axis=-1), m)
+    curv_term = -integrate(weight * np.sum(comps**2, axis=0), m)
     # integral (sqrt(8) iF_A^+, |sigma| sigma) dmu
-    pair = np.sum(cfg.conn.curv_plus.comps * comps, axis=-1) * sigma.norm()
+    pair = np.sum(cfg.conn.curv_plus.comps * comps, axis=0) * sigma.norm()
     f_term = SQRT8 * integrate(pair, m)
     cubic = 0.5 * dirac_cubic_pairing(cfg.phi, cfg.conn, m)
     rhs = curv_term + f_term + cubic
@@ -617,16 +617,17 @@ def catalog_delta_sweep(entry, deltas, kind: str = "quadratic") -> list:
 def reducible_config(m: MetricField) -> MonopoleConfig:
     """Phi = 0, A flat: the exact reducible solution when K >= 0."""
     grid = m.grid
-    conn = U1Connection(grid, np.zeros(grid.dims + (4,)))
-    phi = SpinorField(grid, np.zeros(grid.dims + (2,), dtype=complex))
+    conn = U1Connection(grid, np.zeros((4,) + grid.dims))
+    phi = SpinorField(grid, np.zeros((2,) + grid.dims, dtype=complex))
     return MonopoleConfig(conn, phi, m)
 
 
 def constant_config(m: MetricField, phi0=(1.0, 0.0)) -> MonopoleConfig:
     """A = 0 with a constant spinor; Dirac residual vanishes identically."""
     grid = m.grid
-    conn = U1Connection(grid, np.zeros(grid.dims + (4,)))
-    vals = np.broadcast_to(np.asarray(phi0, dtype=complex), grid.dims + (2,)).copy()
+    conn = U1Connection(grid, np.zeros((4,) + grid.dims))
+    vals = np.broadcast_to(np.reshape(np.asarray(phi0, dtype=complex), (2, 1, 1, 1, 1)),
+                           (2,) + grid.dims)
     return MonopoleConfig(conn, SpinorField(grid, vals), m)
 
 
@@ -657,14 +658,14 @@ def rotating_config(m: MetricField, eps: float, amplitude: float = 0.9) -> Monop
     grid = m.grid
     x2 = grid.mesh(2)
     alpha = amplitude * eps / 4.0  # continuum estimate; modulus is rebuilt from da below
-    a = np.zeros(grid.dims + (4,))
-    a[..., 0] = alpha * np.sin(x2)
-    a[..., 3] = alpha * np.cos(x2)
+    a = np.zeros((4,) + grid.dims)
+    a[0] = alpha * np.sin(x2)
+    a[3] = alpha * np.cos(x2)
     conn = U1Connection(grid, a)
     mod = SQRT8 * conn.curv_plus.norm() / eps  # |sigma| target, constant up to rounding
     phi_norm = np.sqrt(2.0 * np.sqrt(2.0) * mod)
-    u = np.empty(grid.dims + (2,), dtype=complex)
-    u[..., 0] = 1.0 / np.sqrt(2.0)
-    u[..., 1] = -1j * np.exp(-1j * x2) / np.sqrt(2.0)
-    phi = SpinorField(grid, phi_norm[..., None] * u)
+    u = np.empty((2,) + grid.dims, dtype=complex)
+    u[0] = 1.0 / np.sqrt(2.0)
+    u[1] = -1j * np.exp(-1j * x2) / np.sqrt(2.0)
+    phi = SpinorField(grid, phi_norm * u)
     return MonopoleConfig(conn, phi, m)

@@ -21,18 +21,15 @@ diagonalises it (Davis, Circulant Matrices, 1979; Strang, SIAM Review 41,
 1999).  `_fourier_multiply` therefore applies a symbol as dense per-axis
 matrix products, the same kernel as the derivatives.
 
-The public value objects here and in `selfdual`, `rayleigh` and `spinc`
-are node-major: the four grid axes lead and the components trail,
-(n0, n1, n2, n3, c...), C order.  Everything behind them is
-component-major, (c..., n0, n1, n2, n3): the one stencil kernel behind
-`d1` and `d2`, every tensor `curvature.MetricField` caches, the curvature
-stack and the kernels of the lambda minimiser and the harmonic solve.
-Each component is one contiguous block, so a stencil along any grid axis
-is one matrix product into a C-contiguous result and each per-node
-contraction runs over the long node axis.  A scalar field has the same
-layout either way.  `_component_major` and `_node_major` convert, once
-where a public function is entered and left.  Plain sums are taken over an
-array as it is stored.
+Every field and tensor in memory is component-major, (c..., n0, n1, n2,
+n3), C order: the public value objects here and in `selfdual`, `rayleigh`,
+`spinc` and `curvature`, the stencil kernel behind `d1` and `d2`, and every
+array behind them.  Each component is one contiguous block, so a stencil
+along any grid axis is one matrix product into a C-contiguous result, each
+per-node contraction runs over the long node axis, and a scalar field
+times a field broadcasts as it stands.  Only files are node-major (grid
+axes first, components last); `io` converts at that boundary.  Plain sums
+are taken over an array as it is stored.
 """
 
 from __future__ import annotations
@@ -49,7 +46,6 @@ __all__ = [
     "integrate",
     "d1",
     "d2",
-    "gradient",
 ]
 
 
@@ -61,9 +57,9 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 def _worst_node(values: np.ndarray) -> tuple:
-    """Grid node of the largest entry of a (dims, ...) array, as plain ints;
+    """Grid node of the largest entry of a scalar grid array, as plain ints;
     of a mask, the first node that holds a True."""
-    return tuple(int(i) for i in np.unravel_index(int(np.argmax(values)), values.shape)[:4])
+    return tuple(int(i) for i in np.unravel_index(int(np.argmax(values)), values.shape))
 
 
 @dataclass(frozen=True)
@@ -226,23 +222,6 @@ def _fourier_multiply(values: np.ndarray, symbol: np.ndarray) -> np.ndarray:
     return out
 
 
-def _component_major(values: np.ndarray) -> np.ndarray:
-    """A node-major (dims, c...) array as a C-contiguous (c..., dims) copy."""
-    return np.ascontiguousarray(np.moveaxis(values, (0, 1, 2, 3), (-4, -3, -2, -1)))
-
-
-def _node_major(values: np.ndarray) -> np.ndarray:
-    """A component-major (c..., dims) array as a C-contiguous (dims, c...)
-    copy, written one component column at a time: for the few components
-    here that takes half the time of one moveaxis copy."""
-    dims = values.shape[-4:]
-    comps = values.reshape(-1, math.prod(dims))
-    out = np.empty(comps.shape[::-1], dtype=values.dtype)
-    for i, comp in enumerate(comps):
-        out[:, i] = comp
-    return out.reshape(dims + values.shape[:-4])
-
-
 def _stencil_along(stencil: str, values: np.ndarray, axis: int, h: float,
                    out: np.ndarray | None, rows=None) -> np.ndarray:
     """The one stencil kernel behind `d1` and `d2`: one C-contiguous product
@@ -338,12 +317,6 @@ def _gradient_T(flux: np.ndarray, grid: GridSpec) -> np.ndarray:
     for k, h in enumerate(grid.spacing):
         out -= d1(flux[k], k, h)
     return out
-
-
-def gradient(values: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """d of node-major 0-forms: d1 of every stored component along each grid
-    axis, stacked as a new axis right after the grid axes."""
-    return _node_major(_gradient(_component_major(values), grid))
 
 
 def integrate(values, m) -> float:

@@ -39,7 +39,7 @@ import numpy as np
 
 from .curvature import MetricField, build_metric
 from .grid import GridSpec
-from .io import load_fields
+from .io import _component_major, load_fields
 
 if TYPE_CHECKING:
     from .rayleigh import ThetaField
@@ -220,12 +220,17 @@ def _checked(preset: str, build, *args):
         raise PresetError(f"{preset}: {exc}") from None
 
 
+_EYE4 = np.eye(4).reshape(4, 4, 1, 1, 1, 1)
+
+
 def metric_from_preset(text: str, grid: GridSpec) -> MetricField:
     """flat | conformal:EXPR | kaehler-product:EXPR | file:PATH.
 
     conformal rescales the flat metric by exp(2 f); kaehler-product is
     diag(1, 1, e^{2u}, e^{2u}) with u a function of x2, x3 only, the
-    conformal torus-times-surface geometry.
+    conformal torus-times-surface geometry.  A file holds g node-major,
+    (dims, 4, 4); `build_metric` gets a component-major view of it and makes
+    the one copy the field keeps.
     """
     kind, _, arg = text.partition(":")
     kind = kind.strip()
@@ -234,10 +239,10 @@ def metric_from_preset(text: str, grid: GridSpec) -> MetricField:
         if kind == "flat":
             if arg:
                 raise PresetError("flat takes no argument")
-            g = np.broadcast_to(np.eye(4), grid.dims + (4, 4)).copy()
+            g = np.broadcast_to(_EYE4, (4, 4) + grid.dims)
         elif kind == "conformal":
             f = scalar_from_expression(arg, grid)
-            g = np.exp(2.0 * f)[..., None, None] * np.eye(4)
+            g = np.exp(2.0 * f) * _EYE4
         elif kind == "kaehler-product":
             terms = parse_expression(arg)
             for term in terms:
@@ -248,16 +253,19 @@ def metric_from_preset(text: str, grid: GridSpec) -> MetricField:
                             "involve x2 and x3"
                         )
             u = evaluate_expression(terms, grid)
-            g = np.zeros(grid.dims + (4, 4))
-            g[..., 0, 0] = 1.0
-            g[..., 1, 1] = 1.0
-            g[..., 2, 2] = np.exp(2.0 * u)
-            g[..., 3, 3] = np.exp(2.0 * u)
+            g = np.zeros((4, 4) + grid.dims)
+            g[0, 0] = 1.0
+            g[1, 1] = 1.0
+            g[2, 2] = np.exp(2.0 * u)
+            g[3, 3] = np.exp(2.0 * u)
         elif kind == "file":
             arrays = _load_container(arg, grid)
             if "g" not in arrays:
                 raise PresetError(f"{arg}: container has no array named 'g'")
             g = arrays["g"]
+            if g.shape != grid.dims + (4, 4):
+                raise PresetError(f"{text}: metric shape {g.shape} != {grid.dims + (4, 4)}")
+            g = _component_major(g)
         else:
             raise PresetError(f"unknown metric preset {kind!r}")
     return _checked(text, build_metric, grid, g)

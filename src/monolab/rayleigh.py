@@ -60,11 +60,10 @@ each evaluation.  A start applies A once more before its first stage and
 once in the final re-evaluation, which, like rayleigh_quotient, applies A
 afresh.
 
-The minimiser's state (x, A x, the gradient, the search direction) and its
-kernels are component-major, (3, n0, n1, n2, n3): each component is one
-contiguous block (see `grid`), as is every tensor of `MetricField`.  The
-public `rayleigh_quotient`, `ThetaField` and `LambdaResult.minimizer` are
-node-major and convert once.
+The minimiser's state (x, A x, the gradient, the search direction), its
+kernels, `ThetaField` and `LambdaResult.minimizer` have the one in-memory
+layout of `grid`, (3, n0, n1, n2, n3): each component is one contiguous
+block, as in every tensor of `MetricField`.
 """
 
 from __future__ import annotations
@@ -77,15 +76,12 @@ from .curvature import CurvatureBundle, MetricField, _inverse_metric
 from .grid import (
     GridSpec,
     ScalarField,
-    _component_major,
     _fourier_multiply,
     _freeze,
     _gradient,
     _gradient_T,
-    _node_major,
     _real_fourier,
     _stencil_symbol2,
-    gradient,
 )
 from .selfdual import (
     SelfDualField,
@@ -117,7 +113,7 @@ class ThetaField:
     grid: GridSpec
     s: np.ndarray
     c: np.ndarray
-    dtheta: np.ndarray  # (dims, 4) coordinate components
+    dtheta: np.ndarray  # (4, dims) coordinate components
     dtheta_norm2: np.ndarray
 
     def __post_init__(self):
@@ -154,12 +150,10 @@ def theta_from_sc(s: np.ndarray, c: np.ndarray, m: MetricField) -> ThetaField:
     c = np.asarray(c, dtype=float)
     if s.shape != grid.dims or c.shape != grid.dims or not np.isfinite([s, c]).all():
         raise ValueError("sin and cos samples must be finite scalar grid arrays")
-    ds = gradient(s, grid)
-    dc = gradient(c, grid)
-    dth = c[..., None] * ds - s[..., None] * dc
+    dth = c * _gradient(s, grid) - s * _gradient(c, grid)
     # |d theta|^2 on g^-1 by two two-operand einsums, as in `curvature._bilinear`
     gi = _inverse_metric(m.coframe)
-    n2 = np.einsum("...k,...k->...", dth, np.einsum("kl...,...l->...k", gi, dth))
+    n2 = np.einsum("k...,k...->...", dth, np.einsum("kl...,l...->k...", gi, dth))
     return ThetaField(grid, s, c, dth, n2)
 
 
@@ -271,7 +265,7 @@ def rayleigh_quotient(
         raise ValueError("smoothing parameter must be nonnegative")
     if not np.any(sigma.comps):
         raise ValueError("the quotient is undefined at sigma = 0")
-    comps = _component_major(sigma.comps)
+    comps = sigma.comps
     q, _ = _quotient(comps, _apply_quadratic(comps, theta, m), m, eps_smooth,
                      m.vol * m.grid.cell_volume)
     return q
@@ -536,7 +530,7 @@ def minimize_lambda(
             run_evals += evals
             run_backtracks += backtracks
             operator_applies += applies
-        sigma = SelfDualField(grid, _node_major(x))
+        sigma = SelfDualField(grid, x)
         eps_last = opts.epsilons[-1]
         eps_final = 0.0 if float(np.min(sigma.norm())) > 10.0 * eps_last else eps_last
         lam, _ = _quotient(x, _apply_quadratic(x, theta, m), m, eps_final, bw)

@@ -25,13 +25,10 @@ The lambda quotient's energies are the only discretisations of (d+d*)^2
 and nabla*nabla on Lambda+; the Weitzenboeck residual takes both operators
 from their transpose kernels.
 
-The public types and functions are node-major (grid axes first, components
-last; see `grid`).  The kernels behind them (`_d`, `_nabla`, `_nabla_T`,
-`_flux` and the forward and transpose halves of each energy) and the state
-of the harmonic solve are component-major, (components, [batch,] dims), as
-is every tensor `MetricField` caches; a public function converts its
-arguments once on entry and its result once on exit, and reads the metric
-tensors in their own layout.
+Fields, the kernels (`_d`, `_nabla`, `_nabla_T`, `_flux` and the forward
+and transpose halves of each energy), the state of the harmonic solve and
+every tensor `MetricField` caches share the one in-memory layout of `grid`,
+(components, [batch,] dims); only files are node-major.
 
 One discrete artefact needs care: a centred first difference is blind to
 the per-axis alternating mode (frequency n/2 on an even axis), so the
@@ -64,12 +61,10 @@ from .curvature import (
 )
 from .grid import (
     GridSpec,
-    _component_major,
     _fourier_multiply,
     _freeze,
     _gradient,
     _gradient_T,
-    _node_major,
     _stencil_symbol2,
     d1,
     integrate,
@@ -80,7 +75,6 @@ __all__ = [
     "SelfDualField",
     "embed",
     "project",
-    "d",
     "sd_l2_norm",
     "wedge_integral",
     "covariant_derivative",
@@ -111,7 +105,7 @@ def __getattr__(name: str):
 
 @dataclass(frozen=True)
 class _Components:
-    """Real components (dims, width) on a grid chart, read-only once built."""
+    """Real components (width, dims) on a grid chart, read-only once built."""
 
     grid: GridSpec
     comps: np.ndarray
@@ -119,7 +113,7 @@ class _Components:
 
     def __post_init__(self):
         c = np.asarray(self.comps, dtype=float)
-        want = self.grid.dims + (self.width,)
+        want = (self.width,) + self.grid.dims
         if c.shape != want:
             raise ValueError(f"{type(self).__name__} components {c.shape} != {want}")
         object.__setattr__(self, "comps", _freeze(c))
@@ -138,7 +132,7 @@ class SelfDualField(_Components):
 
     def norm(self) -> np.ndarray:
         """Pointwise |sigma| (basis is orthonormal, no metric needed)."""
-        return np.sqrt(np.sum(self.comps**2, axis=-1))
+        return np.sqrt(np.sum(self.comps**2, axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -146,17 +140,17 @@ class SelfDualField(_Components):
 
 
 def embed(sigma: SelfDualField, m: MetricField) -> TwoFormField:
-    comps = np.einsum("pa...,...a->...p", m.sd_pairs, sigma.comps)
+    comps = np.einsum("pa...,a...->p...", m.sd_pairs, sigma.comps)
     return TwoFormField(sigma.grid, comps)
 
 
 def project(omega: TwoFormField, m: MetricField) -> SelfDualField:
-    comps = np.einsum("pa...,...p->...a", _sd_pairs_up(_inverse_coframe(m.coframe)), omega.comps)
+    comps = np.einsum("pa...,p...->a...", _sd_pairs_up(_inverse_coframe(m.coframe)), omega.comps)
     return SelfDualField(omega.grid, comps)
 
 
 def sd_l2_norm(sigma: SelfDualField, m: MetricField) -> float:
-    return math.sqrt(integrate(np.sum(sigma.comps**2, axis=-1), m))
+    return math.sqrt(integrate(np.sum(sigma.comps**2, axis=0), m))
 
 
 def wedge_integral(alpha: TwoFormField, beta: TwoFormField) -> float:
@@ -211,24 +205,18 @@ def _d(f: np.ndarray, grid: GridSpec, transpose: bool = False) -> np.ndarray:
     return out
 
 
-def d(f: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Exterior derivative of 1-form (width 4) or pair (width 6) components
-    into pair or 3-form components; extra trailing axes ride along."""
-    return _node_major(_d(_component_major(f), grid))
-
-
 # ---------------------------------------------------------------------------
 # covariant derivative on the self-dual bundle
 #
-# The kernels take component-major eta components (3, dims) and work with
-# coordinate derivatives, nab[k, a] = eta_a component of nabla_k sigma, whose
-# L2 flux is vol g^-1 nab (`_flux`); the public functions convert to and
-# from the node-major frame components.
+# The kernels take eta components (3, dims) and work with coordinate
+# derivatives, nab[k, a] = eta_a component of nabla_k sigma, whose L2 flux is
+# vol g^-1 nab (`_flux`); `covariant_derivative` turns them into frame
+# components.
 
 
 def _nabla(comps: np.ndarray, m: MetricField) -> np.ndarray:
-    """Coordinate covariant derivative (4, 3, dims) of component-major eta
-    components: nabla_k sigma = d_k sigma + a_k x sigma."""
+    """Coordinate covariant derivative (4, 3, dims) of eta components (3, dims):
+    nabla_k sigma = d_k sigma + a_k x sigma."""
     nab = _gradient(comps, m.grid)
     if not m.is_flat:
         a = m.sd_connection
@@ -263,28 +251,28 @@ def _nabla_T(flux: np.ndarray, m: MetricField) -> np.ndarray:
 
 
 def covariant_derivative(sigma: SelfDualField, m: MetricField) -> np.ndarray:
-    """(nabla sigma)[..., c, a] = eta_a component of nabla_{E_c} sigma.
+    """(nabla sigma)[c, a, ...] = eta_a component of nabla_{E_c} sigma.
 
     Frame components, so the pointwise square sum is |nabla sigma|^2.  On a
     curved metric the coordinate derivative is
     nabla_k sigma = d_k sigma + a_k x sigma, with a the cached frame
     connection `MetricField.sd_connection`, and e^-T turns k into c.
     """
-    nab = _nabla(_component_major(sigma.comps), m)
+    nab = _nabla(sigma.comps, m)
     if not m.is_flat:
         nab = np.einsum("kc...,ka...->ca...", _inverse_coframe(m.coframe), nab)
-    return _node_major(nab)
+    return nab
 
 
 # ---------------------------------------------------------------------------
 # quadratic forms and their gradients (shared by the harmonicity checks and
 # the spectral quotient minimiser)
 #
-# Each energy E is given by a forward kernel on component-major components
-# that returns a pair (x, w) with E = sum(x w) h^4, and a transpose kernel
-# that turns w into the gradient over 2 h^4.  A caller that needs only the
-# energy skips the transpose chain; one that needs only the gradient, as the
-# lambda minimiser's applications of A do, skips the energy's sum.
+# Each energy E is given by a forward kernel on the components that returns
+# a pair (x, w) with E = sum(x w) h^4, and a transpose kernel that turns w
+# into the gradient over 2 h^4.  A caller that needs only the energy skips
+# the transpose chain; one that needs only the gradient, as the lambda
+# minimiser's applications of A do, skips the energy's sum.
 
 
 def _hodge_forward(comps: np.ndarray, m: MetricField) -> tuple[np.ndarray, np.ndarray]:
@@ -327,12 +315,12 @@ def weitzenboeck_residual(
     their transpose kernels over vol, so the residual checks the curvature
     term that the quotient leaves out.
     """
-    comps = _component_major(sigma.comps)
+    comps = sigma.comps
     res = _hodge_transpose(_hodge_forward(comps, m)[1], m)
     res -= _nabla_T(_dirichlet_forward(comps, m)[1], m)
     res /= m.vol
     res -= (curv.scalar.values / 3.0) * comps
-    res += 2.0 * np.einsum("...ab,b...->a...", curv.wplus, comps)
+    res += 2.0 * np.einsum("ab...,b...->a...", curv.wplus, comps)
     return math.sqrt(integrate(np.sum(res**2, axis=0), m)) / sd_l2_norm(sigma, m)
 
 
@@ -340,9 +328,9 @@ def _identity_pieces(sigma: SelfDualField, theta, m: MetricField):
     """Shared integrands: |sigma|^2, |nabla sigma|^2 and the cross term
     (dtheta tensor sigma, nabla sigma) in frame components."""
     nab = covariant_derivative(sigma, m)
-    sig2 = np.sum(sigma.comps**2, axis=-1)
-    nab2 = np.sum(nab**2, axis=(-2, -1))
-    dth_frame = np.einsum("kc...,...k->...c", _inverse_coframe(m.coframe), theta.dtheta)
+    sig2 = np.sum(sigma.comps**2, axis=0)
+    nab2 = np.sum(nab**2, axis=(0, 1))
+    dth_frame = np.einsum("kc...,k...->c...", _inverse_coframe(m.coframe), theta.dtheta)
     cross = _bilinear(dth_frame, nab, sigma.comps)
     return sig2, nab2, cross
 
@@ -358,7 +346,7 @@ def integral_identity_check_s(
     discretisation.
     """
     s = theta.s
-    tau, wtau = _hodge_forward(s * _component_major(sigma.comps), m)
+    tau, wtau = _hodge_forward(s * sigma.comps, m)
     lhs = float(np.sum(tau * wtau)) * m.grid.cell_volume
 
     sig2, nab2, cross = _identity_pieces(sigma, theta, m)
@@ -381,7 +369,7 @@ def integral_identity_check_c(
     Dirichlet energy, the lambda quotient's second term, from its forward
     kernel alone."""
     c = theta.c
-    nab, flux = _dirichlet_forward(c * _component_major(sigma.comps), m)
+    nab, flux = _dirichlet_forward(c * sigma.comps, m)
     lhs = float(np.sum(nab * flux)) * m.grid.cell_volume
 
     sig2, nab2, cross = _identity_pieces(sigma, theta, m)
@@ -396,7 +384,7 @@ def integral_identity_check_c(
 
 def hodge_rayleigh(sigma: SelfDualField, m: MetricField) -> float:
     """(||d sigma||^2 + ||d* sigma||^2) / ||sigma||^2, the harmonicity defect."""
-    tau, wtau = _hodge_forward(_component_major(sigma.comps), m)
+    tau, wtau = _hodge_forward(sigma.comps, m)
     energy = float(np.sum(tau * wtau)) * m.grid.cell_volume
     den = sd_l2_norm(sigma, m) ** 2
     if den == 0.0:
@@ -461,8 +449,8 @@ class HarmonicBasis(Sequence):
 
 
 def _col_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Plain-sum inner products of the batch columns K of two component-major
-    (c, K, dims) arrays."""
+    """Plain-sum inner products of the batch columns K of two (c, K, dims)
+    arrays."""
     c, k = x.shape[:2]
     return np.einsum("cKn,cKn->K", x.reshape(c, k, -1), y.reshape(c, k, -1))
 
@@ -484,8 +472,7 @@ def harmonic_selfdual_basis(m: MetricField) -> HarmonicBasis:
     the inverse of `grid`'s d1 symbol.  The operator is singular only on closed
     1-forms, which never change d alpha, so no gauge is fixed.  Raises
     HarmonicSolveError when the loop misses _PCG_TOL within _PCG_MAXITER.
-    The loop's state and G are component-major, (components, class, dims);
-    the representatives turn node-major once the loop is done.
+    The loop's state and G are (components, class, dims).
     """
     grid = m.grid
     n = grid.node_count
@@ -532,12 +519,13 @@ def harmonic_selfdual_basis(m: MetricField) -> HarmonicBasis:
             f"after {iterations} iterations, above {_PCG_TOL:.0e}"
         )
 
-    h = _SD_CLASSES + _node_major(_d(alpha, grid))
-    sd = np.einsum("pa...,...pK->...aK", _sd_pairs_up(_inverse_coframe(m.coframe)), h)
+    h = _d(alpha, grid)
+    h += _SD_CLASSES[..., None, None, None, None]
+    sd = np.einsum("pa...,pK...->aK...", _sd_pairs_up(_inverse_coframe(m.coframe)), h)
     forms: list[np.ndarray] = []
     for k in range(B_PLUS):
-        comps = sd[..., k]
+        comps = sd[:, k]
         for prev in forms:
-            comps = comps - prev * integrate(np.sum(comps * prev, axis=-1), m)
-        forms.append(comps / math.sqrt(integrate(np.sum(comps**2, axis=-1), m)))
+            comps = comps - prev * integrate(np.sum(comps * prev, axis=0), m)
+        forms.append(comps / math.sqrt(integrate(np.sum(comps**2, axis=0), m)))
     return HarmonicBasis(tuple(SelfDualField(grid, c) for c in forms), iterations, residual)

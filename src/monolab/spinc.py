@@ -22,6 +22,10 @@ twice the spinor twist, so the self-dual representative carried around as
 "iF+" is -2 (da)+.  Gauge changes act by a -> a + d chi together with
 Phi -> exp(-i chi) Phi, the direction that leaves the coupling covariant.
 
+Spinors (2, dims), connection forms (4, dims) and the covariant derivative
+(4, 2, dims) have the one in-memory layout of `grid`: components first,
+grid axes last.
+
 Everything here is restricted to the flat chart; identities that need
 curvature are exercised through the 2-form side of the package, where R
 and W+ enter.  Centred differences double the Dirac spectrum, which is
@@ -38,8 +42,8 @@ import numpy as np
 
 from .bases import H_PLUS, PAIRS
 from .curvature import MetricField
-from .grid import GridSpec, _freeze, _gradient, gradient
-from .selfdual import SelfDualField, TwoFormField, d
+from .grid import GridSpec, _freeze, _gradient
+from .selfdual import SelfDualField, TwoFormField, _d
 
 __all__ = [
     "PAULI",
@@ -81,25 +85,25 @@ class SpinorField:
     """Positive-chirality spinor: two complex components per node."""
 
     grid: GridSpec
-    comps: np.ndarray  # complex (dims, 2)
+    comps: np.ndarray  # complex (2, dims)
 
     def __post_init__(self):
         c = np.asarray(self.comps, dtype=complex)
-        if c.shape != self.grid.dims + (2,):
-            raise ValueError(f"spinor components {c.shape} != {self.grid.dims + (2,)}")
-        if not np.all(np.isfinite(c.view(float))):
+        if c.shape != (2,) + self.grid.dims:
+            raise ValueError(f"spinor components {c.shape} != {(2,) + self.grid.dims}")
+        if not np.all(np.isfinite(c)):
             raise ValueError("spinor components must be finite")
         object.__setattr__(self, "comps", _freeze(c))
 
     def norm2(self) -> np.ndarray:
-        return np.sum(np.abs(self.comps) ** 2, axis=-1)
+        return np.sum(np.abs(self.comps) ** 2, axis=0)
 
     def norm(self) -> np.ndarray:
         return np.sqrt(self.norm2())
 
 
 class U1Connection:
-    """Twist 1-form a of a U(1) connection on the flat chart.
+    """Twist 1-form a of a U(1) connection on the flat chart, a[k, ...].
 
     curv is the 2-form da; curv_plus the self-dual field representing
     iF+ of the determinant line, which carries twice the spinor twist:
@@ -108,18 +112,18 @@ class U1Connection:
 
     def __init__(self, grid: GridSpec, a: np.ndarray):
         a = np.asarray(a, dtype=float)
-        if a.shape != grid.dims + (4,):
-            raise ValueError(f"connection 1-form {a.shape} != {grid.dims + (4,)}")
+        if a.shape != (4,) + grid.dims:
+            raise ValueError(f"connection 1-form {a.shape} != {(4,) + grid.dims}")
         self.grid = grid
         self.a = _freeze(a)
 
     @cached_property
     def curv(self) -> TwoFormField:
-        return TwoFormField(self.grid, d(self.a, self.grid))
+        return TwoFormField(self.grid, _d(self.a, self.grid))
 
     @cached_property
     def curv_plus(self) -> SelfDualField:
-        proj = np.einsum("ap,...p->...a", H_PLUS, self.curv.comps)
+        proj = np.einsum("ap,p...->a...", H_PLUS, self.curv.comps)
         return SelfDualField(self.grid, -2.0 * proj)
 
 
@@ -191,17 +195,17 @@ class CliffordModel:
 
 def sigma_map(phi: SpinorField) -> SelfDualField:
     """Quadratic spinor-to-form map with |sigma(Phi)|^2 = |Phi|^4 / 8."""
-    t = np.einsum("ast,...t->...as", PAULI, phi.comps)
-    comps = KAPPA_SIGMA * np.einsum("...s,...as->...a", phi.comps.conj(), t).real
+    t = np.einsum("ast,t...->as...", PAULI, phi.comps)
+    comps = KAPPA_SIGMA * np.einsum("s...,as...->a...", phi.comps.conj(), t).real
     return SelfDualField(phi.grid, comps)
 
 
 def nabla_a(phi: SpinorField, conn: U1Connection) -> np.ndarray:
-    """Coupled covariant derivative (partial_i + i a_i) Phi, (dims, 4, 2)."""
+    """Coupled covariant derivative (partial_i + i a_i) Phi, (4, 2, dims)."""
     if not phi.grid.compatible(conn.grid):
         raise ValueError("spinor and connection live on different grids")
-    out = gradient(phi.comps, phi.grid)
-    out += 1j * conn.a[..., :, None] * phi.comps[..., None, :]
+    out = _gradient(phi.comps, phi.grid)
+    out += 1j * conn.a[:, None] * phi.comps
     return out
 
 
@@ -209,7 +213,7 @@ def dirac(phi: SpinorField, conn: U1Connection, m: MetricField | None = None) ->
     """Coupled Dirac operator on the flat chart, W+ -> W-."""
     _require_flat(m)
     nab = nabla_a(phi, conn)
-    out = np.einsum("ist,...it->...s", _MODEL.rho_coord, nab)
+    out = np.einsum("ist,it...->s...", _MODEL.rho_coord, nab)
     return SpinorField(phi.grid, out)
 
 
@@ -218,7 +222,7 @@ def dirac_cubic_pairing(
 ) -> float:
     """integral Re (D_A Phi, D_A(|Phi|^2 Phi)) on the flat chart."""
     _require_flat(m)
-    cubic = SpinorField(phi.grid, phi.norm2()[..., None] * phi.comps)
+    cubic = SpinorField(phi.grid, phi.norm2() * phi.comps)
     pair = np.real(np.conj(dirac(phi, conn).comps) * dirac(cubic, conn).comps)
     return float(np.sum(pair) * phi.grid.cell_volume)
 
@@ -239,11 +243,11 @@ def dirac_weitzenboeck_check(
     lhs = dirac_cubic_pairing(phi, conn)
     phi2 = phi.norm2()
     nab = nabla_a(phi, conn)
-    t_grad = float(np.sum(phi2 * np.sum(np.abs(nab) ** 2, axis=(-2, -1))) * cell)
+    t_grad = float(np.sum(phi2 * np.sum(np.abs(nab) ** 2, axis=(0, 1))) * cell)
     grad2 = sum(dk**2 for dk in _gradient(phi2, grid))
     t_mod = 0.5 * float(np.sum(grad2) * cell)
     sig = sigma_map(phi)
-    pair = np.sum(conn.curv_plus.comps * sig.comps, axis=-1)
+    pair = np.sum(conn.curv_plus.comps * sig.comps, axis=0)
     t_curv = -2.0 * float(np.sum(phi2 * pair) * cell)
     rhs = t_grad + t_mod + t_curv
 
@@ -270,10 +274,10 @@ def log_kato_check(phi: SpinorField, conn: U1Connection, m: MetricField | None =
         raise ValueError(f"no nodes with |Phi| above the floor {_KATO_FLOOR}")
 
     nab = nabla_a(phi, conn)
-    lhs = 2.0 * np.sqrt(np.sum(np.abs(nab) ** 2, axis=(-2, -1)))
+    lhs = 2.0 * np.sqrt(np.sum(np.abs(nab) ** 2, axis=(0, 1)))
     sig = sigma_map(phi)
-    dsig = gradient(sig.comps, grid)
-    rhs = np.sqrt(np.sum(dsig**2, axis=(-2, -1)))
+    dsig = _gradient(sig.comps, grid)
+    rhs = np.sqrt(np.sum(dsig**2, axis=(0, 1)))
     margin = lhs[keep] / absphi[keep] - rhs[keep] / sig.norm()[keep]
     return float(np.min(margin))
 
@@ -289,9 +293,9 @@ def gauge_transform(
     chi = np.asarray(chi, dtype=float)
     if chi.shape != conn.grid.dims:
         raise ValueError("chi must be a scalar grid array")
-    dchi = gradient(chi, conn.grid)
+    dchi = _gradient(chi, conn.grid)
     new_conn = U1Connection(conn.grid, conn.a + dchi)
-    new_phi = SpinorField(phi.grid, np.exp(-1j * chi)[..., None] * phi.comps)
+    new_phi = SpinorField(phi.grid, np.exp(-1j * chi) * phi.comps)
     return new_conn, new_phi
 
 

@@ -81,6 +81,17 @@ def pulled_back_flat_chart(n, eps=0.1):
     return grid, x, jac, np.swapaxes(jac, -1, -2) @ jac
 
 
+def layout(a, to):
+    """A C-contiguous copy of `a` with its four grid axes moved to the front
+    (to="node", the layout of files and of the oracles' textbook arrays) or
+    to the back (to="comp", the in-memory layout of every field)."""
+    grid_axes, front = (-4, -3, -2, -1), (0, 1, 2, 3)
+    if to == "node":
+        return np.ascontiguousarray(np.moveaxis(a, grid_axes, front))
+    assert to == "comp", to
+    return np.ascontiguousarray(np.moveaxis(a, front, grid_axes))
+
+
 def rel_err(x, ref):
     """Largest deviation relative to the largest reference entry."""
     return np.max(np.abs(x - ref)) / np.max(np.abs(ref))

@@ -52,17 +52,16 @@ def smooth_sd(grid, seed):
     rng = np.random.default_rng(seed)
     comps = np.stack(
         [1.0 + random_smooth_scalar(grid, rng, fmax=1, amp=0.4) for _ in range(3)],
-        axis=-1,
     )
     return SelfDualField(grid, comps)
 
 
 def smooth_pair(grid, seed, amplitude=0.3):
     rng = np.random.default_rng(seed)
-    a = np.stack([random_smooth_scalar(grid, rng, amp=amplitude) for _ in range(4)], axis=-1)
+    a = np.stack([random_smooth_scalar(grid, rng, amp=amplitude) for _ in range(4)])
     parts = [random_smooth_scalar(grid, rng, amp=amplitude) for _ in range(4)]
     comps = np.stack(
-        [1.0 + parts[0] + 1j * parts[1], 0.4 + parts[2] + 1j * parts[3]], axis=-1
+        [1.0 + parts[0] + 1j * parts[1], 0.4 + parts[2] + 1j * parts[3]]
     )
     return U1Connection(grid, a), SpinorField(grid, comps)
 
@@ -72,7 +71,7 @@ def test_c01_sigma_map_normalization():
     grid = GridSpec((10,) * 4)
     rng = np.random.default_rng(0)
     comps = rng.standard_normal(grid.dims + (2,)) + 1j * rng.standard_normal(grid.dims + (2,))
-    phi = SpinorField(grid, comps)
+    phi = SpinorField(grid, np.moveaxis(comps, -1, 0))
     err = np.abs(sigma_map(phi).norm() ** 2 - phi.norm2() ** 2 / 8.0)
     assert grid.node_count == 10_000
     assert np.max(err) <= 1e-12
@@ -143,14 +142,15 @@ def test_c06_curvature_oracles_16():
     f = 0.1 * np.sin(x0)
     closed = np.exp(-2 * f) * (6 * 0.1 * np.sin(x0) - 6 * (0.1 * np.cos(x0)) ** 2)
     assert np.max(np.abs(cb.scalar.values - closed)) <= 1e-4
-    assert np.max(np.abs(np.linalg.eigvalsh(cb.wplus))) <= 1e-4  # W+ = 0 closed form
+    wplus = np.moveaxis(cb.wplus, (0, 1), (-2, -1))
+    assert np.max(np.abs(np.linalg.eigvalsh(wplus))) <= 1e-4  # W+ = 0 closed form
 
     mk = metric_from_preset("kaehler-product:0.1*sin(x2)", grid)
     ck = curvature_stack(mk)
     u = 0.1 * np.sin(x2)
     scalar = -2.0 * np.exp(-2 * u) * (-u)
     assert np.max(np.abs(ck.scalar.values - scalar)) <= 1e-4
-    eigs = np.linalg.eigvalsh(ck.wplus)
+    eigs = np.linalg.eigvalsh(np.moveaxis(ck.wplus, (0, 1), (-2, -1)))
     closed_eigs = np.sort(
         np.stack([scalar / 6, -scalar / 12, -scalar / 12], axis=-1), axis=-1
     )
@@ -217,7 +217,7 @@ def test_c09_reduction_identity(flat8):
     K = assemble_K(theta, curv, lam=0.3)
     conn, phi = smooth_pair(m.grid, 6)
     cfg = MonopoleConfig(conn, phi, m)
-    hat = SelfDualField(m.grid, np.tile([0.6, 0.8, 0.0], m.grid.dims + (1,)))
+    hat = SelfDualField(m.grid, np.moveaxis(np.tile([0.6, 0.8, 0.0], m.grid.dims + (1,)), -1, 0))
     full = PerturbationSpec("full", eps=0.5, omega_hat=hat)
     res_full = psw_residual(cfg, full, K)
     res_gen = general_psw_residual(cfg, reduction_spec(full, K), K)

@@ -15,8 +15,12 @@ from monolab.cli import main
 from monolab.functionals import CATALOG
 from monolab.grid import GridSpec
 from monolab.io import load_fields, save_fields
-from monolab.presets import random_smooth_scalar
+from monolab.presets import metric_from_preset, random_smooth_scalar, theta_from_preset
+from monolab.rayleigh import rayleigh_quotient
 from monolab.report import render_report
+from monolab.selfdual import SelfDualField, harmonic_selfdual_basis
+
+from conftest import layout
 
 
 def run(capsys, argv):
@@ -42,6 +46,56 @@ def test_curvature_dump(tmp_path, capsys):
     grid, arrays, _ = load_fields(dump)
     assert grid.dims == (8, 8, 8, 8)
     assert "scalar" in arrays
+
+
+# non-cubic, so that a dump whose grid axes are not its leading ones shows
+DUMP_DIMS = (7, 8, 9, 10)
+
+
+def test_hodge_dump_is_node_major(tmp_path, capsys):
+    # the metric file is written as the benchmark writes its inputs: a
+    # node-major (dims, 4, 4) g through save_fields
+    grid = GridSpec(DUMP_DIMS)
+    f = random_smooth_scalar(grid, np.random.default_rng(0), 1, 0.1)
+    save_fields(tmp_path / "g.zip", grid, {"g": np.exp(2.0 * f)[..., None, None] * np.eye(4)})
+    metric = f"file:{tmp_path / 'g.zip'}"
+    dump = tmp_path / "basis.zip"
+    code, _ = run(capsys, ["hodge", "--dims", "7,8,9,10", "--metric", metric,
+                           "--dump", str(dump)])
+    assert code == 0
+    _, arrays, _ = load_fields(dump)
+    basis = harmonic_selfdual_basis(metric_from_preset(metric, grid))
+    for i, h in enumerate(basis):
+        assert arrays[f"h{i}"].shape == DUMP_DIMS + (3,)
+        assert arrays[f"h{i}"].tobytes() == layout(h.comps, "node").tobytes()
+
+
+def test_lambda_dump_is_node_major(tmp_path, capsys):
+    # read back component-major, the dumped minimiser gives the reported lambda
+    dump = tmp_path / "minimizer.zip"
+    code, report = run(capsys, ["lambda", "--dims", "7,8,9,10", "--theta", "coord:0",
+                                "--multistarts", "0", "--max-iter", "20",
+                                "--dump", str(dump)])
+    assert code == 0
+    _, arrays, _ = load_fields(dump)
+    assert arrays["minimizer"].shape == DUMP_DIMS + (3,)
+    m = metric_from_preset("flat", GridSpec(DUMP_DIMS))
+    sigma = SelfDualField(m.grid, layout(arrays["minimizer"], "comp"))
+    out = report["outputs"]
+    lam = rayleigh_quotient(sigma, theta_from_preset("coord:0", m), m, out["epsilon_final"])
+    assert abs(lam - out["lambda"]) <= 1e-12 * out["lambda"]
+
+
+def test_psw_residual_dump_is_node_major(tmp_path, capsys):
+    # its largest node norm, summed over the trailing axis, is the reported one
+    dump = tmp_path / "r2.zip"
+    code, report = run(capsys, ["psw-residual", "--dims", "7,8,9,10", "--pair", "gauge",
+                                "--dump", str(dump)])
+    assert code == 0
+    _, arrays, _ = load_fields(dump)
+    r2 = arrays["r2"]
+    assert r2.shape == DUMP_DIMS + (3,)
+    assert float(np.sqrt(np.max(np.sum(r2**2, axis=-1)))) == report["outputs"]["norms"]["r2_linf"]
 
 
 def test_report_is_byte_identical(tmp_path):
@@ -246,6 +300,9 @@ def test_parse_errors_exit_2(tmp_path, monkeypatch, capsys, argv):
 _BAD_FIELDS = {
     "nan-metric": lambda x0: {"g": np.where(x0[..., None, None] > 3.0, np.nan, np.eye(4))},
     "non-spd-metric": lambda x0: {"g": np.where(x0[..., None, None] > 3.0, -1.0, 1.0) * np.eye(4)},
+    # g stored component-major, (4, 4, dims): files hold it node-major
+    "component-major-metric": lambda x0: {
+        "g": np.eye(4)[..., None, None, None, None] * np.ones(x0.shape)},
     "nan-theta": lambda x0: {"theta": np.where(x0 > 3.0, np.nan, x0)},
     "non-unit-sc": lambda x0: {"s": np.zeros_like(x0), "c": np.full_like(x0, 2.0)},
     "inf-sc": lambda x0: {"s": np.where(x0 > 3.0, np.inf, 0.0), "c": np.ones_like(x0)},

@@ -19,7 +19,7 @@ from monolab.curvature import (
     curvature_stack,
 )
 import monolab.grid as grid_module
-from monolab.grid import GridSpec, ScalarField, _component_major, _node_major, d1, d2, integrate
+from monolab.grid import GridSpec, ScalarField, d1, d2, integrate
 from monolab.presets import metric_from_preset, random_smooth_scalar, theta_from_preset
 from monolab.rayleigh import LambdaOptions, minimize_lambda
 from monolab.selfdual import (
@@ -30,6 +30,7 @@ from monolab.selfdual import (
 
 from conftest import (
     generic_metric,
+    layout,
     rel_err,
     roll_d1,
     roll_d2,
@@ -67,9 +68,9 @@ def test_is_flat_is_an_absolute_test(grid8):
     assert not metric_from_preset("conformal:4e-6*sin(x0)", grid8).is_flat
     g = np.tile(np.eye(4), grid8.dims + (1, 1))
     g[1, 2, 3, 4, 0, 1] = g[1, 2, 3, 4, 1, 0] = 5e-13
-    assert build_metric(grid8, g).is_flat
+    assert build_metric(grid8, layout(g, "comp")).is_flat
     g[1, 2, 3, 4, 0, 1] = g[1, 2, 3, 4, 1, 0] = 2e-12
-    assert not build_metric(grid8, g).is_flat
+    assert not build_metric(grid8, layout(g, "comp")).is_flat
 
 
 def test_build_metric_rejects_bad_storage():
@@ -77,36 +78,36 @@ def test_build_metric_rejects_bad_storage():
     bad = np.tile(np.eye(4), g.dims + (1, 1))
     bad[..., 0, 1] = 0.1
     with pytest.raises(ValueError):
-        build_metric(g, bad)
+        build_metric(g, layout(bad, "comp"))
     spd = np.tile(np.eye(4), g.dims + (1, 1))
     spd[2, 3, 4, 5, 0, 0] = -1.0
     with pytest.raises(ValueError, match=r"not positive definite at node \(2, 3, 4, 5\)"):
-        build_metric(g, spd)
+        build_metric(g, layout(spd, "comp"))
     # the first two pivots are 1, the third 1 - 0.8^2 - 0.8^2 < 0
     third = np.tile(np.eye(4), g.dims + (1, 1))
     for i in (0, 1):
         third[3, 1, 4, 1, i, 2] = third[3, 1, 4, 1, 2, i] = 0.8
     with pytest.raises(ValueError, match=r"not positive definite at node \(3, 1, 4, 1\) "
                                          r"\(lowest eigenvalue -1\.3"):
-        build_metric(g, third)
+        build_metric(g, layout(third, "comp"))
     for value in (np.nan, np.inf):
         finite = np.tile(np.eye(4), g.dims + (1, 1))
         finite[1, 2, 3, 4, 2, 2] = value
         with pytest.raises(ValueError, match=r"node \(1, 2, 3, 4\)"):
-            build_metric(g, finite)
+            build_metric(g, layout(finite, "comp"))
     # SPD, but det g = vol^2 overflows or underflows, though vol may not
     for scale in (1e200, 1e-200, 1e100, 1e-100):
         with pytest.raises(ValueError, match="volume factor"):
-            build_metric(g, np.tile(scale * np.eye(4), g.dims + (1, 1)))
+            build_metric(g, layout(np.tile(scale * np.eye(4), g.dims + (1, 1)), "comp"))
 
 
 def test_metric_algebra_from_the_factor():
     # LAPACK references on a generic (non-diagonal) metric; the package
     # reads these off the Cholesky factor without inverse or determinant
     grid, g = generic_metric(8)
-    m = build_metric(grid, g)
-    e = _node_major(m.coframe)
-    einv, gi = (_node_major(f(m.coframe)) for f in (_inverse_coframe, _inverse_metric))
+    m = build_metric(grid, layout(g, "comp"))
+    e = layout(m.coframe, "node")
+    einv, gi = (layout(f(m.coframe), "node") for f in (_inverse_coframe, _inverse_metric))
     eye = np.broadcast_to(np.eye(4), g.shape)
     assert np.max(np.abs(np.swapaxes(e, -1, -2) @ e - g)) < 1e-13
     assert np.max(np.abs(einv @ e - eye)) < 1e-13
@@ -125,11 +126,11 @@ def test_metric_is_factored_without_lapack(monkeypatch):
         raise AssertionError("np.linalg.cholesky was called")
 
     monkeypatch.setattr(np.linalg, "cholesky", refused)
-    m = build_metric(grid, g)
+    m = build_metric(grid, layout(g, "comp"))
     curvature_stack(m)
     for derived in (m.flux_weight, m.vol, m.sd_pairs, m.sd_connection):
         assert np.isfinite(derived).all()
-    e = _node_major(m.coframe)
+    e = layout(m.coframe, "node")
     assert rel_err(e, np.swapaxes(cholesky(g), -1, -2)) < 1e-15
     assert np.array_equal(np.tril(e, -1), np.zeros(g.shape))
 
@@ -165,7 +166,7 @@ def test_kaehler_product_matches_closed_form():
     u = 0.1 * np.sin(g.mesh(2)) * np.cos(g.mesh(3))
     scalar = -2.0 * np.exp(-2 * u) * (-2.0 * u)
     assert np.max(np.abs(cb.scalar.values - scalar)) < 2e-3
-    eigs = np.linalg.eigvalsh(cb.wplus)
+    eigs = np.linalg.eigvalsh(layout(cb.wplus, "node"))
     closed = np.sort(np.stack([scalar / 6, -scalar / 12, -scalar / 12], axis=-1), axis=-1)
     assert np.max(np.abs(eigs - closed)) < 1e-3
     assert np.max(np.abs(cb.w.values - np.minimum(scalar / 6, -scalar / 12))) < 1e-3
@@ -174,48 +175,48 @@ def test_kaehler_product_matches_closed_form():
 def test_lowest_eigenvalue_against_cubic_oracle():
     # w is the lowest eigenvalue of the stack's own W+, node by node
     grid, g = generic_metric(8)
-    cb = curvature_stack(build_metric(grid, g))
-    cubic = [sym3x3_eigs(a)[0] for a in cb.wplus.reshape(-1, 3, 3)]
+    cb = curvature_stack(build_metric(grid, layout(g, "comp")))
+    cubic = [sym3x3_eigs(a)[0] for a in np.reshape(layout(cb.wplus, "node"), (-1, 3, 3))]
     assert np.max(np.abs(cb.w.values.reshape(-1) - cubic)) < 1e-12 * np.max(np.abs(cb.wplus))
 
 
 def test_bundle_rejects_bad_weyl_storage(grid8):
     g = grid8
     zeros = ScalarField(g, np.zeros(g.dims))
-    wbad = np.zeros(g.dims + (3, 3))
-    wbad[..., 0, 1] = 1.0
+    wbad = np.zeros((3, 3) + g.dims)
+    wbad[0, 1] = 1.0
     with pytest.raises(ValueError):
         CurvatureBundle(zeros, wbad, zeros)
     wpos = ScalarField(g, np.full(g.dims, 0.5))
     with pytest.raises(ValueError):
-        CurvatureBundle(zeros, np.zeros(g.dims + (3, 3)), wpos)
+        CurvatureBundle(zeros, np.zeros((3, 3) + g.dims), wpos)
 
 
 @pytest.mark.parametrize("i, j", [(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)])
 def test_bundle_rejects_asymmetry_in_any_off_diagonal_pair(grid8, i, j):
     zeros = ScalarField(grid8, np.zeros(grid8.dims))
-    wbad = np.zeros(grid8.dims + (3, 3))
-    wbad[2, 3, 4, 5, i, j] = 1e-6
+    wbad = np.zeros((3, 3) + grid8.dims)
+    wbad[i, j, 2, 3, 4, 5] = 1e-6
     with pytest.raises(ValueError, match="not symmetric"):
         CurvatureBundle(zeros, wbad, zeros)
-    wbad[2, 3, 4, 5, j, i] = 1e-6
+    wbad[j, i, 2, 3, 4, 5] = 1e-6
     CurvatureBundle(zeros, wbad, zeros)
 
 
 @pytest.mark.parametrize("a", range(3))
 def test_bundle_rejects_a_trace_on_any_diagonal_entry(grid8, a):
     zeros = ScalarField(grid8, np.zeros(grid8.dims))
-    wbad = np.zeros(grid8.dims + (3, 3))
-    wbad[2, 3, 4, 5, a, a] = 1e-6
+    wbad = np.zeros((3, 3) + grid8.dims)
+    wbad[a, a, 2, 3, 4, 5] = 1e-6
     with pytest.raises(ValueError, match="trace-free"):
         CurvatureBundle(zeros, wbad, zeros)
-    wbad[2, 3, 4, 5, a - 1, a - 1] = -1e-6
+    wbad[a - 1, a - 1, 2, 3, 4, 5] = -1e-6
     CurvatureBundle(zeros, wbad, zeros)
 
 
 def test_bundle_checks_make_no_whole_weyl_temporary(curv8_conf):
     # the checks read W+ one (i, j) plane at a time: a few whole-grid
-    # doubles per node, where one (dims, 3, 3) temporary is 9
+    # doubles per node, where one (3, 3, dims) temporary is 9
     curv, grid = curv8_conf, curv8_conf.scalar.grid
     tracemalloc.start()
     try:
@@ -235,7 +236,7 @@ def test_bundle_checks_scale_with_the_scalar_curvature(n, expr):
     rmax = float(np.max(np.abs(curv.scalar.values)))
     assert rmax > 1e8 * max(1.0, float(np.max(np.abs(curv.wplus))))
     traced = curv.wplus.copy()
-    traced[..., 0, 0] += 1e-6 * rmax
+    traced[0, 0] += 1e-6 * rmax
     with pytest.raises(ValueError, match="trace-free"):
         CurvatureBundle(curv.scalar, traced, curv.w)
 
@@ -247,8 +248,8 @@ def test_three_form_algebra_matches_tensor_definitions():
     rng = np.random.default_rng(31)
     a = rng.standard_normal(grid.dims + (4, 4))
     g = np.einsum("...ij,...kj->...ik", a, a) + 0.5 * np.eye(4)
-    m = build_metric(grid, g)
-    gi, vol = _node_major(_inverse_metric(m.coframe)), m.vol
+    m = build_metric(grid, layout(g, "comp"))
+    gi, vol = layout(_inverse_metric(m.coframe), "node"), m.vol
 
     star_stored = np.einsum("...mijk,lijk->...ml", textbook_three_form_star(g), X3)
     gram3 = np.empty(grid.dims + (4, 4))
@@ -264,7 +265,7 @@ def test_three_form_algebra_matches_tensor_definitions():
         return np.max(np.abs(x - y)) / np.max(np.abs(y))
 
     # the weight is cached component-major, [l, k, ...]
-    assert rel(np.moveaxis(m.hodge_weight, (0, 1), (-2, -1)), weight) < 1e-13
+    assert rel(layout(m.hodge_weight, "node"), weight) < 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -309,29 +310,29 @@ def _frame_operator(m):
     """L^T R_pair L with L = Lambda^2(e^-1), e^-1 by LAPACK: the frame
     curvature operator whose trace is R/2 and whose eta-plus and eta-minus
     blocks are W+ and W- plus (R/12) 1."""
-    lam = _node_major(_lambda2(_component_major(np.linalg.inv(_node_major(m.coframe)))))
-    pair = _node_major(np.stack([r for r, _ in _pair_riemann(m)], axis=2))
+    lam = layout(_lambda2(layout(np.linalg.inv(layout(m.coframe, "node")), "comp")), "node")
+    pair = layout(np.stack([r for r, _ in _pair_riemann(m)], axis=2), "node")
     return np.swapaxes(lam, -1, -2) @ pair @ lam
 
 
 def test_stack_matches_frame_operator():
     grid, g = generic_metric(8)
-    m = build_metric(grid, g)
+    m = build_metric(grid, layout(g, "comp"))
     cb = curvature_stack(m)
     op = _frame_operator(m)
     scal = 2.0 * np.trace(op, axis1=-2, axis2=-1)
     wplus = H_PLUS @ op @ H_PLUS.T - (scal / 12.0)[..., None, None] * np.eye(3)
     assert rel_err(cb.scalar.values, scal) < 1e-12
-    assert rel_err(cb.wplus, wplus) < 1e-12
+    assert rel_err(layout(cb.wplus, "node"), wplus) < 1e-12
 
 
 def test_pair_operator_matches_textbook_chain():
     grid, g = generic_metric(8)
-    m = build_metric(grid, g)
+    m = build_metric(grid, layout(g, "comp"))
     cb = curvature_stack(m)
     scal, wplus = textbook_curvature(g, grid.spacing)
     assert rel_err(cb.scalar.values, scal) < 1e-12
-    assert rel_err(cb.wplus, wplus) < 1e-12
+    assert rel_err(layout(cb.wplus, "node"), wplus) < 1e-12
 
 
 # unequal node counts and periods: a transposed axis, a swapped spacing or a
@@ -341,16 +342,16 @@ NONCUBIC = dict(n=(8, 9, 10, 12), seed=17, periods=(6.0, 7.0, 5.5, 8.0))
 
 def test_pair_operator_matches_textbook_chain_on_a_noncubic_grid():
     grid, g = generic_metric(**NONCUBIC)
-    m = build_metric(grid, g)
+    m = build_metric(grid, layout(g, "comp"))
     cb = curvature_stack(m)
     scal, wplus = textbook_curvature(g, grid.spacing)
     assert rel_err(cb.scalar.values, scal) < 1e-12
-    assert rel_err(cb.wplus, wplus) < 1e-12
+    assert rel_err(layout(cb.wplus, "node"), wplus) < 1e-12
     # Gamma^k_x = (e^-1 F)[k, x] from the frame symbols
     gam = np.stack([np.einsum("ka...,ax...->kx...", einv, frame)
                     for *_, frame, einv in _metric_slabs(m)], axis=2)
     textbook = textbook_christoffel(g, grid.spacing)
-    assert rel_err(_node_major(gam), textbook[..., _SYM_I, _SYM_J]) < 1e-13
+    assert rel_err(layout(gam, "node"), textbook[..., _SYM_I, _SYM_J]) < 1e-13
 
 
 def test_slab_stencils_match_the_whole_grid_rows():
@@ -358,7 +359,7 @@ def test_slab_stencils_match_the_whole_grid_rows():
     # of the component-major g at a time, with the grid's own axis numbers,
     # and relies on getting the whole-grid call's bits
     grid, g = generic_metric(**NONCUBIC)
-    g10 = _component_major(g[..., _SYM_I, _SYM_J])
+    g10 = np.ascontiguousarray(layout(g[..., _SYM_I, _SYM_J], "comp"))
     for k in (1, 2, 3):
         h = grid.spacing[k]
         whole1, whole2 = d1(g10, k, h), d2(g10, k, h)
@@ -373,7 +374,7 @@ def test_stack_builds_no_whole_grid_matrix_field():
     # them, stay below one (dims,10,10) float64 array, the size of the matrix
     # M behind the pair form, which the stack forms one axis-0 slab at a time
     grid, g = generic_metric(12)
-    m = build_metric(grid, g)
+    m = build_metric(grid, layout(g, "comp"))
     tracemalloc.start()
     try:
         curvature_stack(m)
@@ -389,7 +390,7 @@ def test_stack_peak_at_16_stays_near_its_outputs():
     # whole-grid axis-0 stencils of g and the (dims, 3, 3) check temporaries
     # made it 66.1
     grid, g = generic_metric(16)
-    m = build_metric(grid, g)
+    m = build_metric(grid, layout(g, "comp"))
     tracemalloc.start()
     try:
         curvature_stack(m)
@@ -404,7 +405,7 @@ def test_cold_stack_runs_no_whole_grid_stencil(monkeypatch):
     # axis-0 slab at a time, axis 0 included: no stencil sees a whole-grid
     # (10,) + dims or (4, 4) + dims array, nor any other
     grid, g = generic_metric(**NONCUBIC)
-    m = build_metric(grid, g)
+    m = build_metric(grid, layout(g, "comp"))
     shapes = []
     stencil_along = grid_module._stencil_along
 
@@ -431,10 +432,10 @@ def _topology_and_covariance(n):
     the relative Chern-Gauss-Bonnet integral (chi(T^4) = 0), and the pointwise
     error of W+(e^{2f} g) = e^{-2f} W+(g) relative to max |W+(g)|."""
     grid, g = generic_metric(n)
-    m = build_metric(grid, g)
+    m = build_metric(grid, layout(g, "comp"))
     op = _frame_operator(m)
     cb = curvature_stack(m)
-    scal, wplus = cb.scalar.values, cb.wplus
+    scal, wplus = cb.scalar.values, layout(cb.wplus, "node")
     wminus = H_MINUS @ op @ H_MINUS.T - (scal / 12.0)[..., None, None] * np.eye(3)
     full = np.einsum("pab,...pq,qcd->...abcd", X2, op, X2, optimize=True)
     ric0 = np.einsum("...abad->...bd", full) - (scal / 4.0)[..., None, None] * np.eye(4)
@@ -446,8 +447,8 @@ def _topology_and_covariance(n):
     euler = abs(wp2 + wm2 + r2 - ric2) / (wp2 + wm2 + r2 + ric2)
 
     f = random_smooth_scalar(grid, np.random.default_rng(99), 1, 0.2)
-    conf = curvature_stack(build_metric(grid, np.exp(2.0 * f)[..., None, None] * g))
-    cov = rel_err(conf.wplus, np.exp(-2.0 * f)[..., None, None] * wplus)
+    conf = curvature_stack(build_metric(grid, np.exp(2.0 * f) * layout(g, "comp")))
+    cov = rel_err(conf.wplus, np.exp(-2.0 * f) * cb.wplus)
     return np.array([gap, euler, cov])
 
 
@@ -486,7 +487,7 @@ def test_metric_keeps_only_what_every_application_reads():
     # after every kernel that reads them has run, the metric holds only its
     # inputs and the tensors an application of the lambda operator reads
     grid, g = generic_metric(8)
-    m = build_metric(grid, g)
+    m = build_metric(grid, layout(g, "comp"))
     curv = curvature_stack(m)
     sigma = harmonic_selfdual_basis(m)[0]
     weitzenboeck_residual(sigma, m, curv)

@@ -31,6 +31,8 @@ from monolab.rayleigh import assemble_K, rayleigh_quotient, theta_from_angle
 from monolab.selfdual import SelfDualField, TwoFormField, harmonic_selfdual_basis, sd_l2_norm
 from monolab.spinc import SpinorField, U1Connection, sigma_map
 
+from conftest import layout
+
 SQRT8 = math.sqrt(8.0)
 EPS = 0.5
 
@@ -41,7 +43,7 @@ def kzero(m8, curv8):
 
 
 def zeros_sd(grid):
-    return SelfDualField(grid, np.zeros(grid.dims + (3,)))
+    return SelfDualField(grid, np.zeros((3,) + grid.dims))
 
 
 def test_perturbation_spec_validation(grid8):
@@ -51,7 +53,7 @@ def test_perturbation_spec_validation(grid8):
         PerturbationSpec("full", eps=0.0)
     with pytest.raises(ValueError):
         PerturbationSpec("simple", eps=0.5, omega_hat=zeros_sd(grid8))
-    big = SelfDualField(grid8, np.full(grid8.dims + (3,), 1.0))
+    big = SelfDualField(grid8, np.full((3,) + grid8.dims, 1.0))
     with pytest.raises(ValueError):
         PerturbationSpec("full", eps=0.5, omega_hat=big)  # |omega_hat| = sqrt(3)
     with pytest.raises(ValueError):
@@ -60,8 +62,8 @@ def test_perturbation_spec_validation(grid8):
 
 def test_config_grid_mismatch(m8):
     other = GridSpec((10,) * 4)
-    conn = U1Connection(other, np.zeros(other.dims + (4,)))
-    phi = SpinorField(other, np.zeros(other.dims + (2,), dtype=complex))
+    conn = U1Connection(other, np.zeros((4,) + other.dims))
+    phi = SpinorField(other, np.zeros((2,) + other.dims, dtype=complex))
     with pytest.raises(ValueError):
         MonopoleConfig(conn, phi, m8)
 
@@ -140,10 +142,10 @@ def test_default_gate_flags_near_solutions(m8, kzero):
 def test_bound_violation_is_reported(m8, kzero):
     # a large flux with Phi = 0 violates the sup bound; the margin goes
     # negative and the gate keeps the report marked non-applicable
-    a = np.zeros(m8.grid.dims + (4,))
-    a[..., 0] = 5.0 * np.sin(m8.grid.mesh(1))
+    a = np.zeros((4,) + m8.grid.dims)
+    a[0] = 5.0 * np.sin(m8.grid.mesh(1))
     conn = U1Connection(m8.grid, a)
-    phi = SpinorField(m8.grid, np.zeros(m8.grid.dims + (2,), dtype=complex))
+    phi = SpinorField(m8.grid, np.zeros((2,) + m8.grid.dims, dtype=complex))
     cfg = MonopoleConfig(conn, phi, m8)
     bc = check_curvature_bound(cfg, kzero, EPS)
     assert bc.margin < 0
@@ -204,7 +206,7 @@ def test_general_admissibility_rejections(m8, curv8):
         general_psw_residual(cfg, peak, K)
     from monolab.rayleigh import beta
 
-    shift = SelfDualField(m8.grid, np.full(m8.grid.dims + (3,), 10.0))
+    shift = SelfDualField(m8.grid, np.full((3,) + m8.grid.dims, 10.0))
     badeta = PerturbationSpec(
         "general",
         F=lambda k, t: beta(t) * (k + EPS),
@@ -222,14 +224,14 @@ def test_general_admissibility_rejections(m8, curv8):
 def test_reduction_identity_is_bitwise(m8, curv8):
     theta, K = mixed_K(m8, curv8)
     rng = np.random.default_rng(8)
-    a = np.stack([random_smooth_scalar(m8.grid, rng, amp=0.3) for _ in range(4)], axis=-1)
+    a = np.stack([random_smooth_scalar(m8.grid, rng, amp=0.3) for _ in range(4)])
     parts = [random_smooth_scalar(m8.grid, rng, amp=0.3) for _ in range(4)]
     phi = SpinorField(
         m8.grid,
-        np.stack([1.0 + parts[0] + 1j * parts[1], 0.4 + parts[2] + 1j * parts[3]], axis=-1),
+        np.stack([1.0 + parts[0] + 1j * parts[1], 0.4 + parts[2] + 1j * parts[3]]),
     )
     cfg = MonopoleConfig(U1Connection(m8.grid, a), phi, m8)
-    hat = SelfDualField(m8.grid, np.tile([0.6, 0.8, 0.0], m8.grid.dims + (1,)))
+    hat = SelfDualField(m8.grid, layout(np.tile([0.6, 0.8, 0.0], m8.grid.dims + (1,)), "comp"))
     full = PerturbationSpec("full", eps=EPS, omega_hat=hat)
     res_full = psw_residual(cfg, full, K)
     res_gen = general_psw_residual(cfg, reduction_spec(full, K), K)
@@ -239,8 +241,8 @@ def test_reduction_identity_is_bitwise(m8, curv8):
 
 
 def flux_rep(grid, n):
-    comps = np.zeros(grid.dims + (6,))
-    comps[..., 0] = n / (2.0 * np.pi)
+    comps = np.zeros((6,) + grid.dims)
+    comps[0] = n / (2.0 * np.pi)
     return TwoFormField(grid, comps)
 
 
@@ -249,7 +251,7 @@ def flux_pairing(rep, omega, m, kfield):
 
 
 def test_lebrun_linear_pairs_integer_fluxes(m8, kzero):
-    omega = SelfDualField(m8.grid, np.tile([1.0, 0.0, 0.0], m8.grid.dims + (1,)))
+    omega = SelfDualField(m8.grid, layout(np.tile([1.0, 0.0, 0.0], m8.grid.dims + (1,)), "comp"))
     want = (2.0 * np.pi) ** 2 / math.sqrt(2.0)
     p1 = flux_pairing(flux_rep(m8.grid, 1), omega, m8, kzero)
     p2 = flux_pairing(flux_rep(m8.grid, 2), omega, m8, kzero)
@@ -261,9 +263,9 @@ def test_lebrun_linear_pairing_ignores_exact_forms(m8, kzero):
     rng = np.random.default_rng(11)
     a = U1Connection(
         m8.grid,
-        np.stack([random_smooth_scalar(m8.grid, rng, amp=0.5) for _ in range(4)], axis=-1),
+        np.stack([random_smooth_scalar(m8.grid, rng, amp=0.5) for _ in range(4)]),
     )
-    omega = SelfDualField(m8.grid, np.tile([1.0, 0.0, 0.0], m8.grid.dims + (1,)))
+    omega = SelfDualField(m8.grid, layout(np.tile([1.0, 0.0, 0.0], m8.grid.dims + (1,)), "comp"))
     rep = flux_rep(m8.grid, 1)
     shifted = TwoFormField(m8.grid, rep.comps + a.curv.comps)
     p0 = flux_pairing(rep, omega, m8, kzero)
@@ -272,24 +274,24 @@ def test_lebrun_linear_pairing_ignores_exact_forms(m8, kzero):
 
 
 def test_lebrun_linear_pairing_guards(m8, kzero):
-    omega = SelfDualField(m8.grid, np.tile([1.0, 0.0, 0.0], m8.grid.dims + (1,)))
+    omega = SelfDualField(m8.grid, layout(np.tile([1.0, 0.0, 0.0], m8.grid.dims + (1,)), "comp"))
     rng = np.random.default_rng(12)
     open_form = TwoFormField(
         m8.grid,
-        np.stack([random_smooth_scalar(m8.grid, rng, amp=1.0) for _ in range(6)], axis=-1),
+        np.stack([random_smooth_scalar(m8.grid, rng, amp=1.0) for _ in range(6)]),
     )
     with pytest.raises(ValueError, match="closed"):
         flux_pairing(open_form, omega, m8, kzero)
     wobbly = SelfDualField(
         m8.grid,
-        np.stack([1 + random_smooth_scalar(m8.grid, rng, amp=0.5) for _ in range(3)], axis=-1),
+        np.stack([1 + random_smooth_scalar(m8.grid, rng, amp=0.5) for _ in range(3)]),
     )
     with pytest.raises(ValueError, match="harmonic"):
         flux_pairing(flux_rep(m8.grid, 1), wobbly, m8, kzero)
 
 
 def test_lebrun_linear_flat_equality(m8, kzero):
-    omega = SelfDualField(m8.grid, np.tile([0.0, 1.0, 0.0], m8.grid.dims + (1,)))
+    omega = SelfDualField(m8.grid, layout(np.tile([0.0, 1.0, 0.0], m8.grid.dims + (1,)), "comp"))
     rep = lebrun_linear(omega, m8, kfield=kzero, c1=0.0)
     assert abs(rep.lhs) < 1e-8
     assert abs(rep.rhs) < 1e-8
@@ -323,7 +325,7 @@ def test_lebrun_quadratic_from_representative(m8, kzero):
     assert rep.notes["b_plus"] == 3
     exact = lebrun_quadratic(kzero, m8, f_rep=U1Connection(m8.grid, np.stack(
         [random_smooth_scalar(m8.grid, np.random.default_rng(1), amp=0.5)
-         for _ in range(4)], axis=-1)).curv)
+         for _ in range(4)])).curv)
     assert abs(exact.notes["c1plus_sq"]) < 1e-12
 
 
@@ -382,11 +384,11 @@ def test_catalog_delta_sweep_sign_pattern():
 
 def random_config(m8, curv8, seed):
     rng = np.random.default_rng(seed)
-    a = np.stack([random_smooth_scalar(m8.grid, rng, amp=0.3) for _ in range(4)], axis=-1)
+    a = np.stack([random_smooth_scalar(m8.grid, rng, amp=0.3) for _ in range(4)])
     parts = [random_smooth_scalar(m8.grid, rng, amp=0.3) for _ in range(4)]
     phi = SpinorField(
         m8.grid,
-        np.stack([1.0 + parts[0] + 1j * parts[1], 0.4 + parts[2] + 1j * parts[3]], axis=-1),
+        np.stack([1.0 + parts[0] + 1j * parts[1], 0.4 + parts[2] + 1j * parts[3]]),
     )
     return MonopoleConfig(U1Connection(m8.grid, a), phi, m8, curv=curv8)
 

@@ -7,19 +7,17 @@ from monolab.grid import (
     GridSpec,
     ScalarField,
     _circulant,
-    _component_major,
+    _gradient,
     _gradient_T,
-    _node_major,
     _real_fourier,
     _slab_stencils,
     _stencil_symbol2,
     d1,
     d2,
-    gradient,
     integrate,
 )
 
-from conftest import rel_err, roll_d1, roll_d2
+from conftest import layout, rel_err, roll_d1, roll_d2
 
 TWO_PI = 2.0 * np.pi
 
@@ -144,7 +142,7 @@ KERNEL_CASES = [
 @pytest.mark.parametrize("dims, periods, tail", KERNEL_CASES)
 def test_kernels_match_roll_stencils(dims, periods, tail):
     g = GridSpec(dims, periods)
-    v = _component_major(np.random.default_rng(8).standard_normal(dims + tail))
+    v = layout(np.random.default_rng(8).standard_normal(dims + tail), "comp")
     for axis, h in enumerate(g.spacing):
         assert rel_err(d1(v, axis, h), roll_d1(v, axis - 4, h)) < 1e-14
         assert rel_err(d2(v, axis, h), roll_d2(v, axis - 4, h)) < 1e-14
@@ -157,7 +155,7 @@ def test_kernels_exactly_zero_along_constant_axis(dims, periods, tail):
     for axis, h in enumerate(g.spacing):
         shape = list(dims + tail)
         shape[axis] = 1
-        v = _component_major(np.broadcast_to(rng.standard_normal(shape), dims + tail))
+        v = layout(np.broadcast_to(rng.standard_normal(shape), dims + tail), "comp")
         assert np.array_equal(d1(v, axis, h), np.zeros_like(v))
         assert np.array_equal(d2(v, axis, h), np.zeros_like(v))
 
@@ -166,8 +164,8 @@ def test_kernels_exactly_zero_along_constant_axis(dims, periods, tail):
 def test_d1_plain_sum_adjoint(dims, periods, tail):
     g = GridSpec(dims, periods)
     rng = np.random.default_rng(10)
-    f = _component_major(rng.standard_normal(dims + tail))
-    w = _component_major(rng.standard_normal(dims + tail))
+    f = layout(rng.standard_normal(dims + tail), "comp")
+    w = layout(rng.standard_normal(dims + tail), "comp")
     for axis, h in enumerate(g.spacing):
         lhs = np.sum(d1(f, axis, h) * w)
         rhs = -np.sum(f * d1(w, axis, h))
@@ -179,7 +177,7 @@ def test_d1_plain_sum_adjoint(dims, periods, tail):
 def test_d1_rows_match_the_gathered_call(tail, rows):
     # the bits of d1(f[rows]) on the whole grid and on an axis-0 slab
     g = GridSpec((8, 8, 16, 8), (TWO_PI, 3.0, 2 * TWO_PI, 5.0))
-    f = _component_major(np.random.default_rng(12).standard_normal(g.dims + tail))
+    f = layout(np.random.default_rng(12).standard_normal(g.dims + tail), "comp")
     slab = np.ascontiguousarray(f[..., 3, :, :, :])
     for axis, h in enumerate(g.spacing):
         assert np.array_equal(d1(f, axis, h, rows=rows), d1(f[rows], axis, h))
@@ -217,15 +215,14 @@ def test_axis0_slab_stencils_are_exactly_zero_on_fields_constant_along_axis_0(g)
 
 @pytest.mark.parametrize("dims, periods, tail", KERNEL_CASES)
 def test_gradient_pair_is_adjoint(dims, periods, tail):
-    # the derivative axis sits right after the grid axes; trailing axes ride along
+    # the derivative axis leads; the component axes ride along behind it
     g = GridSpec(dims, periods)
     rng = np.random.default_rng(11)
-    f = rng.standard_normal(dims + tail)
-    flux = rng.standard_normal(dims + (4,) + tail)
-    df = gradient(f, g)
+    f = rng.standard_normal(tail + dims)
+    flux = rng.standard_normal((4,) + tail + dims)
+    df = _gradient(f, g)
     for axis, h in enumerate(g.spacing):
-        assert np.array_equal(_component_major(df[:, :, :, :, axis]),
-                              d1(_component_major(f), axis, h))
+        assert np.array_equal(df[axis], d1(f, axis, h))
     lhs = np.sum(df * flux)
-    rhs = np.sum(f * _node_major(_gradient_T(_component_major(flux), g)))
+    rhs = np.sum(f * _gradient_T(flux, g))
     assert abs(lhs - rhs) <= 1e-12 * np.sum(np.abs(df * flux))

@@ -1,25 +1,39 @@
 """The one stencil kernel and the component-major layout against np.roll
 and node-major references.
 
-Behind the public node-major types, every field and every tensor that
-`MetricField` caches is stored as (components, [batch,] n0, n1, n2, n3).
-A reshape that mixes up grid axes goes unseen on a cubic grid, so each
-kernel is also checked on the odd, non-cubic grid (7, 9, 11, 13) with four
-distinct spacings.
+Every field, public or not, and every tensor that `MetricField` caches is
+stored as (components, [batch,] n0, n1, n2, n3); only files are node-major.
+A reshape that mixes up grid axes goes unseen on a cubic grid, and where a
+grid dimension equals a field's width (4^4 for 1-forms and g, 6^4 for
+pairs) a node-major array has the shape of a component-major one.  So each
+kernel and each public field type is also checked on the odd, non-cubic
+grid (7, 9, 11, 13) with four distinct spacings.
 """
 
 import numpy as np
 import pytest
 
-from monolab import selfdual
-from monolab.bases import PAIRS, TRIPLES
-from monolab.curvature import _inverse_coframe, _inverse_metric, _sd_pairs_up, build_metric
-from monolab.grid import GridSpec, _component_major, _gradient, _gradient_T, _node_major, d1, d2
-from monolab.selfdual import _d, _nabla, _nabla_T
+from monolab import io, selfdual
+from monolab.bases import H_PLUS, PAIRS, TRIPLES
+from monolab.curvature import (
+    _inverse_coframe,
+    _inverse_metric,
+    _lambda2,
+    _pair_riemann,
+    _sd_pairs_up,
+    build_metric,
+    curvature_stack,
+)
+from monolab.grid import GridSpec, _gradient, _gradient_T, d1, d2
+from monolab.presets import metric_from_preset
+from monolab.rayleigh import theta_from_angle
+from monolab.selfdual import SelfDualField, _d, _nabla, _nabla_T, covariant_derivative
+from monolab.spinc import SpinorField, U1Connection, gauge_transform, nabla_a
 
 from conftest import (
     D_TERMS,
     generic_metric,
+    layout,
     rel_err,
     roll_d1,
     roll_d2,
@@ -102,14 +116,15 @@ def test_d2_matches_roll(lead):
 @pytest.mark.parametrize("grid", [CUBIC, ODD], ids=["8^4", "odd"])
 @pytest.mark.parametrize("lead", [(), (3,), (4, 3)], ids=["scalar", "single", "batched"])
 def test_conversions_and_node_major_sums(grid, lead):
-    # both conversions are C-contiguous and invert each other exactly
+    # the file boundary's pair in `io`: views, no copies, that invert each
+    # other exactly
     rng = np.random.default_rng(65)
     a = rng.standard_normal(grid.dims + lead)
-    ca = _component_major(a)
-    assert ca.shape == lead + grid.dims and ca.flags.c_contiguous
-    assert np.array_equal(np.moveaxis(ca, range(len(lead)), range(-len(lead), 0)), a)
-    back = _node_major(ca)
-    assert back.flags.c_contiguous and np.array_equal(back, a)
+    ca = io._component_major(a)
+    assert ca.shape == lead + grid.dims and np.shares_memory(ca, a)
+    assert np.array_equal(ca, layout(a, "comp"))
+    back = io._node_major(ca)
+    assert np.shares_memory(back, a) and np.array_equal(back, a)
 
 
 @pytest.mark.parametrize("grid", [CUBIC, ODD], ids=["8^4", "odd"])
@@ -161,7 +176,7 @@ def test_d_differentiates_three_components_per_axis(monkeypatch):
 
 @pytest.mark.parametrize("grid", [CUBIC, ODD], ids=["8^4", "odd"])
 def test_covariant_derivative_kernels_match_roll_and_transpose(grid):
-    m = build_metric(grid, generic_metric(grid.dims, periods=grid.periods)[1])
+    m = build_metric(grid, layout(generic_metric(grid.dims, periods=grid.periods)[1], "comp"))
     rng = np.random.default_rng(64)
     sigma = rng.standard_normal((3,) + grid.dims)
     flux = rng.standard_normal((4, 3) + grid.dims)
@@ -217,7 +232,7 @@ def test_metric_field_tensors_are_component_major():
     # every cached tensor and every one formed per use has its grid axes
     # last, and its node-major copy is the reference tensor
     g = generic_metric(ODD.dims, periods=ODD.periods)[1]
-    m = build_metric(ODD, g)
+    m = build_metric(ODD, layout(g, "comp"))
     einv = _inverse_coframe(m.coframe)
     formed = {"inv_coframe": einv, "ginv": _inverse_metric(m.coframe),
               "sd_pairs_up": _sd_pairs_up(einv)}
@@ -226,6 +241,79 @@ def test_metric_field_tensors_are_component_major():
         assert got.shape[-4:] == ODD.dims, name
         assert got.flags.c_contiguous, name
         assert name in formed or not got.flags.writeable, name
-        if got.ndim > 4:
-            got = _node_major(got)
-        assert rel_err(got, ref) <= 1e-14, name
+        assert rel_err(layout(got, "node"), ref) <= 1e-14, name
+
+
+# Each public field type on ODD: (the stored array, the component axes it
+# must lead with, a package result that reads it, and that result's
+# node-major reference on np.roll stencils or node-major matrix products).
+# A stored array or a reader with a swapped axis fails the shape check or
+# the reference.
+
+def _selfdual_field(rng):
+    ref = rng.standard_normal(ODD.dims + (3,))
+    sigma = SelfDualField(ODD, layout(ref, "comp"))
+    # on the flat metric the covariant derivative is the stencil of each component
+    want = np.stack([roll_d1(ref, k, h) for k, h in enumerate(ODD.spacing)], axis=-2)
+    return sigma.comps, (3,), covariant_derivative(sigma, metric_from_preset("flat", ODD)), want
+
+
+def _two_form_field(rng):
+    a = rng.standard_normal(ODD.dims + (4,))
+    curv = U1Connection(ODD, layout(a, "comp")).curv
+    da = [roll_d1(a, k, h) for k, h in enumerate(ODD.spacing)]
+    want = np.stack([da[i][..., j] - da[j][..., i] for i, j in PAIRS], axis=-1)
+    return curv.comps, (6,), curv.comps, want
+
+
+def _spinor_field(rng):
+    ref = rng.standard_normal(ODD.dims + (2,)) + 1j * rng.standard_normal(ODD.dims + (2,))
+    a = rng.standard_normal(ODD.dims + (4,))
+    phi = SpinorField(ODD, layout(ref, "comp"))
+    nab = nabla_a(phi, U1Connection(ODD, layout(a, "comp")))
+    want = np.stack([roll_d1(ref, k, h) + 1j * a[..., k, None] * ref
+                     for k, h in enumerate(ODD.spacing)], axis=-2)
+    return phi.comps, (2,), nab, want
+
+
+def _connection_form(rng):
+    chi = rng.standard_normal(ODD.dims)
+    conn = U1Connection(ODD, np.zeros((4,) + ODD.dims))
+    phi = SpinorField(ODD, np.ones((2,) + ODD.dims))
+    a = gauge_transform(conn, phi, chi)[0].a
+    want = np.stack([roll_d1(chi, k, h) for k, h in enumerate(ODD.spacing)], axis=-1)
+    return a, (4,), a, want
+
+
+def _theta_differential(rng):
+    angle = rng.standard_normal(ODD.dims)
+    dtheta = theta_from_angle(angle, metric_from_preset("flat", ODD)).dtheta
+    s, c = np.sin(angle), np.cos(angle)
+    want = np.stack([c * roll_d1(s, k, h) - s * roll_d1(c, k, h)
+                     for k, h in enumerate(ODD.spacing)], axis=-1)
+    return dtheta, (4,), dtheta, want
+
+
+def _selfdual_weyl(rng):
+    # W+ = H+ L^T r L H+^T - R/12 with L = Lambda^2(e^-1), as node-major
+    # matrix products on the pair form and LAPACK's e^-1
+    m = build_metric(ODD, layout(generic_metric(ODD.dims, periods=ODD.periods)[1], "comp"))
+    wplus = curvature_stack(m).wplus
+    einv = np.linalg.inv(layout(m.coframe, "node"))
+    lam = layout(_lambda2(layout(einv, "comp")), "node")
+    pair = layout(np.stack([r for r, _ in _pair_riemann(m)], axis=2), "node")
+    op = np.swapaxes(lam, -1, -2) @ pair @ lam
+    scal = 2.0 * np.trace(op, axis1=-2, axis2=-1)
+    want = H_PLUS @ op @ H_PLUS.T - (scal / 12.0)[..., None, None] * np.eye(3)
+    return wplus, (3, 3), wplus, want
+
+
+@pytest.mark.parametrize("case", [_selfdual_field, _two_form_field, _spinor_field,
+                                  _connection_form, _theta_differential, _selfdual_weyl],
+                         ids=["SelfDualField", "TwoFormField", "SpinorField",
+                              "U1Connection.a", "ThetaField.dtheta", "CurvatureBundle.wplus"])
+def test_public_fields_are_component_major(case):
+    stored, width, got, want = case(np.random.default_rng(67))
+    assert stored.shape == width + ODD.dims and stored.flags.c_contiguous
+    assert got.shape[-4:] == ODD.dims
+    assert rel_err(layout(got, "node"), want) < 1e-12

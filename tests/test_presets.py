@@ -1,9 +1,12 @@
 """Preset expression grammar, metric/theta builders, random smooth fields."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from monolab.grid import GridSpec, _node_major
+from monolab.curvature import build_metric
+from monolab.grid import GridSpec
 from monolab.io import load_fields, save_fields
 from monolab.presets import (
     PresetError,
@@ -15,6 +18,8 @@ from monolab.presets import (
     scalar_from_expression,
     theta_from_preset,
 )
+
+from conftest import generic_metric, layout
 
 TWO_PI = 2.0 * np.pi
 
@@ -140,12 +145,55 @@ def test_metric_file_preset(tmp_path, grid8):
     m = metric_from_preset("conformal:0.1*cos(x1)", grid8)
     path = tmp_path / "metric.zip"
     # metric files hold g node-major, (dims, 4, 4)
-    save_fields(path, grid8, {"g": _node_major(m.g)})
+    save_fields(path, grid8, {"g": layout(m.g, "node")})
     m2 = metric_from_preset(f"file:{path}", grid8)
     assert np.max(np.abs(m2.g - m.g)) == 0.0
-    save_fields(tmp_path / "empty.zip", grid8, {"h": _node_major(m.g)})
+    save_fields(tmp_path / "empty.zip", grid8, {"h": layout(m.g, "node")})
     with pytest.raises(PresetError):
         metric_from_preset(f"file:{tmp_path / 'empty.zip'}", grid8)
+
+
+@pytest.mark.parametrize("kind", ["conformal", "generic"])
+def test_file_metric_is_the_metric_of_the_same_g_in_memory(tmp_path, kind):
+    # the file is written as the benchmark writes its inputs: a node-major
+    # (dims, 4, 4) g through save_fields; non-cubic, so that no grid axis
+    # has the width of g
+    grid = GridSpec((7, 8, 9, 10))
+    if kind == "conformal":
+        f = random_smooth_scalar(grid, np.random.default_rng(0), 1, 0.1)
+        g = np.exp(2.0 * f)[..., None, None] * np.eye(4)
+    else:
+        g = generic_metric(grid.dims)[1]
+    save_fields(tmp_path / "g.zip", grid, {"g": g})
+    loaded = metric_from_preset(f"file:{tmp_path / 'g.zip'}", grid)
+    direct = build_metric(grid, layout(g, "comp"))
+    for name in ("g", "coframe"):
+        got, want = getattr(loaded, name), getattr(direct, name)
+        assert got.shape == want.shape == (4, 4) + grid.dims
+        assert got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("preset", ["conformal:0.1*sin(x0)", "file"])
+def test_metric_phase_peak_at_16(tmp_path, preset):
+    # the metric phase holds g, its factor and vol (33 planes, one plane
+    # being one float64 grid array) and peaks with the input g and the
+    # factor's temporaries beside them: measured 52.3 and 51.3 planes.  A
+    # file's g is handed to build_metric as a view, so its copy there is
+    # the only one; a second whole copy of g at the file boundary is 16
+    # planes more
+    grid = GridSpec((16,) * 4)
+    if preset == "file":
+        f = random_smooth_scalar(grid, np.random.default_rng(0), 1, 0.1)
+        save_fields(tmp_path / "g.zip", grid, {"g": np.exp(2.0 * f)[..., None, None] * np.eye(4)})
+        del f
+        preset = f"file:{tmp_path / 'g.zip'}"
+    tracemalloc.start()
+    try:
+        metric_from_preset(preset, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 54.5 * grid.node_count * 8
 
 
 def test_theta_presets(m8):

@@ -22,7 +22,7 @@ from monolab.rayleigh import (
 )
 from monolab.selfdual import SelfDualField
 
-from conftest import pulled_back_flat_chart
+from conftest import layout, pulled_back_flat_chart
 
 TRIMMED = LambdaOptions(n_random=2, epsilons=(1e-3, 1e-6), max_iter=60)
 
@@ -52,8 +52,8 @@ def chain_rule_error(n):
     th = theta_from_angle(samples, m)
     from monolab.grid import d1
 
-    ds = np.stack([d1(th.s, i, grid.spacing[i]) for i in range(4)], axis=-1)
-    return np.max(np.abs(th.c[..., None] * th.dtheta - ds))
+    ds = np.stack([d1(th.s, i, grid.spacing[i]) for i in range(4)])
+    return np.max(np.abs(th.c * th.dtheta - ds))
 
 
 def test_theta_from_angle_invariants(m8):
@@ -79,24 +79,22 @@ def test_theta_field_validation(grid8):
     s = np.full(grid8.dims, 0.8)
     c = np.full(grid8.dims, 0.8)  # s^2 + c^2 != 1
     with pytest.raises(ValueError):
-        ThetaField(grid8, s, c, np.zeros(grid8.dims + (4,)), np.zeros(grid8.dims))
+        ThetaField(grid8, s, c, np.zeros((4,) + grid8.dims), np.zeros(grid8.dims))
     s, c = np.zeros(grid8.dims), np.ones(grid8.dims)
     s[1, 2, 3, 4] = np.nan
     with pytest.raises(ValueError):
-        ThetaField(grid8, s, c, np.zeros(grid8.dims + (4,)), np.zeros(grid8.dims))
+        ThetaField(grid8, s, c, np.zeros((4,) + grid8.dims), np.zeros(grid8.dims))
 
 
 def smooth_sigma(grid, seed):
     rng = np.random.default_rng(seed)
-    comps = np.stack(
-        [0.8 + random_smooth_scalar(grid, rng, amp=0.3) for _ in range(3)], axis=-1
-    )
+    comps = np.stack([0.8 + random_smooth_scalar(grid, rng, amp=0.3) for _ in range(3)])
     return SelfDualField(grid, comps)
 
 
 def test_quotient_guards(m8):
     theta = theta_from_preset("const:0.0", m8)
-    zero = SelfDualField(m8.grid, np.zeros(m8.grid.dims + (3,)))
+    zero = SelfDualField(m8.grid, np.zeros((3,) + m8.grid.dims))
     with pytest.raises(ValueError):
         rayleigh_quotient(zero, theta, m8)
     sig = smooth_sigma(m8.grid, 1)
@@ -113,7 +111,7 @@ def test_quotient_scale_invariance(m8):
 
 
 def test_quotient_constant_sigma(m8):
-    const = SelfDualField(m8.grid, np.tile([1.0, 0.0, 0.0], m8.grid.dims + (1,)))
+    const = SelfDualField(m8.grid, layout(np.tile([1.0, 0.0, 0.0], m8.grid.dims + (1,)), "comp"))
     q0 = rayleigh_quotient(const, theta_from_preset("const:0.7", m8), m8)
     assert abs(q0) < 1e-12
     # coordinate theta turns the quotient into the exact stencil symbol
@@ -160,8 +158,8 @@ def test_tied_starts_keep_the_earliest(n, preset):
                           LambdaOptions(n_random=0))
     comps = res.minimizer.comps
     assert res.lam == res.start_values[0]
-    assert comps[..., 0].min() == comps[..., 0].max() != 0.0
-    assert not comps[..., 1:].any()
+    assert comps[0].min() == comps[0].max() != 0.0
+    assert not comps[1:].any()
 
 
 def flat_linear_lambda(n, angle):
@@ -171,7 +169,8 @@ def flat_linear_lambda(n, angle):
     theta = theta_from_angle(angle(grid), m)
     res = minimize_lambda(theta, m, opts=LambdaOptions(n_random=0))
     const = min(
-        rayleigh_quotient(SelfDualField(grid, np.tile(e, grid.dims + (1,))), theta, m)
+        rayleigh_quotient(SelfDualField(grid, layout(np.tile(e, grid.dims + (1,)), "comp")),
+                          theta, m)
         for e in np.eye(3)
     )
     return res.lam, const
@@ -195,7 +194,7 @@ def test_flat_linear_theta_refines_to_closed_form(angle, a2):
 def pulled_back_input(n):
     """The pulled-back flat chart at n^4 with theta = x0 + 0.1 sin x1."""
     grid, x, _, g = pulled_back_flat_chart(n)
-    m = build_metric(grid, g)
+    m = build_metric(grid, layout(g, "comp"))
     return theta_from_angle(x[..., 0] + 0.1 * np.sin(x[..., 1]), m), m
 
 
@@ -402,7 +401,7 @@ def test_preconditioner_kills_blind_mode(grid8):
     symbol = _sphere_symbol(grid8, 1.0)
     assert np.max(np.abs(_fourier_multiply(comps, symbol))) < 1e-12
     assert np.max(np.abs(_fourier_multiply(comps, symbol > 0))) < 1e-12
-    smooth = np.moveaxis(smooth_sigma(grid8, 8).comps, -1, 0)
+    smooth = smooth_sigma(grid8, 8).comps
     assert np.max(np.abs(_fourier_multiply(smooth, symbol > 0) - smooth)) < 1e-10
     # odd axes have no half frequency; on even ones the zeros are exactly the
     # planes of the alternating mode, the last column of the real basis

@@ -17,7 +17,7 @@ from monolab.curvature import (
     build_metric,
     curvature_stack,
 )
-from monolab.grid import GridSpec, _component_major, _node_major, _stencil_symbol2, d1
+from monolab.grid import GridSpec, _stencil_symbol2, d1
 from monolab.presets import metric_from_preset, random_smooth_scalar, theta_from_preset
 from monolab.selfdual import (
     SelfDualField,
@@ -28,7 +28,6 @@ from monolab.selfdual import (
     _nabla,
     _nabla_T,
     covariant_derivative,
-    d,
     embed,
     harmonic_selfdual_basis,
     hodge_rayleigh,
@@ -44,6 +43,7 @@ from monolab.spinc import U1Connection
 from conftest import (
     D_TERMS,
     generic_metric,
+    layout,
     pulled_back_flat_chart,
     rel_err,
     roll_d1,
@@ -56,8 +56,7 @@ from conftest import (
 def smooth_sd(grid, seed, offset=1.0, amp=0.4):
     rng = np.random.default_rng(seed)
     comps = np.stack(
-        [offset + random_smooth_scalar(grid, rng, fmax=1, amp=amp) for _ in range(3)],
-        axis=-1,
+        [offset + random_smooth_scalar(grid, rng, fmax=1, amp=amp) for _ in range(3)]
     )
     return SelfDualField(grid, comps)
 
@@ -69,22 +68,22 @@ def test_projection_algebra(generic8):
     back = project(omega, m)
     assert np.max(np.abs(back.comps - sig.comps)) < 1e-12
     # self-dual at every node: omega ^ omega = |omega|^2 vol
-    wedge = np.einsum("...p,pq,...q->...", omega.comps, WEDGE2, omega.comps)
+    wedge = np.einsum("p...,pq,q...->...", omega.comps, WEDGE2, omega.comps)
     gram = _lambda2(_inverse_metric(m.coframe))
-    norm2 = np.einsum("...p,pq...,...q->...", omega.comps, gram, omega.comps)
+    norm2 = np.einsum("p...,pq...,q...->...", omega.comps, gram, omega.comps)
     assert rel_err(wedge, m.vol * norm2) < 1e-12
 
 
 def test_d_squared_vanishes(grid8):
     rng = np.random.default_rng(7)
-    a = rng.standard_normal(grid8.dims + (4,))
-    dd = d(d(a, grid8), grid8)
+    a = layout(rng.standard_normal(grid8.dims + (4,)), "comp")
+    dd = _d(_d(a, grid8), grid8)
     assert np.max(np.abs(dd)) < 1e-12
 
 
 def hodge_energy_and_grad(comps, m):
-    """The Hodge energy and its gradient on component-major components, from
-    the forward and transpose kernels."""
+    """The Hodge energy and its gradient on eta components, from the forward
+    and transpose kernels."""
     tau, wtau = _hodge_forward(comps, m)
     cell = m.grid.cell_volume
     return float(np.sum(tau * wtau)) * cell, 2.0 * cell * _hodge_transpose(wtau, m)
@@ -98,8 +97,8 @@ def dirichlet_energy_and_grad(comps, m):
 
 
 def test_constant_form_is_harmonic(m8):
-    sig = SelfDualField(m8.grid, np.tile([1.0, -0.3, 0.2], m8.grid.dims + (1,)))
-    _, grad = hodge_energy_and_grad(_component_major(sig.comps), m8)
+    sig = SelfDualField(m8.grid, layout(np.tile([1.0, -0.3, 0.2], m8.grid.dims + (1,)), "comp"))
+    _, grad = hodge_energy_and_grad(sig.comps, m8)
     assert np.max(np.abs(grad)) < 1e-12
     assert hodge_rayleigh(sig, m8) < 1e-12
 
@@ -118,10 +117,8 @@ def grad_check(fn, x0, seed):
 
 
 def _d_per_component(f, grid, n_in, transpose=False):
-    # one stencil call per (axis, component) of the node-major f's
-    # component-major copy: the reference for the stacked form
+    # one stencil call per (axis, component): the reference for the stacked form
     hs = grid.spacing
-    f = _component_major(f)
     n_out, terms = D_TERMS[n_in]
     out = np.zeros(((n_in,) if transpose else (n_out,)) + f.shape[1:])
     for o, k, i, s in terms:
@@ -129,12 +126,7 @@ def _d_per_component(f, grid, n_in, transpose=False):
             out[i] -= s * d1(f[o], k, hs[k])
         else:
             out[o] += s * d1(f[i], k, hs[k])
-    return _node_major(out)
-
-
-def d_transpose(tau, grid):
-    """Plain-sum transpose of `d` on node-major components."""
-    return _node_major(_d(_component_major(tau), grid, transpose=True))
+    return out
 
 
 @pytest.mark.parametrize("extra", [(), (5,)], ids=["single", "batched"])
@@ -143,10 +135,10 @@ def test_stacked_d_pairs_match_per_component(grid8, extra):
     # degrees' couplings, 1-forms -> pairs and pairs -> 3-forms
     rng = np.random.default_rng(17)
     for n_in, n_out in ((6, 4), (4, 6)):
-        omega = rng.standard_normal(grid8.dims + (n_in,) + extra)
-        tau = rng.standard_normal(grid8.dims + (n_out,) + extra)
-        d_omega = d(omega, grid8)
-        dt_tau = d_transpose(tau, grid8)
+        omega = layout(rng.standard_normal(grid8.dims + (n_in,) + extra), "comp")
+        tau = layout(rng.standard_normal(grid8.dims + (n_out,) + extra), "comp")
+        d_omega = _d(omega, grid8)
+        dt_tau = _d(tau, grid8, transpose=True)
         assert np.array_equal(d_omega, _d_per_component(omega, grid8, n_in))
         assert np.array_equal(dt_tau, _d_per_component(tau, grid8, n_in, transpose=True))
         lhs = np.sum(d_omega * tau)
@@ -157,20 +149,20 @@ def test_stacked_d_pairs_match_per_component(grid8, extra):
 @pytest.mark.parametrize("extra", [(), (3,)], ids=["single", "batched"])
 def test_d_one_transpose_is_adjoint(grid8, extra):
     rng = np.random.default_rng(23)
-    a = rng.standard_normal(grid8.dims + (4,) + extra)
-    omega = rng.standard_normal(grid8.dims + (6,) + extra)
-    d_a = d(a, grid8)
-    dt_omega = d_transpose(omega, grid8)
+    a = layout(rng.standard_normal(grid8.dims + (4,) + extra), "comp")
+    omega = layout(rng.standard_normal(grid8.dims + (6,) + extra), "comp")
+    d_a = _d(a, grid8)
+    dt_omega = _d(omega, grid8, transpose=True)
     lhs = np.sum(d_a * omega)
     rhs = np.sum(a * dt_omega)
     assert abs(lhs - rhs) < 1e-12 * np.sqrt(np.sum(d_a**2) * np.sum(omega**2))
     # the batch columns are independent 1-forms
-    col = (...,) + (0,) * len(extra)
+    col = (slice(None),) + (0,) * len(extra)
     assert np.array_equal(d_a[col], U1Connection(grid8, a[col]).curv.comps)
 
 
 def test_energy_gradients_match_finite_differences(m8_conf):
-    x0 = _component_major(smooth_sd(m8_conf.grid, 11).comps)
+    x0 = smooth_sd(m8_conf.grid, 11).comps
     grad_check(lambda x: hodge_energy_and_grad(x, m8_conf), x0, 1)
     grad_check(lambda x: dirichlet_energy_and_grad(x, m8_conf), x0, 2)
 
@@ -239,7 +231,7 @@ def textbook_hodge_square(g, spacing, sigma):
 @pytest.fixture(scope="module")
 def generic8():
     grid, g = generic_metric(8)
-    return g, build_metric(grid, g)
+    return g, build_metric(grid, layout(g, "comp"))
 
 
 def test_christoffel_matches_textbook(generic8):
@@ -248,7 +240,7 @@ def test_christoffel_matches_textbook(generic8):
     gam = np.stack([np.einsum("ka...,ax...->kx...", einv, frame)
                     for *_, frame, einv in _metric_slabs(m)], axis=2)
     textbook = textbook_christoffel(g, m.grid.spacing)
-    assert rel_err(_node_major(gam), textbook[..., _SYM_I, _SYM_J]) < 1e-13
+    assert rel_err(layout(gam, "node"), textbook[..., _SYM_I, _SYM_J]) < 1e-13
 
 
 def test_frame_connection_matches_textbook(generic8):
@@ -261,14 +253,15 @@ def test_frame_connection_matches_textbook(generic8):
     de = np.stack([roll_d1(e, k, h) for k, h in enumerate(m.grid.spacing)], axis=-3)
     w = (np.einsum("...am,...mki->...kai", e, gam) - de) @ np.linalg.inv(e)[..., None, :, :]
     a = -np.einsum("aij,...kij->...ka", textbook_eta(), w) / np.sqrt(2.0)
-    assert rel_err(_node_major(m.sd_connection), a) < 1e-13
+    assert rel_err(layout(m.sd_connection, "node"), a) < 1e-13
 
 
 def test_covariant_derivative_matches_textbook_chain(generic8):
     g, m = generic8
     sigma = np.random.default_rng(41).standard_normal(m.grid.dims + (3,))
-    nab = covariant_derivative(SelfDualField(m.grid, sigma), m)
-    assert rel_err(nab, textbook_frame_covariant_derivative(g, m.grid.spacing, sigma)) < 1e-12
+    nab = covariant_derivative(SelfDualField(m.grid, layout(sigma, "comp")), m)
+    ref = textbook_frame_covariant_derivative(g, m.grid.spacing, sigma)
+    assert rel_err(layout(nab, "node"), ref) < 1e-12
 
 
 def test_covariant_derivative_converges_to_the_omega_chain():
@@ -279,8 +272,9 @@ def test_covariant_derivative_converges_to_the_omega_chain():
     for n in (12, 16):
         grid, g = generic_metric(n)
         sigma = smooth_sd(grid, 3)
-        nab = covariant_derivative(sigma, build_metric(grid, g))
-        errs.append(rel_err(nab, textbook_omega_chain(g, grid.spacing, sigma.comps)))
+        nab = covariant_derivative(sigma, build_metric(grid, layout(g, "comp")))
+        ref = textbook_omega_chain(g, grid.spacing, layout(sigma.comps, "node"))
+        errs.append(rel_err(layout(nab, "node"), ref))
     assert np.log(errs[0] / errs[1]) / np.log(16 / 12) >= 5.0  # measured: 5.34
 
 
@@ -294,12 +288,12 @@ def test_conformal_connection_matches_closed_form():
         f = 0.3 * np.sin(x0) * np.cos(x1) + 0.2 * np.sin(x2 + x3)
         df = np.stack([0.3 * np.cos(x0) * np.cos(x1), -0.3 * np.sin(x0) * np.sin(x1),
                        0.2 * np.cos(x2 + x3), 0.2 * np.cos(x2 + x3)], axis=-1)
-        m = build_metric(grid, np.exp(2.0 * f)[..., None, None] * np.eye(4))
+        m = build_metric(grid, np.exp(2.0 * f) * np.eye(4).reshape(4, 4, 1, 1, 1, 1))
         eye = np.eye(4)
         w = np.einsum("ka,...i->...kai", eye, df) - np.einsum("ki,...a->...kai", eye, df)
         closed = -np.einsum("...kij,cij->...kc", w, textbook_eta()) / np.sqrt(2.0)
         # the connection is cached component-major, [k, a, ...]
-        errs.append(rel_err(np.moveaxis(m.sd_connection, (0, 1), (-2, -1)), closed))
+        errs.append(rel_err(layout(m.sd_connection, "node"), closed))
     assert np.log(errs[0] / errs[1]) / np.log(16 / 12) >= 5.0  # measured: 5.53
 
 
@@ -309,7 +303,8 @@ def test_kaehler_form_is_parallel(grid8):
     m = metric_from_preset("kaehler-product:0.3*sin(x2)*cos(x3)", grid8)
     assert np.any(m.sd_connection[:, 0])
     assert not np.any(m.sd_connection[:, 1:])
-    kaehler = SelfDualField(grid8, np.broadcast_to([1.0, 0.0, 0.0], grid8.dims + (3,)))
+    kaehler = SelfDualField(grid8, layout(np.broadcast_to([1.0, 0.0, 0.0], grid8.dims + (3,)),
+                                          "comp"))
     assert not np.any(covariant_derivative(kaehler, m))
 
 
@@ -317,8 +312,8 @@ def test_hodge_gradient_is_the_textbook_hodge_square(generic8):
     # the left side of the Weitzenboeck residual
     g, m = generic8
     sigma = np.random.default_rng(47).standard_normal(m.grid.dims + (3,))
-    _, grad = hodge_energy_and_grad(_component_major(sigma), m)
-    lhs = _node_major(grad) / (2.0 * m.grid.cell_volume * m.vol[..., None])
+    _, grad = hodge_energy_and_grad(layout(sigma, "comp"), m)
+    lhs = layout(grad / (2.0 * m.grid.cell_volume * m.vol), "node")
     assert rel_err(lhs, textbook_hodge_square(g, m.grid.spacing, sigma)) < 1e-12
 
 
@@ -337,6 +332,7 @@ def test_nabla_transpose_is_adjoint(m8, m8_conf, generic8):
 
 def test_wrapping_leaves_the_callers_arrays_writable():
     grid, g = generic_metric(8)
+    g = layout(g, "comp")
     m = build_metric(grid, g)
     kept = m.g.copy()
     comps = smooth_sd(grid, 3).comps.copy()
@@ -368,10 +364,10 @@ from monolab.presets import random_smooth_scalar
 from monolab.selfdual import SelfDualField, weitzenboeck_residual
 grid = GridSpec((8,) * 4)
 f = random_smooth_scalar(grid, np.random.default_rng(601), 1, 0.3)
-m = build_metric(grid, np.exp(2.0 * f)[..., None, None] * np.eye(4))
+m = build_metric(grid, np.exp(2.0 * f) * np.eye(4).reshape(4, 4, 1, 1, 1, 1))
 rng = np.random.default_rng(601)
-comps = np.stack([random_smooth_scalar(grid, rng, 1, 0.3) for _ in range(3)], axis=-1)
-sigma = SelfDualField(grid, comps + np.array([1.0, 0.0, 0.0]))
+comps = np.stack([random_smooth_scalar(grid, rng, 1, 0.3) + o for o in (1.0, 0.0, 0.0)])
+sigma = SelfDualField(grid, comps)
 print(repr(weitzenboeck_residual(sigma, m, curvature_stack(m))))
 """
 
@@ -413,7 +409,7 @@ def test_energy_only_callers_keep_the_energies_bits(generic8):
     # kernel pairs
     m = generic8[1]
     sig = smooth_sd(m.grid, 5)
-    comps = _component_major(sig.comps)
+    comps = sig.comps
     theta = theta_from_preset("coord:0", m)
     lhs_s, _ = integral_identity_check_s(sig, theta, m, curvature_stack(m))
     assert lhs_s == hodge_energy_and_grad(theta.s * comps, m)[0]
@@ -427,7 +423,8 @@ def test_integral_identities_generic_metric(generic8):
     # non-diagonal and not conformally flat: both identities check the lambda
     # quotient's energies on a curved metric, at an observed order
     residuals = []
-    for m in (generic8[1], build_metric(*generic_metric(12))):
+    grid12, g12 = generic_metric(12)
+    for m in (generic8[1], build_metric(grid12, layout(g12, "comp"))):
         sig = smooth_sd(m.grid, 5)
         theta = theta_from_preset("coord:0", m)
         sides = (integral_identity_check_s(sig, theta, m, curvature_stack(m)),
@@ -450,7 +447,7 @@ def test_nyquist_mask():
 
 
 def b_gram(basis, m):
-    w = m.vol[..., None] * m.grid.cell_volume
+    w = m.vol * m.grid.cell_volume
     return np.array([[np.sum(a.comps * b.comps * w) for b in basis] for a in basis])
 
 
@@ -477,7 +474,8 @@ def test_harmonic_basis_conformal(m8_conf):
     basis = harmonic_selfdual_basis(m8_conf)
     assert len(basis) == 3
     weight = 1.0 / m8_conf.g[0, 0]
-    oracle = np.stack([(weight[..., None] * np.eye(3)[a]).ravel() for a in range(3)], -1)
+    oracle = np.stack([(np.eye(3)[a].reshape(3, 1, 1, 1, 1) * weight).ravel()
+                       for a in range(3)], -1)
     found = np.stack([omega.comps.ravel() for omega in basis], -1)
     assert max_principal_sine(oracle, found) < 1e-12
 
@@ -486,8 +484,7 @@ def test_harmonic_basis_generic_metric(grid8):
     # seeded, non-diagonal SPD and not conformally flat
     rng = np.random.default_rng(5)
     a = np.array([[random_smooth_scalar(grid8, rng, 1, 0.1) for _ in range(4)] for _ in range(4)])
-    a = np.moveaxis(a, (0, 1), (-2, -1))
-    m = build_metric(grid8, np.eye(4) + 0.5 * (a + np.swapaxes(a, -1, -2)))
+    m = build_metric(grid8, np.eye(4).reshape(4, 4, 1, 1, 1, 1) + 0.5 * (a + np.swapaxes(a, 0, 1)))
     basis = harmonic_selfdual_basis(m)
     assert len(basis) == 3
     assert basis.solve["converged"] and basis.solve["iterations"] > 0
@@ -507,7 +504,8 @@ def pulled_back_flat(n):
     _, _, eta_up = textbook_eta_fields(g)
     flat = np.sqrt(2.0) * textbook_eta()  # dx01 + dx23, dx02 + dx31, dx03 + dx12
     pulled = np.einsum("...ki,bkl,...lj->...bij", jac, flat, jac)
-    return build_metric(grid, g), 0.5 * np.einsum("...bij,...aij->...ba", pulled, eta_up)
+    sd = 0.5 * np.einsum("...bij,...aij->...ba", pulled, eta_up)
+    return build_metric(grid, layout(g, "comp")), sd
 
 
 @pytest.mark.parametrize("n", [8, 12])
@@ -520,9 +518,9 @@ def test_harmonic_basis_spans_pulled_back_flat_classes(n):
     m, oracle = pulled_back_flat(n)
     basis = harmonic_selfdual_basis(m)
     assert basis.solve["converged"]
-    w = np.linalg.det(_node_major(m.g))[..., None] ** 0.25  # L2 weight sqrt(vol)
+    w = np.linalg.det(layout(m.g, "node")) ** 0.25  # L2 weight sqrt(vol)
     found = np.stack([(w * omega.comps).ravel() for omega in basis], -1)
-    expected = np.stack([(w * oracle[..., b, :]).ravel() for b in range(3)], -1)
+    expected = np.stack([(w * layout(oracle[..., b, :], "comp")).ravel() for b in range(3)], -1)
     assert max_principal_sine(expected, found) < 1e-10
 
 

@@ -17,6 +17,8 @@ from monolab.spinc import (
     sigma_map,
 )
 
+from conftest import layout
+
 TWO_PI = 2.0 * np.pi
 
 
@@ -27,12 +29,10 @@ def keff(phi, h):
 def smooth_pair(grid, seed, amplitude=0.3):
     """Random smooth connection and spinor, bounded away from zero."""
     rng = np.random.default_rng(seed)
-    a = np.stack([random_smooth_scalar(grid, rng, amp=amplitude) for _ in range(4)], axis=-1)
+    a = np.stack([random_smooth_scalar(grid, rng, amp=amplitude) for _ in range(4)])
     conn = U1Connection(grid, a)
     parts = [random_smooth_scalar(grid, rng, amp=amplitude) for _ in range(4)]
-    comps = np.stack(
-        [1.0 + parts[0] + 1j * parts[1], 0.4 + parts[2] + 1j * parts[3]], axis=-1
-    )
+    comps = np.stack([1.0 + parts[0] + 1j * parts[1], 0.4 + parts[2] + 1j * parts[3]])
     return conn, SpinorField(grid, comps)
 
 
@@ -46,7 +46,7 @@ def test_sigma_norm_identity():
     g = GridSpec((10,) * 4)
     rng = np.random.default_rng(1)
     comps = rng.standard_normal(g.dims + (2,)) + 1j * rng.standard_normal(g.dims + (2,))
-    phi = SpinorField(g, comps)
+    phi = SpinorField(g, layout(comps, "comp"))
     sig = sigma_map(phi)
     err = np.abs(sig.norm() ** 2 - phi.norm2() ** 2 / 8.0)
     assert np.max(err) < 1e-12 * max(1.0, np.max(phi.norm2() ** 2))
@@ -56,16 +56,16 @@ def test_dirac_plane_wave(grid8):
     # resolved Fourier mode: the coupled Dirac acts through the stencil symbol
     h = grid8.spacing[0]
     wave = np.exp(1j * grid8.mesh(0))
-    phi = SpinorField(grid8, np.stack([wave, np.zeros_like(wave)], axis=-1))
-    conn = U1Connection(grid8, np.zeros(grid8.dims + (4,)))
+    phi = SpinorField(grid8, np.stack([wave, np.zeros_like(wave)]))
+    conn = U1Connection(grid8, np.zeros((4,) + grid8.dims))
     dphi = dirac(phi, conn)
     assert np.max(np.abs(dphi.norm() - abs(keff(h, h)) * phi.norm())) < 1e-12
 
 
 def test_nabla_a_grid_mismatch(grid8):
     other = GridSpec((10,) * 4)
-    phi = SpinorField(other, np.zeros(other.dims + (2,), dtype=complex))
-    conn = U1Connection(grid8, np.zeros(grid8.dims + (4,)))
+    phi = SpinorField(other, np.zeros((2,) + other.dims, dtype=complex))
+    conn = U1Connection(grid8, np.zeros((4,) + grid8.dims))
     with pytest.raises(ValueError):
         nabla_a(phi, conn)
 
@@ -76,7 +76,7 @@ def test_curvature_of_exact_form_vanishes(grid8):
     hs = grid8.spacing
     from monolab.grid import d1
 
-    dchi = np.stack([d1(chi, i, hs[i]) for i in range(4)], axis=-1)
+    dchi = np.stack([d1(chi, i, hs[i]) for i in range(4)])
     conn = U1Connection(grid8, dchi)
     assert np.max(np.abs(conn.curv.comps)) < 1e-12
     assert np.max(np.abs(conn.curv_plus.comps)) < 1e-12
@@ -90,7 +90,7 @@ def covariance_error(grid, seed=4):
     # sigma is gauge invariant on the nose
     assert np.max(np.abs(sigma_map(phi2).comps - sigma_map(phi).comps)) < 1e-12
     lhs = dirac(phi2, conn2).comps
-    rhs = np.exp(-1j * chi)[..., None] * dirac(phi, conn).comps
+    rhs = np.exp(-1j * chi) * dirac(phi, conn).comps
     return np.max(np.abs(lhs - rhs)) / (np.max(np.abs(rhs)) + 1.0)
 
 
@@ -99,7 +99,7 @@ def test_gauge_covariance_constant_phase(grid8):
     chi = np.full(grid8.dims, 0.9)
     conn2, phi2 = gauge_transform(conn, phi, chi)
     lhs = dirac(phi2, conn2).comps
-    rhs = np.exp(-1j * chi)[..., None] * dirac(phi, conn).comps
+    rhs = np.exp(-1j * chi) * dirac(phi, conn).comps
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
@@ -123,14 +123,14 @@ def test_log_kato(grid8):
     margin = log_kato_check(phi, conn)
     # continuum inequality, allow stencil slack near small |Phi|
     assert margin > -0.05
-    zero = SpinorField(grid8, np.zeros(grid8.dims + (2,), dtype=complex))
+    zero = SpinorField(grid8, np.zeros((2,) + grid8.dims, dtype=complex))
     with pytest.raises(ValueError):
         log_kato_check(zero, conn)
 
 
 def test_dirac_rejects_curved_metric(m8_conf):
     g = m8_conf.grid
-    phi = SpinorField(g, np.ones(g.dims + (2,), dtype=complex))
-    conn = U1Connection(g, np.zeros(g.dims + (4,)))
+    phi = SpinorField(g, np.ones((2,) + g.dims, dtype=complex))
+    conn = U1Connection(g, np.zeros((4,) + g.dims))
     with pytest.raises(NotImplementedError):
         dirac(phi, conn, m8_conf)

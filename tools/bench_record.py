@@ -1,0 +1,112 @@
+"""Write a performance record, BENCH_<name>.json, for one change.
+
+    python3 tools/bench_record.py PARENT_DIR BENCH_prN.json
+
+PARENT_DIR is an unpacked copy of the parent commit (`git archive` or
+`git clone`).  The record holds:
+
+* `bench`: the last JSON line of `python3 bench/run.py --workload all`, run
+  first with the parent's bench/ and src/, then with this tree's;
+* `ci_24`: the wall time and peak RSS of CI's three 24^4 ceiling commands
+  (no benchmark workload runs 24^4), each run REPS times per tree,
+  alternating trees, in the caller's environment (CI sets no thread count);
+* `machine`: the CPU model, vCPU count, Python and numpy versions, the
+  OpenBLAS core that numpy's bundled library picked, read through ctypes
+  from `scipy_openblas_get_corename64_`, its default thread count, the
+  benchmark's BLAS threads (bench/run.py's BLAS_THREADS) and PYTHONHASHSEED.
+
+Every process runs alone, one at a time; run nothing else meanwhile.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ctypes
+import glob
+import importlib.util
+import json
+import os
+import platform
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import numpy
+
+HERE = Path(__file__).resolve().parent.parent
+REPS = 3
+# the ceiling steps of .github/workflows/tier1.yml; change both together
+CI_24 = {
+    "curvature": ["curvature", "--dims", "24", "--metric", "conformal:0.1*sin(x0)"],
+    "hodge": ["hodge", "--dims", "24", "--metric", "conformal:0.1*sin(x0)"],
+    "lambda_short": ["lambda", "--dims", "24", "--metric", "conformal:0.1*sin(x0)",
+                     "--theta", "coord:1", "--multistarts", "0", "--max-iter", "5"],
+}
+
+
+def machine() -> dict:
+    lib = ctypes.CDLL(glob.glob(os.path.join(os.path.dirname(numpy.__file__), os.pardir,
+                                             "numpy.libs", "libscipy_openblas*"))[0])
+    lib.scipy_openblas_get_corename64_.restype = ctypes.c_char_p
+    with open("/proc/cpuinfo") as fh:
+        cpu = next(line.split(":", 1)[1].strip() for line in fh if line.startswith("model name"))
+    return {
+        "cpu_model": cpu,
+        "vcpus": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "openblas_core": lib.scipy_openblas_get_corename64_().decode(),
+        "openblas_default_threads": lib.scipy_openblas_get_num_threads64_(),
+        "bench_blas_threads": bench_blas_threads(),
+        "PYTHONHASHSEED": os.environ.get("PYTHONHASHSEED", "unset"),
+    }
+
+
+def bench_blas_threads() -> int:
+    """The BLAS thread count bench/run.py pins itself and its children to."""
+    spec = importlib.util.spec_from_file_location("bench_run", HERE / "bench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    return int(run.BLAS_THREADS)
+
+
+def bench(tree: Path) -> dict:
+    out = subprocess.run([sys.executable, str(tree / "bench" / "run.py"), "--workload", "all"],
+                         check=True, capture_output=True, text=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def ci_run(tree: Path, argv: list[str]) -> dict:
+    """One CLI process: its wall time and its own peak RSS (wait4)."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    t0 = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, "-m", "monolab.cli", *argv, "--out", os.devnull],
+                            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - t0
+    if os.waitstatus_to_exitcode(status) != 0:
+        raise SystemExit(f"{tree}: monolab {' '.join(argv)} failed")
+    return {"wall_s": round(wall, 3), "peak_rss_mib": round(usage.ru_maxrss / 1024.0, 1)}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("out", type=Path)
+    args = parser.parse_args(argv)
+    trees = {"parent": args.parent.resolve(), "change": HERE}
+    record = {"machine": machine(), "bench": {}, "ci_24": {}}
+    for name, tree in trees.items():
+        record["bench"][name] = bench(tree)
+    for name, cmd in CI_24.items():
+        runs = record["ci_24"][name] = {"command": "monolab " + " ".join(cmd)}
+        for _ in range(REPS):
+            for tree_name, tree in trees.items():
+                runs.setdefault(tree_name, []).append(ci_run(tree, cmd))
+    args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
