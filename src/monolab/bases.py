@@ -24,6 +24,8 @@ PAIRS: tuple[tuple[int, int], ...] = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2
 
 # complement triples, increasing: TRIPLES[l] omits axis l
 TRIPLES: tuple[tuple[int, int, int], ...] = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
+# stored 3-form component l is the coefficient of TRIPLE_SIGNS[l] i_{d_l}(dx^0123)
+TRIPLE_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
 
 # permutation symbol, eps[0,1,2,3] = +1
 EPS = np.zeros((4, 4, 4, 4))
@@ -35,14 +37,12 @@ for perm in itertools.permutations(range(4)):
             if p[i] > p[j]:
                 sgn = -sgn
     EPS[perm] = sgn
-EPS.flags.writeable = False
 
 # expansion tensor: full antisymmetric 3-form components from stored ones
 X3 = np.zeros((4, 4, 4, 4))
 for l, (i, j, k) in enumerate(TRIPLES):
     for perm in itertools.permutations((i, j, k)):
         X3[l][perm] = EPS[perm + (l,)] * EPS[(i, j, k, l)]
-X3.flags.writeable = False
 
 # eta rows in pair order: the first wedge e^0^e^a and the second, whose sign
 # tells the self-dual triple from the anti-self-dual one (e^3^e^1 = -e^1^e^3)
@@ -50,12 +50,13 @@ _FIRST_WEDGE = np.eye(3, 6)
 _SECOND_WEDGE = np.array([[0.0, 0, 0, 0, 0, 1], [0, 0, 0, 0, -1, 0], [0, 0, 0, 1, 0, 0]])
 H_PLUS = (_FIRST_WEDGE + _SECOND_WEDGE) / np.sqrt(2.0)
 H_MINUS = (_FIRST_WEDGE - _SECOND_WEDGE) / np.sqrt(2.0)
-H_PLUS.flags.writeable = False
-H_MINUS.flags.writeable = False
 
 # wedge pairing of stored 2-forms: (alpha ^ beta)_{0123} = alpha_p WEDGE2[p,q] beta_q
 WEDGE2 = np.zeros((6, 6))
 for p, (i, j) in enumerate(PAIRS):
     for q, (k, l) in enumerate(PAIRS):
         WEDGE2[p, q] = EPS[i, j, k, l]
-WEDGE2.flags.writeable = False
+# WEDGE2 is a signed permutation: WEDGE2[p, 5 - p] = WEDGE2_SIGNS[p], 0 elsewhere
+WEDGE2_SIGNS = np.array([1.0, -1.0, 1.0, 1.0, -1.0, 1.0])
+for _constant in (TRIPLE_SIGNS, EPS, X3, H_PLUS, H_MINUS, WEDGE2, WEDGE2_SIGNS):
+    _constant.flags.writeable = False

@@ -11,32 +11,29 @@ basis eta_1..eta_3 of `bases`, the operator is L^T r L with
 L = Lambda^2(e^-1).  Its trace is R/2; with H+ the eta-plus rows in pair
 order, its eta-plus block H+ L^T r L H+^T is W+ + (R/12) 1, and the eta-minus
 block gives W- the same way and the mixed block the traceless Ricci tensor.
-The stack forms only the eta-plus block, B = sd_pairs_up^T r sd_pairs_up
-with sd_pairs_up = L H+^T.  r satisfies the first Bianchi identity exactly
+The stack forms only the eta-plus block, B = U^T r U with U = L H+^T read
+off sd_pairs (below).  r satisfies the first Bianchi identity exactly
 (its taps are symmetric index pairs), so the eta-plus and eta-minus blocks
 have equal trace and R = 4 tr B; W+ = B - (R/12) 1 is a symmetric trace-free
 3x3 matrix whose lowest eigenvalue is the curvature weight w.
 
 The stack and the Christoffel symbols work one axis-0 slab at a time: the
 n1 n2 n3 nodes that share one index of grid axis 0.  `_metric_slabs` yields
-per slab the first derivatives of g, the Christoffel symbols in the frame,
-F = e^-T Gamma_lower, and e^-1, which both the pair form and
-`MetricField.sd_connection` read; no whole-grid array of any of them is
-kept.  F is the one form of the symbols either reader needs: e Gamma_k is
-F on the pairs (k, .), and Gamma_{p,x} Gamma^p_y is the Gram matrix F^T F.
-No stencil runs on the whole grid: d1 and d2 along axis 0 of the slab's
-10 stored components of g come from `grid._slab_stencils`, which reads only
-the neighbouring slices of g.  The stencils along axes 1-3, e^-1, the
-Christoffel taps and F, the 55 entries x <= y of the symmetric 10x10 matrix
-M behind r, the pair form r, the projection weights, the eta-plus block B
-and the eigenvalue pass all run on the slab, whose arrays are 1/n0 the size
-of whole-grid ones, and each slab's R, W+ and w are written into the
-whole-grid results.  Besides g, the factor, the cached tensors and those
-results, no whole-grid array is formed.  A slab (c, n1, n2, n3) is
-differenced along axes 1-3 with the grid's own axis numbers and gets the
-bits of the same rows of the whole-grid call; its axis-0 rows agree with
-the whole-grid ones to roundoff.  A mixed derivative with axis 0 is
-d_b (d_0 g), since a slab has no axis 0 to difference along.
+per slab the first derivatives of g, e^-1 and F = e^-T Gamma_lower, the one
+form of the Christoffel symbols that the pair form and
+`MetricField.sd_connection` need: e Gamma_k is F on the pairs (k, .), and
+Gamma_{p,x} Gamma^p_y is the Gram matrix F^T F.  No stencil runs on the
+whole grid: d1 and d2 along axis 0 of the slab's 10 stored components of g
+come from `grid._slab_stencils`, which reads only the neighbouring slices
+of g.  The stencils along axes 1-3, e^-1, the Christoffel taps and F, the
+55 entries x <= y of the symmetric 10x10 matrix M behind r, r, sd_pairs,
+the eta-plus block B and the eigenvalue pass all run on the slab, and each
+slab's R, W+ and w are written into the whole-grid results; besides g, the
+factor, the cached tensors and those results, no whole-grid array is
+formed.  A slab (c, n1, n2, n3) is differenced along axes 1-3 with the
+grid's own axis numbers and gets the bits of the same rows of the
+whole-grid call; its axis-0 rows agree with the whole-grid ones to
+roundoff, and a mixed derivative with axis 0 is d_b (d_0 g).
 
 `build_metric` copies g once and factors it once, by the closed-form 4x4
 Cholesky on whole planes (`_upper_factor`, no LAPACK); the factor is
@@ -50,14 +47,21 @@ stencil is then one matrix product and each per-node product a two-operand
 einsum over the trailing node axes (see `_bilinear` for why two).  Only
 the eigenvalue pass reads W+ node-major, one slab's view at a time.
 
-Stored pairs and per-node Lambda^2 matrices are the only 2-form
-representation.  `MetricField` caches only what every application of the
-lambda operator reads: vol, the Hodge and flux weights, the pair components
-of eta_a, sd_pairs = (H+ Lambda^2 e)^T, and the frame connection on
-Lambda+ = so(3), one 3-vector a_k per axis, with nabla_k sigma = d_k sigma +
-a_k x sigma since [eta_a, eta_b] = -sqrt(2) eps_abc eta_c (Atiyah, Hitchin
-and Singer 1978; Besse 1987, ch. 13).  e^-1, g^-1 and the projection weights
-sd_pairs_up = Lambda^2(e^-1) H+^T are formed per slab or per use instead.
+`MetricField` caches only what every application of the lambda operator
+reads: vol, the flux weight vol g^-1, the pair components of eta_a,
+sd_pairs = (H+ Lambda^2 e)^T, and the frame connection on Lambda+ = so(3),
+one 3-vector a_k per axis, with nabla_k sigma = d_k sigma + a_k x sigma
+since [eta_a, eta_b] = -sqrt(2) eps_abc eta_c (Atiyah, Hitchin and Singer
+1978; Besse 1987, ch. 13).  e^-1 and g^-1 are formed per slab or per use.
+The Hodge star is read off sd_pairs, g and vol, with WEDGE2 the signed
+reversal of pair order (`bases.WEDGE2_SIGNS`):
+
+* the raised eta pairs Lambda^2(e^-1) H+^T are WEDGE2 sd_pairs / vol;
+* star = 2 P+ - 1 on 2-forms, P+ omega = sd_pairs sd_pairs^T WEDGE2 omega
+  / vol, so the Gram matrix vol Lambda^2(g^-1) of stored pairs is WEDGE2 star;
+* the 3-form weight W, tau^T W tau = vol (|tau|^2 + |star tau|^2), is
+  (2 / vol) S g S, S = `bases.TRIPLE_SIGNS`, as the 3x3 minors of g^-1 are
+  S g S / vol^2 (Jacobi); W = 2 on the flat metric.
 
 Sign conventions are pinned by two closed-form families used in the tests:
 
@@ -75,7 +79,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bases import H_PLUS, PAIRS
+from .bases import H_PLUS, PAIRS, WEDGE2_SIGNS
 from .grid import GridSpec, ScalarField, _freeze, _slab_stencils, _worst_node, d1, d2
 
 __all__ = [
@@ -85,9 +89,6 @@ __all__ = [
     "curvature_stack",
 ]
 
-# orientation signs S of the stored 3-form components: component l is the
-# coefficient of dx^I_l = S_l i_{d_l}(dx^0^dx^1^dx^2^dx^3), I_l = TRIPLES[l]
-_S3 = np.array([1.0, -1.0, 1.0, -1.0])
 _PAIR_I, _PAIR_J = np.array(PAIRS).T
 # a = -sqrt(2) H+ (w - w^T)_pairs / 2 as a product from the right
 _A_WEIGHTS = H_PLUS.T / -np.sqrt(2.0)
@@ -120,9 +121,9 @@ class MetricField:
     Made only by `build_metric`, which hands over g and the closed-form
     Cholesky factor it checked g with as `coframe`.  The derived
     tensors every application of the lambda operator reads are computed
-    from them once on first use and cached; e^-1, g^-1 and the projection
-    weights are not kept.  Every array has its components first and the
-    grid axes last, and all are read-only.
+    from them once on first use and cached; e^-1 and g^-1 are not kept,
+    and the Hodge star is read off sd_pairs, g and vol (module docstring).
+    Every array has its components first and the grid axes last, read-only.
     """
 
     def __init__(self, grid: GridSpec, g: np.ndarray, coframe: np.ndarray):
@@ -146,9 +147,8 @@ class MetricField:
 
     @cached_property
     def sd_pairs(self) -> np.ndarray:
-        """Stored components of eta_a, sd_pairs[p, a, ...], i.e.
-        (H+ Lambda^2 e)^T."""
-        return _freeze(np.einsum("aq,qp...->pa...", H_PLUS, _lambda2(self.coframe)))
+        """Stored components of eta_a, sd_pairs[p, a, ...]."""
+        return _freeze(_sd_pairs(self.coframe))
 
     @cached_property
     def sd_connection(self) -> np.ndarray:
@@ -181,20 +181,6 @@ class MetricField:
                 np.einsum("p...,pa->a...", w[_PAIR_I, _PAIR_J] - w[_PAIR_J, _PAIR_I],
                           _A_WEIGHTS, out=out[k, :, i])
         return _freeze(out)
-
-    @cached_property
-    def hodge_weight(self) -> np.ndarray:
-        """Per-node 4x4 weight W[l, k, ...] such that for any 3-form
-        components tau, tau^T W tau = vol (|tau|^2 + |star tau|^2); the node
-        sum times the cell volume is the L2 energy of
-        (d sigma, d* sigma = -star d sigma).
-
-        star is an isometry, so both terms are vol |tau|^2.  The Gram matrix
-        of the stored components, the 3x3 minors of g^-1, is S g S / vol^2 by
-        Jacobi's complementary minors, so W = 2 S g S / vol with S = _S3.
-        """
-        signs = (2.0 * _S3[:, None] * _S3).reshape(4, 4, 1, 1, 1, 1)
-        return _freeze(signs * self.g / self.vol)
 
     @cached_property
     def flux_weight(self) -> np.ndarray:
@@ -337,9 +323,9 @@ def _metric_slabs(m: MetricField) -> Iterator[tuple[np.ndarray, ...]]:
         yield g10i, dg, dd0, np.einsum("la...,lx...->ax...", einv, first), einv
 
 
-def _pair_riemann(m: MetricField) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _pair_riemann(m: MetricField) -> Iterator[np.ndarray]:
     """Coordinate Riemann tensor on stored pairs, [P, Q, ...] = R_{i_P j_P k_Q l_Q},
-    one axis-0 slab at a time, in axis-0 order, with the slab's e^-1.
+    one axis-0 slab at a time, in axis-0 order.
 
     R_ijkl = M[jk, il] - M[jl, ik] on symmetric index pairs, where
     M[x, y] = (d_x g_y + d_y g_x) / 2 + Gamma_{p,x} Gamma^p_y and d_x is the
@@ -352,7 +338,7 @@ def _pair_riemann(m: MetricField) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     every y, and both halves, d_x g_x, to the diagonal entry (x, x).
     """
     hs = m.grid.spacing
-    for g10i, dg, dd0, frame, einv in _metric_slabs(m):
+    for g10i, dg, dd0, frame, _ in _metric_slabs(m):
         mm = np.empty((55,) + frame.shape[2:])
         for x in range(10):
             row = mm[_TRI[x, x]:_TRI[x, 9] + 1]
@@ -370,7 +356,7 @@ def _pair_riemann(m: MetricField) -> Iterator[tuple[np.ndarray, np.ndarray]]:
                 mm[_TRI[x]] += half
         r = mm[_TAP_PLUS]
         r -= mm[_TAP_MINUS]
-        yield r, einv
+        yield r
 
 
 def _lambda2(e: np.ndarray) -> np.ndarray:
@@ -382,6 +368,11 @@ def _lambda2(e: np.ndarray) -> np.ndarray:
         for q, (k, l) in enumerate(PAIRS):
             out[p, q] = e[i, k] * e[j, l] - e[i, l] * e[j, k]
     return out
+
+
+def _sd_pairs(e: np.ndarray) -> np.ndarray:
+    """(H+ Lambda^2 e)^T, [p, a, ...], for a factor e of any trailing shape."""
+    return np.einsum("aq,qp...->pa...", H_PLUS, _lambda2(e))
 
 
 def _inverse_coframe(e: np.ndarray) -> np.ndarray:
@@ -407,30 +398,26 @@ def _inverse_metric(e: np.ndarray) -> np.ndarray:
     return np.einsum("ia...,ja...->ij...", einv, einv)
 
 
-def _sd_pairs_up(einv: np.ndarray) -> np.ndarray:
-    """Projection weights [p, a, ...] = (Lambda^2(e^-1) H+^T)[p, a], the raised
-    pair components of eta_a: their transpose times `MetricField.sd_pairs` is 1."""
-    return np.einsum("pq...,aq->pa...", _lambda2(einv), H_PLUS)
-
-
 def curvature_stack(m: MetricField) -> CurvatureBundle:
     """Scalar curvature, W+ and its lowest eigenvalue, read off the pair form.
 
-    B = sd_pairs_up^T R_pair sd_pairs_up is the eta-plus block W+ + (R/12) 1
-    of the frame curvature operator, so R = 4 tr B and W+ = B - (R/12) 1.
-    W+ is stored in the eta basis of the Cholesky coframe
-    `MetricField.coframe`, the basis of every self-dual field.  sd_pairs_up,
-    B, R, W+ and its lowest eigenvalue are formed per axis-0 slab of the pair
-    form, and the last three written into the whole-grid results.
+    B = U^T R_pair U, U = WEDGE2 sd_pairs / vol, is the eta-plus block
+    W+ + (R/12) 1 of the frame curvature operator, so R = 4 tr B and
+    W+ = B - (R/12) 1, in the eta basis of `MetricField.coframe`, the basis
+    of every self-dual field.  Per axis-0 slab, WEDGE2 sd_pairs is a view of
+    the slab's sd_pairs in reversed pair order with its signs flipped in
+    place; R, W+ and w are written into the whole-grid results.
     """
     dims = m.grid.dims
     scal = np.empty(dims)
     wplus = np.empty((3, 3) + dims)
     w = np.empty(dims)
     eye = np.eye(3).reshape(3, 3, 1, 1, 1)
-    for i, (r, einv) in enumerate(_pair_riemann(m)):
-        up = _sd_pairs_up(einv)
-        block = np.einsum("pa...,pb...->ab...", up, np.einsum("pq...,qb...->pb...", r, up))
+    for i, r in enumerate(_pair_riemann(m)):
+        eta = _sd_pairs(m.coframe[:, :, i])[::-1]
+        eta *= WEDGE2_SIGNS.reshape(6, 1, 1, 1, 1)
+        block = np.einsum("pa...,pb...->ab...", eta, np.einsum("pq...,qb...->pb...", r, eta))
+        block /= m.vol[i] ** 2
         scal[i] = 4.0 * np.trace(block)
         wp = block - (scal[i] / 12.0) * eye
         # symmetrize away roundoff; the eigenvalue pass reads the slab node-major

@@ -49,16 +49,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import PAIRS, TRIPLES, WEDGE2
-from .curvature import (
-    CurvatureBundle,
-    MetricField,
-    _bilinear,
-    _inverse_coframe,
-    _inverse_metric,
-    _lambda2,
-    _sd_pairs_up,
-)
+from .bases import PAIRS, TRIPLE_SIGNS, TRIPLES, WEDGE2, WEDGE2_SIGNS
+from .curvature import CurvatureBundle, MetricField, _bilinear, _inverse_coframe
 from .grid import (
     GridSpec,
     _fourier_multiply,
@@ -145,8 +137,19 @@ def embed(sigma: SelfDualField, m: MetricField) -> TwoFormField:
 
 
 def project(omega: TwoFormField, m: MetricField) -> SelfDualField:
-    comps = np.einsum("pa...,p...->a...", _sd_pairs_up(_inverse_coframe(m.coframe)), omega.comps)
-    return SelfDualField(omega.grid, comps)
+    return SelfDualField(omega.grid, _sd_part(np.array(omega.comps), m))
+
+
+def _sd_part(omega: np.ndarray, m: MetricField) -> np.ndarray:
+    """eta components (3, [batch,] dims) of the self-dual part of stored pairs
+    omega (6, [batch,] dims), sd_pairs^T WEDGE2 omega / vol (see `curvature`).
+    Flips WEDGE2's signs in omega in place, so omega[::-1] is WEDGE2 omega."""
+    n = m.grid.node_count
+    lowered = omega[::-1]
+    lowered *= WEDGE2_SIGNS.reshape((6,) + (1,) * (omega.ndim - 1))
+    c = np.einsum("pan,pKn->aKn", m.sd_pairs.reshape(6, 3, n), lowered.reshape(6, -1, n))
+    c /= m.vol.reshape(n)
+    return c.reshape((3,) + omega.shape[1:])
 
 
 def sd_l2_norm(sigma: SelfDualField, m: MetricField) -> float:
@@ -276,13 +279,17 @@ def covariant_derivative(sigma: SelfDualField, m: MetricField) -> np.ndarray:
 
 
 def _hodge_forward(comps: np.ndarray, m: MetricField) -> tuple[np.ndarray, np.ndarray]:
-    """tau = d sigma on stored pairs and its weighted flux W tau, with W the
-    per-node `MetricField.hodge_weight`, which folds ||d sigma||^2 and
-    ||d* sigma||^2 into one term."""
+    """tau = d sigma on stored pairs and its weighted flux W tau, with
+    W = (2 / vol) S g S (see `curvature`), 2 when flat, which folds
+    ||d sigma||^2 and ||d* sigma||^2 into one term."""
     n = m.grid.node_count
     om = np.einsum("pan,an->pn", m.sd_pairs.reshape(6, 3, n), comps.reshape(3, n))
     tau = _d(om.reshape((6,) + m.grid.dims), m.grid)
-    wtau = np.einsum("lkn,kn->ln", m.hodge_weight.reshape(4, 4, n), tau.reshape(4, n))
+    if m.is_flat:
+        return tau, 2.0 * tau
+    signs = TRIPLE_SIGNS[:, None]
+    wtau = np.einsum("lkn,kn->ln", m.g.reshape(4, 4, n), signs * tau.reshape(4, n))
+    wtau *= (2.0 * signs) / m.vol.reshape(n)
     return tau, wtau.reshape(tau.shape)
 
 
@@ -408,7 +415,7 @@ def _inverse_symbol(grid: GridSpec) -> np.ndarray:
 B_PLUS = 3
 
 # the flat self-dual constant classes dx01+dx23, dx02-dx13, dx03+dx12 in
-# PAIRS order, one per column
+# PAIRS order, one per column, broadcast over the grid
 _SD_CLASSES = np.array([
     [1.0, 0.0, 0.0],
     [0.0, 1.0, 0.0],
@@ -416,7 +423,7 @@ _SD_CLASSES = np.array([
     [0.0, 0.0, 1.0],
     [0.0, -1.0, 0.0],
     [1.0, 0.0, 0.0],
-])
+]).reshape(6, B_PLUS, 1, 1, 1, 1)
 
 # PCG stop: preconditioned residual at most _PCG_TOL of the class norm ||c||_G
 _PCG_TOL = 1e-12
@@ -460,11 +467,10 @@ def harmonic_selfdual_basis(m: MetricField) -> HarmonicBasis:
 
     Each flat self-dual constant class c_a has the minimum-norm
     representative h_a = c_a + d alpha_a, where d^T G (c_a + d alpha_a) = 0
-    with G = vol Lambda^2(g^-1), the volume-weighted Gram matrix of stored
-    pairs (d^T the plain-sum transpose).  Since G is WEDGE2 times the Hodge
-    star on stored pairs (alpha ^ star beta = <alpha, beta> vol), that
-    equation says d(star h_a) = 0, so the discrete harmonic space is
-    star-invariant and project(h_a) is harmonic.
+    with G = vol Lambda^2(g^-1) = WEDGE2 star, the Gram matrix of stored
+    pairs, applied from sd_pairs and vol (see `curvature`), and d^T the
+    plain-sum transpose.  So d(star h_a) = 0: the discrete harmonic space
+    is star-invariant and project(h_a) is harmonic.
     The three projections are independent because the intersection form
     is positive on the flat self-dual classes.
 
@@ -472,17 +478,18 @@ def harmonic_selfdual_basis(m: MetricField) -> HarmonicBasis:
     the inverse of `grid`'s d1 symbol.  The operator is singular only on closed
     1-forms, which never change d alpha, so no gauge is fixed.  Raises
     HarmonicSolveError when the loop misses _PCG_TOL within _PCG_MAXITER.
-    The loop's state and G are (components, class, dims).
     """
     grid = m.grid
     n = grid.node_count
-    G = _lambda2(_inverse_metric(m.coframe))
-    G *= m.vol
-    G = G.reshape(6, 6, n)
     inv_symbol = _inverse_symbol(grid)
 
     def g_apply(omega):
-        return np.einsum("pqn,qKn->pKn", G, omega.reshape(6, -1, n)).reshape(omega.shape)
+        # G omega = WEDGE2 (2 sd_pairs _sd_part(omega) - omega), pair by pair in place
+        c = _sd_part(omega, m).reshape(3, -1, n)
+        lowered = omega[::-1].reshape(6, -1, n)
+        for sign, eta, out in zip(WEDGE2_SIGNS, m.sd_pairs[::-1].reshape(6, 3, n), lowered):
+            out[...] = (2.0 * sign) * np.einsum("an,aKn->Kn", eta, c) - out
+        return omega[::-1]
 
     def precondition(r):
         return _fourier_multiply(r, inv_symbol)
@@ -490,10 +497,11 @@ def harmonic_selfdual_basis(m: MetricField) -> HarmonicBasis:
     def columns(v):
         return v[:, None, None, None, None]
 
-    gc = np.einsum("pqn,qK->pKn", G, _SD_CLASSES).reshape((6, B_PLUS) + grid.dims)
-    class_norm2 = np.sum(gc * _SD_CLASSES[..., None, None, None, None], axis=(0, 2, 3, 4, 5))
-    alpha = np.zeros((4, B_PLUS) + grid.dims)
+    gc = g_apply(np.tile(_SD_CLASSES, (1, 1) + grid.dims))
+    class_norm2 = np.sum(gc * _SD_CLASSES, axis=(0, 2, 3, 4, 5))
     r = -_d(gc, grid, transpose=True)
+    del gc
+    alpha = np.zeros((4, B_PLUS) + grid.dims)
     z = precondition(r)
     rz = _col_dot(r, z)
     p = z
@@ -512,6 +520,8 @@ def harmonic_selfdual_basis(m: MetricField) -> HarmonicBasis:
         p[:, live] = z + columns(rz_live / rz[live]) * pl
         rz[live] = rz_live
         iterations += 1
+        del pl, q
+    del r, z, p
     residual = float(np.sqrt(np.max(rz / class_norm2)))
     if residual > _PCG_TOL:
         raise HarmonicSolveError(
@@ -520,8 +530,9 @@ def harmonic_selfdual_basis(m: MetricField) -> HarmonicBasis:
         )
 
     h = _d(alpha, grid)
-    h += _SD_CLASSES[..., None, None, None, None]
-    sd = np.einsum("pa...,pK...->aK...", _sd_pairs_up(_inverse_coframe(m.coframe)), h)
+    h += _SD_CLASSES
+    sd = _sd_part(h, m)
+    del alpha, h
     forms: list[np.ndarray] = []
     for k in range(B_PLUS):
         comps = sd[:, k]

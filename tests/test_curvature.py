@@ -23,6 +23,7 @@ from monolab.grid import GridSpec, ScalarField, d1, d2, integrate
 from monolab.presets import metric_from_preset, random_smooth_scalar, theta_from_preset
 from monolab.rayleigh import LambdaOptions, minimize_lambda
 from monolab.selfdual import (
+    _hodge_forward,
     harmonic_selfdual_basis,
     integral_identity_check_s,
     weitzenboeck_residual,
@@ -264,8 +265,11 @@ def test_three_form_algebra_matches_tensor_definitions():
     def rel(x, y):
         return np.max(np.abs(x - y)) / np.max(np.abs(y))
 
-    # the weight is cached component-major, [l, k, ...]
-    assert rel(layout(m.hodge_weight, "node"), weight) < 1e-13
+    # the weight is applied in closed form from g and vol, never formed:
+    # W tau against the textbook weight times tau
+    tau, wtau = _hodge_forward(rng.standard_normal((3,) + grid.dims), m)
+    want = np.einsum("...lk,...k->...l", weight, layout(tau, "node"))
+    assert rel(layout(wtau, "node"), want) < 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +315,7 @@ def _frame_operator(m):
     curvature operator whose trace is R/2 and whose eta-plus and eta-minus
     blocks are W+ and W- plus (R/12) 1."""
     lam = layout(_lambda2(layout(np.linalg.inv(layout(m.coframe, "node")), "comp")), "node")
-    pair = layout(np.stack([r for r, _ in _pair_riemann(m)], axis=2), "node")
+    pair = layout(np.stack(list(_pair_riemann(m)), axis=2), "node")
     return np.swapaxes(lam, -1, -2) @ pair @ lam
 
 
@@ -495,5 +499,5 @@ def test_metric_keeps_only_what_every_application_reads():
     integral_identity_check_s(sigma, theta, m, curv)
     minimize_lambda(theta, m, curv, LambdaOptions(n_random=0, epsilons=(1e-3,), max_iter=5))
     kept = {"grid", "g", "coframe", "vol", "is_flat", "sd_pairs", "sd_connection",
-            "hodge_weight", "flux_weight"}
+            "flux_weight"}
     assert set(vars(m)) <= kept, sorted(set(vars(m)) - kept)

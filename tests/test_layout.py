@@ -20,7 +20,6 @@ from monolab.curvature import (
     _inverse_metric,
     _lambda2,
     _pair_riemann,
-    _sd_pairs_up,
     build_metric,
     curvature_stack,
 )
@@ -196,8 +195,9 @@ def test_covariant_derivative_kernels_match_roll_and_transpose(grid):
 
 
 def metric_references(g, spacing):
-    """Node-major references for every tensor `MetricField` caches and for
-    the three it forms per use (inv_coframe, ginv, sd_pairs_up), built with
+    """Node-major references for every tensor `MetricField` caches, for the
+    two it forms per use (inv_coframe, ginv) and for the two that the
+    kernels apply in closed form (sd_pairs_up, hodge_weight), built with
     LAPACK, np.roll stencils and full index tensors."""
     e = np.swapaxes(np.linalg.cholesky(g), -1, -2)
     einv, gi = np.linalg.inv(e), np.linalg.inv(g)
@@ -230,13 +230,26 @@ def metric_references(g, spacing):
 
 def test_metric_field_tensors_are_component_major():
     # every cached tensor and every one formed per use has its grid axes
-    # last, and its node-major copy is the reference tensor
+    # last, and its node-major copy is the reference tensor; the raised eta
+    # pairs and the Hodge weight are never formed, so the kernels that apply
+    # them must give the reference tensor applied to node-major components
     g = generic_metric(ODD.dims, periods=ODD.periods)[1]
     m = build_metric(ODD, layout(g, "comp"))
-    einv = _inverse_coframe(m.coframe)
-    formed = {"inv_coframe": einv, "ginv": _inverse_metric(m.coframe),
-              "sd_pairs_up": _sd_pairs_up(einv)}
-    for name, ref in metric_references(g, ODD.spacing).items():
+    refs = metric_references(g, ODD.spacing)
+    rng = np.random.default_rng(5)
+    omega = rng.standard_normal((6,) + ODD.dims)
+    tau, wtau = selfdual._hodge_forward(rng.standard_normal((3,) + ODD.dims), m)
+    applied = {
+        "sd_pairs_up": (selfdual._sd_part(omega.copy(), m), np.einsum(
+            "...pa,...p->...a", refs.pop("sd_pairs_up"), layout(omega, "node"))),
+        "hodge_weight": (wtau, np.einsum(
+            "...lk,...k->...l", refs.pop("hodge_weight"), layout(tau, "node"))),
+    }
+    for name, (got, ref) in applied.items():
+        assert got.shape[-4:] == ODD.dims, name
+        assert rel_err(layout(got, "node"), ref) <= 1e-14, name
+    formed = {"inv_coframe": _inverse_coframe(m.coframe), "ginv": _inverse_metric(m.coframe)}
+    for name, ref in refs.items():
         got = formed[name] if name in formed else getattr(m, name)
         assert got.shape[-4:] == ODD.dims, name
         assert got.flags.c_contiguous, name
@@ -301,7 +314,7 @@ def _selfdual_weyl(rng):
     wplus = curvature_stack(m).wplus
     einv = np.linalg.inv(layout(m.coframe, "node"))
     lam = layout(_lambda2(layout(einv, "comp")), "node")
-    pair = layout(np.stack([r for r, _ in _pair_riemann(m)], axis=2), "node")
+    pair = layout(np.stack(list(_pair_riemann(m)), axis=2), "node")
     op = np.swapaxes(lam, -1, -2) @ pair @ lam
     scal = 2.0 * np.trace(op, axis1=-2, axis2=-1)
     want = H_PLUS @ op @ H_PLUS.T - (scal / 12.0)[..., None, None] * np.eye(3)
