@@ -38,8 +38,9 @@ roundoff, and a mixed derivative with axis 0 is d_b (d_0 g).
 `build_metric` copies g once and factors it once, by the closed-form 4x4
 Cholesky on whole planes (`_upper_factor`, no LAPACK); the factor is
 `MetricField.coframe`.  The volume factor vol = e_00 e_11 e_22 e_33, the
-inverse coframe e^-1 (back substitution) and g^-1 = e^-1 e^-T are read off
-its 10 entries, with no LAPACK inverse or determinant.  Every tensor here
+inverse coframe e^-1 (back substitution), g^-1 = e^-1 e^-T and a covector's
+frame components e^-T v (forward substitution) are read off its 10
+entries, with no LAPACK inverse or determinant.  Every tensor here
 has the one in-memory layout of `grid`: components first, grid axes last,
 as in g[i, j, ...], sd_connection[k, a, ...] and `CurvatureBundle.wplus`
 [a, b, ...]; a slab drops the axis-0 index, as in F[a, x, n1, n2, n3].  A
@@ -390,6 +391,20 @@ def _inverse_coframe(e: np.ndarray) -> np.ndarray:
                 acc = acc - einv[i, k] * e[k, j]
             einv[i, j] = acc / e[j, j]
     return einv
+
+
+def _frame_components(e: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """e^-T v, [a, ...], the frame components of a covector v[k, ...] (further
+    axes may sit between k and the grid's), for the upper-triangular factor
+    e, by forward substitution on e^T x = v:
+    x[a] = (v[a] - sum_{k < a} e[k, a] x[k]) / e[a, a]."""
+    x = np.empty(v.shape)
+    for a in range(4):
+        acc = v[a]
+        for k in range(a):
+            acc = acc - e[k, a] * x[k]
+        x[a] = acc / e[a, a]
+    return x
 
 
 def _inverse_metric(e: np.ndarray) -> np.ndarray:

@@ -72,7 +72,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import CurvatureBundle, MetricField, _inverse_metric
+from .curvature import CurvatureBundle, MetricField, _frame_components
 from .grid import (
     GridSpec,
     ScalarField,
@@ -151,9 +151,9 @@ def theta_from_sc(s: np.ndarray, c: np.ndarray, m: MetricField) -> ThetaField:
     if s.shape != grid.dims or c.shape != grid.dims or not np.isfinite([s, c]).all():
         raise ValueError("sin and cos samples must be finite scalar grid arrays")
     dth = c * _gradient(s, grid) - s * _gradient(c, grid)
-    # |d theta|^2 on g^-1 by two two-operand einsums, as in `curvature._bilinear`
-    gi = _inverse_metric(m.coframe)
-    n2 = np.einsum("k...,k...->...", dth, np.einsum("kl...,l...->k...", gi, dth))
+    # |d theta|^2 = |e^-T d theta|^2, since g^-1 = e^-1 e^-T
+    frame = _frame_components(m.coframe, dth)
+    n2 = np.einsum("a...,a...->...", frame, frame)
     return ThetaField(grid, s, c, dth, n2)
 
 

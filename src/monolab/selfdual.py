@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bases import PAIRS, TRIPLE_SIGNS, TRIPLES, WEDGE2, WEDGE2_SIGNS
-from .curvature import CurvatureBundle, MetricField, _bilinear, _inverse_coframe
+from .curvature import CurvatureBundle, MetricField, _bilinear, _frame_components
 from .grid import (
     GridSpec,
     _fourier_multiply,
@@ -263,7 +263,7 @@ def covariant_derivative(sigma: SelfDualField, m: MetricField) -> np.ndarray:
     """
     nab = _nabla(sigma.comps, m)
     if not m.is_flat:
-        nab = np.einsum("kc...,ka...->ca...", _inverse_coframe(m.coframe), nab)
+        nab = _frame_components(m.coframe, nab)
     return nab
 
 
@@ -337,7 +337,7 @@ def _identity_pieces(sigma: SelfDualField, theta, m: MetricField):
     nab = covariant_derivative(sigma, m)
     sig2 = np.sum(sigma.comps**2, axis=0)
     nab2 = np.sum(nab**2, axis=(0, 1))
-    dth_frame = np.einsum("kc...,k...->c...", _inverse_coframe(m.coframe), theta.dtheta)
+    dth_frame = _frame_components(m.coframe, theta.dtheta)
     cross = _bilinear(dth_frame, nab, sigma.comps)
     return sig2, nab2, cross
 

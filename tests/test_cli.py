@@ -1,11 +1,13 @@
 """Command-line entry points: reports, determinism, exit codes."""
 
 import filecmp
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -616,3 +618,26 @@ def test_flags_only_where_read(tmp_path, monkeypatch, argv):
         main(argv)
     assert exc.value.code == 2
     assert not (tmp_path / "x.csv").exists()
+
+
+def ci_runs_commands() -> dict:
+    """Every command line of tools/ci_runs.py, by row."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "ci_runs.py"
+    spec = importlib.util.spec_from_file_location("ci_runs", path)
+    ci = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ci)
+    rows = {f"ceiling-{name}": argv for name, (argv, _) in ci.CEILINGS.items()}
+    rows.update({f"bytes-{name}": argv for name, (_, argv) in ci.BYTE_ROWS.items()})
+    rows.update({f"generic8-{name}": argv for name, argv in ci.GENERIC8.items()})
+    rows.update(weitzenboeck=ci.WEITZENBOECK, bench_hodge=ci.BENCH_HODGE)
+    return rows
+
+
+_CI_RUNS = ci_runs_commands()
+
+
+@pytest.mark.parametrize("argv", list(_CI_RUNS.values()), ids=list(_CI_RUNS))
+def test_ci_runs_commands_parse(argv):
+    # a renamed flag fails here, in process, not first in CI's harness run
+    args = cli._resolve(cli._build_parser().parse_args(argv))
+    assert args.command == argv[0]

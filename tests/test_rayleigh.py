@@ -1,5 +1,7 @@
 """Twisted Rayleigh quotient, its minimizer and the curvature weight K."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,21 @@ def test_coordinate_theta_norm_is_stencil_symbol(m8):
     th = theta_from_preset("coord:0", m8)
     want = keff2(m8.grid.spacing[0])
     assert np.max(np.abs(th.dtheta_norm2 - want)) < 1e-12
+
+
+def test_theta_peak_at_16():
+    # |d theta|^2 is |e^-T d theta|^2, by forward substitution on the
+    # coframe: measured 15.0 planes, one plane being one float64 grid array.
+    # g^-1 read through a whole-grid e^-1 (32 planes) made it 39.0
+    m = metric_from_preset("conformal:0.1*sin(x0)", GridSpec((16,) * 4))
+    m.coframe  # the metric's factor is built before theta
+    tracemalloc.start()
+    try:
+        theta_from_preset("coord:1", m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 15.6 * m.grid.node_count * 8
 
 
 def test_theta_field_validation(grid8):

@@ -7,11 +7,12 @@ PARENT_DIR is an unpacked copy of the parent commit (`git archive` or
 
 * `bench`: the last JSON line of `python3 bench/run.py --workload all`, run
   first with the parent's bench/ and src/, then with this tree's;
-* `ci_24`: the wall time and peak RSS of CI's four 24^4 ceiling commands
-  (no benchmark workload runs 24^4), each run REPS times per tree,
-  alternating trees, in the caller's environment (CI sets no thread count),
-  in a scratch directory that holds generic24.zip, conftest's
-  `generic_metric(24)` written by this tree, as CI's generic step writes it;
+* `ci_24`: the wall time and peak RSS of CI's four 24^4 ceiling commands,
+  the table `CEILINGS` of tools/ci_runs.py (no benchmark workload runs
+  24^4), each run REPS times per tree, alternating trees, in the caller's
+  environment (CI sets no thread count), through `ci_runs.ci_run` in a
+  scratch directory that holds `ci_runs.write_inputs`'s files, written by
+  this tree;
 * `machine`: the CPU model, vCPU count, Python and numpy versions, the
   OpenBLAS core that numpy's bundled library picked, read through ctypes
   from `scipy_openblas_get_corename64_`, its default thread count, the
@@ -32,23 +33,13 @@ import platform
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 import numpy
 
-HERE = Path(__file__).resolve().parent.parent
+from ci_runs import CEILINGS, HERE, ci_run, write_inputs
+
 REPS = 3
-# the ceiling steps of .github/workflows/tier1.yml; change both together
-CI_24 = {
-    "curvature": ["curvature", "--dims", "24", "--metric", "conformal:0.1*sin(x0)"],
-    "hodge": ["hodge", "--dims", "24", "--metric", "conformal:0.1*sin(x0)"],
-    "hodge_generic": ["hodge", "--dims", "24", "--metric", "file:generic24.zip"],
-    "lambda_short": ["lambda", "--dims", "24", "--metric", "conformal:0.1*sin(x0)",
-                     "--theta", "coord:1", "--multistarts", "0", "--max-iter", "5"],
-}
-GENERIC_24 = ("from conftest import generic_metric; from monolab.io import save_fields; "
-              "grid, g = generic_metric(24); save_fields('generic24.zip', grid, {'g': g})")
 
 
 def machine() -> dict:
@@ -83,20 +74,6 @@ def bench(tree: Path) -> dict:
     return json.loads(out.splitlines()[-1])
 
 
-def ci_run(tree: Path, argv: list[str], cwd: str) -> dict:
-    """One CLI process in cwd: its wall time and its own peak RSS (wait4)."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    t0 = time.perf_counter()
-    proc = subprocess.Popen([sys.executable, "-m", "monolab.cli", *argv, "--out", os.devnull],
-                            cwd=cwd, env=env, stdout=subprocess.DEVNULL,
-                            stderr=subprocess.DEVNULL)
-    _, status, usage = os.wait4(proc.pid, 0)
-    wall = time.perf_counter() - t0
-    if os.waitstatus_to_exitcode(status) != 0:
-        raise SystemExit(f"{tree}: monolab {' '.join(argv)} failed")
-    return {"wall_s": round(wall, 3), "peak_rss_mib": round(usage.ru_maxrss / 1024.0, 1)}
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
@@ -107,13 +84,13 @@ def main(argv=None) -> int:
     for name, tree in trees.items():
         record["bench"][name] = bench(tree)
     with tempfile.TemporaryDirectory() as work:
-        env = dict(os.environ, PYTHONPATH=f"{HERE / 'src'}{os.pathsep}{HERE / 'tests'}")
-        subprocess.run([sys.executable, "-c", GENERIC_24], cwd=work, env=env, check=True)
-        for name, cmd in CI_24.items():
+        write_inputs(work)
+        for name, (cmd, _) in CEILINGS.items():
             runs = record["ci_24"][name] = {"command": "monolab " + " ".join(cmd)}
             for _ in range(REPS):
                 for tree_name, tree in trees.items():
-                    runs.setdefault(tree_name, []).append(ci_run(tree, cmd, work))
+                    runs.setdefault(tree_name, []).append(
+                        ci_run(tree, [*cmd, "--out", os.devnull], work))
     args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     return 0
 
