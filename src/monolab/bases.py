@@ -10,13 +10,13 @@ Storage conventions used across the package:
       eta_1 = (e^0^e^1 + e^2^e^3)/sqrt(2)
       eta_2 = (e^0^e^2 + e^3^e^1)/sqrt(2)
       eta_3 = (e^0^e^3 + e^1^e^2)/sqrt(2)
-  and the anti-self-dual triple flips the sign of the second wedge.  Both
-  are stored as rows in pair order, H_PLUS[a, p] and H_MINUS[a, p].
+  stored as rows in pair order, H_PLUS[a, p].
+* The wedge pairing of two stored 2-forms is the signed reversal of pair
+  order, WEDGE2[p, 5 - p] = WEDGE2_SIGNS[p], since pair 5 - p is the
+  complement of pair p.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -27,36 +27,16 @@ TRIPLES: tuple[tuple[int, int, int], ...] = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0
 # stored 3-form component l is the coefficient of TRIPLE_SIGNS[l] i_{d_l}(dx^0123)
 TRIPLE_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
 
-# permutation symbol, eps[0,1,2,3] = +1
-EPS = np.zeros((4, 4, 4, 4))
-for perm in itertools.permutations(range(4)):
-    sgn = 1
-    p = list(perm)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if p[i] > p[j]:
-                sgn = -sgn
-    EPS[perm] = sgn
-
-# expansion tensor: full antisymmetric 3-form components from stored ones
-X3 = np.zeros((4, 4, 4, 4))
-for l, (i, j, k) in enumerate(TRIPLES):
-    for perm in itertools.permutations((i, j, k)):
-        X3[l][perm] = EPS[perm + (l,)] * EPS[(i, j, k, l)]
-
 # eta rows in pair order: the first wedge e^0^e^a and the second, whose sign
 # tells the self-dual triple from the anti-self-dual one (e^3^e^1 = -e^1^e^3)
 _FIRST_WEDGE = np.eye(3, 6)
 _SECOND_WEDGE = np.array([[0.0, 0, 0, 0, 0, 1], [0, 0, 0, 0, -1, 0], [0, 0, 0, 1, 0, 0]])
 H_PLUS = (_FIRST_WEDGE + _SECOND_WEDGE) / np.sqrt(2.0)
-H_MINUS = (_FIRST_WEDGE - _SECOND_WEDGE) / np.sqrt(2.0)
 
-# wedge pairing of stored 2-forms: (alpha ^ beta)_{0123} = alpha_p WEDGE2[p,q] beta_q
-WEDGE2 = np.zeros((6, 6))
-for p, (i, j) in enumerate(PAIRS):
-    for q, (k, l) in enumerate(PAIRS):
-        WEDGE2[p, q] = EPS[i, j, k, l]
-# WEDGE2 is a signed permutation: WEDGE2[p, 5 - p] = WEDGE2_SIGNS[p], 0 elsewhere
+# wedge pairing of stored 2-forms, (alpha ^ beta)_{0123} = alpha_p WEDGE2[p,q] beta_q:
+# the signed reversal of pair order, WEDGE2_SIGNS[p] = eps_{PAIRS[p] PAIRS[5 - p]}
 WEDGE2_SIGNS = np.array([1.0, -1.0, 1.0, 1.0, -1.0, 1.0])
-for _constant in (TRIPLE_SIGNS, EPS, X3, H_PLUS, H_MINUS, WEDGE2, WEDGE2_SIGNS):
+WEDGE2 = np.zeros((6, 6))
+WEDGE2[np.arange(6), 5 - np.arange(6)] = WEDGE2_SIGNS
+for _constant in (TRIPLE_SIGNS, H_PLUS, WEDGE2, WEDGE2_SIGNS):
     _constant.flags.writeable = False

@@ -294,11 +294,11 @@ def d1(values: np.ndarray, axis: int, h: float, out: np.ndarray | None = None,
     return _stencil_along("d1", values, axis, h, out, rows)
 
 
-def d2(values: np.ndarray, axis: int, h: float, out: np.ndarray | None = None) -> np.ndarray:
+def d2(values: np.ndarray, axis: int, h: float) -> np.ndarray:
     """Dedicated 6th-order second derivative (same axis twice), on the
     layouts of `d1`; the curvature stack uses it where composing two first
     derivatives would waste accuracy."""
-    return _stencil_along("d2", values, axis, h, out)
+    return _stencil_along("d2", values, axis, h, None)
 
 
 def _gradient(values: np.ndarray, grid: GridSpec) -> np.ndarray:

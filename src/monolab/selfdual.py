@@ -474,10 +474,13 @@ def harmonic_selfdual_basis(m: MetricField) -> HarmonicBasis:
     The three projections are independent because the intersection form
     is positive on the flat self-dual classes.
 
-    One PCG loop solves for the three alpha_a together, preconditioned by
-    the inverse of `grid`'s d1 symbol.  The operator is singular only on closed
-    1-forms, which never change d alpha, so no gauge is fixed.  Raises
-    HarmonicSolveError when the loop misses _PCG_TOL within _PCG_MAXITER.
+    A class whose start is already harmonic (every class on a conformally
+    flat metric) takes alpha_a = 0.  The others are chosen once and iterate
+    as one block of PCG columns until every column has converged,
+    preconditioned by the inverse of `grid`'s d1 symbol.  The operator is
+    singular only on closed 1-forms, which never change d alpha, so no gauge
+    is fixed.  Raises HarmonicSolveError when the largest residual over all
+    three classes misses _PCG_TOL within _PCG_MAXITER.
     """
     grid = m.grid
     n = grid.node_count
@@ -501,27 +504,34 @@ def harmonic_selfdual_basis(m: MetricField) -> HarmonicBasis:
     class_norm2 = np.sum(gc * _SD_CLASSES, axis=(0, 2, 3, 4, 5))
     r = -_d(gc, grid, transpose=True)
     del gc
-    alpha = np.zeros((4, B_PLUS) + grid.dims)
     z = precondition(r)
     rz = _col_dot(r, z)
-    p = z
+    # the classes whose start is not yet harmonic, gathered once: all three
+    # on a generic metric, none on a conformally flat one
+    stop = _PCG_TOL**2 * class_norm2
+    live = np.flatnonzero(rz > stop)
+    r, p, rz_live, stop = r[:, live], z[:, live], rz[live], stop[live]
+    del z
+    alpha_live = np.zeros_like(r)
     iterations = 0
-    while True:
-        live = np.flatnonzero(rz > _PCG_TOL**2 * class_norm2)
-        if live.size == 0 or iterations == _PCG_MAXITER:
-            break
-        pl = p[:, live]
-        q = _d(g_apply(_d(pl, grid)), grid, transpose=True)
-        step = columns(rz[live] / _col_dot(pl, q))
-        alpha[:, live] += step * pl
-        r[:, live] -= step * q
-        z = precondition(r[:, live])
-        rz_live = _col_dot(r[:, live], z)
-        p[:, live] = z + columns(rz_live / rz[live]) * pl
-        rz[live] = rz_live
+    while np.any(rz_live > stop) and iterations < _PCG_MAXITER:
+        q = _d(g_apply(_d(p, grid)), grid, transpose=True)
+        step = columns(rz_live / _col_dot(p, q))
+        alpha_live += step * p
+        r -= step * q
+        del q
+        z = precondition(r)
+        rz_next = _col_dot(r, z)
+        p *= columns(rz_next / rz_live)
+        p += z
+        del z
+        rz_live = rz_next
         iterations += 1
-        del pl, q
-    del r, z, p
+    del r, p
+    rz[live] = rz_live
+    alpha = np.zeros((4, B_PLUS) + grid.dims)
+    alpha[:, live] = alpha_live
+    del alpha_live
     residual = float(np.sqrt(np.max(rz / class_norm2)))
     if residual > _PCG_TOL:
         raise HarmonicSolveError(

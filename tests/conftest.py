@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from monolab.bases import PAIRS, X3
+from monolab.bases import PAIRS
 from monolab.curvature import curvature_stack
 from monolab.grid import GridSpec
 from monolab.presets import metric_from_preset, random_smooth_scalar
@@ -109,17 +109,6 @@ def roll_d2(v, axis, h):
             + 270 * r(v, 1, axis) - 27 * r(v, 2, axis) + 2 * r(v, 3, axis)) / (180.0 * h * h)
 
 
-# the terms (o, k, i, s) of (d f)_o = sum s D_k f_i, keyed by the stored
-# input width (4: 1-forms, 6: pairs) with the output width: a flat list read
-# off PAIRS and the 3-form expansion X3, independent of `selfdual`'s
-# per-axis coupling
-D_TERMS = {
-    4: (6, tuple(t for p, (i, j) in enumerate(PAIRS) for t in ((p, i, j, 1), (p, j, i, -1)))),
-    6: (4, tuple((l, k, p, int(X3[l, k, i, j])) for l in range(4) for k in range(4)
-                 for p, (i, j) in enumerate(PAIRS) if X3[l, k, i, j] != 0.0)),
-}
-
-
 def textbook_christoffel(g, spacing):
     """Gamma^k_ij = g^kl (d_i g_jl + d_j g_il - d_l g_ij) / 2 from all 16
     components of g: [..., k, i, j]."""
@@ -144,6 +133,27 @@ def levi_civita():
     for perm in itertools.permutations(range(4)):
         eps[perm] = round(np.linalg.det(np.eye(4)[list(perm)]))
     return eps
+
+
+def three_form_expansion():
+    """X3[l, i, j, k]: the full antisymmetric components of the stored
+    3-form component l, the coefficient of dx^a ^ dx^b ^ dx^c with (a, b, c)
+    the increasing complement of axis l."""
+    eps = levi_civita()
+    return np.stack([eps[..., l] * eps[tuple(a for a in range(4) if a != l) + (l,)]
+                     for l in range(4)])
+
+
+# the terms (o, k, i, s) of (d f)_o = sum s D_k f_i, keyed by the stored
+# input width (4: 1-forms, 6: pairs) with the output width: a flat list read
+# off PAIRS and the 3-form expansion X3, independent of `selfdual`'s
+# per-axis coupling
+X3 = three_form_expansion()
+D_TERMS = {
+    4: (6, tuple(t for p, (i, j) in enumerate(PAIRS) for t in ((p, i, j, 1), (p, j, i, -1)))),
+    6: (4, tuple((l, k, p, int(X3[l, k, i, j])) for l in range(4) for k in range(4)
+                 for p, (i, j) in enumerate(PAIRS) if X3[l, k, i, j] != 0.0)),
+}
 
 
 def textbook_three_form_star(g):

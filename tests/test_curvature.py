@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from monolab.bases import H_MINUS, H_PLUS, PAIRS, TRIPLES, X3
+from monolab.bases import H_PLUS, PAIRS, TRIPLES
 from monolab.curvature import (
     CurvatureBundle,
     _SYM_I,
@@ -31,6 +31,7 @@ from monolab.selfdual import (
 )
 
 from conftest import (
+    X3,
     generic_metric,
     layout,
     rel_err,
@@ -436,6 +437,10 @@ def test_cold_stack_runs_no_whole_grid_stencil(monkeypatch):
 X2 = np.zeros((6, 4, 4))
 for p, (i, j) in enumerate(PAIRS):
     X2[p, i, j], X2[p, j, i] = 1.0, -1.0
+
+# the anti-self-dual frame basis in pair order: e^0^e^1 - e^2^e^3,
+# e^0^e^2 - e^3^e^1 and e^0^e^3 - e^1^e^2, each over sqrt(2)
+H_MINUS = np.array([[1.0, 0, 0, 0, 0, -1], [0, 1, 0, 0, 1, 0], [0, 0, 1, -1, 0, 0]]) / np.sqrt(2.0)
 
 
 def _topology_and_covariance(n):

@@ -5,8 +5,9 @@
 Every check runs `python -m monolab.cli` on this tree's src/ in a child
 process, in a scratch directory that holds the inputs, each built once:
 conftest's `generic_metric` at 8, 12 and 24 (generic8.zip, generic12.zip,
-generic24.zip) and hodge8's conformal file (conformal8.zip, built as
-bench/workloads.py builds it).  The rows:
+generic24.zip), written by a child process, and hodge8's conformal file
+(conformal8.zip), written by the check_hodge row with bench/workloads.py's
+own `_conformal_input`.  The rows:
 
 * CEILINGS: a 24^4 command's own peak RSS (os.wait4) stays under its ceiling;
 * BYTE_ROWS: one command under two environments (1 and 2 BLAS threads, or
@@ -46,10 +47,11 @@ CEILINGS = {
     # 598-602 MiB with the Gram matrix formed (36 planes) and the state kept
     "hodge": (["hodge", "--dims", "24", "--metric", CONFORMAL], 475),
     # the only 24^4 ceiling step whose PCG iterates (a conformal metric's
-    # takes 0 iterations); measured 498-502 MiB with the Gram matrix of
-    # stored pairs applied in place and the PCG state freed before the
-    # tail, 730-734 MiB with the Gram matrix formed and the state kept
-    "hodge_generic": (["hodge", "--dims", "24", "--metric", "file:generic24.zip"], 560),
+    # takes 0 iterations); measured 418-422 MiB with the classes to solve
+    # gathered once into one PCG block, 498-502 MiB with the live columns
+    # gathered and scattered on every iteration, 730-734 MiB with the Gram
+    # matrix of stored pairs formed and the PCG state kept through the tail
+    "hodge_generic": (["hodge", "--dims", "24", "--metric", "file:generic24.zip"], 470),
     # measured 532 MiB with no Hodge weight on 3-forms cached (16 planes),
     # 566-573 MiB with it cached, 702 MiB with e^-1, g^-1 and the
     # projection weights cached too; about 15 s
@@ -125,33 +127,18 @@ def ci_run(tree: Path, argv: list[str], cwd, env: dict | None = None) -> dict:
     return {"wall_s": round(wall, 3), "peak_rss_mib": round(usage.ru_maxrss / 1024.0, 1)}
 
 
-def _conformal8():
-    """hodge8's input: the grid and f of g = exp(2f) delta."""
-    import numpy as np
-
-    from monolab.grid import GridSpec
-    from monolab.presets import random_smooth_scalar
-
-    grid = GridSpec((8,) * 4)
-    return grid, random_smooth_scalar(grid, np.random.default_rng(0), 1, 0.1)
-
-
 def _write_inputs() -> None:
     sys.path[:0] = [str(HERE / "src"), str(HERE / "tests")]
-    import numpy as np
-
     from conftest import generic_metric
     from monolab.io import save_fields
 
     for n in (8, 12, 24):
         grid, g = generic_metric(n)
         save_fields(f"generic{n}.zip", grid, {"g": g})
-    grid, f = _conformal8()
-    save_fields("conformal8.zip", grid, {"g": np.exp(2.0 * f)[..., None, None] * np.eye(4)})
 
 
 def write_inputs(work) -> None:
-    """Every row's input file, written into work by a child process."""
+    """The generic metric files, written into work by a child process."""
     code = (f"import sys; sys.path.insert(0, {str(HERE / 'tools')!r}); "
             "import ci_runs; ci_runs._write_inputs()")
     subprocess.run([sys.executable, "-c", code], cwd=work, check=True)
@@ -224,10 +211,11 @@ def _bench_hodge(work) -> str:
 
     from checks import check_hodge
     from monolab.io import load_fields
+    from workloads import _conformal_input
 
+    f = _conformal_input(Path(work), "conformal8.zip", 8, 0, 0.1)
     ci_run(HERE, BENCH_HODGE, work)
-    _, fields, _ = load_fields(Path(work, BENCH_HODGE[-1]))
-    grid, f = _conformal8()
+    grid, fields, _ = load_fields(Path(work, BENCH_HODGE[-1]))
     problems = check_hodge(_report(work, BENCH_HODGE[-3]), fields, np.exp(4.0 * f),
                            grid.cell_volume)  # vol = exp(4f)
     if problems:
