@@ -275,8 +275,11 @@ def _resolve(flags: argparse.Namespace) -> argparse.Namespace:
             setattr(args, name, _parse(options, name, text))
     if not args.config:
         return args
-    with open(args.config) as fh:
-        data = json.load(fh)
+    try:
+        with open(args.config, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise PresetError(f"{args.config}: {exc}") from None
     if not isinstance(data, dict):
         raise PresetError(f"{args.config}: config must be a JSON object")
     where = f"{args.config}: "
@@ -632,7 +635,7 @@ def main(argv=None) -> int:
                 fh.write(text)
         else:
             sys.stdout.write(text)
-    except (PresetError, OSError, json.JSONDecodeError) as exc:
+    except (PresetError, OSError) as exc:
         print(f"monolab: config error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError, MemoryError) as exc:

@@ -21,17 +21,18 @@ The stack and the Christoffel symbols work one axis-0 slab at a time: the
 n1 n2 n3 nodes that share one index of grid axis 0.  `_metric_slabs` yields
 per slab the first derivatives of g, e^-1 and F = e^-T Gamma_lower, the one
 form of the Christoffel symbols that the pair form and
-`MetricField.sd_connection` need: e Gamma_k is F on the pairs (k, .), and
-Gamma_{p,x} Gamma^p_y is the Gram matrix F^T F.  No stencil runs on the
-whole grid: d1 and d2 along axis 0 of the slab's 10 stored components of g
-come from `grid._slab_stencils`, which reads only the neighbouring slices
-of g.  The stencils along axes 1-3, e^-1, the Christoffel taps and F, the
-55 entries x <= y of the symmetric 10x10 matrix M behind r, r, sd_pairs,
-the eta-plus block B and the eigenvalue pass all run on the slab, and each
-slab's R, W+ and w are written into the whole-grid results; besides g, the
-factor, the cached tensors and those results, no whole-grid array is
-formed.  A slab (c, n1, n2, n3) is differenced along axes 1-3 with the
-grid's own axis numbers and gets the bits of the same rows of the
+`MetricField.sd_connection` need: Gamma_{p,x} Gamma^p_y is the Gram matrix
+F^T F, and the frame connection is read off the lower triangle of
+F[:, (k, .)] e^-1 = e Gamma_k e^-1, so only g is differenced.  No stencil
+runs on the whole grid: d1 and d2 along axis 0 of the slab's 10 stored
+components of g come from `grid._slab_stencils`, which reads only the
+neighbouring slices of g.  The stencils along axes 1-3, e^-1, the taps and
+F, the 55 entries x <= y of the symmetric 10x10 matrix M behind r, r,
+sd_pairs, the eta-plus block B and the eigenvalue pass all run on the slab,
+and each slab's R, W+ and w are written into the whole-grid results;
+besides g, the factor, the cached tensors and those results, no whole-grid
+array is formed.  A slab (c, n1, n2, n3) is differenced along axes 1-3
+with the grid's own axis numbers and gets the bits of the same rows of the
 whole-grid call; its axis-0 rows agree with the whole-grid ones to
 roundoff, and a mixed derivative with axis 0 is d_b (d_0 g).
 
@@ -91,14 +92,15 @@ __all__ = [
 ]
 
 _PAIR_I, _PAIR_J = np.array(PAIRS).T
-# a = -sqrt(2) H+ (w - w^T)_pairs / 2 as a product from the right
-_A_WEIGHTS = H_PLUS.T / -np.sqrt(2.0)
+# a = sqrt(2) H+ w_(j, i) over the pairs (i, j), as a product from the right,
+# spelt 2 H+^T / sqrt(2): its weights, 1 - 2^-53, are -2 times those of
+# (w - w^T)_(i, j) / 2, so an antisymmetric w gives a the same bits either way
+_A_WEIGHTS = 2.0 * H_PLUS.T / np.sqrt(2.0)
 # symmetric index pairs x = (i <= j), the 10 stored components of g
 _SYM_I, _SYM_J = np.triu_indices(4)
 _SYM_INDEX = np.empty((4, 4), dtype=int)
 _SYM_INDEX[_SYM_I, _SYM_J] = _SYM_INDEX[_SYM_J, _SYM_I] = range(10)
-# the same pairs as indices of a (16, dims) view of a 4x4 field: g's stored
-# components, and the upper entries of the factor, whose others are zeros
+# the same pairs as indices of a (16, dims) view of g: its stored components
 _SYM_FLAT = 4 * _SYM_I + _SYM_J
 # the symmetric M[x, y] is stored as its 55 entries x <= y, row by row; entry
 # (x, y) of either triangle is _TRI[x, y], so row x is _TRI[x, x] onwards
@@ -157,30 +159,23 @@ class MetricField:
         eta components of the coordinate covariant derivative are
         nabla_k sigma = d_k sigma + a_k x sigma.
 
-        a_k = -sqrt(2) H+ (w_k - w_k^T)_pairs / 2, the self-dual half of the
-        Levi-Civita connection w_k = (e Gamma_k - d_k e) e^-1 in the Cholesky
-        frame.  Gamma_k is the 4x4 matrix [m, i] = Gamma^m_ki, so e Gamma_k
-        is the frame Christoffel symbols F[:, x] on the symmetric pairs
-        x = (k, i), and d_k e is the difference of the factor along axis k,
-        taken on its 10 upper entries only: the strict lower triangle is
-        exact zeros.  Both run one axis-0 slab at a time (`_metric_slabs`),
-        d_0 e by `grid._slab_stencils` from the neighbouring slices of the
-        factor, so no whole-grid array is formed but the result.
+        The Levi-Civita connection in the Cholesky frame is
+        w_k = (e Gamma_k - d_k e) e^-1, Gamma_k the matrix [m, i] = Gamma^m_ki,
+        and e Gamma_k is F[:, (k, .)] (`_metric_slabs`).  As (d_k e) e^-1 is
+        upper triangular, the strict lower triangle of w_k is that of
+        F[:, (k, .)] e^-1.  The taps give Gamma_{i,kj} + Gamma_{j,ki} = d_k g_ij
+        from one d g, so w_k is antisymmetric for the Cholesky derivative
+        d e = Phi(e^-T d g e^-1) e, Phi the upper triangle with its diagonal
+        halved (Murray, arXiv:1602.07527): a_k = sqrt(2) H+ (w_k)_(j, i) over
+        the pairs (i, j), one axis-0 slab at a time, no factor differenced.
         """
-        hs = self.grid.spacing
-        e16 = self.coframe.reshape((16,) + self.grid.dims)
         out = np.empty((4, 3) + self.grid.dims)
         for i, (*_, frame, einv) in enumerate(_metric_slabs(self)):
-            # axis by axis on the slab's upper entries, gathered once, never
-            # a (4,4,4,slab) d e
-            ei = e16[_SYM_FLAT, i]
-            de0 = _slab_stencils(e16, i, hs[0], _SYM_FLAT)[0]
-            for k, h in enumerate(hs):
-                w = frame[:, _SYM_INDEX[k]]
-                w[_SYM_I, _SYM_J] -= de0 if k == 0 else d1(ei, k, h)
-                w = np.einsum("ai...,ib...->ab...", w, einv)
-                np.einsum("p...,pa->a...", w[_PAIR_I, _PAIR_J] - w[_PAIR_J, _PAIR_I],
-                          _A_WEIGHTS, out=out[k, :, i])
+            cols = einv[:, _PAIR_I]
+            for k, xs in enumerate(_SYM_INDEX):
+                # (F[:, (k, .)] e^-1)[j, i] for each pair (i, j)
+                low = np.einsum("pm...,mp...->p...", frame[_PAIR_J[:, None], xs], cols)
+                np.einsum("p...,pa->a...", low, _A_WEIGHTS, out=out[k, :, i])
         return _freeze(out)
 
     @cached_property
@@ -299,9 +294,10 @@ def _metric_slabs(m: MetricField) -> Iterator[tuple[np.ndarray, ...]]:
     einv[i, a, ...].
 
     dg gives the first-kind symbols Gamma_lower[l, x] = Gamma_{l,ij} by flat
-    taps.  F is what both readers need: e Gamma_k = F[:, (k, .)] in the frame
-    connection, and Gamma_{p,x} Gamma^p_y = sum_a F[a, x] F[a, y] in the pair
-    form, since g^-1 = e^-1 e^-T; Gamma^k_x itself is e^-1 F.  The slab's 10
+    taps.  F is what both readers need: the frame connection is the lower
+    triangle of e Gamma_k e^-1 = F[:, (k, .)] e^-1, and
+    Gamma_{p,x} Gamma^p_y = sum_a F[a, x] F[a, y] in the pair form, since
+    g^-1 = e^-1 e^-T; Gamma^k_x itself is e^-1 F.  The slab's 10
     components are gathered from g, and both axis-0 stencils come from
     `grid._slab_stencils`, which reads only the neighbouring slices of g;
     the axis 1-3 stencils, e^-1, the taps and F run on the slab, so no

@@ -109,14 +109,40 @@ def roll_d2(v, axis, h):
             + 270 * r(v, 1, axis) - 27 * r(v, 2, axis) + 2 * r(v, 3, axis)) / (180.0 * h * h)
 
 
-def textbook_christoffel(g, spacing):
+def spectral_d1(v, axis, h):
+    """Fourier derivative along `axis` of periodic samples at spacing h, by
+    np.fft; the Nyquist mode of an even count is dropped."""
+    n = v.shape[axis]
+    xi = 2.0 * np.pi * np.fft.fftfreq(n, h)
+    if n % 2 == 0:
+        xi[n // 2] = 0.0
+    shape = [1] * v.ndim
+    shape[axis] = n
+    return np.fft.ifft(1j * xi.reshape(shape) * np.fft.fft(v, axis=axis), axis=axis).real
+
+
+def textbook_christoffel(g, spacing, d1=roll_d1):
     """Gamma^k_ij = g^kl (d_i g_jl + d_j g_il - d_l g_ij) / 2 from all 16
-    components of g: [..., k, i, j]."""
+    components of g and the derivative d1 (np.roll stencils by default):
+    [..., k, i, j]."""
     gi = np.linalg.inv(g)
-    dgs = np.stack([roll_d1(g, k, h) for k, h in enumerate(spacing)], axis=-3)
+    dgs = np.stack([d1(g, k, h) for k, h in enumerate(spacing)], axis=-3)
     return 0.5 * (np.einsum("...kl,...ijl->...kij", gi, dgs)
                   + np.einsum("...kl,...jil->...kij", gi, dgs)
                   - np.einsum("...kl,...lij->...kij", gi, dgs))
+
+
+def textbook_cholesky_derivative(g, spacing):
+    """LAPACK's upper Cholesky factor e of g (e^T e = g), its inverse, and
+    d_k e, [..., k, i, j], from the np.roll stencils of g by the Cholesky
+    derivative d e = Phi(e^-T d g e^-1) e, Phi the upper triangle with its
+    diagonal halved (Murray, arXiv:1602.07527): e^-T d g e^-1 is X + X^T
+    with X = (d e) e^-1 upper triangular."""
+    e = np.swapaxes(np.linalg.cholesky(g), -1, -2)
+    einv = np.linalg.inv(e)
+    dgs = np.stack([roll_d1(g, k, h) for k, h in enumerate(spacing)], axis=-3)
+    s = np.swapaxes(einv, -1, -2)[..., None, :, :] @ dgs @ einv[..., None, :, :]
+    return e, einv, (np.triu(s) - 0.5 * np.eye(4) * s) @ e[..., None, :, :]
 
 
 def textbook_eta():

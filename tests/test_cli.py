@@ -419,10 +419,15 @@ def test_negative_number_in_exponent_form_is_a_value(capsys, argv, key):
 
 
 def test_bad_json_config_exit_2(tmp_path, capsys):
+    # one config error line that names the file, for text that is not JSON
+    # and for bytes that are not UTF-8
     cfg = tmp_path / "broken.json"
-    cfg.write_text("{not json")
-    code, _ = run(capsys, ["curvature", "--config", str(cfg)])
-    assert code == 2
+    for content in (b"{not json", b'\xff\xfe{"dims": 8}'):
+        cfg.write_bytes(content)
+        assert main(["curvature", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"monolab: config error: {cfg}: ")
 
 
 def test_hodge_report(capsys):

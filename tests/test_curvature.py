@@ -19,6 +19,7 @@ from monolab.curvature import (
     build_metric,
     curvature_stack,
 )
+import monolab.curvature as curvature_module
 import monolab.grid as grid_module
 from monolab.grid import GridSpec, ScalarField, d1, d2, integrate
 from monolab.presets import metric_from_preset, random_smooth_scalar, theta_from_preset
@@ -413,21 +414,30 @@ def test_stack_peak_at_16_stays_near_its_outputs():
 
 
 def test_cold_stack_runs_no_whole_grid_stencil(monkeypatch):
-    # the stack and the frame connection difference g and the factor one
-    # axis-0 slab at a time, axis 0 included: no stencil sees a whole-grid
-    # (10,) + dims or (4, 4) + dims array, nor any other
+    # the stack and the frame connection difference g one axis-0 slab at a
+    # time, axis 0 included: no stencil sees a whole-grid (10,) + dims or
+    # (4, 4) + dims array, nor any other.  The connection takes the axis-0
+    # rows once per slab, of g, and differentiates no factor
     grid, g = generic_metric(**NONCUBIC)
     m = build_metric(grid, layout(g, "comp"))
-    shapes = []
+    shapes, slabbed = [], []
     stencil_along = grid_module._stencil_along
+    slab_stencils = curvature_module._slab_stencils
 
     def recorded(stencil, values, axis, h, out, rows=None):
         shapes.append(values.shape)
         return stencil_along(stencil, values, axis, h, out, rows)
 
+    def slab_recorded(values, i, h, rows):
+        slabbed.append(values)
+        return slab_stencils(values, i, h, rows)
+
     monkeypatch.setattr(grid_module, "_stencil_along", recorded)
-    curvature_stack(m)
+    monkeypatch.setattr(curvature_module, "_slab_stencils", slab_recorded)
     m.sd_connection
+    assert len(slabbed) == grid.dims[0]
+    assert all(np.shares_memory(values, m.g) for values in slabbed)
+    curvature_stack(m)
     assert shapes
     assert not any(s[-4:] == grid.dims for s in shapes)
     assert set(shapes) == {(10,) + grid.dims[1:]}

@@ -36,6 +36,7 @@ from conftest import (
     rel_err,
     roll_d1,
     roll_d2,
+    textbook_cholesky_derivative,
     textbook_christoffel,
     textbook_eta,
 )
@@ -198,9 +199,9 @@ def metric_references(g, spacing):
     """Node-major references for every tensor `MetricField` caches, for the
     two it forms per use (inv_coframe, ginv) and for the two that the
     kernels apply in closed form (sd_pairs_up, hodge_weight), built with
-    LAPACK, np.roll stencils and full index tensors."""
-    e = np.swapaxes(np.linalg.cholesky(g), -1, -2)
-    einv, gi = np.linalg.inv(e), np.linalg.inv(g)
+    LAPACK, np.roll stencils of g and full index tensors."""
+    e, einv, de = textbook_cholesky_derivative(g, spacing)
+    gi = np.linalg.inv(g)
     vol = np.sqrt(np.linalg.det(g))
     gam = textbook_christoffel(g, spacing)
     eta = textbook_eta()
@@ -208,10 +209,10 @@ def metric_references(g, spacing):
     # eta_a with lower and with raised coordinate indices, on stored pairs
     eta_low = np.einsum("aAB,...Ai,...Bj->...ija", eta, e, e)
     eta_up = np.einsum("...ik,...jl,...kla->...ija", gi, gi, eta_low)
-    # a_k = -sqrt(2) H+ (w_k - w_k^T)_pairs / 2 with w_k = (e Gamma_k - d_k e) e^-1
+    # a_k = -<eta_a, w_k> / sqrt(2) with w_k = (e Gamma_k - d_k e) e^-1
     conn = np.empty(g.shape[:4] + (4, 3))
-    for k, h in enumerate(spacing):
-        w = (e @ gam[..., :, k, :] - roll_d1(e, k, h)) @ einv
+    for k in range(4):
+        w = (e @ gam[..., :, k, :] - de[..., k, :, :]) @ einv
         conn[..., k, :] = -np.einsum("aij,...ij->...a", eta, w) / np.sqrt(2.0)
     signs = np.array([1.0, -1.0, 1.0, -1.0])
     return {

@@ -51,6 +51,8 @@ from conftest import (
     pulled_back_flat_chart,
     rel_err,
     roll_d1,
+    spectral_d1,
+    textbook_cholesky_derivative,
     textbook_christoffel,
     textbook_eta,
     textbook_three_form_star,
@@ -204,18 +206,22 @@ def textbook_omega_chain(g, spacing, sigma):
     return 0.5 * np.einsum("...kc,...kij,...aij->...ca", np.linalg.inv(e), nab, eta_up)
 
 
+def frame_levi_civita(e, einv, gam, de):
+    """w[..., k, a, b] = (e Gamma_k - d_k e) e^-1, the Levi-Civita connection
+    in the frame of the factor e, on full index tensors."""
+    return (np.einsum("...am,...mki->...kai", e, gam) - de) @ einv[..., None, :, :]
+
+
 def textbook_frame_covariant_derivative(g, spacing, sigma):
     """(nabla sigma)[..., c, a] by the product rule in the Cholesky frame, on
     full index tensors: w_k = (e Gamma_k - d_k e) e^-1 is the Levi-Civita
     connection in that frame and W_k its antisymmetric part, the frame form
     Omega = sigma_a eta_a has nabla_k Omega = d_k Omega + [W_k, Omega], and
     <nabla_k Omega, eta_a> is its eta_a component.  Its Cholesky factor,
-    inverse, Christoffel symbols, eta basis and stencil are its own."""
-    e = np.swapaxes(np.linalg.cholesky(g), -1, -2)
-    einv = np.linalg.inv(e)
-    gam = textbook_christoffel(g, spacing)
-    de = np.stack([roll_d1(e, k, h) for k, h in enumerate(spacing)], axis=-3)
-    w = (np.einsum("...am,...mki->...kai", e, gam) - de) @ einv[..., None, :, :]
+    inverse and derivative, Christoffel symbols, eta basis and stencil are
+    its own."""
+    e, einv, de = textbook_cholesky_derivative(g, spacing)
+    w = frame_levi_civita(e, einv, textbook_christoffel(g, spacing), de)
     w = 0.5 * (w - np.swapaxes(w, -1, -2))
     eta = textbook_eta()
     omega = np.einsum("...a,aij->...ij", sigma, eta)
@@ -258,15 +264,36 @@ def test_christoffel_matches_textbook(generic8):
 
 def test_frame_connection_matches_textbook(generic8):
     # a_k = -<eta_a, w_k> / sqrt(2) with w_k = (e Gamma_k - d_k e) e^-1 on full
-    # index tensors: LAPACK's factor and inverse, the textbook Christoffel
-    # symbols, np.roll stencils and the eta basis of its own
+    # index tensors: LAPACK's factor and inverse, d e by the Cholesky
+    # derivative, the textbook Christoffel symbols, np.roll stencils and the
+    # eta basis of its own
     g, m = generic8
-    e = np.swapaxes(np.linalg.cholesky(g), -1, -2)
-    gam = textbook_christoffel(g, m.grid.spacing)
-    de = np.stack([roll_d1(e, k, h) for k, h in enumerate(m.grid.spacing)], axis=-3)
-    w = (np.einsum("...am,...mki->...kai", e, gam) - de) @ np.linalg.inv(e)[..., None, :, :]
+    e, einv, de = textbook_cholesky_derivative(g, m.grid.spacing)
+    w = frame_levi_civita(e, einv, textbook_christoffel(g, m.grid.spacing), de)
+    # the Christoffel symbols and d e read the same differences of g, so w is
+    # antisymmetric and the package reads only its lower triangle
+    assert rel_err(w, -np.swapaxes(w, -1, -2)) < 1e-14  # measured: 6.8e-16
     a = -np.einsum("aij,...kij->...ka", textbook_eta(), w) / np.sqrt(2.0)
     assert rel_err(layout(m.sd_connection, "node"), a) < 1e-13
+
+
+def test_frame_connection_converges_to_the_spectral_connection():
+    # the reference differentiates g and LAPACK's factor itself by np.fft;
+    # its own error at 16^4, against its 24^4 values on the shared nodes, is
+    # 8.3e-7 of the connection.  Measured: 1.4e-4 and 2.5e-5 at 12^4 and
+    # 16^4, order 5.9
+    errs = []
+    for n in (12, 16):
+        grid, g = generic_metric(n)
+        e = np.swapaxes(np.linalg.cholesky(g), -1, -2)
+        de = np.stack([spectral_d1(e, k, h) for k, h in enumerate(grid.spacing)], axis=-3)
+        gam = textbook_christoffel(g, grid.spacing, spectral_d1)
+        w = frame_levi_civita(e, np.linalg.inv(e), gam, de)
+        ref = -np.einsum("aij,...kij->...ka", textbook_eta(), w) / np.sqrt(2.0)
+        m = build_metric(grid, layout(g, "comp"))
+        errs.append(rel_err(layout(m.sd_connection, "node"), ref))
+    assert errs[1] <= 5e-5
+    assert np.log(errs[0] / errs[1]) / np.log(16 / 12) >= 5.5
 
 
 def test_covariant_derivative_matches_textbook_chain(generic8):
@@ -288,7 +315,7 @@ def test_covariant_derivative_converges_to_the_omega_chain():
         nab = covariant_derivative(sigma, build_metric(grid, layout(g, "comp")))
         ref = textbook_omega_chain(g, grid.spacing, layout(sigma.comps, "node"))
         errs.append(rel_err(layout(nab, "node"), ref))
-    assert np.log(errs[0] / errs[1]) / np.log(16 / 12) >= 5.0  # measured: 5.34
+    assert np.log(errs[0] / errs[1]) / np.log(16 / 12) >= 5.0  # measured: 5.38
 
 
 def test_conformal_connection_matches_closed_form():
