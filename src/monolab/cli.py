@@ -212,7 +212,7 @@ _SEED = {"seed": _Option(_nonnegative_int, 0)}
 # only the commands that write a field container take --dump
 _DUMP = {"dump": _Option(_text, None, "optional field-container output", False)}
 _THETA = _Option(_text, "const:0", "const:VALUE | coord:AXIS | file:PATH")
-_LAMBDA_VALUE = _Option(_float, 0.0, "lambda folded into K")
+_LAMBDA_VALUE = _Option(_nonnegative, 0.0, "lambda folded into K")
 _CSV = _Option(_text, None, "write sweep rows as CSV", False)
 _AMPLITUDE = _Option(_amplitude, 0.3)
 # the manufactured pair shared by psw-residual and bounds
@@ -425,11 +425,12 @@ def _run_lambda(args):
 
     grid, m = _geometry(args)
     theta = theta_from_preset(args.theta, m)
-    curv = curvature_stack(m)
+    # the minimiser reads only mean |R|, so no curvature bundle outlives this line
+    scale = float(np.mean(np.abs(curvature_stack(m).scalar.values)))
     opts = LambdaOptions(
         n_random=args.multistarts, max_iter=args.max_iter, tol=args.tol, seed=args.seed
     )
-    res = minimize_lambda(theta, m, curv, opts)
+    res = minimize_lambda(theta, m, scale, opts)
     outputs = {
         "lambda": res.lam,
         "epsilon_final": res.epsilon_final,

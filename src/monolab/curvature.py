@@ -36,18 +36,26 @@ with the grid's own axis numbers and gets the bits of the same rows of the
 whole-grid call; its axis-0 rows agree with the whole-grid ones to
 roundoff, and a mixed derivative with axis 0 is d_b (d_0 g).
 
-`build_metric` copies g once and factors it once, by the closed-form 4x4
-Cholesky on whole planes (`_upper_factor`, no LAPACK); the factor is
-`MetricField.coframe`.  The volume factor vol = e_00 e_11 e_22 e_33, the
-inverse coframe e^-1 (back substitution), g^-1 = e^-1 e^-T and a covector's
-frame components e^-T v (forward substitution) are read off its 10
-entries, with no LAPACK inverse or determinant.  Every tensor here
-has the one in-memory layout of `grid`: components first, grid axes last,
-as in g[i, j, ...], sd_connection[k, a, ...] and `CurvatureBundle.wplus`
-[a, b, ...]; a slab drops the axis-0 index, as in F[a, x, n1, n2, n3].  A
-stencil is then one matrix product and each per-node product a two-operand
-einsum over the trailing node axes (see `_bilinear` for why two).  Only
-the eigenvalue pass reads W+ node-major, one slab's view at a time.
+`build_metric` copies the 10 stored components of g once and factors them
+once, by the closed-form 4x4 Cholesky on whole planes (`_upper_factor`, no
+LAPACK); the factor is `MetricField.coframe`.  The symmetric g and flux
+weight vol g^-1 and the upper-triangular factor are stored packed, one
+layout for all three: g[x, ...] with x = _SYM_INDEX[i, j] running over the
+pairs i <= j in np.triu_indices(4) order, so row j of the factor's upper
+triangle is one contiguous run and an axis-0 slab of g is the view
+g[:, i].  No (4, 4, dims) array is kept; `_sym_apply` contracts a packed
+symmetric field with a vector block by block of nodes.  The volume factor
+vol = e_00 e_11 e_22 e_33, the inverse coframe e^-1 (back substitution,
+upper triangular with its zeros stored, formed per slab or per use),
+g^-1 = e^-1 e^-T, packed, and a covector's frame components e^-T v
+(forward substitution) are read off the factor's 10 entries, with no
+LAPACK inverse or determinant.  Every tensor here has the one in-memory
+layout of `grid`: components first, grid axes last, as in g[x, ...],
+sd_connection[k, a, ...] and `CurvatureBundle.wplus` [a, b, ...]; a slab
+drops the axis-0 index, as in F[a, x, n1, n2, n3].  A stencil is then one
+matrix product and each per-node product a two-operand einsum over the
+trailing node axes (see `_bilinear` for why two).  Only the eigenvalue
+pass reads W+ node-major, one slab's view at a time.
 
 `MetricField` caches only what every application of the lambda operator
 reads: vol, the flux weight vol g^-1, the pair components of eta_a,
@@ -96,12 +104,20 @@ _PAIR_I, _PAIR_J = np.array(PAIRS).T
 # spelt 2 H+^T / sqrt(2): its weights, 1 - 2^-53, are -2 times those of
 # (w - w^T)_(i, j) / 2, so an antisymmetric w gives a the same bits either way
 _A_WEIGHTS = 2.0 * H_PLUS.T / np.sqrt(2.0)
-# symmetric index pairs x = (i <= j), the 10 stored components of g
+# symmetric index pairs x = (i <= j) in np.triu_indices(4) order: the packed
+# layout (10, ...) of g, of the flux weight and of the factor's upper
+# triangle, entry (i, j) of either triangle at x = _SYM_INDEX[i, j].  Row j
+# of the upper triangle, (j, j..3), is the contiguous run _ROW[j]
 _SYM_I, _SYM_J = np.triu_indices(4)
 _SYM_INDEX = np.empty((4, 4), dtype=int)
 _SYM_INDEX[_SYM_I, _SYM_J] = _SYM_INDEX[_SYM_J, _SYM_I] = range(10)
-# the same pairs as indices of a (16, dims) view of g: its stored components
-_SYM_FLAT = 4 * _SYM_I + _SYM_J
+_ROW = [slice(_SYM_INDEX[j, j], _SYM_INDEX[j, 3] + 1) for j in range(4)]
+# nodes per block of `_sym_apply`: on a 2-vCPU Xeon (OpenBLAS core SkylakeX,
+# one thread) one application of the lambda operator on conformal
+# `coord:1` took 19.4-21.8 ms in blocks against 20.9-23.1 ms with one
+# whole-grid contraction per row at 16^4, 165-174 against 182-193 ms at
+# 24^4 (min of 15 and of 7, same bits); 32768 did not gain
+_SYM_BLOCK = 8192
 # the symmetric M[x, y] is stored as its 55 entries x <= y, row by row; entry
 # (x, y) of either triangle is _TRI[x, y], so row x is _TRI[x, x] onwards
 _TRI_X, _TRI_Y = np.triu_indices(10)
@@ -122,10 +138,13 @@ class MetricField:
     """Sampled Riemannian metric with lazily cached derived geometry.
 
     Made only by `build_metric`, which hands over g and the closed-form
-    Cholesky factor it checked g with as `coframe`.  The derived
-    tensors every application of the lambda operator reads are computed
-    from them once on first use and cached; e^-1 and g^-1 are not kept,
-    and the Hodge star is read off sd_pairs, g and vol (module docstring).
+    Cholesky factor it checked g with as `coframe`, both packed: g[x, ...]
+    and coframe[x, ...] on the 10 pairs x = _SYM_INDEX[i, j], i <= j, in
+    np.triu_indices(4) order, the factor's strict lower triangle being
+    zero.  The derived tensors every application of the lambda operator
+    reads are computed from them once on first use and cached, the
+    symmetric flux weight packed as g is; e^-1 and g^-1 are not kept, and
+    the Hodge star is read off sd_pairs, g and vol (module docstring).
     Every array has its components first and the grid axes last, read-only.
     """
 
@@ -136,14 +155,14 @@ class MetricField:
 
     @cached_property
     def vol(self) -> np.ndarray:
-        """sqrt(det g) = e_00 e_11 e_22 e_33."""
+        """sqrt(det g) = e_00 e_11 e_22 e_33, the packed entries 0, 4, 7 and 9."""
         e = self.coframe
-        return _freeze(e[0, 0] * e[1, 1] * e[2, 2] * e[3, 3])
+        return _freeze(e[0] * e[4] * e[7] * e[9])
 
     @cached_property
     def is_flat(self) -> bool:
         """Every entry of g within 1e-12 of the identity's, absolutely."""
-        eye = np.eye(4).reshape(4, 4, 1, 1, 1, 1)
+        eye = (_SYM_I == _SYM_J).astype(float).reshape(10, 1, 1, 1, 1)
         return bool(np.allclose(self.g, eye, rtol=0.0, atol=1e-12))
 
     # ---- cached form algebra (used by the self-dual module) ----
@@ -176,14 +195,19 @@ class MetricField:
                 # (F[:, (k, .)] e^-1)[j, i] for each pair (i, j)
                 low = np.einsum("pm...,mp...->p...", frame[_PAIR_J[:, None], xs], cols)
                 np.einsum("p...,pa->a...", low, _A_WEIGHTS, out=out[k, :, i])
+            del _, frame, einv, cols, low
         return _freeze(out)
 
     @cached_property
     def flux_weight(self) -> np.ndarray:
-        """vol g^-1, [k, l, ...]: it turns the coordinate gradient of a field
-        into its L2 flux, so that
-        integral |d f|^2 dmu = sum d f . (vol g^-1 d f) h^4."""
-        return _freeze(self.vol * _inverse_metric(self.coframe))
+        """vol g^-1, packed as g is, [(k <= l), ...]: it turns the coordinate
+        gradient of a field into its L2 flux, so that
+        integral |d f|^2 dmu = sum d f . (vol g^-1 d f) h^4.  Formed one
+        axis-0 slab at a time, so no whole-grid e^-1 is made."""
+        out = np.empty((10,) + self.grid.dims)
+        for i in range(self.grid.dims[0]):
+            np.multiply(self.vol[i], _inverse_metric(self.coframe[:, i]), out=out[:, i])
+        return _freeze(out)
 
 
 def _bilinear(x: np.ndarray, a: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -224,14 +248,15 @@ class CurvatureBundle:
 
 
 def build_metric(grid: GridSpec, g: np.ndarray) -> MetricField:
-    """Validate and wrap sampled metric components g[i, j, ...].
+    """Validate and wrap sampled metric components, a full (4, 4, dims) g[i, j, ...].
 
     Rejects non-finite components, non-symmetric storage, non-SPD nodes and
     a volume factor outside the float range; the error names the first
-    offending node so bad input files are debuggable.  g is copied once,
-    into the C-contiguous array the field keeps, and factored by
-    `_upper_factor`; a node where a pivot is not positive is reported with
-    the lowest eigenvalue of its g.
+    offending node so bad input files are debuggable.  The 10 stored
+    components of g, its upper triangle, are copied once, into the packed
+    C-contiguous array the field keeps, and factored by `_upper_factor`; a
+    node where a pivot is not positive is reported with the lowest
+    eigenvalue of its g.
     """
     g = np.asarray(g, dtype=float)
     if g.shape != (4, 4) + grid.dims:
@@ -239,18 +264,20 @@ def build_metric(grid: GridSpec, g: np.ndarray) -> MetricField:
     finite = np.isfinite(g).all(axis=(0, 1))
     if not finite.all():
         raise ValueError(f"metric component is not finite at node {_worst_node(~finite)}")
+    asym = max(float(np.max(np.abs(g[i, j] - g[j, i]))) for i, j in zip(*np.triu_indices(4, 1)))
+    if asym > 1e-12 * max(1.0, float(np.max(g)), -float(np.min(g))):
+        raise ValueError(f"metric storage asymmetry {asym:.3e} exceeds tolerance")
     # always a copy, never a view of the caller's array: the field caches
     # tensors derived from it
-    gc = np.array(g, order="C")
-    asym = max(float(np.max(np.abs(gc[i, j] - gc[j, i]))) for i, j in zip(*np.triu_indices(4, 1)))
-    if asym > 1e-12 * max(1.0, float(np.max(gc)), -float(np.min(gc))):
-        raise ValueError(f"metric storage asymmetry {asym:.3e} exceeds tolerance")
+    gc = np.empty((10,) + grid.dims)
+    for x, (i, j) in enumerate(zip(_SYM_I, _SYM_J)):
+        gc[x] = g[i, j]
     coframe, failed = _upper_factor(gc)
     if failed.any():
         node = _worst_node(failed)
         raise ValueError(
             f"metric is not positive definite at node {node} "
-            f"(lowest eigenvalue {np.linalg.eigvalsh(gc[(...,) + node])[0]:.3e})"
+            f"(lowest eigenvalue {np.linalg.eigvalsh(g[(...,) + node])[0]:.3e})"
         )
     m = MetricField(grid, gc, coframe)
     with np.errstate(over="ignore"):  # vol and det g may overflow; vol is cached from here on
@@ -262,23 +289,24 @@ def build_metric(grid: GridSpec, g: np.ndarray) -> MetricField:
 
 
 def _upper_factor(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The upper-triangular factor e[i, j, ...] of a component-major g,
-    e^T e = g, and the mask of nodes where a pivot is not > 0 (NaN
-    included); e is not finite there.
+    """The upper-triangular factor e of a packed component-major g,
+    e^T e = g, packed as g is, and the mask of nodes where a pivot is not
+    > 0 (NaN included); e is not finite there.
 
     The closed-form Cholesky on whole planes, row j at a time from g's upper
-    triangle: the pivot is g_jj - sum_{k<j} e_kj^2, e_jj its square root and
-    e_ji = (g_ji - sum_{k<j} e_kj e_ki) / e_jj.  The strict lower triangle
-    is exact zeros.
+    triangle, each row one contiguous run `_ROW[j]` written in place: the
+    pivot is g_jj - sum_{k<j} e_kj^2, e_jj its square root and
+    e_ji = (g_ji - sum_{k<j} e_kj e_ki) / e_jj.
     """
-    e = np.zeros(g.shape)
-    failed = np.zeros(g.shape[2:], dtype=bool)
+    e = np.empty(g.shape)
+    failed = np.zeros(g.shape[1:], dtype=bool)
     with np.errstate(invalid="ignore", divide="ignore"):
         for j in range(4):
-            row = e[j, j:]
-            row[...] = g[j, j:]
+            row = e[_ROW[j]]
+            row[...] = g[_ROW[j]]
             for k in range(j):
-                row -= e[k, j] * e[k, j:]
+                # e[k, j:], the tail of row k from column j
+                row -= e[_SYM_INDEX[k, j]] * e[_SYM_INDEX[k, j]:_ROW[k].stop]
             failed |= ~(row[0] > 0)
             np.sqrt(row[0], out=row[0])
             row[1:] /= row[0]
@@ -298,17 +326,18 @@ def _metric_slabs(m: MetricField) -> Iterator[tuple[np.ndarray, ...]]:
     triangle of e Gamma_k e^-1 = F[:, (k, .)] e^-1, and
     Gamma_{p,x} Gamma^p_y = sum_a F[a, x] F[a, y] in the pair form, since
     g^-1 = e^-1 e^-T; Gamma^k_x itself is e^-1 F.  The slab's 10
-    components are gathered from g, and both axis-0 stencils come from
-    `grid._slab_stencils`, which reads only the neighbouring slices of g;
-    the axis 1-3 stencils, e^-1, the taps and F run on the slab, so no
-    whole-grid array is formed.
+    components are the view g[:, i] of the packed g, and both axis-0
+    stencils come from `grid._slab_stencils`, which reads only the
+    neighbouring slices of g; the axis 1-3 stencils, e^-1, the taps and F
+    run on the slab, so no whole-grid array is formed.  A slab's arrays are
+    dropped before the next slab is made, so a reader that drops its own
+    holds one slab's at a time.
     """
     hs = m.grid.spacing
-    g16 = m.g.reshape((16,) + m.grid.dims)
     for i in range(m.grid.dims[0]):
-        g10i = g16[_SYM_FLAT, i]
+        g10i = m.g[:, i]
         dg = np.empty((4,) + g10i.shape)
-        dg[0], dd0 = _slab_stencils(g16, i, hs[0], _SYM_FLAT)
+        dg[0], dd0 = _slab_stencils(m.g, i, hs[0], range(10))
         for k in (1, 2, 3):
             d1(g10i, k, hs[k], out=dg[k])
         flat = dg.reshape((40,) + dg.shape[2:])
@@ -316,8 +345,12 @@ def _metric_slabs(m: MetricField) -> Iterator[tuple[np.ndarray, ...]]:
         first += flat[_TAP_DJ]
         first -= flat[_TAP_DL]
         first *= 0.5
-        einv = _inverse_coframe(m.coframe[:, :, i])
-        yield g10i, dg, dd0, np.einsum("la...,lx...->ax...", einv, first), einv
+        del flat
+        einv = _inverse_coframe(m.coframe[:, i])
+        frame = np.einsum("la...,lx...->ax...", einv, first)
+        del first
+        yield g10i, dg, dd0, frame, einv
+        del dg, dd0, frame, einv
 
 
 def _pair_riemann(m: MetricField) -> Iterator[np.ndarray]:
@@ -332,7 +365,8 @@ def _pair_riemann(m: MetricField) -> Iterator[np.ndarray]:
     slab, the mixed derivatives with axis 0 as d_b (d_0 g).  M is
     symmetric, so only its 55 entries x <= y are formed (`_TRI`): the Gram
     matrix one row at a time, then d_x g_y / 2 added to entry (x, y) for
-    every y, and both halves, d_x g_x, to the diagonal entry (x, x).
+    every y, and both halves, d_x g_x, to the diagonal entry (x, x).  Only
+    r outlives its slab's step, until the reader takes the next slab.
     """
     hs = m.grid.spacing
     for g10i, dg, dd0, frame, _ in _metric_slabs(m):
@@ -340,6 +374,7 @@ def _pair_riemann(m: MetricField) -> Iterator[np.ndarray]:
         for x in range(10):
             row = mm[_TRI[x, x]:_TRI[x, 9] + 1]
             np.einsum("a...,ay...->y...", frame[:, x], frame[:, x:], out=row)
+        del frame, _
         for b in range(4):
             for a in range(b + 1):
                 if a == b:
@@ -351,62 +386,89 @@ def _pair_riemann(m: MetricField) -> Iterator[np.ndarray]:
                 half = 0.5 * ddg
                 half[x] = ddg[x]
                 mm[_TRI[x]] += half
+                del ddg, half
+        del dg, dd0
         r = mm[_TAP_PLUS]
         r -= mm[_TAP_MINUS]
+        del mm
         yield r
+        del r
 
 
 def _lambda2(e: np.ndarray) -> np.ndarray:
-    """2x2 minors of a 4x4 field e[i, k, ...] on stored pairs,
-    [P, Q, ...] = e[i,k] e[j,l] - e[i,l] e[j,k] for P = (i, j), Q = (k, l);
-    the matrix of Lambda^2 e."""
-    out = np.empty((6, 6) + e.shape[2:])
+    """2x2 minors of the packed upper-triangular factor e[x, ...] on stored
+    pairs, [P, Q, ...] = e[i,k] e[j,l] - e[i,l] e[j,k] for P = (i, j),
+    Q = (k, l); the matrix of Lambda^2 e.  An entry below the diagonal is
+    the scalar 0.0, which gives the bits of a plane of zeros."""
+    def entry(i, k):
+        return e[_SYM_INDEX[i, k]] if i <= k else 0.0
+
+    out = np.empty((6, 6) + e.shape[1:])
     for p, (i, j) in enumerate(PAIRS):
         for q, (k, l) in enumerate(PAIRS):
-            out[p, q] = e[i, k] * e[j, l] - e[i, l] * e[j, k]
+            out[p, q] = entry(i, k) * entry(j, l) - entry(i, l) * entry(j, k)
     return out
 
 
 def _sd_pairs(e: np.ndarray) -> np.ndarray:
-    """(H+ Lambda^2 e)^T, [p, a, ...], for a factor e of any trailing shape."""
+    """(H+ Lambda^2 e)^T, [p, a, ...], for a packed factor e of any trailing shape."""
     return np.einsum("aq,qp...->pa...", H_PLUS, _lambda2(e))
 
 
 def _inverse_coframe(e: np.ndarray) -> np.ndarray:
-    """einv[i, a, ...], the coordinate components of the frame vectors E_a, for
-    the upper-triangular factor e of any trailing shape, by back substitution:
+    """einv[i, a, ...], the coordinate components of the frame vectors E_a,
+    upper triangular with its zeros stored, for the packed factor e of any
+    trailing shape, by back substitution:
     einv[i, j] = -sum_{i <= k < j} einv[i, k] e[k, j] / e[j, j]."""
-    einv = np.zeros(e.shape)
+    einv = np.zeros((4, 4) + e.shape[1:])
     for j in range(4):
-        einv[j, j] = 1.0 / e[j, j]
+        ejj = e[_SYM_INDEX[j, j]]
+        einv[j, j] = 1.0 / ejj
         for i in range(j):
             # a sum subtracted from +0.0 is +0.0 where it vanishes, so
             # the flat einv holds no -0.0 to reach a report
             acc = 0.0
             for k in range(i, j):
-                acc = acc - einv[i, k] * e[k, j]
-            einv[i, j] = acc / e[j, j]
+                acc = acc - einv[i, k] * e[_SYM_INDEX[k, j]]
+            einv[i, j] = acc / ejj
     return einv
 
 
 def _frame_components(e: np.ndarray, v: np.ndarray) -> np.ndarray:
     """e^-T v, [a, ...], the frame components of a covector v[k, ...] (further
-    axes may sit between k and the grid's), for the upper-triangular factor
-    e, by forward substitution on e^T x = v:
+    axes may sit between k and the grid's), for the packed factor e, by
+    forward substitution on e^T x = v:
     x[a] = (v[a] - sum_{k < a} e[k, a] x[k]) / e[a, a]."""
     x = np.empty(v.shape)
     for a in range(4):
         acc = v[a]
         for k in range(a):
-            acc = acc - e[k, a] * x[k]
-        x[a] = acc / e[a, a]
+            acc = acc - e[_SYM_INDEX[k, a]] * x[k]
+        x[a] = acc / e[_SYM_INDEX[a, a]]
     return x
 
 
 def _inverse_metric(e: np.ndarray) -> np.ndarray:
-    """g^-1 = e^-1 e^-T, [i, j, ...], for the factor e of g."""
+    """g^-1 = e^-1 e^-T, packed as g is, [(i <= j), ...], for the packed
+    factor e of g."""
     einv = _inverse_coframe(e)
-    return np.einsum("ia...,ja...->ij...", einv, einv)
+    out = np.empty(e.shape)
+    for x, (i, j) in enumerate(zip(_SYM_I, _SYM_J)):
+        np.einsum("a...,a...->...", einv[i], einv[j], out=out[x])
+    return out
+
+
+def _sym_apply(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """a v, [k, ..., n], for a symmetric 4x4 field a[x, n] packed as g is, on
+    flattened nodes n, and v[l, ..., n].  Per block of _SYM_BLOCK nodes, row
+    k of a is gathered, a (4, block) copy that stays in cache, and
+    contracted with v by one einsum; no (4, 4, ...) array is formed."""
+    out = np.empty(v.shape)
+    for start in range(0, v.shape[-1], _SYM_BLOCK):
+        nodes = slice(start, start + _SYM_BLOCK)
+        for k, xs in enumerate(_SYM_INDEX):
+            np.einsum("ln,l...n->...n", a[xs, nodes], v[..., nodes], out=out[k, ..., nodes])
+    return out
 
 
 def curvature_stack(m: MetricField) -> CurvatureBundle:
@@ -417,7 +479,8 @@ def curvature_stack(m: MetricField) -> CurvatureBundle:
     W+ = B - (R/12) 1, in the eta basis of `MetricField.coframe`, the basis
     of every self-dual field.  Per axis-0 slab, WEDGE2 sd_pairs is a view of
     the slab's sd_pairs in reversed pair order with its signs flipped in
-    place; R, W+ and w are written into the whole-grid results.
+    place; R, W+ and w are written into the whole-grid results, and every
+    array of the slab is dropped before the next slab is made.
     """
     dims = m.grid.dims
     scal = np.empty(dims)
@@ -425,14 +488,17 @@ def curvature_stack(m: MetricField) -> CurvatureBundle:
     w = np.empty(dims)
     eye = np.eye(3).reshape(3, 3, 1, 1, 1)
     for i, r in enumerate(_pair_riemann(m)):
-        eta = _sd_pairs(m.coframe[:, :, i])[::-1]
+        eta = _sd_pairs(m.coframe[:, i])[::-1]
         eta *= WEDGE2_SIGNS.reshape(6, 1, 1, 1, 1)
         block = np.einsum("pa...,pb...->ab...", eta, np.einsum("pq...,qb...->pb...", r, eta))
+        del r, eta
         block /= m.vol[i] ** 2
         scal[i] = 4.0 * np.trace(block)
         wp = block - (scal[i] / 12.0) * eye
+        del block
         # symmetrize away roundoff; the eigenvalue pass reads the slab node-major
         wi = wplus[:, :, i]
         np.multiply(0.5, wp + wp.swapaxes(0, 1), out=wi)
+        del wp
         w[i] = np.linalg.eigvalsh(np.moveaxis(wi, (0, 1), (-2, -1)))[..., 0]
     return CurvatureBundle(ScalarField(m.grid, scal), wplus, ScalarField(m.grid, w))

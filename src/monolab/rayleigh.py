@@ -20,7 +20,7 @@ upper-bound estimate, never a certified continuum value.
 
 The conjugate gradient is preconditioned by the flat symbol
 1/(mu + |s|^2), with |s|^2 the d1 symbol of `grid` and mu the chart's
-`GridSpec.spectral_scale`, plus the mean |R| of a given curvature bundle
+`GridSpec.spectral_scale`, plus a given curvature scale, the metric's mean |R|
 (Absil, Mahony and Sepulchre 2008, ch. 8; Knyazev 2001), applied in the
 real Fourier basis of `grid._real_fourier` by `grid._fourier_multiply`.
 The symbol is zero on the exact half-frequency planes, the alternating
@@ -474,23 +474,22 @@ def _stage(x, ax, theta, m, eps, bw, symbol, max_iter, tol, scale):
 def minimize_lambda(
     theta: ThetaField,
     m: MetricField,
-    curv: CurvatureBundle | None = None,
+    curvature_scale: float = 0.0,
     opts: LambdaOptions | None = None,
 ) -> LambdaResult:
     """Multistart minimisation of the quotient; returns the best find.
 
     Starts are the three constant basis forms plus seeded random
     low-frequency fields; each runs through the smoothing schedule.  The
-    curvature bundle only sets the absolute convergence scale mu, which is
-    also the preconditioner's shift (the quotient itself contains no
-    curvature).
+    curvature enters only through `curvature_scale`, the mean |R| of the
+    metric over its nodes, which with the grid's spectral scale sets the
+    absolute convergence scale mu, also the preconditioner's shift (the
+    quotient itself contains no curvature).
     """
     opts = opts or LambdaOptions()
     grid = m.grid
     bw = m.vol * grid.cell_volume
-    scale = grid.spectral_scale
-    if curv is not None:
-        scale += float(np.mean(np.abs(curv.scalar.values)))
+    scale = grid.spectral_scale + curvature_scale
     symbol = _sphere_symbol(grid, scale)
     resolved = symbol > 0.0
 

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bases import PAIRS, TRIPLE_SIGNS, TRIPLES, WEDGE2, WEDGE2_SIGNS
-from .curvature import CurvatureBundle, MetricField, _bilinear, _frame_components
+from .curvature import CurvatureBundle, MetricField, _bilinear, _frame_components, _sym_apply
 from .grid import (
     GridSpec,
     _fourier_multiply,
@@ -230,12 +230,12 @@ def _nabla(comps: np.ndarray, m: MetricField) -> np.ndarray:
 
 def _flux(x: np.ndarray, m: MetricField) -> np.ndarray:
     """vol g^-1 x for coordinate components x[k, ...]: the L2 flux of a
-    gradient, x itself on the flat metric (vol = 1, g^-1 = 1 exactly)."""
+    gradient, x itself on the flat metric (vol = 1, g^-1 = 1 exactly), from
+    the packed flux weight."""
     if m.is_flat:
         return x
     n = m.grid.node_count
-    flux = np.einsum("kln,lan->kan", m.flux_weight.reshape(4, 4, n), x.reshape(4, -1, n))
-    return flux.reshape(x.shape)
+    return _sym_apply(m.flux_weight.reshape(10, n), x.reshape(4, -1, n)).reshape(x.shape)
 
 
 def _nabla_T(flux: np.ndarray, m: MetricField) -> np.ndarray:
@@ -281,14 +281,14 @@ def covariant_derivative(sigma: SelfDualField, m: MetricField) -> np.ndarray:
 def _hodge_forward(comps: np.ndarray, m: MetricField) -> tuple[np.ndarray, np.ndarray]:
     """tau = d sigma on stored pairs and its weighted flux W tau, with
     W = (2 / vol) S g S (see `curvature`), 2 when flat, which folds
-    ||d sigma||^2 and ||d* sigma||^2 into one term."""
+    ||d sigma||^2 and ||d* sigma||^2 into one term; g is read packed."""
     n = m.grid.node_count
     om = np.einsum("pan,an->pn", m.sd_pairs.reshape(6, 3, n), comps.reshape(3, n))
     tau = _d(om.reshape((6,) + m.grid.dims), m.grid)
     if m.is_flat:
         return tau, 2.0 * tau
     signs = TRIPLE_SIGNS[:, None]
-    wtau = np.einsum("lkn,kn->ln", m.g.reshape(4, 4, n), signs * tau.reshape(4, n))
+    wtau = _sym_apply(m.g.reshape(10, n), signs * tau.reshape(4, n))
     wtau *= (2.0 * signs) / m.vol.reshape(n)
     return tau, wtau.reshape(tau.shape)
 

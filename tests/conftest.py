@@ -92,6 +92,34 @@ def layout(a, to):
     return np.ascontiguousarray(np.moveaxis(a, front, grid_axes))
 
 
+def unpack(packed, symmetric=True):
+    """The (4, 4, ...) matrix field of a packed component-major one, whose
+    entry x sits at (i, j) for the x-th pair i <= j of np.triu_indices(4):
+    symmetric like g and the flux weight, or, with symmetric=False, upper
+    triangular like the factor."""
+    i, j = np.triu_indices(4)
+    full = np.zeros((4, 4) + packed.shape[1:])
+    full[i, j] = packed
+    if symmetric:
+        full[j, i] = packed
+    return full
+
+
+def textbook_lambda2(a):
+    """2x2 minors of node-major 4x4 matrices a[..., i, k] on stored pairs,
+    [..., P, Q] = a_ik a_jl - a_il a_jk for P = (i, j), Q = (k, l): the
+    matrix of Lambda^2 a."""
+    pi, pj = np.array(PAIRS).T
+    return (a[..., pi[:, None], pi] * a[..., pj[:, None], pj]
+            - a[..., pi[:, None], pj] * a[..., pj[:, None], pi])
+
+
+def mean_abs_scalar(curv):
+    """Mean |R| over the nodes of a curvature bundle: the lambda
+    minimiser's curvature scale, as `monolab.cli` computes it."""
+    return float(np.mean(np.abs(curv.scalar.values)))
+
+
 def rel_err(x, ref):
     """Largest deviation relative to the largest reference entry."""
     return np.max(np.abs(x - ref)) / np.max(np.abs(ref))

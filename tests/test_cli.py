@@ -267,6 +267,10 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
         ["psw-residual", "--eps", "-1"],
         ["psw-residual", "--amplitude", "1.5"],
         ["lebrun", "--c1plus-sq", "-1"],
+        # lambda is the quotient's infimum, never negative
+        ["lebrun", "--dims", "8", "--lambda-value", "-0.5"],
+        ["psw-residual", "--dims", "8", "--lambda-value", "-1e-3"],
+        ["bounds", "--dims", "8", "--config", "bad_lambda.json"],
         ["sweep", "--dims-list", "8,8"],
         # curvature draws no random field, so "seed" is an unknown key
         ["curvature", "--config", "seed_key.json"],
@@ -286,7 +290,7 @@ def test_parse_errors_exit_2(tmp_path, monkeypatch, capsys, argv):
     bad = {"bad_eps": {"eps": "abc"}, "bad_variant": {"variant": "half"},
            "bad_metric": {"metric": 5}, "bad_theta": {"theta": 3},
            "bad_sweep_delta": {"sweep_delta": [0, "half"]}, "bad_dump": {"dump": "b.zip"},
-           "bad_seed": {"seed": -1}, "seed_key": {"seed": 3}}
+           "bad_seed": {"seed": -1}, "seed_key": {"seed": 3}, "bad_lambda": {"lambda_value": -1}}
     for name, data in bad.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(data))
     written = sorted(tmp_path.iterdir())

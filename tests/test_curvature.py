@@ -13,7 +13,6 @@ from monolab.curvature import (
     _frame_components,
     _inverse_coframe,
     _inverse_metric,
-    _lambda2,
     _metric_slabs,
     _pair_riemann,
     build_metric,
@@ -35,12 +34,15 @@ from conftest import (
     X3,
     generic_metric,
     layout,
+    mean_abs_scalar,
     rel_err,
     roll_d1,
     roll_d2,
     textbook_christoffel,
     textbook_eta,
+    textbook_lambda2,
     textbook_three_form_star,
+    unpack,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -110,13 +112,17 @@ def test_metric_algebra_from_the_factor():
     # reads these off the Cholesky factor without inverse or determinant
     grid, g = generic_metric(8)
     m = build_metric(grid, layout(g, "comp"))
-    e = layout(m.coframe, "node")
-    einv, gi = (layout(f(m.coframe), "node") for f in (_inverse_coframe, _inverse_metric))
+    # g, the factor and g^-1 are packed on the 10 pairs i <= j
+    assert m.g.shape == m.coframe.shape == (10,) + grid.dims
+    assert np.array_equal(layout(unpack(m.g), "node"), g)
+    e = layout(unpack(m.coframe, symmetric=False), "node")
+    einv = layout(_inverse_coframe(m.coframe), "node")
+    gi = layout(unpack(_inverse_metric(m.coframe)), "node")
     eye = np.broadcast_to(np.eye(4), g.shape)
     assert np.max(np.abs(np.swapaxes(e, -1, -2) @ e - g)) < 1e-13
     assert np.max(np.abs(einv @ e - eye)) < 1e-13
     assert np.max(np.abs(gi @ g - eye)) < 1e-13
-    assert np.array_equal(np.tril(e, -1), np.zeros(g.shape))
+    assert np.array_equal(np.tril(einv, -1), np.zeros(g.shape))
     assert rel_err(m.vol, np.sqrt(np.linalg.det(g))) < 1e-14
     # e^-T v by forward substitution, for a v[k, a, ...] with an axis between
     # k and the grid's, against LAPACK's solve of e^T x = v node by node
@@ -140,16 +146,17 @@ def test_metric_is_factored_without_lapack(monkeypatch):
     curvature_stack(m)
     for derived in (m.flux_weight, m.vol, m.sd_pairs, m.sd_connection):
         assert np.isfinite(derived).all()
-    e = layout(m.coframe, "node")
+    e = layout(unpack(m.coframe, symmetric=False), "node")
     assert rel_err(e, np.swapaxes(cholesky(g), -1, -2)) < 1e-15
-    assert np.array_equal(np.tril(e, -1), np.zeros(g.shape))
 
 
 def test_flat_metric_algebra_is_exact(m8):
     # a -0.0 that reaches a report prints as -0.0 and breaks flat byte-identity
-    eye = np.broadcast_to(np.eye(4).reshape(4, 4, 1, 1, 1, 1), m8.g.shape)
-    for x, ref in ((_inverse_metric(m8.coframe), eye), (_inverse_coframe(m8.coframe), eye),
-                   (m8.coframe, eye), (m8.vol, np.ones(m8.vol.shape))):
+    eye = np.broadcast_to(np.eye(4).reshape(4, 4, 1, 1, 1, 1), (4, 4) + m8.grid.dims)
+    packed_eye = np.broadcast_to((_SYM_I == _SYM_J).reshape(10, 1, 1, 1, 1), m8.g.shape)
+    for x, ref in ((_inverse_metric(m8.coframe), packed_eye),
+                   (_inverse_coframe(m8.coframe), eye), (m8.coframe, packed_eye),
+                   (m8.flux_weight, packed_eye), (m8.vol, np.ones(m8.vol.shape))):
         assert np.array_equal(x, ref)
         assert not np.signbit(x).any()
 
@@ -259,7 +266,7 @@ def test_three_form_algebra_matches_tensor_definitions():
     a = rng.standard_normal(grid.dims + (4, 4))
     g = np.einsum("...ij,...kj->...ik", a, a) + 0.5 * np.eye(4)
     m = build_metric(grid, layout(g, "comp"))
-    gi, vol = layout(_inverse_metric(m.coframe), "node"), m.vol
+    gi, vol = layout(unpack(_inverse_metric(m.coframe)), "node"), m.vol
 
     star_stored = np.einsum("...mijk,lijk->...ml", textbook_three_form_star(g), X3)
     gram3 = np.empty(grid.dims + (4, 4))
@@ -323,7 +330,7 @@ def _frame_operator(m):
     """L^T R_pair L with L = Lambda^2(e^-1), e^-1 by LAPACK: the frame
     curvature operator whose trace is R/2 and whose eta-plus and eta-minus
     blocks are W+ and W- plus (R/12) 1."""
-    lam = layout(_lambda2(layout(np.linalg.inv(layout(m.coframe, "node")), "comp")), "node")
+    lam = textbook_lambda2(np.linalg.inv(layout(unpack(m.coframe, symmetric=False), "node")))
     pair = layout(np.stack(list(_pair_riemann(m)), axis=2), "node")
     return np.swapaxes(lam, -1, -2) @ pair @ lam
 
@@ -399,9 +406,10 @@ def test_stack_builds_no_whole_grid_matrix_field():
 
 def test_stack_peak_at_16_stays_near_its_outputs():
     # R, W+ and w are 11 whole-grid doubles per node; the per-slab work and
-    # the bundle's checks add the rest.  Measured 38.7 doubles per node; the
-    # whole-grid axis-0 stencils of g and the (dims, 3, 3) check temporaries
-    # made it 66.1
+    # the bundle's checks add the rest.  Measured 28.5 doubles per node with
+    # each slab's arrays dropped before the next slab is made, 38.7 with the
+    # previous slab's kept alive meanwhile; the whole-grid axis-0 stencils
+    # of g and the (dims, 3, 3) check temporaries made it 66.1
     grid, g = generic_metric(16)
     m = build_metric(grid, layout(g, "comp"))
     tracemalloc.start()
@@ -410,7 +418,39 @@ def test_stack_peak_at_16_stays_near_its_outputs():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < grid.node_count * 44 * 8
+    assert peak < grid.node_count * 30 * 8
+
+
+def test_connection_peak_at_16_stays_near_its_output():
+    # the connection is 12 whole-grid doubles per node, built one axis-0
+    # slab at a time: measured 29.1 doubles per node with each slab's
+    # arrays dropped before the next slab is made, 32.4 with the previous
+    # slab's kept alive meanwhile
+    grid, g = generic_metric(16)
+    m = build_metric(grid, layout(g, "comp"))
+    tracemalloc.start()
+    try:
+        m.sd_connection
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < grid.node_count * 30 * 8
+
+
+def test_metric_holds_g_its_factor_and_vol_packed():
+    # after build_metric the field holds g and its factor, 10 planes each
+    # (one plane being one float64 grid array), and vol: 21 planes.  With g
+    # and the factor stored as full (4, 4, dims) arrays it held 33
+    grid, g = generic_metric(16)
+    g = layout(g, "comp")
+    tracemalloc.start()
+    try:
+        m = build_metric(grid, g)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert m.g.shape == (10,) + grid.dims
+    assert held < grid.node_count * 21.1 * 8
 
 
 def test_cold_stack_runs_no_whole_grid_stencil(monkeypatch):
@@ -519,7 +559,12 @@ def test_metric_keeps_only_what_every_application_reads():
     weitzenboeck_residual(sigma, m, curv)
     theta = theta_from_preset("coord:1", m)
     integral_identity_check_s(sigma, theta, m, curv)
-    minimize_lambda(theta, m, curv, LambdaOptions(n_random=0, epsilons=(1e-3,), max_iter=5))
-    kept = {"grid", "g", "coframe", "vol", "is_flat", "sd_pairs", "sd_connection",
-            "flux_weight"}
-    assert set(vars(m)) <= kept, sorted(set(vars(m)) - kept)
+    minimize_lambda(theta, m, mean_abs_scalar(curv),
+                    LambdaOptions(n_random=0, epsilons=(1e-3,), max_iter=5))
+    # the symmetric g and flux weight and the upper-triangular factor are
+    # packed, 10 planes each: no (4, 4, dims) array is kept
+    shapes = {"g": (10,), "coframe": (10,), "flux_weight": (10,), "vol": (),
+              "sd_pairs": (6, 3), "sd_connection": (4, 3)}
+    assert set(vars(m)) <= set(shapes) | {"grid", "is_flat"}, sorted(set(vars(m)) - set(shapes))
+    for name, lead in shapes.items():
+        assert vars(m)[name].shape == lead + grid.dims, name

@@ -18,7 +18,6 @@ from monolab.bases import H_PLUS, PAIRS, TRIPLES
 from monolab.curvature import (
     _inverse_coframe,
     _inverse_metric,
-    _lambda2,
     _pair_riemann,
     build_metric,
     curvature_stack,
@@ -39,6 +38,8 @@ from conftest import (
     textbook_cholesky_derivative,
     textbook_christoffel,
     textbook_eta,
+    textbook_lambda2,
+    unpack,
 )
 
 CUBIC = GridSpec((8,) * 4)
@@ -250,8 +251,14 @@ def test_metric_field_tensors_are_component_major():
         assert got.shape[-4:] == ODD.dims, name
         assert rel_err(layout(got, "node"), ref) <= 1e-14, name
     formed = {"inv_coframe": _inverse_coframe(m.coframe), "ginv": _inverse_metric(m.coframe)}
+    # the symmetric g, g^-1 and flux weight and the upper-triangular factor
+    # are stored packed, on the pairs i <= j in np.triu_indices(4) order
+    upper = np.triu_indices(4)
     for name, ref in refs.items():
         got = formed[name] if name in formed else getattr(m, name)
+        if name in ("g", "coframe", "ginv", "flux_weight"):
+            assert got.shape == (10,) + ODD.dims, name
+            ref = ref[(...,) + upper]
         assert got.shape[-4:] == ODD.dims, name
         assert got.flags.c_contiguous, name
         assert name in formed or not got.flags.writeable, name
@@ -313,8 +320,8 @@ def _selfdual_weyl(rng):
     # matrix products on the pair form and LAPACK's e^-1
     m = build_metric(ODD, layout(generic_metric(ODD.dims, periods=ODD.periods)[1], "comp"))
     wplus = curvature_stack(m).wplus
-    einv = np.linalg.inv(layout(m.coframe, "node"))
-    lam = layout(_lambda2(layout(einv, "comp")), "node")
+    einv = np.linalg.inv(layout(unpack(m.coframe, symmetric=False), "node"))
+    lam = textbook_lambda2(einv)
     pair = layout(np.stack(list(_pair_riemann(m)), axis=2), "node")
     op = np.swapaxes(lam, -1, -2) @ pair @ lam
     scal = 2.0 * np.trace(op, axis1=-2, axis2=-1)

@@ -19,7 +19,7 @@ from monolab.presets import (
     theta_from_preset,
 )
 
-from conftest import generic_metric, layout
+from conftest import generic_metric, layout, unpack
 
 TWO_PI = 2.0 * np.pi
 
@@ -130,9 +130,9 @@ def test_metric_presets(grid8):
     assert metric_from_preset("flat", grid8).is_flat
     m = metric_from_preset("conformal:0.2*sin(x0)", grid8)
     want = np.exp(0.4 * np.sin(grid8.mesh(0)))
-    assert np.max(np.abs(m.g[0, 0] - want)) < 1e-12
+    assert np.max(np.abs(m.g[0] - want)) < 1e-12
     mk = metric_from_preset("kaehler-product:0.2*sin(x2)", grid8)
-    assert np.max(np.abs(mk.g[0, 0] - 1.0)) < 1e-15
+    assert np.max(np.abs(mk.g[0] - 1.0)) < 1e-15
     with pytest.raises(PresetError):
         metric_from_preset("kaehler-product:0.2*sin(x0)", grid8)
     with pytest.raises(PresetError):
@@ -145,10 +145,10 @@ def test_metric_file_preset(tmp_path, grid8):
     m = metric_from_preset("conformal:0.1*cos(x1)", grid8)
     path = tmp_path / "metric.zip"
     # metric files hold g node-major, (dims, 4, 4)
-    save_fields(path, grid8, {"g": layout(m.g, "node")})
+    save_fields(path, grid8, {"g": layout(unpack(m.g), "node")})
     m2 = metric_from_preset(f"file:{path}", grid8)
     assert np.max(np.abs(m2.g - m.g)) == 0.0
-    save_fields(tmp_path / "empty.zip", grid8, {"h": layout(m.g, "node")})
+    save_fields(tmp_path / "empty.zip", grid8, {"h": layout(unpack(m.g), "node")})
     with pytest.raises(PresetError):
         metric_from_preset(f"file:{tmp_path / 'empty.zip'}", grid8)
 
@@ -169,18 +169,19 @@ def test_file_metric_is_the_metric_of_the_same_g_in_memory(tmp_path, kind):
     direct = build_metric(grid, layout(g, "comp"))
     for name in ("g", "coframe"):
         got, want = getattr(loaded, name), getattr(direct, name)
-        assert got.shape == want.shape == (4, 4) + grid.dims
+        assert got.shape == want.shape == (10,) + grid.dims
         assert got.tobytes() == want.tobytes(), name
 
 
 @pytest.mark.parametrize("preset", ["conformal:0.1*sin(x0)", "file"])
 def test_metric_phase_peak_at_16(tmp_path, preset):
-    # the metric phase holds g, its factor and vol (33 planes, one plane
-    # being one float64 grid array) and peaks with the input g and the
-    # factor's temporaries beside them: measured 52.3 and 51.3 planes.  A
-    # file's g is handed to build_metric as a view, so its copy there is
-    # the only one; a second whole copy of g at the file boundary is 16
-    # planes more
+    # the metric phase holds g and its factor, packed, and vol (21 planes,
+    # one plane being one float64 grid array) and peaks with the input g
+    # (16 planes) and the factor's temporaries beside them: measured 40.3
+    # and 39.3 planes, 52.3 and 51.3 with g and its factor stored as full
+    # (4, 4, dims) arrays.  A file's g is handed to build_metric as a view,
+    # so its packed copy there is the only one; a second whole copy of g at
+    # the file boundary is 16 planes more
     grid = GridSpec((16,) * 4)
     if preset == "file":
         f = random_smooth_scalar(grid, np.random.default_rng(0), 1, 0.1)
@@ -193,7 +194,7 @@ def test_metric_phase_peak_at_16(tmp_path, preset):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 54.5 * grid.node_count * 8
+    assert peak <= 41.5 * grid.node_count * 8
 
 
 def test_theta_presets(m8):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from monolab import rayleigh
+from monolab.cli import main
 from monolab.curvature import build_metric, curvature_stack
 from monolab.grid import GridSpec, _fourier_multiply
 from monolab.presets import metric_from_preset, random_smooth_scalar, theta_from_preset
@@ -24,7 +25,7 @@ from monolab.rayleigh import (
 )
 from monolab.selfdual import SelfDualField
 
-from conftest import layout, pulled_back_flat_chart
+from conftest import layout, mean_abs_scalar, pulled_back_flat_chart
 
 TRIMMED = LambdaOptions(n_random=2, epsilons=(1e-3, 1e-6), max_iter=60)
 
@@ -92,6 +93,35 @@ def test_theta_peak_at_16():
     assert peak <= 15.6 * m.grid.node_count * 8
 
 
+def test_lambda_command_holds_no_curvature_bundle_when_the_minimiser_starts(monkeypatch):
+    # what `lambda` holds at 16^4 when the minimiser starts, with the tensors
+    # every application of A reads cached: g, its factor and the flux weight,
+    # packed, 10 planes each (one plane being one float64 grid array), vol 1,
+    # sd_pairs 18, sd_connection 12 and theta 7 (s, c, dtheta 4, |dtheta|^2
+    # 1), 68 planes: measured 68.2.  With those three stored as full
+    # (4, 4, dims) arrays and the curvature bundle (R 1, W+ 9, w 1) kept
+    # through the minimisation it held 97.2
+    class Started(Exception):
+        pass
+
+    held = []
+
+    def started(theta, m, *args):
+        m.flux_weight, m.sd_pairs, m.sd_connection
+        held.append(tracemalloc.get_traced_memory()[0])
+        raise Started
+
+    monkeypatch.setattr(rayleigh, "minimize_lambda", started)
+    tracemalloc.start()
+    try:
+        with pytest.raises(Started):
+            main(["lambda", "--dims", "16", "--metric", "conformal:0.1*sin(x0)",
+                  "--theta", "coord:1"])
+    finally:
+        tracemalloc.stop()
+    assert held[0] <= 70 * 16**4 * 8
+
+
 def test_theta_field_validation(grid8):
     s = np.full(grid8.dims, 0.8)
     c = np.full(grid8.dims, 0.8)  # s^2 + c^2 != 1
@@ -151,7 +181,7 @@ def test_constant_starts_give_exact_zero_on_constant_theta(m8, curv8):
     # field constant on every axis already lies in the stencil-resolved
     # subspace, so the constant starts are not projected, and the stencils
     # and the modulus term vanish on them exactly
-    res = minimize_lambda(theta_from_preset("const:0.2", m8), m8, curv8,
+    res = minimize_lambda(theta_from_preset("const:0.2", m8), m8, mean_abs_scalar(curv8),
                           LambdaOptions(n_random=1, max_iter=50, seed=0))
     assert res.lam == 0.0
     assert res.start_values[:3] == (0.0, 0.0, 0.0)
@@ -171,7 +201,7 @@ def test_tied_starts_keep_the_earliest(n, preset):
     # and ...0126), so the lowest one would pick the dumped minimizer by
     # roundoff; the eta_1 constant is kept
     m = metric_from_preset("flat", GridSpec((n,) * 4))
-    res = minimize_lambda(theta_from_preset(preset, m), m, curvature_stack(m),
+    res = minimize_lambda(theta_from_preset(preset, m), m, mean_abs_scalar(curvature_stack(m)),
                           LambdaOptions(n_random=0))
     comps = res.minimizer.comps
     assert res.lam == res.start_values[0]
@@ -223,10 +253,10 @@ def test_pulled_back_flat_lambda_and_scalar_converge():
     for n in (8, 12):
         theta, m = pulled_back_input(n)
         curv = curvature_stack(m)
-        res = minimize_lambda(theta, m, curv, LambdaOptions(n_random=2))
+        res = minimize_lambda(theta, m, mean_abs_scalar(curv), LambdaOptions(n_random=2))
         lam_errs.append(abs(res.lam - 1.0))
         r_errs.append(np.max(np.abs(curv.scalar.values)))
-    # measured: orders 5.87 for lambda and 5.24 for R
+    # measured: orders 5.84 for lambda and 5.24 for R
     for errs in (lam_errs, r_errs):
         assert np.log(errs[0] / errs[1]) / np.log(12 / 8) >= 5.0
 
@@ -256,7 +286,8 @@ def test_constant_starts_stop_at_entry(m8):
 
 def test_lambda8_input_evaluation_count(m8):
     # lambda --dims 8 --theta coord:0 --multistarts 4 --seed 0
-    res = minimize_lambda(theta_from_preset("coord:0", m8), m8, curvature_stack(m8),
+    scale = mean_abs_scalar(curvature_stack(m8))
+    res = minimize_lambda(theta_from_preset("coord:0", m8), m8, scale,
                           LambdaOptions(n_random=4, seed=0))
     assert res.quotient_evals <= 300
     assert sum(res.start_evals) == res.quotient_evals
@@ -274,7 +305,8 @@ def test_conformal_lambda_starts_converge(grid8):
     # the input of lambda --dims 8 --theta coord:1 --metric conformal:0.1*sin(x0)
     # --multistarts 2, with the library's default seed
     m = metric_from_preset("conformal:0.1*sin(x0)", grid8)
-    res = minimize_lambda(theta_from_preset("coord:1", m), m, curvature_stack(m),
+    scale = mean_abs_scalar(curvature_stack(m))
+    res = minimize_lambda(theta_from_preset("coord:1", m), m, scale,
                           LambdaOptions(n_random=2))
     assert abs(res.lam - 0.9805943309092787) <= 1e-8 * 0.9805943309092787
     assert res.start_converged == (True,) * 5
@@ -299,7 +331,8 @@ def test_curved_random_starts_converge(make, args, bound):
     # random starts on these curved charts crawled down a nearly flat valley
     # to the iteration cap when each trial step was the first Armijo point
     theta, m = make(*args)
-    res = minimize_lambda(theta, m, curvature_stack(m), LambdaOptions(n_random=2, seed=11))
+    res = minimize_lambda(theta, m, mean_abs_scalar(curvature_stack(m)),
+                          LambdaOptions(n_random=2, seed=11))
     assert res.start_converged == (True,) * 5
     assert res.operator_applies <= bound
 
@@ -343,7 +376,7 @@ def test_carried_image_matches_a_fresh_application(grid8, monkeypatch, metric, t
     monkeypatch.setattr(rayleigh, "_stage", checked)
     m = metric_from_preset(metric, grid8)
     th = theta_from_preset(theta, m)
-    minimize_lambda(th, m, curvature_stack(m), opts)
+    minimize_lambda(th, m, mean_abs_scalar(curvature_stack(m)), opts)
     assert len(errors) == 5 * (3 + opts.n_random)
     assert max(errors) <= 1e-12
 
@@ -434,7 +467,8 @@ def test_minimize_kaehler_constant_theta():
     m = metric_from_preset("kaehler-product:0.3*sin(x2)", g)
     curv = curvature_stack(m)
     opts = LambdaOptions(n_random=0, epsilons=(1e-3, 1e-6), max_iter=30)
-    res = minimize_lambda(theta_from_preset("const:0.0", m), m, curv=curv, opts=opts)
+    res = minimize_lambda(theta_from_preset("const:0.0", m), m,
+                          curvature_scale=mean_abs_scalar(curv), opts=opts)
     assert res.lam <= 1e-5
 
 

@@ -13,7 +13,6 @@ from monolab.curvature import (
     _SYM_I,
     _SYM_J,
     _inverse_metric,
-    _lambda2,
     _metric_slabs,
     build_metric,
     curvature_stack,
@@ -55,7 +54,9 @@ from conftest import (
     textbook_cholesky_derivative,
     textbook_christoffel,
     textbook_eta,
+    textbook_lambda2,
     textbook_three_form_star,
+    unpack,
 )
 
 
@@ -75,8 +76,9 @@ def test_projection_algebra(generic8):
     assert np.max(np.abs(back.comps - sig.comps)) < 1e-12
     # self-dual at every node: omega ^ omega = |omega|^2 vol
     wedge = np.einsum("p...,pq,q...->...", omega.comps, WEDGE2, omega.comps)
-    gram = _lambda2(_inverse_metric(m.coframe))
-    norm2 = np.einsum("p...,pq...,q...->...", omega.comps, gram, omega.comps)
+    gram = textbook_lambda2(layout(unpack(_inverse_metric(m.coframe)), "node"))
+    node = layout(omega.comps, "node")
+    norm2 = layout(np.einsum("...p,...pq,...q->...", node, gram, node), "comp")
     assert rel_err(wedge, m.vol * norm2) < 1e-12
 
 
@@ -513,7 +515,7 @@ def test_harmonic_basis_conformal(m8_conf):
     # components
     basis = harmonic_selfdual_basis(m8_conf)
     assert len(basis) == 3
-    weight = 1.0 / m8_conf.g[0, 0]
+    weight = 1.0 / m8_conf.g[0]
     oracle = np.stack([(np.eye(3)[a].reshape(3, 1, 1, 1, 1) * weight).ravel()
                        for a in range(3)], -1)
     found = np.stack([omega.comps.ravel() for omega in basis], -1)
@@ -592,7 +594,7 @@ def test_harmonic_basis_spans_pulled_back_flat_classes(n):
     m, oracle = pulled_back_flat(n)
     basis = harmonic_selfdual_basis(m)
     assert basis.solve["converged"]
-    w = np.linalg.det(layout(m.g, "node")) ** 0.25  # L2 weight sqrt(vol)
+    w = np.linalg.det(layout(unpack(m.g), "node")) ** 0.25  # L2 weight sqrt(vol)
     found = np.stack([(w * omega.comps).ravel() for omega in basis], -1)
     expected = np.stack([(w * layout(oracle[..., b, :], "comp")).ravel() for b in range(3)], -1)
     assert max_principal_sine(expected, found) < 1e-10

@@ -37,26 +37,29 @@ HERE = Path(__file__).resolve().parent.parent
 CONFORMAL = "conformal:0.1*sin(x0)"
 # name: (command, peak-RSS ceiling in MiB)
 CEILINGS = {
-    # measured 195 MiB with the axis-0 stencils of g taken per slab (no
-    # whole-grid derivative of g), 269-270 MiB with them on the whole grid;
-    # 202 MiB with W+ component-major, whose nine planes, written slab by
-    # slab, each fault a transparent huge page at the first slab
-    "curvature": (["curvature", "--dims", "24", "--metric", CONFORMAL], 219),
-    # measured 421-425 MiB with the Gram matrix of stored pairs applied in
-    # place from sd_pairs and vol and the PCG state freed before the tail,
-    # 598-602 MiB with the Gram matrix formed (36 planes) and the state kept
-    "hodge": (["hodge", "--dims", "24", "--metric", CONFORMAL], 475),
+    # measured 155 MiB with g and its factor packed (10 planes each) and one
+    # slab's arrays alive at a time, 200 MiB with both full (4, 4, dims)
+    # and the previous slab's arrays alive while the next was made; 195 MiB
+    # before W+ was component-major, whose nine planes, written slab by
+    # slab, each fault a transparent huge page at the first slab, and
+    # 269-270 MiB with the axis-0 stencils of g on the whole grid
+    "curvature": (["curvature", "--dims", "24", "--metric", CONFORMAL], 174),
+    # measured 363 MiB with g, its factor and the flux weight packed,
+    # 419-423 MiB with them full; 598-602 MiB with the Gram matrix of
+    # stored pairs formed (36 planes) and the PCG state kept through the tail
+    "hodge": (["hodge", "--dims", "24", "--metric", CONFORMAL], 406),
     # the only 24^4 ceiling step whose PCG iterates (a conformal metric's
-    # takes 0 iterations); measured 418-422 MiB with the classes to solve
-    # gathered once into one PCG block, 498-502 MiB with the live columns
-    # gathered and scattered on every iteration, 730-734 MiB with the Gram
-    # matrix of stored pairs formed and the PCG state kept through the tail
-    "hodge_generic": (["hodge", "--dims", "24", "--metric", "file:generic24.zip"], 470),
-    # measured 532 MiB with no Hodge weight on 3-forms cached (16 planes),
-    # 566-573 MiB with it cached, 702 MiB with e^-1, g^-1 and the
-    # projection weights cached too; about 15 s
+    # takes 0 iterations); measured 380 MiB with g, its factor and the flux
+    # weight packed, 418-422 MiB with them full, 498-502 MiB with the live
+    # columns gathered and scattered on every iteration, 730-734 MiB with
+    # the Gram matrix of stored pairs formed and the PCG state kept
+    "hodge_generic": (["hodge", "--dims", "24", "--metric", "file:generic24.zip"], 426),
+    # measured 464 MiB with g, its factor and the flux weight packed and no
+    # curvature bundle held through the minimisation, 533-538 MiB with them
+    # full and the bundle held, 566-573 MiB with a Hodge weight on 3-forms
+    # cached (16 planes) too; about 9 s
     "lambda_short": (["lambda", "--dims", "24", "--metric", CONFORMAL, "--theta", "coord:1",
-                      "--multistarts", "0", "--max-iter", "5"], 595),
+                      "--multistarts", "0", "--max-iter", "5"], 520),
 }
 
 THREADS = [{"OPENBLAS_NUM_THREADS": t, "OMP_NUM_THREADS": t} for t in ("1", "2")]
