@@ -36,14 +36,14 @@ with the grid's own axis numbers and gets the bits of the same rows of the
 whole-grid call; its axis-0 rows agree with the whole-grid ones to
 roundoff, and a mixed derivative with axis 0 is d_b (d_0 g).
 
-`build_metric` copies the 10 stored components of g once and factors them
-once, by the closed-form 4x4 Cholesky on whole planes (`_upper_factor`, no
-LAPACK); the factor is `MetricField.coframe`.  The symmetric g and flux
-weight vol g^-1 and the upper-triangular factor are stored packed, one
-layout for all three: g[x, ...] with x = _SYM_INDEX[i, j] running over the
-pairs i <= j in np.triu_indices(4) order, so row j of the factor's upper
-triangle is one contiguous run and an axis-0 slab of g is the view
-g[:, i].  No (4, 4, dims) array is kept; `_sym_apply` contracts a packed
+g is packed from the preset onwards: `build_metric` keeps the packed g
+every metric preset writes and factors it once, by the closed-form 4x4
+Cholesky on whole planes (`_upper_factor`, no LAPACK), into
+`MetricField.coframe`.  g, the flux weight vol g^-1 and the factor share
+one layout: g[x, ...] with x = _SYM_INDEX[i, j] over the pairs i <= j in
+np.triu_indices(4) order, so row j of the factor's upper triangle is one
+contiguous run and an axis-0 slab of g is the view g[:, i].  No
+(4, 4, dims) array is kept; `_sym_apply` contracts a packed
 symmetric field with a vector block by block of nodes.  The volume factor
 vol = e_00 e_11 e_22 e_33, the inverse coframe e^-1 (back substitution,
 upper triangular with its zeros stored, formed per slab or per use),
@@ -137,9 +137,9 @@ _TAP_DL = 10 * _LOWER + _SYM_INDEX[_SYM_I, _SYM_J]
 class MetricField:
     """Sampled Riemannian metric with lazily cached derived geometry.
 
-    Made only by `build_metric`, which hands over g and the closed-form
-    Cholesky factor it checked g with as `coframe`, both packed: g[x, ...]
-    and coframe[x, ...] on the 10 pairs x = _SYM_INDEX[i, j], i <= j, in
+    Made only by `build_metric`, which hands over the packed g it was given
+    and the closed-form Cholesky factor it checked g with as `coframe`,
+    both on the 10 pairs x = _SYM_INDEX[i, j], i <= j, in
     np.triu_indices(4) order, the factor's strict lower triangle being
     zero.  The derived tensors every application of the lambda operator
     reads are computed from them once on first use and cached, the
@@ -169,8 +169,14 @@ class MetricField:
 
     @cached_property
     def sd_pairs(self) -> np.ndarray:
-        """Stored components of eta_a, sd_pairs[p, a, ...]."""
-        return _freeze(_sd_pairs(self.coframe))
+        """Stored components of eta_a, sd_pairs[p, a, ...], formed by `_sd_pairs`
+        per `_SYM_BLOCK` nodes, so that `_lambda2`'s 36 minors are one block's."""
+        e = self.coframe.reshape(10, -1)
+        out = np.empty((6, 3, e.shape[1]))
+        for start in range(0, e.shape[1], _SYM_BLOCK):
+            nodes = slice(start, start + _SYM_BLOCK)
+            _sd_pairs(e[:, nodes], out=out[:, :, nodes])
+        return _freeze(out.reshape((6, 3) + self.grid.dims))
 
     @cached_property
     def sd_connection(self) -> np.ndarray:
@@ -248,43 +254,36 @@ class CurvatureBundle:
 
 
 def build_metric(grid: GridSpec, g: np.ndarray) -> MetricField:
-    """Validate and wrap sampled metric components, a full (4, 4, dims) g[i, j, ...].
+    """Validate and wrap a packed sampled metric, g[x, ...] with x = _SYM_INDEX[i, j], i <= j.
 
-    Rejects non-finite components, non-symmetric storage, non-SPD nodes and
-    a volume factor outside the float range; the error names the first
-    offending node so bad input files are debuggable.  The 10 stored
-    components of g, its upper triangle, are copied once, into the packed
-    C-contiguous array the field keeps, and factored by `_upper_factor`; a
+    Rejects non-finite components, non-SPD nodes and a volume factor
+    outside the float range; the error names the first offending node so
+    bad input files are debuggable.  g is factored by `_upper_factor`; a
     node where a pivot is not positive is reported with the lowest
-    eigenvalue of its g.
+    eigenvalue of its g.  A C-contiguous float64 g is kept uncopied and
+    made read-only once accepted, as the field caches tensors derived from
+    it; any other g is copied.
     """
-    g = np.asarray(g, dtype=float)
-    if g.shape != (4, 4) + grid.dims:
-        raise ValueError(f"metric shape {g.shape} != {(4, 4) + grid.dims}")
-    finite = np.isfinite(g).all(axis=(0, 1))
+    g = np.ascontiguousarray(g, dtype=float)
+    if g.shape != (10,) + grid.dims:
+        raise ValueError(f"metric shape {g.shape} != {(10,) + grid.dims}")
+    finite = np.isfinite(g).all(axis=0)
     if not finite.all():
         raise ValueError(f"metric component is not finite at node {_worst_node(~finite)}")
-    asym = max(float(np.max(np.abs(g[i, j] - g[j, i]))) for i, j in zip(*np.triu_indices(4, 1)))
-    if asym > 1e-12 * max(1.0, float(np.max(g)), -float(np.min(g))):
-        raise ValueError(f"metric storage asymmetry {asym:.3e} exceeds tolerance")
-    # always a copy, never a view of the caller's array: the field caches
-    # tensors derived from it
-    gc = np.empty((10,) + grid.dims)
-    for x, (i, j) in enumerate(zip(_SYM_I, _SYM_J)):
-        gc[x] = g[i, j]
-    coframe, failed = _upper_factor(gc)
+    coframe, failed = _upper_factor(g)
     if failed.any():
         node = _worst_node(failed)
+        lowest = np.linalg.eigvalsh(g[(_SYM_INDEX,) + node])[0]
         raise ValueError(
-            f"metric is not positive definite at node {node} "
-            f"(lowest eigenvalue {np.linalg.eigvalsh(g[(...,) + node])[0]:.3e})"
+            f"metric is not positive definite at node {node} (lowest eigenvalue {lowest:.3e})"
         )
-    m = MetricField(grid, gc, coframe)
+    m = MetricField(grid, g, coframe)
     with np.errstate(over="ignore"):  # vol and det g may overflow; vol is cached from here on
         det = m.vol * m.vol
     usable = (det > 0) & (det < np.inf)
     if not usable.all():
         raise ValueError(f"metric volume factor is 0 or overflows at node {_worst_node(~usable)}")
+    g.flags.writeable = False
     return m
 
 
@@ -410,9 +409,9 @@ def _lambda2(e: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sd_pairs(e: np.ndarray) -> np.ndarray:
+def _sd_pairs(e: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """(H+ Lambda^2 e)^T, [p, a, ...], for a packed factor e of any trailing shape."""
-    return np.einsum("aq,qp...->pa...", H_PLUS, _lambda2(e))
+    return np.einsum("aq,qp...->pa...", H_PLUS, _lambda2(e), out=out)
 
 
 def _inverse_coframe(e: np.ndarray) -> np.ndarray:

@@ -7,14 +7,13 @@ byte-identical files.
 
 Files are the one place where fields are node-major, (n0, n1, n2, n3, c...);
 in memory they are component-major (see `grid`).  `save_fields` and
-`load_fields` take and return arrays as they are; the views `_node_major`
-and `_component_major` cross the boundary where a field is dumped or a
-stored metric is read.
+`load_fields` take and return arrays as they are; the view `_node_major`
+crosses the boundary where a field is dumped, and a stored metric is read
+node-major and packed by `presets.metric_from_preset`.
 """
 
 from __future__ import annotations
 
-import io as _io
 import json
 import zipfile
 
@@ -33,13 +32,6 @@ def _node_major(values: np.ndarray) -> np.ndarray:
     return np.moveaxis(values, (-4, -3, -2, -1), (0, 1, 2, 3))
 
 
-def _component_major(values: np.ndarray) -> np.ndarray:
-    """A node-major (dims, c...) array as a component-major (c..., dims) view.
-
-    No copy: the one reader, `build_metric`, copies what it keeps."""
-    return np.moveaxis(values, (0, 1, 2, 3), (-4, -3, -2, -1))
-
-
 def save_fields(path, grid: GridSpec, arrays: dict[str, np.ndarray], meta: dict | None = None) -> None:
     names = sorted(arrays)
     manifest = {
@@ -54,12 +46,13 @@ def save_fields(path, grid: GridSpec, arrays: dict[str, np.ndarray], meta: dict 
         zi = zipfile.ZipInfo(_MANIFEST, date_time=_EPOCH)
         zf.writestr(zi, json.dumps(manifest, sort_keys=True, indent=1) + "\n")
         for name in names:
-            buf = _io.BytesIO()
-            np.lib.format.write_array(
-                buf, np.ascontiguousarray(arrays[name]), version=(1, 0)
-            )
+            array = np.ascontiguousarray(arrays[name])
             zi = zipfile.ZipInfo(name + ".npy", date_time=_EPOCH)
-            zf.writestr(zi, buf.getvalue())
+            # writestr sets the member's length; here the .npy header is left
+            # out, which can change only the ZIP64 choice, and only near 1.9 GiB
+            zi.file_size = array.nbytes
+            with zf.open(zi, "w") as member:  # streamed: no whole copy of the member
+                np.lib.format.write_array(member, array, version=(1, 0))
 
 
 def load_fields(path) -> tuple[GridSpec, dict[str, np.ndarray], dict]:

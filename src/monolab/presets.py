@@ -37,9 +37,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .curvature import MetricField, build_metric
-from .grid import GridSpec
-from .io import _component_major, load_fields
+from .curvature import _SYM_I, _SYM_INDEX, _SYM_J, MetricField, build_metric
+from .grid import GridSpec, _worst_node
+from .io import load_fields
 
 if TYPE_CHECKING:
     from .rayleigh import ThetaField
@@ -220,7 +220,19 @@ def _checked(preset: str, build, *args):
         raise PresetError(f"{preset}: {exc}") from None
 
 
-_EYE4 = np.eye(4).reshape(4, 4, 1, 1, 1, 1)
+def _packed_file_metric(g: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """The packed g of a file's (dims, 4, 4) g, once both triangles are finite and equal."""
+    if g.shape != grid.dims + (4, 4):
+        raise ValueError(f"metric shape {g.shape} != {grid.dims + (4, 4)}")
+    g = np.asarray(g, dtype=float)
+    finite = np.isfinite(g).all(axis=(-2, -1))
+    if not finite.all():
+        raise ValueError(f"metric component is not finite at node {_worst_node(~finite)}")
+    asym = max(float(np.max(np.abs(g[..., i, j] - g[..., j, i])))
+               for i, j in zip(*np.triu_indices(4, 1)))
+    if asym > 1e-12 * max(1.0, float(np.max(g)), -float(np.min(g))):
+        raise ValueError(f"metric storage asymmetry {asym:.3e} exceeds tolerance")
+    return np.stack([g[..., i, j] for i, j in zip(_SYM_I, _SYM_J)])
 
 
 def metric_from_preset(text: str, grid: GridSpec) -> MetricField:
@@ -228,21 +240,22 @@ def metric_from_preset(text: str, grid: GridSpec) -> MetricField:
 
     conformal rescales the flat metric by exp(2 f); kaehler-product is
     diag(1, 1, e^{2u}, e^{2u}) with u a function of x2, x3 only, the
-    conformal torus-times-surface geometry.  A file holds g node-major,
-    (dims, 4, 4); `build_metric` gets a component-major view of it and makes
-    the one copy the field keeps.
+    conformal torus-times-surface geometry.  Every preset writes g packed,
+    as `build_metric` keeps it; a file holds the full g node-major,
+    (dims, 4, 4), whose two triangles are checked equal before packing.
     """
     kind, _, arg = text.partition(":")
     kind = kind.strip()
+    g = None if kind == "file" else np.zeros((10,) + grid.dims)
+    diagonal = _SYM_INDEX.diagonal()
     # an overflow shows up as a non-finite component, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         if kind == "flat":
             if arg:
                 raise PresetError("flat takes no argument")
-            g = np.broadcast_to(_EYE4, (4, 4) + grid.dims)
+            g[diagonal] = 1.0
         elif kind == "conformal":
-            f = scalar_from_expression(arg, grid)
-            g = np.exp(2.0 * f) * _EYE4
+            g[diagonal] = np.exp(2.0 * scalar_from_expression(arg, grid))
         elif kind == "kaehler-product":
             terms = parse_expression(arg)
             for term in terms:
@@ -252,20 +265,14 @@ def metric_from_preset(text: str, grid: GridSpec) -> MetricField:
                             f"factor {fac.source!r}: kaehler-product profiles may only "
                             "involve x2 and x3"
                         )
-            u = evaluate_expression(terms, grid)
-            g = np.zeros((4, 4) + grid.dims)
-            g[0, 0] = 1.0
-            g[1, 1] = 1.0
-            g[2, 2] = np.exp(2.0 * u)
-            g[3, 3] = np.exp(2.0 * u)
+            g[diagonal[:2]] = 1.0
+            g[diagonal[2:]] = np.exp(2.0 * evaluate_expression(terms, grid))
         elif kind == "file":
             arrays = _load_container(arg, grid)
             if "g" not in arrays:
                 raise PresetError(f"{arg}: container has no array named 'g'")
-            g = arrays["g"]
-            if g.shape != grid.dims + (4, 4):
-                raise PresetError(f"{text}: metric shape {g.shape} != {grid.dims + (4, 4)}")
-            g = _component_major(g)
+            # popped, so that the node-major g is freed once it is packed
+            g = _checked(text, _packed_file_metric, arrays.pop("g"), grid)
         else:
             raise PresetError(f"unknown metric preset {kind!r}")
     return _checked(text, build_metric, grid, g)

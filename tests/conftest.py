@@ -92,6 +92,14 @@ def layout(a, to):
     return np.ascontiguousarray(np.moveaxis(a, front, grid_axes))
 
 
+def pack(g):
+    """The packed component-major (10, dims) copy of a node-major
+    (dims, 4, 4) g, the layout `build_metric` takes: entry x is g[..., i, j]
+    for the x-th pair i <= j of np.triu_indices(4)."""
+    i, j = np.triu_indices(4)
+    return np.ascontiguousarray(np.moveaxis(g[..., i, j], -1, 0))
+
+
 def unpack(packed, symmetric=True):
     """The (4, 4, ...) matrix field of a packed component-major one, whose
     entry x sits at (i, j) for the x-th pair i <= j of np.triu_indices(4):
@@ -160,15 +168,15 @@ def textbook_christoffel(g, spacing, d1=roll_d1):
                   - np.einsum("...kl,...lij->...kij", gi, dgs))
 
 
-def textbook_cholesky_derivative(g, spacing):
+def textbook_cholesky_derivative(g, spacing, d1=roll_d1):
     """LAPACK's upper Cholesky factor e of g (e^T e = g), its inverse, and
-    d_k e, [..., k, i, j], from the np.roll stencils of g by the Cholesky
-    derivative d e = Phi(e^-T d g e^-1) e, Phi the upper triangle with its
-    diagonal halved (Murray, arXiv:1602.07527): e^-T d g e^-1 is X + X^T
-    with X = (d e) e^-1 upper triangular."""
+    d_k e, [..., k, i, j], from the derivative d1 of g (np.roll stencils by
+    default) by the Cholesky derivative d e = Phi(e^-T d g e^-1) e, Phi the
+    upper triangle with its diagonal halved (Murray, arXiv:1602.07527):
+    e^-T d g e^-1 is X + X^T with X = (d e) e^-1 upper triangular."""
     e = np.swapaxes(np.linalg.cholesky(g), -1, -2)
     einv = np.linalg.inv(e)
-    dgs = np.stack([roll_d1(g, k, h) for k, h in enumerate(spacing)], axis=-3)
+    dgs = np.stack([d1(g, k, h) for k, h in enumerate(spacing)], axis=-3)
     s = np.swapaxes(einv, -1, -2)[..., None, :, :] @ dgs @ einv[..., None, :, :]
     return e, einv, (np.triu(s) - 0.5 * np.eye(4) * s) @ e[..., None, :, :]
 

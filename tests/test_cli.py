@@ -309,6 +309,12 @@ _BAD_FIELDS = {
     # g stored component-major, (4, 4, dims): files hold it node-major
     "component-major-metric": lambda x0: {
         "g": np.eye(4)[..., None, None, None, None] * np.ones(x0.shape)},
+    # a file holds both triangles of g, which must agree
+    "asymmetric-metric": lambda x0: {
+        "g": np.broadcast_to(np.eye(4) + np.eye(4, k=1) / 10.0, x0.shape + (4, 4))},
+    # the only NaN lies below the diagonal, in the triangle that is not packed
+    "lower-nan-metric": lambda x0: {
+        "g": np.where(x0[..., None, None] > 3.0, np.eye(4) + np.diag([np.nan], -3), np.eye(4))},
     "nan-theta": lambda x0: {"theta": np.where(x0 > 3.0, np.nan, x0)},
     "non-unit-sc": lambda x0: {"s": np.zeros_like(x0), "c": np.full_like(x0, 2.0)},
     "inf-sc": lambda x0: {"s": np.where(x0 > 3.0, np.inf, 0.0), "c": np.ones_like(x0)},
@@ -346,6 +352,7 @@ def test_bad_field_container_exit_2(tmp_path, capsys, fault):
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("monolab: config error:") and err.count("\n") == 1
+        assert str(path) in err
 
 
 def test_gate_errors_exit_1(capsys):

@@ -34,10 +34,12 @@ from conftest import (
     X3,
     generic_metric,
     layout,
+    pack,
     mean_abs_scalar,
     rel_err,
     roll_d1,
     roll_d2,
+    spectral_d1,
     textbook_christoffel,
     textbook_eta,
     textbook_lambda2,
@@ -74,44 +76,46 @@ def test_is_flat_is_an_absolute_test(grid8):
     assert not metric_from_preset("conformal:4e-6*sin(x0)", grid8).is_flat
     g = np.tile(np.eye(4), grid8.dims + (1, 1))
     g[1, 2, 3, 4, 0, 1] = g[1, 2, 3, 4, 1, 0] = 5e-13
-    assert build_metric(grid8, layout(g, "comp")).is_flat
+    assert build_metric(grid8, pack(g)).is_flat
     g[1, 2, 3, 4, 0, 1] = g[1, 2, 3, 4, 1, 0] = 2e-12
-    assert not build_metric(grid8, layout(g, "comp")).is_flat
+    assert not build_metric(grid8, pack(g)).is_flat
 
 
 def test_build_metric_rejects_bad_storage():
+    # g is packed, (10, dims); a full g, either layout, is not a metric here.
+    # The asymmetry check is the file reader's (test_cli's bad files)
     g = GridSpec((8,) * 4)
-    bad = np.tile(np.eye(4), g.dims + (1, 1))
-    bad[..., 0, 1] = 0.1
-    with pytest.raises(ValueError):
-        build_metric(g, layout(bad, "comp"))
+    eye = np.tile(np.eye(4), g.dims + (1, 1))
+    for full in (eye, layout(eye, "comp")):
+        with pytest.raises(ValueError, match=r"metric shape \(.*\) != \(10, 8, 8, 8, 8\)"):
+            build_metric(g, full)
     spd = np.tile(np.eye(4), g.dims + (1, 1))
     spd[2, 3, 4, 5, 0, 0] = -1.0
     with pytest.raises(ValueError, match=r"not positive definite at node \(2, 3, 4, 5\)"):
-        build_metric(g, layout(spd, "comp"))
+        build_metric(g, pack(spd))
     # the first two pivots are 1, the third 1 - 0.8^2 - 0.8^2 < 0
     third = np.tile(np.eye(4), g.dims + (1, 1))
     for i in (0, 1):
         third[3, 1, 4, 1, i, 2] = third[3, 1, 4, 1, 2, i] = 0.8
     with pytest.raises(ValueError, match=r"not positive definite at node \(3, 1, 4, 1\) "
                                          r"\(lowest eigenvalue -1\.3"):
-        build_metric(g, layout(third, "comp"))
+        build_metric(g, pack(third))
     for value in (np.nan, np.inf):
         finite = np.tile(np.eye(4), g.dims + (1, 1))
         finite[1, 2, 3, 4, 2, 2] = value
         with pytest.raises(ValueError, match=r"node \(1, 2, 3, 4\)"):
-            build_metric(g, layout(finite, "comp"))
+            build_metric(g, pack(finite))
     # SPD, but det g = vol^2 overflows or underflows, though vol may not
     for scale in (1e200, 1e-200, 1e100, 1e-100):
         with pytest.raises(ValueError, match="volume factor"):
-            build_metric(g, layout(np.tile(scale * np.eye(4), g.dims + (1, 1)), "comp"))
+            build_metric(g, pack(np.tile(scale * np.eye(4), g.dims + (1, 1))))
 
 
 def test_metric_algebra_from_the_factor():
     # LAPACK references on a generic (non-diagonal) metric; the package
     # reads these off the Cholesky factor without inverse or determinant
     grid, g = generic_metric(8)
-    m = build_metric(grid, layout(g, "comp"))
+    m = build_metric(grid, pack(g))
     # g, the factor and g^-1 are packed on the 10 pairs i <= j
     assert m.g.shape == m.coframe.shape == (10,) + grid.dims
     assert np.array_equal(layout(unpack(m.g), "node"), g)
@@ -142,7 +146,7 @@ def test_metric_is_factored_without_lapack(monkeypatch):
         raise AssertionError("np.linalg.cholesky was called")
 
     monkeypatch.setattr(np.linalg, "cholesky", refused)
-    m = build_metric(grid, layout(g, "comp"))
+    m = build_metric(grid, pack(g))
     curvature_stack(m)
     for derived in (m.flux_weight, m.vol, m.sd_pairs, m.sd_connection):
         assert np.isfinite(derived).all()
@@ -192,7 +196,7 @@ def test_kaehler_product_matches_closed_form():
 def test_lowest_eigenvalue_against_cubic_oracle():
     # w is the lowest eigenvalue of the stack's own W+, node by node
     grid, g = generic_metric(8)
-    cb = curvature_stack(build_metric(grid, layout(g, "comp")))
+    cb = curvature_stack(build_metric(grid, pack(g)))
     cubic = [sym3x3_eigs(a)[0] for a in np.reshape(layout(cb.wplus, "node"), (-1, 3, 3))]
     assert np.max(np.abs(cb.w.values.reshape(-1) - cubic)) < 1e-12 * np.max(np.abs(cb.wplus))
 
@@ -265,7 +269,7 @@ def test_three_form_algebra_matches_tensor_definitions():
     rng = np.random.default_rng(31)
     a = rng.standard_normal(grid.dims + (4, 4))
     g = np.einsum("...ij,...kj->...ik", a, a) + 0.5 * np.eye(4)
-    m = build_metric(grid, layout(g, "comp"))
+    m = build_metric(grid, pack(g))
     gi, vol = layout(unpack(_inverse_metric(m.coframe)), "node"), m.vol
 
     star_stored = np.einsum("...mijk,lijk->...ml", textbook_three_form_star(g), X3)
@@ -292,21 +296,22 @@ def test_three_form_algebra_matches_tensor_definitions():
 # generic metrics: a test-only textbook chain and the topological oracles of T^4
 
 
-def textbook_curvature(g, spacing):
+def textbook_curvature(g, spacing, d1=roll_d1, d2=roll_d2):
     """Scalar curvature and W+ by the textbook chain on full index tensors:
-    ddg -> Riemann -> Ricci -> Weyl -> frame.  It shares no code with the
-    package; the eta basis, the Christoffel symbols and the stencils are
-    written out here and in conftest."""
+    ddg -> Riemann -> Ricci -> Weyl -> frame, from the first and second
+    derivatives d1 and d2 (np.roll stencils by default).  It shares no code
+    with the package; the eta basis, the Christoffel symbols and the
+    stencils are written out here and in conftest."""
     gi = np.linalg.inv(g)
-    dg = [roll_d1(g, k, h) for k, h in enumerate(spacing)]
-    gam = textbook_christoffel(g, spacing)
+    dg = [d1(g, k, h) for k, h in enumerate(spacing)]
+    gam = textbook_christoffel(g, spacing, d1)
     ddg = np.empty(g.shape[:4] + (4, 4, 4, 4))
     for i in range(4):
         for j in range(4):
             if i == j:
-                ddg[..., i, i, :, :] = roll_d2(g, i, spacing[i])
+                ddg[..., i, i, :, :] = d2(g, i, spacing[i])
             else:
-                ddg[..., i, j, :, :] = roll_d1(dg[max(i, j)], min(i, j), spacing[min(i, j)])
+                ddg[..., i, j, :, :] = d1(dg[max(i, j)], min(i, j), spacing[min(i, j)])
     riem = 0.5 * (np.einsum("...jkil->...ijkl", ddg) + np.einsum("...iljk->...ijkl", ddg)
                   - np.einsum("...jlik->...ijkl", ddg) - np.einsum("...ikjl->...ijkl", ddg))
     riem += np.einsum("...np,...njk,...pil->...ijkl", g, gam, gam, optimize=True)
@@ -337,7 +342,7 @@ def _frame_operator(m):
 
 def test_stack_matches_frame_operator():
     grid, g = generic_metric(8)
-    m = build_metric(grid, layout(g, "comp"))
+    m = build_metric(grid, pack(g))
     cb = curvature_stack(m)
     op = _frame_operator(m)
     scal = 2.0 * np.trace(op, axis1=-2, axis2=-1)
@@ -348,11 +353,39 @@ def test_stack_matches_frame_operator():
 
 def test_pair_operator_matches_textbook_chain():
     grid, g = generic_metric(8)
-    m = build_metric(grid, layout(g, "comp"))
+    m = build_metric(grid, pack(g))
     cb = curvature_stack(m)
     scal, wplus = textbook_curvature(g, grid.spacing)
     assert rel_err(cb.scalar.values, scal) < 1e-12
     assert rel_err(layout(cb.wplus, "node"), wplus) < 1e-12
+
+
+def spectral_d2(v, axis, h):
+    return spectral_d1(spectral_d1(v, axis, h), axis, h)
+
+
+def test_stack_converges_to_the_exact_curvature():
+    # generic_metric's entries are trig polynomials of degree 1, so the
+    # textbook chain on np.fft derivatives is exact at every node: its R and
+    # W+ at 8^4 and 16^4 agree to 1.6e-14 and 1.3e-14 on the shared nodes.
+    # Measured errors relative to the largest exact entry at 8^4 and 12^4:
+    # R 1.46e-3 and 1.44e-4 (order 5.70), the W+ spectrum 2.88e-3 and
+    # 2.69e-4 (5.84), the spectrum of R/3 - 2 W+ 2.11e-3 and 1.94e-4 (5.88)
+    def spectra(scal, wplus):
+        return np.linalg.eigvalsh(wplus), np.linalg.eigvalsh(
+            scal[..., None, None] / 3.0 * np.eye(3) - 2.0 * wplus)
+
+    errs = []
+    for n in (8, 12):
+        grid, g = generic_metric(n)
+        scal, wplus = textbook_curvature(g, grid.spacing, spectral_d1, spectral_d2)
+        cb = curvature_stack(build_metric(grid, pack(g)))
+        got = spectra(cb.scalar.values, layout(cb.wplus, "node"))
+        errs.append([rel_err(cb.scalar.values, scal)]
+                    + [rel_err(x, ref) for x, ref in zip(got, spectra(scal, wplus))])
+    orders = np.log(np.divide(*errs)) / np.log(12 / 8)
+    assert max(errs[1]) < 4e-4
+    assert min(orders) >= 5.5
 
 
 # unequal node counts and periods: a transposed axis, a swapped spacing or a
@@ -362,7 +395,7 @@ NONCUBIC = dict(n=(8, 9, 10, 12), seed=17, periods=(6.0, 7.0, 5.5, 8.0))
 
 def test_pair_operator_matches_textbook_chain_on_a_noncubic_grid():
     grid, g = generic_metric(**NONCUBIC)
-    m = build_metric(grid, layout(g, "comp"))
+    m = build_metric(grid, pack(g))
     cb = curvature_stack(m)
     scal, wplus = textbook_curvature(g, grid.spacing)
     assert rel_err(cb.scalar.values, scal) < 1e-12
@@ -394,7 +427,7 @@ def test_stack_builds_no_whole_grid_matrix_field():
     # them, stay below one (dims,10,10) float64 array, the size of the matrix
     # M behind the pair form, which the stack forms one axis-0 slab at a time
     grid, g = generic_metric(12)
-    m = build_metric(grid, layout(g, "comp"))
+    m = build_metric(grid, pack(g))
     tracemalloc.start()
     try:
         curvature_stack(m)
@@ -411,7 +444,7 @@ def test_stack_peak_at_16_stays_near_its_outputs():
     # previous slab's kept alive meanwhile; the whole-grid axis-0 stencils
     # of g and the (dims, 3, 3) check temporaries made it 66.1
     grid, g = generic_metric(16)
-    m = build_metric(grid, layout(g, "comp"))
+    m = build_metric(grid, pack(g))
     tracemalloc.start()
     try:
         curvature_stack(m)
@@ -427,7 +460,7 @@ def test_connection_peak_at_16_stays_near_its_output():
     # arrays dropped before the next slab is made, 32.4 with the previous
     # slab's kept alive meanwhile
     grid, g = generic_metric(16)
-    m = build_metric(grid, layout(g, "comp"))
+    m = build_metric(grid, pack(g))
     tracemalloc.start()
     try:
         m.sd_connection
@@ -437,15 +470,30 @@ def test_connection_peak_at_16_stays_near_its_output():
     assert peak < grid.node_count * 30 * 8
 
 
+def test_sd_pairs_peak_at_16_stays_near_its_output():
+    # the eta pairs are 18 whole-grid doubles per node, built in blocks of
+    # 8192 nodes: measured 22.9 doubles per node, 54.0 with the 36 minors
+    # of Lambda^2 e formed on the whole grid
+    grid, g = generic_metric(16)
+    m = build_metric(grid, pack(g))
+    tracemalloc.start()
+    try:
+        m.sd_pairs
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= grid.node_count * 24 * 8
+
+
 def test_metric_holds_g_its_factor_and_vol_packed():
     # after build_metric the field holds g and its factor, 10 planes each
     # (one plane being one float64 grid array), and vol: 21 planes.  With g
-    # and the factor stored as full (4, 4, dims) arrays it held 33
+    # and the factor stored as full (4, 4, dims) arrays it held 33.  The
+    # packed g is made inside the trace, as build_metric keeps it uncopied
     grid, g = generic_metric(16)
-    g = layout(g, "comp")
     tracemalloc.start()
     try:
-        m = build_metric(grid, g)
+        m = build_metric(grid, pack(g))
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -459,7 +507,7 @@ def test_cold_stack_runs_no_whole_grid_stencil(monkeypatch):
     # (4, 4) + dims array, nor any other.  The connection takes the axis-0
     # rows once per slab, of g, and differentiates no factor
     grid, g = generic_metric(**NONCUBIC)
-    m = build_metric(grid, layout(g, "comp"))
+    m = build_metric(grid, pack(g))
     shapes, slabbed = [], []
     stencil_along = grid_module._stencil_along
     slab_stencils = curvature_module._slab_stencils
@@ -498,7 +546,7 @@ def _topology_and_covariance(n):
     the relative Chern-Gauss-Bonnet integral (chi(T^4) = 0), and the pointwise
     error of W+(e^{2f} g) = e^{-2f} W+(g) relative to max |W+(g)|."""
     grid, g = generic_metric(n)
-    m = build_metric(grid, layout(g, "comp"))
+    m = build_metric(grid, pack(g))
     op = _frame_operator(m)
     cb = curvature_stack(m)
     scal, wplus = cb.scalar.values, layout(cb.wplus, "node")
@@ -513,7 +561,7 @@ def _topology_and_covariance(n):
     euler = abs(wp2 + wm2 + r2 - ric2) / (wp2 + wm2 + r2 + ric2)
 
     f = random_smooth_scalar(grid, np.random.default_rng(99), 1, 0.2)
-    conf = curvature_stack(build_metric(grid, np.exp(2.0 * f) * layout(g, "comp")))
+    conf = curvature_stack(build_metric(grid, np.exp(2.0 * f) * pack(g)))
     cov = rel_err(conf.wplus, np.exp(-2.0 * f) * cb.wplus)
     return np.array([gap, euler, cov])
 
@@ -553,7 +601,7 @@ def test_metric_keeps_only_what_every_application_reads():
     # after every kernel that reads them has run, the metric holds only its
     # inputs and the tensors an application of the lambda operator reads
     grid, g = generic_metric(8)
-    m = build_metric(grid, layout(g, "comp"))
+    m = build_metric(grid, pack(g))
     curv = curvature_stack(m)
     sigma = harmonic_selfdual_basis(m)[0]
     weitzenboeck_residual(sigma, m, curv)

@@ -69,3 +69,20 @@ def test_roundtrip_of_two_arrays_holds_no_bytes_copy(tmp_path):
         assert arrays2[name].dtype == a.dtype and arrays2[name].shape == a.shape
         assert np.array_equal(arrays2[name], a)
     assert peak < 1.25 * sum(a.nbytes for a in arrays.values())
+
+
+def test_save_fields_streams_each_member(tmp_path):
+    # each array is written into its member chunk by chunk, through
+    # np.lib.format's own buffer of one chunk: the traced peak stays near one
+    # array's bytes, where a whole in-memory copy of the file before writing
+    # it doubles it.  Measured 1.00 times the array's bytes; 2.00 with the
+    # member built in a BytesIO first
+    grid = GridSpec((16,) * 4)
+    g = np.tile(np.eye(4), grid.dims + (1, 1))
+    tracemalloc.start()
+    try:
+        save_fields(tmp_path / "g.zip", grid, {"g": g})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * g.nbytes

@@ -32,6 +32,7 @@ from conftest import (
     D_TERMS,
     generic_metric,
     layout,
+    pack,
     rel_err,
     roll_d1,
     roll_d2,
@@ -117,15 +118,13 @@ def test_d2_matches_roll(lead):
 @pytest.mark.parametrize("grid", [CUBIC, ODD], ids=["8^4", "odd"])
 @pytest.mark.parametrize("lead", [(), (3,), (4, 3)], ids=["scalar", "single", "batched"])
 def test_conversions_and_node_major_sums(grid, lead):
-    # the file boundary's pair in `io`: views, no copies, that invert each
-    # other exactly
+    # the file boundary's view in `io`: a dumped field goes node-major as a
+    # view, no copy, with the entries of conftest's node-major copy
     rng = np.random.default_rng(65)
-    a = rng.standard_normal(grid.dims + lead)
-    ca = io._component_major(a)
-    assert ca.shape == lead + grid.dims and np.shares_memory(ca, a)
-    assert np.array_equal(ca, layout(a, "comp"))
-    back = io._node_major(ca)
-    assert np.shares_memory(back, a) and np.array_equal(back, a)
+    a = rng.standard_normal(lead + grid.dims)
+    na = io._node_major(a)
+    assert na.shape == grid.dims + lead and np.shares_memory(na, a)
+    assert np.array_equal(na, layout(a, "node"))
 
 
 @pytest.mark.parametrize("grid", [CUBIC, ODD], ids=["8^4", "odd"])
@@ -177,7 +176,7 @@ def test_d_differentiates_three_components_per_axis(monkeypatch):
 
 @pytest.mark.parametrize("grid", [CUBIC, ODD], ids=["8^4", "odd"])
 def test_covariant_derivative_kernels_match_roll_and_transpose(grid):
-    m = build_metric(grid, layout(generic_metric(grid.dims, periods=grid.periods)[1], "comp"))
+    m = build_metric(grid, pack(generic_metric(grid.dims, periods=grid.periods)[1]))
     rng = np.random.default_rng(64)
     sigma = rng.standard_normal((3,) + grid.dims)
     flux = rng.standard_normal((4, 3) + grid.dims)
@@ -236,7 +235,7 @@ def test_metric_field_tensors_are_component_major():
     # pairs and the Hodge weight are never formed, so the kernels that apply
     # them must give the reference tensor applied to node-major components
     g = generic_metric(ODD.dims, periods=ODD.periods)[1]
-    m = build_metric(ODD, layout(g, "comp"))
+    m = build_metric(ODD, pack(g))
     refs = metric_references(g, ODD.spacing)
     rng = np.random.default_rng(5)
     omega = rng.standard_normal((6,) + ODD.dims)
@@ -318,7 +317,7 @@ def _theta_differential(rng):
 def _selfdual_weyl(rng):
     # W+ = H+ L^T r L H+^T - R/12 with L = Lambda^2(e^-1), as node-major
     # matrix products on the pair form and LAPACK's e^-1
-    m = build_metric(ODD, layout(generic_metric(ODD.dims, periods=ODD.periods)[1], "comp"))
+    m = build_metric(ODD, pack(generic_metric(ODD.dims, periods=ODD.periods)[1]))
     wplus = curvature_stack(m).wplus
     einv = np.linalg.inv(layout(unpack(m.coframe, symmetric=False), "node"))
     lam = textbook_lambda2(einv)

@@ -25,7 +25,7 @@ from monolab.rayleigh import (
 )
 from monolab.selfdual import SelfDualField
 
-from conftest import layout, mean_abs_scalar, pulled_back_flat_chart
+from conftest import layout, mean_abs_scalar, pack, pulled_back_flat_chart
 
 TRIMMED = LambdaOptions(n_random=2, epsilons=(1e-3, 1e-6), max_iter=60)
 
@@ -241,7 +241,7 @@ def test_flat_linear_theta_refines_to_closed_form(angle, a2):
 def pulled_back_input(n):
     """The pulled-back flat chart at n^4 with theta = x0 + 0.1 sin x1."""
     grid, x, _, g = pulled_back_flat_chart(n)
-    m = build_metric(grid, layout(g, "comp"))
+    m = build_metric(grid, pack(g))
     return theta_from_angle(x[..., 0] + 0.1 * np.sin(x[..., 1]), m), m
 
 

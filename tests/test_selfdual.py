@@ -47,6 +47,7 @@ from conftest import (
     layout,
     levi_civita,
     make_grid,
+    pack,
     pulled_back_flat_chart,
     rel_err,
     roll_d1,
@@ -252,7 +253,7 @@ def textbook_hodge_square(g, spacing, sigma):
 @pytest.fixture(scope="module")
 def generic8():
     grid, g = generic_metric(8)
-    return g, build_metric(grid, layout(g, "comp"))
+    return g, build_metric(grid, pack(g))
 
 
 def test_christoffel_matches_textbook(generic8):
@@ -280,19 +281,20 @@ def test_frame_connection_matches_textbook(generic8):
 
 
 def test_frame_connection_converges_to_the_spectral_connection():
-    # the reference differentiates g and LAPACK's factor itself by np.fft;
-    # its own error at 16^4, against its 24^4 values on the shared nodes, is
-    # 8.3e-7 of the connection.  Measured: 1.4e-4 and 2.5e-5 at 12^4 and
-    # 16^4, order 5.9
+    # generic_metric's entries are trig polynomials of degree 1, so the
+    # reference, np.fft derivatives of g carried to d e by the Cholesky
+    # derivative, is exact at every node: at 8^4 and 16^4 it agrees to
+    # 2.7e-15 on the shared nodes (differencing LAPACK's factor by np.fft
+    # left 8.3e-7 of its own error at 16^4).  Measured: 1.4e-4 and 2.5e-5
+    # at 12^4 and 16^4, order 5.9
     errs = []
     for n in (12, 16):
         grid, g = generic_metric(n)
-        e = np.swapaxes(np.linalg.cholesky(g), -1, -2)
-        de = np.stack([spectral_d1(e, k, h) for k, h in enumerate(grid.spacing)], axis=-3)
+        e, einv, de = textbook_cholesky_derivative(g, grid.spacing, spectral_d1)
         gam = textbook_christoffel(g, grid.spacing, spectral_d1)
-        w = frame_levi_civita(e, np.linalg.inv(e), gam, de)
+        w = frame_levi_civita(e, einv, gam, de)
         ref = -np.einsum("aij,...kij->...ka", textbook_eta(), w) / np.sqrt(2.0)
-        m = build_metric(grid, layout(g, "comp"))
+        m = build_metric(grid, pack(g))
         errs.append(rel_err(layout(m.sd_connection, "node"), ref))
     assert errs[1] <= 5e-5
     assert np.log(errs[0] / errs[1]) / np.log(16 / 12) >= 5.5
@@ -314,7 +316,7 @@ def test_covariant_derivative_converges_to_the_omega_chain():
     for n in (12, 16):
         grid, g = generic_metric(n)
         sigma = smooth_sd(grid, 3)
-        nab = covariant_derivative(sigma, build_metric(grid, layout(g, "comp")))
+        nab = covariant_derivative(sigma, build_metric(grid, pack(g)))
         ref = textbook_omega_chain(g, grid.spacing, layout(sigma.comps, "node"))
         errs.append(rel_err(layout(nab, "node"), ref))
     assert np.log(errs[0] / errs[1]) / np.log(16 / 12) >= 5.0  # measured: 5.38
@@ -330,7 +332,7 @@ def test_conformal_connection_matches_closed_form():
         f = 0.3 * np.sin(x0) * np.cos(x1) + 0.2 * np.sin(x2 + x3)
         df = np.stack([0.3 * np.cos(x0) * np.cos(x1), -0.3 * np.sin(x0) * np.sin(x1),
                        0.2 * np.cos(x2 + x3), 0.2 * np.cos(x2 + x3)], axis=-1)
-        m = build_metric(grid, np.exp(2.0 * f) * np.eye(4).reshape(4, 4, 1, 1, 1, 1))
+        m = build_metric(grid, pack(np.exp(2.0 * f)[..., None, None] * np.eye(4)))
         eye = np.eye(4)
         w = np.einsum("ka,...i->...kai", eye, df) - np.einsum("ki,...a->...kai", eye, df)
         closed = -np.einsum("...kij,cij->...kc", w, textbook_eta()) / np.sqrt(2.0)
@@ -374,7 +376,9 @@ def test_nabla_transpose_is_adjoint(m8, m8_conf, generic8):
 
 def test_wrapping_leaves_the_callers_arrays_writable():
     grid, g = generic_metric(8)
-    g = layout(g, "comp")
+    # a g build_metric cannot keep as given, here Fortran-ordered, is copied:
+    # the caller's array stays writable and writing it leaves the field as it was
+    g = np.asfortranarray(pack(g))
     m = build_metric(grid, g)
     kept = m.g.copy()
     comps = smooth_sd(grid, 3).comps.copy()
@@ -386,6 +390,23 @@ def test_wrapping_leaves_the_callers_arrays_writable():
     other[...] = 0.0
     assert np.array_equal(m.g, kept)
     assert not m.g.flags.writeable and not sigma.comps.flags.writeable
+
+
+def test_build_metric_freezes_the_g_it_takes_over():
+    # a packed C-contiguous float64 g is kept with no copy, so it is made
+    # read-only: the field caches tensors derived from it
+    grid, g = generic_metric(8)
+    g = pack(g)
+    m = build_metric(grid, g)
+    assert np.shares_memory(m.g, g) and not g.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        g[0] = 2.0
+    # a rejected g is not taken over
+    bad = pack(generic_metric(8)[1])
+    bad[0, 1, 2, 3, 4] = -1.0
+    with pytest.raises(ValueError, match="not positive definite"):
+        build_metric(grid, bad)
+    assert bad.flags.writeable
 
 
 def test_weitzenboeck_flat_is_machine_zero(m8, curv8):
@@ -406,7 +427,9 @@ from monolab.presets import random_smooth_scalar
 from monolab.selfdual import SelfDualField, weitzenboeck_residual
 grid = GridSpec((8,) * 4)
 f = random_smooth_scalar(grid, np.random.default_rng(601), 1, 0.3)
-m = build_metric(grid, np.exp(2.0 * f) * np.eye(4).reshape(4, 4, 1, 1, 1, 1))
+g = np.zeros((10,) + grid.dims)
+g[[0, 4, 7, 9]] = np.exp(2.0 * f)  # the diagonal of a packed g
+m = build_metric(grid, g)
 rng = np.random.default_rng(601)
 comps = np.stack([random_smooth_scalar(grid, rng, 1, 0.3) + o for o in (1.0, 0.0, 0.0)])
 sigma = SelfDualField(grid, comps)
@@ -466,7 +489,7 @@ def test_integral_identities_generic_metric(generic8):
     # quotient's energies on a curved metric, at an observed order
     residuals = []
     grid12, g12 = generic_metric(12)
-    for m in (generic8[1], build_metric(grid12, layout(g12, "comp"))):
+    for m in (generic8[1], build_metric(grid12, pack(g12))):
         sig = smooth_sd(m.grid, 5)
         theta = theta_from_preset("coord:0", m)
         sides = (integral_identity_check_s(sig, theta, m, curvature_stack(m)),
@@ -526,7 +549,8 @@ def test_harmonic_basis_generic_metric(grid8):
     # seeded, non-diagonal SPD and not conformally flat
     rng = np.random.default_rng(5)
     a = np.array([[random_smooth_scalar(grid8, rng, 1, 0.1) for _ in range(4)] for _ in range(4)])
-    m = build_metric(grid8, np.eye(4).reshape(4, 4, 1, 1, 1, 1) + 0.5 * (a + np.swapaxes(a, 0, 1)))
+    g = np.eye(4).reshape(4, 4, 1, 1, 1, 1) + 0.5 * (a + np.swapaxes(a, 0, 1))
+    m = build_metric(grid8, pack(layout(g, "node")))
     basis = harmonic_selfdual_basis(m)
     assert len(basis) == 3
     assert basis.solve["converged"] and basis.solve["iterations"] > 0
@@ -556,7 +580,7 @@ def test_harmonic_solve_peak_at_8(preset, bound):
     # made the generic and conformal peaks 215.2 and 179.1
     if preset == "generic":
         grid, g = generic_metric(8)
-        m = build_metric(grid, layout(g, "comp"))
+        m = build_metric(grid, pack(g))
     else:
         m = metric_from_preset(preset, make_grid(8))
     m.sd_pairs  # the metric's caches are built before the solve
@@ -581,7 +605,7 @@ def pulled_back_flat(n):
     flat = np.sqrt(2.0) * textbook_eta()  # dx01 + dx23, dx02 + dx31, dx03 + dx12
     pulled = np.einsum("...ki,bkl,...lj->...bij", jac, flat, jac)
     sd = 0.5 * np.einsum("...bij,...aij->...ba", pulled, eta_up)
-    return build_metric(grid, layout(g, "comp")), sd
+    return build_metric(grid, pack(g)), sd
 
 
 @pytest.mark.parametrize("n", [8, 12])
