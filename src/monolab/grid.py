@@ -7,19 +7,23 @@ applied as one cached dense periodic circulant per axis (a matrix product
 along that axis).  They are exactly zero on fields constant along the
 axis, the first-derivative matrix is exactly antisymmetric (summation by
 parts holds to machine precision under plain sums), and they commute
-across axes.  Code that works one axis-0 slab at a time takes the axis-0
-rows of d1 and d2 from `_slab_stencils`, which reads only the slab's
-neighbouring slices.  Quadrature is the metric-weighted Riemann sum
-sum_p f(p) vol(p) prod_i h_i, which is spectrally accurate for smooth
-periodic integrands.
+across axes.  A third circulant per axis, d1's Gram matrix D^T D, is
+exactly symmetric and runs through the same kernel; `_gradient_gram` sums
+it over the axes, L = sum_k D_k^T D_k, the operator that `_gradient_T`
+after `_gradient` applies in two passes.  Code that works one axis-0 slab
+at a time takes the axis-0 rows of d1 and d2 from `_slab_stencils`, which
+reads only the slab's neighbouring slices.  Quadrature is the
+metric-weighted Riemann sum sum_p f(p) vol(p) prod_i h_i, which is
+spectrally accurate for smooth periodic integrands.
 
 The d1 Fourier symbol `_stencil_symbol2`, which preconditions the harmonic
-solve and the lambda minimiser, is computed from the same stencil table.
-Every stencil matrix is a symmetric-circulant problem (D^T D for d1, d2
-itself): a real orthonormal Fourier basis per axis, `_real_fourier`,
-diagonalises it (Davis, Circulant Matrices, 1979; Strang, SIAM Review 41,
-1999).  `_fourier_multiply` therefore applies a symbol as dense per-axis
-matrix products, the same kernel as the derivatives.
+solve and the lambda minimiser, is computed from the same stencil table;
+it is the symbol of L.  Every stencil matrix is a symmetric-circulant
+problem (D^T D for d1, d2 itself): a real orthonormal Fourier basis per
+axis, `_real_fourier`, diagonalises it (Davis, Circulant Matrices, 1979;
+Strang, SIAM Review 41, 1999).  `_fourier_multiply` therefore applies a
+symbol as dense per-axis matrix products, the same kernel as the
+derivatives.
 
 Every field and tensor in memory is component-major, (c..., n0, n1, n2,
 n3), C order: the public value objects here and in `selfdual`, `rayleigh`,
@@ -139,20 +143,31 @@ _STENCILS = {
 }
 
 
-@functools.cache
-def _circulant(stencil: str, n: int, h: float) -> np.ndarray:
-    """Dense periodic n x n matrix of one stencil at spacing h, read-only.
-
-    Entries are summed as integers (offsets wrap onto each other when n < 7)
-    and divided once, so the d1 matrix is exactly antisymmetric and the d2
-    matrix exactly symmetric.
-    """
-    weights, denom, order = _STENCILS[stencil]
+def _integer_circulant(stencil: str, n: int) -> np.ndarray:
+    """A stencil's periodic n x n matrix of integer weights; offsets that wrap
+    onto one column when n < 7 are summed."""
     m = np.zeros((n, n), dtype=np.int64)
     rows = np.arange(n)
-    for offset, w in zip(range(-3, 4), weights):
+    for offset, w in zip(range(-3, 4), _STENCILS[stencil][0]):
         np.add.at(m, (rows, (rows + offset) % n), w)
-    return _freeze(m / (denom * h**order))
+    return m
+
+
+@functools.cache
+def _circulant(stencil: str, n: int, h: float) -> np.ndarray:
+    """Dense periodic n x n matrix of one stencil at spacing h, read-only:
+    "d1", "d2", or "gram", d1's Gram matrix D^T D.
+
+    Entries are summed as integers and divided once, so the d1 matrix is
+    exactly antisymmetric and the d2 matrix exactly symmetric.  The Gram
+    matrix is M^T M of d1's integer matrix M over (60 h)^2, so it is
+    exactly symmetric too.
+    """
+    if stencil == "gram":
+        m = _integer_circulant("d1", n)
+        return _freeze((m.T @ m) / (_STENCILS["d1"][1] * h) ** 2)
+    _, denom, order = _STENCILS[stencil]
+    return _freeze(_integer_circulant(stencil, n) / (denom * h**order))
 
 
 @functools.cache
@@ -224,8 +239,9 @@ def _fourier_multiply(values: np.ndarray, symbol: np.ndarray) -> np.ndarray:
 
 def _stencil_along(stencil: str, values: np.ndarray, axis: int, h: float,
                    out: np.ndarray | None, rows=None) -> np.ndarray:
-    """The one stencil kernel behind `d1` and `d2`: one C-contiguous product
-    along grid `axis`, counted from the end of the shape.
+    """The one stencil kernel behind `d1`, `d2` and `_gradient_gram`: one
+    C-contiguous product along grid `axis`, counted from the end of the
+    shape.
 
     Viewed as (pre, n, post), with post the nodes after the axis, the
     derivative is np.matmul(D, x), one D @ (n, post) block per leading
@@ -316,6 +332,18 @@ def _gradient_T(flux: np.ndarray, grid: GridSpec) -> np.ndarray:
     out = np.zeros(flux.shape[1:], dtype=flux.dtype)
     for k, h in enumerate(grid.spacing):
         out -= d1(flux[k], k, h)
+    return out
+
+
+def _gradient_gram(values: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """L = sum_k D_k^T D_k of component-major (c..., dims) values, one Gram
+    circulant per grid axis k: in exact arithmetic
+    `_gradient_T`(`_gradient`(values)), and its real-Fourier symbol is
+    `_stencil_symbol2`.  It is exactly zero on constant fields."""
+    out = _stencil_along("gram", values, 0, grid.spacing[0], None)
+    term = np.empty_like(out)
+    for k in range(1, 4):
+        out += _stencil_along("gram", values, k, grid.spacing[k], term)
     return out
 
 

@@ -60,6 +60,21 @@ each evaluation.  A start applies A once more before its first stage and
 once in the final re-evaluation, which, like rayleigh_quotient, applies A
 afresh.
 
+On the flat metric A is one operator per component.  There the
+Weitzenboeck formula on Lambda+ has no curvature term (Atiyah, Hitchin and
+Singer 1978), so (d+d*)^2 = nabla*nabla, and the discrete chains agree
+exactly, not only to order h^6.  The eta pairs are constant with
+orthonormal columns P, the stencils D_k are antisymmetric and commute, so
+on a self-dual 2-form d* gives the same D_k combinations as d and the
+Hodge chain 2 P^T d^T d P equals P^T (d^T d + d d^T) P = L, with
+L = sum_k D_k^T D_k on each component; the Dirichlet chain is the gradient
+and its transpose, L again.  So A sigma = h^4 (s L(s sigma) + c L(c sigma)),
+and the modulus term is h^4 <rho, L rho>.  Both apply L through
+`grid._gradient_gram`, one Gram circulant per axis, which is exactly zero
+on constant fields; they agree with the two chains to roundoff
+(about 4e-16 relative).  The Weitzenboeck residual, which checks that the
+chains agree, keeps both on every metric.
+
 The minimiser's state (x, A x, the gradient, the search direction), its
 kernels, `ThetaField` and `LambdaResult.minimizer` have the one in-memory
 layout of `grid`, (3, n0, n1, n2, n3): each component is one contiguous
@@ -80,6 +95,7 @@ from .grid import (
     _freeze,
     _gradient,
     _gradient_T,
+    _gradient_gram,
     _real_fourier,
     _stencil_symbol2,
 )
@@ -188,8 +204,24 @@ def _apply_quadratic(comps: np.ndarray, theta: ThetaField, m: MetricField) -> np
     ||(d+d*)(s sigma)||^2 + ||nabla(c sigma)||^2 (plain sum, A symmetric):
     the two energies' transpose chains, without their sums.  Each energy's
     gradient is twice its chain times the cell volume, and A sigma is half
-    the sum, so the chains are scaled by the cell volume alone."""
+    the sum, so the chains are scaled by the cell volume alone.
+
+    On the flat metric both chains are L = sum_k D_k^T D_k on each
+    component (module docstring), so A sigma = cell (s L(s sigma) +
+    c L(c sigma)), one `grid._gradient_gram` pass for each of s sigma and
+    c sigma."""
     cell = m.grid.cell_volume
+    if m.is_flat:
+        # two (3, dims) passes: one stacked (2, 3, dims) pass was slower at
+        # 8^4 and 16^4, as its larger temporaries make glibc trim and
+        # re-fault the heap on every application
+        out = _gradient_gram(theta.s * comps, m.grid)
+        out *= theta.s
+        lc = _gradient_gram(theta.c * comps, m.grid)
+        lc *= theta.c
+        out += lc
+        out *= cell
+        return out
     g1 = _hodge_transpose(_hodge_forward(theta.s * comps, m)[1], m)
     g1 *= cell
     g2 = _nabla_T(_dirichlet_forward(theta.c * comps, m)[1], m)
@@ -209,16 +241,26 @@ def _quadratic_energy(comps: np.ndarray, theta: ThetaField, m: MetricField) -> f
 def _modulus_term(comps: np.ndarray, norm2: np.ndarray, m: MetricField, eps: float):
     """The quotient's smoothed term 2 ||nabla|sigma|_eps||^2, given
     norm2 = |sigma|^2, and a function that forms its gradient in the
-    components from this evaluation's arrays."""
+    components from this evaluation's arrays.
+
+    On the flat metric the flux of d rho is d rho itself, so the energy is
+    <rho, L rho> h^4 and its gradient in rho is 2 h^4 L rho, with
+    L = sum_k D_k^T D_k from `grid._gradient_gram`: one pass, and no
+    (4, dims) gradient."""
     grid = m.grid
     r = np.sqrt(norm2 + eps * eps)
     # integral |d rho|^2 dmu for rho = |sigma|_eps, through the flux vol g^-1 d rho
-    drho = _gradient(r - eps, grid)
-    flux = _flux(drho, m)
-    e3 = float(np.sum(drho * flux)) * grid.cell_volume
+    if m.is_flat:
+        rho = r - eps
+        lap = _gradient_gram(rho, grid)
+        e3 = float(np.sum(rho * lap)) * grid.cell_volume
+    else:
+        drho = _gradient(r - eps, grid)
+        flux = _flux(drho, m)
+        e3 = float(np.sum(drho * flux)) * grid.cell_volume
 
     def grad() -> np.ndarray:
-        g3s = _gradient_T(flux, grid)
+        g3s = lap.copy() if m.is_flat else _gradient_T(flux, grid)
         g3s *= 2.0 * grid.cell_volume
         unit = np.divide(comps, r, out=np.zeros_like(comps), where=r > 0)
         return 2.0 * g3s * unit

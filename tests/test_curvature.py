@@ -301,8 +301,9 @@ def textbook_curvature(g, spacing, d1=roll_d1, d2=roll_d2):
     ddg -> Riemann -> Ricci -> Weyl -> frame, from the first and second
     derivatives d1 and d2 (np.roll stencils by default).  It shares no code
     with the package; the eta basis, the Christoffel symbols and the
-    stencils are written out here and in conftest."""
-    gi = np.linalg.inv(g)
+    stencils are written out here and in conftest.  The derivatives of g
+    are taken on the whole grid, and the pointwise chain runs one axis-0
+    slab at a time, so that no other (dims, 4, 4, 4, 4) tensor is formed."""
     dg = [d1(g, k, h) for k, h in enumerate(spacing)]
     gam = textbook_christoffel(g, spacing, d1)
     ddg = np.empty(g.shape[:4] + (4, 4, 4, 4))
@@ -312,6 +313,18 @@ def textbook_curvature(g, spacing, d1=roll_d1, d2=roll_d2):
                 ddg[..., i, i, :, :] = d2(g, i, spacing[i])
             else:
                 ddg[..., i, j, :, :] = d1(dg[max(i, j)], min(i, j), spacing[min(i, j)])
+    del dg
+    scal = np.empty(g.shape[:4])
+    wplus = np.empty(g.shape[:4] + (3, 3))
+    for i in range(g.shape[0]):
+        scal[i], wplus[i] = _textbook_slab_curvature(g[i], gam[i], ddg[i])
+    return scal, wplus
+
+
+def _textbook_slab_curvature(g, gam, ddg):
+    """R and W+ of `textbook_curvature` at the nodes of one slab, from g, the
+    Christoffel symbols and the second derivatives of g there."""
+    gi = np.linalg.inv(g)
     riem = 0.5 * (np.einsum("...jkil->...ijkl", ddg) + np.einsum("...iljk->...ijkl", ddg)
                   - np.einsum("...jlik->...ijkl", ddg) - np.einsum("...ikjl->...ijkl", ddg))
     riem += np.einsum("...np,...njk,...pil->...ijkl", g, gam, gam, optimize=True)

@@ -9,8 +9,10 @@ from monolab.grid import (
     _circulant,
     _gradient,
     _gradient_T,
+    _gradient_gram,
     _real_fourier,
     _slab_stencils,
+    _stencil_along,
     _stencil_symbol2,
     d1,
     d2,
@@ -80,6 +82,22 @@ def test_d1_symbol_matches_circulant_spectrum():
             want = np.fft.fft(c[0]).imag[j] ** 2
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
             assert np.all(got[(j == 0) | (2 * j == n)] == 0.0)
+
+
+def test_gram_circulant_is_symmetric_with_the_symbol_as_its_spectrum():
+    # D^T D is summed in integers and divided once, so it is exactly
+    # symmetric; the real Fourier basis
+    # diagonalises it with the symbol's axis-k line, s_k^2, on the diagonal.
+    # Below 7 nodes the stencil wraps onto itself
+    for dims in ((4, 5, 6, 7), (8, 9, 16, 7)):
+        grid = GridSpec(dims, (1.0, 2.0, 3.0, 4.0))
+        k2 = _stencil_symbol2(grid)
+        for ax, (n, h) in enumerate(zip(grid.dims, grid.spacing)):
+            gram = _circulant("gram", n, h)
+            assert np.array_equal(gram, gram.T)
+            q = _real_fourier(n)[0]
+            got = k2[(0,) * ax + (slice(None),) + (0,) * (3 - ax)]
+            assert np.max(np.abs(q.T @ gram @ q - np.diag(got))) <= 1e-12 * np.max(got)
 
 
 def test_d1_constant_is_zero():
@@ -226,3 +244,28 @@ def test_gradient_pair_is_adjoint(dims, periods, tail):
     lhs = np.sum(df * flux)
     rhs = np.sum(f * _gradient_T(flux, g))
     assert abs(lhs - rhs) <= 1e-12 * np.sum(np.abs(df * flux))
+
+
+# every KERNEL_CASES grid plus one whose axes are shorter than the stencil
+GRAM_CASES = KERNEL_CASES + [((4, 5, 6, 9), (1.0, 2.0, 3.0, 4.0), (3,))]
+
+
+@pytest.mark.parametrize("dims, periods, tail", GRAM_CASES)
+def test_gradient_gram_matches_the_gradient_pair(dims, periods, tail):
+    # L = sum_k D_k^T D_k in one pass per axis is the gradient followed by
+    # its transpose, to roundoff
+    g = GridSpec(dims, periods)
+    f = np.random.default_rng(15).standard_normal(tail + dims)
+    assert rel_err(_gradient_gram(f, g), _gradient_T(_gradient(f, g), g)) < 1e-13
+
+
+@pytest.mark.parametrize("dims, periods, tail", GRAM_CASES)
+def test_gradient_gram_is_exactly_zero_along_constant_axis(dims, periods, tail):
+    g = GridSpec(dims, periods)
+    rng = np.random.default_rng(16)
+    for axis, h in enumerate(g.spacing):
+        shape = list(tail + dims)
+        shape[len(tail) + axis] = 1
+        v = np.broadcast_to(rng.standard_normal(shape), tail + dims) + 1e3
+        assert np.array_equal(_stencil_along("gram", v, axis, h, None), np.zeros_like(v))
+    assert np.array_equal(_gradient_gram(np.full(tail + dims, 0.7), g), np.zeros(tail + dims))

@@ -8,12 +8,14 @@ import pytest
 from monolab import rayleigh
 from monolab.cli import main
 from monolab.curvature import build_metric, curvature_stack
-from monolab.grid import GridSpec, _fourier_multiply
+from monolab.grid import GridSpec, _fourier_multiply, _gradient, _gradient_T
 from monolab.presets import metric_from_preset, random_smooth_scalar, theta_from_preset
 from monolab.rayleigh import (
     LambdaOptions,
     ThetaField,
     _apply_quadratic,
+    _comp_norm2,
+    _modulus_term,
     _random_start,
     _sphere_symbol,
     assemble_K,
@@ -23,9 +25,15 @@ from monolab.rayleigh import (
     theta_from_angle,
     theta_from_sc,
 )
-from monolab.selfdual import SelfDualField
+from monolab.selfdual import (
+    SelfDualField,
+    _dirichlet_forward,
+    _hodge_forward,
+    _hodge_transpose,
+    _nabla_T,
+)
 
-from conftest import layout, mean_abs_scalar, pack, pulled_back_flat_chart
+from conftest import layout, mean_abs_scalar, pack, pulled_back_flat_chart, rel_err
 
 TRIMMED = LambdaOptions(n_random=2, epsilons=(1e-3, 1e-6), max_iter=60)
 
@@ -379,6 +387,61 @@ def test_carried_image_matches_a_fresh_application(grid8, monkeypatch, metric, t
     minimize_lambda(th, m, mean_abs_scalar(curvature_stack(m)), opts)
     assert len(errors) == 5 * (3 + opts.n_random)
     assert max(errors) <= 1e-12
+
+
+# 8^4, and a non-cubic grid with unequal periods and a 5-node axis, on
+# which the stencil wraps onto itself
+FLAT_GRIDS = [GridSpec((8,) * 4), GridSpec((5, 8, 9, 12), (6.0, 7.0, 5.5, 8.0))]
+
+
+def flat_input(grid):
+    """The flat metric, a non-constant theta and a random sigma."""
+    m = metric_from_preset("flat", grid)
+    rng = np.random.default_rng(21)
+    theta = theta_from_angle(random_smooth_scalar(grid, rng, fmax=2, amp=3.0), m)
+    return m, theta, rng.standard_normal((3,) + grid.dims)
+
+
+@pytest.mark.parametrize("grid", FLAT_GRIDS, ids=lambda g: "x".join(map(str, g.dims)))
+def test_flat_operator_matches_the_two_chains(grid):
+    # on the flat metric A sigma is s L(s sigma) + c L(c sigma) times h^4,
+    # one Gram pass per axis, and equals the Hodge and Dirichlet chains
+    m, th, x = flat_input(grid)
+    cell = grid.cell_volume
+    hodge = _hodge_transpose(_hodge_forward(th.s * x, m)[1], m)
+    dirichlet = _nabla_T(_dirichlet_forward(th.c * x, m)[1], m)
+    want = cell * (th.s * hodge + th.c * dirichlet)
+    assert rel_err(_apply_quadratic(x, th, m), want) < 1e-13
+
+
+@pytest.mark.parametrize("grid", FLAT_GRIDS, ids=lambda g: "x".join(map(str, g.dims)))
+def test_flat_modulus_term_matches_the_gradient_chain(grid):
+    # 2 ||d rho||^2 h^4 and its gradient 4 h^4 d^T d rho sigma / r, with the
+    # gradient and its transpose, against the one Gram pass
+    m, _, x = flat_input(grid)
+    cell = grid.cell_volume
+    eps = 1e-3
+    r = np.sqrt(_comp_norm2(x) + eps * eps)
+    drho = _gradient(r - eps, grid)
+    energy = 2.0 * float(np.sum(drho * drho)) * cell
+    grad = 4.0 * cell * _gradient_T(drho, grid) * x / r
+    got, got_grad = _modulus_term(x, _comp_norm2(x), m, eps)
+    assert abs(got - energy) < 1e-13 * energy
+    assert rel_err(got_grad(), grad) < 1e-13
+
+
+def test_flat_lambda_runs_no_hodge_or_gradient_chain(m8, monkeypatch):
+    # the flat minimiser applies A and the modulus term through the Gram
+    # pass alone; theta is built before the chains are taken away
+    th = theta_from_preset("coord:0", m8)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the flat lambda ran a chain the Gram pass replaces")
+
+    for name in ("_hodge_forward", "_dirichlet_forward", "_gradient", "_gradient_T"):
+        monkeypatch.setattr(rayleigh, name, forbidden)
+    res = minimize_lambda(th, m8, opts=TRIMMED)
+    assert 0.05 <= res.lam <= keff2(m8.grid.spacing[0]) + 1e-9
 
 
 def mode_loop_start(grid, rng):

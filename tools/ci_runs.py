@@ -85,6 +85,11 @@ BYTE_ROWS = {
     "lambda12_threads": (THREADS, ["lambda", "--dims", "12", "--metric", "file:generic12.zip",
                                    "--theta", "coord:1", "--multistarts", "1",
                                    "--out", "lambda.json", "--dump", "minimizer.zip"]),
+    # the flat metric's lambda applies its operator as one Gram circulant
+    # per axis, a path no generic-metric row runs; about 0.2 s per run
+    "lambda12_flat_threads": (THREADS, ["lambda", "--dims", "12", "--theta", "coord:0",
+                                        "--multistarts", "1",
+                                        "--out", "lambda.json", "--dump", "minimizer.zip"]),
     # the curvature stack's stencils are batched matrix products on
     # component-major axis-0 slabs, a BLAS path of their own
     "curvature16_threads": (THREADS, ["curvature", "--dims", "16", "--metric", CONFORMAL,
