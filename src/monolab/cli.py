@@ -425,12 +425,10 @@ def _run_lambda(args):
 
     grid, m = _geometry(args)
     theta = theta_from_preset(args.theta, m)
-    # the minimiser reads only mean |R|, so no curvature bundle outlives this line
-    scale = float(np.mean(np.abs(curvature_stack(m).scalar.values)))
     opts = LambdaOptions(
         n_random=args.multistarts, max_iter=args.max_iter, tol=args.tol, seed=args.seed
     )
-    res = minimize_lambda(theta, m, scale, opts)
+    res = minimize_lambda(theta, m, opts)
     outputs = {
         "lambda": res.lam,
         "epsilon_final": res.epsilon_final,

@@ -33,10 +33,10 @@ from .grid import _worst_node, integrate
 from .rayleigh import (
     KField,
     ThetaField,
+    _apply_quadratic,
     _comp_norm2,
     _curvature_weight,
-    _modulus_term,
-    _quadratic_energy,
+    _numerator,
     beta,
 )
 from .selfdual import (
@@ -485,8 +485,9 @@ def key_inequality_check(cfg: MonopoleConfig, theta: ThetaField) -> InequalityRe
     m = cfg.metric
     sigma = sigma_map(cfg.phi)
     comps = sigma.comps
-    smooth = _modulus_term(comps, _comp_norm2(comps), m, 0.0)[0]
-    lhs = _quadratic_energy(comps, theta, m) + smooth
+    # the quotient's numerator, as the minimiser evaluates it
+    a_comps = _apply_quadratic(comps, theta, m)
+    lhs = _numerator(comps, a_comps, _comp_norm2(comps), m, 0.0)[0]
 
     weight = (
         _curvature_weight(cfg.curv.scalar.values, cfg.curv.w.values, theta.s**2)

@@ -201,7 +201,7 @@ def scalar_from_expression(text: str, grid: GridSpec) -> np.ndarray:
 
 
 def _load_container(path: str, grid: GridSpec) -> dict:
-    """The arrays of a field container stored on `grid`."""
+    """The arrays of a field container stored on `grid`, all of them real."""
     try:
         fgrid, arrays, _ = load_fields(path)
     except (zipfile.BadZipFile, KeyError, ValueError) as exc:
@@ -209,6 +209,10 @@ def _load_container(path: str, grid: GridSpec) -> dict:
         raise PresetError(f"{path}: not a readable field container ({exc})") from None
     if not fgrid.compatible(grid):
         raise PresetError(f"{path}: stored grid {fgrid.dims} != {grid.dims}")
+    for name, values in arrays.items():
+        # a cast to float would keep the real part and only warn
+        if np.iscomplexobj(values):
+            raise PresetError(f"{path}: array {name!r} is complex; fields must be real")
     return arrays
 
 

@@ -20,9 +20,9 @@ upper-bound estimate, never a certified continuum value.
 
 The conjugate gradient is preconditioned by the flat symbol
 1/(mu + |s|^2), with |s|^2 the d1 symbol of `grid` and mu the chart's
-`GridSpec.spectral_scale`, plus a given curvature scale, the metric's mean |R|
-(Absil, Mahony and Sepulchre 2008, ch. 8; Knyazev 2001), applied in the
-real Fourier basis of `grid._real_fourier` by `grid._fourier_multiply`.
+`GridSpec.spectral_scale` (Absil, Mahony and Sepulchre 2008, ch. 8;
+Knyazev 2001), applied in the real Fourier basis of `grid._real_fourier`
+by `grid._fourier_multiply`.
 The symbol is zero on the exact half-frequency planes, the alternating
 column of each even axis (frequency j with 2 j = n), to which the centred
 first difference is blind, so the preconditioner also keeps every search
@@ -229,15 +229,6 @@ def _apply_quadratic(comps: np.ndarray, theta: ThetaField, m: MetricField) -> np
     return theta.s * g1 + theta.c * g2
 
 
-def _quadratic_energy(comps: np.ndarray, theta: ThetaField, m: MetricField) -> float:
-    """<sigma, A sigma> as the sum of the two energies, without applying A."""
-    cell = m.grid.cell_volume
-    tau, wtau = _hodge_forward(theta.s * comps, m)
-    energy = float(np.sum(tau * wtau)) * cell
-    nab, flux = _dirichlet_forward(theta.c * comps, m)
-    return energy + float(np.sum(nab * flux)) * cell
-
-
 def _modulus_term(comps: np.ndarray, norm2: np.ndarray, m: MetricField, eps: float):
     """The quotient's smoothed term 2 ||nabla|sigma|_eps||^2, given
     norm2 = |sigma|^2, and a function that forms its gradient in the
@@ -369,11 +360,11 @@ class LambdaResult:
 _START_BANDWIDTH = 2
 
 
-def _sphere_symbol(grid: GridSpec, mu: float) -> np.ndarray:
+def _sphere_symbol(grid: GridSpec) -> np.ndarray:
     """Flat preconditioner symbol 1/(mu + |s|^2) in `_stencil_symbol2`'s
-    layout, zero on the half-frequency planes that the centred first
-    difference cannot see."""
-    symbol = 1.0 / (mu + _stencil_symbol2(grid))
+    layout, with mu = `GridSpec.spectral_scale`, zero on the half-frequency
+    planes that the centred first difference cannot see."""
+    symbol = 1.0 / (grid.spectral_scale + _stencil_symbol2(grid))
     for ax, n in enumerate(grid.dims):
         half = 2 * _real_fourier(n)[1] == n
         symbol[(slice(None),) * ax + (half,)] = 0.0
@@ -417,7 +408,7 @@ def _trial(x, ax, p, ap, alpha, m, eps, bw):
     return q, xn, axn, grad
 
 
-def _stage(x, ax, theta, m, eps, bw, symbol, max_iter, tol, scale):
+def _stage(x, ax, theta, m, eps, bw, symbol, max_iter, tol):
     """One smoothing stage of preconditioned sphere-constrained conjugate
     gradient from x, with ax = A x carried in; returns (x, ax, history,
     converged, quotient evaluations, applications of A, rejected trials,
@@ -436,16 +427,18 @@ def _stage(x, ax, theta, m, eps, bw, symbol, max_iter, tol, scale):
     10% from alpha and below 4 alpha, and the lower of the two points is
     kept.  Trials evaluate q alone; the gradient is formed once, at the
     kept point.  The stage has converged once <g, P g> <= tol * max(|q|,
-    scale), at entry or after a step: a unit preconditioned step would
-    lower q by about half that.  Two drops of q below the same threshold
-    also stop it, as converged; a line search whose 50 trials all fail
-    stops it unconverged.  Each iteration applies A once, to p; the entry
-    and the trials reuse the carried ax (see the module docstring).
+    mu), with mu = `GridSpec.spectral_scale`, at entry or after a step: a
+    unit preconditioned step would lower q by about half that.  Two drops
+    of q below the same threshold also stop it, as converged; a line search
+    whose 50 trials all fail stops it unconverged.  Each iteration applies
+    A once, to p; the entry and the trials reuse the carried ax (see the
+    module docstring).
     """
 
     def tangent(v, x):
         return v - float(np.sum(v * (bw * x))) * x
 
+    mu = m.grid.spectral_scale
     nrm = _bnorm(x, bw)
     x, ax = x / nrm, ax / nrm
     q, grad = _quotient(x, ax, m, eps, bw)
@@ -459,7 +452,7 @@ def _stage(x, ax, theta, m, eps, bw, symbol, max_iter, tol, scale):
     history = [q]
     q_prev = None
     stall = 0
-    converged = gz <= tol * max(abs(q), scale)
+    converged = gz <= tol * max(abs(q), mu)
     for _ in range(0 if converged else max_iter):
         # Armijo on the true directional derivative <g, p>
         dphi = float(np.sum(g * p))
@@ -505,7 +498,7 @@ def _stage(x, ax, theta, m, eps, bw, symbol, max_iter, tol, scale):
         q_prev = q
         x, ax, q, g, z, gz = xn, axn, qn, gn, zn, gzn
         history.append(q)
-        threshold = tol * max(abs(q), scale)
+        threshold = tol * max(abs(q), mu)
         stall = stall + 1 if q_prev - q <= threshold else 0
         if gz <= threshold or stall >= 2:
             converged = True
@@ -516,23 +509,19 @@ def _stage(x, ax, theta, m, eps, bw, symbol, max_iter, tol, scale):
 def minimize_lambda(
     theta: ThetaField,
     m: MetricField,
-    curvature_scale: float = 0.0,
     opts: LambdaOptions | None = None,
 ) -> LambdaResult:
     """Multistart minimisation of the quotient; returns the best find.
 
     Starts are the three constant basis forms plus seeded random
     low-frequency fields; each runs through the smoothing schedule.  The
-    curvature enters only through `curvature_scale`, the mean |R| of the
-    metric over its nodes, which with the grid's spectral scale sets the
-    absolute convergence scale mu, also the preconditioner's shift (the
-    quotient itself contains no curvature).
+    grid's spectral scale mu is both the preconditioner's shift and the
+    stop rule's absolute floor; the quotient contains no curvature.
     """
     opts = opts or LambdaOptions()
     grid = m.grid
     bw = m.vol * grid.cell_volume
-    scale = grid.spectral_scale + curvature_scale
-    symbol = _sphere_symbol(grid, scale)
+    symbol = _sphere_symbol(grid)
     resolved = symbol > 0.0
 
     # the constant starts already lie in the resolved subspace; the random
@@ -564,7 +553,7 @@ def minimize_lambda(
         operator_applies += 2  # ax above and the final re-evaluation
         for eps in opts.epsilons:
             x, ax, hist, conv, evals, applies, backtracks, gpg = _stage(
-                x, ax, theta, m, eps, bw, symbol, opts.max_iter, opts.tol, scale
+                x, ax, theta, m, eps, bw, symbol, opts.max_iter, opts.tol
             )
             history.extend(hist)
             run_converged = run_converged and conv

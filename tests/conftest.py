@@ -122,12 +122,6 @@ def textbook_lambda2(a):
             - a[..., pi[:, None], pj] * a[..., pj[:, None], pi])
 
 
-def mean_abs_scalar(curv):
-    """Mean |R| over the nodes of a curvature bundle: the lambda
-    minimiser's curvature scale, as `monolab.cli` computes it."""
-    return float(np.mean(np.abs(curv.scalar.values)))
-
-
 def rel_err(x, ref):
     """Largest deviation relative to the largest reference entry."""
     return np.max(np.abs(x - ref)) / np.max(np.abs(ref))

@@ -319,6 +319,11 @@ _BAD_FIELDS = {
     "non-unit-sc": lambda x0: {"s": np.zeros_like(x0), "c": np.full_like(x0, 2.0)},
     "inf-sc": lambda x0: {"s": np.where(x0 > 3.0, np.inf, 0.0), "c": np.ones_like(x0)},
     "wrong-shape-theta": lambda x0: {"theta": x0[..., :4]},
+    # a cast to float would keep the real part and only warn
+    "complex-g": lambda x0: {"g": (1.0 + 1e-3j) * np.broadcast_to(np.eye(4), x0.shape + (4, 4))},
+    "complex-theta": lambda x0: {"theta": x0 + 1e-3j},
+    "complex-s": lambda x0: {"s": np.sin(x0) + 1e-3j, "c": np.cos(x0)},
+    "complex-c": lambda x0: {"s": np.sin(x0), "c": np.cos(x0) + 1e-3j},
 }
 
 
@@ -353,6 +358,8 @@ def test_bad_field_container_exit_2(tmp_path, capsys, fault):
         assert code == 2
         assert err.startswith("monolab: config error:") and err.count("\n") == 1
         assert str(path) in err
+        if fault.startswith("complex-"):
+            assert repr(fault.removeprefix("complex-")) in err
 
 
 def test_gate_errors_exit_1(capsys):
@@ -512,6 +519,18 @@ def test_lambda_report(tmp_path, capsys):
     assert 0 < out["operator_applies"] <= out["quotient_evals"]
     _, arrays, _ = load_fields(dump)
     assert arrays["minimizer"].shape == (8, 8, 8, 8, 3)
+
+
+def test_lambda_builds_no_curvature_stack(monkeypatch, capsys):
+    # the quotient is a functional of g, theta and sigma alone
+    def refuse(m):
+        raise AssertionError("lambda built the curvature stack")
+
+    monkeypatch.setattr(cli, "curvature_stack", refuse)
+    code, report = run(capsys, ["lambda", "--dims", "8", "--metric", "conformal:0.1*sin(x0)",
+                                "--theta", "coord:1", "--multistarts", "0", "--max-iter", "5"])
+    assert code == 0
+    assert report["outputs"]["lambda"] > 0.0
 
 
 def test_psw_residual_report(capsys):

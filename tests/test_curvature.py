@@ -35,7 +35,6 @@ from conftest import (
     generic_metric,
     layout,
     pack,
-    mean_abs_scalar,
     rel_err,
     roll_d1,
     roll_d2,
@@ -620,8 +619,7 @@ def test_metric_keeps_only_what_every_application_reads():
     weitzenboeck_residual(sigma, m, curv)
     theta = theta_from_preset("coord:1", m)
     integral_identity_check_s(sigma, theta, m, curv)
-    minimize_lambda(theta, m, mean_abs_scalar(curv),
-                    LambdaOptions(n_random=0, epsilons=(1e-3,), max_iter=5))
+    minimize_lambda(theta, m, opts=LambdaOptions(n_random=0, epsilons=(1e-3,), max_iter=5))
     # the symmetric g and flux weight and the upper-triangular factor are
     # packed, 10 planes each: no (4, 4, dims) array is kept
     shapes = {"g": (10,), "coframe": (10,), "flux_weight": (10,), "vol": (),

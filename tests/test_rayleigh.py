@@ -33,7 +33,7 @@ from monolab.selfdual import (
     _nabla_T,
 )
 
-from conftest import layout, mean_abs_scalar, pack, pulled_back_flat_chart, rel_err
+from conftest import layout, pack, pulled_back_flat_chart, rel_err
 
 TRIMMED = LambdaOptions(n_random=2, epsilons=(1e-3, 1e-6), max_iter=60)
 
@@ -184,13 +184,13 @@ def test_minimize_flat_constant_theta(m8):
     assert abs(res.lam - check) < 1e-12 * max(1.0, res.lam)
 
 
-def test_constant_starts_give_exact_zero_on_constant_theta(m8, curv8):
+def test_constant_starts_give_exact_zero_on_constant_theta(m8):
     # lambda --dims 8 --theta const:0.2 --multistarts 1 --max-iter 50: a
     # field constant on every axis already lies in the stencil-resolved
     # subspace, so the constant starts are not projected, and the stencils
     # and the modulus term vanish on them exactly
-    res = minimize_lambda(theta_from_preset("const:0.2", m8), m8, mean_abs_scalar(curv8),
-                          LambdaOptions(n_random=1, max_iter=50, seed=0))
+    res = minimize_lambda(theta_from_preset("const:0.2", m8), m8,
+                          opts=LambdaOptions(n_random=1, max_iter=50, seed=0))
     assert res.lam == 0.0
     assert res.start_values[:3] == (0.0, 0.0, 0.0)
     assert res.start_gpg[:3] == (0.0, 0.0, 0.0)
@@ -209,8 +209,7 @@ def test_tied_starts_keep_the_earliest(n, preset):
     # and ...0126), so the lowest one would pick the dumped minimizer by
     # roundoff; the eta_1 constant is kept
     m = metric_from_preset("flat", GridSpec((n,) * 4))
-    res = minimize_lambda(theta_from_preset(preset, m), m, mean_abs_scalar(curvature_stack(m)),
-                          LambdaOptions(n_random=0))
+    res = minimize_lambda(theta_from_preset(preset, m), m, opts=LambdaOptions(n_random=0))
     comps = res.minimizer.comps
     assert res.lam == res.start_values[0]
     assert comps[0].min() == comps[0].max() != 0.0
@@ -261,7 +260,7 @@ def test_pulled_back_flat_lambda_and_scalar_converge():
     for n in (8, 12):
         theta, m = pulled_back_input(n)
         curv = curvature_stack(m)
-        res = minimize_lambda(theta, m, mean_abs_scalar(curv), LambdaOptions(n_random=2))
+        res = minimize_lambda(theta, m, opts=LambdaOptions(n_random=2))
         lam_errs.append(abs(res.lam - 1.0))
         r_errs.append(np.max(np.abs(curv.scalar.values)))
     # measured: orders 5.84 for lambda and 5.24 for R
@@ -294,9 +293,8 @@ def test_constant_starts_stop_at_entry(m8):
 
 def test_lambda8_input_evaluation_count(m8):
     # lambda --dims 8 --theta coord:0 --multistarts 4 --seed 0
-    scale = mean_abs_scalar(curvature_stack(m8))
-    res = minimize_lambda(theta_from_preset("coord:0", m8), m8, scale,
-                          LambdaOptions(n_random=4, seed=0))
+    res = minimize_lambda(theta_from_preset("coord:0", m8), m8,
+                          opts=LambdaOptions(n_random=4, seed=0))
     assert res.quotient_evals <= 300
     assert sum(res.start_evals) == res.quotient_evals
     assert len(res.start_evals) == len(res.start_converged) == len(res.start_values) == 7
@@ -313,9 +311,7 @@ def test_conformal_lambda_starts_converge(grid8):
     # the input of lambda --dims 8 --theta coord:1 --metric conformal:0.1*sin(x0)
     # --multistarts 2, with the library's default seed
     m = metric_from_preset("conformal:0.1*sin(x0)", grid8)
-    scale = mean_abs_scalar(curvature_stack(m))
-    res = minimize_lambda(theta_from_preset("coord:1", m), m, scale,
-                          LambdaOptions(n_random=2))
+    res = minimize_lambda(theta_from_preset("coord:1", m), m, opts=LambdaOptions(n_random=2))
     assert abs(res.lam - 0.9805943309092787) <= 1e-8 * 0.9805943309092787
     assert res.start_converged == (True,) * 5
     assert res.quotient_evals <= 230  # measured: 209
@@ -339,8 +335,7 @@ def test_curved_random_starts_converge(make, args, bound):
     # random starts on these curved charts crawled down a nearly flat valley
     # to the iteration cap when each trial step was the first Armijo point
     theta, m = make(*args)
-    res = minimize_lambda(theta, m, mean_abs_scalar(curvature_stack(m)),
-                          LambdaOptions(n_random=2, seed=11))
+    res = minimize_lambda(theta, m, opts=LambdaOptions(n_random=2, seed=11))
     assert res.start_converged == (True,) * 5
     assert res.operator_applies <= bound
 
@@ -384,7 +379,7 @@ def test_carried_image_matches_a_fresh_application(grid8, monkeypatch, metric, t
     monkeypatch.setattr(rayleigh, "_stage", checked)
     m = metric_from_preset(metric, grid8)
     th = theta_from_preset(theta, m)
-    minimize_lambda(th, m, mean_abs_scalar(curvature_stack(m)), opts)
+    minimize_lambda(th, m, opts=opts)
     assert len(errors) == 5 * (3 + opts.n_random)
     assert max(errors) <= 1e-12
 
@@ -493,9 +488,10 @@ def test_fourier_multiply_matches_per_component_transforms(tail):
     # the FFT reference shares no code with the real-basis products; a
     # stacked field and each of its scalar components get equal bits
     grid = GridSpec((7, 8, 9, 6))
-    symbol = _sphere_symbol(grid, 1.0)
+    symbol = _sphere_symbol(grid)
     values = np.random.default_rng(5).standard_normal(tail + grid.dims)
     got = _fourier_multiply(values, symbol)
+    # mu is the grid's spectral scale, (2 pi / L)^2 = 1 on 2 pi periods
     want = fft_sphere_multiply(values, grid, 1.0)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     for idx in np.ndindex(*tail):
@@ -511,14 +507,14 @@ def test_preconditioner_kills_blind_mode(grid8):
     alt = np.cos(np.pi * np.arange(n))
     blind = alt[:, None, None, None] * alt[None, :, None, None] * np.ones(grid8.dims)
     comps = np.stack([blind, np.zeros_like(blind), np.zeros_like(blind)])
-    symbol = _sphere_symbol(grid8, 1.0)
+    symbol = _sphere_symbol(grid8)
     assert np.max(np.abs(_fourier_multiply(comps, symbol))) < 1e-12
     assert np.max(np.abs(_fourier_multiply(comps, symbol > 0))) < 1e-12
     smooth = smooth_sigma(grid8, 8).comps
     assert np.max(np.abs(_fourier_multiply(smooth, symbol > 0) - smooth)) < 1e-10
     # odd axes have no half frequency; on even ones the zeros are exactly the
     # planes of the alternating mode, the last column of the real basis
-    zero = _sphere_symbol(GridSpec((7, 8, 9, 8)), 1.0) == 0.0
+    zero = _sphere_symbol(GridSpec((7, 8, 9, 8))) == 0.0
     want = np.zeros((7, 8, 9, 8), dtype=bool)
     want[:, 7] = True
     want[..., 7] = True
@@ -528,10 +524,8 @@ def test_preconditioner_kills_blind_mode(grid8):
 def test_minimize_kaehler_constant_theta():
     g = GridSpec((8,) * 4)
     m = metric_from_preset("kaehler-product:0.3*sin(x2)", g)
-    curv = curvature_stack(m)
     opts = LambdaOptions(n_random=0, epsilons=(1e-3, 1e-6), max_iter=30)
-    res = minimize_lambda(theta_from_preset("const:0.0", m), m,
-                          curvature_scale=mean_abs_scalar(curv), opts=opts)
+    res = minimize_lambda(theta_from_preset("const:0.0", m), m, opts=opts)
     assert res.lam <= 1e-5
 
 

@@ -60,12 +60,15 @@ CEILINGS = {
     # live columns gathered and scattered on every iteration, 730-734 MiB
     # with the Gram matrix of stored pairs formed and the PCG state kept
     "hodge_generic": (["hodge", "--dims", "24", "--metric", "file:generic24.zip"], 426),
-    # measured 454-458 MiB with g written packed by the preset and the eta
-    # pairs formed in blocks of 8192 nodes, 464-468 MiB with a full g built for
+    # measured 451-458 MiB and about 8 s with no curvature stack built (the
+    # minimiser's peak sets it), 456 MiB and 9-11 s with the stack built
+    # for its mean |R| and dropped before the minimisation; 454-458 MiB
+    # with g written packed by the preset and the eta pairs formed in
+    # blocks of 8192 nodes, 464-468 MiB with a full g built for
     # build_metric to pack; 464 MiB with g, its factor and the flux weight
     # packed and no curvature bundle held through the minimisation,
     # 533-538 MiB with them full and the bundle held, 566-573 MiB with a
-    # Hodge weight on 3-forms cached (16 planes) too; about 9 s
+    # Hodge weight on 3-forms cached (16 planes) too
     "lambda_short": (["lambda", "--dims", "24", "--metric", CONFORMAL, "--theta", "coord:1",
                       "--multistarts", "0", "--max-iter", "5"], 511),
 }
