@@ -5,10 +5,13 @@ its geometry from presets; each runs one family of checks and emits a
 schema-versioned JSON report (stdout or --out).  A JSON config file
 passed with --config overrides command-line flags, so a saved config
 always reproduces the run it came from regardless of what was typed
-next to it.  One option table, `_COMMANDS`, drives argparse,
-the parsing of flag and config values and the config block each report
-records.  Exit codes: 0 success, 1 invariant-gate or numerical failure,
-2 config/parse errors.
+next to it.  An option is a value the code cannot work out itself:
+`lebrun` takes no lambda, but folds into its curvature weight the lambda
+that the minimiser finds for its own metric and theta, and reports that
+search as `lambda` reports it.  One option table, `_COMMANDS`, drives
+argparse, the parsing of flag and config values and the config block
+each report records.  Exit codes: 0 success, 1 invariant-gate or
+numerical failure, 2 config/parse errors.
 
 Importing this module loads only what the parser and the geometry need
 (grid, curvature, io, presets and report).  Each subcommand imports the
@@ -105,13 +108,24 @@ def _fraction(value) -> float:
     return x
 
 
-def _amplitude(value) -> float:
+def _bounded(value) -> float:
     x = _float(value)
-    # the checks' integrands grow like up to amplitude^6: they overflowed
-    # between 1e50 and 1e60 and ran clean up to 1e50 at 8^4
+    # the checks take powers of these numbers: the integrands grow like up to
+    # amplitude^6 (they overflowed between 1e50 and 1e60 at 8^4), catalog's
+    # quadratic side squares a weight linear in delta (it overflowed at
+    # 1e200), and --c1, --c1plus-sq and --eps left sides that are not finite
+    # at 1e300 or above; each ran clean at 1e20
     if abs(x) > 1e20:
         raise ValueError("needs a number between -1e20 and 1e20")
     return x
+
+
+def _bounded_positive(value) -> float:
+    return _positive(_bounded(value))
+
+
+def _bounded_nonnegative(value) -> float:
+    return _nonnegative(_bounded(value))
 
 
 def _choice(*choices):
@@ -169,7 +183,7 @@ def _dims_list(value) -> list:
 
 
 def _deltas(value) -> list:
-    return [_float(v) for v in _items(value)]
+    return [_bounded(v) for v in _items(value)]
 
 
 def _gate(value) -> float | str | None:
@@ -212,17 +226,16 @@ _SEED = {"seed": _Option(_nonnegative_int, 0)}
 # only the commands that write a field container take --dump
 _DUMP = {"dump": _Option(_text, None, "optional field-container output", False)}
 _THETA = _Option(_text, "const:0", "const:VALUE | coord:AXIS | file:PATH")
-_LAMBDA_VALUE = _Option(_nonnegative, 0.0, "lambda folded into K")
 _CSV = _Option(_text, None, "write sweep rows as CSV", False)
-_AMPLITUDE = _Option(_amplitude, 0.3)
+_AMPLITUDE = _Option(_bounded, 0.3)
 # the manufactured pair shared by psw-residual and bounds
 _PAIR = {
     "theta": _THETA,
-    "eps": _Option(_positive, 0.5),
+    "eps": _Option(_bounded_positive, 0.5),
     "pair": _Option(_choice("reducible", "constant", "gauge", "rotating"), "rotating"),
     "chi": _Option(_text, "0.3*sin(x0)", "gauge function for --pair gauge"),
     "amplitude": _Option(_fraction, 0.9, "sup |sigma| for --pair rotating"),
-    "lambda_value": _LAMBDA_VALUE,
+    "lambda_value": _Option(_nonnegative, 0.0, "lambda folded into K"),
 }
 
 
@@ -323,14 +336,12 @@ def _random_selfdual(grid, seed, amplitude, offset):
     return SelfDualField(grid, comps)
 
 
-def _weight(args):
-    """Geometry, curvature and the curvature weight K of --theta and --lambda-value."""
+def _weight(m, theta, lam):
+    """Curvature and the curvature weight K of theta and lam."""
     from .rayleigh import assemble_K
 
-    grid, m = _geometry(args)
     curv = curvature_stack(m)
-    K = assemble_K(theta_from_preset(args.theta, m), curv, args.lambda_value)
-    return grid, m, curv, K
+    return curv, assemble_K(theta, curv, lam)
 
 
 def _manufactured(args, m, curv):
@@ -429,7 +440,15 @@ def _run_lambda(args):
         n_random=args.multistarts, max_iter=args.max_iter, tol=args.tol, seed=args.seed
     )
     res = minimize_lambda(theta, m, opts)
-    outputs = {
+    outputs = _lambda_record(res)
+    if args.dump:
+        save_fields(args.dump, grid, {"minimizer": _node_major(res.minimizer.comps)})
+    return outputs
+
+
+def _lambda_record(res) -> dict:
+    """The minimiser's lambda and its convergence record."""
+    return {
         "lambda": res.lam,
         "epsilon_final": res.epsilon_final,
         "converged": res.converged,
@@ -443,16 +462,14 @@ def _run_lambda(args):
         "start_backtracks": list(res.start_backtracks),
         "operator_applies": res.operator_applies,
     }
-    if args.dump:
-        save_fields(args.dump, grid, {"minimizer": _node_major(res.minimizer.comps)})
-    return outputs
 
 
 def _run_psw(args):
     from .functionals import PerturbationSpec, psw_residual
     from .spinc import sigma_map
 
-    grid, m, curv, K = _weight(args)
+    grid, m = _geometry(args)
+    curv, K = _weight(m, theta_from_preset(args.theta, m), args.lambda_value)
     cfg = _manufactured(args, m, curv)
     pert = PerturbationSpec(args.variant, eps=args.eps)
     res = psw_residual(cfg, pert, K)
@@ -474,7 +491,8 @@ def _run_bounds(args):
         psw_residual,
     )
 
-    _, m, curv, K = _weight(args)
+    _, m = _geometry(args)
+    curv, K = _weight(m, theta_from_preset(args.theta, m), args.lambda_value)
     cfg = _manufactured(args, m, curv)
     off = args.gate == "off"
     gate = np.inf if off else args.gate
@@ -516,14 +534,20 @@ def _run_catalog(args):
 
 def _run_lebrun(args):
     from .functionals import lebrun_linear, lebrun_quadratic
+    from .rayleigh import minimize_lambda
     from .selfdual import harmonic_selfdual_basis
 
-    _, m, _, K = _weight(args)
+    # K is the paper's only with lambda the quotient's infimum for this (g, theta)
+    _, m = _geometry(args)
+    theta = theta_from_preset(args.theta, m)
+    res = minimize_lambda(theta, m)
+    _, K = _weight(m, theta, res.lam)
     basis = harmonic_selfdual_basis(m)
     omega = basis[args.omega_index]
     lin = lebrun_linear(omega, m, kfield=K, c1=args.c1)
     quad = lebrun_quadratic(K, m, c1plus_sq=args.c1plus_sq)
-    return {"linear": asdict(lin), "quadratic": asdict(quad), "b_plus": len(basis)}
+    return {"linear": asdict(lin), "quadratic": asdict(quad), "b_plus": len(basis),
+            "lambda_search": _lambda_record(res)}
 
 
 def _sweep_residual(args, n: int) -> float:
@@ -593,16 +617,15 @@ _COMMANDS = {
     "lebrun": ("curvature inequalities on grid fields", _run_lebrun, {
         **_GRID, **_COMMON,
         "theta": _THETA,
-        "lambda_value": _LAMBDA_VALUE,
-        "c1": _Option(_float, 0.0, "Chern pairing c1.[omega]"),
-        "c1plus_sq": _Option(_nonnegative, 0.0, "(c1^+)^2 for the quadratic report"),
+        "c1": _Option(_bounded, 0.0, "Chern pairing c1.[omega]"),
+        "c1plus_sq": _Option(_bounded_nonnegative, 0.0, "(c1^+)^2 for the quadratic report"),
         "omega_index": _Option(_omega_index, 0, "harmonic basis vector used as omega"),
     }),
     "catalog": ("curvature inequalities on closed-form product surfaces", _run_catalog, {
         # the sorted names of functionals.CATALOG, spelled out so that building
         # the parser does not load that layer; tests/test_cli.py keeps them equal
         "surface": _Option(_choice("flat-t4", "t2xs2", "t2xsigma2"), "flat-t4"),
-        "delta": _Option(_float, 0.0),
+        "delta": _Option(_bounded, 0.0),
         "sweep_delta": _Option(_deltas, (), "comma list of weights for a margin sweep"),
         "sweep_kind": _Option(_choice("linear", "quadratic"), "quadratic"),
         "csv": _CSV,

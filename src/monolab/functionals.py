@@ -6,7 +6,12 @@ The perturbed equations couple a U(1) connection A and a spinor Phi through
     sqrt(8) iF_A^+ = -beta(|sigma(Phi)|) (K_- + eps) sigma(Phi) + K_+ omega_hat,
 
 with K the pointwise curvature weight assembled from (theta, curvature,
-lambda).  This module evaluates residuals of candidate pairs, checks the
+lambda) by `rayleigh.assemble_K`.  In the paper lambda is the infimum of
+the spectral quotient for the same (g, theta), the value of
+`rayleigh.minimize_lambda`, which the `lebrun` command folds into K; a
+manufactured pair takes lambda as a parameter, and the key inequality
+reads K at lambda = 0, since its left side is the quotient's numerator
+itself.  This module evaluates residuals of candidate pairs, checks the
 two a-priori bounds every near-solution must satisfy, and evaluates both
 sides of the linear and quadratic curvature inequalities against supplied
 first-Chern data.
@@ -37,6 +42,7 @@ from .rayleigh import (
     _comp_norm2,
     _curvature_weight,
     _numerator,
+    assemble_K,
     beta,
 )
 from .selfdual import (
@@ -489,10 +495,7 @@ def key_inequality_check(cfg: MonopoleConfig, theta: ThetaField) -> InequalityRe
     a_comps = _apply_quadratic(comps, theta, m)
     lhs = _numerator(comps, a_comps, _comp_norm2(comps), m, 0.0)[0]
 
-    weight = (
-        _curvature_weight(cfg.curv.scalar.values, cfg.curv.w.values, theta.s**2)
-        - theta.dtheta_norm2
-    )
+    weight = assemble_K(theta, cfg.curv, 0.0).k.values
     curv_term = -integrate(weight * np.sum(comps**2, axis=0), m)
     # integral (sqrt(8) iF_A^+, |sigma| sigma) dmu
     pair = np.sum(cfg.conn.curv_plus.comps * comps, axis=0) * sigma.norm()

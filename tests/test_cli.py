@@ -18,7 +18,7 @@ from monolab.functionals import CATALOG
 from monolab.grid import GridSpec
 from monolab.io import load_fields, save_fields
 from monolab.presets import metric_from_preset, random_smooth_scalar, theta_from_preset
-from monolab.rayleigh import rayleigh_quotient
+from monolab.rayleigh import minimize_lambda, rayleigh_quotient
 from monolab.report import render_report
 from monolab.selfdual import SelfDualField, harmonic_selfdual_basis
 
@@ -267,8 +267,9 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
         ["psw-residual", "--eps", "-1"],
         ["psw-residual", "--amplitude", "1.5"],
         ["lebrun", "--c1plus-sq", "-1"],
+        # lebrun's lambda is the minimiser's, so "lambda_value" is an unknown key
+        ["lebrun", "--dims", "8", "--config", "lambda_key.json"],
         # lambda is the quotient's infimum, never negative
-        ["lebrun", "--dims", "8", "--lambda-value", "-0.5"],
         ["psw-residual", "--dims", "8", "--lambda-value", "-1e-3"],
         ["bounds", "--dims", "8", "--config", "bad_lambda.json"],
         ["sweep", "--dims-list", "8,8"],
@@ -280,6 +281,13 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
         ["catalog", "--csv", "x.csv"],
         # vol = exp(460) is a float, det g = vol^2 is not
         ["curvature", "--metric", "conformal:115"],
+        # numbers the checks square or raise to higher powers: these overflowed
+        # into a traceback or an exit 1
+        ["catalog", "--surface", "t2xs2", "--delta", "1e200"],
+        ["catalog", "--surface", "t2xs2", "--sweep-delta", "0,1e200"],
+        ["lebrun", "--dims", "8", "--c1", "1e308"],
+        ["lebrun", "--dims", "8", "--c1plus-sq", "1e308"],
+        ["bounds", "--dims", "8", "--eps", "1e300"],
     ],
 )
 # a numpy warning would be a second stderr line
@@ -290,7 +298,8 @@ def test_parse_errors_exit_2(tmp_path, monkeypatch, capsys, argv):
     bad = {"bad_eps": {"eps": "abc"}, "bad_variant": {"variant": "half"},
            "bad_metric": {"metric": 5}, "bad_theta": {"theta": 3},
            "bad_sweep_delta": {"sweep_delta": [0, "half"]}, "bad_dump": {"dump": "b.zip"},
-           "bad_seed": {"seed": -1}, "seed_key": {"seed": 3}, "bad_lambda": {"lambda_value": -1}}
+           "bad_seed": {"seed": -1}, "seed_key": {"seed": 3}, "bad_lambda": {"lambda_value": -1},
+           "lambda_key": {"lambda_value": 0.3}}
     for name, data in bad.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(data))
     written = sorted(tmp_path.iterdir())
@@ -582,9 +591,32 @@ def test_lebrun_grid_mode(capsys):
     assert code == 0
     out = report["outputs"]
     assert out["b_plus"] == 3
+    assert out["lambda_search"]["lambda"] == 0.0
+    assert out["lambda_search"]["converged"] is True
     assert abs(out["linear"]["lhs"]) < 1e-8
     assert abs(out["linear"]["rhs"]) < 1e-8
     assert out["quadratic"]["margin"] >= 0
+
+
+def test_lebrun_flat_equality_case(capsys):
+    # theta = x0 on the flat torus: the minimiser's discrete lambda cancels
+    # the discrete |d theta|^2, so K = 0 to roundoff, as lambda = 1 =
+    # |d theta|^2 does in the continuum
+    code, report = run(capsys, ["lebrun", "--dims", "8", "--theta", "coord:0"])
+    assert code == 0
+    out = report["outputs"]
+    assert abs(out["linear"]["lhs"]) < 1e-12
+    assert abs(out["quadratic"]["rhs"]) < 1e-20
+
+
+def test_lebrun_lambda_is_the_minimisers(capsys):
+    metric, theta = "conformal:0.1*sin(x0)", "coord:1"
+    code, report = run(capsys, ["lebrun", "--dims", "8", "--metric", metric, "--theta", theta])
+    assert code == 0
+    m = metric_from_preset(metric, GridSpec((8,) * 4))
+    lam = minimize_lambda(theta_from_preset(theta, m), m).lam
+    assert report["outputs"]["lambda_search"]["lambda"] == lam
+    assert report["outputs"]["linear"]["notes"]["lambda"] == lam
 
 
 def test_sweep_dirac(capsys):
@@ -644,6 +676,8 @@ def test_sweep_takes_no_dims_or_periods(flag):
         ["lebrun", "--csv", "x.csv"],
         ["catalog", "--dims", "8"],
         ["catalog", "--metric", "flat"],
+        # lebrun's lambda is the minimiser's
+        ["lebrun", "--dims", "8", "--lambda-value", "-0.5"],
     ],
 )
 def test_flags_only_where_read(tmp_path, monkeypatch, argv):

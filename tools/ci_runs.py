@@ -106,6 +106,10 @@ BYTE_ROWS = {
                                       "--out", "lambda.json", "--dump", "minimizer.zip"]),
     "sweep_hashseed": (HASH_SEEDS, ["sweep", "--check", "identity-s", "--dims-list", "8,12",
                                     "--metric", CONFORMAL, "--out", "sweep.json"]),
+    # the K integrals on the minimiser's lambda, which no other row runs
+    # together; about 1 s per run
+    "lebrun8_hashseed": (HASH_SEEDS, ["lebrun", "--dims", "8", "--metric", CONFORMAL,
+                                      "--theta", "coord:1", "--out", "lebrun.json"]),
 }
 GENERIC8 = {
     "curvature": ["curvature", "--dims", "8", "--metric", "file:generic8.zip",
