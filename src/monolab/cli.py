@@ -10,8 +10,9 @@ next to it.  An option is a value the code cannot work out itself:
 that the minimiser finds for its own metric and theta, and reports that
 search as `lambda` reports it.  One option table, `_COMMANDS`, drives
 argparse, the parsing of flag and config values and the config block
-each report records.  Exit codes: 0 success, 1 invariant-gate or
-numerical failure, 2 config/parse errors.
+each report records.  Every real-valued option is read by one rule,
+`_number`, in a finite range of its own.  Exit codes: 0 success,
+1 invariant-gate or numerical failure, 2 config/parse errors.
 
 Importing this module loads only what the parser and the geometry need
 (grid, curvature, io, presets and report).  Each subcommand imports the
@@ -76,56 +77,37 @@ def _nonnegative_int(value) -> int:
     return n
 
 
-def _float(value) -> float:
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    try:
-        x = float(value if number else _text(value))
-    except (ValueError, OverflowError):
-        raise ValueError("needs a number") from None
-    if not np.isfinite(x):
-        raise ValueError("needs a finite number")
-    return x
+def _number(interval: str):
+    """A parser for the real numbers in interval, written as in mathematics:
+    "(0, 1e20]" takes 0 < x <= 1e20.  Every interval is finite, so NaN and
+    the infinities are refused with the rest."""
+    low, high = (float(end) for end in interval[1:-1].split(","))
+
+    def parse(value) -> float:
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        try:
+            x = float(value if number else _text(value))
+        except (ValueError, OverflowError):
+            raise ValueError("needs a number") from None
+        above_low = low < x if interval[0] == "(" else low <= x
+        below_high = x < high if interval[-1] == ")" else x <= high
+        if not (above_low and below_high):
+            raise ValueError(f"needs a number in {interval}")
+        return x
+    return parse
 
 
-def _positive(value) -> float:
-    x = _float(value)
-    if x <= 0:
-        raise ValueError("needs a positive number")
-    return x
-
-
-def _nonnegative(value) -> float:
-    x = _float(value)
-    if x < 0:
-        raise ValueError("needs a non-negative number")
-    return x
-
-
-def _fraction(value) -> float:
-    x = _float(value)
-    if not 0 < x < 1:
-        raise ValueError("needs a number strictly between 0 and 1")
-    return x
-
-
-def _bounded(value) -> float:
-    x = _float(value)
-    # the checks take powers of these numbers: the integrands grow like up to
-    # amplitude^6 (they overflowed between 1e50 and 1e60 at 8^4), catalog's
-    # quadratic side squares a weight linear in delta (it overflowed at
-    # 1e200), and --c1, --c1plus-sq and --eps left sides that are not finite
-    # at 1e300 or above; each ran clean at 1e20
-    if abs(x) > 1e20:
-        raise ValueError("needs a number between -1e20 and 1e20")
-    return x
-
-
-def _bounded_positive(value) -> float:
-    return _positive(_bounded(value))
-
-
-def _bounded_nonnegative(value) -> float:
-    return _nonnegative(_bounded(value))
+# the checks take powers of these numbers: the integrands grow like up to
+# amplitude^6 (they overflowed between 1e50 and 1e60 at 8^4), catalog's
+# quadratic side squares a weight linear in delta (it overflowed at 1e200),
+# --c1, --c1plus-sq and --eps left sides that are not finite at 1e300 or
+# above, and --lambda-value a K whose report is not finite at 1e308; each
+# ran clean at 1e20
+_REAL = _number("[-1e20, 1e20]")
+_NONNEGATIVE = _number("[0, 1e20]")
+# the lambda quotient's integrands at unit norm scale like L^-6: in this
+# range they and their squares stay far inside the float range
+_LENGTH = _number("[1e-20, 1e20]")
 
 
 def _choice(*choices):
@@ -162,13 +144,11 @@ def _dims(value) -> tuple:
 
 
 def _periods(value) -> tuple:
-    vals = [_float(v) for v in _items(value)]
+    vals = [_LENGTH(v) for v in _items(value)]
     if len(vals) == 1:
         vals = vals * 4
-    # the lambda quotient's integrands at unit norm scale like L^-6: in this
-    # range they and their squares stay far inside the float range
-    if len(vals) != 4 or not all(1e-20 <= v <= 1e20 for v in vals):
-        raise ValueError("needs 1 or 4 lengths between 1e-20 and 1e20")
+    if len(vals) != 4:
+        raise ValueError("needs 1 or 4 lengths")
     return tuple(vals)
 
 
@@ -183,12 +163,12 @@ def _dims_list(value) -> list:
 
 
 def _deltas(value) -> list:
-    return [_bounded(v) for v in _items(value)]
+    return [_REAL(v) for v in _items(value)]
 
 
 def _gate(value) -> float | str | None:
     # null keeps the default gate; "off" is recorded as itself (JSON has no inf)
-    return value if value in (None, "off") else _float(value)
+    return value if value in (None, "off") else _NONNEGATIVE(value)
 
 
 def _omega_index(value) -> int:
@@ -227,15 +207,15 @@ _SEED = {"seed": _Option(_nonnegative_int, 0)}
 _DUMP = {"dump": _Option(_text, None, "optional field-container output", False)}
 _THETA = _Option(_text, "const:0", "const:VALUE | coord:AXIS | file:PATH")
 _CSV = _Option(_text, None, "write sweep rows as CSV", False)
-_AMPLITUDE = _Option(_bounded, 0.3)
+_AMPLITUDE = _Option(_REAL, 0.3)
 # the manufactured pair shared by psw-residual and bounds
 _PAIR = {
     "theta": _THETA,
-    "eps": _Option(_bounded_positive, 0.5),
+    "eps": _Option(_number("(0, 1e20]"), 0.5),
     "pair": _Option(_choice("reducible", "constant", "gauge", "rotating"), "rotating"),
     "chi": _Option(_text, "0.3*sin(x0)", "gauge function for --pair gauge"),
-    "amplitude": _Option(_fraction, 0.9, "sup |sigma| for --pair rotating"),
-    "lambda_value": _Option(_nonnegative, 0.0, "lambda folded into K"),
+    "amplitude": _Option(_number("(0, 1)"), 0.9, "sup |sigma| for --pair rotating"),
+    "lambda_value": _Option(_NONNEGATIVE, 0.0, "lambda folded into K"),
 }
 
 
@@ -436,9 +416,7 @@ def _run_lambda(args):
 
     grid, m = _geometry(args)
     theta = theta_from_preset(args.theta, m)
-    opts = LambdaOptions(
-        n_random=args.multistarts, max_iter=args.max_iter, tol=args.tol, seed=args.seed
-    )
+    opts = LambdaOptions(n_random=args.multistarts, max_iter=args.max_iter, seed=args.seed)
     res = minimize_lambda(theta, m, opts)
     outputs = _lambda_record(res)
     if args.dump:
@@ -604,7 +582,6 @@ _COMMANDS = {
         "theta": _THETA,
         "multistarts": _Option(_nonnegative_int, 8, "random starts beyond the 3 constants"),
         "max_iter": _Option(_nonnegative_int, 150),
-        "tol": _Option(_positive, 1e-9),
     }),
     "psw-residual": ("residual of a manufactured monopole pair", _run_psw, {
         **_GRID, **_COMMON, **_DUMP, **_PAIR,
@@ -617,15 +594,15 @@ _COMMANDS = {
     "lebrun": ("curvature inequalities on grid fields", _run_lebrun, {
         **_GRID, **_COMMON,
         "theta": _THETA,
-        "c1": _Option(_bounded, 0.0, "Chern pairing c1.[omega]"),
-        "c1plus_sq": _Option(_bounded_nonnegative, 0.0, "(c1^+)^2 for the quadratic report"),
+        "c1": _Option(_REAL, 0.0, "Chern pairing c1.[omega]"),
+        "c1plus_sq": _Option(_NONNEGATIVE, 0.0, "(c1^+)^2 for the quadratic report"),
         "omega_index": _Option(_omega_index, 0, "harmonic basis vector used as omega"),
     }),
     "catalog": ("curvature inequalities on closed-form product surfaces", _run_catalog, {
         # the sorted names of functionals.CATALOG, spelled out so that building
         # the parser does not load that layer; tests/test_cli.py keeps them equal
         "surface": _Option(_choice("flat-t4", "t2xs2", "t2xsigma2"), "flat-t4"),
-        "delta": _Option(_bounded, 0.0),
+        "delta": _Option(_REAL, 0.0),
         "sweep_delta": _Option(_deltas, (), "comma list of weights for a margin sweep"),
         "sweep_kind": _Option(_choice("linear", "quadratic"), "quadratic"),
         "csv": _CSV,

@@ -22,7 +22,7 @@ from monolab.rayleigh import minimize_lambda, rayleigh_quotient
 from monolab.report import render_report
 from monolab.selfdual import SelfDualField, harmonic_selfdual_basis
 
-from conftest import layout
+from conftest import generic_metric, layout
 
 
 def run(capsys, argv):
@@ -255,7 +255,6 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
         ["hodge", "--dims", "8", "--seed", "-1"],
         ["lambda", "--multistarts", "-1"],
         ["lambda", "--max-iter", "-1"],
-        ["lambda", "--tol", "-1"],
         ["sweep", "--check", "weitzenboeck", "--dims-list", "8,12", "--amplitude", "nan"],
         ["dirac-check", "--dims", "8", "--config", "bad_seed.json"],
         ["curvature", "--metric", "conformal:sin(1e400*x0)"],
@@ -288,6 +287,14 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
         ["lebrun", "--dims", "8", "--c1", "1e308"],
         ["lebrun", "--dims", "8", "--c1plus-sq", "1e308"],
         ["bounds", "--dims", "8", "--eps", "1e300"],
+        # lambda and the gate are read in [0, 1e20]: psw-residual took 1e308,
+        # bounds exited 1 on a report that was not finite, and a negative
+        # gate marked both bounds not applicable
+        ["psw-residual", "--dims", "8", "--lambda-value", "1e308"],
+        ["bounds", "--dims", "8", "--lambda-value", "1e308"],
+        ["bounds", "--dims", "8", "--gate", "-1"],
+        # the stop rule's tolerance is a constant of the minimiser
+        ["lambda", "--dims", "8", "--config", "tol_key.json"],
     ],
 )
 # a numpy warning would be a second stderr line
@@ -299,7 +306,7 @@ def test_parse_errors_exit_2(tmp_path, monkeypatch, capsys, argv):
            "bad_metric": {"metric": 5}, "bad_theta": {"theta": 3},
            "bad_sweep_delta": {"sweep_delta": [0, "half"]}, "bad_dump": {"dump": "b.zip"},
            "bad_seed": {"seed": -1}, "seed_key": {"seed": 3}, "bad_lambda": {"lambda_value": -1},
-           "lambda_key": {"lambda_value": 0.3}}
+           "lambda_key": {"lambda_value": 0.3}, "tol_key": {"tol": 1e-9}}
     for name, data in bad.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(data))
     written = sorted(tmp_path.iterdir())
@@ -427,8 +434,9 @@ def test_memory_error_exit_1(monkeypatch, capsys, exc):
 
 
 @pytest.mark.parametrize("argv", [["curvature", "--bogus"], ["curvature", "--dims"],
-                                  ["lebrun", "--seed", "3"], []],
-                         ids=["unknown-flag", "missing-value", "flag-not-taken", "no-command"])
+                                  ["lebrun", "--seed", "3"], [], ["lambda", "--tol", "1e-9"]],
+                         ids=["unknown-flag", "missing-value", "flag-not-taken", "no-command",
+                              "removed-flag"])
 def test_usage_errors_are_one_line(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -503,6 +511,46 @@ def test_amplitude_is_bounded(tmp_path, capsys, argv):
         assert not report.exists()
     assert main(argv + ["--amplitude", "1e20", "--out", str(report)]) == 0
     assert report.exists()
+
+
+# every real-valued flag, a command that takes it and its range
+REAL_FLAGS = [
+    ("dirac-check", "--amplitude", "[-1e20, 1e20]"),
+    ("sweep", "--amplitude", "[-1e20, 1e20]"),
+    ("psw-residual", "--eps", "(0, 1e20]"),
+    ("bounds", "--eps", "(0, 1e20]"),
+    ("psw-residual", "--amplitude", "(0, 1)"),
+    ("bounds", "--amplitude", "(0, 1)"),
+    ("psw-residual", "--lambda-value", "[0, 1e20]"),
+    ("bounds", "--lambda-value", "[0, 1e20]"),
+    ("bounds", "--gate", "[0, 1e20]"),
+    ("lebrun", "--c1", "[-1e20, 1e20]"),
+    ("lebrun", "--c1plus-sq", "[0, 1e20]"),
+    ("catalog", "--delta", "[-1e20, 1e20]"),
+    ("catalog", "--sweep-delta", "[-1e20, 1e20]"),
+    ("curvature", "--periods", "[1e-20, 1e20]"),
+]
+
+
+@pytest.mark.parametrize("command, flag, interval", REAL_FLAGS,
+                         ids=[f"{c}{f}" for c, f, _ in REAL_FLAGS])
+@pytest.mark.filterwarnings("error")
+def test_real_flags_are_read_in_their_range(capsys, command, flag, interval):
+    # just outside each end (an open end itself, or the float beyond a closed
+    # one) the flag exits 2 with one line that names its range; just inside
+    # (a closed end itself, or the float within an open one) it is taken
+    low, high = (float(end) for end in interval[1:-1].split(","))
+    lo_in, hi_in = interval[0] == "[", interval[-1] == "]"
+    refused = [float(np.nextafter(low, -np.inf)) if lo_in else low,
+               float(np.nextafter(high, np.inf)) if hi_in else high]
+    taken = [low if lo_in else float(np.nextafter(low, np.inf)),
+             high if hi_in else float(np.nextafter(high, -np.inf))]
+    for x in refused:
+        assert main([command, f"{flag}={x!r}"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"monolab: config error: {flag} needs a number in {interval}, got '{x!r}'\n"
+    for x in taken:
+        cli._resolve(cli._build_parser().parse_args([command, f"{flag}={x!r}"]))
 
 
 def test_lambda_report(tmp_path, capsys):
@@ -619,6 +667,20 @@ def test_lebrun_lambda_is_the_minimisers(capsys):
     assert report["outputs"]["linear"]["notes"]["lambda"] == lam
 
 
+def test_lebrun_runs_lambdas_default_search(tmp_path, capsys):
+    # on conftest's generic metric a random start wins, so the search depends
+    # on the seed: with seed 11 as the library's default and 0 as lambda's,
+    # lebrun's lambda was 5.4e-10 relative below lambda's
+    grid, g = generic_metric(8)
+    save_fields(tmp_path / "g.zip", grid, {"g": g})
+    argv = ["--dims", "8", "--metric", f"file:{tmp_path / 'g.zip'}", "--theta", "coord:1"]
+    code, search = run(capsys, ["lambda", *argv])
+    assert code == 0
+    code, report = run(capsys, ["lebrun", *argv])
+    assert code == 0
+    assert report["outputs"]["lambda_search"] == search["outputs"]
+
+
 def test_sweep_dirac(capsys):
     code, report = run(
         capsys, ["sweep", "--check", "dirac", "--dims-list", "8,10", "--amplitude", "0.2"]
@@ -678,6 +740,8 @@ def test_sweep_takes_no_dims_or_periods(flag):
         ["catalog", "--metric", "flat"],
         # lebrun's lambda is the minimiser's
         ["lebrun", "--dims", "8", "--lambda-value", "-0.5"],
+        # the stop rule's tolerance is a constant of the minimiser
+        ["lambda", "--tol", "-1"],
     ],
 )
 def test_flags_only_where_read(tmp_path, monkeypatch, argv):

@@ -1,11 +1,12 @@
 """Twisted Rayleigh quotient, its minimizer and the curvature weight K."""
 
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from monolab import rayleigh
+from monolab import cli, rayleigh
 from monolab.cli import main
 from monolab.curvature import build_metric, curvature_stack
 from monolab.grid import GridSpec, _fourier_multiply, _gradient, _gradient_T
@@ -35,7 +36,7 @@ from monolab.selfdual import (
 
 from conftest import layout, pack, pulled_back_flat_chart, rel_err
 
-TRIMMED = LambdaOptions(n_random=2, epsilons=(1e-3, 1e-6), max_iter=60)
+TRIMMED = LambdaOptions(n_random=2, max_iter=60)
 
 
 def keff2(h):
@@ -128,6 +129,24 @@ def test_lambda_command_holds_no_curvature_bundle_when_the_minimiser_starts(monk
     finally:
         tracemalloc.stop()
     assert held[0] <= 70 * 16**4 * 8
+
+
+def test_starts_are_made_one_at_a_time(m8):
+    # eight random starts peak less than one start (3 planes, one plane being
+    # one float64 grid array) above one random start: each start is made when
+    # the minimiser reaches it, and a finished one is not kept.  Made up
+    # front, the eight held 7 starts (21 planes) more
+    theta = theta_from_preset("coord:0", m8)
+    minimize_lambda(theta, m8, opts=LambdaOptions(n_random=1, max_iter=0))  # warm caches
+    peaks = []
+    for n_random in (1, 8):
+        tracemalloc.start()
+        try:
+            minimize_lambda(theta, m8, opts=LambdaOptions(n_random=n_random, max_iter=0))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 3 * m8.grid.node_count * 8
 
 
 def test_theta_field_validation(grid8):
@@ -274,8 +293,22 @@ def test_pulled_back_flat_lambda_and_scalar_converge():
     {"epsilons": (float("nan"),)},
 ], ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
 def test_lambda_options_reject_bad_values(bad):
-    with pytest.raises(ValueError):
+    # the stop rule's tol and the smoothing schedule are module constants:
+    # LambdaOptions refuses them as settings, whatever their value
+    (key,) = bad
+    removed = key in ("tol", "epsilons")
+    with pytest.raises(TypeError if removed else ValueError,
+                       match=f"'{key}'" if removed else None):
         LambdaOptions(**bad)
+
+
+def test_lambda_options_are_the_lambda_commands():
+    # lebrun's minimize_lambda(theta, m) runs lambda's default search
+    options = cli._COMMANDS["lambda"][2]
+    assert [f.name for f in fields(LambdaOptions)] == ["n_random", "max_iter", "seed"]
+    assert LambdaOptions() == LambdaOptions(n_random=options["multistarts"].default,
+                                            max_iter=options["max_iter"].default,
+                                            seed=options["seed"].default)
 
 
 def test_constant_starts_stop_at_entry(m8):
@@ -309,9 +342,10 @@ def test_lambda8_input_evaluation_count(m8):
 
 def test_conformal_lambda_starts_converge(grid8):
     # the input of lambda --dims 8 --theta coord:1 --metric conformal:0.1*sin(x0)
-    # --multistarts 2, with the library's default seed
+    # --multistarts 2 --seed 11
     m = metric_from_preset("conformal:0.1*sin(x0)", grid8)
-    res = minimize_lambda(theta_from_preset("coord:1", m), m, opts=LambdaOptions(n_random=2))
+    res = minimize_lambda(theta_from_preset("coord:1", m), m,
+                          opts=LambdaOptions(n_random=2, seed=11))
     assert abs(res.lam - 0.9805943309092787) <= 1e-8 * 0.9805943309092787
     assert res.start_converged == (True,) * 5
     assert res.quotient_evals <= 230  # measured: 209
@@ -342,7 +376,8 @@ def test_curved_random_starts_converge(make, args, bound):
 
 def test_line_search_exhaustion_is_not_converged(m8, monkeypatch):
     # every evaluation after the first comes out higher, so no trial step
-    # passes the Armijo test and the random start's only stage gives up
+    # passes the Armijo test and each of the random start's five stages gives
+    # up; the constant starts stop at entry, as the shift leaves g alone
     real = rayleigh._numerator
     calls = []
 
@@ -353,9 +388,10 @@ def test_line_search_exhaustion_is_not_converged(m8, monkeypatch):
 
     monkeypatch.setattr(rayleigh, "_numerator", rising)
     res = minimize_lambda(theta_from_preset("coord:0", m8), m8,
-                          opts=LambdaOptions(n_random=1, epsilons=(1e-3,)))
+                          opts=LambdaOptions(n_random=1))
     assert res.start_converged == (True, True, True, False)
-    assert res.start_evals == (2, 2, 2, 52)  # 1 + 50 failed trials + the final one
+    # 5 stages of 1 + 50 failed trials, and the final re-evaluation
+    assert res.start_evals == (6, 6, 6, 256)
     assert res.quotient_evals == len(calls)
 
 
@@ -524,7 +560,7 @@ def test_preconditioner_kills_blind_mode(grid8):
 def test_minimize_kaehler_constant_theta():
     g = GridSpec((8,) * 4)
     m = metric_from_preset("kaehler-product:0.3*sin(x2)", g)
-    opts = LambdaOptions(n_random=0, epsilons=(1e-3, 1e-6), max_iter=30)
+    opts = LambdaOptions(n_random=0, max_iter=30)
     res = minimize_lambda(theta_from_preset("const:0.0", m), m, opts=opts)
     assert res.lam <= 1e-5
 

@@ -35,40 +35,19 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent.parent
 
 CONFORMAL = "conformal:0.1*sin(x0)"
-# name: (command, peak-RSS ceiling in MiB)
+# name: (command, peak-RSS ceiling in MiB); each ceiling is the peak
+# measured when it was set plus about 12%
 CEILINGS = {
-    # measured 145 MiB with g written packed by the preset, 155 MiB with a
-    # full (4, 4, dims) g built for build_metric to pack; 155 MiB with g and
-    # its factor packed (10 planes each) and one slab's arrays alive at a
-    # time, 200 MiB with both full (4, 4, dims) and the previous slab's
-    # arrays alive while the next was made; 195 MiB before W+ was
-    # component-major, whose nine planes, written slab by slab, each fault
-    # a transparent huge page at the first slab, and 269-270 MiB with the
-    # axis-0 stencils of g on the whole grid
+    # measured 145 MiB, with g written packed by the preset and one slab's
+    # arrays alive at a time
     "curvature": (["curvature", "--dims", "24", "--metric", CONFORMAL], 163),
-    # measured 353-355 MiB with g written packed by the preset and the eta
-    # pairs formed in blocks of 8192 nodes, 362-363 MiB with a full g built for
-    # build_metric to pack and the eta pairs formed on the whole grid;
-    # 363 MiB with g, its factor and the flux weight packed, 419-423 MiB
-    # with them full; 598-602 MiB with the Gram matrix of stored pairs
-    # formed (36 planes) and the PCG state kept through the tail
+    # measured 353-355 MiB, with g packed and the eta pairs formed in blocks
+    # of 8192 nodes; a conformal metric's PCG takes 0 iterations
     "hodge": (["hodge", "--dims", "24", "--metric", CONFORMAL], 397),
-    # the only 24^4 ceiling step whose PCG iterates (a conformal metric's
-    # takes 0 iterations); measured 380 MiB with g, its factor and the flux
-    # weight packed, whether the file's g is packed by the file reader or
-    # by build_metric, 418-422 MiB with them full, 498-502 MiB with the
-    # live columns gathered and scattered on every iteration, 730-734 MiB
-    # with the Gram matrix of stored pairs formed and the PCG state kept
+    # the only 24^4 ceiling step whose PCG iterates; measured 380 MiB, with
+    # g, its factor and the flux weight packed
     "hodge_generic": (["hodge", "--dims", "24", "--metric", "file:generic24.zip"], 426),
-    # measured 451-458 MiB and about 8 s with no curvature stack built (the
-    # minimiser's peak sets it), 456 MiB and 9-11 s with the stack built
-    # for its mean |R| and dropped before the minimisation; 454-458 MiB
-    # with g written packed by the preset and the eta pairs formed in
-    # blocks of 8192 nodes, 464-468 MiB with a full g built for
-    # build_metric to pack; 464 MiB with g, its factor and the flux weight
-    # packed and no curvature bundle held through the minimisation,
-    # 533-538 MiB with them full and the bundle held, 566-573 MiB with a
-    # Hodge weight on 3-forms cached (16 planes) too
+    # measured 451-458 MiB, set by the minimiser's peak
     "lambda_short": (["lambda", "--dims", "24", "--metric", CONFORMAL, "--theta", "coord:1",
                       "--multistarts", "0", "--max-iter", "5"], 511),
 }
