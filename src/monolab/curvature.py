@@ -18,8 +18,8 @@ have equal trace and R = 4 tr B; W+ = B - (R/12) 1 is a symmetric trace-free
 3x3 matrix whose lowest eigenvalue is the curvature weight w.
 
 The stack and the Christoffel symbols work one axis-0 slab at a time: the
-n1 n2 n3 nodes that share one index of grid axis 0.  `_metric_slabs` yields
-per slab the first derivatives of g, e^-1 and F = e^-T Gamma_lower, the one
+n1 n2 n3 nodes that share one index of grid axis 0.  `_metric_slab(m, i)`
+returns slab i's first derivatives of g, e^-1 and F = e^-T Gamma_lower, the one
 form of the Christoffel symbols that the pair form and
 `MetricField.sd_connection` need: Gamma_{p,x} Gamma^p_y is the Gram matrix
 F^T F, and the frame connection is read off the lower triangle of
@@ -34,7 +34,11 @@ besides g, the factor, the cached tensors and those results, no whole-grid
 array is formed.  A slab (c, n1, n2, n3) is differenced along axes 1-3
 with the grid's own axis numbers and gets the bits of the same rows of the
 whole-grid call; its axis-0 rows agree with the whole-grid ones to
-roundoff, and a mixed derivative with axis 0 is d_b (d_0 g).
+roundoff, and a mixed derivative with axis 0 is d_b (d_0 g).  A slab loop
+indexes with `range` and calls a function that returns the slab's arrays:
+no generator, and no `enumerate` or `zip` over one, carries a slab, as a
+suspended generator or enumerate's last tuple keeps the previous slab alive
+while the next is made, and no view (a row of M, say) outlives its slab.
 
 g is packed from the preset onwards: `build_metric` keeps the packed g
 every metric preset writes and factors it once, by the closed-form 4x4
@@ -84,7 +88,6 @@ Sign conventions are pinned by two closed-form families used in the tests:
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from functools import cached_property
 
 import numpy as np
@@ -186,22 +189,25 @@ class MetricField:
 
         The Levi-Civita connection in the Cholesky frame is
         w_k = (e Gamma_k - d_k e) e^-1, Gamma_k the matrix [m, i] = Gamma^m_ki,
-        and e Gamma_k is F[:, (k, .)] (`_metric_slabs`).  As (d_k e) e^-1 is
+        and e Gamma_k is F[:, (k, .)] (`_metric_slab`).  As (d_k e) e^-1 is
         upper triangular, the strict lower triangle of w_k is that of
         F[:, (k, .)] e^-1.  The taps give Gamma_{i,kj} + Gamma_{j,ki} = d_k g_ij
         from one d g, so w_k is antisymmetric for the Cholesky derivative
         d e = Phi(e^-T d g e^-1) e, Phi the upper triangle with its diagonal
         halved (Murray, arXiv:1602.07527): a_k = sqrt(2) H+ (w_k)_(j, i) over
-        the pairs (i, j), one axis-0 slab at a time, no factor differenced.
+        the pairs (i, j), one axis-0 slab at a time, no factor differenced;
+        of a slab's arrays only F and the pair columns of e^-1 are kept.
         """
         out = np.empty((4, 3) + self.grid.dims)
-        for i, (*_, frame, einv) in enumerate(_metric_slabs(self)):
+        for i in range(self.grid.dims[0]):
+            frame, einv = _metric_slab(self, i)[3:]
             cols = einv[:, _PAIR_I]
+            del einv
             for k, xs in enumerate(_SYM_INDEX):
                 # (F[:, (k, .)] e^-1)[j, i] for each pair (i, j)
                 low = np.einsum("pm...,mp...->p...", frame[_PAIR_J[:, None], xs], cols)
                 np.einsum("p...,pa->a...", low, _A_WEIGHTS, out=out[k, :, i])
-            del _, frame, einv, cols, low
+            del frame, cols, low
         return _freeze(out)
 
     @cached_property
@@ -312,11 +318,11 @@ def _upper_factor(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e, failed
 
 
-def _metric_slabs(m: MetricField) -> Iterator[tuple[np.ndarray, ...]]:
-    """Per axis-0 slab, in axis-0 order: the slab's 10 stored components of
-    g, g10[x, ...] on the symmetric pairs x = _SYM_INDEX[i, j], their first
-    derivatives dg[k, x, ...] along all four axes and their second
-    derivative along axis 0, the frame Christoffel symbols on those pairs,
+def _metric_slab(m: MetricField, i: int) -> tuple[np.ndarray, ...]:
+    """Axis-0 slab i: its 10 stored components of g, g10[x, ...] on the
+    symmetric pairs x = _SYM_INDEX[i, j], their first derivatives
+    dg[k, x, ...] along all four axes and their second derivative along
+    axis 0, the frame Christoffel symbols on those pairs,
     F[a, x, ...] = (e^-T Gamma_lower)[a, x], and the slab's e^-1,
     einv[i, a, ...].
 
@@ -328,70 +334,61 @@ def _metric_slabs(m: MetricField) -> Iterator[tuple[np.ndarray, ...]]:
     components are the view g[:, i] of the packed g, and both axis-0
     stencils come from `grid._slab_stencils`, which reads only the
     neighbouring slices of g; the axis 1-3 stencils, e^-1, the taps and F
-    run on the slab, so no whole-grid array is formed.  A slab's arrays are
-    dropped before the next slab is made, so a reader that drops its own
-    holds one slab's at a time.
+    run on the slab, so no whole-grid array is formed.
     """
     hs = m.grid.spacing
-    for i in range(m.grid.dims[0]):
-        g10i = m.g[:, i]
-        dg = np.empty((4,) + g10i.shape)
-        dg[0], dd0 = _slab_stencils(m.g, i, hs[0], range(10))
-        for k in (1, 2, 3):
-            d1(g10i, k, hs[k], out=dg[k])
-        flat = dg.reshape((40,) + dg.shape[2:])
-        first = flat[_TAP_DI]
-        first += flat[_TAP_DJ]
-        first -= flat[_TAP_DL]
-        first *= 0.5
-        del flat
-        einv = _inverse_coframe(m.coframe[:, i])
-        frame = np.einsum("la...,lx...->ax...", einv, first)
-        del first
-        yield g10i, dg, dd0, frame, einv
-        del dg, dd0, frame, einv
+    g10i = m.g[:, i]
+    dg = np.empty((4,) + g10i.shape)
+    dg[0], dd0 = _slab_stencils(m.g, i, hs[0], range(10))
+    for k in (1, 2, 3):
+        d1(g10i, k, hs[k], out=dg[k])
+    flat = dg.reshape((40,) + dg.shape[2:])
+    first = flat[_TAP_DI]
+    first += flat[_TAP_DJ]
+    first -= flat[_TAP_DL]
+    first *= 0.5
+    einv = _inverse_coframe(m.coframe[:, i])
+    return g10i, dg, dd0, np.einsum("la...,lx...->ax...", einv, first), einv
 
 
-def _pair_riemann(m: MetricField) -> Iterator[np.ndarray]:
-    """Coordinate Riemann tensor on stored pairs, [P, Q, ...] = R_{i_P j_P k_Q l_Q},
-    one axis-0 slab at a time, in axis-0 order.
+def _pair_riemann(m: MetricField, i: int) -> np.ndarray:
+    """Coordinate Riemann tensor on stored pairs of axis-0 slab i,
+    [P, Q, ...] = R_{i_P j_P k_Q l_Q}.
 
     R_ijkl = M[jk, il] - M[jl, ik] on symmetric index pairs, where
     M[x, y] = (d_x g_y + d_y g_x) / 2 + Gamma_{p,x} Gamma^p_y and d_x is the
     second derivative along the axis pair x.  The first derivatives and the
     frame symbols F, whose Gram matrix F^T F is the Gamma Gamma term, come
-    from `_metric_slabs`, with d2 along axis 0; everything else runs per
-    slab, the mixed derivatives with axis 0 as d_b (d_0 g).  M is
-    symmetric, so only its 55 entries x <= y are formed (`_TRI`): the Gram
-    matrix one row at a time, then d_x g_y / 2 added to entry (x, y) for
-    every y, and both halves, d_x g_x, to the diagonal entry (x, x).  Only
-    r outlives its slab's step, until the reader takes the next slab.
+    from `_metric_slab`, with d2 along axis 0, and its e^-1 is dropped at
+    once; everything else runs on the slab, the mixed derivatives with
+    axis 0 as d_b (d_0 g).  M is symmetric, so only its 55 entries x <= y
+    are formed (`_TRI`): the Gram matrix one row at a time, then
+    d_x g_y / 2 added to entry (x, y) for every y, and both halves,
+    d_x g_x, to the diagonal entry (x, x).
     """
     hs = m.grid.spacing
-    for g10i, dg, dd0, frame, _ in _metric_slabs(m):
-        mm = np.empty((55,) + frame.shape[2:])
-        for x in range(10):
-            row = mm[_TRI[x, x]:_TRI[x, 9] + 1]
-            np.einsum("a...,ay...->y...", frame[:, x], frame[:, x:], out=row)
-        del frame, _
-        for b in range(4):
-            for a in range(b + 1):
-                if a == b:
-                    ddg = d2(g10i, a, hs[a]) if a > 0 else dd0
-                else:
-                    # a slab has no axis 0 to difference along: d_b (d_0 g)
-                    ddg = d1(dg[b], a, hs[a]) if a > 0 else d1(dg[0], b, hs[b])
-                x = _SYM_INDEX[a, b]
-                half = 0.5 * ddg
-                half[x] = ddg[x]
-                mm[_TRI[x]] += half
-                del ddg, half
-        del dg, dd0
-        r = mm[_TAP_PLUS]
-        r -= mm[_TAP_MINUS]
-        del mm
-        yield r
-        del r
+    g10i, dg, dd0, frame = _metric_slab(m, i)[:4]
+    mm = np.empty((55,) + frame.shape[2:])
+    for x in range(10):
+        np.einsum("a...,ay...->y...", frame[:, x], frame[:, x:],
+                  out=mm[_TRI[x, x]:_TRI[x, 9] + 1])
+    del frame
+    for b in range(4):
+        for a in range(b + 1):
+            if a == b:
+                ddg = d2(g10i, a, hs[a]) if a > 0 else dd0
+            else:
+                # a slab has no axis 0 to difference along: d_b (d_0 g)
+                ddg = d1(dg[b], a, hs[a]) if a > 0 else d1(dg[0], b, hs[b])
+            x = _SYM_INDEX[a, b]
+            half = 0.5 * ddg
+            half[x] = ddg[x]
+            mm[_TRI[x]] += half
+            del ddg, half
+    del dg, dd0
+    r = mm[_TAP_PLUS]
+    r -= mm[_TAP_MINUS]
+    return r
 
 
 def _lambda2(e: np.ndarray) -> np.ndarray:
@@ -479,14 +476,15 @@ def curvature_stack(m: MetricField) -> CurvatureBundle:
     of every self-dual field.  Per axis-0 slab, WEDGE2 sd_pairs is a view of
     the slab's sd_pairs in reversed pair order with its signs flipped in
     place; R, W+ and w are written into the whole-grid results, and every
-    array of the slab is dropped before the next slab is made.
+    array of the slab is dropped before `_pair_riemann` makes the next r.
     """
     dims = m.grid.dims
     scal = np.empty(dims)
     wplus = np.empty((3, 3) + dims)
     w = np.empty(dims)
     eye = np.eye(3).reshape(3, 3, 1, 1, 1)
-    for i, r in enumerate(_pair_riemann(m)):
+    for i in range(dims[0]):
+        r = _pair_riemann(m, i)
         eta = _sd_pairs(m.coframe[:, i])[::-1]
         eta *= WEDGE2_SIGNS.reshape(6, 1, 1, 1, 1)
         block = np.einsum("pa...,pb...->ab...", eta, np.einsum("pq...,qb...->pb...", r, eta))

@@ -13,7 +13,7 @@ from monolab.curvature import (
     _frame_components,
     _inverse_coframe,
     _inverse_metric,
-    _metric_slabs,
+    _metric_slab,
     _pair_riemann,
     build_metric,
     curvature_stack,
@@ -348,7 +348,7 @@ def _frame_operator(m):
     curvature operator whose trace is R/2 and whose eta-plus and eta-minus
     blocks are W+ and W- plus (R/12) 1."""
     lam = textbook_lambda2(np.linalg.inv(layout(unpack(m.coframe, symmetric=False), "node")))
-    pair = layout(np.stack(list(_pair_riemann(m)), axis=2), "node")
+    pair = layout(np.stack([_pair_riemann(m, i) for i in range(m.grid.dims[0])], axis=2), "node")
     return np.swapaxes(lam, -1, -2) @ pair @ lam
 
 
@@ -413,8 +413,9 @@ def test_pair_operator_matches_textbook_chain_on_a_noncubic_grid():
     assert rel_err(cb.scalar.values, scal) < 1e-12
     assert rel_err(layout(cb.wplus, "node"), wplus) < 1e-12
     # Gamma^k_x = (e^-1 F)[k, x] from the frame symbols
+    slabs = [_metric_slab(m, i) for i in range(m.grid.dims[0])]
     gam = np.stack([np.einsum("ka...,ax...->kx...", einv, frame)
-                    for *_, frame, einv in _metric_slabs(m)], axis=2)
+                    for *_, frame, einv in slabs], axis=2)
     textbook = textbook_christoffel(g, grid.spacing)
     assert rel_err(layout(gam, "node"), textbook[..., _SYM_I, _SYM_J]) < 1e-13
 
@@ -451,10 +452,9 @@ def test_stack_builds_no_whole_grid_matrix_field():
 
 def test_stack_peak_at_16_stays_near_its_outputs():
     # R, W+ and w are 11 whole-grid doubles per node; the per-slab work and
-    # the bundle's checks add the rest.  Measured 28.5 doubles per node with
-    # each slab's arrays dropped before the next slab is made, 38.7 with the
-    # previous slab's kept alive meanwhile; the whole-grid axis-0 stencils
-    # of g and the (dims, 3, 3) check temporaries made it 66.1
+    # the bundle's checks add the rest.  Measured 20.9 doubles per node with
+    # one slab's arrays alive at a time, 28.5 with slab generators and
+    # enumerate holding the previous slab's while the next was made
     grid, g = generic_metric(16)
     m = build_metric(grid, pack(g))
     tracemalloc.start()
@@ -463,14 +463,14 @@ def test_stack_peak_at_16_stays_near_its_outputs():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < grid.node_count * 30 * 8
+    assert peak < grid.node_count * 23 * 8
 
 
 def test_connection_peak_at_16_stays_near_its_output():
     # the connection is 12 whole-grid doubles per node, built one axis-0
-    # slab at a time: measured 29.1 doubles per node with each slab's
-    # arrays dropped before the next slab is made, 32.4 with the previous
-    # slab's kept alive meanwhile
+    # slab at a time: measured 21.9 doubles per node with one slab's arrays
+    # alive at a time, 29.1 with a slab generator and enumerate holding the
+    # previous slab's while the next was made
     grid, g = generic_metric(16)
     m = build_metric(grid, pack(g))
     tracemalloc.start()
@@ -479,7 +479,7 @@ def test_connection_peak_at_16_stays_near_its_output():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < grid.node_count * 30 * 8
+    assert peak < grid.node_count * 25 * 8
 
 
 def test_sd_pairs_peak_at_16_stays_near_its_output():

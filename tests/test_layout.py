@@ -321,7 +321,8 @@ def _selfdual_weyl(rng):
     wplus = curvature_stack(m).wplus
     einv = np.linalg.inv(layout(unpack(m.coframe, symmetric=False), "node"))
     lam = textbook_lambda2(einv)
-    pair = layout(np.stack(list(_pair_riemann(m)), axis=2), "node")
+    pair = layout(np.stack([_pair_riemann(m, i) for i in range(m.grid.dims[0])], axis=2),
+                  "node")
     op = np.swapaxes(lam, -1, -2) @ pair @ lam
     scal = 2.0 * np.trace(op, axis1=-2, axis2=-1)
     want = H_PLUS @ op @ H_PLUS.T - (scal / 12.0)[..., None, None] * np.eye(3)

@@ -38,18 +38,17 @@ CONFORMAL = "conformal:0.1*sin(x0)"
 # name: (command, peak-RSS ceiling in MiB); each ceiling is the peak
 # measured when it was set plus about 12%
 CEILINGS = {
-    # measured 145 MiB, with g written packed by the preset and one slab's
-    # arrays alive at a time
-    "curvature": (["curvature", "--dims", "24", "--metric", CONFORMAL], 163),
+    # measured 124.3-124.4 MiB
+    "curvature": (["curvature", "--dims", "24", "--metric", CONFORMAL], 139),
     # measured 353-355 MiB, with g packed and the eta pairs formed in blocks
     # of 8192 nodes; a conformal metric's PCG takes 0 iterations
     "hodge": (["hodge", "--dims", "24", "--metric", CONFORMAL], 397),
     # the only 24^4 ceiling step whose PCG iterates; measured 380 MiB, with
     # g, its factor and the flux weight packed
     "hodge_generic": (["hodge", "--dims", "24", "--metric", "file:generic24.zip"], 426),
-    # measured 451-458 MiB, set by the minimiser's peak
+    # measured 413.1-415.3 MiB, set by the minimiser's peak
     "lambda_short": (["lambda", "--dims", "24", "--metric", CONFORMAL, "--theta", "coord:1",
-                      "--multistarts", "0", "--max-iter", "5"], 511),
+                      "--multistarts", "0", "--max-iter", "5"], 463),
 }
 
 THREADS = [{"OPENBLAS_NUM_THREADS": t, "OMP_NUM_THREADS": t} for t in ("1", "2")]
