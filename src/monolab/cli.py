@@ -295,6 +295,13 @@ def _geometry(args):
     return grid, metric_from_preset(args.metric, grid)
 
 
+def _require_flat_metric(args, m) -> None:
+    """Refuse a curved metric as input, before a spin^c command's work starts."""
+    if not m.is_flat:
+        raise PresetError(f"--metric {args.metric!r}: spin^c operators are implemented "
+                          "on flat charts only")
+
+
 def _random_pair(grid, seed, amplitude):
     from .spinc import SpinorField, U1Connection
 
@@ -396,6 +403,7 @@ def _run_dirac_check(args):
     from .spinc import CliffordModel, dirac_weitzenboeck_check, log_kato_check, sigma_map
 
     grid, m = _geometry(args)
+    _require_flat_metric(args, m)
     conn, phi = _random_pair(grid, args.seed, args.amplitude)
     lhs, rhs, residual = dirac_weitzenboeck_check(phi, conn, m)
     kato = log_kato_check(phi, conn, m=m)
@@ -447,6 +455,7 @@ def _run_psw(args):
     from .spinc import sigma_map
 
     grid, m = _geometry(args)
+    _require_flat_metric(args, m)
     curv, K = _weight(m, theta_from_preset(args.theta, m), args.lambda_value)
     cfg = _manufactured(args, m, curv)
     pert = PerturbationSpec(args.variant, eps=args.eps)
@@ -470,6 +479,7 @@ def _run_bounds(args):
     )
 
     _, m = _geometry(args)
+    _require_flat_metric(args, m)
     curv, K = _weight(m, theta_from_preset(args.theta, m), args.lambda_value)
     cfg = _manufactured(args, m, curv)
     off = args.gate == "off"
@@ -534,6 +544,7 @@ def _sweep_residual(args, n: int) -> float:
     if args.check == "dirac":
         from .spinc import dirac_weitzenboeck_check
 
+        _require_flat_metric(args, m)
         conn, phi = _random_pair(grid, args.seed, args.amplitude)
         return dirac_weitzenboeck_check(phi, conn, m)[2]
     from .selfdual import (

@@ -19,10 +19,10 @@ have equal trace and R = 4 tr B; W+ = B - (R/12) 1 is a symmetric trace-free
 
 The stack and the Christoffel symbols work one axis-0 slab at a time: the
 n1 n2 n3 nodes that share one index of grid axis 0.  `_metric_slab(m, i)`
-returns slab i's first derivatives of g, e^-1 and F = e^-T Gamma_lower, the one
-form of the Christoffel symbols that the pair form and
-`MetricField.sd_connection` need: Gamma_{p,x} Gamma^p_y is the Gram matrix
-F^T F, and the frame connection is read off the lower triangle of
+returns slab i's first derivatives of g, its factor e, e^-1 and
+F = e^-T Gamma_lower, the one form of the Christoffel symbols that the pair
+form and `MetricField.sd_connection` need: Gamma_{p,x} Gamma^p_y is the Gram
+matrix F^T F, and the frame connection is read off the lower triangle of
 F[:, (k, .)] e^-1 = e Gamma_k e^-1, so only g is differenced.  No stencil
 runs on the whole grid: d1 and d2 along axis 0 of the slab's 10 stored
 components of g come from `grid._slab_stencils`, which reads only the
@@ -30,8 +30,8 @@ neighbouring slices of g.  The stencils along axes 1-3, e^-1, the taps and
 F, the 55 entries x <= y of the symmetric 10x10 matrix M behind r, r,
 sd_pairs, the eta-plus block B and the eigenvalue pass all run on the slab,
 and each slab's R, W+ and w are written into the whole-grid results;
-besides g, the factor, the cached tensors and those results, no whole-grid
-array is formed.  A slab (c, n1, n2, n3) is differenced along axes 1-3
+besides g, vol, the cached tensors and those results, no whole-grid array
+is formed.  A slab (c, n1, n2, n3) is differenced along axes 1-3
 with the grid's own axis numbers and gets the bits of the same rows of the
 whole-grid call; its axis-0 rows agree with the whole-grid ones to
 roundoff, and a mixed derivative with axis 0 is d_b (d_0 g).  A slab loop
@@ -41,32 +41,35 @@ suspended generator or enumerate's last tuple keeps the previous slab alive
 while the next is made, and no view (a row of M, say) outlives its slab.
 
 g is packed from the preset onwards: `build_metric` keeps the packed g
-every metric preset writes and factors it once, by the closed-form 4x4
-Cholesky on whole planes (`_upper_factor`, no LAPACK), into
-`MetricField.coframe`.  g, the flux weight vol g^-1 and the factor share
-one layout: g[x, ...] with x = _SYM_INDEX[i, j] over the pairs i <= j in
-np.triu_indices(4) order, so row j of the factor's upper triangle is one
-contiguous run and an axis-0 slab of g is the view g[:, i].  No
-(4, 4, dims) array is kept; `_sym_apply` contracts a packed
-symmetric field with a vector block by block of nodes.  The volume factor
-vol = e_00 e_11 e_22 e_33, the inverse coframe e^-1 (back substitution,
-upper triangular with its zeros stored, formed per slab or per use),
+every metric preset writes.  Its factor e, by the closed-form 4x4 Cholesky
+on whole planes (`_upper_factor`, no LAPACK), is formed where it is read,
+one axis-0 slab at a time, and never kept for the whole grid: by
+`build_metric`, for the pivots and vol, by `_metric_slab`, for the stack
+and the frame connection, by `sd_pairs`, `flux_weight` and `_frame_field`.
+g, the flux weight vol g^-1 and the factor share one layout: g[x, ...]
+with x = _SYM_INDEX[i, j] over the pairs i <= j in np.triu_indices(4)
+order, so row j of the factor's upper triangle is one contiguous run and
+an axis-0 slab of g is the view g[:, i].  No (4, 4, dims) array is kept;
+`_sym_apply` contracts a packed symmetric field with a vector block by
+block of nodes.  The volume factor vol = e_00 e_11 e_22 e_33, the inverse
+coframe e^-1 (back substitution, upper triangular with its zeros stored),
 g^-1 = e^-1 e^-T, packed, and a covector's frame components e^-T v
 (forward substitution) are read off the factor's 10 entries, with no
-LAPACK inverse or determinant.  Every tensor here has the one in-memory
-layout of `grid`: components first, grid axes last, as in g[x, ...],
-sd_connection[k, a, ...] and `CurvatureBundle.wplus` [a, b, ...]; a slab
-drops the axis-0 index, as in F[a, x, n1, n2, n3].  A stencil is then one
-matrix product and each per-node product a two-operand einsum over the
-trailing node axes (see `_bilinear` for why two).  Only the eigenvalue
-pass reads W+ node-major, one slab's view at a time.
+LAPACK inverse or determinant.  Every tensor
+here has the one in-memory layout of `grid`: components first, grid axes
+last, as in g[x, ...], sd_connection[k, a, ...] and `CurvatureBundle.wplus`
+[a, b, ...]; a slab drops the axis-0 index, as in F[a, x, n1, n2, n3].  A
+stencil is then one matrix product and each per-node product a two-operand
+einsum over the trailing node axes (see `_bilinear` for why two).  Only the
+eigenvalue pass reads W+ node-major, one slab's view at a time.
 
-`MetricField` caches only what every application of the lambda operator
-reads: vol, the flux weight vol g^-1, the pair components of eta_a,
-sd_pairs = (H+ Lambda^2 e)^T, and the frame connection on Lambda+ = so(3),
-one 3-vector a_k per axis, with nabla_k sigma = d_k sigma + a_k x sigma
-since [eta_a, eta_b] = -sqrt(2) eps_abc eta_c (Atiyah, Hitchin and Singer
-1978; Besse 1987, ch. 13).  e^-1 and g^-1 are formed per slab or per use.
+`MetricField` holds g and vol, and caches only what every application of
+the lambda operator reads: the flux weight vol g^-1, the pair components of
+eta_a, sd_pairs = (H+ Lambda^2 e)^T, and the frame connection on
+Lambda+ = so(3), one 3-vector a_k per axis, with
+nabla_k sigma = d_k sigma + a_k x sigma since
+[eta_a, eta_b] = -sqrt(2) eps_abc eta_c (Atiyah, Hitchin and Singer 1978;
+Besse 1987, ch. 13).  e, e^-1 and g^-1 are formed per slab.
 The Hodge star is read off sd_pairs, g and vol, with WEDGE2 the signed
 reversal of pair order (`bases.WEDGE2_SIGNS`):
 
@@ -140,27 +143,22 @@ _TAP_DL = 10 * _LOWER + _SYM_INDEX[_SYM_I, _SYM_J]
 class MetricField:
     """Sampled Riemannian metric with lazily cached derived geometry.
 
-    Made only by `build_metric`, which hands over the packed g it was given
-    and the closed-form Cholesky factor it checked g with as `coframe`,
-    both on the 10 pairs x = _SYM_INDEX[i, j], i <= j, in
-    np.triu_indices(4) order, the factor's strict lower triangle being
-    zero.  The derived tensors every application of the lambda operator
-    reads are computed from them once on first use and cached, the
-    symmetric flux weight packed as g is; e^-1 and g^-1 are not kept, and
-    the Hodge star is read off sd_pairs, g and vol (module docstring).
+    Made only by `build_metric`, which hands over the packed g it was given,
+    on the 10 pairs x = _SYM_INDEX[i, j], i <= j, in np.triu_indices(4)
+    order, and the volume factor vol = sqrt(det g) = e_00 e_11 e_22 e_33 it
+    read off the Cholesky factor e while checking g.  No whole-grid factor
+    is kept: each reader forms e from g for the axis-0 slab it works on.
+    The derived tensors every application of the lambda operator reads are
+    computed once on first use and cached, the symmetric flux weight packed
+    as g is; e^-1 and g^-1 are not kept, and the Hodge star is read off
+    sd_pairs, g and vol (module docstring).
     Every array has its components first and the grid axes last, read-only.
     """
 
-    def __init__(self, grid: GridSpec, g: np.ndarray, coframe: np.ndarray):
+    def __init__(self, grid: GridSpec, g: np.ndarray, vol: np.ndarray):
         self.grid = grid
         self.g = _freeze(g)
-        self.coframe = _freeze(coframe)
-
-    @cached_property
-    def vol(self) -> np.ndarray:
-        """sqrt(det g) = e_00 e_11 e_22 e_33, the packed entries 0, 4, 7 and 9."""
-        e = self.coframe
-        return _freeze(e[0] * e[4] * e[7] * e[9])
+        self.vol = _freeze(vol)
 
     @cached_property
     def is_flat(self) -> bool:
@@ -173,13 +171,12 @@ class MetricField:
     @cached_property
     def sd_pairs(self) -> np.ndarray:
         """Stored components of eta_a, sd_pairs[p, a, ...], formed by `_sd_pairs`
-        per `_SYM_BLOCK` nodes, so that `_lambda2`'s 36 minors are one block's."""
-        e = self.coframe.reshape(10, -1)
-        out = np.empty((6, 3, e.shape[1]))
-        for start in range(0, e.shape[1], _SYM_BLOCK):
-            nodes = slice(start, start + _SYM_BLOCK)
-            _sd_pairs(e[:, nodes], out=out[:, :, nodes])
-        return _freeze(out.reshape((6, 3) + self.grid.dims))
+        one axis-0 slab at a time from the slab's factor, so that the factor
+        and `_lambda2`'s 36 minors are one slab's."""
+        out = np.empty((6, 3) + self.grid.dims)
+        for i in range(self.grid.dims[0]):
+            _sd_pairs(_upper_factor(self.g[:, i]), out=out[:, :, i])
+        return _freeze(out)
 
     @cached_property
     def sd_connection(self) -> np.ndarray:
@@ -200,7 +197,7 @@ class MetricField:
         """
         out = np.empty((4, 3) + self.grid.dims)
         for i in range(self.grid.dims[0]):
-            frame, einv = _metric_slab(self, i)[3:]
+            frame, einv = _metric_slab(self, i)[4:]
             cols = einv[:, _PAIR_I]
             del einv
             for k, xs in enumerate(_SYM_INDEX):
@@ -215,10 +212,12 @@ class MetricField:
         """vol g^-1, packed as g is, [(k <= l), ...]: it turns the coordinate
         gradient of a field into its L2 flux, so that
         integral |d f|^2 dmu = sum d f . (vol g^-1 d f) h^4.  Formed one
-        axis-0 slab at a time, so no whole-grid e^-1 is made."""
+        axis-0 slab at a time from the slab's factor, so no whole-grid e or
+        e^-1 is made."""
         out = np.empty((10,) + self.grid.dims)
         for i in range(self.grid.dims[0]):
-            np.multiply(self.vol[i], _inverse_metric(self.coframe[:, i]), out=out[:, i])
+            e = _upper_factor(self.g[:, i])
+            np.multiply(self.vol[i], _inverse_metric(e), out=out[:, i])
         return _freeze(out)
 
 
@@ -264,11 +263,14 @@ def build_metric(grid: GridSpec, g: np.ndarray) -> MetricField:
 
     Rejects non-finite components, non-SPD nodes and a volume factor
     outside the float range; the error names the first offending node so
-    bad input files are debuggable.  g is factored by `_upper_factor`; a
-    node where a pivot is not positive is reported with the lowest
-    eigenvalue of its g.  A C-contiguous float64 g is kept uncopied and
-    made read-only once accepted, as the field caches tensors derived from
-    it; any other g is copied.
+    bad input files are debuggable.  g is factored by `_upper_factor` one
+    axis-0 slab at a time, for its pivots and the volume factor
+    e_00 e_11 e_22 e_33 only: no whole-grid factor is kept, and every
+    reader forms the factor of its own slab.  A node where a
+    pivot is not positive is reported with the lowest eigenvalue of its g.
+    A C-contiguous float64 g is kept uncopied and made read-only once
+    accepted, as the field caches tensors derived from it; any other g is
+    copied.
     """
     g = np.ascontiguousarray(g, dtype=float)
     if g.shape != (10,) + grid.dims:
@@ -276,27 +278,32 @@ def build_metric(grid: GridSpec, g: np.ndarray) -> MetricField:
     finite = np.isfinite(g).all(axis=0)
     if not finite.all():
         raise ValueError(f"metric component is not finite at node {_worst_node(~finite)}")
-    coframe, failed = _upper_factor(g)
+    failed = np.empty(grid.dims, dtype=bool)
+    vol = np.empty(grid.dims)
+    # vol and det g may overflow, and are not finite where a pivot failed
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(grid.dims[0]):
+            e = _upper_factor(g[:, i])
+            failed[i] = ~(e[_SYM_INDEX.diagonal()] > 0).all(axis=0)
+            vol[i] = e[0] * e[4] * e[7] * e[9]
+        det = vol * vol
     if failed.any():
         node = _worst_node(failed)
         lowest = np.linalg.eigvalsh(g[(_SYM_INDEX,) + node])[0]
         raise ValueError(
             f"metric is not positive definite at node {node} (lowest eigenvalue {lowest:.3e})"
         )
-    m = MetricField(grid, g, coframe)
-    with np.errstate(over="ignore"):  # vol and det g may overflow; vol is cached from here on
-        det = m.vol * m.vol
     usable = (det > 0) & (det < np.inf)
     if not usable.all():
         raise ValueError(f"metric volume factor is 0 or overflows at node {_worst_node(~usable)}")
     g.flags.writeable = False
-    return m
+    return MetricField(grid, g, vol)
 
 
-def _upper_factor(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _upper_factor(g: np.ndarray) -> np.ndarray:
     """The upper-triangular factor e of a packed component-major g,
-    e^T e = g, packed as g is, and the mask of nodes where a pivot is not
-    > 0 (NaN included); e is not finite there.
+    e^T e = g, packed as g is.  A pivot is not > 0 (NaN included) exactly
+    where its e_jj, the square root, is not > 0; e is not finite there.
 
     The closed-form Cholesky on whole planes, row j at a time from g's upper
     triangle, each row one contiguous run `_ROW[j]` written in place: the
@@ -304,7 +311,6 @@ def _upper_factor(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     e_ji = (g_ji - sum_{k<j} e_kj e_ki) / e_jj.
     """
     e = np.empty(g.shape)
-    failed = np.zeros(g.shape[1:], dtype=bool)
     with np.errstate(invalid="ignore", divide="ignore"):
         for j in range(4):
             row = e[_ROW[j]]
@@ -312,19 +318,19 @@ def _upper_factor(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             for k in range(j):
                 # e[k, j:], the tail of row k from column j
                 row -= e[_SYM_INDEX[k, j]] * e[_SYM_INDEX[k, j]:_ROW[k].stop]
-            failed |= ~(row[0] > 0)
             np.sqrt(row[0], out=row[0])
             row[1:] /= row[0]
-    return e, failed
+    return e
 
 
 def _metric_slab(m: MetricField, i: int) -> tuple[np.ndarray, ...]:
     """Axis-0 slab i: its 10 stored components of g, g10[x, ...] on the
     symmetric pairs x = _SYM_INDEX[i, j], their first derivatives
     dg[k, x, ...] along all four axes and their second derivative along
-    axis 0, the frame Christoffel symbols on those pairs,
-    F[a, x, ...] = (e^-T Gamma_lower)[a, x], and the slab's e^-1,
-    einv[i, a, ...].
+    axis 0, the slab's factor e, packed as g is, the frame Christoffel
+    symbols on those pairs, F[a, x, ...] = (e^-T Gamma_lower)[a, x], and
+    the slab's e^-1, einv[i, a, ...], all from one factorisation of the
+    slab's g.
 
     dg gives the first-kind symbols Gamma_lower[l, x] = Gamma_{l,ij} by flat
     taps.  F is what both readers need: the frame connection is the lower
@@ -338,6 +344,7 @@ def _metric_slab(m: MetricField, i: int) -> tuple[np.ndarray, ...]:
     """
     hs = m.grid.spacing
     g10i = m.g[:, i]
+    e = _upper_factor(g10i)
     dg = np.empty((4,) + g10i.shape)
     dg[0], dd0 = _slab_stencils(m.g, i, hs[0], range(10))
     for k in (1, 2, 3):
@@ -347,27 +354,28 @@ def _metric_slab(m: MetricField, i: int) -> tuple[np.ndarray, ...]:
     first += flat[_TAP_DJ]
     first -= flat[_TAP_DL]
     first *= 0.5
-    einv = _inverse_coframe(m.coframe[:, i])
-    return g10i, dg, dd0, np.einsum("la...,lx...->ax...", einv, first), einv
+    einv = _inverse_coframe(e)
+    return g10i, dg, dd0, e, np.einsum("la...,lx...->ax...", einv, first), einv
 
 
-def _pair_riemann(m: MetricField, i: int) -> np.ndarray:
+def _pair_riemann(m: MetricField, i: int) -> tuple[np.ndarray, np.ndarray]:
     """Coordinate Riemann tensor on stored pairs of axis-0 slab i,
-    [P, Q, ...] = R_{i_P j_P k_Q l_Q}.
+    [P, Q, ...] = R_{i_P j_P k_Q l_Q}, and the slab's factor e.
 
     R_ijkl = M[jk, il] - M[jl, ik] on symmetric index pairs, where
     M[x, y] = (d_x g_y + d_y g_x) / 2 + Gamma_{p,x} Gamma^p_y and d_x is the
-    second derivative along the axis pair x.  The first derivatives and the
-    frame symbols F, whose Gram matrix F^T F is the Gamma Gamma term, come
-    from `_metric_slab`, with d2 along axis 0, and its e^-1 is dropped at
-    once; everything else runs on the slab, the mixed derivatives with
+    second derivative along the axis pair x.  The first derivatives, d2
+    along axis 0, the factor and the frame symbols F, whose Gram matrix
+    F^T F is the Gamma Gamma term, come from `_metric_slab`, whose e^-1 is
+    dropped at once, and the factor is returned with r for the slab's eta
+    pairs; everything else runs on the slab, the mixed derivatives with
     axis 0 as d_b (d_0 g).  M is symmetric, so only its 55 entries x <= y
     are formed (`_TRI`): the Gram matrix one row at a time, then
     d_x g_y / 2 added to entry (x, y) for every y, and both halves,
     d_x g_x, to the diagonal entry (x, x).
     """
     hs = m.grid.spacing
-    g10i, dg, dd0, frame = _metric_slab(m, i)[:4]
+    g10i, dg, dd0, e, frame = _metric_slab(m, i)[:5]
     mm = np.empty((55,) + frame.shape[2:])
     for x in range(10):
         np.einsum("a...,ay...->y...", frame[:, x], frame[:, x:],
@@ -388,7 +396,7 @@ def _pair_riemann(m: MetricField, i: int) -> np.ndarray:
     del dg, dd0
     r = mm[_TAP_PLUS]
     r -= mm[_TAP_MINUS]
-    return r
+    return r, e
 
 
 def _lambda2(e: np.ndarray) -> np.ndarray:
@@ -396,13 +404,13 @@ def _lambda2(e: np.ndarray) -> np.ndarray:
     pairs, [P, Q, ...] = e[i,k] e[j,l] - e[i,l] e[j,k] for P = (i, j),
     Q = (k, l); the matrix of Lambda^2 e.  An entry below the diagonal is
     the scalar 0.0, which gives the bits of a plane of zeros."""
-    def entry(i, k):
-        return e[_SYM_INDEX[i, k]] if i <= k else 0.0
-
+    full = [[e[_SYM_INDEX[i, k]] if i <= k else 0.0 for k in range(4)] for i in range(4)]
     out = np.empty((6, 6) + e.shape[1:])
     for p, (i, j) in enumerate(PAIRS):
         for q, (k, l) in enumerate(PAIRS):
-            out[p, q] = entry(i, k) * entry(j, l) - entry(i, l) * entry(j, k)
+            o = out[p, q]
+            np.multiply(full[i][k], full[j][l], out=o)
+            o -= full[i][l] * full[j][k]
     return out
 
 
@@ -444,6 +452,15 @@ def _frame_components(e: np.ndarray, v: np.ndarray) -> np.ndarray:
     return x
 
 
+def _frame_field(m: MetricField, v: np.ndarray) -> np.ndarray:
+    """e^-T v, [a, ..., n0, n1, n2, n3], for a whole-grid covector v[k, ...]:
+    `_frame_components` on each axis-0 slab with the slab's factor."""
+    out = np.empty(v.shape)
+    for i in range(m.grid.dims[0]):
+        out[..., i, :, :, :] = _frame_components(_upper_factor(m.g[:, i]), v[..., i, :, :, :])
+    return out
+
+
 def _inverse_metric(e: np.ndarray) -> np.ndarray:
     """g^-1 = e^-1 e^-T, packed as g is, [(i <= j), ...], for the packed
     factor e of g."""
@@ -472,11 +489,12 @@ def curvature_stack(m: MetricField) -> CurvatureBundle:
 
     B = U^T R_pair U, U = WEDGE2 sd_pairs / vol, is the eta-plus block
     W+ + (R/12) 1 of the frame curvature operator, so R = 4 tr B and
-    W+ = B - (R/12) 1, in the eta basis of `MetricField.coframe`, the basis
+    W+ = B - (R/12) 1, in the eta basis of the Cholesky factor, the basis
     of every self-dual field.  Per axis-0 slab, WEDGE2 sd_pairs is a view of
-    the slab's sd_pairs in reversed pair order with its signs flipped in
-    place; R, W+ and w are written into the whole-grid results, and every
-    array of the slab is dropped before `_pair_riemann` makes the next r.
+    the slab's sd_pairs, read off the factor `_pair_riemann` returns with r,
+    in reversed pair order with its signs flipped in place; R, W+ and w are
+    written into the whole-grid results, and every array of the slab is
+    dropped before `_pair_riemann` makes the next r.
     """
     dims = m.grid.dims
     scal = np.empty(dims)
@@ -484,8 +502,9 @@ def curvature_stack(m: MetricField) -> CurvatureBundle:
     w = np.empty(dims)
     eye = np.eye(3).reshape(3, 3, 1, 1, 1)
     for i in range(dims[0]):
-        r = _pair_riemann(m, i)
-        eta = _sd_pairs(m.coframe[:, i])[::-1]
+        r, e = _pair_riemann(m, i)
+        eta = _sd_pairs(e)[::-1]
+        del e
         eta *= WEDGE2_SIGNS.reshape(6, 1, 1, 1, 1)
         block = np.einsum("pa...,pb...->ab...", eta, np.einsum("pq...,qb...->pb...", r, eta))
         del r, eta

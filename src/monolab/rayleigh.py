@@ -87,7 +87,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import CurvatureBundle, MetricField, _frame_components
+from .curvature import CurvatureBundle, MetricField, _frame_field
 from .grid import (
     GridSpec,
     ScalarField,
@@ -168,7 +168,7 @@ def theta_from_sc(s: np.ndarray, c: np.ndarray, m: MetricField) -> ThetaField:
         raise ValueError("sin and cos samples must be finite scalar grid arrays")
     dth = c * _gradient(s, grid) - s * _gradient(c, grid)
     # |d theta|^2 = |e^-T d theta|^2, since g^-1 = e^-1 e^-T
-    frame = _frame_components(m.coframe, dth)
+    frame = _frame_field(m, dth)
     n2 = np.einsum("a...,a...->...", frame, frame)
     return ThetaField(grid, s, c, dth, n2)
 

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bases import PAIRS, TRIPLE_SIGNS, TRIPLES, WEDGE2, WEDGE2_SIGNS
-from .curvature import CurvatureBundle, MetricField, _bilinear, _frame_components, _sym_apply
+from .curvature import CurvatureBundle, MetricField, _bilinear, _frame_field, _sym_apply
 from .grid import (
     GridSpec,
     _fourier_multiply,
@@ -259,11 +259,12 @@ def covariant_derivative(sigma: SelfDualField, m: MetricField) -> np.ndarray:
     Frame components, so the pointwise square sum is |nabla sigma|^2.  On a
     curved metric the coordinate derivative is
     nabla_k sigma = d_k sigma + a_k x sigma, with a the cached frame
-    connection `MetricField.sd_connection`, and e^-T turns k into c.
+    connection `MetricField.sd_connection`, and e^-T turns k into c, one
+    axis-0 slab at a time.
     """
     nab = _nabla(sigma.comps, m)
     if not m.is_flat:
-        nab = _frame_components(m.coframe, nab)
+        nab = _frame_field(m, nab)
     return nab
 
 
@@ -337,7 +338,7 @@ def _identity_pieces(sigma: SelfDualField, theta, m: MetricField):
     nab = covariant_derivative(sigma, m)
     sig2 = np.sum(sigma.comps**2, axis=0)
     nab2 = np.sum(nab**2, axis=(0, 1))
-    dth_frame = _frame_components(m.coframe, theta.dtheta)
+    dth_frame = _frame_field(m, theta.dtheta)
     cross = _bilinear(dth_frame, nab, sigma.comps)
     return sig2, nab2, cross
 

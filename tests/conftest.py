@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from monolab.bases import PAIRS
-from monolab.curvature import curvature_stack
+from monolab.curvature import _upper_factor, curvature_stack
 from monolab.grid import GridSpec
 from monolab.presets import metric_from_preset, random_smooth_scalar
 
@@ -111,6 +111,12 @@ def unpack(packed, symmetric=True):
     if symmetric:
         full[j, i] = packed
     return full
+
+
+def coframe(m):
+    """The whole-grid Cholesky factor e of m.g, e^T e = g, packed as g is;
+    the package forms it only for the axis-0 slab it reads."""
+    return _upper_factor(m.g)
 
 
 def textbook_lambda2(a):

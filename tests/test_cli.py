@@ -295,6 +295,12 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
         ["bounds", "--dims", "8", "--gate", "-1"],
         # the stop rule's tolerance is a constant of the minimiser
         ["lambda", "--dims", "8", "--config", "tol_key.json"],
+        # spin^c operators are implemented on flat charts only: a curved
+        # metric is input these commands do not take
+        ["dirac-check", "--dims", "8", "--metric", "conformal:0.1*sin(x0)"],
+        ["psw-residual", "--dims", "8", "--metric", "conformal:0.1*sin(x0)"],
+        ["bounds", "--dims", "8", "--metric", "conformal:0.1*sin(x0)"],
+        ["sweep", "--check", "dirac", "--dims-list", "8,12", "--metric", "conformal:0.1*sin(x0)"],
     ],
 )
 # a numpy warning would be a second stderr line
@@ -376,15 +382,6 @@ def test_bad_field_container_exit_2(tmp_path, capsys, fault):
         assert str(path) in err
         if fault.startswith("complex-"):
             assert repr(fault.removeprefix("complex-")) in err
-
-
-def test_gate_errors_exit_1(capsys):
-    # coupled Dirac needs the flat chart: curved psw trips the gate
-    code, _ = run(
-        capsys,
-        ["psw-residual", "--dims", "8", "--metric", "conformal:0.1*sin(x0)", "--pair", "constant"],
-    )
-    assert code == 1
 
 
 @pytest.mark.parametrize("command", ["bounds", "dirac-check", "lebrun", "sweep", "catalog"])
@@ -491,8 +488,9 @@ def test_dirac_check_refuses_a_nearly_flat_metric(capsys, amplitude):
     # default relative tolerance of the identity
     code = main(["dirac-check", "--dims", "8", "--metric", f"conformal:{amplitude}*sin(x0)"])
     captured = capsys.readouterr()
-    assert code == 1 and captured.out == ""
-    assert "spin^c operators are implemented on flat charts only" in captured.err
+    assert code == 2 and captured.out == ""
+    assert captured.err == (f"monolab: config error: --metric 'conformal:{amplitude}*sin(x0)': "
+                            "spin^c operators are implemented on flat charts only\n")
 
 
 @pytest.mark.parametrize("argv", [["dirac-check", "--dims", "8"],
@@ -753,12 +751,18 @@ def test_flags_only_where_read(tmp_path, monkeypatch, argv):
     assert not (tmp_path / "x.csv").exists()
 
 
-def ci_runs_commands() -> dict:
-    """Every command line of tools/ci_runs.py, by row."""
+def ci_runs_module():
+    """tools/ci_runs.py, loaded from its file."""
     path = Path(__file__).resolve().parent.parent / "tools" / "ci_runs.py"
     spec = importlib.util.spec_from_file_location("ci_runs", path)
     ci = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(ci)
+    return ci
+
+
+def ci_runs_commands() -> dict:
+    """Every command line of tools/ci_runs.py, by row."""
+    ci = ci_runs_module()
     rows = {f"ceiling-{name}": argv for name, (argv, _) in ci.CEILINGS.items()}
     rows.update({f"bytes-{name}": argv for name, (_, argv) in ci.BYTE_ROWS.items()})
     rows.update({f"generic8-{name}": argv for name, argv in ci.GENERIC8.items()})
@@ -774,3 +778,23 @@ def test_ci_runs_commands_parse(argv):
     # a renamed flag fails here, in process, not first in CI's harness run
     args = cli._resolve(cli._build_parser().parse_args(argv))
     assert args.command == argv[0]
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["--bogus"], 2), (["8", "12"], 2)],
+                         ids=["help", "unknown-flag", "positional"])
+def test_ci_runs_reads_its_arguments(monkeypatch, capsys, argv, code):
+    # --help prints the module's usage; anything else is refused in one
+    # line.  Neither writes an input or runs a row
+    ci = ci_runs_module()
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a row ran")
+
+    monkeypatch.setattr(ci, "write_inputs", refused)
+    monkeypatch.setattr(ci, "ci_run", refused)
+    assert ci.main(argv) == code
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert out.startswith(ci.__doc__) and err == ""
+    else:
+        assert out == "" and err.count("\n") == 1 and "takes no arguments" in err

@@ -32,6 +32,7 @@ from monolab.selfdual import (
 
 from conftest import (
     X3,
+    coframe,
     generic_metric,
     layout,
     pack,
@@ -116,11 +117,11 @@ def test_metric_algebra_from_the_factor():
     grid, g = generic_metric(8)
     m = build_metric(grid, pack(g))
     # g, the factor and g^-1 are packed on the 10 pairs i <= j
-    assert m.g.shape == m.coframe.shape == (10,) + grid.dims
+    assert m.g.shape == coframe(m).shape == (10,) + grid.dims
     assert np.array_equal(layout(unpack(m.g), "node"), g)
-    e = layout(unpack(m.coframe, symmetric=False), "node")
-    einv = layout(_inverse_coframe(m.coframe), "node")
-    gi = layout(unpack(_inverse_metric(m.coframe)), "node")
+    e = layout(unpack(coframe(m), symmetric=False), "node")
+    einv = layout(_inverse_coframe(coframe(m)), "node")
+    gi = layout(unpack(_inverse_metric(coframe(m))), "node")
     eye = np.broadcast_to(np.eye(4), g.shape)
     assert np.max(np.abs(np.swapaxes(e, -1, -2) @ e - g)) < 1e-13
     assert np.max(np.abs(einv @ e - eye)) < 1e-13
@@ -132,7 +133,7 @@ def test_metric_algebra_from_the_factor():
     v = np.random.default_rng(0).standard_normal((4, 3) + grid.dims)
     node = lambda x: np.moveaxis(x, (0, 1), (-1, -2))  # [..., a, k]
     want = np.linalg.solve(np.swapaxes(e, -1, -2)[..., None, :, :], node(v)[..., None])[..., 0]
-    assert np.max(np.abs(node(_frame_components(m.coframe, v)) - want)) < 1e-13
+    assert np.max(np.abs(node(_frame_components(coframe(m), v)) - want)) < 1e-13
 
 
 def test_metric_is_factored_without_lapack(monkeypatch):
@@ -149,7 +150,7 @@ def test_metric_is_factored_without_lapack(monkeypatch):
     curvature_stack(m)
     for derived in (m.flux_weight, m.vol, m.sd_pairs, m.sd_connection):
         assert np.isfinite(derived).all()
-    e = layout(unpack(m.coframe, symmetric=False), "node")
+    e = layout(unpack(coframe(m), symmetric=False), "node")
     assert rel_err(e, np.swapaxes(cholesky(g), -1, -2)) < 1e-15
 
 
@@ -157,8 +158,8 @@ def test_flat_metric_algebra_is_exact(m8):
     # a -0.0 that reaches a report prints as -0.0 and breaks flat byte-identity
     eye = np.broadcast_to(np.eye(4).reshape(4, 4, 1, 1, 1, 1), (4, 4) + m8.grid.dims)
     packed_eye = np.broadcast_to((_SYM_I == _SYM_J).reshape(10, 1, 1, 1, 1), m8.g.shape)
-    for x, ref in ((_inverse_metric(m8.coframe), packed_eye),
-                   (_inverse_coframe(m8.coframe), eye), (m8.coframe, packed_eye),
+    for x, ref in ((_inverse_metric(coframe(m8)), packed_eye),
+                   (_inverse_coframe(coframe(m8)), eye), (coframe(m8), packed_eye),
                    (m8.flux_weight, packed_eye), (m8.vol, np.ones(m8.vol.shape))):
         assert np.array_equal(x, ref)
         assert not np.signbit(x).any()
@@ -269,7 +270,7 @@ def test_three_form_algebra_matches_tensor_definitions():
     a = rng.standard_normal(grid.dims + (4, 4))
     g = np.einsum("...ij,...kj->...ik", a, a) + 0.5 * np.eye(4)
     m = build_metric(grid, pack(g))
-    gi, vol = layout(unpack(_inverse_metric(m.coframe)), "node"), m.vol
+    gi, vol = layout(unpack(_inverse_metric(coframe(m))), "node"), m.vol
 
     star_stored = np.einsum("...mijk,lijk->...ml", textbook_three_form_star(g), X3)
     gram3 = np.empty(grid.dims + (4, 4))
@@ -347,8 +348,9 @@ def _frame_operator(m):
     """L^T R_pair L with L = Lambda^2(e^-1), e^-1 by LAPACK: the frame
     curvature operator whose trace is R/2 and whose eta-plus and eta-minus
     blocks are W+ and W- plus (R/12) 1."""
-    lam = textbook_lambda2(np.linalg.inv(layout(unpack(m.coframe, symmetric=False), "node")))
-    pair = layout(np.stack([_pair_riemann(m, i) for i in range(m.grid.dims[0])], axis=2), "node")
+    lam = textbook_lambda2(np.linalg.inv(layout(unpack(coframe(m), symmetric=False), "node")))
+    pair = layout(np.stack([_pair_riemann(m, i)[0] for i in range(m.grid.dims[0])], axis=2),
+                  "node")
     return np.swapaxes(lam, -1, -2) @ pair @ lam
 
 
@@ -451,10 +453,12 @@ def test_stack_builds_no_whole_grid_matrix_field():
 
 
 def test_stack_peak_at_16_stays_near_its_outputs():
-    # R, W+ and w are 11 whole-grid doubles per node; the per-slab work and
-    # the bundle's checks add the rest.  Measured 20.9 doubles per node with
-    # one slab's arrays alive at a time, 28.5 with slab generators and
-    # enumerate holding the previous slab's while the next was made
+    # R, W+ and w are 11 whole-grid doubles per node; the per-slab work, the
+    # slab's factor among it, and the bundle's checks add the rest.  Measured
+    # 21.5 doubles per node with one slab's arrays alive at a time (20.9
+    # with each slab's factor a view of a whole-grid one), 28.5 with slab
+    # generators and enumerate holding the previous slab's while the next
+    # was made
     grid, g = generic_metric(16)
     m = build_metric(grid, pack(g))
     tracemalloc.start()
@@ -468,9 +472,10 @@ def test_stack_peak_at_16_stays_near_its_outputs():
 
 def test_connection_peak_at_16_stays_near_its_output():
     # the connection is 12 whole-grid doubles per node, built one axis-0
-    # slab at a time: measured 21.9 doubles per node with one slab's arrays
-    # alive at a time, 29.1 with a slab generator and enumerate holding the
-    # previous slab's while the next was made
+    # slab at a time: measured 22.5 doubles per node with one slab's arrays,
+    # its factor among them, alive at a time (21.9 with each slab's factor a
+    # view of a whole-grid one), 29.1 with a slab generator and enumerate
+    # holding the previous slab's while the next was made
     grid, g = generic_metric(16)
     m = build_metric(grid, pack(g))
     tracemalloc.start()
@@ -483,9 +488,11 @@ def test_connection_peak_at_16_stays_near_its_output():
 
 
 def test_sd_pairs_peak_at_16_stays_near_its_output():
-    # the eta pairs are 18 whole-grid doubles per node, built in blocks of
-    # 8192 nodes: measured 22.9 doubles per node, 54.0 with the 36 minors
-    # of Lambda^2 e formed on the whole grid
+    # the eta pairs are 18 whole-grid doubles per node, built one axis-0
+    # slab (4096 nodes) at a time from the slab's factor: measured 20.9
+    # doubles per node; 24.1 in blocks of 8192 nodes, 22.9 in those blocks
+    # from a whole-grid factor, 54.0 with the 36 minors of Lambda^2 e formed
+    # on the whole grid
     grid, g = generic_metric(16)
     m = build_metric(grid, pack(g))
     tracemalloc.start()
@@ -497,11 +504,12 @@ def test_sd_pairs_peak_at_16_stays_near_its_output():
     assert peak <= grid.node_count * 24 * 8
 
 
-def test_metric_holds_g_its_factor_and_vol_packed():
-    # after build_metric the field holds g and its factor, 10 planes each
-    # (one plane being one float64 grid array), and vol: 21 planes.  With g
-    # and the factor stored as full (4, 4, dims) arrays it held 33.  The
-    # packed g is made inside the trace, as build_metric keeps it uncopied
+def test_metric_holds_g_and_vol_packed():
+    # after build_metric the field holds g, 10 planes (one plane being one
+    # float64 grid array), and vol: measured 11.0 planes.  With the factor
+    # kept packed too it held 21, and with g and the factor stored as full
+    # (4, 4, dims) arrays 33.  The packed g is made inside the trace, as
+    # build_metric keeps it uncopied
     grid, g = generic_metric(16)
     tracemalloc.start()
     try:
@@ -510,7 +518,18 @@ def test_metric_holds_g_its_factor_and_vol_packed():
     finally:
         tracemalloc.stop()
     assert m.g.shape == (10,) + grid.dims
-    assert held < grid.node_count * 21.1 * 8
+    assert held < grid.node_count * 11.1 * 8
+
+
+@pytest.mark.parametrize("dims", [(8,) * 4, (5, 6, 7, 8)])
+def test_slab_factor_is_the_whole_grid_factor(dims):
+    # every reader forms the factor of its own axis-0 slab; each must get
+    # the bits of the same rows of the whole-grid factor
+    grid, g = generic_metric(dims)
+    m = build_metric(grid, pack(g))
+    e = coframe(m)
+    for i in range(grid.dims[0]):
+        assert _metric_slab(m, i)[3].tobytes() == e[:, i].tobytes()
 
 
 def test_cold_stack_runs_no_whole_grid_stencil(monkeypatch):
@@ -609,7 +628,7 @@ def test_selfdual_weyl_is_conformally_covariant(refinement):
 
 
 def test_metric_keeps_only_what_every_application_reads():
-    # e^-1, g^-1 and the projection weights are formed per slab or per use;
+    # e, e^-1, g^-1 and the projection weights are formed per slab or per use;
     # after every kernel that reads them has run, the metric holds only its
     # inputs and the tensors an application of the lambda operator reads
     grid, g = generic_metric(8)
@@ -620,9 +639,9 @@ def test_metric_keeps_only_what_every_application_reads():
     theta = theta_from_preset("coord:1", m)
     integral_identity_check_s(sigma, theta, m, curv)
     minimize_lambda(theta, m, opts=LambdaOptions(n_random=0, max_iter=5))
-    # the symmetric g and flux weight and the upper-triangular factor are
-    # packed, 10 planes each: no (4, 4, dims) array is kept
-    shapes = {"g": (10,), "coframe": (10,), "flux_weight": (10,), "vol": (),
+    # the symmetric g and flux weight are packed, 10 planes each: no
+    # (4, 4, dims) array and no whole-grid factor is kept
+    shapes = {"g": (10,), "flux_weight": (10,), "vol": (),
               "sd_pairs": (6, 3), "sd_connection": (4, 3)}
     assert set(vars(m)) <= set(shapes) | {"grid", "is_flat"}, sorted(set(vars(m)) - set(shapes))
     for name, lead in shapes.items():

@@ -30,6 +30,7 @@ from monolab.spinc import SpinorField, U1Connection, gauge_transform, nabla_a
 
 from conftest import (
     D_TERMS,
+    coframe,
     generic_metric,
     layout,
     pack,
@@ -197,9 +198,9 @@ def test_covariant_derivative_kernels_match_roll_and_transpose(grid):
 
 def metric_references(g, spacing):
     """Node-major references for every tensor `MetricField` caches, for the
-    two it forms per use (inv_coframe, ginv) and for the two that the
-    kernels apply in closed form (sd_pairs_up, hodge_weight), built with
-    LAPACK, np.roll stencils of g and full index tensors."""
+    three it forms per slab (coframe, inv_coframe, ginv) and for the two
+    that the kernels apply in closed form (sd_pairs_up, hodge_weight),
+    built with LAPACK, np.roll stencils of g and full index tensors."""
     e, einv, de = textbook_cholesky_derivative(g, spacing)
     gi = np.linalg.inv(g)
     vol = np.sqrt(np.linalg.det(g))
@@ -249,7 +250,8 @@ def test_metric_field_tensors_are_component_major():
     for name, (got, ref) in applied.items():
         assert got.shape[-4:] == ODD.dims, name
         assert rel_err(layout(got, "node"), ref) <= 1e-14, name
-    formed = {"inv_coframe": _inverse_coframe(m.coframe), "ginv": _inverse_metric(m.coframe)}
+    e = coframe(m)
+    formed = {"coframe": e, "inv_coframe": _inverse_coframe(e), "ginv": _inverse_metric(e)}
     # the symmetric g, g^-1 and flux weight and the upper-triangular factor
     # are stored packed, on the pairs i <= j in np.triu_indices(4) order
     upper = np.triu_indices(4)
@@ -319,9 +321,9 @@ def _selfdual_weyl(rng):
     # matrix products on the pair form and LAPACK's e^-1
     m = build_metric(ODD, pack(generic_metric(ODD.dims, periods=ODD.periods)[1]))
     wplus = curvature_stack(m).wplus
-    einv = np.linalg.inv(layout(unpack(m.coframe, symmetric=False), "node"))
+    einv = np.linalg.inv(layout(unpack(coframe(m), symmetric=False), "node"))
     lam = textbook_lambda2(einv)
-    pair = layout(np.stack([_pair_riemann(m, i) for i in range(m.grid.dims[0])], axis=2),
+    pair = layout(np.stack([_pair_riemann(m, i)[0] for i in range(m.grid.dims[0])], axis=2),
                   "node")
     op = np.swapaxes(lam, -1, -2) @ pair @ lam
     scal = 2.0 * np.trace(op, axis1=-2, axis2=-1)

@@ -43,6 +43,7 @@ from monolab.spinc import U1Connection
 from conftest import (
     CONFORMAL_PRESET,
     D_TERMS,
+    coframe,
     generic_metric,
     layout,
     levi_civita,
@@ -77,7 +78,7 @@ def test_projection_algebra(generic8):
     assert np.max(np.abs(back.comps - sig.comps)) < 1e-12
     # self-dual at every node: omega ^ omega = |omega|^2 vol
     wedge = np.einsum("p...,pq,q...->...", omega.comps, WEDGE2, omega.comps)
-    gram = textbook_lambda2(layout(unpack(_inverse_metric(m.coframe)), "node"))
+    gram = textbook_lambda2(layout(unpack(_inverse_metric(coframe(m))), "node"))
     node = layout(omega.comps, "node")
     norm2 = layout(np.einsum("...p,...pq,...q->...", node, gram, node), "comp")
     assert rel_err(wedge, m.vol * norm2) < 1e-12

@@ -2,8 +2,10 @@
 
     python tools/ci_runs.py
 
-Every check runs `python -m monolab.cli` on this tree's src/ in a child
-process, in a scratch directory that holds the inputs, each built once:
+It takes no arguments: --help prints this text, and any other argument
+exits 2 with one line, before any row runs.  Every check runs
+`python -m monolab.cli` on this tree's src/ in a child process, in a
+scratch directory that holds the inputs, each built once:
 conftest's `generic_metric` at 8, 12 and 24 (generic8.zip, generic12.zip,
 generic24.zip), written by a child process, and hodge8's conformal file
 (conformal8.zip), written by the check_hodge row with bench/workloads.py's
@@ -37,18 +39,20 @@ HERE = Path(__file__).resolve().parent.parent
 CONFORMAL = "conformal:0.1*sin(x0)"
 # name: (command, peak-RSS ceiling in MiB); each ceiling is the peak
 # measured when it was set plus about 12%
+# The four were measured with no whole-grid Cholesky factor held, each
+# reader forming the factor of its own slab or block of nodes
 CEILINGS = {
-    # measured 124.3-124.4 MiB
-    "curvature": (["curvature", "--dims", "24", "--metric", CONFORMAL], 139),
-    # measured 353-355 MiB, with g packed and the eta pairs formed in blocks
-    # of 8192 nodes; a conformal metric's PCG takes 0 iterations
-    "hodge": (["hodge", "--dims", "24", "--metric", CONFORMAL], 397),
-    # the only 24^4 ceiling step whose PCG iterates; measured 380 MiB, with
-    # g, its factor and the flux weight packed
-    "hodge_generic": (["hodge", "--dims", "24", "--metric", "file:generic24.zip"], 426),
-    # measured 413.1-415.3 MiB, set by the minimiser's peak
+    # measured 100.2 MiB
+    "curvature": (["curvature", "--dims", "24", "--metric", CONFORMAL], 112),
+    # measured 329.2-329.3 MiB, with g packed and the eta pairs formed in
+    # blocks of 4096 nodes; a conformal metric's PCG takes 0 iterations
+    "hodge": (["hodge", "--dims", "24", "--metric", CONFORMAL], 369),
+    # the only 24^4 ceiling step whose PCG iterates; measured 355.1-355.2
+    # MiB, with g and the flux weight packed
+    "hodge_generic": (["hodge", "--dims", "24", "--metric", "file:generic24.zip"], 398),
+    # measured 388.0-389.7 MiB, set by the minimiser's peak
     "lambda_short": (["lambda", "--dims", "24", "--metric", CONFORMAL, "--theta", "coord:1",
-                      "--multistarts", "0", "--max-iter", "5"], 463),
+                      "--multistarts", "0", "--max-iter", "5"], 436),
 }
 
 THREADS = [{"OPENBLAS_NUM_THREADS": t, "OMP_NUM_THREADS": t} for t in ("1", "2")]
@@ -224,7 +228,15 @@ def _bench_hodge(work) -> str:
     return "the dump passes bench/checks.py's check_hodge"
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv in (["--help"], ["-h"]):
+        print(__doc__)
+        return 0
+    if argv:
+        print(f"ci_runs.py: takes no arguments (see --help), got {' '.join(argv)}",
+              file=sys.stderr)
+        return 2
     sys.path[:0] = [str(HERE / "src"), str(HERE / "bench")]
     rows = [(f"ceiling {name}", _ceiling, (argv, ceiling))
             for name, (argv, ceiling) in CEILINGS.items()]
