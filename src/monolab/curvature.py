@@ -45,17 +45,17 @@ every metric preset writes.  Its factor e, by the closed-form 4x4 Cholesky
 on whole planes (`_upper_factor`, no LAPACK), is formed where it is read,
 one axis-0 slab at a time, and never kept for the whole grid: by
 `build_metric`, for the pivots and vol, by `_metric_slab`, for the stack
-and the frame connection, by `sd_pairs`, `flux_weight` and `_frame_field`.
+and the frame connection, and by `sd_pairs` and `flux_weight`.
 g, the flux weight vol g^-1 and the factor share one layout: g[x, ...]
 with x = _SYM_INDEX[i, j] over the pairs i <= j in np.triu_indices(4)
 order, so row j of the factor's upper triangle is one contiguous run and
 an axis-0 slab of g is the view g[:, i].  No (4, 4, dims) array is kept;
 `_sym_apply` contracts a packed symmetric field with a vector block by
 block of nodes.  The volume factor vol = e_00 e_11 e_22 e_33, the inverse
-coframe e^-1 (back substitution, upper triangular with its zeros stored),
-g^-1 = e^-1 e^-T, packed, and a covector's frame components e^-T v
-(forward substitution) are read off the factor's 10 entries, with no
-LAPACK inverse or determinant.  Every tensor
+coframe e^-1 (back substitution, upper triangular with its zeros stored)
+and g^-1 = e^-1 e^-T, packed, are read off the factor's 10 entries, with
+no LAPACK inverse or determinant; every covector pairing reads g^-1
+through the cached flux weight.  Every tensor
 here has the one in-memory layout of `grid`: components first, grid axes
 last, as in g[x, ...], sd_connection[k, a, ...] and `CurvatureBundle.wplus`
 [a, b, ...]; a slab drops the axis-0 index, as in F[a, x, n1, n2, n3].  A
@@ -436,29 +436,6 @@ def _inverse_coframe(e: np.ndarray) -> np.ndarray:
                 acc = acc - einv[i, k] * e[_SYM_INDEX[k, j]]
             einv[i, j] = acc / ejj
     return einv
-
-
-def _frame_components(e: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """e^-T v, [a, ...], the frame components of a covector v[k, ...] (further
-    axes may sit between k and the grid's), for the packed factor e, by
-    forward substitution on e^T x = v:
-    x[a] = (v[a] - sum_{k < a} e[k, a] x[k]) / e[a, a]."""
-    x = np.empty(v.shape)
-    for a in range(4):
-        acc = v[a]
-        for k in range(a):
-            acc = acc - e[_SYM_INDEX[k, a]] * x[k]
-        x[a] = acc / e[_SYM_INDEX[a, a]]
-    return x
-
-
-def _frame_field(m: MetricField, v: np.ndarray) -> np.ndarray:
-    """e^-T v, [a, ..., n0, n1, n2, n3], for a whole-grid covector v[k, ...]:
-    `_frame_components` on each axis-0 slab with the slab's factor."""
-    out = np.empty(v.shape)
-    for i in range(m.grid.dims[0]):
-        out[..., i, :, :, :] = _frame_components(_upper_factor(m.g[:, i]), v[..., i, :, :, :])
-    return out
 
 
 def _inverse_metric(e: np.ndarray) -> np.ndarray:

@@ -7,8 +7,9 @@ sigma of
     / ||sigma||^2,
 
 with s = sin(theta), c = cos(theta).  The angle never appears as a lifted
-real function: it is carried as the pair (s, c) plus the 1-form
-d theta = c d(s) - s d(c), which is well defined across branch cuts.
+real function: it is carried as the pair (s, c), and the 1-form
+d theta = c d(s) - s d(c), well defined across branch cuts, is formed only
+where K or an identity check reads it.
 
 The non-smooth third term is handled by epsilon smoothing
 |sigma|_eps = sqrt(|sigma|^2 + eps^2) - eps with a continuation schedule,
@@ -57,8 +58,8 @@ direction p; the trial (x + alpha p) / |x + alpha p| then has A-image
 (A x + alpha A p) / |x + alpha p|, and a stage entry, where only epsilon
 changes, reuses the carried A x.  Only the smoothed term is recomputed at
 each evaluation.  A start applies A once more before its first stage and
-once in the final re-evaluation, which, like rayleigh_quotient, applies A
-afresh.
+once in the final re-evaluation, `rayleigh_quotient` itself, which
+applies A afresh.
 
 On the flat metric A is one operator per component.  There the
 Weitzenboeck formula on Lambda+ has no curvature term (Atiyah, Hitchin and
@@ -84,10 +85,11 @@ block, as in every tensor of `MetricField`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .curvature import CurvatureBundle, MetricField, _frame_field
+from .curvature import CurvatureBundle, MetricField
 from .grid import (
     GridSpec,
     ScalarField,
@@ -124,13 +126,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ThetaField:
-    """Circle-valued angle stored as (sin, cos) with its differential."""
+    """Circle-valued angle stored as (sin, cos) on its metric.
 
-    grid: GridSpec
+    d theta and |d theta|^2 are formed on first read and cached, read-only;
+    only the curvature weight K and the identity checks read them, and the
+    lambda quotient reads s and c alone."""
+
+    metric: MetricField
     s: np.ndarray
     c: np.ndarray
-    dtheta: np.ndarray  # (4, dims) coordinate components
-    dtheta_norm2: np.ndarray
 
     def __post_init__(self):
         s = np.asarray(self.s, dtype=float)
@@ -142,14 +146,29 @@ class ThetaField:
             raise ValueError("sin^2 + cos^2 must equal 1 at every node")
         object.__setattr__(self, "s", _freeze(s))
         object.__setattr__(self, "c", _freeze(c))
-        object.__setattr__(self, "dtheta", _freeze(np.asarray(self.dtheta, dtype=float)))
-        object.__setattr__(
-            self, "dtheta_norm2", _freeze(np.asarray(self.dtheta_norm2, dtype=float))
-        )
+
+    @property
+    def grid(self) -> GridSpec:
+        return self.metric.grid
+
+    @cached_property
+    def dtheta(self) -> np.ndarray:
+        """d theta = c ds - s dc, (4, dims) coordinate components."""
+        grid = self.grid
+        return _freeze(self.c * _gradient(self.s, grid) - self.s * _gradient(self.c, grid))
+
+    @cached_property
+    def dtheta_norm2(self) -> np.ndarray:
+        """|d theta|^2 = d theta . (vol g^-1 d theta) / vol, through the
+        flux weight as every covector pairing is."""
+        dth = self.dtheta
+        n2 = np.einsum("a...,a...->...", dth, _flux(dth, self.metric))
+        n2 /= self.metric.vol
+        return _freeze(n2)
 
 
 def theta_from_angle(samples, m: MetricField) -> ThetaField:
-    """Build the (s, c, dtheta) bundle from angle samples (taken mod 2 pi)."""
+    """Build theta from angle samples (taken mod 2 pi)."""
     grid = m.grid
     th = np.asarray(samples, float)
     if th.shape != grid.dims:
@@ -160,17 +179,13 @@ def theta_from_angle(samples, m: MetricField) -> ThetaField:
 
 
 def theta_from_sc(s: np.ndarray, c: np.ndarray, m: MetricField) -> ThetaField:
-    """Build the bundle from a stored (sin, cos) pair without any lift."""
+    """Build theta from a stored (sin, cos) pair without any lift."""
     grid = m.grid
     s = np.asarray(s, dtype=float)
     c = np.asarray(c, dtype=float)
     if s.shape != grid.dims or c.shape != grid.dims or not np.isfinite([s, c]).all():
         raise ValueError("sin and cos samples must be finite scalar grid arrays")
-    dth = c * _gradient(s, grid) - s * _gradient(c, grid)
-    # |d theta|^2 = |e^-T d theta|^2, since g^-1 = e^-1 e^-T
-    frame = _frame_field(m, dth)
-    n2 = np.einsum("a...,a...->...", frame, frame)
-    return ThetaField(grid, s, c, dth, n2)
+    return ThetaField(m, s, c)
 
 
 def beta(t):
@@ -568,9 +583,7 @@ def minimize_lambda(
         sigma = SelfDualField(grid, x)
         eps_last = _EPSILONS[-1]
         eps_final = 0.0 if float(np.min(sigma.norm())) > 10.0 * eps_last else eps_last
-        # the gradient's closure is not kept: it holds this evaluation's
-        # arrays, which would stay alive through the next start
-        lam = _quotient(x, _apply_quadratic(x, theta, m), m, eps_final, bw)[0]
+        lam = rayleigh_quotient(sigma, theta, m, eps_final)
         start_values.append(lam)
         start_evals.append(run_evals)
         start_converged.append(run_converged)

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bases import PAIRS, TRIPLE_SIGNS, TRIPLES, WEDGE2, WEDGE2_SIGNS
-from .curvature import CurvatureBundle, MetricField, _bilinear, _frame_field, _sym_apply
+from .curvature import CurvatureBundle, MetricField, _bilinear, _sym_apply
 from .grid import (
     GridSpec,
     _fourier_multiply,
@@ -69,7 +69,6 @@ __all__ = [
     "project",
     "sd_l2_norm",
     "wedge_integral",
-    "covariant_derivative",
     "weitzenboeck_residual",
     "integral_identity_check_s",
     "integral_identity_check_c",
@@ -213,8 +212,7 @@ def _d(f: np.ndarray, grid: GridSpec, transpose: bool = False) -> np.ndarray:
 #
 # The kernels take eta components (3, dims) and work with coordinate
 # derivatives, nab[k, a] = eta_a component of nabla_k sigma, whose L2 flux is
-# vol g^-1 nab (`_flux`); `covariant_derivative` turns them into frame
-# components.
+# vol g^-1 nab (`_flux`): |nabla sigma|^2 = sum nab . flux / vol.
 
 
 def _nabla(comps: np.ndarray, m: MetricField) -> np.ndarray:
@@ -251,21 +249,6 @@ def _nabla_T(flux: np.ndarray, m: MetricField) -> np.ndarray:
         for c, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
             out[c] += prod[i, j] - prod[j, i]
     return out
-
-
-def covariant_derivative(sigma: SelfDualField, m: MetricField) -> np.ndarray:
-    """(nabla sigma)[c, a, ...] = eta_a component of nabla_{E_c} sigma.
-
-    Frame components, so the pointwise square sum is |nabla sigma|^2.  On a
-    curved metric the coordinate derivative is
-    nabla_k sigma = d_k sigma + a_k x sigma, with a the cached frame
-    connection `MetricField.sd_connection`, and e^-T turns k into c, one
-    axis-0 slab at a time.
-    """
-    nab = _nabla(sigma.comps, m)
-    if not m.is_flat:
-        nab = _frame_field(m, nab)
-    return nab
 
 
 # ---------------------------------------------------------------------------
@@ -334,12 +317,15 @@ def weitzenboeck_residual(
 
 def _identity_pieces(sigma: SelfDualField, theta, m: MetricField):
     """Shared integrands: |sigma|^2, |nabla sigma|^2 and the cross term
-    (dtheta tensor sigma, nabla sigma) in frame components."""
-    nab = covariant_derivative(sigma, m)
+    (dtheta tensor sigma, nabla sigma), each covector pair contracted
+    through the flux vol g^-1 of nabla sigma and divided by vol."""
+    nab, flux = _dirichlet_forward(sigma.comps, m)
     sig2 = np.sum(sigma.comps**2, axis=0)
-    nab2 = np.sum(nab**2, axis=(0, 1))
-    dth_frame = _frame_field(m, theta.dtheta)
-    cross = _bilinear(dth_frame, nab, sigma.comps)
+    nab2 = np.einsum("ka...,ka...->...", nab, flux)
+    nab2 /= m.vol
+    del nab
+    cross = _bilinear(theta.dtheta, flux, sigma.comps)
+    cross /= m.vol
     return sig2, nab2, cross
 
 

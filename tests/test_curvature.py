@@ -10,7 +10,6 @@ from monolab.curvature import (
     CurvatureBundle,
     _SYM_I,
     _SYM_J,
-    _frame_components,
     _inverse_coframe,
     _inverse_metric,
     _metric_slab,
@@ -128,12 +127,6 @@ def test_metric_algebra_from_the_factor():
     assert np.max(np.abs(gi @ g - eye)) < 1e-13
     assert np.array_equal(np.tril(einv, -1), np.zeros(g.shape))
     assert rel_err(m.vol, np.sqrt(np.linalg.det(g))) < 1e-14
-    # e^-T v by forward substitution, for a v[k, a, ...] with an axis between
-    # k and the grid's, against LAPACK's solve of e^T x = v node by node
-    v = np.random.default_rng(0).standard_normal((4, 3) + grid.dims)
-    node = lambda x: np.moveaxis(x, (0, 1), (-1, -2))  # [..., a, k]
-    want = np.linalg.solve(np.swapaxes(e, -1, -2)[..., None, :, :], node(v)[..., None])[..., 0]
-    assert np.max(np.abs(node(_frame_components(coframe(m), v)) - want)) < 1e-13
 
 
 def test_metric_is_factored_without_lapack(monkeypatch):

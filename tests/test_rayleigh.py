@@ -87,30 +87,73 @@ def test_coordinate_theta_norm_is_stencil_symbol(m8):
     assert np.max(np.abs(th.dtheta_norm2 - want)) < 1e-12
 
 
-def test_theta_peak_at_16():
-    # |d theta|^2 is |e^-T d theta|^2, by forward substitution on each
-    # axis-0 slab's factor: measured 15.4 planes, one plane being one
-    # float64 grid array, the factor's slabs included.  g^-1 read through a
-    # whole-grid e^-1 (32 planes) made it 39.0, and a whole-grid factor 24
-    m = metric_from_preset("conformal:0.1*sin(x0)", GridSpec((16,) * 4))
+@pytest.fixture(scope="module")
+def m16_conf():
+    return metric_from_preset("conformal:0.1*sin(x0)", GridSpec((16,) * 4))
+
+
+def test_theta_peak_at_16(m16_conf):
+    # building theta forms s and c alone, d theta and |d theta|^2 waiting
+    # for their first read: measured 5.25 planes, one plane being one
+    # float64 grid array.  Forming d theta and |d theta|^2 up front, the
+    # latter by forward substitution on each slab's factor, peaked at 15.4
+    m = m16_conf
     tracemalloc.start()
     try:
         theta_from_preset("coord:1", m)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 15.6 * m.grid.node_count * 8
+    assert peak <= 5.5 * m.grid.node_count * 8
+
+
+def test_theta_holds_only_sin_and_cos_at_16(m16_conf):
+    # s and c, 2 planes: measured 2.0.  With d theta (4) and |d theta|^2 (1)
+    # formed up front it held 7.0
+    m = m16_conf
+    tracemalloc.start()
+    try:
+        theta = theta_from_preset("coord:1", m)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert "dtheta" not in vars(theta) and "dtheta_norm2" not in vars(theta)
+    assert held <= 2.1 * m.grid.node_count * 8
+
+
+def test_first_read_of_dtheta_norm2_peaks_with_the_flux_weight_built(m16_conf):
+    # d theta (4 planes) and its flux (4) on top of the product's
+    # temporaries: measured 15.3 planes above what was held
+    m = m16_conf
+    m.flux_weight
+    theta = theta_from_preset("coord:1", m)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        theta.dtheta_norm2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base <= 16 * m.grid.node_count * 8
+
+
+def test_flat_dtheta_norm2_is_the_plain_square_sum(m8):
+    # on the flat metric the flux of d theta is d theta and vol is 1
+    rng = np.random.default_rng(5)
+    theta = theta_from_angle(0.4 + random_smooth_scalar(m8.grid, rng, amp=0.5), m8)
+    dth = theta.dtheta
+    assert np.array_equal(theta.dtheta_norm2, np.einsum("a...,a...->...", dth, dth))
 
 
 def test_lambda_command_holds_no_curvature_bundle_when_the_minimiser_starts(monkeypatch):
     # what `lambda` holds at 16^4 when the minimiser starts, with the tensors
     # every application of A reads cached: g and the flux weight, packed,
     # 10 planes each (one plane being one float64 grid array), vol 1,
-    # sd_pairs 18, sd_connection 12 and theta 7 (s, c, dtheta 4, |dtheta|^2
-    # 1), 58 planes: measured 58.5.  With the whole-grid factor held too it
-    # held 68.5, and with g, the factor and the flux weight stored as full
-    # (4, 4, dims) arrays and the curvature bundle (R 1, W+ 9, w 1) kept
-    # through the minimisation it held 97.2
+    # sd_pairs 18, sd_connection 12 and theta 2 (s, c), 53 planes: measured
+    # 53.5.  With d theta and |d theta|^2 formed too it held 58.5, with the
+    # whole-grid factor as well 68.5, and with g, the factor and the flux
+    # weight stored as full (4, 4, dims) arrays and the curvature bundle
+    # (R 1, W+ 9, w 1) kept through the minimisation it held 97.2
     class Started(Exception):
         pass
 
@@ -129,7 +172,7 @@ def test_lambda_command_holds_no_curvature_bundle_when_the_minimiser_starts(monk
                   "--theta", "coord:1"])
     finally:
         tracemalloc.stop()
-    assert held[0] <= 60 * 16**4 * 8
+    assert held[0] <= 55 * 16**4 * 8
 
 
 def test_starts_are_made_one_at_a_time(m8):
@@ -150,15 +193,15 @@ def test_starts_are_made_one_at_a_time(m8):
     assert peaks[1] - peaks[0] < 3 * m8.grid.node_count * 8
 
 
-def test_theta_field_validation(grid8):
-    s = np.full(grid8.dims, 0.8)
-    c = np.full(grid8.dims, 0.8)  # s^2 + c^2 != 1
+def test_theta_field_validation(m8):
+    s = np.full(m8.grid.dims, 0.8)
+    c = np.full(m8.grid.dims, 0.8)  # s^2 + c^2 != 1
     with pytest.raises(ValueError):
-        ThetaField(grid8, s, c, np.zeros((4,) + grid8.dims), np.zeros(grid8.dims))
-    s, c = np.zeros(grid8.dims), np.ones(grid8.dims)
+        ThetaField(m8, s, c)
+    s, c = np.zeros(m8.grid.dims), np.ones(m8.grid.dims)
     s[1, 2, 3, 4] = np.nan
     with pytest.raises(ValueError):
-        ThetaField(grid8, s, c, np.zeros((4,) + grid8.dims), np.zeros(grid8.dims))
+        ThetaField(m8, s, c)
 
 
 def smooth_sigma(grid, seed):

@@ -50,9 +50,10 @@ CEILINGS = {
     # the only 24^4 ceiling step whose PCG iterates; measured 355.1-355.2
     # MiB, with g and the flux weight packed
     "hodge_generic": (["hodge", "--dims", "24", "--metric", "file:generic24.zip"], 398),
-    # measured 388.0-389.7 MiB, set by the minimiser's peak
+    # measured 382.3-382.4 MiB, set by the minimiser's peak, with theta
+    # holding s and c alone
     "lambda_short": (["lambda", "--dims", "24", "--metric", CONFORMAL, "--theta", "coord:1",
-                      "--multistarts", "0", "--max-iter", "5"], 436),
+                      "--multistarts", "0", "--max-iter", "5"], 428),
 }
 
 THREADS = [{"OPENBLAS_NUM_THREADS": t, "OMP_NUM_THREADS": t} for t in ("1", "2")]
