@@ -348,7 +348,10 @@ def _manufactured(args, m, curv):
         chi = scalar_from_expression(args.chi, m.grid)
         base = gauge_trick_config(m, chi, (0.5, 0.0))
     else:
-        base = rotating_config(m, args.eps, args.amplitude)
+        try:
+            base = rotating_config(m, args.eps, args.amplitude)
+        except ValueError as exc:  # --eps and --amplitude are parsed in range
+            raise PresetError(f"--periods: {exc}") from None
     return MonopoleConfig(base.conn, base.phi, m, curv=curv)
 
 
@@ -405,8 +408,8 @@ def _run_dirac_check(args):
     grid, m = _geometry(args)
     _require_flat_metric(args, m)
     conn, phi = _random_pair(grid, args.seed, args.amplitude)
-    lhs, rhs, residual = dirac_weitzenboeck_check(phi, conn, m)
-    kato = log_kato_check(phi, conn, m=m)
+    lhs, rhs, residual = dirac_weitzenboeck_check(phi, conn)
+    kato = log_kato_check(phi, conn)
     model = CliffordModel()
     ident = {k: float(v) for k, v in model.identity_residuals().items()}
     sig = sigma_map(phi)
@@ -546,7 +549,7 @@ def _sweep_residual(args, n: int) -> float:
 
         _require_flat_metric(args, m)
         conn, phi = _random_pair(grid, args.seed, args.amplitude)
-        return dirac_weitzenboeck_check(phi, conn, m)[2]
+        return dirac_weitzenboeck_check(phi, conn)[2]
     from .selfdual import (
         integral_identity_check_c,
         integral_identity_check_s,

@@ -144,7 +144,8 @@ class PerturbationSpec:
 
 @dataclass(frozen=True)
 class MonopoleConfig:
-    """A candidate pair (A, Phi) with its geometric background."""
+    """A candidate pair (A, Phi) with its geometric background, which must
+    be flat: the spin^c operators of `spinc` work on the flat chart."""
 
     conn: U1Connection
     phi: SpinorField
@@ -155,6 +156,8 @@ class MonopoleConfig:
         grid = self.metric.grid
         if not (self.conn.grid.compatible(grid) and self.phi.grid.compatible(grid)):
             raise ValueError("connection, spinor, and metric live on different grids")
+        if not self.metric.is_flat:
+            raise NotImplementedError("spin^c operators are implemented on flat charts only")
 
 
 @dataclass(frozen=True)
@@ -209,7 +212,7 @@ def _psw_result(
     """r1 = D_A Phi and r2 = sqrt(8) iF_A^+ + coefficient(|sigma|) sigma - shift,
     sigma = sigma(Phi), with their L2 and sup norms."""
     m = cfg.metric
-    r1 = dirac(cfg.phi, cfg.conn, m)
+    r1 = dirac(cfg.phi, cfg.conn)
     sigma = sigma_map(cfg.phi)
     coef = np.asarray(coefficient(sigma.norm()), dtype=float)
     r2 = SQRT8 * cfg.conn.curv_plus.comps + coef * sigma.comps
@@ -500,7 +503,7 @@ def key_inequality_check(cfg: MonopoleConfig, theta: ThetaField) -> InequalityRe
     # integral (sqrt(8) iF_A^+, |sigma| sigma) dmu
     pair = np.sum(cfg.conn.curv_plus.comps * comps, axis=0) * sigma.norm()
     f_term = SQRT8 * integrate(pair, m)
-    cubic = 0.5 * dirac_cubic_pairing(cfg.phi, cfg.conn, m)
+    cubic = 0.5 * dirac_cubic_pairing(cfg.phi, cfg.conn)
     rhs = curv_term + f_term + cubic
     scale = max(1.0, abs(lhs), abs(rhs))
     return InequalityReport(
@@ -653,13 +656,19 @@ def rotating_config(m: MetricField, eps: float, amplitude: float = 0.9) -> Monop
     spinor is built so that sigma(Phi) points along -da^+/|da^+| with
     modulus 2 sqrt(8) |da^+|/eps at every node, cancelling the residual
     to rounding.  amplitude = sup |sigma| must stay below 1 so the
-    cutoff beta is inactive; alpha is derived from it.
+    cutoff beta is inactive; alpha is derived from it.  The pair is
+    periodic only if axis 2's period is a whole number of 2 pi turns
+    (within the 1e-9 of `presets.evaluate_expression`).
     """
     if not 0.0 < amplitude < 1.0:
         raise ValueError("amplitude must sit in (0, 1) to keep beta inactive")
     if not eps > 0.0:
         raise ValueError("eps must be positive")
     grid = m.grid
+    turns = grid.periods[2] / (2.0 * np.pi)
+    if round(turns) < 1 or abs(turns - round(turns)) > 1e-9:
+        raise ValueError(f"axis 2's period {grid.periods[2]:g} is not a whole number "
+                         "of 2*pi turns")
     x2 = grid.mesh(2)
     alpha = amplitude * eps / 4.0  # continuum estimate; modulus is rebuilt from da below
     a = np.zeros((4,) + grid.dims)

@@ -284,7 +284,7 @@ def metric_from_preset(text: str, grid: GridSpec) -> MetricField:
 
 def theta_from_preset(text: str, m: MetricField) -> ThetaField:
     """const:VALUE | coord:AXIS | file:PATH (samples or an (s, c) pair)."""
-    from .rayleigh import theta_from_angle, theta_from_sc
+    from .rayleigh import ThetaField, theta_from_angle
 
     grid = m.grid
     kind, _, arg = text.partition(":")
@@ -309,7 +309,7 @@ def theta_from_preset(text: str, m: MetricField) -> ThetaField:
         if "theta" in arrays:
             return _checked(text, theta_from_angle, arrays["theta"], m)
         if "s" in arrays and "c" in arrays:
-            return _checked(text, theta_from_sc, arrays["s"], arrays["c"], m)
+            return _checked(text, ThetaField, m, arrays["s"], arrays["c"])
         raise PresetError(f"{arg}: container needs 'theta' or the pair 's', 'c'")
     raise PresetError(f"unknown theta preset {kind!r}")
 

@@ -113,7 +113,6 @@ from .selfdual import (
 __all__ = [
     "ThetaField",
     "theta_from_angle",
-    "theta_from_sc",
     "beta",
     "rayleigh_quotient",
     "LambdaOptions",
@@ -141,7 +140,8 @@ class ThetaField:
         c = np.asarray(self.c, dtype=float)
         if s.shape != self.grid.dims or c.shape != self.grid.dims:
             raise ValueError("angle fields must be scalar grid arrays")
-        # "not <=" also fails on NaN
+        if not (np.isfinite(s).all() and np.isfinite(c).all()):
+            raise ValueError("sin and cos samples must be finite")
         if not np.max(np.abs(s**2 + c**2 - 1.0)) <= 1e-12:
             raise ValueError("sin^2 + cos^2 must equal 1 at every node")
         object.__setattr__(self, "s", _freeze(s))
@@ -169,22 +169,9 @@ class ThetaField:
 
 def theta_from_angle(samples, m: MetricField) -> ThetaField:
     """Build theta from angle samples (taken mod 2 pi)."""
-    grid = m.grid
     th = np.asarray(samples, float)
-    if th.shape != grid.dims:
-        raise ValueError("angle samples must be a scalar grid array")
-    if not np.all(np.isfinite(th)):
-        raise ValueError("angle samples must be finite")
-    return theta_from_sc(np.sin(th), np.cos(th), m)
-
-
-def theta_from_sc(s: np.ndarray, c: np.ndarray, m: MetricField) -> ThetaField:
-    """Build theta from a stored (sin, cos) pair without any lift."""
-    grid = m.grid
-    s = np.asarray(s, dtype=float)
-    c = np.asarray(c, dtype=float)
-    if s.shape != grid.dims or c.shape != grid.dims or not np.isfinite([s, c]).all():
-        raise ValueError("sin and cos samples must be finite scalar grid arrays")
+    with np.errstate(invalid="ignore"):  # sin(inf) is NaN, which ThetaField refuses
+        s, c = np.sin(th), np.cos(th)
     return ThetaField(m, s, c)
 
 

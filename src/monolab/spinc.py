@@ -26,11 +26,14 @@ Spinors (2, dims), connection forms (4, dims) and the covariant derivative
 (4, 2, dims) have the one in-memory layout of `grid`: components first,
 grid axes last.
 
-Everything here is restricted to the flat chart; identities that need
-curvature are exercised through the 2-form side of the package, where R
-and W+ enter.  Centred differences double the Dirac spectrum, which is
-harmless for the residual-of-identity checks used throughout (they never
-count eigenvalues); the caveat is documented here once.
+Everything here lives on the flat chart by construction: no function
+takes a metric, and `functionals.MonopoleConfig` refuses a curved one.
+Identities that need curvature are exercised through the 2-form side of
+the package, where R and W+ enter.  sigma_map, dirac and curv_plus are
+closed forms of CliffordModel's tables.  Centred differences double the
+Dirac spectrum, which is harmless for the residual-of-identity checks
+used throughout (they never count eigenvalues); the caveat is documented
+here once.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from functools import cached_property
 import numpy as np
 
 from .bases import H_PLUS, PAIRS
-from .curvature import MetricField
 from .grid import GridSpec, _freeze, _gradient
 from .selfdual import SelfDualField, TwoFormField, _d
 
@@ -71,13 +73,6 @@ PAULI = np.array(
 
 # sigma-map scale solving |sigma(Phi)|^2 = |Phi|^4 / 8
 KAPPA_SIGMA = 1.0 / (2.0 * np.sqrt(2.0))
-
-
-def _require_flat(m: MetricField | None) -> None:
-    if m is not None and not m.is_flat:
-        raise NotImplementedError(
-            "spin^c operators are implemented on flat charts only"
-        )
 
 
 @dataclass(frozen=True)
@@ -123,7 +118,10 @@ class U1Connection:
 
     @cached_property
     def curv_plus(self) -> SelfDualField:
-        proj = np.einsum("ap,p...->a...", H_PLUS, self.curv.comps)
+        # the eta rows of H_PLUS: pairs 01 + 23, 02 - 13 and 03 + 12, over sqrt(2)
+        c = self.curv.comps
+        h = H_PLUS[0, 0]
+        proj = np.stack([h * c[0] + h * c[5], h * c[1] - h * c[4], h * c[2] + h * c[3]])
         return SelfDualField(self.grid, -2.0 * proj)
 
 
@@ -194,10 +192,14 @@ class CliffordModel:
 
 
 def sigma_map(phi: SpinorField) -> SelfDualField:
-    """Quadratic spinor-to-form map with |sigma(Phi)|^2 = |Phi|^4 / 8."""
-    t = np.einsum("ast,t...->as...", PAULI, phi.comps)
-    comps = KAPPA_SIGMA * np.einsum("s...,as...->a...", phi.comps.conj(), t).real
-    return SelfDualField(phi.grid, comps)
+    """Quadratic spinor-to-form map with |sigma(Phi)|^2 = |Phi|^4 / 8: kappa
+    (2 Re conj(phi_0) phi_1, 2 Im conj(phi_0) phi_1, |phi_0|^2 - |phi_1|^2)."""
+    x0, x1 = phi.comps.real
+    y0, y1 = phi.comps.imag
+    re = x0 * x1 + y0 * y1
+    im = x0 * y1 - y0 * x1
+    comps = np.stack([re + re, im + im, (x0 * x0 + y0 * y0) - (x1 * x1 + y1 * y1)])
+    return SelfDualField(phi.grid, KAPPA_SIGMA * comps)
 
 
 def nabla_a(phi: SpinorField, conn: U1Connection) -> np.ndarray:
@@ -209,34 +211,29 @@ def nabla_a(phi: SpinorField, conn: U1Connection) -> np.ndarray:
     return out
 
 
-def dirac(phi: SpinorField, conn: U1Connection, m: MetricField | None = None) -> SpinorField:
-    """Coupled Dirac operator on the flat chart, W+ -> W-."""
-    _require_flat(m)
-    nab = nabla_a(phi, conn)
-    out = np.einsum("ist,it...->s...", _MODEL.rho_coord, nab)
+def dirac(phi: SpinorField, conn: U1Connection) -> SpinorField:
+    """Coupled Dirac operator on the flat chart, W+ -> W-: the two rows of
+    sum_i rho_i nabla_i Phi with rho = (1, i sigma_1, i sigma_2, i sigma_3)."""
+    n = nabla_a(phi, conn)
+    out = np.stack([n[0, 0] + 1j * n[1, 1] + n[2, 1] + 1j * n[3, 0],
+                    n[0, 1] + 1j * n[1, 0] - n[2, 0] - 1j * n[3, 1]])
     return SpinorField(phi.grid, out)
 
 
-def dirac_cubic_pairing(
-    phi: SpinorField, conn: U1Connection, m: MetricField | None = None
-) -> float:
+def dirac_cubic_pairing(phi: SpinorField, conn: U1Connection) -> float:
     """integral Re (D_A Phi, D_A(|Phi|^2 Phi)) on the flat chart."""
-    _require_flat(m)
     cubic = SpinorField(phi.grid, phi.norm2() * phi.comps)
     pair = np.real(np.conj(dirac(phi, conn).comps) * dirac(cubic, conn).comps)
     return float(np.sum(pair) * phi.grid.cell_volume)
 
 
-def dirac_weitzenboeck_check(
-    phi: SpinorField, conn: U1Connection, m: MetricField | None = None
-) -> tuple[float, float, float]:
+def dirac_weitzenboeck_check(phi: SpinorField, conn: U1Connection) -> tuple[float, float, float]:
     """Integral Weitzenboeck identity for the cubic pairing.
 
     lhs = integral (D_A Phi, D_A(|Phi|^2 Phi)); rhs expands it into the
     gradient, |d|Phi|^2|^2 and curvature-coupling pieces (scalar curvature
     is zero on the flat chart).  Returns (lhs, rhs, normalised residual).
     """
-    _require_flat(m)
     grid = phi.grid
     cell = grid.cell_volume
 
@@ -260,13 +257,12 @@ def dirac_weitzenboeck_check(
 _KATO_FLOOR = 0.2
 
 
-def log_kato_check(phi: SpinorField, conn: U1Connection, m: MetricField | None = None) -> float:
+def log_kato_check(phi: SpinorField, conn: U1Connection) -> float:
     """Worst-case margin of 2|nabla_A Phi|/|Phi| - |nabla sigma|/|sigma|.
 
     Nodes with |Phi| <= _KATO_FLOOR are skipped; all nodes below the floor
     is an error.  Smooth data keeps the margin above -O(h^2).
     """
-    _require_flat(m)
     grid = phi.grid
     absphi = phi.norm()
     keep = absphi > _KATO_FLOOR
@@ -297,6 +293,3 @@ def gauge_transform(
     new_conn = U1Connection(conn.grid, conn.a + dchi)
     new_phi = SpinorField(phi.grid, np.exp(-1j * chi) * phi.comps)
     return new_conn, new_phi
-
-
-_MODEL = CliffordModel()

@@ -301,6 +301,9 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
         ["psw-residual", "--dims", "8", "--metric", "conformal:0.1*sin(x0)"],
         ["bounds", "--dims", "8", "--metric", "conformal:0.1*sin(x0)"],
         ["sweep", "--check", "dirac", "--dims-list", "8,12", "--metric", "conformal:0.1*sin(x0)"],
+        # the rotating pair is periodic only over whole 2*pi turns of axis 2
+        ["psw-residual", "--dims", "8", "--periods", "3"],
+        ["bounds", "--dims", "8", "--pair", "rotating", "--periods", "6.3,6.3,3,6.3"],
     ],
 )
 # a numpy warning would be a second stderr line

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from monolab.curvature import curvature_stack
 from monolab.functionals import (
     CATALOG,
     MonopoleConfig,
@@ -26,7 +27,7 @@ from monolab.functionals import (
     rotating_config,
 )
 from monolab.grid import GridSpec
-from monolab.presets import random_smooth_scalar, theta_from_preset
+from monolab.presets import metric_from_preset, random_smooth_scalar, theta_from_preset
 from monolab.rayleigh import assemble_K, rayleigh_quotient, theta_from_angle
 from monolab.selfdual import SelfDualField, TwoFormField, harmonic_selfdual_basis, sd_l2_norm
 from monolab.spinc import SpinorField, U1Connection, sigma_map
@@ -129,6 +130,25 @@ def test_rotating_config_solves_curvature_equation(m8, kzero):
             rotating_config(m8, eps)
 
 
+@pytest.mark.parametrize("period", [3.0, 2.0 * np.pi * (1.0 + 1e-6), 1e-3],
+                         ids=["3", "2pi(1+1e-6)", "1e-3"])
+def test_rotating_config_needs_whole_turns_on_axis_2(period):
+    # sin(x2), cos(x2) and exp(-i x2) are periodic only over 2 pi k
+    grid = GridSpec((8,) * 4, (2.0 * np.pi, 2.0 * np.pi, period, 2.0 * np.pi))
+    with pytest.raises(ValueError, match="axis 2's period"):
+        rotating_config(metric_from_preset("flat", grid), EPS)
+
+
+def test_rotating_config_on_two_turns():
+    # a period of 4 pi holds two turns of the pair and stays an exact solution;
+    # axis 0's period 3 does not matter, the pair does not depend on x0
+    grid = GridSpec((8,) * 4, (3.0, 2.0 * np.pi, 4.0 * np.pi, 2.0 * np.pi))
+    m = metric_from_preset("flat", grid)
+    k = assemble_K(theta_from_preset("const:0.0", m), curvature_stack(m), lam=0.0)
+    res = psw_residual(rotating_config(m, EPS), PerturbationSpec("full", eps=EPS), k)
+    assert res.norms["r2_linf"] < 1e-12
+
+
 def test_default_gate_flags_near_solutions(m8, kzero):
     # the rotating pair solves only the curvature equation; its Dirac
     # residual is O(1), so the solution-only bounds must be gated off
@@ -154,11 +174,10 @@ def test_bound_violation_is_reported(m8, kzero):
     assert forced.applicable and forced.margin < 0
 
 
-def test_psw_needs_flat_metric(m8_conf, curv8_conf):
-    cfg = constant_config(m8_conf)
-    k_conf = assemble_K(theta_from_preset("const:0.0", m8_conf), curv8_conf, lam=0.0)
-    with pytest.raises(NotImplementedError):
-        psw_residual(cfg, PerturbationSpec("full", eps=EPS), k_conf)
+def test_psw_needs_flat_metric(m8_conf):
+    # a manufactured pair on a curved metric is refused where it is built
+    with pytest.raises(NotImplementedError, match="flat charts only"):
+        constant_config(m8_conf)
 
 
 def mixed_K(m8, curv8, seed=5):

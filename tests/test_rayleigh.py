@@ -24,7 +24,6 @@ from monolab.rayleigh import (
     minimize_lambda,
     rayleigh_quotient,
     theta_from_angle,
-    theta_from_sc,
 )
 from monolab.selfdual import (
     SelfDualField,
@@ -73,7 +72,7 @@ def test_theta_from_angle_invariants(m8):
     samples = 0.4 + random_smooth_scalar(m8.grid, rng, amp=0.5)
     th = theta_from_angle(samples, m8)
     assert np.max(np.abs(th.s**2 + th.c**2 - 1.0)) < 1e-14
-    direct = theta_from_sc(np.sin(samples), np.cos(samples), m8)
+    direct = ThetaField(m8, np.sin(samples), np.cos(samples))
     assert np.max(np.abs(direct.dtheta - th.dtheta)) < 1e-13
     # c * dtheta - d(s) is pure product-rule stencil error: small, fast decay
     err8, err16 = chain_rule_error(8), chain_rule_error(16)
@@ -200,7 +199,11 @@ def test_theta_field_validation(m8):
         ThetaField(m8, s, c)
     s, c = np.zeros(m8.grid.dims), np.ones(m8.grid.dims)
     s[1, 2, 3, 4] = np.nan
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must be finite"):
+        ThetaField(m8, s, c)
+    s[1, 2, 3, 4] = 0.0
+    c[1, 2, 3, 4] = np.inf
+    with pytest.raises(ValueError, match="must be finite"):
         ThetaField(m8, s, c)
 
 

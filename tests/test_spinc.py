@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 
+from monolab.bases import H_PLUS
+from monolab.functionals import MonopoleConfig
 from monolab.grid import GridSpec
 from monolab.presets import random_smooth_scalar
 from monolab.spinc import (
+    KAPPA_SIGMA,
+    PAULI,
     CliffordModel,
     SpinorField,
     U1Connection,
@@ -18,6 +22,7 @@ from monolab.spinc import (
 )
 
 from conftest import layout
+from test_layout import ODD
 
 TWO_PI = 2.0 * np.pi
 
@@ -129,8 +134,26 @@ def test_log_kato(grid8):
 
 
 def test_dirac_rejects_curved_metric(m8_conf):
+    # the spin^c operators take no metric: a pair meets its metric in
+    # MonopoleConfig, which refuses a curved one
     g = m8_conf.grid
     phi = SpinorField(g, np.ones((2,) + g.dims, dtype=complex))
     conn = U1Connection(g, np.zeros((4,) + g.dims))
-    with pytest.raises(NotImplementedError):
-        dirac(phi, conn, m8_conf)
+    with pytest.raises(NotImplementedError, match="flat charts only"):
+        MonopoleConfig(conn, phi, m8_conf)
+
+
+# sigma_map, dirac and curv_plus are closed forms of the contractions below,
+# which read the conventions off PAULI, CliffordModel and H_PLUS; the two
+# agree bit for bit
+@pytest.mark.parametrize("grid", [GridSpec((8,) * 4), ODD], ids=["8^4", "odd"])
+def test_closed_forms_match_the_contractions(grid):
+    conn, phi = smooth_pair(grid, 8)
+    sigma = KAPPA_SIGMA * np.einsum("s...,ast,t...->a...", phi.comps.conj(), PAULI,
+                                    phi.comps).real
+    assert np.array_equal(sigma_map(phi).comps, sigma)
+    rho = CliffordModel().rho_coord
+    assert np.array_equal(dirac(phi, conn).comps,
+                          np.einsum("ist,it...->s...", rho, nabla_a(phi, conn)))
+    assert np.array_equal(conn.curv_plus.comps,
+                          -2.0 * np.einsum("ap,p...->a...", H_PLUS, conn.curv.comps))
