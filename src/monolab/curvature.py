@@ -70,12 +70,12 @@ Lambda+ = so(3), one 3-vector a_k per axis, with
 nabla_k sigma = d_k sigma + a_k x sigma since
 [eta_a, eta_b] = -sqrt(2) eps_abc eta_c (Atiyah, Hitchin and Singer 1978;
 Besse 1987, ch. 13).  e, e^-1 and g^-1 are formed per slab.
-The Hodge star is read off sd_pairs, g and vol, with WEDGE2 the signed
-reversal of pair order (`bases.WEDGE2_SIGNS`):
+The Hodge star is read off sd_pairs, g and vol, with J omega the signed
+reversal of pair order, (J omega)_p = `bases.WEDGE2_SIGNS`[p] omega_{5 - p}:
 
-* the raised eta pairs Lambda^2(e^-1) H+^T are WEDGE2 sd_pairs / vol;
-* star = 2 P+ - 1 on 2-forms, P+ omega = sd_pairs sd_pairs^T WEDGE2 omega
-  / vol, so the Gram matrix vol Lambda^2(g^-1) of stored pairs is WEDGE2 star;
+* the raised eta pairs Lambda^2(e^-1) H+^T are J sd_pairs / vol;
+* star = 2 P+ - 1 on 2-forms, P+ omega = sd_pairs sd_pairs^T J omega
+  / vol, so the Gram matrix vol Lambda^2(g^-1) of stored pairs is J star;
 * the 3-form weight W, tau^T W tau = vol (|tau|^2 + |star tau|^2), is
   (2 / vol) S g S, S = `bases.TRIPLE_SIGNS`, as the 3x3 minors of g^-1 are
   S g S / vol^2 (Jacobi); W = 2 on the flat metric.
@@ -95,7 +95,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bases import H_PLUS, PAIRS, WEDGE2_SIGNS
+from .bases import PAIRS, WEDGE2_SIGNS, eta_sums
 from .grid import GridSpec, ScalarField, _freeze, _slab_stencils, _worst_node, d1, d2
 
 __all__ = [
@@ -106,10 +106,10 @@ __all__ = [
 ]
 
 _PAIR_I, _PAIR_J = np.array(PAIRS).T
-# a = sqrt(2) H+ w_(j, i) over the pairs (i, j), as a product from the right,
-# spelt 2 H+^T / sqrt(2): its weights, 1 - 2^-53, are -2 times those of
+# a = sqrt(2) H+ w_(j, i) over the pairs (i, j): pairs a and 5 - a weighted
+# by the rounded 2 (1 / sqrt(2)) / sqrt(2), 1 - 2^-53, -2 times the weight of
 # (w - w^T)_(i, j) / 2, so an antisymmetric w gives a the same bits either way
-_A_WEIGHTS = 2.0 * H_PLUS.T / np.sqrt(2.0)
+_A_WEIGHT = 1.0 - 2.0**-53
 # symmetric index pairs x = (i <= j) in np.triu_indices(4) order: the packed
 # layout (10, ...) of g, of the flux weight and of the factor's upper
 # triangle, entry (i, j) of either triangle at x = _SYM_INDEX[i, j].  Row j
@@ -143,16 +143,11 @@ _TAP_DL = 10 * _LOWER + _SYM_INDEX[_SYM_I, _SYM_J]
 class MetricField:
     """Sampled Riemannian metric with lazily cached derived geometry.
 
-    Made only by `build_metric`, which hands over the packed g it was given,
-    on the 10 pairs x = _SYM_INDEX[i, j], i <= j, in np.triu_indices(4)
-    order, and the volume factor vol = sqrt(det g) = e_00 e_11 e_22 e_33 it
-    read off the Cholesky factor e while checking g.  No whole-grid factor
-    is kept: each reader forms e from g for the axis-0 slab it works on.
-    The derived tensors every application of the lambda operator reads are
-    computed once on first use and cached, the symmetric flux weight packed
-    as g is; e^-1 and g^-1 are not kept, and the Hodge star is read off
-    sd_pairs, g and vol (module docstring).
-    Every array has its components first and the grid axes last, read-only.
+    Made only by `build_metric`, which hands over the packed g it checked
+    and the volume factor vol = sqrt(det g) it read off the Cholesky factor;
+    no whole-grid factor, e^-1 or g^-1 is kept (module docstring).  The
+    tensors every application of the lambda operator reads are cached on
+    first use, components first and grid axes last, read-only.
     """
 
     def __init__(self, grid: GridSpec, g: np.ndarray, vol: np.ndarray):
@@ -172,7 +167,7 @@ class MetricField:
     def sd_pairs(self) -> np.ndarray:
         """Stored components of eta_a, sd_pairs[p, a, ...], formed by `_sd_pairs`
         one axis-0 slab at a time from the slab's factor, so that the factor
-        and `_lambda2`'s 36 minors are one slab's."""
+        and its minors are one slab's."""
         out = np.empty((6, 3) + self.grid.dims)
         for i in range(self.grid.dims[0]):
             _sd_pairs(_upper_factor(self.g[:, i]), out=out[:, :, i])
@@ -202,9 +197,9 @@ class MetricField:
             del einv
             for k, xs in enumerate(_SYM_INDEX):
                 # (F[:, (k, .)] e^-1)[j, i] for each pair (i, j)
-                low = np.einsum("pm...,mp...->p...", frame[_PAIR_J[:, None], xs], cols)
-                np.einsum("p...,pa->a...", low, _A_WEIGHTS, out=out[k, :, i])
-            del frame, cols, low
+                eta_sums(np.einsum("pm...,mp...->p...", frame[_PAIR_J[:, None], xs], cols),
+                         _A_WEIGHT, out=out[k, :, i])
+            del frame, cols
         return _freeze(out)
 
     @cached_property
@@ -399,24 +394,18 @@ def _pair_riemann(m: MetricField, i: int) -> tuple[np.ndarray, np.ndarray]:
     return r, e
 
 
-def _lambda2(e: np.ndarray) -> np.ndarray:
-    """2x2 minors of the packed upper-triangular factor e[x, ...] on stored
-    pairs, [P, Q, ...] = e[i,k] e[j,l] - e[i,l] e[j,k] for P = (i, j),
-    Q = (k, l); the matrix of Lambda^2 e.  An entry below the diagonal is
-    the scalar 0.0, which gives the bits of a plane of zeros."""
-    full = [[e[_SYM_INDEX[i, k]] if i <= k else 0.0 for k in range(4)] for i in range(4)]
-    out = np.empty((6, 6) + e.shape[1:])
-    for p, (i, j) in enumerate(PAIRS):
-        for q, (k, l) in enumerate(PAIRS):
-            o = out[p, q]
-            np.multiply(full[i][k], full[j][l], out=o)
-            o -= full[i][l] * full[j][k]
-    return out
-
-
 def _sd_pairs(e: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """(H+ Lambda^2 e)^T, [p, a, ...], for a packed factor e of any trailing shape."""
-    return np.einsum("aq,qp...->pa...", H_PLUS, _lambda2(e), out=out)
+    """(H+ Lambda^2 e)^T, [p, a, ...], for a packed factor e of any trailing
+    shape: per column p = (k, l), the 2x2 minors e[i,k] e[j,l] - e[i,l] e[j,k]
+    of e on the rows (i, j) of Lambda^2 e, summed into eta rows by
+    `bases.eta_sums`.  An entry below the diagonal of e is the scalar 0.0,
+    which gives the bits of a plane of zeros."""
+    full = [[e[_SYM_INDEX[i, k]] if i <= k else 0.0 for k in range(4)] for i in range(4)]
+    if out is None:
+        out = np.empty((6, 3) + e.shape[1:])
+    for p, (k, l) in enumerate(PAIRS):
+        eta_sums([full[i][k] * full[j][l] - full[i][l] * full[j][k] for i, j in PAIRS], out=out[p])
+    return out
 
 
 def _inverse_coframe(e: np.ndarray) -> np.ndarray:
@@ -464,10 +453,10 @@ def _sym_apply(a: np.ndarray, v: np.ndarray) -> np.ndarray:
 def curvature_stack(m: MetricField) -> CurvatureBundle:
     """Scalar curvature, W+ and its lowest eigenvalue, read off the pair form.
 
-    B = U^T R_pair U, U = WEDGE2 sd_pairs / vol, is the eta-plus block
+    B = U^T R_pair U, U = J sd_pairs / vol, is the eta-plus block
     W+ + (R/12) 1 of the frame curvature operator, so R = 4 tr B and
     W+ = B - (R/12) 1, in the eta basis of the Cholesky factor, the basis
-    of every self-dual field.  Per axis-0 slab, WEDGE2 sd_pairs is a view of
+    of every self-dual field.  Per axis-0 slab, J sd_pairs is a view of
     the slab's sd_pairs, read off the factor `_pair_riemann` returns with r,
     in reversed pair order with its signs flipped in place; R, W+ and w are
     written into the whole-grid results, and every array of the slab is

@@ -233,7 +233,7 @@ def psw_residual(cfg: MonopoleConfig, pert: PerturbationSpec, K: KField) -> PswR
 
     r1 = D_A Phi and r2 = sqrt(8) iF_A^+ + beta(|sigma|)(K_- + eps) sigma
     - K_+ omega_hat; the simple variant swaps K_- for the raw coefficient
-    ((2/3) R + 2 w)_- and drops omega_hat.
+    ((2/3) R + 2 w)_-, LeBrun's family at delta = 1, and drops omega_hat.
     """
     if pert.variant == "general":
         raise ValueError("use general_psw_residual for the general variant")
@@ -242,7 +242,7 @@ def psw_residual(cfg: MonopoleConfig, pert: PerturbationSpec, K: KField) -> PswR
     if pert.variant == "simple":
         if cfg.curv is None:
             raise ValueError("the simple variant needs the curvature bundle")
-        raw = (2.0 / 3.0) * cfg.curv.scalar.values + 2.0 * cfg.curv.w.values
+        raw = _curvature_weight(cfg.curv.scalar.values, cfg.curv.w.values, 1.0)
         kminus = np.maximum(-raw, 0.0)
     else:
         kminus = K.kminus.values

@@ -15,7 +15,9 @@ periodic function once the frequencies match the box, which is exactly
 what every convergence-order contract in the package assumes.  Frequency
 compatibility is enforced at evaluation time: a factor sin(k*xi) whose k
 does not complete whole turns over the period of axis i is rejected, not
-silently wrapped.
+silently wrapped, and so is a nonzero k that completes none.  A term whose
+turns along an axis, summed over its factors, reach n/2 on its n nodes
+aliases onto the alternating mode, where d1 is 0, or below, and is refused.
 
 The text is read by `ast.parse` as a Python expression: NUMBER is any finite
 int or float literal Python reads (`0x4`, `1_0`), signs repeat (`--8`, `2*-3`)
@@ -166,19 +168,26 @@ def parse_expression(text: str):
 
 
 def evaluate_expression(terms, grid: GridSpec) -> np.ndarray:
-    """Evaluate on grid nodes, enforcing periodicity of every frequency."""
+    """Evaluate on grid nodes, refusing an aperiodic frequency and an unresolved term."""
     out = np.zeros(grid.dims)
     meshes = [grid.mesh(k) for k in range(4)]
     for term in terms:
         vals = np.full(grid.dims, term.coefficient)
+        reach = [0] * 4
         for f in term.factors:
             for axis, (k, L) in enumerate(zip(f.coeffs, grid.periods)):
                 turns = k * L / (2.0 * np.pi)
-                if not math.isfinite(turns) or abs(turns - round(turns)) > 1e-9:
+                if (not math.isfinite(turns) or abs(turns - round(turns)) > 1e-9
+                        or (k != 0.0 and round(turns) == 0)):
                     raise PresetError(
                         f"factor {f.source!r}: frequency {k:g} on axis {axis} is not "
                         f"periodic over length {L:g}"
                     )
+                reach[axis] += abs(round(turns))
+                if 2 * reach[axis] >= grid.dims[axis]:
+                    raise PresetError(f"term {'*'.join(x.source for x in term.factors)!r}: "
+                                      f"{reach[axis]} turns on axis {axis} reach half its "
+                                      f"{grid.dims[axis]} nodes, which the grid cannot resolve")
             arg = np.full(grid.dims, f.phase)
             for axis in range(4):
                 if f.coeffs[axis] != 0.0:
@@ -262,13 +271,10 @@ def metric_from_preset(text: str, grid: GridSpec) -> MetricField:
             g[diagonal] = np.exp(2.0 * scalar_from_expression(arg, grid))
         elif kind == "kaehler-product":
             terms = parse_expression(arg)
-            for term in terms:
-                for fac in term.factors:
-                    if fac.coeffs[0] != 0.0 or fac.coeffs[1] != 0.0:
-                        raise PresetError(
-                            f"factor {fac.source!r}: kaehler-product profiles may only "
-                            "involve x2 and x3"
-                        )
+            bad = [f for term in terms for f in term.factors if any(f.coeffs[:2])]
+            if bad:
+                raise PresetError(f"factor {bad[0].source!r}: kaehler-product profiles may only "
+                                  "involve x2 and x3")
             g[diagonal[:2]] = 1.0
             g[diagonal[2:]] = np.exp(2.0 * evaluate_expression(terms, grid))
         elif kind == "file":

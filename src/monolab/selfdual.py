@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import PAIRS, TRIPLE_SIGNS, TRIPLES, WEDGE2, WEDGE2_SIGNS
+from .bases import PAIRS, TRIPLE_SIGNS, TRIPLES, WEDGE2_SIGNS, eta_sums
 from .curvature import CurvatureBundle, MetricField, _bilinear, _sym_apply
 from .grid import (
     GridSpec,
@@ -141,8 +141,9 @@ def project(omega: TwoFormField, m: MetricField) -> SelfDualField:
 
 def _sd_part(omega: np.ndarray, m: MetricField) -> np.ndarray:
     """eta components (3, [batch,] dims) of the self-dual part of stored pairs
-    omega (6, [batch,] dims), sd_pairs^T WEDGE2 omega / vol (see `curvature`).
-    Flips WEDGE2's signs in omega in place, so omega[::-1] is WEDGE2 omega."""
+    omega (6, [batch,] dims), sd_pairs^T J omega / vol, J the signed reversal
+    of pair order (see `curvature`).  Flips the signs of J in omega in place,
+    so omega[::-1] is J omega."""
     n = m.grid.node_count
     lowered = omega[::-1]
     lowered *= WEDGE2_SIGNS.reshape((6,) + (1,) * (omega.ndim - 1))
@@ -156,10 +157,12 @@ def sd_l2_norm(sigma: SelfDualField, m: MetricField) -> float:
 
 
 def wedge_integral(alpha: TwoFormField, beta: TwoFormField) -> float:
-    """integral of alpha ^ beta; a top form, so no volume factor appears."""
+    """integral of alpha ^ beta; a top form, so no volume factor appears.
+    beta is lowered by the signed reversal of pair order, J beta."""
     if not alpha.grid.compatible(beta.grid):
         raise ValueError("wedge integral needs both forms on the same grid")
-    den = _bilinear(alpha.comps, WEDGE2, beta.comps)
+    lowered = beta.comps[::-1] * WEDGE2_SIGNS.reshape(6, 1, 1, 1, 1)
+    den = np.einsum("p...,p...->...", alpha.comps, lowered)
     return float(np.sum(den) * alpha.grid.cell_volume)
 
 
@@ -403,14 +406,7 @@ B_PLUS = 3
 
 # the flat self-dual constant classes dx01+dx23, dx02-dx13, dx03+dx12 in
 # PAIRS order, one per column, broadcast over the grid
-_SD_CLASSES = np.array([
-    [1.0, 0.0, 0.0],
-    [0.0, 1.0, 0.0],
-    [0.0, 0.0, 1.0],
-    [0.0, 0.0, 1.0],
-    [0.0, -1.0, 0.0],
-    [1.0, 0.0, 0.0],
-]).reshape(6, B_PLUS, 1, 1, 1, 1)
+_SD_CLASSES = eta_sums(np.eye(6), 1.0).T.reshape(6, B_PLUS, 1, 1, 1, 1)
 
 # PCG stop: preconditioned residual at most _PCG_TOL of the class norm ||c||_G
 _PCG_TOL = 1e-12
@@ -454,7 +450,7 @@ def harmonic_selfdual_basis(m: MetricField) -> HarmonicBasis:
 
     Each flat self-dual constant class c_a has the minimum-norm
     representative h_a = c_a + d alpha_a, where d^T G (c_a + d alpha_a) = 0
-    with G = vol Lambda^2(g^-1) = WEDGE2 star, the Gram matrix of stored
+    with G = vol Lambda^2(g^-1) = J star, the Gram matrix of stored
     pairs, applied from sd_pairs and vol (see `curvature`), and d^T the
     plain-sum transpose.  So d(star h_a) = 0: the discrete harmonic space
     is star-invariant and project(h_a) is harmonic.
@@ -474,7 +470,7 @@ def harmonic_selfdual_basis(m: MetricField) -> HarmonicBasis:
     inv_symbol = _inverse_symbol(grid)
 
     def g_apply(omega):
-        # G omega = WEDGE2 (2 sd_pairs _sd_part(omega) - omega), pair by pair in place
+        # G omega = J (2 sd_pairs _sd_part(omega) - omega), pair by pair in place
         c = _sd_part(omega, m).reshape(3, -1, n)
         lowered = omega[::-1].reshape(6, -1, n)
         for sign, eta, out in zip(WEDGE2_SIGNS, m.sd_pairs[::-1].reshape(6, 3, n), lowered):

@@ -43,7 +43,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bases import H_PLUS, PAIRS
+from .bases import H_PLUS, PAIRS, eta_sums
 from .grid import GridSpec, _freeze, _gradient
 from .selfdual import SelfDualField, TwoFormField, _d
 
@@ -118,11 +118,8 @@ class U1Connection:
 
     @cached_property
     def curv_plus(self) -> SelfDualField:
-        # the eta rows of H_PLUS: pairs 01 + 23, 02 - 13 and 03 + 12, over sqrt(2)
-        c = self.curv.comps
-        h = H_PLUS[0, 0]
-        proj = np.stack([h * c[0] + h * c[5], h * c[1] - h * c[4], h * c[2] + h * c[3]])
-        return SelfDualField(self.grid, -2.0 * proj)
+        # the eta rows: pairs 01 + 23, 02 - 13 and 03 + 12, over sqrt(2)
+        return SelfDualField(self.grid, -2.0 * eta_sums(self.curv.comps))
 
 
 class CliffordModel:

@@ -41,6 +41,16 @@ def test_curvature_report(capsys):
     assert "inputs_digest" in report
 
 
+# below half the nodes of the axis, a term is resolved and runs; the same
+# terms at n/2 are refused (test_parse_errors_exit_2)
+@pytest.mark.parametrize("dims, metric", [("8", "conformal:0.1*sin(3*x0)"),
+                                          ("12", "conformal:0.1*sin(4*x0)")])
+def test_resolvable_terms_run(capsys, dims, metric):
+    code, report = run(capsys, ["curvature", "--dims", dims, "--metric", metric])
+    assert code == 0
+    assert report["outputs"]["scalar"]["max"] > 0
+
+
 def test_curvature_dump(tmp_path, capsys):
     dump = tmp_path / "fields.zip"
     code, _ = run(capsys, ["curvature", "--dims", "8", "--dump", str(dump)])
@@ -304,6 +314,13 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
         # the rotating pair is periodic only over whole 2*pi turns of axis 2
         ["psw-residual", "--dims", "8", "--periods", "3"],
         ["bounds", "--dims", "8", "--pair", "rotating", "--periods", "6.3,6.3,3,6.3"],
+        # a term the grid cannot resolve: the Nyquist mode samples to zero,
+        # and a frequency on a tiny period makes no whole turn
+        ["curvature", "--dims", "8", "--metric", "conformal:0.1*sin(4*x0)"],
+        ["curvature", "--dims", "8", "--metric", "conformal:0.1*sin(2*x0)*cos(2*x0)"],
+        ["curvature", "--dims", "8", "--periods", "1e-9", "--metric", "conformal:0.1*sin(x0)"],
+        ["psw-residual", "--dims", "8", "--pair", "gauge", "--chi", "0.3*sin(4*x0)"],
+        ["hodge", "--dims", "8", "--metric", "kaehler-product:0.1*sin(x2)*cos(4*x3)"],
     ],
 )
 # a numpy warning would be a second stderr line

@@ -1,5 +1,6 @@
 """Preset expression grammar, metric/theta builders, random smooth fields."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -124,6 +125,35 @@ def test_periodicity_guard():
     scalar_from_expression("sin(0.5*x1)", g2)
     with pytest.raises(PresetError):
         scalar_from_expression("sin(0.25*x1)", g2)
+
+
+@pytest.mark.parametrize("text, dims, periods, match", [
+    # the alternating mode samples to zero on 8 nodes
+    ("0.1*sin(4*x0)", 8, TWO_PI, "term 'sin(4*x0)': 4 turns on axis 0 reach half its 8 nodes"),
+    # a product's turns add up: sin(2x) cos(2x) = sin(4x) / 2
+    ("sin(2*x0)*cos(2*x0)", 8, TWO_PI, "term 'sin(2*x0)*cos(2*x0)': 4 turns on axis 0"),
+    ("cos(2*x1)*cos(x1)*sin(x1)", 8, TWO_PI, "4 turns on axis 1"),
+    ("sin(-6*x2+x3)", (8, 8, 11, 8), TWO_PI, "6 turns on axis 2 reach half its 11 nodes"),
+    ("sin(7*x3)", (8, 8, 8, 13), TWO_PI, "7 turns on axis 3 reach half its 13 nodes"),
+    # a nonzero frequency on a tiny period makes no whole turn
+    ("sin(x0)", 8, 1e-9, "frequency 1 on axis 0 is not periodic over length 1e-09"),
+    ("cos(3*x2)", 8, 1e-12, "frequency 3 on axis 2 is not periodic"),
+])
+def test_unresolvable_terms_are_refused(text, dims, periods, match):
+    grid = GridSpec((dims,) * 4 if np.isscalar(dims) else dims, (periods,) * 4)
+    with pytest.raises(PresetError, match=re.escape(match)):
+        scalar_from_expression(text, grid)
+
+
+@pytest.mark.parametrize("text, dims", [
+    ("sin(3*x0)", 8), ("sin(2*x0)*cos(x0)", 8), ("sin(4*x0)", 12), ("sin(5*x0+6*x1)", 13),
+    ("sin(-5*x2+x3)", (8, 8, 11, 8)),
+    ("sin(6*x3)", (8, 8, 8, 13)), ("0.5*cos(0*x1)", 8),
+])
+def test_terms_below_half_the_nodes_are_evaluated(text, dims):
+    grid = GridSpec((dims,) * 4 if np.isscalar(dims) else dims)
+    f = scalar_from_expression(text, grid)
+    assert f.shape == grid.dims and np.isfinite(f).all()
 
 
 def test_metric_presets(grid8):

@@ -8,10 +8,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from monolab.bases import PAIRS, WEDGE2, WEDGE2_SIGNS
+from monolab.bases import H_PLUS, PAIRS, WEDGE2_SIGNS
 from monolab.curvature import (
+    _PAIR_I,
+    _PAIR_J,
     _SYM_I,
+    _SYM_INDEX,
     _SYM_J,
+    _bilinear,
     _inverse_metric,
     _metric_slab,
     build_metric,
@@ -20,7 +24,9 @@ from monolab.curvature import (
 from monolab.grid import GridSpec, _stencil_symbol2, d1
 from monolab.presets import metric_from_preset, random_smooth_scalar, theta_from_preset
 from monolab.selfdual import (
+    _SD_CLASSES,
     SelfDualField,
+    TwoFormField,
     _d,
     _dirichlet_forward,
     _hodge_forward,
@@ -59,6 +65,14 @@ from conftest import (
     textbook_three_form_star,
     unpack,
 )
+from test_layout import ODD
+
+
+def wedge_pairs():
+    """The wedge pairing of stored pairs read off the permutation symbol,
+    [P, Q] = eps_{PQ}: the star of stored pairs on the flat chart."""
+    eps = levi_civita()
+    return np.array([[eps[i, j, k, l] for k, l in PAIRS] for i, j in PAIRS])
 
 
 def smooth_sd(grid, seed, offset=1.0, amp=0.4):
@@ -76,7 +90,7 @@ def test_projection_algebra(generic8):
     back = project(omega, m)
     assert np.max(np.abs(back.comps - sig.comps)) < 1e-12
     # self-dual at every node: omega ^ omega = |omega|^2 vol
-    wedge = np.einsum("p...,pq,q...->...", omega.comps, WEDGE2, omega.comps)
+    wedge = np.einsum("p...,pq,q...->...", omega.comps, wedge_pairs(), omega.comps)
     gram = textbook_lambda2(layout(unpack(_inverse_metric(coframe(m))), "node"))
     node = layout(omega.comps, "node")
     norm2 = layout(np.einsum("...p,...pq,...q->...", node, gram, node), "comp")
@@ -84,12 +98,39 @@ def test_projection_algebra(generic8):
 
 
 def test_wedge_pairing_is_a_signed_reversal_of_pairs():
-    # the closed forms of the star read WEDGE2 as its signs and a reversal
-    # of pair order; the wedge pairing is the permutation symbol on pairs
-    eps = levi_civita()
-    assert np.array_equal(np.array([[eps[i, j, k, l] for k, l in PAIRS] for i, j in PAIRS]),
-                          WEDGE2)
-    assert np.array_equal(np.diag(WEDGE2_SIGNS)[:, ::-1], WEDGE2)
+    # the one table of Lambda^2: the permutation symbol on pairs is
+    # WEDGE2_SIGNS[p] at (p, 5 - p) and zero elsewhere, and the eta rows
+    # are pair a plus its signed complement
+    assert np.array_equal(wedge_pairs(), np.diag(WEDGE2_SIGNS)[:, ::-1])
+    assert np.array_equal(np.sqrt(2.0) * H_PLUS, (np.eye(6) + wedge_pairs())[:3])
+    eta = np.sqrt(2.0) * textbook_eta()
+    assert np.array_equal(np.sqrt(2.0) * H_PLUS, eta[:, _PAIR_I, _PAIR_J])
+
+
+# sd_pairs, sd_connection, the flat classes and the wedge integral read the
+# signed reversal of pair order in closed form; each has the bits of the
+# contraction it replaced, with H_PLUS or the permutation symbol on pairs
+@pytest.mark.parametrize("grid", [GridSpec((8,) * 4), ODD], ids=["8^4", "odd"])
+def test_closed_forms_match_the_contractions(grid):
+    m = build_metric(grid, pack(generic_metric(grid.dims, periods=grid.periods)[1]))
+    lam = textbook_lambda2(layout(unpack(coframe(m), symmetric=False), "node"))
+    sd_pairs = layout(np.einsum("aq,...qp->...pa", H_PLUS, lam), "comp")
+    assert m.sd_pairs.tobytes() == sd_pairs.tobytes()
+    # a_k = sqrt(2) H+ (F[:, (k, .)] e^-1)_(j, i) over the pairs (i, j)
+    conn = np.empty((4, 3) + grid.dims)
+    for i in range(grid.dims[0]):
+        frame, einv = _metric_slab(m, i)[4:]
+        for k, xs in enumerate(_SYM_INDEX):
+            low = np.einsum("pm...,mp...->p...", frame[_PAIR_J[:, None], xs], einv[:, _PAIR_I])
+            conn[k, :, i] = np.einsum("p...,pa->a...", low, 2.0 * H_PLUS.T / np.sqrt(2.0))
+    assert m.sd_connection.tobytes() == conn.tobytes()
+    classes = (np.eye(6) + wedge_pairs())[:, :3]
+    assert _SD_CLASSES.tobytes() == classes.reshape(_SD_CLASSES.shape).tobytes()
+    assert np.array_equal(classes, np.sqrt(2.0) * H_PLUS.T)
+    rng = np.random.default_rng(11)
+    a, b = (TwoFormField(grid, rng.standard_normal((6,) + grid.dims)) for _ in range(2))
+    want = float(np.sum(_bilinear(a.comps, wedge_pairs(), b.comps)) * grid.cell_volume)
+    assert np.float64(wedge_integral(a, b)).tobytes() == np.float64(want).tobytes()
 
 
 def test_d_squared_vanishes(grid8):
